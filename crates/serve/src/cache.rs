@@ -7,6 +7,7 @@
 //! GPU path skip the `norms(A)` kernel launch entirely.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use ks_core::plan::{SourcePlan, SourceSet, SourceSetId};
@@ -76,8 +77,8 @@ impl PlanCacheStats {
 const NIL: usize = usize::MAX;
 
 /// One slab slot of the recency list.
-struct Entry {
-    key: PlanKey,
+struct Entry<K> {
+    key: K,
     plan: Arc<SourcePlan>,
     /// Towards LRU.
     prev: usize,
@@ -85,17 +86,19 @@ struct Entry {
     next: usize,
 }
 
-/// A bounded LRU map from [`PlanKey`] to shared [`SourcePlan`]s.
+/// A bounded LRU map from a key to shared [`SourcePlan`]s, the one
+/// LRU behind both the server's [`PlanCache`] and the pool's
+/// per-device [`ShardPlanCache`]s.
 ///
 /// Recency is an intrusive doubly-linked list threaded through a slab
 /// of entries, with the key map pointing at slab slots — every
 /// operation (hit touch, miss insert, eviction) is O(1), so cache
 /// maintenance stays negligible however many corpora a device pool
 /// keeps warm.
-pub struct PlanCache {
+struct Lru<K> {
     capacity: usize,
-    map: HashMap<PlanKey, usize>,
-    slab: Vec<Entry>,
+    map: HashMap<K, usize>,
+    slab: Vec<Entry<K>>,
     /// Recycled slab slots.
     free: Vec<usize>,
     /// Least-recently-used slot.
@@ -103,6 +106,101 @@ pub struct PlanCache {
     /// Most-recently-used slot.
     tail: usize,
     stats: PlanCacheStats,
+}
+
+impl<K: Copy + Eq + Hash> Lru<K> {
+    fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "plan cache capacity must be positive");
+        Self {
+            capacity,
+            map: HashMap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            stats: PlanCacheStats::default(),
+        }
+    }
+
+    /// Detaches slot `idx` from the recency list.
+    fn unlink(&mut self, idx: usize) {
+        let (prev, next) = (self.slab[idx].prev, self.slab[idx].next);
+        if prev == NIL {
+            self.head = next;
+        } else {
+            self.slab[prev].next = next;
+        }
+        if next == NIL {
+            self.tail = prev;
+        } else {
+            self.slab[next].prev = prev;
+        }
+    }
+
+    /// Appends slot `idx` at the MRU end.
+    fn push_mru(&mut self, idx: usize) {
+        self.slab[idx].prev = self.tail;
+        self.slab[idx].next = NIL;
+        if self.tail == NIL {
+            self.head = idx;
+        } else {
+            self.slab[self.tail].next = idx;
+        }
+        self.tail = idx;
+    }
+
+    /// Looks up `key`, inserting `make()` on a miss. Returns the plan
+    /// and whether it was a hit. Eviction is strict LRU over these
+    /// accesses.
+    fn get_or_insert_with(
+        &mut self,
+        key: K,
+        make: impl FnOnce() -> Arc<SourcePlan>,
+    ) -> (Arc<SourcePlan>, bool) {
+        if let Some(&idx) = self.map.get(&key) {
+            self.unlink(idx);
+            self.push_mru(idx);
+            self.stats.hits += 1;
+            return (Arc::clone(&self.slab[idx].plan), true);
+        }
+        self.stats.misses += 1;
+        if self.map.len() >= self.capacity {
+            let victim = self.head;
+            self.unlink(victim);
+            self.map.remove(&self.slab[victim].key);
+            self.free.push(victim);
+            self.stats.evictions += 1;
+        }
+        let plan = make();
+        let entry = Entry {
+            key,
+            plan: Arc::clone(&plan),
+            prev: NIL,
+            next: NIL,
+        };
+        let idx = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot] = entry;
+                slot
+            }
+            None => {
+                self.slab.push(entry);
+                self.slab.len() - 1
+            }
+        };
+        self.push_mru(idx);
+        self.map.insert(key, idx);
+        (plan, false)
+    }
+
+    fn contains(&self, key: &K) -> bool {
+        self.map.contains_key(key)
+    }
+}
+
+/// A bounded LRU map from [`PlanKey`] to shared [`SourcePlan`]s.
+pub struct PlanCache {
+    lru: Lru<PlanKey>,
     /// Static-admission verdict memo. A verdict depends only on the
     /// padded launch geometry (and the device model, fixed per
     /// server), so unlike plans there is no LRU pressure: distinct
@@ -138,15 +236,8 @@ impl PlanCache {
     /// Panics if `capacity == 0`.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "plan cache capacity must be positive");
         Self {
-            capacity,
-            map: HashMap::new(),
-            slab: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            stats: PlanCacheStats::default(),
+            lru: Lru::new(capacity),
             admission: HashMap::new(),
             admission_stats: AdmissionStats::default(),
             geometry: HashMap::new(),
@@ -215,33 +306,6 @@ impl PlanCache {
         self.admission_stats
     }
 
-    /// Detaches slot `idx` from the recency list.
-    fn unlink(&mut self, idx: usize) {
-        let (prev, next) = (self.slab[idx].prev, self.slab[idx].next);
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.slab[prev].next = next;
-        }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.slab[next].prev = prev;
-        }
-    }
-
-    /// Appends slot `idx` at the MRU end.
-    fn push_mru(&mut self, idx: usize) {
-        self.slab[idx].prev = self.tail;
-        self.slab[idx].next = NIL;
-        if self.tail == NIL {
-            self.head = idx;
-        } else {
-            self.slab[self.tail].next = idx;
-        }
-        self.tail = idx;
-    }
-
     /// Looks up `key`, building (and inserting) the plan on a miss.
     /// Returns the plan and whether it was a hit. Eviction is strict
     /// LRU over `get_or_build` accesses.
@@ -250,70 +314,91 @@ impl PlanCache {
         key: PlanKey,
         build: impl FnOnce() -> SourcePlan,
     ) -> (Arc<SourcePlan>, bool) {
-        if let Some(&idx) = self.map.get(&key) {
-            self.unlink(idx);
-            self.push_mru(idx);
-            self.stats.hits += 1;
-            return (Arc::clone(&self.slab[idx].plan), true);
-        }
-        self.stats.misses += 1;
-        if self.map.len() >= self.capacity {
-            let victim = self.head;
-            self.unlink(victim);
-            self.map.remove(&self.slab[victim].key);
-            self.free.push(victim);
-            self.stats.evictions += 1;
-        }
-        let plan = Arc::new(build());
-        let entry = Entry {
-            key,
-            plan: Arc::clone(&plan),
-            prev: NIL,
-            next: NIL,
-        };
-        let idx = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot] = entry;
-                slot
-            }
-            None => {
-                self.slab.push(entry);
-                self.slab.len() - 1
-            }
-        };
-        self.push_mru(idx);
-        self.map.insert(key, idx);
-        (plan, false)
+        self.lru.get_or_insert_with(key, || Arc::new(build()))
     }
 
     /// True if `key` is currently cached (no recency effect).
     #[must_use]
     pub fn contains(&self, key: &PlanKey) -> bool {
-        self.map.contains_key(key)
+        self.lru.contains(key)
     }
 
     /// Cached plan count.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.lru.map.len()
     }
 
     /// True when nothing is cached.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.lru.map.is_empty()
     }
 
     /// The configured bound.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.lru.capacity
     }
 
     /// Counter snapshot.
     #[must_use]
     pub fn stats(&self) -> PlanCacheStats {
-        self.stats
+        self.lru.stats
+    }
+}
+
+/// Key of the pool's per-device shard-plan caches: the batch-level
+/// plan key plus the shard's full row range. Both endpoints matter —
+/// shards of one corpus share a start row whenever an eviction or
+/// readmission re-plans the shard count (`0..128` in a four-way split,
+/// `0..256` in the three-way split that replaces it), and equal-length
+/// shards share an extent — so either alone would alias.
+#[derive(PartialEq, Eq, Hash, Clone, Copy)]
+pub(crate) struct ShardKey {
+    pub(crate) plan: PlanKey,
+    pub(crate) row0: usize,
+    pub(crate) rows: usize,
+}
+
+/// One pool device's resident plans: which `A` panels (row shards, or
+/// whole corpora a packed segment uploaded) the device holds, so a
+/// placement there skips the `A`+norms upload. Residency only prices
+/// transfers; the norms path is always the server's plan-cache verdict.
+pub(crate) struct ShardPlanCache {
+    lru: Lru<ShardKey>,
+}
+
+impl ShardPlanCache {
+    pub(crate) fn new(capacity: usize) -> Self {
+        Self {
+            lru: Lru::new(capacity),
+        }
+    }
+
+    /// True if the device holds `key` (no recency effect).
+    pub(crate) fn contains(&self, key: &ShardKey) -> bool {
+        self.lru.contains(key)
+    }
+
+    /// Returns `(shard plan, was resident)`, slicing `full` on a miss.
+    pub(crate) fn get_or_slice(
+        &mut self,
+        key: ShardKey,
+        full: &SourcePlan,
+        rows: std::ops::Range<usize>,
+    ) -> (Arc<SourcePlan>, bool) {
+        self.lru
+            .get_or_insert_with(key, || Arc::new(full.shard(rows)))
+    }
+
+    /// Marks a whole plan resident; returns whether it already was.
+    pub(crate) fn hold(&mut self, key: ShardKey, plan: &Arc<SourcePlan>) -> bool {
+        self.lru.get_or_insert_with(key, || Arc::clone(plan)).1
+    }
+
+    pub(crate) fn stats(&self) -> PlanCacheStats {
+        self.lru.stats
     }
 }
 
@@ -365,5 +450,36 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_is_rejected() {
         let _ = PlanCache::new(0);
+    }
+
+    #[test]
+    fn shard_plan_cache_is_lru_and_range_keyed() {
+        let pts = PointSet::uniform_cube(8, 3, 7);
+        let full = SourcePlan::build(&pts);
+        let source = PlanKey::new(&SourceSet::new(pts), 1.0);
+        let key = |row0, rows| ShardKey {
+            plan: source,
+            row0,
+            rows,
+        };
+        let mut cache = ShardPlanCache::new(3);
+        // Equal-length shards at different offsets are distinct keys.
+        let (_, hit) = cache.get_or_slice(key(0, 4), &full, 0..4);
+        assert!(!hit);
+        let (_, hit) = cache.get_or_slice(key(4, 4), &full, 4..8);
+        assert!(!hit, "same length, different offset: no aliasing");
+        let (p, hit) = cache.get_or_slice(key(0, 4), &full, 0..4);
+        assert!(hit);
+        assert_eq!(p.dims(), (4, 3));
+        // Same start, different extent — what an eviction's re-plan
+        // produces — must miss, not serve the stale shorter plan.
+        let (p, hit) = cache.get_or_slice(key(0, 8), &full, 0..8);
+        assert!(!hit, "same offset, different extent: no aliasing");
+        assert_eq!(p.dims(), (8, 3));
+        assert!(
+            cache.hold(key(0, 8), &Arc::new(full)),
+            "the whole plan is resident"
+        );
+        assert_eq!(cache.stats().evictions, 0);
     }
 }

@@ -5,8 +5,8 @@
 //! [`solve_multi_planned`], so each served column is **bit-identical**
 //! to the single-shot `solve_multi_fused` answer for that query alone
 //! (per-column accumulation is independent of `R`). The GPU path runs
-//! the simulated fused-multi pipeline at the server's resolved
-//! [`TileGeometry`], padding to that geometry's tiling constraints; on
+//! the simulated fused-multi pipeline at the segment's resolved tile
+//! geometry, padding to that geometry's tiling constraints; on
 //! a plan-cache hit it ships the precomputed row norms and skips the
 //! `norms(A)` kernel.
 
@@ -16,12 +16,12 @@ use ks_core::problem::PointSet;
 use ks_core::{FusedCpuConfig, GaussianKernel};
 use ks_gpu_kernels::gemm_engine::GemmShape;
 use ks_gpu_kernels::{
-    execute_fused_multi_verified_with, execute_fused_multi_with, TileGeometry, VerifyReport,
-    MAX_WEIGHT_COLUMNS,
+    execute_fused_multi_verified_with, execute_fused_multi_with, MAX_WEIGHT_COLUMNS,
 };
 use ks_gpu_sim::device::GpuDevice;
 use ks_gpu_sim::kernel::LaunchError;
-use ks_gpu_sim::profiler::PipelineProfile;
+
+use crate::ladder::{Attempt, Segment};
 
 /// Largest coalesced batch the GPU kernel accepts (weight columns).
 pub const MAX_GPU_BATCH: usize = MAX_WEIGHT_COLUMNS;
@@ -75,16 +75,11 @@ pub(crate) struct PaddedBatch {
     pub(crate) r: usize,
 }
 
-pub(crate) fn pad_batch(
-    plan: &SourcePlan,
-    targets: &PointSet,
-    weights: &[Vec<f32>],
-    plan_hit: bool,
-    geo: &TileGeometry,
-) -> PaddedBatch {
-    let (m, k) = plan.dims();
-    let n = targets.len();
-    let r = weights.len();
+pub(crate) fn pad_batch(seg: &Segment) -> PaddedBatch {
+    let geo = &seg.geometry;
+    let (m, k) = seg.plan.dims();
+    let n = seg.targets.len();
+    let r = seg.weights.len();
     assert!(
         (1..=MAX_GPU_BATCH).contains(&r),
         "GPU batch width {r} out of range 1..={MAX_GPU_BATCH}"
@@ -98,17 +93,17 @@ pub(crate) fn pad_batch(
         geo.tile_k
     );
     let k_pad = k.next_multiple_of(geo.tile_k);
-    let a = pad_coords(plan.pack_words(), m, k, m_pad, k_pad);
-    let b = pad_coords(targets.coords(), n, k, n_pad, k_pad);
+    let a = pad_coords(seg.plan.pack_words(), m, k, m_pad, k_pad);
+    let b = pad_coords(seg.targets.coords(), n, k, n_pad, k_pad);
     // N×R column-major; padded targets carry zero weight.
     let mut w_cols = vec![0.0f32; n_pad * r];
-    for (c, w) in weights.iter().enumerate() {
+    for (c, w) in seg.weights.iter().enumerate() {
         w_cols[c * n_pad..c * n_pad + n].copy_from_slice(w);
     }
     // Padded source rows are all-zero points: their norm is 0, so the
     // precomputed norms extend with zeros.
-    let a2 = plan_hit.then(|| {
-        let mut norms = plan.row_sq_norms().to_vec();
+    let a2 = seg.warm.then(|| {
+        let mut norms = seg.plan.row_sq_norms().to_vec();
         norms.resize(m_pad, 0.0);
         norms
     });
@@ -136,73 +131,55 @@ impl PaddedBatch {
     }
 }
 
-/// Runs a batch on the simulated GPU. `plan_hit` selects the warm
-/// path: the plan's precomputed row norms are uploaded and the
-/// `norms(A)` kernel launch is skipped.
-///
-/// # Errors
-/// Propagates launch-validation failures; the server turns these into
-/// the CPU fallback or a per-query error.
-pub(crate) fn execute_gpu(
-    dev: &mut GpuDevice,
-    plan: &SourcePlan,
-    targets: &PointSet,
-    h: f32,
-    weights: &[Vec<f32>],
-    plan_hit: bool,
-    geo: &TileGeometry,
-) -> Result<(Vec<Vec<f32>>, PipelineProfile), LaunchError> {
-    let batch = pad_batch(plan, targets, weights, plan_hit, geo);
-    let (v, prof) = execute_fused_multi_with(
-        dev,
-        geo,
-        batch.shape,
-        h,
-        &batch.a,
-        &batch.b,
-        &batch.w_cols,
-        batch.a2.as_deref(),
-    )?;
-    Ok((batch.unpad(&v), prof))
-}
-
-/// [`execute_gpu`] through the checksum-augmented (ABFT) fused-multi
-/// pipeline. The returned [`VerifyReport`] says whether any in-kernel
-/// check or host-side checksum comparison tripped; the results must
-/// not be fulfilled when it did.
+/// Runs one segment on the simulated GPU at its resolved geometry. A
+/// warm segment (plan-cache hit) ships the plan's precomputed row
+/// norms and skips the `norms(A)` kernel launch. With `verify` the
+/// batch runs through the checksum-augmented (ABFT) pipeline and the
+/// attempt's flag says whether any in-kernel check or host-side
+/// checksum comparison tripped; a flagged result must not be
+/// fulfilled.
 ///
 /// # Errors
 /// Propagates launch-validation failures and injected launch-level
 /// faults.
-pub(crate) fn execute_gpu_verified(
+pub(crate) fn execute_gpu(
     dev: &mut GpuDevice,
-    plan: &SourcePlan,
-    targets: &PointSet,
-    h: f32,
-    weights: &[Vec<f32>],
-    plan_hit: bool,
-    geo: &TileGeometry,
-) -> Result<(Vec<Vec<f32>>, PipelineProfile, VerifyReport), LaunchError> {
-    let batch = pad_batch(plan, targets, weights, plan_hit, geo);
-    let (v, prof, report) = execute_fused_multi_verified_with(
-        dev,
-        geo,
+    seg: &Segment,
+    verify: bool,
+) -> Result<Attempt, LaunchError> {
+    let batch = pad_batch(seg);
+    let (geo, shape, h, a, b, w, a2) = (
+        &seg.geometry,
         batch.shape,
-        h,
+        seg.h,
         &batch.a,
         &batch.b,
         &batch.w_cols,
         batch.a2.as_deref(),
-    )?;
-    Ok((batch.unpad(&v), prof, report))
+    );
+    let (v, profile, flag) = if verify {
+        let (v, p, report) = execute_fused_multi_verified_with(dev, geo, shape, h, a, b, w, a2)?;
+        (v, p, report.corruption_detected())
+    } else {
+        let (v, p) = execute_fused_multi_with(dev, geo, shape, h, a, b, w, a2)?;
+        (v, p, false)
+    };
+    Ok(Attempt {
+        results: vec![batch.unpad(&v)],
+        profile,
+        flags: vec![flag],
+    })
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use ks_core::plan::SourceSet;
     use ks_core::solve_multi_reference;
     use ks_core::KernelSumProblem;
+    use ks_gpu_kernels::TileGeometry;
 
     fn weights(n: usize, r: usize, seed: u64) -> Vec<Vec<f32>> {
         (0..r)
@@ -214,6 +191,26 @@ mod tests {
                     .collect()
             })
             .collect()
+    }
+
+    fn segment(
+        sources: &SourceSet,
+        targets: &PointSet,
+        h: f32,
+        ws: &[Vec<f32>],
+        warm: bool,
+    ) -> Segment {
+        Segment {
+            plan: Arc::new(SourcePlan::build(sources.points())),
+            key: crate::cache::PlanKey::new(sources, h),
+            targets: Arc::new(targets.clone()),
+            h,
+            weights: Arc::new(ws.to_vec()),
+            warm,
+            resident: warm,
+            geometry: TileGeometry::paper_default(),
+            deadline: None,
+        }
     }
 
     #[test]
@@ -237,11 +234,10 @@ mod tests {
         let sources = SourceSet::new(PointSet::uniform_cube(100, 5, 11));
         let targets = PointSet::uniform_cube(70, 5, 12);
         let ws = weights(70, 2, 13);
-        let plan = SourcePlan::build(sources.points());
-        let mut dev = GpuDevice::gtx970();
-        let geo = TileGeometry::paper_default();
-        let (got, prof) = execute_gpu(&mut dev, &plan, &targets, 0.9, &ws, false, &geo).unwrap();
-        assert_eq!(prof.kernels.len(), 3);
+        let seg = segment(&sources, &targets, 0.9, &ws, false);
+        let got = execute_gpu(&mut GpuDevice::gtx970(), &seg, false).unwrap();
+        assert_eq!(got.profile.kernels.len(), 3);
+        assert_eq!(got.flags, [false]);
         for (c, w) in ws.iter().enumerate() {
             let p = KernelSumProblem::builder()
                 .sources(sources.points().clone())
@@ -251,8 +247,8 @@ mod tests {
                 .build();
             let want =
                 solve_multi_reference(&p, &Matrix::from_fn(70, 1, Layout::RowMajor, |j, _| w[j]));
-            assert_eq!(got[c].len(), 100);
-            for (i, g) in got[c].iter().enumerate() {
+            assert_eq!(got.results[0][c].len(), 100);
+            for (i, g) in got.results[0][c].iter().enumerate() {
                 let x = want.get(i, 0);
                 assert!((g - x).abs() < 5e-3 * x.abs().max(1.0), "col {c} row {i}");
             }
@@ -264,32 +260,16 @@ mod tests {
         let sources = SourceSet::new(PointSet::uniform_cube(96, 5, 31));
         let targets = PointSet::uniform_cube(64, 5, 32);
         let ws = weights(64, 3, 33);
-        let plan = SourcePlan::build(sources.points());
-        let geo = TileGeometry::paper_default();
-        let (plain, _) = execute_gpu(
-            &mut GpuDevice::gtx970(),
-            &plan,
-            &targets,
-            0.9,
-            &ws,
-            false,
-            &geo,
-        )
-        .unwrap();
-        let (verified, prof, report) = execute_gpu_verified(
-            &mut GpuDevice::gtx970(),
-            &plan,
-            &targets,
-            0.9,
-            &ws,
-            false,
-            &geo,
-        )
-        .unwrap();
-        assert!(!report.corruption_detected(), "fault-free run is clean");
-        assert!(report.checksum_groups > 0);
-        assert_eq!(prof.kernels.len(), 3);
-        for (c, (a, b)) in plain.iter().zip(verified.iter()).enumerate() {
+        let seg = segment(&sources, &targets, 0.9, &ws, false);
+        let plain = execute_gpu(&mut GpuDevice::gtx970(), &seg, false).unwrap();
+        let verified = execute_gpu(&mut GpuDevice::gtx970(), &seg, true).unwrap();
+        assert_eq!(verified.flags, [false], "fault-free run is clean");
+        assert_eq!(verified.profile.kernels.len(), 3);
+        for (c, (a, b)) in plain.results[0]
+            .iter()
+            .zip(&verified.results[0])
+            .enumerate()
+        {
             for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
                 assert!((x - y).abs() <= 1e-4 * x.abs().max(1.0), "col {c} row {i}");
             }
@@ -301,10 +281,12 @@ mod tests {
         let sources = SourceSet::new(PointSet::uniform_cube(128, 8, 21));
         let targets = PointSet::uniform_cube(128, 8, 22);
         let ws = weights(128, 1, 23);
-        let plan = SourcePlan::build(sources.points());
-        let mut dev = GpuDevice::gtx970();
-        let geo = TileGeometry::paper_default();
-        let (_, prof) = execute_gpu(&mut dev, &plan, &targets, 1.0, &ws, true, &geo).unwrap();
-        assert_eq!(prof.kernels.len(), 2, "norms(A) skipped on a plan hit");
+        let seg = segment(&sources, &targets, 1.0, &ws, true);
+        let got = execute_gpu(&mut GpuDevice::gtx970(), &seg, false).unwrap();
+        assert_eq!(
+            got.profile.kernels.len(),
+            2,
+            "norms(A) skipped on a plan hit"
+        );
     }
 }

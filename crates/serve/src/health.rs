@@ -25,8 +25,6 @@
 //! than deadlocking: a pool must keep serving, and the CPU safe
 //! harbor keeps results correct while it does.
 
-use ks_gpu_sim::fault::DevicePhase;
-
 /// Eviction/readmission policy knobs, configured on
 /// [`crate::pool::PoolConfig::health`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,16 +175,6 @@ impl HealthMonitor {
     }
 }
 
-/// Maps a lifecycle phase observed at attempt time to the per-device
-/// report counters (`None` for a healthy phase).
-#[must_use]
-pub(crate) fn lifecycle_counter(phase: DevicePhase) -> Option<DevicePhase> {
-    match phase {
-        DevicePhase::Healthy => None,
-        p => Some(p),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,18 +277,5 @@ mod tests {
         assert!(!h.is_evicted(0));
         assert_eq!(h.readmissions[0], 1);
         assert_eq!(h.eligible(2), vec![true, false, false]);
-    }
-
-    #[test]
-    fn lifecycle_counter_maps_phases() {
-        assert_eq!(lifecycle_counter(DevicePhase::Healthy), None);
-        assert_eq!(
-            lifecycle_counter(DevicePhase::Hung),
-            Some(DevicePhase::Hung)
-        );
-        assert_eq!(
-            lifecycle_counter(DevicePhase::Lost),
-            Some(DevicePhase::Lost)
-        );
     }
 }

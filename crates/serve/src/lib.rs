@@ -12,10 +12,14 @@
 //! * [`server`] — the scheduler: queries sharing
 //!   `(corpus, bandwidth, targets)` coalesce into one multi-weight
 //!   fused solve, each contributing a weight column; per-query
-//!   deadlines; CPU-fused fallback when a simulated-GPU launch fails.
-//!   The `gpu-resilient` backend adds ABFT-verified launches with
-//!   seeded-backoff retries, a per-backend circuit breaker and a
-//!   degradation ladder ending at the bit-exact CPU reference.
+//!   deadlines and deadline-aware shedding.
+//! * `ladder` — the one degradation ladder every launch unit runs,
+//!   pooled or not: GPU attempts gated by a circuit breaker, the
+//!   fault and link streams decorrelated per attempt, transfers
+//!   charged, ending at the bit-exact CPU safe harbor. The backend
+//!   fixes its budget: one attempt with an optional CPU fallback, or
+//!   on the `gpu-resilient` backend ABFT-verified launches with
+//!   seeded-backoff retries and an unverified middle rung.
 //! * [`cache`] — the LRU plan cache keyed by `(corpus id, M, K, h)`;
 //!   a hit skips the host-side pack/norms pass and the `norms(A)`
 //!   kernel launch.
@@ -34,9 +38,11 @@
 //!   into a single routed launch ([`ks_gpu_kernels::FusedMultiPacked`])
 //!   with results bit-identical to unpacked serving.
 //! * [`pool`] — multi-device sharded serving: each batch is
-//!   partitioned row-wise over `N` simulated devices (own plan cache,
-//!   fault spec, breaker, interconnect) and the partial results merge
-//!   in fixed shard order, bit-identical to a single-device solve.
+//!   partitioned row-wise over `N` simulated devices (own residency
+//!   cache, fault spec, breaker, interconnect), every shard runs the
+//!   ladder with a pooled budget on its device's thread, and the
+//!   partial results merge in fixed shard order, bit-identical to a
+//!   single-device solve.
 //! * [`router`] — the shard placement policy: cache-first, then
 //!   load-aware, deterministic.
 //! * [`health`] — the pool's drain → evict → readmit control loop:
@@ -44,11 +50,13 @@
 //!   probe-success readmission, driven by per-shard health evidence.
 
 #![warn(missing_docs)]
+#![forbid(clippy::too_many_arguments)]
 
 pub mod admission;
 pub mod cache;
 pub mod executor;
 pub mod health;
+mod ladder;
 pub mod packed;
 pub mod pool;
 pub mod queue;

@@ -30,16 +30,14 @@
 
 use std::sync::Arc;
 
-use ks_core::plan::SourcePlan;
-use ks_core::problem::PointSet;
 use ks_gpu_kernels::{
     execute_fused_multi_packed_with, PackedSegmentSpec, TileGeometry, VerifyReport,
 };
 use ks_gpu_sim::device::GpuDevice;
 use ks_gpu_sim::kernel::LaunchError;
-use ks_gpu_sim::profiler::PipelineProfile;
 
 use crate::executor::{pad_batch, PaddedBatch};
+use crate::ladder::{Attempt, Segment};
 
 /// Largest per-segment grid (in thread blocks, after padding) the
 /// planner will pack. Segments above this already occupy a meaningful
@@ -93,46 +91,23 @@ impl PackedBatch {
     }
 }
 
-/// One segment of a packed wave, as the server prepares it: the
-/// chunk's plan, targets, bandwidth and weight columns, plus whether
-/// its plan arrived warm (precomputed norms ship instead of a norms
-/// launch — exactly the unpacked plan-hit path).
-pub(crate) struct PackedSegment {
-    pub(crate) plan: Arc<SourcePlan>,
-    pub(crate) targets: Arc<PointSet>,
-    pub(crate) h: f32,
-    pub(crate) weights: Vec<Vec<f32>>,
-    pub(crate) warm: bool,
-}
-
-/// What one packed wave hands back: per-segment per-column results,
-/// the wave's single pipeline profile, and per-segment ABFT reports
-/// when the verified path ran.
-pub(crate) struct PackedOutcome {
-    pub(crate) results: Vec<Vec<Vec<f32>>>,
-    pub(crate) profile: PipelineProfile,
-    pub(crate) verify: Option<Vec<VerifyReport>>,
-}
-
-/// Runs one packed wave on `dev`: pads every segment exactly as the
-/// unpacked executor would, keys upload deduplication on the plan and
-/// target-set identities (clones of one `Arc` are byte-identical, and
-/// all `Arc`s are alive for the whole call, so pointer keys cannot
-/// alias), and unpads each segment's result slice.
+/// Runs one packed wave on `dev` at the segments' shared geometry:
+/// pads every segment exactly as the unpacked executor would, keys
+/// upload deduplication on the plan and target-set identities (clones
+/// of one `Arc` are byte-identical, and all `Arc`s are alive for the
+/// whole call, so pointer keys cannot alias), and unpads each
+/// segment's result slice. With `verify` each segment carries its own
+/// ABFT flag.
 ///
 /// # Errors
 /// Propagates launch-validation failures and injected launch-level
-/// faults; the server degrades the affected segments individually.
+/// faults; the ladder degrades the affected segments individually.
 pub(crate) fn execute_gpu_packed(
     dev: &mut GpuDevice,
-    segs: &[PackedSegment],
-    geo: &TileGeometry,
+    segs: &[&Segment],
     verify: bool,
-) -> Result<PackedOutcome, LaunchError> {
-    let padded: Vec<PaddedBatch> = segs
-        .iter()
-        .map(|s| pad_batch(&s.plan, &s.targets, &s.weights, s.warm, geo))
-        .collect();
+) -> Result<Attempt, LaunchError> {
+    let padded: Vec<PaddedBatch> = segs.iter().map(|s| pad_batch(s)).collect();
     let specs: Vec<PackedSegmentSpec> = segs
         .iter()
         .zip(&padded)
@@ -147,12 +122,15 @@ pub(crate) fn execute_gpu_packed(
             b_key: Some(Arc::as_ptr(&s.targets) as u64),
         })
         .collect();
-    let (vs, profile, verify) = execute_fused_multi_packed_with(dev, geo, &specs, verify)?;
-    let results = padded.iter().zip(&vs).map(|(p, v)| p.unpad(v)).collect();
-    Ok(PackedOutcome {
-        results,
+    let (vs, profile, reports) =
+        execute_fused_multi_packed_with(dev, &segs[0].geometry, &specs, verify)?;
+    Ok(Attempt {
+        results: padded.iter().zip(&vs).map(|(p, v)| p.unpad(v)).collect(),
         profile,
-        verify,
+        flags: match reports {
+            Some(r) => r.iter().map(VerifyReport::corruption_detected).collect(),
+            None => vec![false; segs.len()],
+        },
     })
 }
 

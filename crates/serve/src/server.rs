@@ -9,18 +9,19 @@
 //!
 //! Failure policy: queries whose deadline has passed at dequeue time
 //! complete with [`ServeError::DeadlineExpired`], and completed
-//! batches re-check deadlines at fulfilment (`expired_in_batch`); a
-//! simulated-GPU launch failure either falls back to the
-//! bit-deterministic CPU fused path (`cpu_fallback`, the default) or
-//! surfaces as [`ServeError::Launch`] per query.
+//! batches re-check deadlines at fulfilment (`expired_in_batch`).
 //!
-//! Resilience: the [`ServeBackend::GpuResilient`] backend drives a
-//! degradation ladder — ABFT-verified GPU → unverified GPU → CPU
-//! fused — with bounded retries (exponential backoff, deterministic
-//! jitter) and a per-backend circuit breaker; see
-//! [`ResilienceConfig`] and DESIGN.md §11. Lock poisoning never
-//! cascades: a panicked worker is drained into explicit
-//! [`ServeError::Internal`] completions at shutdown.
+//! Resilience: every batch — unpooled or a pool shard, alone or as a
+//! packed segment — runs down the one degradation ladder (`ladder`
+//! module, DESIGN.md §11), whose budget the backend fixes: one GPU
+//! attempt falling back to the bit-deterministic CPU fused path
+//! (`cpu_fallback`, the default) or surfacing as
+//! [`ServeError::Launch`]; or, on [`ServeBackend::GpuResilient`],
+//! ABFT-verified GPU → unverified GPU → CPU fused with bounded retries
+//! (exponential backoff, deterministic jitter) and a circuit breaker
+//! (see [`ResilienceConfig`]). Lock poisoning never cascades: a
+//! panicked worker is drained into explicit [`ServeError::Internal`]
+//! completions at shutdown.
 
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -30,15 +31,16 @@ use ks_core::plan::{SourcePlan, SourceSet};
 use ks_core::problem::PointSet;
 use ks_core::FusedCpuConfig;
 use ks_energy::{pipeline_energy, EnergyParams};
-use ks_gpu_kernels::{TileGeometry, VerifyReport, FUSED_MULTI_PIPELINE};
+use ks_gpu_kernels::{TileGeometry, FUSED_MULTI_PIPELINE};
 use ks_gpu_sim::config::DeviceConfig;
-use ks_gpu_sim::device::GpuDevice;
+use ks_gpu_sim::fault::DevicePhase;
 use ks_gpu_sim::kernel::LaunchError;
 use ks_gpu_sim::profiler::PipelineProfile;
 
 use crate::admission::{self, AdmissionKey, AdmissionStats};
 use crate::cache::{GeometryStats, PlanCache, PlanCacheStats, PlanKey};
-use crate::executor::{self, MAX_GPU_BATCH};
+use crate::executor::MAX_GPU_BATCH;
+use crate::ladder::{Breaker, Budget, DeviceSlot, Ladder, LaunchUnit, Rung, Segment, SimLauncher};
 use crate::packed;
 use crate::pool::{DevicePool, PoolConfig, PoolReport};
 use crate::queue::BoundedQueue;
@@ -192,24 +194,34 @@ pub enum ServeBackend {
     GpuResilient,
 }
 
-/// Deterministic fault injection for testing the fallback path.
+/// Deterministic worker-fault injection for testing poison recovery.
+/// Launch faults are injected through the device's
+/// [`ks_gpu_sim::FaultSpec`] instead (e.g. `watchdog_rate: 1.0` fails
+/// every launch), pooled and unpooled alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultInjection {
     /// No injected faults.
     None,
-    /// The first `n` GPU batch launch attempts fail with
-    /// [`LaunchError::EmptyLaunch`] before touching the device.
-    FirstN(u64),
-    /// The first GPU batch panics the worker thread (a driver-bug
-    /// stand-in for exercising poison recovery end to end).
+    /// The first GPU-capable batch panics the worker thread before it
+    /// is dispatched, pooled or not (a stand-in for a GPU software
+    /// bug, exercising poison recovery end to end).
     PanicFirst,
 }
 
 /// Retry, backoff and circuit-breaker policy of
-/// [`ServeBackend::GpuResilient`].
+/// [`ServeBackend::GpuResilient`]. The breaker settings also govern
+/// the breaker of every other backend that has a CPU harbor.
+///
+/// Pooled serving (`--devices N`) keeps its budget of one GPU attempt
+/// per shard or packed sub-wave whatever `gpu_attempts` says: a sick
+/// shard goes straight to the CPU harbor, no backoff and no unverified
+/// rung (DESIGN.md §11–§12). Retrying shards would spend extra GPU
+/// attempts per query on a faulty pool; `verify` and the breaker
+/// settings still apply.
 #[derive(Debug, Clone)]
 pub struct ResilienceConfig {
-    /// Launch attempts on the top GPU rung before degrading (≥ 1).
+    /// Launch attempts on the top GPU rung before degrading (≥ 1;
+    /// unpooled only).
     pub gpu_attempts: u32,
     /// Base backoff delay; retry `a` sleeps `base·2^a` plus a
     /// deterministic jitter of up to one `base` (see
@@ -303,8 +315,8 @@ pub struct ServeConfig {
     pub enable_plan_cache: bool,
     /// Execution path.
     pub backend: ServeBackend,
-    /// Device model for GPU batches (a fresh device per batch, so
-    /// per-batch DRAM accounting is independent).
+    /// Device model for unpooled GPU batches (a fresh device per
+    /// attempt, so per-batch DRAM accounting is independent).
     pub device: DeviceConfig,
     /// CPU fused-solver blocking.
     pub cpu: FusedCpuConfig,
@@ -314,7 +326,7 @@ pub struct ServeConfig {
     /// Verdicts are memoized by launch geometry alongside the plan
     /// cache, so warm shapes pay one hash lookup.
     pub static_lint: bool,
-    /// Injected launch faults (tests only).
+    /// Injected worker faults (tests only).
     pub fault_injection: FaultInjection,
     /// Retry/backoff/breaker policy of the resilient backend.
     pub resilience: ResilienceConfig,
@@ -437,8 +449,9 @@ pub struct ServeReport {
     pub packed_launches: u64,
     /// Batches served as segments of those packed launches.
     pub packed_segments: u64,
-    /// Queries completed below the configured top rung (unverified
-    /// GPU or CPU on the resilient backend).
+    /// Queries completed below the configured top rung: on the
+    /// unverified GPU rung, or on the CPU harbor after the GPU rungs
+    /// failed or were refused (any backend, pooled or not).
     pub degraded_completions: u64,
     /// Verified-GPU attempts whose ABFT checks tripped (the result
     /// was discarded and the attempt retried or degraded).
@@ -447,8 +460,9 @@ pub struct ServeReport {
     /// in completed GPU batch profiles.
     pub injected_faults: u64,
     /// Completed GPU attempts whose profile recorded injected data
-    /// faults but whose checks (if any) stayed clean — masked flips
-    /// or faults outside ABFT coverage (see DESIGN.md §11).
+    /// faults and that kept at least one segment's result (its checks,
+    /// if any, stayed clean) — masked flips or faults outside ABFT
+    /// coverage (see DESIGN.md §11).
     pub undetected_injected: u64,
     /// Circuit-breaker transitions to open.
     pub breaker_trips: u64,
@@ -569,9 +583,28 @@ fn same_targets(a: &Arc<PointSet>, b: &Arc<PointSet>) -> bool {
                 .all(|(x, y)| x.to_bits() == y.to_bits()))
 }
 
+/// The worker's pause gate.
 struct Gate {
     paused: Mutex<bool>,
     resumed: Condvar,
+}
+
+impl Gate {
+    fn set(&self, paused: bool) {
+        *self.paused.lock().unwrap_or_else(PoisonError::into_inner) = paused;
+        self.resumed.notify_all();
+    }
+
+    /// Blocks while the gate is paused.
+    fn wait_open(&self) {
+        let mut paused = self.paused.lock().unwrap_or_else(PoisonError::into_inner);
+        while *paused {
+            paused = self
+                .resumed
+                .wait(paused)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
 }
 
 /// Counters the worker owns; merged into the report at shutdown.
@@ -607,79 +640,6 @@ struct WorkerStats {
     pool: Option<PoolReport>,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum BreakerState {
-    Closed,
-    Open { since_batch: u64 },
-    HalfOpen,
-}
-
-/// Per-backend circuit breaker over GPU attempts: `threshold`
-/// consecutive failures (launch faults or detected corruption) trip
-/// it open; open batches skip the GPU rungs entirely (straight to the
-/// CPU safe harbor); after `cooldown` batches one half-open probe is
-/// admitted — success closes the breaker, failure re-opens it.
-pub(crate) struct Breaker {
-    threshold: u32,
-    cooldown: u64,
-    state: BreakerState,
-    consecutive_failures: u32,
-    pub(crate) trips: u64,
-    pub(crate) resets: u64,
-}
-
-impl Breaker {
-    pub(crate) fn new(rc: &ResilienceConfig) -> Self {
-        Self {
-            threshold: rc.breaker_threshold.max(1),
-            cooldown: rc.breaker_cooldown,
-            state: BreakerState::Closed,
-            consecutive_failures: 0,
-            trips: 0,
-            resets: 0,
-        }
-    }
-
-    /// May batch `batch_idx` attempt the GPU rungs?
-    pub(crate) fn allow(&mut self, batch_idx: u64) -> bool {
-        match self.state {
-            BreakerState::Closed | BreakerState::HalfOpen => true,
-            BreakerState::Open { since_batch } => {
-                if batch_idx >= since_batch.saturating_add(self.cooldown) {
-                    self.state = BreakerState::HalfOpen;
-                    true
-                } else {
-                    false
-                }
-            }
-        }
-    }
-
-    pub(crate) fn record_success(&mut self) {
-        if self.state == BreakerState::HalfOpen {
-            self.resets += 1;
-        }
-        self.state = BreakerState::Closed;
-        self.consecutive_failures = 0;
-    }
-
-    pub(crate) fn record_failure(&mut self, batch_idx: u64) {
-        // Saturate: a permanently sick device on a long run would
-        // otherwise overflow the counter (a panic in debug, a silent
-        // breaker close at the wrap in release).
-        self.consecutive_failures = self.consecutive_failures.saturating_add(1);
-        let reopen = self.state == BreakerState::HalfOpen;
-        if reopen || self.consecutive_failures >= self.threshold {
-            if !matches!(self.state, BreakerState::Open { .. }) {
-                self.trips += 1;
-            }
-            self.state = BreakerState::Open {
-                since_batch: batch_idx,
-            };
-        }
-    }
-}
-
 /// The batch server. See the module docs.
 pub struct Server {
     queue: Arc<BoundedQueue<(Query, Ticket)>>,
@@ -712,7 +672,8 @@ impl Server {
         if let Some(low) = &cfg.low_power {
             assert!(
                 low.bit_compatible(&cfg.geometry),
-                "configured low-power variant is not bit-compatible with the                  configured geometry — energy routing would change result bits"
+                "configured low-power variant is not bit-compatible with the \
+                 configured geometry — energy routing would change result bits"
             );
             assert!(
                 low.feasibility(&cfg.device).is_ok(),
@@ -730,7 +691,8 @@ impl Server {
             if let Some(low) = &p.low_power {
                 assert!(
                     low.bit_compatible(&p.geometry),
-                    "low-power variant for {}x{}x{} is not bit-compatible with its pick                      — energy routing would change result bits",
+                    "low-power variant for {}x{}x{} is not bit-compatible with its pick \
+                     — energy routing would change result bits",
                     p.m,
                     p.n,
                     p.k
@@ -806,12 +768,16 @@ impl Server {
 
     /// Opens the gate of a paused server; the worker starts draining.
     pub fn resume(&self) {
-        *self
-            .gate
-            .paused
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = false;
-        self.gate.resumed.notify_all();
+        self.gate.set(false);
+    }
+
+    /// Closes the gate: the worker finishes its current wave, then
+    /// holds the next one until [`Server::resume`] — even a wave whose
+    /// first query it was already waiting for. Everything submitted
+    /// while paused therefore drains in deterministic waves, as on a
+    /// `start_paused` server.
+    pub fn pause(&self) {
+        self.gate.set(true);
     }
 
     /// Closes the queue, drains the backlog, joins the worker and
@@ -900,33 +866,21 @@ fn worker_loop(
     queue: &BoundedQueue<(Query, Ticket)>,
     gate: &Gate,
 ) -> WorkerStats {
-    let mut stats = WorkerStats::default();
-    let mut cache = PlanCache::new(cfg.plan_cache_capacity.max(1));
-    let mut breaker = Breaker::new(&cfg.resilience);
-    let mut injected = 0u64;
+    let mut worker = Worker::new(cfg);
     // EWMA of per-chunk wall time, the brownout's service-rate
     // estimate. Zero until the first wave completes, so nothing is
     // ever shed before a real measurement exists.
     let mut chunk_ewma_s = 0.0f64;
-    let mut pool = cfg
-        .pool
-        .as_ref()
-        .map(|p| DevicePool::start(p, cfg.backend, &cfg.resilience, cfg.cpu, cfg.geometry));
     loop {
-        {
-            let mut paused = gate.paused.lock().unwrap_or_else(PoisonError::into_inner);
-            while *paused {
-                paused = gate
-                    .resumed
-                    .wait(paused)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
+        gate.wait_open();
         // One wave: block for the first query, then opportunistically
-        // drain up to `wave` total so concurrent arrivals coalesce.
+        // drain up to `wave` total so concurrent arrivals coalesce. A
+        // pause that lands while the pop blocks holds the wave until
+        // resume, so it drains everything submitted meanwhile.
         let Some(first) = queue.pop_blocking() else {
             break;
         };
+        gate.wait_open();
         let mut wave = vec![first];
         while wave.len() < cfg.wave {
             match queue.try_pop() {
@@ -966,18 +920,10 @@ fn worker_loop(
             }
             chunks.push(rest);
         }
-        brownout_shed(&mut chunks, chunk_ewma_s, &mut stats);
+        brownout_shed(&mut chunks, chunk_ewma_s, &mut worker.stats);
         let n_chunks = chunks.len();
         let wave_started = Instant::now();
-        serve_wave(
-            cfg,
-            chunks,
-            &mut cache,
-            &mut pool,
-            &mut breaker,
-            &mut injected,
-            &mut stats,
-        );
+        worker.serve_wave(chunks);
         if n_chunks > 0 {
             let sample = wave_started.elapsed().as_secs_f64() / n_chunks as f64;
             chunk_ewma_s = if chunk_ewma_s == 0.0 {
@@ -987,20 +933,7 @@ fn worker_loop(
             };
         }
     }
-    stats.plan_cache = cache.stats();
-    stats.static_admission = cache.admission_stats();
-    stats.geometry = cache.geometry_stats();
-    stats.breaker_trips = breaker.trips;
-    stats.breaker_resets = breaker.resets;
-    stats.pool = pool.map(DevicePool::shutdown);
-    stats
-}
-
-/// True when this batch could reach a simulated device (pooled
-/// serving or any GPU backend) — the static-admission gate only
-/// applies then.
-fn uses_gpu(cfg: &ServeConfig, pool: &Option<DevicePool>) -> bool {
-    pool.is_some() || !matches!(cfg.backend, ServeBackend::CpuFused)
+    worker.finish()
 }
 
 /// Deadline-aware brownout: with `avg_chunk_s` estimating one chunk's
@@ -1030,206 +963,286 @@ fn brownout_shed(chunks: &mut [Vec<(Query, Ticket)>], avg_chunk_s: f64, stats: &
     }
 }
 
-/// Executes one scheduling wave. Without packing (or on the pure CPU
-/// path) every chunk runs exactly as before: prepare then execute, in
-/// wave order. With [`ServeConfig::pack`] on a GPU-capable path, all
-/// chunks are prepared first (identical plan-cache/admission/geometry
-/// side effects, in the identical order), the [`packed::PackedBatch`]
-/// planner groups the pack-eligible ones by resolved geometry, packed
-/// groups launch horizontally fused, and the leftovers serve unpacked
-/// in wave order.
-#[allow(clippy::too_many_arguments)]
-fn serve_wave(
-    cfg: &ServeConfig,
-    chunks: Vec<Vec<(Query, Ticket)>>,
-    cache: &mut PlanCache,
-    pool: &mut Option<DevicePool>,
-    breaker: &mut Breaker,
-    injected: &mut u64,
-    stats: &mut WorkerStats,
-) {
-    if !cfg.pack || !uses_gpu(cfg, pool) {
-        for chunk in chunks {
-            if let Some(prep) = prepare_chunk(cfg, chunk, cache, pool, stats) {
-                run_prepared(cfg, prep, pool, breaker, injected, stats, false);
-            }
-        }
-        return;
-    }
-    let mut prepared: Vec<Option<PreparedChunk>> = chunks
-        .into_iter()
-        .map(|chunk| prepare_chunk(cfg, chunk, cache, pool, stats))
-        .collect();
-    let classes: Vec<Option<TileGeometry>> = prepared
-        .iter()
-        .map(|p| {
-            p.as_ref().and_then(|p| {
-                let (m, _) = p.plan.dims();
-                let n = p.live[0].0.targets.len();
-                (p.admitted && packed::packable(m, n, &p.geo)).then_some(p.geo)
-            })
-        })
-        .collect();
-    for group in packed::PackedBatch::plan(&classes).groups {
-        let preps: Vec<PreparedChunk> = group
-            .into_iter()
-            .map(|i| prepared[i].take().expect("planner indices are distinct"))
-            .collect();
-        run_packed_group(cfg, preps, pool, breaker, injected, stats);
-    }
-    for prep in prepared.into_iter().flatten() {
-        run_prepared(cfg, prep, pool, breaker, injected, stats, false);
-    }
-}
-
-/// One chunk after plan resolution and admission, ready to execute
-/// (unpacked or as a packed segment). Expired queries were already
+/// One chunk after plan resolution and admission, ready to serve
+/// alone or as a packed segment. Expired queries were already
 /// fulfilled during preparation.
 struct PreparedChunk {
     live: Vec<(Query, Ticket)>,
-    plan: Arc<SourcePlan>,
-    hit: bool,
-    weights: Vec<Vec<f32>>,
-    geo: TileGeometry,
+    segment: Segment,
     admitted: bool,
 }
 
-/// The front half of chunk execution: deadline filtering, plan-cache
-/// lookup, weight collection, geometry resolution and static
-/// admission. `None` when every query had already expired.
-fn prepare_chunk(
-    cfg: &ServeConfig,
-    chunk: Vec<(Query, Ticket)>,
-    cache: &mut PlanCache,
-    pool: &Option<DevicePool>,
-    stats: &mut WorkerStats,
-) -> Option<PreparedChunk> {
-    // Deadline check at dequeue time: expired queries never reach the
-    // solver (and never count as a batch column).
-    let now = Instant::now();
-    let mut live: Vec<(Query, Ticket)> = Vec::with_capacity(chunk.len());
-    for (q, t) in chunk {
-        match q.deadline {
-            Some(d) if d < now => {
-                t.fulfil(Err(ServeError::DeadlineExpired));
-                stats.expired += 1;
-            }
-            _ => live.push((q, t)),
-        }
-    }
-    if live.is_empty() {
-        return None;
-    }
-    let proto = &live[0].0;
-    let key = PlanKey::new(&proto.sources, proto.h);
-    let (plan, hit) = if cfg.enable_plan_cache {
-        cache.get_or_build(key, || SourcePlan::build(proto.sources.points()))
-    } else {
-        (Arc::new(SourcePlan::build(proto.sources.points())), false)
-    };
-    let weights: Vec<Vec<f32>> = live.iter().map(|(q, _)| q.weights.clone()).collect();
-    let geo = resolve_geometry(cfg, cache, &plan, proto, weights.len(), stats);
-    // Plan-time static admission: prove the exact kernel this batch
-    // would launch clean before spending any GPU attempt. Verdicts
-    // are memoized by padded launch geometry next to the plan cache,
-    // so repeat shapes run no analysis.
-    let admitted = if cfg.static_lint && uses_gpu(cfg, pool) {
-        let (m, k) = plan.dims();
-        let key = AdmissionKey::for_batch(m, proto.targets.len(), k, weights.len(), &geo);
-        let (verdict, _) = cache.admission(key, || admission::check_shape(&cfg.device, key));
-        if !verdict.admitted {
-            cache.note_admission_reject();
-        }
-        verdict.admitted
-    } else {
-        true
-    };
-    Some(PreparedChunk {
-        live,
-        plan,
-        hit,
-        weights,
-        geo,
-        admitted,
-    })
+/// The worker thread's state: the plan cache, the pool (when pooled),
+/// the unpooled slot's breaker, the ladders and the counters.
+struct Worker<'a> {
+    cfg: &'a ServeConfig,
+    cache: PlanCache,
+    pool: Option<DevicePool>,
+    breaker: Mutex<Breaker>,
+    /// The unpooled ladder of the configured backend.
+    ladder: Ladder,
+    /// The ladder of batches static admission denied the GPU.
+    cpu: Ladder,
+    stats: WorkerStats,
 }
 
-/// The back half of chunk execution: the solve, energy accounting and
-/// fulfilment. `tainted` marks a resilient re-run of a segment whose
-/// packed launch detected corruption — the ladder then never drops to
-/// its unverified rung.
-fn run_prepared(
-    cfg: &ServeConfig,
-    prep: PreparedChunk,
-    pool: &mut Option<DevicePool>,
-    breaker: &mut Breaker,
-    injected: &mut u64,
-    stats: &mut WorkerStats,
-    tainted: bool,
-) {
-    let PreparedChunk {
-        live,
-        plan,
-        hit,
-        weights,
-        geo,
-        admitted,
-    } = prep;
-    let profiles_before = stats.profiles.len();
-    // The latest instant any backoff sleep may run to: the max member
-    // deadline — but only when *every* member has one (a deadline-free
-    // member can wait out any backoff, so the ladder keeps its full
-    // retry budget).
-    let deadline_max = live
-        .iter()
-        .map(|(q, _)| q.deadline)
-        .collect::<Option<Vec<_>>>()
-        .and_then(|ds| ds.into_iter().max());
-    let outcome = if admitted {
-        let proto = &live[0].0;
-        run_batch(
+impl<'a> Worker<'a> {
+    fn new(cfg: &'a ServeConfig) -> Self {
+        let ladder = |budget| Ladder::new(budget, &cfg.resilience, cfg.cpu);
+        Self {
             cfg,
-            &plan,
-            proto,
-            &weights,
-            hit,
-            &geo,
-            pool,
-            breaker,
-            injected,
-            stats,
-            tainted,
-            deadline_max,
-        )
-    } else {
-        // Denied the GPU: the bit-exact CPU path serves the batch.
-        // One attempt, no retry, not a degradation (the rung was
-        // chosen at plan time, not reached by failing down to it).
-        stats.attempts += 1;
-        let proto = &live[0].0;
-        Ok((
-            executor::execute_cpu(&plan, &proto.targets, proto.h, &weights, &cfg.cpu),
-            false,
-        ))
-    };
-    charge_energy(stats, profiles_before);
-    finish_chunk(cfg, &live, outcome, stats);
-}
+            cache: PlanCache::new(cfg.plan_cache_capacity.max(1)),
+            pool: cfg
+                .pool
+                .as_ref()
+                .map(|p| DevicePool::start(p, cfg.backend, &cfg.resilience, cfg.cpu)),
+            breaker: Mutex::new(Breaker::new(&cfg.resilience)),
+            ladder: ladder(Budget::of(cfg.backend, &cfg.resilience, false)),
+            cpu: ladder(Budget::CPU),
+            stats: WorkerStats::default(),
+        }
+    }
 
-/// Energy accounting: every profile added since `profiles_before`
-/// (all rungs, all shards) through the energy model over exact
-/// counters.
-fn charge_energy(stats: &mut WorkerStats, profiles_before: usize) {
-    let params = EnergyParams::default();
-    for p in &stats.profiles[profiles_before..] {
-        stats.energy_j += pipeline_energy(&params, p).total_j();
+    fn finish(self) -> WorkerStats {
+        let mut stats = self.stats;
+        stats.plan_cache = self.cache.stats();
+        stats.static_admission = self.cache.admission_stats();
+        stats.geometry = self.cache.geometry_stats();
+        let breaker = self
+            .breaker
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        stats.breaker_trips = breaker.trips;
+        stats.breaker_resets = breaker.resets;
+        stats.pool = self.pool.map(DevicePool::shutdown);
+        stats
+    }
+
+    /// Executes one scheduling wave. Without packing (or on the CPU
+    /// backend) every chunk is prepared then served, in wave order.
+    /// With [`ServeConfig::pack`] all chunks are prepared first
+    /// (identical plan-cache/admission/geometry side effects, in the
+    /// identical order), the [`packed::PackedBatch`] planner groups
+    /// the pack-eligible ones by resolved geometry, packed groups
+    /// serve as one launch unit each, and the leftovers serve alone
+    /// in wave order.
+    fn serve_wave(&mut self, chunks: Vec<Vec<(Query, Ticket)>>) {
+        if !self.cfg.pack || !uses_gpu(self.cfg) {
+            for chunk in chunks {
+                if let Some(prep) = self.prepare(chunk) {
+                    self.serve(vec![prep], false);
+                }
+            }
+            return;
+        }
+        let mut prepared: Vec<Option<PreparedChunk>> = chunks
+            .into_iter()
+            .map(|chunk| self.prepare(chunk))
+            .collect();
+        let classes: Vec<Option<TileGeometry>> = prepared
+            .iter()
+            .map(|p| {
+                p.as_ref().and_then(|p| {
+                    let s = &p.segment;
+                    let (m, _) = s.plan.dims();
+                    (p.admitted && packed::packable(m, s.targets.len(), &s.geometry))
+                        .then_some(s.geometry)
+                })
+            })
+            .collect();
+        for group in packed::PackedBatch::plan(&classes).groups {
+            let preps = group
+                .into_iter()
+                .map(|i| prepared[i].take().expect("planner indices are distinct"))
+                .collect();
+            self.serve(preps, true);
+        }
+        for prep in prepared.into_iter().flatten() {
+            self.serve(vec![prep], false);
+        }
+    }
+
+    /// The front half of serving a chunk: deadline filtering,
+    /// plan-cache lookup, weight collection, geometry resolution and
+    /// static admission. `None` when every query had already expired.
+    fn prepare(&mut self, chunk: Vec<(Query, Ticket)>) -> Option<PreparedChunk> {
+        let cfg = self.cfg;
+        // Deadline check at dequeue time: expired queries never reach
+        // the solver (and never count as a batch column).
+        let now = Instant::now();
+        let mut live: Vec<(Query, Ticket)> = Vec::with_capacity(chunk.len());
+        for (q, t) in chunk {
+            match q.deadline {
+                Some(d) if d < now => {
+                    t.fulfil(Err(ServeError::DeadlineExpired));
+                    self.stats.expired += 1;
+                }
+                _ => live.push((q, t)),
+            }
+        }
+        let proto = &live.first()?.0;
+        let key = PlanKey::new(&proto.sources, proto.h);
+        let (plan, hit) = if cfg.enable_plan_cache {
+            self.cache
+                .get_or_build(key, || SourcePlan::build(proto.sources.points()))
+        } else {
+            (Arc::new(SourcePlan::build(proto.sources.points())), false)
+        };
+        let weights: Vec<Vec<f32>> = live.iter().map(|(q, _)| q.weights.clone()).collect();
+        let geometry = self.resolve_geometry(&plan, proto.targets.len(), weights.len());
+        // Plan-time static admission: prove the exact kernel this
+        // batch would launch clean before spending any GPU attempt.
+        // Verdicts are memoized by padded launch geometry next to the
+        // plan cache, so repeat shapes run no analysis.
+        let admitted = if cfg.static_lint && uses_gpu(cfg) {
+            let (m, k) = plan.dims();
+            let key = AdmissionKey::for_batch(m, proto.targets.len(), k, weights.len(), &geometry);
+            let (verdict, _) = self
+                .cache
+                .admission(key, || admission::check_shape(&cfg.device, key));
+            if !verdict.admitted {
+                self.cache.note_admission_reject();
+            }
+            verdict.admitted
+        } else {
+            true
+        };
+        // The latest instant any backoff sleep may run to: the max
+        // member deadline — but only when *every* member has one (a
+        // deadline-free member can wait out any backoff, so the
+        // ladder keeps its full retry budget).
+        let deadline = live
+            .iter()
+            .map(|(q, _)| q.deadline)
+            .collect::<Option<Vec<_>>>()
+            .and_then(|ds| ds.into_iter().max());
+        let segment = Segment {
+            plan,
+            key,
+            targets: Arc::clone(&proto.targets),
+            h: proto.h,
+            weights: Arc::new(weights),
+            warm: hit,
+            resident: hit,
+            geometry,
+            deadline,
+        };
+        Some(PreparedChunk {
+            live,
+            segment,
+            admitted,
+        })
+    }
+
+    /// Resolves the tile geometry for one batch of raw shape
+    /// `(M, n, K)` and width `r`: the memoized winning pick for its
+    /// raw shape (or the config default), downshifted to the pick's
+    /// bit-compatible low-power variant once the energy budget is
+    /// exhausted. A geometry whose `tile_k` is narrower than the batch
+    /// width cannot launch the batch and falls back to the config
+    /// default, then to the paper default (whose `tile_k` equals the
+    /// maximum batch width).
+    fn resolve_geometry(&mut self, plan: &SourcePlan, n: usize, r: usize) -> TileGeometry {
+        let cfg = self.cfg;
+        let (m, k) = plan.dims();
+        let (base, low_power) = self.cache.geometry_for((m, n, k), || {
+            cfg.geometry_picks
+                .iter()
+                .find(|p| (p.m, p.n, p.k) == (m, n, k))
+                .map_or((cfg.geometry, cfg.low_power), |p| (p.geometry, p.low_power))
+        });
+        let fits = |g: &TileGeometry| r <= g.tile_k;
+        let mut geo = if fits(&base) {
+            base
+        } else if fits(&cfg.geometry) {
+            cfg.geometry
+        } else {
+            TileGeometry::paper_default()
+        };
+        if let (Some(budget), Some(low)) = (cfg.energy_budget_j, low_power) {
+            let s = &mut self.stats;
+            let over_budget = s.completed > 0 && s.energy_j / s.completed as f64 > budget;
+            if over_budget && fits(&low) && low != geo {
+                debug_assert!(low.bit_compatible(&geo));
+                s.energy_downshifts += 1;
+                geo = low;
+            }
+        }
+        geo
+    }
+
+    /// Serves one launch unit — a chunk, or a packed group of chunks —
+    /// down the ladder (on the pool's device threads when pooled),
+    /// then folds its outcome into the counters and fulfils its
+    /// queries.
+    ///
+    /// # Panics
+    /// [`FaultInjection::PanicFirst`] panics the worker before its
+    /// first GPU-capable unit is dispatched — deliberately, to
+    /// exercise the poison-recovery path.
+    fn serve(&mut self, preps: Vec<PreparedChunk>, packed: bool) {
+        // A packed group holds admitted chunks only.
+        let admitted = preps[0].admitted;
+        let ladder = if admitted { &self.ladder } else { &self.cpu };
+        if ladder.budget.gpu_attempts > 0 && self.cfg.fault_injection == FaultInjection::PanicFirst
+        {
+            panic!("injected worker panic (FaultInjection::PanicFirst)");
+        }
+        let (lives, segments): (Vec<_>, Vec<_>) =
+            preps.into_iter().map(|p| (p.live, p.segment)).unzip();
+        let unit = LaunchUnit { segments, packed };
+        let batch = self.stats.batches;
+        let out = match &mut self.pool {
+            Some(pool) if admitted => pool.run(unit, batch),
+            _ => {
+                let slot = DeviceSlot {
+                    device: &self.cfg.device,
+                    link: None,
+                    phase: DevicePhase::Healthy,
+                    // Unpooled attempts number from 1 (`DeviceSlot::key`).
+                    key: batch ^ (1 << 48),
+                    breaker: &self.breaker,
+                    batch,
+                };
+                ladder.run(&unit, &slot, &mut SimLauncher)
+            }
+        };
+        let s = &mut self.stats;
+        s.injected_faults += out.injected_faults;
+        s.undetected_injected += out.undetected;
+        s.packed_launches += out.packed_launches;
+        s.packed_segments += out.packed_segments;
+        s.backoff_shortcircuits += out.backoff_shortcircuits;
+        // Energy: every profile (all rungs, all shards) through the
+        // energy model over exact counters, in execution order.
+        let params = EnergyParams::default();
+        for p in out.profiles {
+            s.launches += p.kernels.len() as u64;
+            s.energy_j += pipeline_energy(&params, &p).total_j();
+            s.profiles.push(p);
+        }
+        for (live, seg) in lives.iter().zip(out.segments) {
+            s.attempts += u64::from(seg.attempts);
+            s.retries += u64::from(seg.attempts - 1);
+            s.corruption_detected += seg.corruption;
+            let outcome = match seg.result {
+                Ok(results) => {
+                    if seg.rung == Rung::Harbor {
+                        s.fallbacks += 1;
+                    }
+                    Ok((results, seg.rung != Rung::Top))
+                }
+                Err(e) => Err(ServeError::Launch(e)),
+            };
+            finish_chunk(self.cfg, live, outcome, s);
+        }
     }
 }
 
-/// Appends a completed GPU profile, counting its kernel launches.
-fn note_profile(stats: &mut WorkerStats, prof: PipelineProfile) {
-    stats.launches += prof.kernels.len() as u64;
-    stats.profiles.push(prof);
+/// True when batches can reach a simulated device: the backend has a
+/// GPU rung. Static admission and packing apply only then.
+fn uses_gpu(cfg: &ServeConfig) -> bool {
+    !matches!(cfg.backend, ServeBackend::CpuFused)
 }
 
 /// Batch bookkeeping and fulfilment: the artificial consumer delay,
@@ -1278,486 +1291,23 @@ fn finish_chunk(
     }
 }
 
-/// Seed salt decorrelating an unpooled packed launch's fault schedule
-/// from the per-batch schedules of the unpacked attempts.
-const PACKED_SEED_SALT: u64 = 0x70ac_4ed0 << 24;
-
-/// Executes one packed group (≥ 2 prepared chunks sharing a resolved
-/// geometry) as a single horizontally-fused launch — or, pooled, as
-/// one fused launch per owning device. Each segment counts one
-/// attempt; a failed or corrupted packed launch re-runs only the
-/// affected segments through the normal unpacked path (each such
-/// re-run is that segment's retry, so `attempts == batches + retries`
-/// holds unchanged).
-fn run_packed_group(
-    cfg: &ServeConfig,
-    preps: Vec<PreparedChunk>,
-    pool: &mut Option<DevicePool>,
-    breaker: &mut Breaker,
-    injected: &mut u64,
-    stats: &mut WorkerStats,
-) {
-    debug_assert!(preps.len() >= 2, "planner never packs singletons");
-    let geo = preps[0].geo;
-    let segs: Vec<packed::PackedSegment> = preps
-        .iter()
-        .map(|p| packed::PackedSegment {
-            plan: Arc::clone(&p.plan),
-            targets: Arc::clone(&p.live[0].0.targets),
-            h: p.live[0].0.h,
-            weights: p.weights.clone(),
-            warm: p.hit,
-        })
-        .collect();
-
-    // Pooled: the pool shards the wave by segment across its devices
-    // (one fused sub-launch per owning device) and never fails — sick
-    // sub-launches degrade their own segments to the CPU inside the
-    // pool, so each segment is exactly one attempt.
-    if let Some(pool) = pool.as_mut() {
-        stats.attempts += preps.len() as u64;
-        let profiles_before = stats.profiles.len();
-        let out = pool.run_packed(&segs, stats.batches);
-        stats.packed_launches += out.packed_launches;
-        stats.packed_segments += out.packed_segments;
-        stats.corruption_detected += out.corruption_detected;
-        stats.injected_faults += out.injected_faults;
-        stats.undetected_injected += out.undetected;
-        for prof in out.profiles {
-            note_profile(stats, prof);
-        }
-        charge_energy(stats, profiles_before);
-        for (prep, (results, degraded)) in preps
-            .into_iter()
-            .zip(out.results.into_iter().zip(out.fallback_segments))
-        {
-            if degraded {
-                stats.fallbacks += 1;
-            }
-            finish_chunk(cfg, &prep.live, Ok((results, degraded)), stats);
-        }
-        return;
-    }
-
-    let batch_idx = stats.batches;
-    let resilient = matches!(cfg.backend, ServeBackend::GpuResilient);
-    let verify = resilient && cfg.resilience.verify;
-    if resilient && !breaker.allow(batch_idx) {
-        // Breaker open: no packed attempt is spent; every segment
-        // takes the normal ladder (straight to the safe harbor).
-        for prep in preps {
-            run_prepared(cfg, prep, pool, breaker, injected, stats, false);
-        }
-        return;
-    }
-    stats.attempts += preps.len() as u64;
-    let launch = if consume_injection(cfg, injected) {
-        Err(LaunchError::EmptyLaunch)
-    } else {
-        let mut dev_cfg = cfg.device.clone();
-        if let Some(f) = &mut dev_cfg.fault {
-            f.seed ^= splitmix64(batch_idx ^ PACKED_SEED_SALT);
-        }
-        let mut dev = GpuDevice::new(dev_cfg);
-        packed::execute_gpu_packed(&mut dev, &segs, &geo, verify)
-    };
-    match launch {
-        Ok(out) => {
-            let inj = injected_data_faults(&out.profile);
-            stats.injected_faults += inj;
-            stats.packed_launches += 1;
-            stats.packed_segments += segs.len() as u64;
-            let profiles_before = stats.profiles.len();
-            note_profile(stats, out.profile);
-            charge_energy(stats, profiles_before);
-            let corrupt: Vec<bool> = match &out.verify {
-                Some(reports) => reports
-                    .iter()
-                    .map(VerifyReport::corruption_detected)
-                    .collect(),
-                None => vec![false; preps.len()],
-            };
-            let any_corrupt = corrupt.iter().any(|&c| c);
-            if resilient {
-                if any_corrupt {
-                    breaker.record_failure(batch_idx);
-                } else {
-                    breaker.record_success();
-                }
-            }
-            if inj > 0 && !any_corrupt {
-                stats.undetected_injected += 1;
-            }
-            for (prep, (results, corrupt)) in
-                preps.into_iter().zip(out.results.into_iter().zip(corrupt))
-            {
-                if corrupt {
-                    // Only this segment's result is discarded; its
-                    // re-run is its retry, and the ladder it re-enters
-                    // is tainted (never drops verification).
-                    stats.corruption_detected += 1;
-                    stats.retries += 1;
-                    run_prepared(cfg, prep, pool, breaker, injected, stats, true);
-                } else {
-                    finish_chunk(cfg, &prep.live, Ok((results, false)), stats);
-                }
-            }
-        }
-        Err(_) => {
-            // The whole packed attempt failed to launch: every segment
-            // re-runs unpacked, each charged one retry.
-            if resilient {
-                breaker.record_failure(batch_idx);
-            }
-            for prep in preps {
-                stats.retries += 1;
-                run_prepared(cfg, prep, pool, breaker, injected, stats, false);
-            }
-        }
-    }
-}
-
-/// True when the configured injection consumes this GPU attempt
-/// (which then fails with [`LaunchError::EmptyLaunch`]).
-///
-/// # Panics
-/// [`FaultInjection::PanicFirst`] panics the worker on its first call
-/// — deliberately, to exercise the poison-recovery path.
-fn consume_injection(cfg: &ServeConfig, injected: &mut u64) -> bool {
-    match cfg.fault_injection {
-        FaultInjection::None => false,
-        FaultInjection::FirstN(n) => {
-            if *injected < n {
-                *injected += 1;
-                true
-            } else {
-                false
-            }
-        }
-        FaultInjection::PanicFirst => {
-            if *injected == 0 {
-                *injected = 1;
-                panic!("injected worker panic (FaultInjection::PanicFirst)");
-            }
-            false
-        }
-    }
-}
-
-/// Resolves the tile geometry for one batch: the memoized winning
-/// pick for its raw shape (or the config default), downshifted to the
-/// pick's bit-compatible low-power variant once the energy budget is
-/// exhausted. A geometry whose `tile_k` is narrower than the batch
-/// width cannot launch the batch and falls back to the config
-/// default, then to the paper default (whose `tile_k` equals the
-/// maximum batch width).
-fn resolve_geometry(
-    cfg: &ServeConfig,
-    cache: &mut PlanCache,
-    plan: &SourcePlan,
-    proto: &Query,
-    r: usize,
-    stats: &mut WorkerStats,
-) -> TileGeometry {
-    let (m, k) = plan.dims();
-    let n = proto.targets.len();
-    let (base, low_power) = cache.geometry_for((m, n, k), || {
-        cfg.geometry_picks
-            .iter()
-            .find(|p| (p.m, p.n, p.k) == (m, n, k))
-            .map_or((cfg.geometry, cfg.low_power), |p| (p.geometry, p.low_power))
-    });
-    let fits = |g: &TileGeometry| r <= g.tile_k;
-    let mut geo = if fits(&base) {
-        base
-    } else if fits(&cfg.geometry) {
-        cfg.geometry
-    } else {
-        TileGeometry::paper_default()
-    };
-    if let (Some(budget), Some(low)) = (cfg.energy_budget_j, low_power) {
-        let over_budget = stats.completed > 0 && stats.energy_j / stats.completed as f64 > budget;
-        if over_budget && fits(&low) && low != geo {
-            debug_assert!(low.bit_compatible(&geo));
-            stats.energy_downshifts += 1;
-            geo = low;
-        }
-    }
-    geo
-}
-
-/// Runs one batch; `Ok((results, degraded))` flags completions below
-/// the configured top rung.
-#[allow(clippy::too_many_arguments)]
-fn run_batch(
-    cfg: &ServeConfig,
-    plan: &SourcePlan,
-    proto: &Query,
-    weights: &[Vec<f32>],
-    hit: bool,
-    geo: &TileGeometry,
-    pool: &mut Option<DevicePool>,
-    breaker: &mut Breaker,
-    injected: &mut u64,
-    stats: &mut WorkerStats,
-    tainted: bool,
-    deadline_max: Option<Instant>,
-) -> Result<(Vec<Vec<f32>>, bool), ServeError> {
-    // Pooled serving: shard the batch across the devices. The pool
-    // ladder never fails a batch (sick shards recover on the CPU), so
-    // a pooled batch is always exactly one attempt; per-device
-    // warmth/fallback/breaker accounting lives in the pool report.
-    if let Some(pool) = pool {
-        let _ = (hit, breaker, injected);
-        stats.attempts += 1;
-        let out = pool.run_batch(plan, proto, weights, stats.batches);
-        stats.corruption_detected += out.corruption_detected;
-        stats.injected_faults += out.injected_faults;
-        stats.undetected_injected += out.undetected_shards;
-        for prof in out.profiles {
-            note_profile(stats, prof);
-        }
-        let degraded = out.fallback_shards > 0;
-        if degraded {
-            stats.fallbacks += 1;
-        }
-        return Ok((out.results, degraded));
-    }
-    match cfg.backend {
-        ServeBackend::CpuFused => {
-            stats.attempts += 1;
-            Ok((
-                executor::execute_cpu(plan, &proto.targets, proto.h, weights, &cfg.cpu),
-                false,
-            ))
-        }
-        ServeBackend::GpuFused { cpu_fallback } => {
-            stats.attempts += 1;
-            let launch = if consume_injection(cfg, injected) {
-                Err(LaunchError::EmptyLaunch)
-            } else {
-                let mut dev = GpuDevice::new(cfg.device.clone());
-                executor::execute_gpu(&mut dev, plan, &proto.targets, proto.h, weights, hit, geo)
-            };
-            match launch {
-                Ok((results, prof)) => {
-                    stats.injected_faults += injected_data_faults(&prof);
-                    note_profile(stats, prof);
-                    Ok((results, false))
-                }
-                Err(e) if cpu_fallback => {
-                    stats.attempts += 1;
-                    stats.retries += 1;
-                    stats.fallbacks += 1;
-                    let _ = e;
-                    Ok((
-                        executor::execute_cpu(plan, &proto.targets, proto.h, weights, &cfg.cpu),
-                        false,
-                    ))
-                }
-                Err(e) => Err(ServeError::Launch(e)),
-            }
-        }
-        ServeBackend::GpuResilient => run_batch_resilient(
-            cfg,
-            plan,
-            proto,
-            weights,
-            hit,
-            geo,
-            breaker,
-            injected,
-            stats,
-            tainted,
-            deadline_max,
-        ),
-    }
-}
-
-/// Would sleeping `delay` run past the batch's latest live deadline?
-/// `None` (some member is deadline-free) never overruns.
-fn backoff_overruns(deadline_max: Option<Instant>, delay: Duration) -> bool {
-    deadline_max.is_some_and(|d| Instant::now() + delay > d)
-}
-
-/// Injected data-fault events recorded in a completed GPU profile
-/// (launch faults never produce a profile).
-pub(crate) fn injected_data_faults(prof: &PipelineProfile) -> u64 {
-    prof.kernels
-        .iter()
-        .map(|k| k.faults.smem_flips + k.faults.reg_flips + k.faults.dram_flips)
-        .sum()
-}
-
-/// One GPU attempt of the resilient ladder, on a fresh device whose
-/// fault seed (if any) is decorrelated per `(batch, attempt)` — a
-/// fresh device restarts the launch-epoch counter, so without the
-/// reseed every attempt would redraw the identical fault schedule and
-/// a retry could never clear a deterministic fault.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-fn resilient_attempt(
-    cfg: &ServeConfig,
-    plan: &SourcePlan,
-    proto: &Query,
-    weights: &[Vec<f32>],
-    hit: bool,
-    geo: &TileGeometry,
-    verify: bool,
-    batch: u64,
-    attempt: u32,
-    injected: &mut u64,
-) -> Result<(Vec<Vec<f32>>, PipelineProfile, Option<VerifyReport>), LaunchError> {
-    if consume_injection(cfg, injected) {
-        return Err(LaunchError::EmptyLaunch);
-    }
-    let mut dev_cfg = cfg.device.clone();
-    if let Some(f) = &mut dev_cfg.fault {
-        f.seed ^= splitmix64(batch ^ (u64::from(attempt) << 48));
-    }
-    let mut dev = GpuDevice::new(dev_cfg);
-    if verify {
-        let (r, p, v) = executor::execute_gpu_verified(
-            &mut dev,
-            plan,
-            &proto.targets,
-            proto.h,
-            weights,
-            hit,
-            geo,
-        )?;
-        Ok((r, p, Some(v)))
-    } else {
-        let (r, p) =
-            executor::execute_gpu(&mut dev, plan, &proto.targets, proto.h, weights, hit, geo)?;
-        Ok((r, p, None))
-    }
-}
-
-/// The degradation ladder: verified GPU (bounded retries with
-/// deterministic backoff) → unverified GPU (one attempt, and only
-/// when no corruption was detected — ABFT-flagged data upsets must
-/// not be retried without verification) → the bit-deterministic CPU
-/// fused safe harbor, which cannot fail. Every rung transition and
-/// retry is counted; the breaker gates each GPU attempt. Backoff is
-/// charged against the batch's deadlines: a sleep that would overrun
-/// every member deadline is skipped and the ladder short-circuits to
-/// the safe harbor instead of sleeping the batch past its deadlines.
-#[allow(clippy::too_many_arguments)]
-fn run_batch_resilient(
-    cfg: &ServeConfig,
-    plan: &SourcePlan,
-    proto: &Query,
-    weights: &[Vec<f32>],
-    hit: bool,
-    geo: &TileGeometry,
-    breaker: &mut Breaker,
-    injected: &mut u64,
-    stats: &mut WorkerStats,
-    tainted: bool,
-    deadline_max: Option<Instant>,
-) -> Result<(Vec<Vec<f32>>, bool), ServeError> {
-    let rc = &cfg.resilience;
-    let batch_idx = stats.batches;
-    let mut attempt_no: u32 = 0;
-    // A tainted batch (its packed launch flagged corruption) enters
-    // the ladder as if corruption was already seen: the unverified
-    // middle rung stays off the table.
-    let mut corruption_seen = tainted;
-    let note_attempt = |stats: &mut WorkerStats, attempt_no: &mut u32| {
-        stats.attempts += 1;
-        if *attempt_no > 0 {
-            stats.retries += 1;
-        }
-        *attempt_no += 1;
-    };
-
-    // Top rung: up to `gpu_attempts` tries, verified when configured.
-    let mut shortcircuit = false;
-    for _ in 0..rc.gpu_attempts.max(1) {
-        if !breaker.allow(batch_idx) {
-            break;
-        }
-        if attempt_no > 0 {
-            let delay = backoff_delay(rc, batch_idx, attempt_no);
-            if backoff_overruns(deadline_max, delay) {
-                stats.backoff_shortcircuits += 1;
-                shortcircuit = true;
-                break;
-            }
-            std::thread::sleep(delay);
-        }
-        note_attempt(stats, &mut attempt_no);
-        match resilient_attempt(
-            cfg, plan, proto, weights, hit, geo, rc.verify, batch_idx, attempt_no, injected,
-        ) {
-            Ok((results, prof, verify)) => {
-                let inj = injected_data_faults(&prof);
-                stats.injected_faults += inj;
-                let corrupt = verify
-                    .as_ref()
-                    .is_some_and(VerifyReport::corruption_detected);
-                note_profile(stats, prof);
-                if corrupt {
-                    stats.corruption_detected += 1;
-                    corruption_seen = true;
-                    breaker.record_failure(batch_idx);
-                    continue;
-                }
-                if inj > 0 {
-                    stats.undetected_injected += 1;
-                }
-                breaker.record_success();
-                return Ok((results, false));
-            }
-            Err(_) => breaker.record_failure(batch_idx),
-        }
-    }
-
-    // Middle rung: one unverified attempt — only when verification
-    // was the top rung and no corruption was detected there (after a
-    // flagged data upset, dropping the checksums would invite exactly
-    // the silent wrong answer the ladder exists to prevent). Its
-    // backoff is deadline-charged too: an overrunning delay skips the
-    // rung entirely.
-    if !shortcircuit && rc.verify && !corruption_seen && breaker.allow(batch_idx) {
-        let delay = backoff_delay(rc, batch_idx, attempt_no);
-        if backoff_overruns(deadline_max, delay) {
-            stats.backoff_shortcircuits += 1;
-        } else {
-            std::thread::sleep(delay);
-            note_attempt(stats, &mut attempt_no);
-            match resilient_attempt(
-                cfg, plan, proto, weights, hit, geo, false, batch_idx, attempt_no, injected,
-            ) {
-                Ok((results, prof, _)) => {
-                    let inj = injected_data_faults(&prof);
-                    stats.injected_faults += inj;
-                    if inj > 0 {
-                        stats.undetected_injected += 1;
-                    }
-                    note_profile(stats, prof);
-                    breaker.record_success();
-                    return Ok((results, true));
-                }
-                Err(_) => breaker.record_failure(batch_idx),
-            }
-        }
-    }
-
-    // Safe harbor: the CPU fused path is bit-deterministic and cannot
-    // fault — the ladder always terminates with a correct result.
-    note_attempt(stats, &mut attempt_no);
-    stats.fallbacks += 1;
-    Ok((
-        executor::execute_cpu(plan, &proto.targets, proto.h, weights, &cfg.cpu),
-        true,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor;
     use ks_core::problem::PointSet;
+    use ks_gpu_sim::FaultSpec;
+
+    /// A device whose every launch is killed by the watchdog.
+    fn dying_device() -> DeviceConfig {
+        DeviceConfig {
+            fault: Some(FaultSpec {
+                watchdog_rate: 1.0,
+                ..FaultSpec::default()
+            }),
+            ..DeviceConfig::gtx970()
+        }
+    }
 
     fn query(sources: &SourceSet, targets: &Arc<PointSet>, seed: u64) -> Query {
         let w = PointSet::uniform_cube(targets.len(), 1, seed)
@@ -1869,7 +1419,7 @@ mod tests {
         let targets = Arc::new(PointSet::uniform_cube(128, 8, 22));
         let mut cfg = ServeConfig {
             backend: ServeBackend::GpuFused { cpu_fallback: true },
-            fault_injection: FaultInjection::FirstN(1),
+            device: dying_device(),
             ..ServeConfig::default()
         };
         cfg.start_paused = true;
@@ -1882,6 +1432,8 @@ mod tests {
         let report = srv.shutdown();
         assert_eq!(report.fallbacks, 1);
         assert_eq!(report.completed, 1);
+        assert_eq!(report.degraded_completions, 1, "below the top rung");
+        assert_eq!((report.attempts, report.retries), (2, 1));
         assert!(report.profiles.is_empty(), "failed launch has no profile");
     }
 
@@ -1893,7 +1445,7 @@ mod tests {
             backend: ServeBackend::GpuFused {
                 cpu_fallback: false,
             },
-            fault_injection: FaultInjection::FirstN(1),
+            device: dying_device(),
             start_paused: true,
             ..ServeConfig::default()
         };
@@ -1902,9 +1454,13 @@ mod tests {
             panic!("must accept");
         };
         srv.resume();
-        assert_eq!(t.wait(), Err(ServeError::Launch(LaunchError::EmptyLaunch)));
+        assert!(matches!(
+            t.wait(),
+            Err(ServeError::Launch(LaunchError::WatchdogTimeout { .. }))
+        ));
         let report = srv.shutdown();
         assert_eq!(report.failed, 1);
+        assert_eq!(report.breaker_trips, 0, "no harbor, no breaker");
     }
 
     #[test]
@@ -1982,76 +1538,6 @@ mod tests {
     }
 
     #[test]
-    fn breaker_failure_count_saturates_instead_of_overflowing() {
-        let rc = ResilienceConfig {
-            breaker_threshold: u32::MAX,
-            breaker_cooldown: 1,
-            ..ResilienceConfig::default()
-        };
-        let mut b = Breaker::new(&rc);
-        b.consecutive_failures = u32::MAX - 1;
-        b.record_failure(0);
-        assert_eq!(b.consecutive_failures, u32::MAX);
-        assert_eq!(b.trips, 1, "at threshold: trips");
-        // The next failure must not wrap to 0 (which would silently
-        // restart the count and, in debug builds, panic first).
-        b.record_failure(1);
-        assert_eq!(b.consecutive_failures, u32::MAX, "saturates at the top");
-    }
-
-    #[test]
-    fn breaker_trips_cools_down_probes_and_resets() {
-        let rc = ResilienceConfig {
-            breaker_threshold: 2,
-            breaker_cooldown: 3,
-            ..ResilienceConfig::default()
-        };
-        let mut b = Breaker::new(&rc);
-        assert!(b.allow(0));
-        b.record_failure(0);
-        assert!(b.allow(0), "below threshold stays closed");
-        b.record_failure(0);
-        assert_eq!(b.trips, 1, "threshold consecutive failures trip it");
-        assert!(!b.allow(1), "open rejects during cooldown");
-        assert!(!b.allow(2));
-        assert!(b.allow(3), "cooldown elapsed: half-open probe admitted");
-        b.record_failure(3);
-        assert_eq!(b.trips, 2, "failed probe re-opens (a fresh trip)");
-        assert!(!b.allow(4));
-        assert!(b.allow(6), "second probe after renewed cooldown");
-        b.record_success();
-        assert_eq!(b.resets, 1, "successful probe closes the breaker");
-        assert!(b.allow(7));
-    }
-
-    #[test]
-    fn half_open_probe_failure_reopens_with_a_fresh_window() {
-        let rc = ResilienceConfig {
-            breaker_threshold: 2,
-            breaker_cooldown: 3,
-            ..ResilienceConfig::default()
-        };
-        let mut b = Breaker::new(&rc);
-        b.record_failure(0);
-        b.record_failure(0); // trips open, since_batch = 0
-        assert!(!b.allow(2));
-        assert!(b.allow(3), "cooldown over: half-open");
-        // The probe fails much later than the trip: the cooldown
-        // window restarts from the probe's batch, not the trip's.
-        b.record_failure(10);
-        assert!(!b.allow(11));
-        assert!(!b.allow(12));
-        assert!(b.allow(13), "cooldown counts from the failed probe");
-        b.record_success();
-        assert_eq!(b.resets, 1, "half-open probe success closes");
-        assert_eq!(b.consecutive_failures, 0, "…and clears the streak");
-        assert!(b.allow(14));
-        b.record_failure(14);
-        assert!(b.allow(14), "closed again: below threshold stays closed");
-        assert_eq!(b.trips, 2, "one trip, one probe-failure re-open");
-    }
-
-    #[test]
     fn brownout_sheds_only_doomed_queries_in_later_chunks() {
         let sources = SourceSet::new(PointSet::uniform_cube(16, 3, 61));
         let targets = Arc::new(PointSet::uniform_cube(8, 3, 62));
@@ -2113,7 +1599,7 @@ mod tests {
             backend: ServeBackend::GpuResilient,
             // Every GPU attempt fails, so the ladder wants to retry
             // with backoff…
-            fault_injection: FaultInjection::FirstN(64),
+            device: dying_device(),
             resilience: ResilienceConfig {
                 // …but the very first backoff (base·2¹ ≥ 1 min) would
                 // sleep far past the query's deadline.
@@ -2180,7 +1666,7 @@ mod tests {
         let targets = Arc::new(PointSet::uniform_cube(128, 8, 62));
         let cfg = ServeConfig {
             backend: ServeBackend::GpuResilient,
-            fault_injection: FaultInjection::FirstN(u64::MAX),
+            device: dying_device(),
             start_paused: true,
             ..ServeConfig::default()
         };

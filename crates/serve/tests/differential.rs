@@ -13,9 +13,8 @@ use ks_blas::{Layout, Matrix};
 use ks_core::plan::SourceSet;
 use ks_core::problem::{KernelSumProblem, PointSet};
 use ks_core::{solve_multi_fused, solve_multi_reference, FusedCpuConfig, GaussianKernel};
-use ks_serve::{
-    FaultInjection, Query, ServeBackend, ServeConfig, Server, Submit, Ticket, WorkloadConfig,
-};
+use ks_gpu_sim::FaultSpec;
+use ks_serve::{Query, ServeBackend, ServeConfig, Server, Submit, Ticket, WorkloadConfig};
 use rand::distributions::{Distribution, Uniform};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -195,11 +194,14 @@ fn gpu_fallback_after_injected_fault_bit_matches_cpu_serving() {
     };
     let queries = ks_serve::generate_queries(&wl);
     let queries = &queries[..16];
-    let gpu_cfg = ServeConfig {
+    let mut gpu_cfg = ServeConfig {
         backend: ServeBackend::GpuFused { cpu_fallback: true },
-        fault_injection: FaultInjection::FirstN(u64::MAX),
         ..ServeConfig::default()
     };
+    gpu_cfg.device.fault = Some(FaultSpec {
+        watchdog_rate: 1.0,
+        ..FaultSpec::default()
+    });
     let (via_fallback, report) = serve_all(gpu_cfg, queries);
     assert!(
         report.fallbacks > 0,

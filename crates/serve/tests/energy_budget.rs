@@ -13,9 +13,9 @@ use std::sync::Arc;
 use ks_core::plan::SourceSet;
 use ks_core::problem::PointSet;
 use ks_gpu_kernels::TileGeometry;
-use ks_gpu_sim::config::DeviceConfig;
+use ks_gpu_sim::config::{DeviceConfig, Interconnect};
 use ks_serve::{
-    GeometryPick, Query, ServeBackend, ServeConfig, ServeReport, Server, Submit, Ticket,
+    GeometryPick, PoolConfig, Query, ServeBackend, ServeConfig, ServeReport, Server, Submit, Ticket,
 };
 use rand::distributions::{Distribution, Uniform};
 use rand::SeedableRng;
@@ -181,4 +181,41 @@ fn budget_without_a_low_power_variant_never_downshifts() {
         report.energy_downshifts, 0,
         "no bit-compatible variant means no downshift, budget or not"
     );
+}
+
+/// Pooled serving launches the downshifted geometry too: the budget's
+/// low-power variant shows in the shards' launched kernels, and the
+/// bits still match unbudgeted serving.
+#[test]
+fn pooled_downshift_reaches_the_launched_kernels() {
+    let qs = queries(24, 45);
+    let (unbudgeted, _) = serve_all(gpu_config(None), &qs);
+    let pooled = |budget| ServeConfig {
+        pool: Some(PoolConfig::homogeneous(
+            2,
+            DeviceConfig::gtx970(),
+            Interconnect::pcie3_x16(),
+        )),
+        ..gpu_config(budget)
+    };
+    let (budgeted, report) = serve_all(pooled(Some(1e-9)), &qs);
+    assert!(report.energy_downshifts >= 1);
+    let threads = |g: TileGeometry| g.threads_per_block() as u32;
+    let fused: Vec<u32> = report
+        .profiles
+        .iter()
+        .flat_map(|p| &p.kernels)
+        .filter(|k| k.name.starts_with("fused"))
+        .map(|k| k.resources.threads_per_block)
+        .collect();
+    assert!(
+        fused.contains(&threads(low_power_variant())),
+        "a downshifted batch must launch the low-power geometry"
+    );
+    assert!(fused.contains(&threads(TileGeometry::paper_default())));
+    for (a, b) in unbudgeted.iter().zip(budgeted.iter()) {
+        for (x, y) in a.iter().zip(b.iter()) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
 }

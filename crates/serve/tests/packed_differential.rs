@@ -10,6 +10,10 @@
 //! packed run spends strictly fewer simulated launches and reports
 //! its packed counters, while an unpacked run reports zero.
 
+use std::sync::Arc;
+
+use ks_core::plan::SourceSet;
+use ks_core::problem::PointSet;
 use ks_serve::{
     generate_small_queries, packed_smoke_workload, PoolConfig, Query, ServeBackend, ServeConfig,
     Server, Submit, Ticket,
@@ -23,9 +27,10 @@ fn small_queries() -> Vec<Query> {
     generate_small_queries(&packed_smoke_workload())
 }
 
-/// Serves the stream twice through one server — a cold pass (paused,
-/// so wave composition is deterministic) and a plan-warm pass — and
-/// returns both result sets plus the report.
+/// Serves the stream twice through one server — a cold pass and a
+/// plan-warm pass, each submitted while the worker is paused so wave
+/// composition is deterministic — and returns both result sets plus
+/// the report.
 fn serve_two_passes(
     mut cfg: ServeConfig,
     queries: &[Query],
@@ -45,7 +50,11 @@ fn serve_two_passes(
     let cold = submit_all(&mut srv);
     srv.resume();
     let cold: Vec<Vec<f32>> = cold.iter().map(|t| t.wait().expect("completes")).collect();
+    // Pause again so the warm pass, too, drains in waves that do not
+    // depend on host timing.
+    srv.pause();
     let warm = submit_all(&mut srv);
+    srv.resume();
     let warm: Vec<Vec<f32>> = warm.iter().map(|t| t.wait().expect("completes")).collect();
     (cold, warm, srv.shutdown())
 }
@@ -204,4 +213,53 @@ fn packed_resilient_corruption_degrades_only_affected_segments() {
         strayed == 0 || report.undetected_injected > 0,
         "{strayed} values strayed with no undetected-fault surfacing"
     );
+}
+
+/// The server's plan-cache verdict picks the pooled norms path, not
+/// the device's history. After a packed cold wave on corpora a and b,
+/// a plan-hit query on a alone takes the warm (host norms) path like
+/// unpooled serving, not the `norms(A)` kernel, whose final bits
+/// differ.
+#[test]
+fn pooled_norms_follow_the_servers_plan_cache_verdict() {
+    let query = |seed: u64, c: usize| Query {
+        sources: SourceSet::new(PointSet::uniform_cube(256, 32, seed)),
+        targets: Arc::new(PointSet::uniform_cube(256, 32, seed + 1)),
+        weights: (0..256)
+            .map(|j| ((j * 3 + c) % 7) as f32 / 7.0 - 0.5)
+            .collect(),
+        h: 1.5,
+        deadline: None,
+    };
+    let (qa, qb) = (query(71, 0), query(73, 1));
+    let mut qa_again = qa.clone();
+    qa_again.weights = query(71, 2).weights;
+    let serve = |pooled: bool| -> Vec<Vec<f32>> {
+        let mut cfg = gpu_cfg(true);
+        cfg.start_paused = true;
+        if pooled {
+            cfg.pool = Some(PoolConfig::homogeneous(
+                1,
+                DeviceConfig::gtx970(),
+                Interconnect::pcie3_x16(),
+            ));
+        }
+        let mut srv = Server::start(cfg);
+        let take = |srv: &mut Server, q: &Query| match srv.submit(q.clone()) {
+            Submit::Accepted(t) => t,
+            Submit::Rejected(_) => panic!("queue has room"),
+        };
+        let wave = [take(&mut srv, &qa), take(&mut srv, &qb)];
+        srv.resume();
+        let mut out: Vec<Vec<f32>> = wave.iter().map(|t| t.wait().expect("completes")).collect();
+        out.push(take(&mut srv, &qa_again).wait().expect("completes"));
+        let report = srv.shutdown();
+        assert_eq!(report.packed_launches, 1, "the cold wave packs");
+        assert_eq!(report.plan_cache.hits, 1, "the last query is a plan hit");
+        out
+    };
+    let (want, got) = (serve(false), serve(true));
+    for (qi, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_bits_eq(g, w, &format!("query {qi}"));
+    }
 }

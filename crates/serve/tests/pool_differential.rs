@@ -10,13 +10,16 @@
 //! CPU path without taking the pool down.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use ks_core::plan::SourceSet;
 use ks_core::problem::PointSet;
+use ks_gpu_kernels::TileGeometry;
 use ks_gpu_sim::config::{DeviceConfig, Interconnect};
 use ks_gpu_sim::fault::FaultSpec;
 use ks_serve::{
-    HealthConfig, PoolConfig, PoolDevice, Query, ServeBackend, ServeConfig, Server, Submit, Ticket,
+    HealthConfig, PoolConfig, PoolDevice, Query, ServeBackend, ServeConfig, ServeError, Server,
+    Submit, Ticket,
 };
 use rand::distributions::{Distribution, Uniform};
 use rand::{Rng, SeedableRng};
@@ -56,7 +59,9 @@ fn pool_queries(seed: u64, count: usize) -> Vec<Query> {
 }
 
 /// Serves the stream twice through one server — a cold pass and a
-/// plan-warm pass — and returns both result sets plus the report.
+/// plan-warm pass, each submitted while the worker is paused so wave
+/// composition is deterministic — and returns both result sets plus
+/// the report.
 fn serve_two_passes(
     mut cfg: ServeConfig,
     queries: &[Query],
@@ -76,7 +81,11 @@ fn serve_two_passes(
     let cold = submit_all(&mut srv);
     srv.resume();
     let cold: Vec<Vec<f32>> = cold.iter().map(|t| t.wait().expect("completes")).collect();
+    // Pause again so the warm pass, too, drains in waves that do not
+    // depend on host timing.
+    srv.pause();
     let warm = submit_all(&mut srv);
+    srv.resume();
     let warm: Vec<Vec<f32>> = warm.iter().map(|t| t.wait().expect("completes")).collect();
     (cold, warm, srv.shutdown())
 }
@@ -347,4 +356,135 @@ fn pool_chaos_data_faults_are_surfaced_and_recovered() {
         report.injected_faults > 0,
         "sweep-scale rates must record fault events"
     );
+}
+
+/// Serves `queries` on a paused server and collects every result,
+/// polling with a deadline instead of blocking: a wedged pool fails the
+/// test rather than hanging it. The wedged server is leaked, since
+/// dropping it would join the stuck worker.
+fn serve_within(cfg: ServeConfig, queries: &[Query], limit: Duration) -> Vec<Vec<f32>> {
+    let mut cfg = cfg;
+    cfg.start_paused = true;
+    cfg.queue_capacity = cfg.queue_capacity.max(queries.len());
+    let mut srv = Server::start(cfg);
+    let tickets: Vec<Ticket> = queries
+        .iter()
+        .map(|q| match srv.submit(q.clone()) {
+            Submit::Accepted(t) => t,
+            Submit::Rejected(_) => panic!("queue sized for the stream"),
+        })
+        .collect();
+    srv.resume();
+    let until = Instant::now() + limit;
+    let mut results: Vec<Option<Result<Vec<f32>, ServeError>>> = vec![None; tickets.len()];
+    while results.iter().any(Option::is_none) {
+        if Instant::now() > until {
+            let done = results.iter().filter(|r| r.is_some()).count();
+            std::mem::forget(srv);
+            panic!(
+                "{done} of {} tickets fulfilled within {limit:?}",
+                tickets.len()
+            );
+        }
+        for (r, t) in results.iter_mut().zip(&tickets) {
+            if r.is_none() {
+                *r = t.try_take();
+            }
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let _ = srv.shutdown();
+    results
+        .into_iter()
+        .map(|r| r.expect("polled").expect("completes"))
+        .collect()
+}
+
+/// Pooled shards launch at the batch's resolved geometry. A configured
+/// geometry narrower than the batch (`tile_k` 4 under 8 coalesced
+/// queries) resolves to the paper default; launching the configured
+/// one instead panics the device threads and wedges the merge.
+#[test]
+fn pooled_batches_launch_at_their_resolved_geometry() {
+    let sources = SourceSet::new(PointSet::uniform_cube(256, 8, 61));
+    let targets = Arc::new(PointSet::uniform_cube(96, 8, 62));
+    let queries: Vec<Query> = (0..8)
+        .map(|c| Query {
+            sources: sources.clone(),
+            targets: Arc::clone(&targets),
+            weights: (0..96)
+                .map(|j| ((j * 5 + c) % 13) as f32 / 13.0 - 0.5)
+                .collect(),
+            h: 0.8,
+            deadline: None,
+        })
+        .collect();
+    let narrow = ServeConfig {
+        geometry: TileGeometry {
+            tile_k: 4,
+            ..TileGeometry::paper_default()
+        },
+        ..unpooled(ServeBackend::GpuFused { cpu_fallback: true })
+    };
+    assert!(narrow.geometry.feasibility(&narrow.device).is_ok());
+    let limit = Duration::from_secs(20);
+    let want = serve_within(narrow.clone(), &queries, limit);
+    let pooled = ServeConfig {
+        pool: Some(PoolConfig::homogeneous(
+            2,
+            DeviceConfig::gtx970(),
+            Interconnect::pcie3_x16(),
+        )),
+        ..narrow
+    };
+    let got = serve_within(pooled, &queries, limit);
+    for (qi, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_bits_eq(g, w, &format!("query {qi}"));
+    }
+}
+
+/// A device that kills every launch lands resilient serving on the
+/// CPU harbor, unpooled and pooled alike, with the bits of CPU
+/// serving.
+#[test]
+fn certain_launch_faults_land_every_configuration_on_the_harbor() {
+    let queries = pool_queries(66, 10);
+    let (want, _, _) = serve_two_passes(unpooled(ServeBackend::CpuFused), &queries);
+    let dying = DeviceConfig {
+        fault: Some(FaultSpec {
+            watchdog_rate: 1.0,
+            ..FaultSpec::default()
+        }),
+        ..DeviceConfig::gtx970()
+    };
+    let mut unpooled_cfg = unpooled(ServeBackend::GpuResilient);
+    unpooled_cfg.device = dying.clone();
+    unpooled_cfg.resilience.backoff_base = Duration::from_micros(1);
+    let mut configs = vec![("unpooled".to_string(), unpooled_cfg)];
+    for devices in [1usize, 2] {
+        configs.push((
+            format!("pooled N={devices}"),
+            ServeConfig {
+                pool: Some(PoolConfig::homogeneous(
+                    devices,
+                    dying.clone(),
+                    Interconnect::pcie3_x16(),
+                )),
+                ..unpooled(ServeBackend::GpuResilient)
+            },
+        ));
+    }
+    for (name, cfg) in configs {
+        let (got, _, report) = serve_two_passes(cfg, &queries);
+        for (qi, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_bits_eq(g, w, &format!("{name} query {qi}"));
+        }
+        assert!(report.profiles.is_empty(), "{name}: no launch completed");
+        assert_eq!(
+            report.fallbacks, report.batches,
+            "{name}: every batch harbored"
+        );
+        assert_eq!(report.degraded_completions, report.completed, "{name}");
+        assert_eq!(report.attempts, report.batches + report.retries, "{name}");
+    }
 }

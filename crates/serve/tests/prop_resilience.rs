@@ -14,8 +14,8 @@ use ks_core::problem::{KernelSumProblem, PointSet};
 use ks_core::{solve_multi_reference, GaussianKernel};
 use ks_gpu_sim::FaultSpec;
 use ks_serve::{
-    backoff_delay, FaultInjection, Query, ResilienceConfig, ServeBackend, ServeConfig, ServeReport,
-    Server, Submit, Ticket,
+    backoff_delay, Query, ResilienceConfig, ServeBackend, ServeConfig, ServeReport, Server, Submit,
+    Ticket,
 };
 use proptest::prelude::*;
 
@@ -104,32 +104,33 @@ proptest! {
         }
     }
 
-    /// Any mix of injected launch faults and device data faults ends
-    /// with every query answered correctly (within the GPU tolerance
-    /// of the f64 oracle) and the attempt accounting consistent and
-    /// bounded — the ladder terminates inside its budget.
+    /// Any mix of launch faults and device data faults ends with
+    /// every query answered correctly (within the GPU tolerance of the
+    /// f64 oracle) and the attempt accounting consistent and bounded —
+    /// the ladder terminates inside its budget.
     #[test]
     fn fault_sequences_end_correct_or_surfaced_never_silent(
         seed in 0u64..1000,
-        launch_faults in 0u64..6,
+        launch_rate in 0.01f64..0.99,
         data_faults in 0usize..3,
     ) {
-        let mut cfg = ServeConfig {
+        // Every launch dies with probability `launch_rate` (watchdog).
+        // Data faults — 0: none; 1: SMEM flips (ABFT-covered); 2: SMEM
+        // flips plus SM loss.
+        let cfg = ServeConfig {
             backend: ServeBackend::GpuResilient,
-            fault_injection: FaultInjection::FirstN(launch_faults),
+            device: ks_gpu_sim::config::DeviceConfig {
+                fault: Some(FaultSpec {
+                    seed: seed ^ 0xFA017,
+                    smem_rate: if data_faults > 0 { 2.0 } else { 0.0 },
+                    sm_loss_rate: if data_faults > 1 { 0.3 } else { 0.0 },
+                    watchdog_rate: launch_rate,
+                    ..FaultSpec::default()
+                }),
+                ..ServeConfig::default().device
+            },
             ..ServeConfig::default()
         };
-        // 0: clean device; 1: SMEM flips (ABFT-covered); 2: SMEM flips
-        // plus launch-level faults (SM loss / watchdog).
-        if data_faults > 0 {
-            cfg.device.fault = Some(FaultSpec {
-                seed: seed ^ 0xFA017,
-                smem_rate: 2.0,
-                sm_loss_rate: if data_faults > 1 { 0.3 } else { 0.0 },
-                watchdog_rate: if data_faults > 1 { 0.2 } else { 0.0 },
-                ..FaultSpec::default()
-            });
-        }
         let rc_attempts = u64::from(cfg.resilience.gpu_attempts);
         let qs = queries(seed, 3);
         let (results, report) = serve_all(cfg, &qs);
@@ -160,11 +161,14 @@ proptest! {
     #[test]
     fn exhausted_ladder_is_bit_identical_to_cpu_serving(seed in 0u64..1000) {
         let qs = queries(seed, 3);
-        let resilient = ServeConfig {
+        let mut resilient = ServeConfig {
             backend: ServeBackend::GpuResilient,
-            fault_injection: FaultInjection::FirstN(u64::MAX),
             ..ServeConfig::default()
         };
+        resilient.device.fault = Some(FaultSpec {
+            watchdog_rate: 1.0,
+            ..FaultSpec::default()
+        });
         let (via_ladder, report) = serve_all(resilient, &qs);
         prop_assert_eq!(report.degraded_completions, report.completed);
         prop_assert_eq!(report.fallbacks, report.batches);
