@@ -5,8 +5,9 @@
 //! symbolically from the kernel's [`AccessSpec`] — no block is ever
 //! executed or replayed:
 //!
-//! * **Bank conflicts** — every [`SharedPattern`] is expanded one
-//!   word-phase at a time through the same hardware
+//! * **Bank conflicts** — every
+//!   [`SharedPattern`](ks_gpu_sim::access::SharedPattern) is expanded
+//!   one word-phase at a time through the same hardware
 //!   [`conflict_degree`] model the dynamic lint uses, weighted by its
 //!   per-block issue count.
 //! * **DRAM sectors** — each affine [`GlobalPattern`]'s launch-total

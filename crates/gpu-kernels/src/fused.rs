@@ -1,4 +1,4 @@
-//! Algorithm 2: fused kernel summation.
+//! Algorithm 2: fused kernel summation — the crate's one fused kernel.
 //!
 //! One thread block runs the whole chain for its `block_m × block_n`
 //! interaction tile: GEMM (rank-`tile_k` updates from shared memory)
@@ -7,7 +7,7 @@
 //!
 //! 1. **intra-thread** (line 16): each thread folds its
 //!    `micro_m × micro_n` microtile against its `micro_n` weights,
-//!    leaving `micro_m` row partials in registers;
+//!    leaving `micro_m` row partials per weight column in registers;
 //! 2. **intra-block** (line 20): the `threads_x` lanes of each row
 //!    group combine via warp shuffles, and the per-`ty` results land
 //!    in the shared scratch `T` (which reuses an idle GEMM tile
@@ -21,10 +21,33 @@
 //! `M×N` intermediate never exists in memory. That is the paper's
 //! whole point.
 //!
+//! ## One kernel, two names
+//! [`Fused`] evaluates `V = K·W` for `R` weight columns: each Gaussian
+//! value is computed once and folded into `R` per-column accumulators
+//! (`W` is `N×R` and `V` is `M×R`, both column-major). It carries one
+//! of two names, chosen by a [`Naming`] marker whose only job is the
+//! kernel-name prefix:
+//!
+//! * [`FusedKernelSummation`] (`fused_ks…`) is the paper's
+//!   single-weight kernel, `R = 1`. It alone takes the ablation
+//!   parameters: shared-memory layout
+//!   ([`with_layout`](FusedKernelSummation::with_layout)), double
+//!   buffering, the two-pass reduction
+//!   ([`with_reduction`](FusedKernelSummation::with_reduction)) and
+//!   the vendor execution model.
+//! * [`FusedMultiWeight`] (`fused_multiw{R}…`) is the serving kernel,
+//!   `R ∈ 1..=MAX_WEIGHT_COLUMNS` (see [`crate::fused_multi`]).
+//!
+//! Both names run the same block body, access spec, block class,
+//! analysis budget, resources and timing hints, so at `R = 1` they
+//! agree in every result bit and counter; only `name()` differs.
+//!
 //! The kernel is parameterized over [`TileGeometry`]
-//! ([`FusedKernelSummation::with_geometry`]); the paper's hand-tuned
-//! configuration is [`TileGeometry::paper_default`] and every formula
-//! below reduces to the seed implementation at that point.
+//! ([`Fused::with_geometry`]); the paper's hand-tuned configuration is
+//! [`TileGeometry::paper_default`] and every formula below reduces to
+//! the seed implementation at that point.
+
+use std::marker::PhantomData;
 
 use ks_gpu_sim::access::{
     affine_lanes, masked_lanes, AccessSpec, BarrierSpec, GlobalPattern, SharedPattern,
@@ -43,6 +66,7 @@ use ks_gpu_sim::traffic::{TrafficSink, WarpIdx};
 use ks_gpu_sim::smem::flip_bit;
 
 use crate::aux_kernels::{gaussian, Bandwidth};
+use crate::fused_multi::MAX_WEIGHT_COLUMNS;
 use crate::gemm_engine::{
     gemm_access_spec, gemm_block, gemm_block_verified, syncs_per_block, AccGrid, GemmOperands,
     GemmShape, SmemMap, MAX_MICRO,
@@ -162,30 +186,73 @@ pub enum Reduction {
     },
 }
 
-/// The fused kernel-summation kernel (Algorithm 2).
-pub struct FusedKernelSummation {
+/// Picks the kernel-name prefix of one of the fused kernel's two
+/// public names (see the module docs).
+pub trait Naming {
+    /// Name prefix for a kernel with `r` weight columns.
+    fn prefix(r: usize) -> String;
+}
+
+/// Marker of the paper pipeline's name, `fused_ks…`.
+pub struct Paper;
+
+/// Marker of the serving name, `fused_multiw{R}…`.
+pub struct Serving;
+
+impl Naming for Paper {
+    fn prefix(_r: usize) -> String {
+        "fused_ks".into()
+    }
+}
+
+impl Naming for Serving {
+    fn prefix(r: usize) -> String {
+        format!("fused_multiw{r}")
+    }
+}
+
+/// The paper's single-weight kernel (Algorithm 2): the fused kernel at
+/// `R = 1`, with the ablation parameters.
+pub type FusedKernelSummation = Fused<Paper>;
+
+/// The multi-weight serving kernel: the fused kernel at `R` weight
+/// columns.
+pub type FusedMultiWeight = Fused<Serving>;
+
+/// The fused kernel-summation kernel (see the module docs).
+///
+/// `geometry`, `r`, `shape` and `verify` are `pub(crate)` so the
+/// horizontally-fused packed kernel ([`crate::fused_multi_packed`])
+/// can reuse this kernel's block body and per-block metadata as its
+/// segment descriptor.
+pub struct Fused<N> {
     ops: GemmOperands,
     a2: BufId,
     b2: BufId,
+    /// `N×R` column-major weights.
     w: BufId,
+    /// `M×R` column-major output (must be zeroed before launch).
     v: BufId,
-    shape: GemmShape,
+    pub(crate) shape: GemmShape,
     bw: Bandwidth,
+    pub(crate) geometry: TileGeometry,
+    pub(crate) r: usize,
+    pub(crate) verify: Option<VerifyBufs>,
     layout: SmemLayout,
-    geometry: TileGeometry,
     reduction: Reduction,
     exec_model: ExecModel,
-    verify: Option<VerifyBufs>,
+    /// `fn() -> N` keeps the kernel `Send + Sync` whatever the marker.
+    naming: PhantomData<fn() -> N>,
 }
 
-impl FusedKernelSummation {
-    /// Creates the kernel at the paper-default geometry. `v` must be
-    /// zeroed before launch (atomic reduction accumulates into it).
+impl Fused<Paper> {
+    /// Creates the single-weight kernel at the paper-default geometry.
+    /// `v` must be zeroed before launch (atomic reduction accumulates
+    /// into it).
     ///
     /// # Panics
     /// Panics if the shape violates the tiling constraints.
     #[must_use]
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         ops: GemmOperands,
         a2: BufId,
@@ -195,50 +262,7 @@ impl FusedKernelSummation {
         shape: GemmShape,
         bw: Bandwidth,
     ) -> Self {
-        shape.validate();
-        Self {
-            ops,
-            a2,
-            b2,
-            w,
-            v,
-            shape,
-            bw,
-            layout: SmemLayout::default(),
-            geometry: TileGeometry::paper_default(),
-            reduction: Reduction::Atomic,
-            exec_model: ExecModel::CudaC,
-            verify: None,
-        }
-    }
-
-    /// Selects the tile geometry (the autotuner's knob). The shape
-    /// must divide the new geometry.
-    ///
-    /// # Panics
-    /// Panics if the shape violates the geometry's tiling constraints.
-    #[must_use]
-    pub fn with_geometry(mut self, geometry: TileGeometry) -> Self {
-        self.shape.validate_for(&geometry);
-        self.geometry = geometry;
-        self
-    }
-
-    /// The kernel's tile geometry.
-    #[must_use]
-    pub fn geometry(&self) -> &TileGeometry {
-        &self.geometry
-    }
-
-    /// Enables ABFT verification: the shared-memory audit, the γ
-    /// re-fold, the `T` drain digest, and the checksum column /
-    /// corruption flag in `bufs`. The checksum buffer must hold
-    /// `(M/block_m)·CHECKSUM_SLOT_WORDS` zeroed words and the flag
-    /// buffer `CHECKSUM_SLOT_WORDS` zeroed words.
-    #[must_use]
-    pub fn with_verify(mut self, bufs: VerifyBufs) -> Self {
-        self.verify = Some(bufs);
-        self
+        Self::from_parts(ops, a2, b2, w, v, shape, bw, 1)
     }
 
     /// Switches the timing-model execution class. `Vendor` models the
@@ -272,8 +296,106 @@ impl FusedKernelSummation {
         self.reduction = reduction;
         self
     }
+}
 
-    fn body<M: WarpMachine>(&self, block: Dim3, mach: &mut M) {
+impl Fused<Serving> {
+    /// Creates the kernel with `r` weight columns at the paper-default
+    /// geometry.
+    ///
+    /// # Panics
+    /// Panics if the shape violates the tiling constraints or
+    /// `r ∉ 1..=MAX_WEIGHT_COLUMNS`.
+    #[must_use]
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        ops: GemmOperands,
+        a2: BufId,
+        b2: BufId,
+        w: BufId,
+        v: BufId,
+        shape: GemmShape,
+        bw: Bandwidth,
+        r: usize,
+    ) -> Self {
+        assert!(
+            (1..=MAX_WEIGHT_COLUMNS).contains(&r),
+            "weight columns {r} out of range 1..={MAX_WEIGHT_COLUMNS}"
+        );
+        Self::from_parts(ops, a2, b2, w, v, shape, bw, r)
+    }
+}
+
+impl<N: Naming> Fused<N> {
+    #[allow(clippy::too_many_arguments)]
+    fn from_parts(
+        ops: GemmOperands,
+        a2: BufId,
+        b2: BufId,
+        w: BufId,
+        v: BufId,
+        shape: GemmShape,
+        bw: Bandwidth,
+        r: usize,
+    ) -> Self {
+        shape.validate();
+        Self {
+            ops,
+            a2,
+            b2,
+            w,
+            v,
+            shape,
+            bw,
+            geometry: TileGeometry::paper_default(),
+            r,
+            verify: None,
+            layout: SmemLayout::default(),
+            reduction: Reduction::Atomic,
+            exec_model: ExecModel::CudaC,
+            naming: PhantomData,
+        }
+    }
+
+    /// Selects the tile geometry (the autotuner's knob). The shape must
+    /// divide it, and the column count must fit its `T` scratch
+    /// (`r ≤ tile_k`).
+    ///
+    /// # Panics
+    /// Panics if the shape violates the geometry's tiling constraints
+    /// or `r > geometry.tile_k`.
+    #[must_use]
+    pub fn with_geometry(mut self, geometry: TileGeometry) -> Self {
+        self.shape.validate_for(&geometry);
+        assert!(
+            self.r <= geometry.tile_k,
+            "{} weight columns exceed the T scratch of {geometry} (tile_k {})",
+            self.r,
+            geometry.tile_k
+        );
+        self.geometry = geometry;
+        self
+    }
+
+    /// The kernel's tile geometry.
+    #[must_use]
+    pub fn geometry(&self) -> &TileGeometry {
+        &self.geometry
+    }
+
+    /// Enables ABFT verification: the shared-memory audit, the γ
+    /// re-fold, the `T` drain digest, and the checksum column /
+    /// corruption flag in `bufs`. The checksum buffer must hold
+    /// `R·(M/block_m)·CHECKSUM_SLOT_WORDS` zeroed words (slot
+    /// `(c·(M/block_m) + by)·CHECKSUM_SLOT_WORDS` for column `c`, row
+    /// group `by`) and the flag buffer `CHECKSUM_SLOT_WORDS` zeroed
+    /// words.
+    #[must_use]
+    pub fn with_verify(mut self, bufs: VerifyBufs) -> Self {
+        self.verify = Some(bufs);
+        self
+    }
+
+    pub(crate) fn body<M: WarpMachine>(&self, block: Dim3, mach: &mut M) {
         let (bx, by) = (block.x as usize, block.y as usize);
         let s = self.bw.inv_2h2();
         let geo = &self.geometry;
@@ -282,6 +404,8 @@ impl FusedKernelSummation {
         let txn = geo.threads_x();
         let rpw = geo.rows_per_warp();
         let threads = geo.threads_per_block();
+        let r = self.r;
+        let (n, m) = (self.shape.n, self.shape.m);
 
         // --- GEMM phase (Algorithm 2 lines 5–13) -----------------------
         let mut acc = if M::FUNCTIONAL {
@@ -315,19 +439,22 @@ impl FusedKernelSummation {
         };
 
         // Accumulator-register upsets scheduled against this block land
-        // on the γ row partials (data only — no instructions, so the
+        // on the γ partials (data only — no instructions, so the
         // unverified kernel's counters are untouched and the fault
         // surfaces as a silently wrong result).
-        let mut reg_flips: Vec<(usize, usize, u8)> = Vec::new();
+        let mut reg_flips: Vec<(usize, usize, usize, u8)> = Vec::new();
         if M::FUNCTIONAL {
+            let span = (threads * mm * r) as u64;
             for (pick, bit) in mach.accumulator_faults() {
-                let elem = (pick % (threads * mm) as u64) as usize;
-                reg_flips.push((elem / mm, elem % mm, bit));
+                let elem = (pick % span) as usize;
+                let tid = elem / (mm * r);
+                let rest = elem % (mm * r);
+                reg_flips.push((tid, rest / mm, rest % mm, bit));
             }
         }
 
         // --- Gaussian evaluation + intra-thread reduction (lines 14–16)
-        // Row partials per (warp, lane): γ[r] = Σ_c K[r][c]·W[c].
+        // Row partials per (thread, column): γ[c][row] = Σ_j K[row][j]·W[j][c].
         //
         // T reuses a GEMM tile buffer (the paper reuses sharedA0 to keep
         // occupancy at 2 blocks/SM). It must be the A buffer the final
@@ -336,9 +463,9 @@ impl FusedKernelSummation {
         // parks in `a[tiles % 2]`; single-buffered, both map to word 0
         // and the extra barrier before the eval loop orders them.
         let tiles = geo.tiles(self.shape.k);
-        let t_base = SmemMap::for_geometry(geo).a[tiles % 2];
-        // gamma[tid·micro_m + r]
-        let mut gamma = vec![0.0f32; if M::FUNCTIONAL { threads * mm } else { 0 }];
+        let t_off = SmemMap::for_geometry(geo).a[tiles % 2];
+        // gamma[(tid·r + col)·micro_m + row]
+        let mut gamma = vec![0.0f32; if M::FUNCTIONAL { threads * mm * r } else { 0 }];
         // ABFT digests: γ before/after the register-fault window (the
         // re-fold comparison), and T at store vs drain time.
         let mut gamma_clean_xor = 0u32;
@@ -360,7 +487,8 @@ impl FusedKernelSummation {
                     *dst = v;
                 }
             }
-            // Column norms and weights: micro_n/4 LDG.128 each.
+            // Column norms, then all R weight slices: micro_n/4 LDG.128
+            // each (column-major weights: column c at offset c·N).
             let mut b2_chunks = vec![[[0.0f32; 4]; 32]; cn];
             for (chunk, dst) in b2_chunks.iter_mut().enumerate() {
                 let idx: WarpIdx =
@@ -370,29 +498,33 @@ impl FusedKernelSummation {
                     *dst = v;
                 }
             }
-            let mut w_chunks = vec![[[0.0f32; 4]; 32]; cn];
-            for (chunk, dst) in w_chunks.iter_mut().enumerate() {
-                let idx: WarpIdx =
-                    std::array::from_fn(|lane| Some(bx * geo.block_n + col0(lane) + 4 * chunk));
-                let v = mach.ld_global(self.w, &idx, VecWidth::V4);
-                if M::FUNCTIONAL {
-                    *dst = v;
+            let mut w_chunks = vec![vec![[[0.0f32; 4]; 32]; cn]; r];
+            for (c, col_chunks) in w_chunks.iter_mut().enumerate() {
+                for (chunk, dst) in col_chunks.iter_mut().enumerate() {
+                    let idx: WarpIdx = std::array::from_fn(|lane| {
+                        Some(c * n + bx * geo.block_n + col0(lane) + 4 * chunk)
+                    });
+                    let v = mach.ld_global(self.w, &idx, VecWidth::V4);
+                    if M::FUNCTIONAL {
+                        *dst = v;
+                    }
                 }
             }
 
             // Per element: FADD (‖α‖²+‖β‖²), 2 FFMA (argument fold),
-            // MUFU.EX2 (exp); then FFMA against W for the reduction.
+            // MUFU.EX2 (exp) — once; then R FFMAs against W, one per
+            // weight column.
             let elems = (mm * mn) as u64;
             mach.falu(elems);
             mach.ffma(2 * elems);
             mach.sfu(elems);
-            mach.ffma(elems);
+            mach.ffma(elems * r as u64);
             if M::FUNCTIONAL {
                 for lane in 0..32 {
                     let tid = wp * 32 + lane;
-                    let a2row: [f32; MAX_MICRO] = std::array::from_fn(|r| {
-                        if r < mm {
-                            a2_chunks[r / 4][lane][r % 4]
+                    let a2row: [f32; MAX_MICRO] = std::array::from_fn(|i| {
+                        if i < mm {
+                            a2_chunks[i / 4][lane][i % 4]
                         } else {
                             0.0
                         }
@@ -404,48 +536,44 @@ impl FusedKernelSummation {
                             0.0
                         }
                     });
-                    let wcol: [f32; MAX_MICRO] = std::array::from_fn(|c| {
-                        if c < mn {
-                            w_chunks[c / 4][lane][c % 4]
-                        } else {
-                            0.0
+                    for row in 0..mm {
+                        for cc in 0..mn {
+                            let d = a2row[row] + b2col[cc] - 2.0 * acc.at(tid, row, cc);
+                            let kv = gaussian(d, s);
+                            for c in 0..r {
+                                let wv = w_chunks[c][cc / 4][lane][cc % 4];
+                                gamma[(tid * r + c) * mm + row] += kv * wv;
+                            }
                         }
-                    });
-                    for r in 0..mm {
-                        let mut g = 0.0f32;
-                        for c in 0..mn {
-                            let d = a2row[r] + b2col[c] - 2.0 * acc.at(tid, r, c);
-                            g += gaussian(d, s) * wcol[c];
-                        }
-                        gamma[tid * mm + r] = g;
                     }
                 }
             }
 
             if self.verify.is_some() {
-                // DMR on the fold: re-evaluate γ from the (ECC-clean)
+                // DMR on the R folds: re-evaluate γ from the (ECC-clean)
                 // Gaussian values and compare. The simulator's
                 // recompute is bit-identical, so the comparison is
                 // modelled as an exact digest of the clean γ.
-                mach.ffma(elems);
+                mach.ffma(elems * r as u64);
                 mach.falu(mm as u64);
                 if M::FUNCTIONAL {
                     for lane in 0..32 {
                         let tid = wp * 32 + lane;
-                        for g in &gamma[tid * mm..(tid + 1) * mm] {
+                        for g in &gamma[tid * r * mm..(tid + 1) * r * mm] {
                             gamma_clean_xor ^= g.to_bits();
                         }
                     }
                 }
             }
             if M::FUNCTIONAL {
-                for &(tid, row, bit) in reg_flips.iter().filter(|f| f.0 / 32 == wp) {
-                    gamma[tid * mm + row] = flip_bit(gamma[tid * mm + row], bit);
+                for &(tid, col, row, bit) in reg_flips.iter().filter(|f| f.0 / 32 == wp) {
+                    let idx = (tid * r + col) * mm + row;
+                    gamma[idx] = flip_bit(gamma[idx], bit);
                 }
                 if self.verify.is_some() {
                     for lane in 0..32 {
                         let tid = wp * 32 + lane;
-                        for g in &gamma[tid * mm..(tid + 1) * mm] {
+                        for g in &gamma[tid * r * mm..(tid + 1) * r * mm] {
                             gamma_parked_xor ^= g.to_bits();
                         }
                     }
@@ -453,67 +581,79 @@ impl FusedKernelSummation {
             }
 
             // --- Intra-block reduction: log2(threads_x) shuffle
-            //     rounds over the tx lanes of each ty group. ----------
-            let shuffle_ops = (txn.trailing_zeros() as u64) * mm as u64;
+            //     rounds per column over the tx lanes of each ty group.
+            let shuffle_ops = (txn.trailing_zeros() as u64) * (mm * r) as u64;
             mach.alu(shuffle_ops);
             mach.falu(shuffle_ops);
             // Lanes with tx == 0 (rows_per_warp per warp) park the
-            // per-ty row sums in T (the idle A tile buffer above).
-            let t_words: [Option<u32>; 32] =
-                std::array::from_fn(|lane| (lane % txn == 0).then_some(t_base + row0(lane) as u32));
-            // micro_m phases: one word per microtile row.
-            for r in 0..mm {
-                let words: [Option<u32>; 32] =
-                    std::array::from_fn(|lane| t_words[lane].map(|b| b + r as u32));
-                let mut vals = [[0.0f32; 4]; 32];
-                if M::FUNCTIONAL {
-                    for h in 0..rpw {
-                        let mut sum = 0.0f32;
-                        for tx in 0..txn {
-                            let tid = wp * 32 + h * txn + tx;
-                            // After the shuffle rounds lane tx==0 holds
-                            // the tx-sum; we model its value directly.
-                            sum += gamma[tid * mm + r];
-                        }
-                        vals[h * txn][0] = sum;
-                        if self.verify.is_some() {
-                            t_store_xor ^= sum.to_bits();
+            // per-ty row sums in T (the idle A tile buffer above);
+            // column c parks at word offset t_off + c·block_m, one
+            // store phase per microtile row.
+            for c in 0..r {
+                let t_base: [Option<u32>; 32] = std::array::from_fn(|lane| {
+                    (lane % txn == 0).then_some(t_off + (c * geo.block_m + row0(lane)) as u32)
+                });
+                for row in 0..mm {
+                    let words: [Option<u32>; 32] =
+                        std::array::from_fn(|lane| t_base[lane].map(|b| b + row as u32));
+                    let mut vals = [[0.0f32; 4]; 32];
+                    if M::FUNCTIONAL {
+                        for h in 0..rpw {
+                            let mut sum = 0.0f32;
+                            for tx in 0..txn {
+                                let tid = wp * 32 + h * txn + tx;
+                                // After the shuffle rounds lane tx==0
+                                // holds the tx-sum; we model its value
+                                // directly.
+                                sum += gamma[(tid * r + c) * mm + row];
+                            }
+                            vals[h * txn][0] = sum;
+                            if self.verify.is_some() {
+                                t_store_xor ^= sum.to_bits();
+                            }
                         }
                     }
+                    mach.st_shared(&words, VecWidth::V1, &vals);
                 }
-                mach.st_shared(&words, VecWidth::V1, &vals);
             }
         }
         mach.syncthreads(warps as u64);
 
         // --- Inter-block reduction (lines 18–22): the leading warps
-        //     drain T (32 words per phase) and atomically update V. --
+        //     drain T (32 words per phase, one pass per column) and
+        //     atomically update V. --------------------------------------
         let mut t_drain_xor = 0u32;
-        let mut sigma = 0.0f32;
+        let mut sigma = [0.0f32; MAX_WEIGHT_COLUMNS];
         for p in 0..geo.drain_phases() {
             mach.begin_warp((p % warps) as u32);
-            let words: [Option<u32>; 32] =
-                std::array::from_fn(|lane| Some(t_base + (p * 32 + lane) as u32));
-            let t_vals = mach.ld_shared(&words, VecWidth::V1);
-            let vidx: WarpIdx = std::array::from_fn(|lane| Some(by * geo.block_m + p * 32 + lane));
-            let lane_vals: [f32; 32] = std::array::from_fn(|lane| t_vals[lane][0]);
-            if M::FUNCTIONAL && self.verify.is_some() {
-                for v in &lane_vals {
-                    t_drain_xor ^= v.to_bits();
-                    sigma += v;
+            for c in 0..r {
+                let words: [Option<u32>; 32] = std::array::from_fn(|lane| {
+                    Some(t_off + (c * geo.block_m + p * 32 + lane) as u32)
+                });
+                let t_vals = mach.ld_shared(&words, VecWidth::V1);
+                let lane_vals: [f32; 32] = std::array::from_fn(|lane| t_vals[lane][0]);
+                if M::FUNCTIONAL && self.verify.is_some() {
+                    for v in &lane_vals {
+                        t_drain_xor ^= v.to_bits();
+                        sigma[c] += v;
+                    }
                 }
-            }
-            match self.reduction {
-                Reduction::Atomic => {
-                    mach.atomic_add(self.v, &vidx, &lane_vals);
-                }
-                Reduction::TwoPass { partials } => {
-                    let pidx: WarpIdx = std::array::from_fn(|lane| {
-                        Some(bx * self.shape.m + by * geo.block_m + p * 32 + lane)
-                    });
-                    let vals: [[f32; 4]; 32] =
-                        std::array::from_fn(|lane| [lane_vals[lane], 0.0, 0.0, 0.0]);
-                    mach.st_global(partials, &pidx, VecWidth::V1, &vals);
+                match self.reduction {
+                    Reduction::Atomic => {
+                        let vidx: WarpIdx = std::array::from_fn(|lane| {
+                            Some(c * m + by * geo.block_m + p * 32 + lane)
+                        });
+                        mach.atomic_add(self.v, &vidx, &lane_vals);
+                    }
+                    // Only the single-weight name selects it: r == 1.
+                    Reduction::TwoPass { partials } => {
+                        let pidx: WarpIdx = std::array::from_fn(|lane| {
+                            Some(bx * m + by * geo.block_m + p * 32 + lane)
+                        });
+                        let vals: [[f32; 4]; 32] =
+                            std::array::from_fn(|lane| [lane_vals[lane], 0.0, 0.0, 0.0]);
+                        mach.st_global(partials, &pidx, VecWidth::V1, &vals);
+                    }
                 }
             }
         }
@@ -522,12 +662,16 @@ impl FusedKernelSummation {
         if let Some(vb) = self.verify {
             corrupt |= gamma_clean_xor != gamma_parked_xor;
             corrupt |= t_store_xor != t_drain_xor;
+            let gy = m / geo.block_m;
             mach.begin_warp(0);
             mach.falu(2); // fold σ; combine the corruption predicate
-            let cidx: WarpIdx =
-                std::array::from_fn(|lane| (lane == 0).then_some(by * CHECKSUM_SLOT_WORDS));
+                          // One atomic with R active lanes: lane c updates the slot
+                          // of (column c, row group by) — distinct sectors.
+            let cidx: WarpIdx = std::array::from_fn(|lane| {
+                (lane < r).then_some((lane * gy + by) * CHECKSUM_SLOT_WORDS)
+            });
             let mut cvals = [0.0f32; 32];
-            cvals[0] = sigma;
+            cvals[..r].copy_from_slice(&sigma[..r]);
             mach.atomic_add(vb.checksum, &cidx, &cvals);
             // Unconditional: clean blocks add 0.0, so every block
             // issues the identical instruction stream.
@@ -539,7 +683,7 @@ impl FusedKernelSummation {
     }
 }
 
-impl Kernel for FusedKernelSummation {
+impl<N: Naming> Kernel for Fused<N> {
     fn name(&self) -> String {
         let tag = if self.verify.is_some() { "_abft" } else { "" };
         let gtag = if self.geometry == TileGeometry::paper_default() {
@@ -552,8 +696,11 @@ impl Kernel for FusedKernelSummation {
             )
         };
         format!(
-            "fused_ks{tag}{gtag}_{}x{}x{}",
-            self.shape.m, self.shape.n, self.shape.k
+            "{}{tag}{gtag}_{}x{}x{}",
+            N::prefix(self.r),
+            self.shape.m,
+            self.shape.n,
+            self.shape.k
         )
     }
 
@@ -569,9 +716,11 @@ impl Kernel for FusedKernelSummation {
     }
 
     fn resources(&self) -> KernelResources {
-        let mut res = self.geometry.resources();
-        res.smem_bytes_per_block = SmemMap::for_geometry(&self.geometry).bytes();
-        res
+        KernelResources {
+            threads_per_block: self.geometry.threads_per_block() as u32,
+            regs_per_thread: self.geometry.regs_per_thread_multi(self.r).min(255),
+            smem_bytes_per_block: SmemMap::for_geometry(&self.geometry).bytes(),
+        }
     }
 
     fn timing_hints(&self) -> TimingHints {
@@ -612,89 +761,107 @@ impl Kernel for FusedKernelSummation {
             self.layout,
             self.verify.is_some(),
         );
+        let (n, m, r) = (self.shape.n, self.shape.m, self.r);
         let tiles = geo.tiles(self.shape.k);
-        let t_base = SmemMap::for_geometry(geo).a[tiles % 2];
+        let t_off = SmemMap::for_geometry(geo).a[tiles % 2];
         // Evaluation phase: per warp, norm/weight vector loads and the
-        // micro_m T-park store phases (tx == 0 lanes only).
+        // micro_m T-park store phases per column (tx == 0 lanes only).
         let (cm, cn) = (mm / 4, mn / 4);
         for wp in 0..warps {
             let row = |lane: usize| ((rpw * wp + lane / txn) * mm) as i64;
             let col = |lane: usize| ((lane % txn) * mn) as i64;
-            for chunk in 0..cm.max(cn) {
-                if chunk < cm {
+            for chunk in 0..cm {
+                spec.global.push(
+                    GlobalPattern::new(
+                        self.a2,
+                        "a2",
+                        AccessDir::Read,
+                        VecWidth::V4,
+                        affine_lanes(|lane| row(lane) + 4 * chunk as i64),
+                    )
+                    .with_by(geo.block_m as i64),
+                );
+            }
+            for chunk in 0..cn {
+                spec.global.push(
+                    GlobalPattern::new(
+                        self.b2,
+                        "b2",
+                        AccessDir::Read,
+                        VecWidth::V4,
+                        affine_lanes(|lane| col(lane) + 4 * chunk as i64),
+                    )
+                    .with_bx(geo.block_n as i64),
+                );
+            }
+            // Column-major weight slices: column c at offset c·N.
+            for c in 0..r {
+                for chunk in 0..cn {
                     spec.global.push(
                         GlobalPattern::new(
-                            self.a2,
-                            "a2",
+                            self.w,
+                            "w",
                             AccessDir::Read,
                             VecWidth::V4,
-                            affine_lanes(|lane| row(lane) + 4 * chunk as i64),
+                            affine_lanes(|lane| (c * n) as i64 + col(lane) + 4 * chunk as i64),
                         )
-                        .with_by(geo.block_m as i64),
+                        .with_bx(geo.block_n as i64),
                     );
                 }
-                if chunk < cn {
-                    for (buf, label) in [(self.b2, "b2"), (self.w, "w")] {
-                        spec.global.push(
-                            GlobalPattern::new(
-                                buf,
-                                label,
-                                AccessDir::Read,
-                                VecWidth::V4,
-                                affine_lanes(|lane| col(lane) + 4 * chunk as i64),
-                            )
-                            .with_bx(geo.block_n as i64),
-                        );
-                    }
+            }
+            for c in 0..r {
+                for row_w in 0..mm {
+                    let words: [Option<u32>; 32] = std::array::from_fn(|lane| {
+                        (lane % txn == 0).then_some(
+                            t_off + (c * geo.block_m) as u32 + row(lane) as u32 + row_w as u32,
+                        )
+                    });
+                    spec.shared
+                        .push(SharedPattern::new(words, VecWidth::V1, AccessDir::Write));
                 }
             }
-            for r in 0..mm {
+        }
+        // Drain: 32-word phases over T per column, reduced into V.
+        for p in 0..geo.drain_phases() {
+            for c in 0..r {
                 let words: [Option<u32>; 32] = std::array::from_fn(|lane| {
-                    (lane % txn == 0).then_some(t_base + row(lane) as u32 + r as u32)
+                    Some(t_off + (c * geo.block_m + p * 32 + lane) as u32)
                 });
                 spec.shared
-                    .push(SharedPattern::new(words, VecWidth::V1, AccessDir::Write));
-            }
-        }
-        // Drain: 32-word phases over T, reduced into V.
-        for p in 0..geo.drain_phases() {
-            let words: [Option<u32>; 32] =
-                std::array::from_fn(|lane| Some(t_base + (p * 32 + lane) as u32));
-            spec.shared
-                .push(SharedPattern::new(words, VecWidth::V1, AccessDir::Read));
-            match self.reduction {
-                Reduction::Atomic => spec.global.push(
-                    GlobalPattern::new(
+                    .push(SharedPattern::new(words, VecWidth::V1, AccessDir::Read));
+                spec.global.push(match self.reduction {
+                    Reduction::Atomic => GlobalPattern::new(
                         self.v,
                         "v",
                         AccessDir::Atomic,
                         VecWidth::V1,
-                        affine_lanes(|lane| (p * 32 + lane) as i64),
+                        affine_lanes(|lane| (c * m + p * 32 + lane) as i64),
                     )
                     .with_by(geo.block_m as i64),
-                ),
-                Reduction::TwoPass { partials } => spec.global.push(
-                    GlobalPattern::new(
+                    Reduction::TwoPass { partials } => GlobalPattern::new(
                         partials,
                         "partials",
                         AccessDir::Write,
                         VecWidth::V1,
                         affine_lanes(|lane| (p * 32 + lane) as i64),
                     )
-                    .with_bx(self.shape.m as i64)
+                    .with_bx(m as i64)
                     .with_by(geo.block_m as i64),
-                ),
+                });
             }
         }
-        // ABFT epilogue: lane-0 checksum and flag atomics.
+        // ABFT epilogue: the R-lane checksum atomic and the lane-0 flag.
         if let Some(vb) = self.verify {
+            let gy = m / geo.block_m;
             spec.global.push(
                 GlobalPattern::new(
                     vb.checksum,
                     "chk",
                     AccessDir::Atomic,
                     VecWidth::V1,
-                    masked_lanes(|lane| (lane == 0).then_some(0)),
+                    masked_lanes(|lane| {
+                        (lane < r).then_some((lane * gy * CHECKSUM_SLOT_WORDS) as i64)
+                    }),
                 )
                 .with_by(CHECKSUM_SLOT_WORDS as i64),
             );
@@ -719,7 +886,8 @@ impl Kernel for FusedKernelSummation {
         // A rows start at by·block_m·k, B columns at bx·block_n·k, the
         // norm / weight vectors at by·block_m / bx·block_n, and the
         // reduction target at by·block_m (atomic) or bx·m + by·block_m
-        // (two-pass partials).
+        // (two-pass partials). The c·n / c·m weight and output column
+        // offsets are block-independent.
         let (bx, by) = (block.x as usize, block.y as usize);
         let geo = &self.geometry;
         let mut anchors = vec![
@@ -736,8 +904,9 @@ impl Kernel for FusedKernelSummation {
             }
         }
         if let Some(vb) = self.verify {
-            // Checksum atomics shift by one sector-aligned slot per
-            // row group; the flag is block-invariant (zero delta).
+            // Checksum slots shift by one sector-aligned slot per row
+            // group (the c·gy·8 column offsets are block-invariant);
+            // the flag never moves.
             anchors.push((vb.checksum, by * CHECKSUM_SLOT_WORDS));
             anchors.push((vb.flag, 0));
         }
@@ -745,71 +914,46 @@ impl Kernel for FusedKernelSummation {
     }
 
     fn analysis_budget(&self) -> AnalysisBudget {
-        let (m, n, k) = (self.shape.m, self.shape.n, self.shape.k);
+        let (m, n, k, r) = (self.shape.m, self.shape.n, self.shape.k, self.r);
         let geo = &self.geometry;
+        let read = |buf, len, label| BufferUse {
+            buf,
+            len,
+            writes: false,
+            label,
+        };
+        let write = |buf, len, label| BufferUse {
+            buf,
+            len,
+            writes: true,
+            label,
+        };
         let mut buffers = vec![
-            BufferUse {
-                buf: self.ops.a,
-                len: m * k,
-                writes: false,
-                label: "a",
-            },
-            BufferUse {
-                buf: self.ops.b,
-                len: k * n,
-                writes: false,
-                label: "b",
-            },
-            BufferUse {
-                buf: self.a2,
-                len: m,
-                writes: false,
-                label: "a2",
-            },
-            BufferUse {
-                buf: self.b2,
-                len: n,
-                writes: false,
-                label: "b2",
-            },
-            BufferUse {
-                buf: self.w,
-                len: n,
-                writes: false,
-                label: "w",
+            read(self.ops.a, m * k, "a"),
+            read(self.ops.b, k * n, "b"),
+            read(self.a2, m, "a2"),
+            read(self.b2, n, "b2"),
+            read(self.w, n * r, "w"),
+            match self.reduction {
+                Reduction::Atomic => write(self.v, m * r, "v"),
+                Reduction::TwoPass { partials } => {
+                    write(partials, (n / geo.block_n) * m, "partials")
+                }
             },
         ];
-        match self.reduction {
-            Reduction::Atomic => buffers.push(BufferUse {
-                buf: self.v,
-                len: m,
-                writes: true,
-                label: "v",
-            }),
-            Reduction::TwoPass { partials } => buffers.push(BufferUse {
-                buf: partials,
-                len: (n / geo.block_n) * m,
-                writes: true,
-                label: "partials",
-            }),
-        }
         if let Some(vb) = self.verify {
-            buffers.push(BufferUse {
-                buf: vb.checksum,
-                len: (m / geo.block_m) * CHECKSUM_SLOT_WORDS,
-                writes: true,
-                label: "chk",
-            });
-            buffers.push(BufferUse {
-                buf: vb.flag,
-                len: CHECKSUM_SLOT_WORDS,
-                writes: true,
-                label: "flag",
-            });
+            buffers.push(write(
+                vb.checksum,
+                r * (m / geo.block_m) * CHECKSUM_SLOT_WORDS,
+                "chk",
+            ));
+            buffers.push(write(vb.flag, CHECKSUM_SLOT_WORDS, "flag"));
         }
-        // Occupancy expectation: the reference device this repo's
-        // analysis fixtures run on (the paper point lands on its
-        // measured 2 blocks/SM, register-limited).
+        // Occupancy expectation on the reference device this repo's
+        // analysis fixtures run on, from the §III-A register economy:
+        // the paper point lands on its measured 2 blocks/SM
+        // (register-limited), and R ≥ 2 exceeds 128 regs/thread and
+        // halves it to one.
         let occ = ks_gpu_sim::occupancy::occupancy(&DeviceConfig::gtx970(), &self.resources());
         AnalysisBudget {
             // Fig. 5's swizzle is conflict-free; the naive row-major

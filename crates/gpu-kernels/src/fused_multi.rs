@@ -1,8 +1,9 @@
-//! Multi-weight fused kernel summation (extension experiment).
+//! Multi-weight serving: the batched entries around
+//! [`FusedMultiWeight`], the fused kernel under its serving name.
 //!
 //! Kernel regression evaluates `V = K·W` for several weight columns at
-//! once. The fused structure extends naturally: each Gaussian value is
-//! computed **once** in registers and folded into `R` per-column
+//! once. The fused kernel ([`crate::fused`]) computes each Gaussian
+//! value **once** in registers and folds it into `R` per-column
 //! accumulators — the incremental cost is `micro_m·micro_n·(R−1)`
 //! FFMAs per thread against the GEMM's own FFMA stream.
 //!
@@ -10,677 +11,28 @@
 //! costs ~`2·micro_n` registers per thread (`micro_n` accumulator
 //! partials + `micro_n` staged weights), so at the paper geometry
 //! `R = 2` pushes the kernel past the 128-register line where
-//! occupancy halves to **one block per SM**. Whether reuse beats
-//! occupancy is exactly the kind of question the simulator answers —
-//! the alternative (running the single-weight kernel `R` times) redoes
-//! the entire GEMM per column. See the `multi_weight` rows of the
-//! ablation bench and this module's tests.
+//! occupancy halves to **one block per SM**. See the `multi_weight`
+//! rows of the ablation bench and this module's tests.
 //!
 //! Layouts: `W` is `N×R` **column-major** (each weight column
 //! contiguous), `V` is `M×R` column-major (each output column receives
 //! coalesced atomics).
 
-use ks_gpu_sim::access::{
-    affine_lanes, masked_lanes, AccessSpec, BarrierSpec, GlobalPattern, SharedPattern,
-};
-use ks_gpu_sim::buffer::BufId;
-use ks_gpu_sim::config::DeviceConfig;
 use ks_gpu_sim::device::GpuDevice;
-use ks_gpu_sim::dim::{Dim3, LaunchConfig};
-use ks_gpu_sim::exec::BlockCtx;
-use ks_gpu_sim::kernel::VecWidth;
-use ks_gpu_sim::kernel::{
-    AnalysisBudget, BlockClass, BufferUse, ExecModel, Kernel, KernelResources, LaunchError,
-    TimingHints,
-};
+use ks_gpu_sim::kernel::{Kernel, LaunchError};
 use ks_gpu_sim::profiler::PipelineProfile;
-use ks_gpu_sim::trace::AccessDir;
-use ks_gpu_sim::traffic::{TrafficSink, WarpIdx};
 
-use ks_gpu_sim::smem::flip_bit;
-
-use crate::aux_kernels::{gaussian, Bandwidth, NormsKernel};
+use crate::aux_kernels::{Bandwidth, NormsKernel};
+pub use crate::fused::FusedMultiWeight;
 use crate::fused::{VerifyBufs, VerifyReport, CHECKSUM_SLOT_WORDS};
-use crate::gemm_engine::{
-    gemm_access_spec, gemm_block, gemm_block_verified, syncs_per_block, AccGrid, GemmOperands,
-    GemmShape, SmemMap, MAX_MICRO,
-};
+use crate::gemm_engine::{GemmOperands, GemmShape};
 use crate::geometry::TileGeometry;
-use crate::layout::SmemLayout;
-use crate::machine::{FunctionalMachine, TrafficMachine, WarpMachine};
 
 /// Maximum weight columns: the `T` scratch (which reuses an idle GEMM
 /// A-tile buffer of `block_m·tile_k` words) holds `block_m·R`
 /// partials, so `R ≤ tile_k`; the paper geometry's rank-8 tiles give
 /// this serving-batch ceiling.
 pub const MAX_WEIGHT_COLUMNS: usize = 8;
-
-/// The multi-weight fused kernel (see module docs).
-///
-/// Fields are `pub(crate)` so the horizontally-fused packed kernel
-/// ([`crate::fused_multi_packed`]) can reuse this kernel's block body
-/// and per-block metadata as its segment descriptor.
-pub struct FusedMultiWeight {
-    pub(crate) ops: GemmOperands,
-    pub(crate) a2: BufId,
-    pub(crate) b2: BufId,
-    /// `N×R` column-major weights.
-    pub(crate) w: BufId,
-    /// `M×R` column-major output (must be zeroed before launch).
-    pub(crate) v: BufId,
-    pub(crate) shape: GemmShape,
-    pub(crate) bw: Bandwidth,
-    pub(crate) geometry: TileGeometry,
-    pub(crate) r: usize,
-    pub(crate) verify: Option<VerifyBufs>,
-}
-
-impl FusedMultiWeight {
-    /// Creates the kernel with `r` weight columns at the paper-default
-    /// geometry.
-    ///
-    /// # Panics
-    /// Panics if the shape violates the tiling constraints or
-    /// `r ∉ 1..=MAX_WEIGHT_COLUMNS`.
-    #[must_use]
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        ops: GemmOperands,
-        a2: BufId,
-        b2: BufId,
-        w: BufId,
-        v: BufId,
-        shape: GemmShape,
-        bw: Bandwidth,
-        r: usize,
-    ) -> Self {
-        shape.validate();
-        assert!(
-            (1..=MAX_WEIGHT_COLUMNS).contains(&r),
-            "weight columns {r} out of range 1..={MAX_WEIGHT_COLUMNS}"
-        );
-        Self {
-            ops,
-            a2,
-            b2,
-            w,
-            v,
-            shape,
-            bw,
-            geometry: TileGeometry::paper_default(),
-            r,
-            verify: None,
-        }
-    }
-
-    /// Selects the tile geometry. The shape must divide it, and the
-    /// column count must fit its `T` scratch (`r ≤ tile_k`).
-    ///
-    /// # Panics
-    /// Panics if the shape violates the geometry's tiling constraints
-    /// or `r > geometry.tile_k`.
-    #[must_use]
-    pub fn with_geometry(mut self, geometry: TileGeometry) -> Self {
-        self.shape.validate_for(&geometry);
-        assert!(
-            self.r <= geometry.tile_k,
-            "{} weight columns exceed the T scratch of {geometry} (tile_k {})",
-            self.r,
-            geometry.tile_k
-        );
-        self.geometry = geometry;
-        self
-    }
-
-    /// The kernel's tile geometry.
-    #[must_use]
-    pub fn geometry(&self) -> &TileGeometry {
-        &self.geometry
-    }
-
-    /// Enables ABFT verification (see [`crate::fused`]). The checksum
-    /// buffer must hold `R·(M/block_m)·CHECKSUM_SLOT_WORDS` zeroed
-    /// words (slot `(c·(M/block_m) + by)·CHECKSUM_SLOT_WORDS` for
-    /// column `c`, row group `by`) and the flag buffer
-    /// `CHECKSUM_SLOT_WORDS` zeroed words.
-    #[must_use]
-    pub fn with_verify(mut self, bufs: VerifyBufs) -> Self {
-        self.verify = Some(bufs);
-        self
-    }
-
-    /// Registers per thread as a function of the column count at the
-    /// paper geometry: the single-weight kernel's 128 plus ~16 per
-    /// extra column.
-    #[must_use]
-    pub fn regs_per_thread(r: usize) -> u32 {
-        TileGeometry::paper_default().regs_per_thread_multi(r)
-    }
-
-    pub(crate) fn body<M: WarpMachine>(&self, block: Dim3, mach: &mut M) {
-        let (bx, by) = (block.x as usize, block.y as usize);
-        let s = self.bw.inv_2h2();
-        let geo = &self.geometry;
-        let warps = geo.warps_per_block();
-        let (mm, mn) = (geo.micro_m, geo.micro_n);
-        let txn = geo.threads_x();
-        let rpw = geo.rows_per_warp();
-        let threads = geo.threads_per_block();
-        let r = self.r;
-        let (n, m) = (self.shape.n, self.shape.m);
-
-        // --- GEMM phase -------------------------------------------------
-        let mut acc = if M::FUNCTIONAL {
-            AccGrid::for_geometry(geo)
-        } else {
-            AccGrid::empty(geo)
-        };
-        let mut corrupt = if self.verify.is_some() {
-            gemm_block_verified(
-                mach,
-                geo,
-                &self.ops,
-                &self.shape,
-                SmemLayout::Swizzled,
-                bx,
-                by,
-                &mut acc,
-            )
-        } else {
-            gemm_block(
-                mach,
-                geo,
-                &self.ops,
-                &self.shape,
-                SmemLayout::Swizzled,
-                bx,
-                by,
-                &mut acc,
-            );
-            false
-        };
-
-        // Register upsets land on the γ partials (data only; see the
-        // single-weight kernel).
-        let mut reg_flips: Vec<(usize, usize, usize, u8)> = Vec::new();
-        if M::FUNCTIONAL {
-            let span = (threads * mm * r) as u64;
-            for (pick, bit) in mach.accumulator_faults() {
-                let elem = (pick % span) as usize;
-                let tid = elem / (mm * r);
-                let rest = elem % (mm * r);
-                reg_flips.push((tid, rest / mm, rest % mm, bit));
-            }
-        }
-
-        // --- Evaluation + per-column intra-thread fold -------------------
-        // T reuses the A tile buffer the final `compute_ktile` is NOT
-        // still reading in this epoch (see `fused.rs`): that compute
-        // reads `a[(tiles−1) % 2]`, so T parks in `a[tiles % 2]`.
-        let tiles = geo.tiles(self.shape.k);
-        let t_off = SmemMap::for_geometry(geo).a[tiles % 2];
-        // gamma[(tid·r + col)·micro_m + row]
-        let mut gamma = vec![0.0f32; if M::FUNCTIONAL { threads * mm * r } else { 0 }];
-        let mut gamma_clean_xor = 0u32;
-        let mut gamma_parked_xor = 0u32;
-        let mut t_store_xor = 0u32;
-        let (cm, cn) = (mm / 4, mn / 4);
-        for wp in 0..warps {
-            mach.begin_warp(wp as u32);
-            mach.alu(2);
-            let row0 = |lane: usize| (rpw * wp + lane / txn) * mm;
-            let col0 = |lane: usize| (lane % txn) * mn;
-            let mut a2_chunks = vec![[[0.0f32; 4]; 32]; cm];
-            for (chunk, dst) in a2_chunks.iter_mut().enumerate() {
-                let idx: WarpIdx =
-                    std::array::from_fn(|lane| Some(by * geo.block_m + row0(lane) + 4 * chunk));
-                let v = mach.ld_global(self.a2, &idx, VecWidth::V4);
-                if M::FUNCTIONAL {
-                    *dst = v;
-                }
-            }
-            let mut b2_chunks = vec![[[0.0f32; 4]; 32]; cn];
-            for (chunk, dst) in b2_chunks.iter_mut().enumerate() {
-                let idx: WarpIdx =
-                    std::array::from_fn(|lane| Some(bx * geo.block_n + col0(lane) + 4 * chunk));
-                let v = mach.ld_global(self.b2, &idx, VecWidth::V4);
-                if M::FUNCTIONAL {
-                    *dst = v;
-                }
-            }
-            // Stage all R weight slices (column-major: column c at
-            // offset c·N).
-            let mut w_chunks = vec![vec![[[0.0f32; 4]; 32]; cn]; r];
-            for (c, col_chunks) in w_chunks.iter_mut().enumerate() {
-                for (chunk, dst) in col_chunks.iter_mut().enumerate() {
-                    let idx: WarpIdx = std::array::from_fn(|lane| {
-                        Some(c * n + bx * geo.block_n + col0(lane) + 4 * chunk)
-                    });
-                    let v = mach.ld_global(self.w, &idx, VecWidth::V4);
-                    if M::FUNCTIONAL {
-                        *dst = v;
-                    }
-                }
-            }
-
-            // Evaluation once; fold R times.
-            let elems = (mm * mn) as u64;
-            mach.falu(elems);
-            mach.ffma(2 * elems);
-            mach.sfu(elems);
-            mach.ffma(elems * r as u64);
-            if M::FUNCTIONAL {
-                for lane in 0..32 {
-                    let tid = wp * 32 + lane;
-                    let a2row: [f32; MAX_MICRO] = std::array::from_fn(|i| {
-                        if i < mm {
-                            a2_chunks[i / 4][lane][i % 4]
-                        } else {
-                            0.0
-                        }
-                    });
-                    let b2col: [f32; MAX_MICRO] = std::array::from_fn(|c| {
-                        if c < mn {
-                            b2_chunks[c / 4][lane][c % 4]
-                        } else {
-                            0.0
-                        }
-                    });
-                    for row in 0..mm {
-                        for cc in 0..mn {
-                            let d = a2row[row] + b2col[cc] - 2.0 * acc.at(tid, row, cc);
-                            let kv = gaussian(d, s);
-                            for c in 0..r {
-                                let wv = w_chunks[c][cc / 4][lane][cc % 4];
-                                gamma[(tid * r + c) * mm + row] += kv * wv;
-                            }
-                        }
-                    }
-                }
-            }
-
-            if self.verify.is_some() {
-                // DMR on the R folds (see the single-weight kernel).
-                mach.ffma(elems * r as u64);
-                mach.falu(mm as u64);
-                if M::FUNCTIONAL {
-                    for lane in 0..32 {
-                        let tid = wp * 32 + lane;
-                        for g in &gamma[tid * r * mm..(tid + 1) * r * mm] {
-                            gamma_clean_xor ^= g.to_bits();
-                        }
-                    }
-                }
-            }
-            if M::FUNCTIONAL {
-                for &(tid, col, row, bit) in reg_flips.iter().filter(|f| f.0 / 32 == wp) {
-                    let idx = (tid * r + col) * mm + row;
-                    gamma[idx] = flip_bit(gamma[idx], bit);
-                }
-                if self.verify.is_some() {
-                    for lane in 0..32 {
-                        let tid = wp * 32 + lane;
-                        for g in &gamma[tid * r * mm..(tid + 1) * r * mm] {
-                            gamma_parked_xor ^= g.to_bits();
-                        }
-                    }
-                }
-            }
-
-            // Intra-block shuffle reduction per column.
-            let shuffle_ops = (txn.trailing_zeros() as u64) * (mm * r) as u64;
-            mach.alu(shuffle_ops);
-            mach.falu(shuffle_ops);
-            // T scratch: column c parks at word offset t_off + c·block_m.
-            for c in 0..r {
-                let t_base: [Option<u32>; 32] = std::array::from_fn(|lane| {
-                    (lane % txn == 0).then_some(t_off + (c * geo.block_m + row0(lane)) as u32)
-                });
-                for row in 0..mm {
-                    let words: [Option<u32>; 32] =
-                        std::array::from_fn(|lane| t_base[lane].map(|b| b + row as u32));
-                    let mut vals = [[0.0f32; 4]; 32];
-                    if M::FUNCTIONAL {
-                        for h in 0..rpw {
-                            let mut sum = 0.0f32;
-                            for tx in 0..txn {
-                                let tid = wp * 32 + h * txn + tx;
-                                sum += gamma[(tid * r + c) * mm + row];
-                            }
-                            vals[h * txn][0] = sum;
-                            if self.verify.is_some() {
-                                t_store_xor ^= sum.to_bits();
-                            }
-                        }
-                    }
-                    mach.st_shared(&words, VecWidth::V1, &vals);
-                }
-            }
-        }
-        mach.syncthreads(warps as u64);
-
-        // --- Atomic drain, one coalesced pass per column -----------------
-        let mut t_drain_xor = 0u32;
-        let mut sigma = [0.0f32; MAX_WEIGHT_COLUMNS];
-        for p in 0..geo.drain_phases() {
-            mach.begin_warp((p % warps) as u32);
-            for c in 0..r {
-                let words: [Option<u32>; 32] = std::array::from_fn(|lane| {
-                    Some(t_off + (c * geo.block_m + p * 32 + lane) as u32)
-                });
-                let t_vals = mach.ld_shared(&words, VecWidth::V1);
-                let vidx: WarpIdx =
-                    std::array::from_fn(|lane| Some(c * m + by * geo.block_m + p * 32 + lane));
-                let lane_vals: [f32; 32] = std::array::from_fn(|lane| t_vals[lane][0]);
-                if M::FUNCTIONAL && self.verify.is_some() {
-                    for v in &lane_vals {
-                        t_drain_xor ^= v.to_bits();
-                        sigma[c] += v;
-                    }
-                }
-                mach.atomic_add(self.v, &vidx, &lane_vals);
-            }
-        }
-
-        // --- ABFT epilogue (see the single-weight kernel) ----------------
-        if let Some(vb) = self.verify {
-            corrupt |= gamma_clean_xor != gamma_parked_xor;
-            corrupt |= t_store_xor != t_drain_xor;
-            let gy = m / geo.block_m;
-            mach.begin_warp(0);
-            mach.falu(2);
-            // One atomic with R active lanes: lane c updates the slot
-            // of (column c, row group by) — distinct sectors.
-            let cidx: WarpIdx = std::array::from_fn(|lane| {
-                (lane < r).then_some((lane * gy + by) * CHECKSUM_SLOT_WORDS)
-            });
-            let mut cvals = [0.0f32; 32];
-            cvals[..r].copy_from_slice(&sigma[..r]);
-            mach.atomic_add(vb.checksum, &cidx, &cvals);
-            let fidx: WarpIdx = std::array::from_fn(|lane| (lane == 0).then_some(0));
-            let mut fvals = [0.0f32; 32];
-            fvals[0] = if corrupt { 1.0 } else { 0.0 };
-            mach.atomic_add(vb.flag, &fidx, &fvals);
-        }
-    }
-}
-
-impl Kernel for FusedMultiWeight {
-    fn name(&self) -> String {
-        let tag = if self.verify.is_some() { "_abft" } else { "" };
-        let gtag = if self.geometry == TileGeometry::paper_default() {
-            String::new()
-        } else {
-            let g = &self.geometry;
-            format!(
-                "_g{}x{}u{}x{}k{}d{}",
-                g.block_m, g.block_n, g.micro_m, g.micro_n, g.tile_k, g.double_buffer_depth
-            )
-        };
-        format!(
-            "fused_multiw{}{tag}{gtag}_{}x{}x{}",
-            self.r, self.shape.m, self.shape.n, self.shape.k
-        )
-    }
-
-    fn launch_config(&self) -> LaunchConfig {
-        let (gx, gy) = self.shape.grid_for(&self.geometry);
-        LaunchConfig::new(
-            Dim3::new_2d(gx, gy),
-            Dim3::new_2d(
-                self.geometry.threads_x() as u32,
-                self.geometry.threads_y() as u32,
-            ),
-        )
-    }
-
-    fn resources(&self) -> KernelResources {
-        KernelResources {
-            threads_per_block: self.geometry.threads_per_block() as u32,
-            regs_per_thread: self.geometry.regs_per_thread_multi(self.r).min(255),
-            smem_bytes_per_block: SmemMap::for_geometry(&self.geometry).bytes(),
-        }
-    }
-
-    fn timing_hints(&self) -> TimingHints {
-        TimingHints {
-            exec_model: ExecModel::CudaC,
-            mlp: if self.geometry.double_buffer_depth == 2 {
-                8.0
-            } else {
-                3.0
-            },
-        }
-    }
-
-    fn execute_block(&self, block: Dim3, ctx: &mut BlockCtx) {
-        self.body(block, &mut FunctionalMachine::new(ctx));
-    }
-
-    fn block_traffic(&self, block: Dim3, sink: &mut TrafficSink) {
-        self.body(block, &mut TrafficMachine::new(sink));
-    }
-
-    fn traffic_homogeneous(&self) -> bool {
-        true
-    }
-
-    fn access_spec(&self) -> Option<AccessSpec> {
-        let geo = &self.geometry;
-        let (mm, mn) = (geo.micro_m, geo.micro_n);
-        let txn = geo.threads_x();
-        let rpw = geo.rows_per_warp();
-        let warps = geo.warps_per_block();
-        let mut spec = AccessSpec::default();
-        gemm_access_spec(
-            &mut spec,
-            geo,
-            &self.ops,
-            &self.shape,
-            SmemLayout::Swizzled,
-            self.verify.is_some(),
-        );
-        let (n, m, r) = (self.shape.n, self.shape.m, self.r);
-        let tiles = geo.tiles(self.shape.k);
-        let t_off = SmemMap::for_geometry(geo).a[tiles % 2];
-        let (cm, cn) = (mm / 4, mn / 4);
-        for wp in 0..warps {
-            let row = |lane: usize| ((rpw * wp + lane / txn) * mm) as i64;
-            let col = |lane: usize| ((lane % txn) * mn) as i64;
-            for chunk in 0..cm {
-                spec.global.push(
-                    GlobalPattern::new(
-                        self.a2,
-                        "a2",
-                        AccessDir::Read,
-                        VecWidth::V4,
-                        affine_lanes(|lane| row(lane) + 4 * chunk as i64),
-                    )
-                    .with_by(geo.block_m as i64),
-                );
-            }
-            for chunk in 0..cn {
-                spec.global.push(
-                    GlobalPattern::new(
-                        self.b2,
-                        "b2",
-                        AccessDir::Read,
-                        VecWidth::V4,
-                        affine_lanes(|lane| col(lane) + 4 * chunk as i64),
-                    )
-                    .with_bx(geo.block_n as i64),
-                );
-            }
-            // Column-major weight slices: column c at offset c·N.
-            for c in 0..r {
-                for chunk in 0..cn {
-                    spec.global.push(
-                        GlobalPattern::new(
-                            self.w,
-                            "w",
-                            AccessDir::Read,
-                            VecWidth::V4,
-                            affine_lanes(|lane| (c * n) as i64 + col(lane) + 4 * chunk as i64),
-                        )
-                        .with_bx(geo.block_n as i64),
-                    );
-                }
-            }
-            for c in 0..r {
-                for row_w in 0..mm {
-                    let words: [Option<u32>; 32] = std::array::from_fn(|lane| {
-                        (lane % txn == 0).then_some(
-                            t_off + (c * geo.block_m) as u32 + row(lane) as u32 + row_w as u32,
-                        )
-                    });
-                    spec.shared
-                        .push(SharedPattern::new(words, VecWidth::V1, AccessDir::Write));
-                }
-            }
-        }
-        for p in 0..geo.drain_phases() {
-            for c in 0..r {
-                let words: [Option<u32>; 32] = std::array::from_fn(|lane| {
-                    Some(t_off + (c * geo.block_m + p * 32 + lane) as u32)
-                });
-                spec.shared
-                    .push(SharedPattern::new(words, VecWidth::V1, AccessDir::Read));
-                spec.global.push(
-                    GlobalPattern::new(
-                        self.v,
-                        "v",
-                        AccessDir::Atomic,
-                        VecWidth::V1,
-                        affine_lanes(|lane| (c * m + p * 32 + lane) as i64),
-                    )
-                    .with_by(geo.block_m as i64),
-                );
-            }
-        }
-        if let Some(vb) = self.verify {
-            let gy = m / geo.block_m;
-            spec.global.push(
-                GlobalPattern::new(
-                    vb.checksum,
-                    "chk",
-                    AccessDir::Atomic,
-                    VecWidth::V1,
-                    masked_lanes(|lane| {
-                        (lane < r).then_some((lane * gy * CHECKSUM_SLOT_WORDS) as i64)
-                    }),
-                )
-                .with_by(CHECKSUM_SLOT_WORDS as i64),
-            );
-            spec.global.push(GlobalPattern::new(
-                vb.flag,
-                "flag",
-                AccessDir::Atomic,
-                VecWidth::V1,
-                masked_lanes(|lane| (lane == 0).then_some(0)),
-            ));
-        }
-        spec.barriers = Some(BarrierSpec {
-            count: syncs_per_block(geo, self.shape.k) + 1,
-            warps: warps as u64,
-        });
-        Some(spec)
-    }
-
-    fn block_class(&self, block: Dim3) -> Option<BlockClass> {
-        // Same affine structure as the single-weight kernel: the
-        // column-major weight reads (c·n + bx·block_n + …) and atomic
-        // drains (c·m + by·block_m + …) shift with bx·block_n /
-        // by·block_m; the c·n / c·m column offsets are
-        // block-independent.
-        let (bx, by) = (block.x as usize, block.y as usize);
-        let geo = &self.geometry;
-        let mut anchors = vec![
-            (self.ops.a, by * geo.block_m * self.shape.k),
-            (self.ops.b, bx * geo.block_n * self.shape.k),
-            (self.a2, by * geo.block_m),
-            (self.b2, bx * geo.block_n),
-            (self.w, bx * geo.block_n),
-            (self.v, by * geo.block_m),
-        ];
-        if let Some(vb) = self.verify {
-            // Checksum slots shift by one sector-aligned slot per row
-            // group (the c·gy·8 column offsets are block-invariant,
-            // like the w/v column offsets above); the flag never moves.
-            anchors.push((vb.checksum, by * CHECKSUM_SLOT_WORDS));
-            anchors.push((vb.flag, 0));
-        }
-        Some(BlockClass { key: 0, anchors })
-    }
-
-    fn analysis_budget(&self) -> AnalysisBudget {
-        let (m, n, k) = (self.shape.m, self.shape.n, self.shape.k);
-        let mut extra = Vec::new();
-        if let Some(vb) = self.verify {
-            extra.push(BufferUse {
-                buf: vb.checksum,
-                len: self.r * (m / self.geometry.block_m) * CHECKSUM_SLOT_WORDS,
-                writes: true,
-                label: "chk",
-            });
-            extra.push(BufferUse {
-                buf: vb.flag,
-                len: CHECKSUM_SLOT_WORDS,
-                writes: true,
-                label: "flag",
-            });
-        }
-        // §III-A register economy, computed from the geometry: at the
-        // paper point R ≥ 2 exceeds 128 regs/thread and halves
-        // occupancy to one block per SM.
-        let occ = ks_gpu_sim::occupancy::occupancy(&DeviceConfig::gtx970(), &self.resources());
-        AnalysisBudget {
-            smem_conflict_budget: 0,
-            expected_blocks_per_sm: Some(occ.blocks_per_sm),
-            expected_limiter: Some(occ.limiter),
-            buffers: vec![
-                BufferUse {
-                    buf: self.ops.a,
-                    len: m * k,
-                    writes: false,
-                    label: "a",
-                },
-                BufferUse {
-                    buf: self.ops.b,
-                    len: k * n,
-                    writes: false,
-                    label: "b",
-                },
-                BufferUse {
-                    buf: self.a2,
-                    len: m,
-                    writes: false,
-                    label: "a2",
-                },
-                BufferUse {
-                    buf: self.b2,
-                    len: n,
-                    writes: false,
-                    label: "b2",
-                },
-                BufferUse {
-                    buf: self.w,
-                    len: n * self.r,
-                    writes: false,
-                    label: "w",
-                },
-                BufferUse {
-                    buf: self.v,
-                    len: m * self.r,
-                    writes: true,
-                    label: "v",
-                },
-            ]
-            .into_iter()
-            .chain(extra)
-            .collect(),
-        }
-    }
-}
 
 /// Label under which served batches appear in profiles and metrics.
 pub const FUSED_MULTI_PIPELINE: &str = "Fused-Multi";
@@ -689,10 +41,11 @@ pub const FUSED_MULTI_PIPELINE: &str = "Fused-Multi";
 pub const FUSED_MULTI_VERIFIED_PIPELINE: &str = "Fused-Multi-ABFT";
 
 /// Batched serving entry: runs the multi-weight pipeline end to end on
-/// `dev` — `norms(B)`, `norms(A)` **unless** precomputed row norms are
-/// supplied (the plan-cache hit path uploads them instead of
-/// relaunching the kernel), then the fused multi-weight kernel — and
-/// returns the `M×R` column-major result plus the pipeline profile.
+/// `dev` at `geometry` — `norms(B)`, `norms(A)` **unless** precomputed
+/// row norms are supplied (the plan-cache hit path uploads them
+/// instead of relaunching the kernel), then the fused multi-weight
+/// kernel — and returns the `M×R` column-major result plus the
+/// pipeline profile.
 ///
 /// `w_cols` is `N×R` column-major (column `c` of query `c` contiguous
 /// at offset `c·N`); the result places query `c` at `c·M..c·M+M`.
@@ -701,39 +54,10 @@ pub const FUSED_MULTI_VERIFIED_PIPELINE: &str = "Fused-Multi-ABFT";
 /// Propagates launch-validation failures from any kernel.
 ///
 /// # Panics
-/// Panics if the shape violates the tiling constraints, buffer
-/// lengths disagree with the shape, `w_cols` is not a whole number of
-/// columns, or the column count is outside `1..=MAX_WEIGHT_COLUMNS`.
-pub fn execute_fused_multi(
-    dev: &mut GpuDevice,
-    shape: GemmShape,
-    h: f32,
-    a: &[f32],
-    b: &[f32],
-    w_cols: &[f32],
-    a2: Option<&[f32]>,
-) -> Result<(Vec<f32>, PipelineProfile), LaunchError> {
-    execute_fused_multi_with(
-        dev,
-        &TileGeometry::paper_default(),
-        shape,
-        h,
-        a,
-        b,
-        w_cols,
-        a2,
-    )
-}
-
-/// [`execute_fused_multi`] at an explicit tile geometry (the tuned
-/// serving path).
-///
-/// # Errors
-/// Propagates launch-validation failures from any kernel.
-///
-/// # Panics
-/// As [`execute_fused_multi`]; additionally if the shape does not
-/// divide `geometry` or the column count exceeds its `tile_k`.
+/// Panics if the shape does not divide `geometry`, buffer lengths
+/// disagree with the shape, `w_cols` is not a whole number of columns,
+/// or the column count is outside `1..=MAX_WEIGHT_COLUMNS` or exceeds
+/// the geometry's `tile_k`.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_fused_multi_with(
     dev: &mut GpuDevice,
@@ -749,40 +73,12 @@ pub fn execute_fused_multi_with(
     Ok((v, prof))
 }
 
-/// [`execute_fused_multi`] with ABFT verification enabled: the fused
-/// kernel runs in its checksum-augmented variant and the host compares
-/// the per-row-group checksum column against `V` before returning.
-/// The returned [`VerifyReport`] says whether any corruption was
-/// detected; the result vector must not be used when it was.
-///
-/// # Errors
-/// Propagates launch-validation failures and injected launch-level
-/// faults from any kernel.
-///
-/// # Panics
-/// As [`execute_fused_multi`].
-pub fn execute_fused_multi_verified(
-    dev: &mut GpuDevice,
-    shape: GemmShape,
-    h: f32,
-    a: &[f32],
-    b: &[f32],
-    w_cols: &[f32],
-    a2: Option<&[f32]>,
-) -> Result<(Vec<f32>, PipelineProfile, VerifyReport), LaunchError> {
-    execute_fused_multi_verified_with(
-        dev,
-        &TileGeometry::paper_default(),
-        shape,
-        h,
-        a,
-        b,
-        w_cols,
-        a2,
-    )
-}
-
-/// [`execute_fused_multi_verified`] at an explicit tile geometry.
+/// [`execute_fused_multi_with`] with ABFT verification enabled: the
+/// fused kernel runs in its checksum-augmented variant and the host
+/// compares the per-row-group checksum column against `V` before
+/// returning. The returned [`VerifyReport`] says whether any
+/// corruption was detected; the result vector must not be used when
+/// it was.
 ///
 /// # Errors
 /// Propagates launch-validation failures and injected launch-level
@@ -899,7 +195,10 @@ fn execute_fused_multi_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ks_gpu_sim::buffer::BufId;
     use ks_gpu_sim::GpuDevice;
+
+    const PAPER: TileGeometry = TileGeometry::paper_default();
 
     fn lcg(seed: u64) -> impl FnMut() -> f32 {
         let mut state = seed | 1;
@@ -1008,32 +307,120 @@ mod tests {
         }
     }
 
+    /// The two public names are one kernel: at R = 1 they agree in
+    /// every output bit (V, checksum, flag), in the applied fault
+    /// tally and in every `KernelProfile` field but `name`, at the
+    /// paper default and two other lattice points, verified or not, on
+    /// clean and faulty devices (sequential `run_counted`), and in a
+    /// paper-scale `launch` replay.
     #[test]
     fn r1_matches_the_single_weight_kernel() {
-        let mut s = setup(
-            GemmShape {
-                m: 128,
-                n: 128,
-                k: 16,
+        use crate::fused::FusedKernelSummation;
+        use ks_gpu_sim::KernelProfile;
+
+        let shape = GemmShape {
+            m: 256,
+            n: 128,
+            k: 16,
+        };
+        let s = setup(shape, 1, 21);
+        let norms = |p: &[f32]| -> Vec<f32> {
+            p.chunks(shape.k)
+                .map(|x| x.iter().map(|v| v * v).sum())
+                .collect()
+        };
+        let (a2_host, b2_host) = (norms(&s.a), norms(&s.b));
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Launches one name on a fresh device (identical upload order,
+        // so identical buffer ids and fault schedule) and returns the
+        // profile, the bits of V/checksum/flag and the applied faults.
+        let run = |spec: Option<&str>, geo: TileGeometry, verify: bool, multi: bool| {
+            let mut dev = spec.map_or_else(GpuDevice::gtx970, |sp| faulty_device(sp, 3));
+            let ops = GemmOperands {
+                a: dev.upload(&s.a),
+                b: dev.upload(&s.b),
+            };
+            let (a2, b2, w) = (dev.upload(&a2_host), dev.upload(&b2_host), dev.upload(&s.w));
+            let v = dev.alloc(shape.m);
+            let vb = VerifyBufs {
+                checksum: dev.alloc((shape.m / geo.block_m) * CHECKSUM_SLOT_WORDS),
+                flag: dev.alloc(CHECKSUM_SLOT_WORDS),
+            };
+            let prof = if multi {
+                let k = FusedMultiWeight::new(ops, a2, b2, w, v, shape, s.bw, 1).with_geometry(geo);
+                dev.run_counted(&if verify { k.with_verify(vb) } else { k })
+            } else {
+                let k =
+                    FusedKernelSummation::new(ops, a2, b2, w, v, shape, s.bw).with_geometry(geo);
+                dev.run_counted(&if verify { k.with_verify(vb) } else { k })
+            }
+            .unwrap();
+            let outputs = [v, vb.checksum, vb.flag].map(|b| bits(&dev.download(b)));
+            (prof, outputs, dev.take_fault_counters())
+        };
+        let same_but_name = |multi: KernelProfile, single: &KernelProfile, ctx: &str| {
+            assert!(multi.name.starts_with("fused_multiw1"), "{}", multi.name);
+            assert!(single.name.starts_with("fused_ks"), "{}", single.name);
+            let renamed = KernelProfile {
+                name: single.name.clone(),
+                ..multi
+            };
+            assert_eq!(&renamed, single, "{ctx}: profiles differ beyond the name");
+        };
+
+        let lattice = TileGeometry::lattice(&DeviceConfig::gtx970());
+        let geos = [
+            PAPER,
+            TileGeometry {
+                block_m: 64,
+                block_n: 64,
+                ..PAPER
             },
-            1,
-            21,
-        );
-        let (ops, a2, b2, w, v) = s.kern_inputs;
-        s.dev
-            .run(&FusedMultiWeight::new(ops, a2, b2, w, v, s.shape, s.bw, 1))
-            .unwrap();
-        let multi = s.dev.download(v);
-        let v2 = s.dev.alloc(s.shape.m);
-        s.dev
-            .run(&crate::fused::FusedKernelSummation::new(
-                ops, a2, b2, w, v2, s.shape, s.bw,
-            ))
-            .unwrap();
-        let single = s.dev.download(v2);
-        for (a, b) in multi.iter().zip(single.iter()) {
-            assert!((a - b).abs() < 1e-4 * a.abs().max(1.0), "{a} vs {b}");
+            TileGeometry {
+                block_m: 64,
+                block_n: 64,
+                tile_k: 4,
+                double_buffer_depth: 1,
+                ..PAPER
+            },
+        ];
+        for geo in geos {
+            assert!(lattice.contains(&geo), "{geo} is not a lattice point");
+            for verify in [false, true] {
+                for spec in [None, Some("smem=3,reg=2"), Some("dram=2")] {
+                    let ctx = format!("{geo} verify={verify} faults={spec:?}");
+                    let (pm, om, fm) = run(spec, geo, verify, true);
+                    let (ps, os, fs) = run(spec, geo, verify, false);
+                    assert_eq!(om, os, "{ctx}: V/checksum/flag bits differ");
+                    assert_eq!(fm, fs, "{ctx}: applied faults differ");
+                    assert_eq!(fm.is_empty(), spec.is_none(), "{ctx}: {fm:?}");
+                    same_but_name(pm, &ps, &ctx);
+                }
+            }
         }
+
+        // Paper-scale traffic replay over virtual buffers.
+        let big = GemmShape {
+            m: 1024,
+            n: 1024,
+            k: 32,
+        };
+        let replay = |multi: bool| {
+            let mut dev = GpuDevice::gtx970();
+            let ops = GemmOperands {
+                a: dev.alloc_virtual(big.m * big.k),
+                b: dev.alloc_virtual(big.k * big.n),
+            };
+            let (a2, b2) = (dev.alloc_virtual(big.m), dev.alloc_virtual(big.n));
+            let (w, v) = (dev.alloc_virtual(big.n), dev.alloc_virtual(big.m));
+            if multi {
+                dev.launch(&FusedMultiWeight::new(ops, a2, b2, w, v, big, s.bw, 1))
+            } else {
+                dev.launch(&FusedKernelSummation::new(ops, a2, b2, w, v, big, s.bw))
+            }
+            .unwrap()
+        };
+        same_but_name(replay(true), &replay(false), "launch at 1024x1024x32");
     }
 
     #[test]
@@ -1170,7 +557,7 @@ mod tests {
         let s = setup(shape, 3, 91);
         let mut dev = GpuDevice::gtx970();
         let (got, prof) =
-            execute_fused_multi(&mut dev, shape, 1.0, &s.a, &s.b, &s.w, None).unwrap();
+            execute_fused_multi_with(&mut dev, &PAPER, shape, 1.0, &s.a, &s.b, &s.w, None).unwrap();
         assert_eq!(prof.name, FUSED_MULTI_PIPELINE);
         assert_eq!(prof.kernels.len(), 3, "norms(A), norms(B), fused-multi");
         let want = reference(&s);
@@ -1209,10 +596,12 @@ mod tests {
             .collect();
         let mut d_cold = small_l2();
         let (v_cold, p_cold) =
-            execute_fused_multi(&mut d_cold, shape, 1.0, &s.a, &s.b, &s.w, None).unwrap();
+            execute_fused_multi_with(&mut d_cold, &PAPER, shape, 1.0, &s.a, &s.b, &s.w, None)
+                .unwrap();
         let mut d_hit = small_l2();
         let (v_hit, p_hit) =
-            execute_fused_multi(&mut d_hit, shape, 1.0, &s.a, &s.b, &s.w, Some(&a2)).unwrap();
+            execute_fused_multi_with(&mut d_hit, &PAPER, shape, 1.0, &s.a, &s.b, &s.w, Some(&a2))
+                .unwrap();
         assert_eq!(p_cold.kernels.len(), 3);
         assert_eq!(p_hit.kernels.len(), 2, "norms(A) skipped on a plan hit");
         assert!(
@@ -1250,10 +639,12 @@ mod tests {
         };
         let s = setup(shape, 3, 92);
         let mut d1 = GpuDevice::gtx970();
-        let (plain, _) = execute_fused_multi(&mut d1, shape, 1.0, &s.a, &s.b, &s.w, None).unwrap();
+        let (plain, _) =
+            execute_fused_multi_with(&mut d1, &PAPER, shape, 1.0, &s.a, &s.b, &s.w, None).unwrap();
         let mut d2 = GpuDevice::gtx970();
         let (got, prof, report) =
-            execute_fused_multi_verified(&mut d2, shape, 1.0, &s.a, &s.b, &s.w, None).unwrap();
+            execute_fused_multi_verified_with(&mut d2, &PAPER, shape, 1.0, &s.a, &s.b, &s.w, None)
+                .unwrap();
         assert_eq!(prof.name, FUSED_MULTI_VERIFIED_PIPELINE);
         assert_eq!(prof.kernels.len(), 3);
         assert!(
@@ -1281,16 +672,20 @@ mod tests {
         };
         let s = setup(shape, 2, 93);
         let mut clean = GpuDevice::gtx970();
-        let (base, _, clean_report) =
-            execute_fused_multi_verified(&mut clean, shape, 1.0, &s.a, &s.b, &s.w, None).unwrap();
+        let (base, _, clean_report) = execute_fused_multi_verified_with(
+            &mut clean, &PAPER, shape, 1.0, &s.a, &s.b, &s.w, None,
+        )
+        .unwrap();
         assert!(!clean_report.corruption_detected());
 
         let mut corrupted = 0u32;
         let mut injected_total = 0u64;
         for seed in 0..10u64 {
             let mut dev = faulty_device("smem=3,reg=2", seed);
-            let (got, prof, report) =
-                execute_fused_multi_verified(&mut dev, shape, 1.0, &s.a, &s.b, &s.w, None).unwrap();
+            let (got, prof, report) = execute_fused_multi_verified_with(
+                &mut dev, &PAPER, shape, 1.0, &s.a, &s.b, &s.w, None,
+            )
+            .unwrap();
             let injected: u64 = prof
                 .kernels
                 .iter()
@@ -1313,39 +708,42 @@ mod tests {
         assert!(corrupted >= 1, "no seed corrupted V — sweep is vacuous");
     }
 
+    /// The ABFT DRAM gate (DESIGN.md §11) at kernel level, which is
+    /// stricter than a pipeline-level ratio (no norms traffic in the
+    /// denominator): the paper's smoke grid (R = 1, K = 32, N = 1024,
+    /// M ∈ {1024, 8192}) and a serving batch (R = 4, M = 4096).
     #[test]
     fn multi_verification_adds_at_most_two_percent_dram_traffic() {
-        let r = 4usize;
-        let shape = GemmShape {
-            m: 4096,
-            n: 1024,
-            k: 32,
-        };
-        let launch = |verify: bool| {
-            let mut dev = GpuDevice::gtx970();
-            let ops = GemmOperands {
-                a: dev.alloc_virtual(shape.m * shape.k),
-                b: dev.alloc_virtual(shape.k * shape.n),
+        for (r, m) in [(1usize, 1024usize), (1, 8192), (4, 4096)] {
+            let shape = GemmShape { m, n: 1024, k: 32 };
+            let launch = |verify: bool| {
+                let mut dev = GpuDevice::gtx970();
+                let ops = GemmOperands {
+                    a: dev.alloc_virtual(shape.m * shape.k),
+                    b: dev.alloc_virtual(shape.k * shape.n),
+                };
+                let (a2, b2) = (dev.alloc_virtual(shape.m), dev.alloc_virtual(shape.n));
+                let w = dev.alloc_virtual(shape.n * r);
+                let v = dev.alloc_virtual(shape.m * r);
+                let mut kern =
+                    FusedMultiWeight::new(ops, a2, b2, w, v, shape, Bandwidth { h: 1.0 }, r);
+                if verify {
+                    kern = kern.with_verify(VerifyBufs {
+                        checksum: dev.alloc_virtual(r * (shape.m / 128) * CHECKSUM_SLOT_WORDS),
+                        flag: dev.alloc_virtual(CHECKSUM_SLOT_WORDS),
+                    });
+                }
+                dev.launch(&kern).unwrap()
             };
-            let (a2, b2) = (dev.alloc_virtual(shape.m), dev.alloc_virtual(shape.n));
-            let w = dev.alloc_virtual(shape.n * r);
-            let v = dev.alloc_virtual(shape.m * r);
-            let mut kern = FusedMultiWeight::new(ops, a2, b2, w, v, shape, Bandwidth { h: 1.0 }, r);
-            if verify {
-                kern = kern.with_verify(crate::fused::VerifyBufs {
-                    checksum: dev.alloc_virtual(r * (shape.m / 128) * CHECKSUM_SLOT_WORDS),
-                    flag: dev.alloc_virtual(CHECKSUM_SLOT_WORDS),
-                });
-            }
-            dev.launch(&kern).unwrap()
-        };
-        let plain = launch(false);
-        let verified = launch(true);
-        let ratio = verified.mem.dram_transactions() as f64 / plain.mem.dram_transactions() as f64;
-        assert!(
-            (1.0..=1.02).contains(&ratio),
-            "verified/plain DRAM ratio {ratio}"
-        );
+            let plain = launch(false);
+            let verified = launch(true);
+            let ratio =
+                verified.mem.dram_transactions() as f64 / plain.mem.dram_transactions() as f64;
+            assert!(
+                (1.0..=1.02).contains(&ratio),
+                "R={r} M={m}: verified/plain DRAM ratio {ratio}"
+            );
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!
 //! ## Bit-exactness
 //! A packed launch is bit-identical to running the segments back to
-//! back: each block runs [`FusedMultiWeight::body`] with the same local
+//! back: each block runs the [`Fused`](crate::fused::Fused) block body with the same local
 //! coordinates and the same buffer contents it would see unpacked, the
 //! segments write disjoint output buffers, and the atomic-reduction
 //! envelope *within* a segment (how many blocks fold into each `V`
@@ -56,8 +56,8 @@ use ks_gpu_sim::profiler::PipelineProfile;
 use ks_gpu_sim::traffic::TrafficSink;
 
 use crate::aux_kernels::{Bandwidth, NormsKernel};
-use crate::fused::{VerifyBufs, VerifyReport, CHECKSUM_SLOT_WORDS};
-use crate::fused_multi::{FusedMultiWeight, MAX_WEIGHT_COLUMNS};
+use crate::fused::{FusedMultiWeight, VerifyBufs, VerifyReport, CHECKSUM_SLOT_WORDS};
+use crate::fused_multi::MAX_WEIGHT_COLUMNS;
 use crate::gemm_engine::{GemmOperands, GemmShape, SmemMap};
 use crate::geometry::TileGeometry;
 use crate::machine::{FunctionalMachine, TrafficMachine};

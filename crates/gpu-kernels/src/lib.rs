@@ -23,12 +23,16 @@
 //!   [`sgemm::VendorSgemm`] model.
 //! * [`aux_kernels`] — squared-norm, kernel-evaluation and
 //!   evaluation+summation kernels (the unfused pipeline stages).
-//! * [`fused`] — Algorithm 2: fused kernel summation with the
+//! * [`fused`] — Algorithm 2: the one fused kernel, with the
 //!   three-level reduction (intra-thread, intra-block, atomic
-//!   inter-block), plus the ABFT-verified variant (checksum column,
-//!   shared-memory audit, γ re-fold; DESIGN.md §11).
-//! * [`fused_multi`] — the multi-weight serving kernel and the
-//!   `execute_fused_multi[_verified]` batched entries.
+//!   inter-block) over `R` weight columns and the ABFT-verified
+//!   variant (checksum column, shared-memory audit, γ re-fold;
+//!   DESIGN.md §11). It has two public names:
+//!   [`FusedKernelSummation`] (the paper pipeline, `R = 1`, with the
+//!   layout, double-buffering, reduction and exec-model ablations) and
+//!   [`FusedMultiWeight`] (serving, `R` columns).
+//! * [`fused_multi`] — the `execute_fused_multi[_verified]_with`
+//!   batched serving entries.
 //! * [`fused_multi_packed`] — horizontal fusion: many unrelated small
 //!   queries packed into one launch behind a per-block routing table
 //!   (block index → segment descriptor), with plan-cache-aware upload
@@ -59,9 +63,8 @@ pub mod small_micro;
 
 pub use fused::{FusedKernelSummation, VerifyBufs, VerifyReport, CHECKSUM_SLOT_WORDS};
 pub use fused_multi::{
-    execute_fused_multi, execute_fused_multi_verified, execute_fused_multi_verified_with,
-    execute_fused_multi_with, FusedMultiWeight, FUSED_MULTI_PIPELINE,
-    FUSED_MULTI_VERIFIED_PIPELINE, MAX_WEIGHT_COLUMNS,
+    execute_fused_multi_verified_with, execute_fused_multi_with, FusedMultiWeight,
+    FUSED_MULTI_PIPELINE, FUSED_MULTI_VERIFIED_PIPELINE, MAX_WEIGHT_COLUMNS,
 };
 pub use fused_multi_packed::{
     execute_fused_multi_packed_with, FusedMultiPacked, PackedSegmentSpec, RoutingTable,
@@ -70,7 +73,7 @@ pub use fused_multi_packed::{
 pub use geometry::{TileGeometry, TileSide};
 pub use layout::SmemLayout;
 pub use oracle::{fused_multi_oracle, fused_oracle};
-pub use pipelines::{GpuKernelSummation, GpuVariant, ProblemDims, FUSED_VERIFIED_PIPELINE};
+pub use pipelines::{GpuKernelSummation, GpuVariant, ProblemDims};
 pub use sgemm::{CudaSgemm, VendorSgemm};
 pub use small_micro::Sgemm4x4;
 

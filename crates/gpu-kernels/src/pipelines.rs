@@ -17,14 +17,11 @@ use ks_gpu_sim::kernel::{Kernel, LaunchError};
 use ks_gpu_sim::profiler::PipelineProfile;
 
 use crate::aux_kernels::{Bandwidth, EvalSumKernel, NormsKernel};
-use crate::fused::{FusedKernelSummation, VerifyBufs, VerifyReport, CHECKSUM_SLOT_WORDS};
+use crate::fused::FusedKernelSummation;
 use crate::gemm_engine::{GemmOperands, GemmShape};
 use crate::geometry::TileGeometry;
 use crate::layout::SmemLayout;
 use crate::sgemm::{CudaSgemm, VendorSgemm};
-
-/// Pipeline label of the ABFT-verified fused variant.
-pub const FUSED_VERIFIED_PIPELINE: &str = "Fused-ABFT";
 
 /// Kernel-summation problem dimensions: `A` is M×K (sources, row-major),
 /// `B` is K×N (targets, col-major), `W ∈ R^N`, `V ∈ R^M`.
@@ -290,95 +287,6 @@ impl GpuKernelSummation {
         }
         Ok((dev.download(bufs.v), prof))
     }
-
-    fn verified_kernels(&self, bufs: &DeviceBufs, vb: VerifyBufs) -> Vec<Box<dyn Kernel>> {
-        let d = self.dims;
-        vec![
-            Box::new(NormsKernel::new(bufs.ops.a, bufs.a2, d.m, d.k, "a")),
-            Box::new(NormsKernel::new(bufs.ops.b, bufs.b2, d.n, d.k, "b")),
-            Box::new(
-                FusedKernelSummation::new(
-                    bufs.ops,
-                    bufs.a2,
-                    bufs.b2,
-                    bufs.w,
-                    bufs.v,
-                    d.shape(),
-                    self.bw,
-                )
-                .with_geometry(self.geometry)
-                .with_layout(self.layout)
-                .with_double_buffer(self.double_buffer)
-                .with_verify(vb),
-            ),
-        ]
-    }
-
-    /// Profiles the ABFT-verified fused pipeline (traffic replay over
-    /// virtual buffers) — the counterpart of [`Self::profile`] with
-    /// `GpuVariant::Fused`, used to measure the verification overhead.
-    ///
-    /// # Errors
-    /// Propagates launch-validation failures.
-    pub fn profile_verified(&self, dev: &mut GpuDevice) -> Result<PipelineProfile, LaunchError> {
-        let bufs = self.alloc_bufs(dev, GpuVariant::Fused, None);
-        let vb = VerifyBufs {
-            checksum: dev
-                .alloc_virtual((self.dims.m / self.geometry.block_m) * CHECKSUM_SLOT_WORDS),
-            flag: dev.alloc_virtual(CHECKSUM_SLOT_WORDS),
-        };
-        dev.invalidate_l2();
-        let mut prof = PipelineProfile::new(FUSED_VERIFIED_PIPELINE);
-        for k in self.verified_kernels(&bufs, vb) {
-            prof.kernels.push(dev.launch(k.as_ref())?);
-        }
-        Ok(prof)
-    }
-
-    /// Executes the fused variant with ABFT verification: the fused
-    /// kernel audits its shared tiles, re-folds γ, digests the `T`
-    /// drain and emits a per-row-group checksum column, which the host
-    /// compares against `V`. Returns `(V, profile, report)`; the
-    /// result must not be used when the report says corruption was
-    /// detected.
-    ///
-    /// # Errors
-    /// Propagates launch-validation failures and injected launch-level
-    /// faults.
-    pub fn execute_verified(
-        &self,
-        dev: &mut GpuDevice,
-        a: &[f32],
-        b: &[f32],
-        w: &[f32],
-    ) -> Result<(Vec<f32>, PipelineProfile, VerifyReport), LaunchError> {
-        let bufs = self.alloc_bufs(dev, GpuVariant::Fused, Some((a, b, w)));
-        let vb = VerifyBufs {
-            checksum: dev.alloc((self.dims.m / self.geometry.block_m) * CHECKSUM_SLOT_WORDS),
-            flag: dev.alloc(CHECKSUM_SLOT_WORDS),
-        };
-        dev.invalidate_l2();
-        dev.memset_zero(bufs.v); // cudaMemset before the atomic reduction
-        dev.memset_zero(vb.checksum);
-        dev.memset_zero(vb.flag);
-        let mut prof = PipelineProfile::new(FUSED_VERIFIED_PIPELINE);
-        for k in self.verified_kernels(&bufs, vb) {
-            let mut kp = dev.launch(k.as_ref())?;
-            dev.run(k.as_ref())?;
-            kp.faults.merge(&dev.take_fault_counters());
-            prof.kernels.push(kp);
-        }
-        let v = dev.download(bufs.v);
-        let report = VerifyReport::from_outputs(
-            &v,
-            &dev.download(vb.checksum),
-            &dev.download(vb.flag),
-            self.dims.m,
-            1,
-            self.geometry.block_m,
-        );
-        Ok((v, prof, report))
-    }
 }
 
 #[cfg(test)]
@@ -505,46 +413,5 @@ mod tests {
             &[0.0; 1024],
             &[0.0; 128],
         );
-    }
-
-    #[test]
-    fn execute_verified_matches_plain_fused_and_reports_clean() {
-        let (m, n, k, h) = (256, 256, 16, 0.9);
-        let (a, b, w) = problem(m, n, k, 78);
-        let ks = GpuKernelSummation::new(m, n, k, h);
-        let mut d1 = GpuDevice::gtx970();
-        let (plain, _) = ks.execute(&mut d1, GpuVariant::Fused, &a, &b, &w).unwrap();
-        let mut d2 = GpuDevice::gtx970();
-        let (got, prof, report) = ks.execute_verified(&mut d2, &a, &b, &w).unwrap();
-        assert_eq!(prof.name, FUSED_VERIFIED_PIPELINE);
-        assert_eq!(prof.kernels.len(), 3);
-        assert!(prof.kernels[2].name.contains("_abft"));
-        assert!(!report.corruption_detected(), "{report:?}");
-        for (g, p) in got.iter().zip(plain.iter()) {
-            // run() reduces atomics in nondeterministic order; compare
-            // with the usual float tolerance rather than bitwise.
-            assert!((g - p).abs() < 1e-4 * p.abs().max(1.0), "{g} vs {p}");
-        }
-    }
-
-    #[test]
-    fn verification_adds_at_most_two_percent_dram_traffic() {
-        // ISSUE 5 acceptance gate: on the smoke grid (K = 32,
-        // M ∈ {1024, 8192}, N = 1024) the ABFT variant must stay
-        // within 2% of the unverified fused pipeline's simulated DRAM
-        // transactions.
-        for m in [1024usize, 8192] {
-            let ks = GpuKernelSummation::new(m, 1024, 32, 1.0);
-            let mut d1 = GpuDevice::gtx970();
-            let plain = ks.profile(&mut d1, GpuVariant::Fused).unwrap();
-            let mut d2 = GpuDevice::gtx970();
-            let verified = ks.profile_verified(&mut d2).unwrap();
-            let ratio = verified.total_mem().dram_transactions() as f64
-                / plain.total_mem().dram_transactions() as f64;
-            assert!(
-                (1.0..=1.02).contains(&ratio),
-                "M={m}: verified/plain DRAM ratio {ratio}"
-            );
-        }
     }
 }

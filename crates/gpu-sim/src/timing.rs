@@ -267,8 +267,9 @@ pub fn estimate(
 
 /// Costs one host↔device transfer over `link` and returns the profile
 /// entry to attach to a [`crate::profiler::PipelineProfile`]. The
-/// alpha-beta model lives on [`Interconnect::transfer_time_s`]; this
-/// helper only packages the result with its provenance labels.
+/// alpha-beta model lives on
+/// [`Interconnect::transfer_time_s`](crate::config::Interconnect::transfer_time_s);
+/// this helper only packages the result with its provenance labels.
 #[must_use]
 pub fn estimate_transfer(
     link: &crate::config::Interconnect,

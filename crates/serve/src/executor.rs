@@ -2,7 +2,7 @@
 //!
 //! A batch is `R` queries sharing a corpus, target set and bandwidth;
 //! each query contributes one weight column. The CPU path goes through
-//! [`solve_multi_planned`], so each served column is **bit-identical**
+//! [`ks_core::solve_multi_planned`], so each served column is **bit-identical**
 //! to the single-shot `solve_multi_fused` answer for that query alone
 //! (per-column accumulation is independent of `R`). The GPU path runs
 //! the simulated fused-multi pipeline at the segment's resolved tile

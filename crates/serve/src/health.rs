@@ -1,6 +1,6 @@
 //! Pool health monitoring: the drain → evict → readmit control loop.
 //!
-//! The [`HealthMonitor`] scores each pool device from the evidence its
+//! The `HealthMonitor` scores each pool device from the evidence its
 //! shard attempts produce — launch failures, ABFT-detected corruption,
 //! lifecycle faults (hang/loss) and interconnect timeouts. A device
 //! that fails [`HealthConfig::evict_threshold`] consecutive attempts

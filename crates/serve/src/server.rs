@@ -263,7 +263,7 @@ pub(crate) fn splitmix64(x: u64) -> u64 {
 /// The deterministic backoff schedule: before retry `attempt`
 /// (1-based) of `batch`, the worker sleeps
 /// `base·2^min(attempt,10) + base·jitter/256` where `jitter ∈ 0..256`
-/// is a [`splitmix64`] hash of `(seed, batch, attempt)`. Pure in its
+/// is a `splitmix64` hash of `(seed, batch, attempt)`. Pure in its
 /// inputs — a fixed seed replays the exact schedule — and strictly
 /// increasing in `attempt` up to the `2^10` clamp (the jitter never
 /// exceeds one doubling).

@@ -11,9 +11,9 @@
 //! ksum tune        [--smoke] [--seed S] [--json PATH]
 //! ```
 //!
-//! Argument errors (unknown command, flag, backend or variant, or a
-//! malformed value) print the usage to stderr and exit with status 2;
-//! they never panic.
+//! Argument errors (unknown command, flag, backend or variant, a
+//! malformed value, or a number out of range) print the usage to
+//! stderr and exit with status 2; they never panic.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -46,6 +46,8 @@ const USAGE: &str = "usage: ksum [--threads N] [--faults SPEC] <command> [flags]
   profile      --m M --n N --k K --h H --variant V
                (variants: fused, cuda-unfused, cublas-unfused)
   compare      --m M --n N --k K --h H
+               (profile and compare: M and N multiples of 128, K of 8;
+                every command: H finite and positive)
   lint         [--static] [--kernel NAME] [--out PATH] [--json PATH]
                [--agreement PATH]
                (--static proves coalescing, bank conflicts, bounds and
@@ -139,6 +141,32 @@ fn parse(rest: &[String]) -> Result<Args, UsageError> {
     Ok(a)
 }
 
+/// Rejects a bandwidth the Gaussian kernel cannot use.
+fn check_bandwidth(h: f32) -> Result<(), UsageError> {
+    if h.is_finite() && h > 0.0 {
+        Ok(())
+    } else {
+        Err(UsageError(format!(
+            "--h must be finite and positive, got {h}"
+        )))
+    }
+}
+
+/// `profile` and `compare` run the paper pipelines unpadded, so the
+/// paper tiling must divide the shape.
+fn check_paper_shape(a: &Args) -> Result<(), UsageError> {
+    check_bandwidth(a.h)?;
+    let g = TileGeometry::paper_default();
+    if g.divides(a.m, a.n, a.k) {
+        Ok(())
+    } else {
+        Err(UsageError(format!(
+            "M={} N={} K={} must be positive multiples of {}, {} and {} (the paper tiling)",
+            a.m, a.n, a.k, g.block_m, g.block_n, g.tile_k
+        )))
+    }
+}
+
 fn backend_of(name: &str) -> Result<Backend, UsageError> {
     Ok(match name {
         "reference" => Backend::Reference,
@@ -189,6 +217,18 @@ fn print_fault_tally(dev: &mut GpuDevice) {
 
 fn cmd_solve(a: &Args, fault: Option<FaultSpec>) -> Result<ExitCode, UsageError> {
     let backend = backend_of(&a.backend)?;
+    // `solve` pads the shape, so any M and N work on the CPU; the
+    // gpu-sim pipelines still need at least one row and column.
+    check_bandwidth(a.h)?;
+    if a.k == 0 {
+        return Err(UsageError("--k must be at least 1".into()));
+    }
+    if matches!(backend, Backend::GpuSim(_)) && (a.m == 0 || a.n == 0) {
+        return Err(UsageError(format!(
+            "{} needs --m and --n of at least 1",
+            a.backend
+        )));
+    }
     let p = build(a);
     println!(
         "solving M={} N={} K={} h={} with {}",
@@ -237,6 +277,7 @@ fn print_profile_report(r: &GpuReport) {
 
 fn cmd_profile(a: &Args, fault: Option<FaultSpec>) -> Result<ExitCode, UsageError> {
     let variant = variant_of(&a.variant)?;
+    check_paper_shape(a)?;
     println!(
         "profiling {} at M={} N={} K={} on a simulated GTX970",
         variant.label(),
@@ -263,6 +304,7 @@ fn cmd_profile(a: &Args, fault: Option<FaultSpec>) -> Result<ExitCode, UsageErro
 }
 
 fn cmd_compare(a: &Args, fault: Option<FaultSpec>) -> Result<ExitCode, UsageError> {
+    check_paper_shape(a)?;
     println!(
         "comparing pipelines at M={} N={} K={} (simulated GTX970)",
         a.m, a.n, a.k
@@ -416,6 +458,34 @@ fn serve_device() -> DeviceConfig {
     d
 }
 
+/// Rejects workload and server sizes `run_workload` cannot serve.
+fn check_serve_sizes(wl: &WorkloadConfig, cfg: &ServeConfig) -> Result<(), UsageError> {
+    check_bandwidth(wl.h)?;
+    for (flag, value) in [
+        ("--clients", wl.clients),
+        ("--queries", wl.queries_per_client),
+        ("--corpora", wl.corpora),
+        ("--m", wl.m),
+        ("--n", wl.n),
+        ("--k", wl.k),
+        ("--queue", cfg.queue_capacity),
+        ("--wave", cfg.wave),
+    ] {
+        if value == 0 {
+            return Err(UsageError(format!("{flag} must be at least 1")));
+        }
+    }
+    for (flag, ratio) in [
+        ("--shared-ratio", wl.shared_ratio),
+        ("--large-ratio", wl.large_ratio),
+    ] {
+        if !(0.0..=1.0).contains(&ratio) {
+            return Err(UsageError(format!("{flag} must be in [0, 1], got {ratio}")));
+        }
+    }
+    Ok(())
+}
+
 fn cmd_serve_bench(rest: &[String], fault: Option<FaultSpec>) -> Result<ExitCode, UsageError> {
     let mut wl = WorkloadConfig::default();
     let mut device = serve_device();
@@ -517,6 +587,7 @@ fn cmd_serve_bench(rest: &[String], fault: Option<FaultSpec>) -> Result<ExitCode
             other => return Err(UsageError(format!("unknown flag {other}"))),
         }
     }
+    check_serve_sizes(&wl, &cfg)?;
     if (lifecycle.is_some() || link_fault.is_some()) && devices == 0 {
         return Err(UsageError(
             "--lifecycle-faults and --link-faults model pool members; pass --devices N".into(),

@@ -76,6 +76,54 @@ fn missing_and_malformed_values_are_usage_errors() {
 }
 
 #[test]
+fn out_of_range_numeric_flags_are_usage_errors() {
+    // (arguments, what the error message must name)
+    let mut cases: Vec<(Vec<&str>, &str)> = vec![
+        (vec!["profile", "--m", "100"], "paper tiling"),
+        (vec!["profile", "--k", "7"], "paper tiling"),
+        (vec!["profile", "--m", "0"], "paper tiling"),
+        (vec!["compare", "--n", "100"], "paper tiling"),
+        (vec!["profile", "--h", "0"], "--h"),
+        (vec!["solve", "--k", "0"], "--k"),
+        (
+            vec!["solve", "--m", "0", "--backend", "gpu-cublas-unfused"],
+            "--m",
+        ),
+    ];
+    for backend in [
+        "cpu-fused",
+        "cpu-unfused",
+        "reference",
+        "gpu-fused",
+        "gpu-cuda-unfused",
+        "gpu-cublas-unfused",
+    ] {
+        for h in ["0", "-1", "inf"] {
+            cases.push((vec!["solve", "--h", h, "--backend", backend], "--h"));
+        }
+    }
+    for (flag, value) in [
+        ("--h", "0"),
+        ("--k", "0"),
+        ("--m", "0"),
+        ("--n", "0"),
+        ("--clients", "0"),
+        ("--queries", "0"),
+        ("--corpora", "0"),
+        ("--wave", "0"),
+        ("--queue", "0"),
+        ("--shared-ratio", "2"),
+    ] {
+        cases.push((vec!["serve-bench", "--smoke", flag, value], flag));
+    }
+    for (args, needle) in &cases {
+        let out = ksum(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert_usage_error(&out, needle);
+    }
+}
+
+#[test]
 fn serve_bench_rejects_unknown_backends_too() {
     assert_usage_error(
         &ksum(&["serve-bench", "--backend", "fpga"]),
