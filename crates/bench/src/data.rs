@@ -96,7 +96,7 @@ impl PointData {
 
 /// Profiles `sweep`, exiting the process with a readable message when
 /// the device rejects a launch. The shared entry point for the CLI
-/// bins — library callers should use [`SweepData::compute`] and handle
+/// commands — library callers should use [`SweepData::compute`] and handle
 /// the [`LaunchError`] themselves.
 #[must_use]
 pub fn profile_or_exit(sweep: Sweep) -> SweepData {

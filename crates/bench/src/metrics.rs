@@ -144,7 +144,7 @@ impl SweepMetrics {
     /// Pretty-printed JSON document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("metrics serialise")
+        crate::cli::to_json(self)
     }
 
     /// Parses a document produced by [`SweepMetrics::to_json`].
@@ -182,14 +182,6 @@ impl SweepMetrics {
     /// Propagates the I/O error.
     pub fn write_json(&self, path: &str) -> std::io::Result<()> {
         std::fs::write(path, self.to_json())
-    }
-
-    /// Writes [`SweepMetrics::to_csv`] to `path`.
-    ///
-    /// # Errors
-    /// Propagates the I/O error.
-    pub fn write_csv(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_csv())
     }
 }
 
@@ -304,7 +296,7 @@ impl ServeMetrics {
     /// Pretty-printed JSON document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("metrics serialise")
+        crate::cli::to_json(self)
     }
 
     /// Parses a document produced by [`ServeMetrics::to_json`].
@@ -321,583 +313,6 @@ impl ServeMetrics {
     /// Propagates the I/O error.
     pub fn write_json(&self, path: &str) -> std::io::Result<()> {
         std::fs::write(path, self.to_json())
-    }
-}
-
-/// One serial-vs-parallel replay measurement (the `BENCH_replay.json`
-/// schema, produced by the `replay_bench` binary).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ReplayPoint {
-    /// Source count.
-    pub m: u64,
-    /// Point-space dimension.
-    pub k: u64,
-    /// Target count.
-    pub n: u64,
-    /// Grid blocks of the fused kernel at this point.
-    pub blocks: u64,
-    /// Host wall time of the serial replay, in milliseconds.
-    pub serial_ms: f64,
-    /// Host wall time of the parallel (memoized) replay, in
-    /// milliseconds.
-    pub parallel_ms: f64,
-    /// `serial_ms / parallel_ms`.
-    pub speedup: f64,
-    /// Worker count the parallel replay ran with (0 = machine
-    /// default).
-    pub threads: u64,
-    /// Whether both replays produced identical counters and memory
-    /// traffic (they must; recorded so a regression is visible in the
-    /// artifact, not only in the process exit code).
-    pub counters_match: bool,
-}
-
-/// The `replay_bench` export: serial vs parallel replay wall-clock
-/// over the fused pipeline at a set of sweep points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ReplayMetrics {
-    /// Export schema version (see [`SCHEMA_VERSION`]).
-    pub schema_version: u64,
-    /// Pipeline the measurements ran (always the fused variant).
-    pub kernel: String,
-    /// Per-point measurements, in increasing M.
-    pub points: Vec<ReplayPoint>,
-}
-
-impl ReplayMetrics {
-    /// Pretty-printed JSON document.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("metrics serialise")
-    }
-
-    /// Parses a document produced by [`ReplayMetrics::to_json`].
-    ///
-    /// # Errors
-    /// Returns the underlying parse/shape error message.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
-    }
-
-    /// Writes [`ReplayMetrics::to_json`] to `path`.
-    ///
-    /// # Errors
-    /// Propagates the I/O error.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-}
-
-/// The `chaos_bench` export (the `BENCH_chaos.json` schema): a seeded
-/// fault-injection soak over the resilient serving backend. The
-/// headline field is `silent_wrong` — completions that deviated from
-/// the CPU reference without any surfaced error — which the harness
-/// requires to be exactly zero.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ChaosMetrics {
-    /// Export schema version (see [`SCHEMA_VERSION`]).
-    pub schema_version: u64,
-    /// Master seed of the workload and the device fault schedule.
-    pub seed: u64,
-    /// Expected SMEM bit flips per fused-kernel launch.
-    pub smem_rate: f64,
-    /// Expected accumulator-register flips per launch.
-    pub reg_rate: f64,
-    /// Per-launch probability of an SM loss (launch-level fault).
-    pub sm_loss_rate: f64,
-    /// Per-launch probability of a watchdog timeout.
-    pub watchdog_rate: f64,
-    /// Queries offered to the server.
-    pub submitted: u64,
-    /// Queries bounced by backpressure.
-    pub rejected: u64,
-    /// Queries that produced a result.
-    pub completed: u64,
-    /// Queries that surfaced an error (launch failure, deadline, or
-    /// internal) — *surfaced*, so never silently wrong.
-    pub errors: u64,
-    /// Completions bit-identical to the CPU fused reference (every
-    /// CPU-rung completion must be).
-    pub bit_exact: u64,
-    /// Completions within the GPU tolerance of the reference but not
-    /// bit-exact (healthy GPU-rung completions).
-    pub tolerant: u64,
-    /// Completions outside tolerance with no surfaced error. The soak
-    /// fails unless this is zero.
-    pub silent_wrong: u64,
-    /// Coalesced solves executed.
-    pub batches: u64,
-    /// Batch execution attempts across all ladder rungs.
-    pub attempts: u64,
-    /// Attempts beyond each batch's first.
-    pub retries: u64,
-    /// Batches that landed on the CPU safe harbor.
-    pub fallbacks: u64,
-    /// Queries completed below the verified-GPU rung.
-    pub degraded_completions: u64,
-    /// Verified attempts whose ABFT checks tripped.
-    pub corruption_detected: u64,
-    /// Injected data-fault events observed in completed profiles.
-    pub injected_faults: u64,
-    /// Completed attempts with injected faults but clean checks.
-    pub undetected_injected: u64,
-    /// Circuit-breaker trips.
-    pub breaker_trips: u64,
-    /// Circuit-breaker recoveries.
-    pub breaker_resets: u64,
-    /// Worker-side internal failures (must be zero in a soak).
-    pub internal_errors: u64,
-    /// Whether `attempts == batches + retries` and the per-query
-    /// accounting invariants all held.
-    pub counters_consistent: bool,
-    /// Host wall time of the soak, in milliseconds (nondeterministic —
-    /// informational only).
-    pub wall_time_ms: f64,
-}
-
-impl ChaosMetrics {
-    /// Pretty-printed JSON document.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("metrics serialise")
-    }
-
-    /// Parses a document produced by [`ChaosMetrics::to_json`].
-    ///
-    /// # Errors
-    /// Returns the underlying parse/shape error message.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
-    }
-
-    /// Writes [`ChaosMetrics::to_json`] to `path`.
-    ///
-    /// # Errors
-    /// Propagates the I/O error.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-}
-
-/// One serving pass of the pool bench at a fixed device count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PoolRunMetrics {
-    /// Devices in the pool (`1` for the single-device baseline).
-    pub devices: u64,
-    /// Queries that produced a result.
-    pub completed: u64,
-    /// Queries failed with a surfaced error.
-    pub failed: u64,
-    /// Coalesced solves executed.
-    pub batches: u64,
-    /// Queries served through those solves.
-    pub batched_queries: u64,
-    /// Batches containing at least one CPU-recovered shard.
-    pub fallbacks: u64,
-    /// Shard tasks dispatched across the pool.
-    pub shard_tasks: u64,
-    /// Shard tasks executed by a thread other than their owner.
-    pub stolen_tasks: u64,
-    /// Circuit-breaker trips summed over devices.
-    pub breaker_trips: u64,
-    /// Host↔device bytes moved over the modelled interconnects.
-    pub transfer_bytes: u64,
-    /// Simulated serving time: per batch, the slowest shard pipeline
-    /// (devices run concurrently), summed over batches.
-    pub sim_time_s: f64,
-    /// Host wall time of the pass, in milliseconds (nondeterministic —
-    /// informational only).
-    pub wall_time_ms: f64,
-}
-
-/// The `pool_bench` export (the `BENCH_pool.json` schema): the same
-/// query stream served by a 1-device pool and an `N`-device pool,
-/// checked bit-identical against unpooled single-device serving, plus
-/// a degraded pass with one faulted device. The headline fields are
-/// `speedup` (simulated-time ratio, gated at ≥ 2× for 4 devices) and
-/// the `bit_identical` / `counters_match` flags.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PoolMetrics {
-    /// Export schema version (see [`SCHEMA_VERSION`]).
-    pub schema_version: u64,
-    /// Master seed of the workload.
-    pub seed: u64,
-    /// Source-set rows per corpus.
-    pub m: u64,
-    /// Targets per query.
-    pub n: u64,
-    /// Point dimensionality.
-    pub k: u64,
-    /// Queries in the stream.
-    pub queries: u64,
-    /// Fraction of queries hitting a shared corpus.
-    pub shared_ratio: f64,
-    /// The 1-device pool baseline pass.
-    pub single: PoolRunMetrics,
-    /// The `N`-device pool pass.
-    pub pooled: PoolRunMetrics,
-    /// `single.sim_time_s / pooled.sim_time_s`.
-    pub speedup: f64,
-    /// Every pooled result matched unpooled serving bit for bit.
-    pub bit_identical: bool,
-    /// completed/failed/batches/batched-queries agreed across the
-    /// unpooled, 1-device and `N`-device passes.
-    pub counters_match: bool,
-    /// The degraded pass: `N` devices, one with a permanent
-    /// launch-level fault.
-    pub faulted: PoolRunMetrics,
-    /// Breaker trips on the faulted device (must be > 0).
-    pub faulted_sick_trips: u64,
-    /// CPU-recovered shards owned by the faulted device (must be > 0).
-    pub faulted_sick_fallbacks: u64,
-    /// CPU-recovered shards owned by healthy devices (must be 0:
-    /// degradation stays device-local).
-    pub faulted_healthy_fallbacks: u64,
-    /// All gates held (bit identity, counter agreement, speedup floor,
-    /// device-local degradation).
-    pub gates_passed: bool,
-}
-
-impl PoolMetrics {
-    /// Pretty-printed JSON document.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("metrics serialise")
-    }
-
-    /// Parses a document produced by [`PoolMetrics::to_json`].
-    ///
-    /// # Errors
-    /// Returns the underlying parse/shape error message.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
-    }
-
-    /// Writes [`PoolMetrics::to_json`] to `path`.
-    ///
-    /// # Errors
-    /// Propagates the I/O error.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-}
-
-/// One serving pass of the packing benchmark at a fixed pack setting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PackRunMetrics {
-    /// Queries that produced a result.
-    pub completed: u64,
-    /// Queries failed with a surfaced error.
-    pub failed: u64,
-    /// Coalesced solves executed.
-    pub batches: u64,
-    /// Simulated kernel launches across all completed GPU batches.
-    pub launches: u64,
-    /// Horizontally-fused packed launches (zero with packing off).
-    pub packed_launches: u64,
-    /// Batches served as segments of those packed launches.
-    pub packed_segments: u64,
-    /// DRAM transactions summed over every completed GPU profile.
-    pub dram_transactions: u64,
-    /// Mean utilized fraction of a full resident wave across the
-    /// fused kernels: `grid_blocks / (num_sms · blocks_per_sm)`
-    /// capped at 1. Back-to-back small launches sit far below 1;
-    /// packing exists to push this up.
-    pub fused_wave_fill: f64,
-    /// Simulated serving time summed over every completed profile.
-    pub sim_time_s: f64,
-    /// Host wall time of the pass, in milliseconds (nondeterministic —
-    /// informational only).
-    pub wall_time_ms: f64,
-}
-
-/// The `pack_bench` export (the `BENCH_pack.json` schema): one
-/// heterogeneous small-query stream served with horizontal fusion off
-/// (back-to-back launches, the bit-exactness golden) and on. The
-/// headline fields are `speedup` (simulated-time ratio, gated at
-/// ≥ 1.5× in the smoke profile with a 2× target), `dram_saved` and
-/// the `bit_identical` flag — packing must never move bits.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PackMetrics {
-    /// Export schema version (see [`SCHEMA_VERSION`]).
-    pub schema_version: u64,
-    /// Master seed of the workload.
-    pub seed: u64,
-    /// Queries in the stream.
-    pub queries: u64,
-    /// Sources per corpus.
-    pub m: u64,
-    /// Targets per target set.
-    pub n: u64,
-    /// Point dimensionality.
-    pub k: u64,
-    /// Distinct corpora cycled through the stream.
-    pub corpora: u64,
-    /// Distinct target sets cycled through the stream.
-    pub target_sets: u64,
-    /// The pack-off (back-to-back) pass.
-    pub unpacked: PackRunMetrics,
-    /// The pack-on pass.
-    pub packed: PackRunMetrics,
-    /// `unpacked.sim_time_s / packed.sim_time_s`.
-    pub speedup: f64,
-    /// `unpacked.dram_transactions - packed.dram_transactions`
-    /// (upload dedup; must be positive).
-    pub dram_saved: i64,
-    /// Every packed result matched unpacked serving bit for bit.
-    pub bit_identical: bool,
-    /// All gates held (bit identity, speedup floor, DRAM saving,
-    /// packing actually fired).
-    pub gates_passed: bool,
-}
-
-impl PackMetrics {
-    /// Pretty-printed JSON document.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("metrics serialise")
-    }
-
-    /// Parses a document produced by [`PackMetrics::to_json`].
-    ///
-    /// # Errors
-    /// Returns the underlying parse/shape error message.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
-    }
-
-    /// Writes [`PackMetrics::to_json`] to `path`.
-    ///
-    /// # Errors
-    /// Propagates the I/O error.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-}
-
-/// One tuned pick in the `BENCH_tune.json` export, with its
-/// independent replay validation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TunePickMetrics {
-    /// Raw problem rows.
-    pub m: u64,
-    /// Raw problem targets.
-    pub n: u64,
-    /// Raw point dimension.
-    pub k: u64,
-    /// The model's chosen geometry, `Display`-formatted.
-    pub geometry: String,
-    /// Model-predicted simulated time for the pick.
-    pub pred_time_s: f64,
-    /// Model-predicted energy for the pick.
-    pub pred_energy_j: f64,
-    /// Replay-measured simulated time of the pick (validation only —
-    /// the pick itself was made without this number).
-    pub picked_time_s: f64,
-    /// Replay-measured simulated time of the paper default.
-    pub default_time_s: f64,
-    /// `default_time_s / picked_time_s`.
-    pub speedup: f64,
-    /// Bit-compatible lower-energy variant, when one exists.
-    pub low_power: Option<String>,
-    /// Predicted energy of the low-power variant.
-    pub low_power_energy_j: f64,
-}
-
-/// The `BENCH_tune.json` document: one autotuner sweep — lattice,
-/// gates, fit quality — plus the replay validation of every pick.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TuneMetrics {
-    /// Export schema version (see [`SCHEMA_VERSION`]).
-    pub schema_version: u64,
-    /// Seed of the train/holdout split.
-    pub seed: u64,
-    /// Device the sweep ran on.
-    pub device: String,
-    /// Legal geometries enumerated.
-    pub lattice: u64,
-    /// Geometries surviving the static + differential gates.
-    pub admitted: u64,
-    /// Geometries rejected, with stage and reason recorded upstream.
-    pub rejected: u64,
-    /// Profiled (geometry, shape) samples the model was fitted on.
-    pub samples: u64,
-    /// Training-split size.
-    pub train_count: u64,
-    /// Holdout-split size.
-    pub holdout_count: u64,
-    /// Mean absolute relative holdout error, time head.
-    pub holdout_mape_time: f64,
-    /// Worst holdout relative error, time head.
-    pub holdout_max_rel_time: f64,
-    /// Mean absolute relative holdout error, energy head.
-    pub holdout_mape_energy: f64,
-    /// Worst holdout relative error, energy head.
-    pub holdout_max_rel_energy: f64,
-    /// The error band the fit advertises for downstream consumers.
-    pub advertised_rel_err: f64,
-    /// Every pick with its replay validation.
-    pub picks: Vec<TunePickMetrics>,
-    /// Picks strictly faster than the default in replay.
-    pub wins: u64,
-    /// All gates held (fit quality, no pick worse than default, at
-    /// least one strict win on a non-paper shape).
-    pub gates_passed: bool,
-    /// Host wall time of the sweep, seconds.
-    pub host_wall_s: f64,
-}
-
-impl TuneMetrics {
-    /// Pretty-printed JSON document.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("metrics serialise")
-    }
-
-    /// Parses a document produced by [`TuneMetrics::to_json`].
-    ///
-    /// # Errors
-    /// Returns the underlying parse/shape error message.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
-    }
-
-    /// Writes [`TuneMetrics::to_json`] to `path`.
-    ///
-    /// # Errors
-    /// Propagates the I/O error.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-}
-
-/// The `chaos_pool_bench` export (the `BENCH_chaos_pool.json`
-/// schema): a seeded lifecycle + link-fault soak over the sharded
-/// device pool. Three passes share one stream: a **chaos** pass with
-/// a flapping device and a faulted link (the headline gates are
-/// `silent_wrong == 0`, no dropped shards, and the evict/readmit loop
-/// actually cycling), a **degraded throughput** pass with one device
-/// permanently lost (gated at ≥ 2× the single-device simulated
-/// throughput), and a **quiet** pass proving that all-zero fault
-/// specs leave serving bit-identical to spec-free serving.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ChaosPoolMetrics {
-    /// Export schema version (see [`SCHEMA_VERSION`]).
-    pub schema_version: u64,
-    /// Master seed of the workload and both fault schedules.
-    pub seed: u64,
-    /// Devices in the pool.
-    pub devices: u64,
-    /// Queries in the stream (each pass serves the same stream).
-    pub queries: u64,
-    /// Chaos pass: queries that produced a result.
-    pub completed: u64,
-    /// Chaos pass: queries shed by the deadline-aware brownout.
-    pub shed: u64,
-    /// Chaos pass: queries that missed their deadline.
-    pub expired: u64,
-    /// Chaos pass: queries failed with a surfaced error.
-    pub failed: u64,
-    /// Completions outside the GPU tolerance of the CPU reference
-    /// with no surfaced error. The soak fails unless this is zero.
-    pub silent_wrong: u64,
-    /// Chaos pass: health-driven device evictions (must be > 0).
-    pub evictions: u64,
-    /// Chaos pass: probe-success readmissions (must be > 0).
-    pub readmissions: u64,
-    /// Chaos pass: lifecycle hang epochs observed at launch time.
-    pub lifecycle_hangs: u64,
-    /// Chaos pass: lifecycle loss epochs observed at launch time.
-    pub lifecycle_losses: u64,
-    /// Chaos pass: link transfers whose CRC caught a corruption.
-    pub link_crc_detected: u64,
-    /// Chaos pass: link retransmits charged for those corruptions.
-    pub link_retransmits: u64,
-    /// Chaos pass: link transfers that timed out (shard fails over).
-    pub link_timeouts: u64,
-    /// Chaos pass: shard tasks dispatched by the coordinator.
-    pub shards_dispatched: u64,
-    /// Chaos pass: shard tasks executed across all device threads.
-    /// Equal to `shards_dispatched` — a drained shard is re-served,
-    /// never dropped.
-    pub shards_executed: u64,
-    /// Chaos pass: shards recovered on the bit-exact CPU path.
-    pub cpu_fallbacks: u64,
-    /// `submitted == accepted + rejected` and
-    /// `accepted == completed + expired + shed + failed` both held.
-    pub accounting_consistent: bool,
-    /// Throughput pass: simulated serving time of the 1-device pool.
-    pub single_sim_time_s: f64,
-    /// Throughput pass: simulated serving time of the `devices`-sized
-    /// pool with one member permanently lost (and evicted).
-    pub degraded_sim_time_s: f64,
-    /// `single_sim_time_s / degraded_sim_time_s` (gated at ≥ 2).
-    pub degraded_speedup: f64,
-    /// Quiet pass: all-zero lifecycle + link specs produced results
-    /// bit-identical to spec-free serving with untouched counters.
-    pub quiet_bit_identical: bool,
-    /// All gates held.
-    pub gates_passed: bool,
-    /// Host wall time of all passes, in milliseconds
-    /// (nondeterministic — informational only).
-    pub wall_time_ms: f64,
-}
-
-impl ChaosPoolMetrics {
-    /// Pretty-printed JSON document.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("metrics serialise")
-    }
-
-    /// Parses a document produced by [`ChaosPoolMetrics::to_json`].
-    ///
-    /// # Errors
-    /// Returns the underlying parse/shape error message.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
-    }
-
-    /// Writes [`ChaosPoolMetrics::to_json`] to `path`.
-    ///
-    /// # Errors
-    /// Propagates the I/O error.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-}
-
-/// Parses `--<flag> <path>` from argv. Returns `Some(path)` only when
-/// a value follows the flag and is not itself a `--` option, so bare
-/// boolean flags (e.g. `run_all --csv` table mode) keep working.
-#[must_use]
-pub fn path_arg(args: &[String], flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    let value = args.get(pos + 1)?;
-    if value.starts_with("--") {
-        return None;
-    }
-    Some(value.clone())
-}
-
-/// Honours the shared `--json <path>` / `--csv <path>` export flags:
-/// writes the requested documents and logs each path to stderr.
-/// Exits the process on an I/O failure.
-pub fn export_from_args(args: &[String], metrics: &SweepMetrics) {
-    for (flag, write) in [
-        (
-            "--json",
-            SweepMetrics::write_json as fn(&SweepMetrics, &str) -> std::io::Result<()>,
-        ),
-        ("--csv", SweepMetrics::write_csv),
-    ] {
-        if let Some(path) = path_arg(args, flag) {
-            write(metrics, &path).unwrap_or_else(|e| {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            eprintln!("wrote {path}");
-        }
     }
 }
 
@@ -934,17 +349,6 @@ mod tests {
             pt.cublas_unfused.dram_transactions,
             pt.cublas_unfused.profile.total_mem().dram_transactions()
         );
-    }
-
-    #[test]
-    fn path_arg_distinguishes_values_from_flags() {
-        let args: Vec<String> = ["bin", "--smoke", "--csv", "--json", "out.json"]
-            .iter()
-            .map(|s| (*s).to_string())
-            .collect();
-        assert_eq!(path_arg(&args, "--json"), Some("out.json".to_string()));
-        assert_eq!(path_arg(&args, "--csv"), None, "next arg is a flag");
-        assert_eq!(path_arg(&args, "--missing"), None);
     }
 
     #[test]

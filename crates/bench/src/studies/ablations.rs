@@ -8,6 +8,9 @@
 //! 5. occupancy vs registers-per-thread (§III-A's 8×8-microtile
 //!    trade-off).
 
+use std::process::ExitCode;
+
+use ks_bench::cli::{Flags, UsageError};
 use ks_bench::table::{f3, ms, TableSet, TextTable};
 use ks_gpu_kernels::aux_kernels::{Bandwidth, EvalSumCoalescedKernel, EvalSumKernel};
 use ks_gpu_kernels::fused::{FusedKernelSummation, ReducePartialsKernel, Reduction};
@@ -53,9 +56,11 @@ fn setup(m: usize, n: usize, k: usize) -> Setup {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut tables = TableSet::new(false);
+/// Runs every ablation and prints (and with `--json`/`--csv`
+/// exports) its tables.
+pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
+    let flags = Flags::parse(args, &[], &["--json", "--csv"])?;
+    let mut tables = TableSet::default();
     let (m, n, k) = (16384, 1024, 64);
     println!("Ablations at M={m}, N={n}, K={k} (simulated GTX970)\n");
 
@@ -288,5 +293,5 @@ fn main() {
         t,
     );
 
-    tables.export_from_args(&args);
+    Ok(tables.export(flags.opt("--json"), flags.opt("--csv")))
 }

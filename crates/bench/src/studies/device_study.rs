@@ -8,6 +8,9 @@
 //! the L2; the unfused pipeline lives and dies by it) and to
 //! compute/bandwidth ratio.
 
+use std::process::ExitCode;
+
+use ks_bench::cli::{Flags, UsageError};
 use ks_bench::table::{f3, TextTable};
 use ks_gpu_kernels::{GpuKernelSummation, GpuVariant};
 use ks_gpu_sim::{DeviceConfig, GpuDevice};
@@ -26,7 +29,9 @@ fn study(dev_cfg: &DeviceConfig, m: usize, k: usize) -> (f64, f64) {
     (speedup, dram_ratio)
 }
 
-fn main() {
+/// Prints the comparison on every device variant.
+pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
+    Flags::parse(args, &[], &[])?;
     let m = 16384;
     let devices: Vec<(&str, DeviceConfig)> = vec![
         ("GTX970 (paper)", DeviceConfig::gtx970()),
@@ -74,4 +79,5 @@ fn main() {
     println!("The fusion advantage is a property of the algorithm, not of one card:");
     println!("it persists on the GTX980 and grows as the L2 shrinks (the unfused");
     println!("pipeline depends on the cache to absorb its intermediate re-reads).");
+    Ok(ExitCode::SUCCESS)
 }

@@ -11,6 +11,9 @@
 //! (CUDA-Unfused / Fused) and the direct one
 //! (cuBLAS-Unfused / Fused-vendor).
 
+use std::process::ExitCode;
+
+use ks_bench::cli::{Flags, UsageError};
 use ks_bench::table::{f3, ms, TextTable};
 use ks_bench::{profile_or_exit, Sweep};
 use ks_gpu_kernels::aux_kernels::Bandwidth;
@@ -35,10 +38,10 @@ fn fused_vendor_time(m: usize, n: usize, k: usize) -> f64 {
     dev.launch(&kern).unwrap().timing.time_s
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let sweep = Sweep::from_args(&args);
-    let d = profile_or_exit(sweep);
+/// Prints both projections at every point of the chosen sweep.
+pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
+    Flags::parse(args, &["--smoke", "--full"], &[])?;
+    let d = profile_or_exit(Sweep::from_args(args));
 
     let mut t = TextTable::new(vec![
         "K",
@@ -61,4 +64,5 @@ fn main() {
         ]);
     }
     t.print("§V projection: fusion with a cuBLAS-quality GEMM", false);
+    Ok(ExitCode::SUCCESS)
 }

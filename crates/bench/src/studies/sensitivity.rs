@@ -10,8 +10,12 @@
 //! 3. the CUDA-C GEMM is slower than the vendor GEMM (Fig 7).
 //!
 //! If the claims flip anywhere in the sweep, the reproduction would be
-//! an artifact of the calibration — they should not.
+//! an artifact of the calibration — they should not, and the command
+//! exits 1 if they do.
 
+use std::process::ExitCode;
+
+use ks_bench::cli::{Flags, UsageError};
 use ks_bench::table::{f3, TableSet, TextTable};
 use ks_gpu_kernels::{GpuKernelSummation, GpuVariant};
 use ks_gpu_sim::timing::TimingParams;
@@ -42,7 +46,10 @@ fn evaluate(params: TimingParams) -> Outcome {
     }
 }
 
-fn main() {
+/// Runs the calibration sweep and prints (and with `--json`/`--csv`
+/// exports) its table.
+pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
+    let flags = Flags::parse(args, &[], &["--json", "--csv"])?;
     let base = TimingParams::default();
     let mut t = TextTable::new(vec![
         "parameter",
@@ -125,17 +132,17 @@ fn main() {
         );
     }
 
-    let args: Vec<String> = std::env::args().collect();
-    let mut tables = TableSet::new(false);
+    let mut tables = TableSet::default();
     tables.add(
         "Sensitivity of the paper's qualitative claims to timing calibration (M=8192, N=1024)",
         t,
     );
-    tables.export_from_args(&args);
+    let written = tables.export(flags.opt("--json"), flags.opt("--csv"));
     if all_hold {
         println!("All qualitative claims hold across the calibration sweep ✓");
+        Ok(written)
     } else {
         println!("WARNING: some claims flipped — see rows marked NO");
-        std::process::exit(1);
+        Ok(ExitCode::FAILURE)
     }
 }

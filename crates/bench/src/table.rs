@@ -1,6 +1,7 @@
 //! Plain-text table rendering (fixed-width columns + optional CSV).
 
 use std::fmt::Write as _;
+use std::process::ExitCode;
 
 /// A simple column-aligned text table.
 #[derive(Debug, Clone, Default)]
@@ -114,29 +115,18 @@ impl TextTable {
     }
 }
 
-/// Collects titled tables so a binary can print them as it goes and
-/// still export the full set through the shared `--json <path>` /
+/// Collects titled tables so a command can print them as it goes and
+/// still export the full set through its `--json <path>` /
 /// `--csv <path>` flags afterwards.
 #[derive(Debug, Default)]
 pub struct TableSet {
     tables: Vec<(String, TextTable)>,
-    csv_stdout: bool,
 }
 
 impl TableSet {
-    /// New set; `csv_stdout` selects CSV table printing (the bare
-    /// `--csv` flag) instead of aligned text.
-    #[must_use]
-    pub fn new(csv_stdout: bool) -> Self {
-        Self {
-            tables: Vec::new(),
-            csv_stdout,
-        }
-    }
-
     /// Prints the table immediately and records it for export.
     pub fn add(&mut self, title: &str, t: TextTable) {
-        t.print(title, self.csv_stdout);
+        t.print(title, false);
         self.tables.push((title.to_string(), t));
     }
 
@@ -149,7 +139,7 @@ impl TableSet {
             .iter()
             .map(|(title, t)| t.to_json_value(title))
             .collect();
-        serde_json::to_string_pretty(&v).expect("tables serialise")
+        crate::cli::to_json(&v)
     }
 
     /// All tables as CSV sections separated by `# title` comments.
@@ -163,18 +153,11 @@ impl TableSet {
         out
     }
 
-    /// Honours `--json <path>` / `--csv <path>`, writing the recorded
-    /// tables. Exits the process on an I/O failure.
-    pub fn export_from_args(&self, args: &[String]) {
-        for (flag, doc) in [("--json", self.to_json()), ("--csv", self.to_csv())] {
-            if let Some(path) = crate::metrics::path_arg(args, flag) {
-                std::fs::write(&path, doc).unwrap_or_else(|e| {
-                    eprintln!("error: cannot write {path}: {e}");
-                    std::process::exit(1);
-                });
-                eprintln!("wrote {path}");
-            }
-        }
+    /// Writes the recorded tables to the given JSON and CSV paths
+    /// (see [`crate::cli::write_all`] for the exit code).
+    #[must_use]
+    pub fn export(&self, json: Option<&str>, csv: Option<&str>) -> ExitCode {
+        crate::cli::write_all(&[(json, self.to_json()), (csv, self.to_csv())])
     }
 }
 
@@ -236,7 +219,7 @@ mod tests {
 
     #[test]
     fn table_set_exports_json_and_csv() {
-        let mut set = TableSet::new(true);
+        let mut set = TableSet::default();
         let mut t = TextTable::new(vec!["a", "b"]);
         t.row(vec!["1", "2"]);
         set.add("demo", t);

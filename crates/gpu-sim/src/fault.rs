@@ -53,18 +53,28 @@ pub const WATCHDOG_LIMIT_MS: u32 = 2000;
 /// fire (see the module docs).
 pub const MAX_SYNC_TARGET: u32 = 8;
 
+/// Ceiling on the expected-event-count rates (`smem`, `reg`, `dram`)
+/// that [`FaultSpec::parse`] accepts. Every expected event is drawn
+/// one at a time per launch, so an unbounded rate would stall or
+/// exhaust memory; no workload needs more than a few dozen.
+pub const MAX_EVENT_RATE: f64 = 10_000.0;
+
 /// Seeded per-launch fault rates. Rates `smem`/`reg`/`dram` are
-/// *expected event counts per launch* (may exceed 1); `sm` and
-/// `watchdog` are *probabilities per launch* in `[0, 1]`.
+/// *expected event counts per launch* (may exceed 1, at most
+/// [`MAX_EVENT_RATE`] when parsed); `sm` and `watchdog` are
+/// *probabilities per launch* in `[0, 1]`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultSpec {
     /// Base seed of the fault stream.
     pub seed: u64,
-    /// Expected shared-memory word flips per launch.
+    /// Expected shared-memory word flips per launch (at most
+    /// [`MAX_EVENT_RATE`]).
     pub smem_rate: f64,
-    /// Expected accumulator-register flips per launch.
+    /// Expected accumulator-register flips per launch (at most
+    /// [`MAX_EVENT_RATE`]).
     pub reg_rate: f64,
-    /// Expected DRAM word flips per launch.
+    /// Expected DRAM word flips per launch (at most
+    /// [`MAX_EVENT_RATE`]).
     pub dram_rate: f64,
     /// Probability a launch dies losing an SM.
     pub sm_loss_rate: f64,
@@ -88,8 +98,9 @@ impl Default for FaultSpec {
 impl FaultSpec {
     /// Parses a `key=value` comma list, e.g.
     /// `"seed=7,smem=0.5,reg=1,dram=0.25,sm=0.01,watchdog=0.001"`.
-    /// Unknown keys, malformed values, negative rates, and `sm`/
-    /// `watchdog` probabilities above 1 are rejected.
+    /// Unknown keys, malformed values, negative rates, `smem`/`reg`/
+    /// `dram` rates above [`MAX_EVENT_RATE`], and `sm`/`watchdog`
+    /// probabilities above 1 are rejected.
     ///
     /// # Errors
     /// Returns a human-readable description of the first problem.
@@ -110,15 +121,22 @@ impl FaultSpec {
                 }
                 Ok(r)
             };
+            let events = |what: &str| -> Result<f64, String> {
+                let r = rate(what)?;
+                if r > MAX_EVENT_RATE {
+                    return Err(format!("{what} must be <= {MAX_EVENT_RATE}"));
+                }
+                Ok(r)
+            };
             match key {
                 "seed" => {
                     out.seed = value
                         .parse()
                         .map_err(|_| format!("invalid seed value `{value}`"))?;
                 }
-                "smem" => out.smem_rate = rate("smem rate")?,
-                "reg" => out.reg_rate = rate("reg rate")?,
-                "dram" => out.dram_rate = rate("dram rate")?,
+                "smem" => out.smem_rate = events("smem rate")?,
+                "reg" => out.reg_rate = events("reg rate")?,
+                "dram" => out.dram_rate = events("dram rate")?,
                 "sm" => {
                     out.sm_loss_rate = rate("sm probability")?;
                     if out.sm_loss_rate > 1.0 {

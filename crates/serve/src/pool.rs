@@ -45,7 +45,7 @@
 //! Simulated batch latency is the **max** over shard pipelines
 //! (kernels + transfers): devices run concurrently, so the slowest
 //! shard sets the pace. [`PoolReport::sim_time_s`] accumulates that
-//! per-batch max — the quantity `pool_bench` compares across pool
+//! per-batch max — the quantity `ks-bench pool` compares across pool
 //! sizes.
 
 use std::sync::atomic::{AtomicBool, Ordering};

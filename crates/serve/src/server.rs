@@ -607,44 +607,11 @@ impl Gate {
     }
 }
 
-/// Counters the worker owns; merged into the report at shutdown.
-#[derive(Default)]
-struct WorkerStats {
-    completed: u64,
-    expired: u64,
-    expired_in_batch: u64,
-    shed: u64,
-    backoff_shortcircuits: u64,
-    failed: u64,
-    fallbacks: u64,
-    batches: u64,
-    batched_queries: u64,
-    attempts: u64,
-    retries: u64,
-    launches: u64,
-    packed_launches: u64,
-    packed_segments: u64,
-    degraded_completions: u64,
-    corruption_detected: u64,
-    injected_faults: u64,
-    undetected_injected: u64,
-    breaker_trips: u64,
-    breaker_resets: u64,
-    internal_errors: u64,
-    plan_cache: PlanCacheStats,
-    static_admission: AdmissionStats,
-    geometry: GeometryStats,
-    energy_j: f64,
-    energy_downshifts: u64,
-    profiles: Vec<PipelineProfile>,
-    pool: Option<PoolReport>,
-}
-
 /// The batch server. See the module docs.
 pub struct Server {
     queue: Arc<BoundedQueue<(Query, Ticket)>>,
     gate: Arc<Gate>,
-    worker: Option<JoinHandle<WorkerStats>>,
+    worker: Option<JoinHandle<ServeReport>>,
     /// One clone per accepted query, so a panicked worker's in-flight
     /// queries can still be drained with an explicit error at
     /// shutdown (fulfilment is first-write-wins, so completed tickets
@@ -793,8 +760,8 @@ impl Server {
         self.queue.close();
         self.resume();
         let worker = self.worker.take().expect("worker present until shutdown");
-        let w = match worker.join() {
-            Ok(w) => w,
+        let mut report = match worker.join() {
+            Ok(report) => report,
             Err(_) => {
                 while let Some((_, t)) = self.queue.try_pop() {
                     t.fulfil(Err(ServeError::Internal("worker thread panicked")));
@@ -802,46 +769,17 @@ impl Server {
                 for t in &self.outstanding {
                     t.fulfil(Err(ServeError::Internal("worker thread panicked")));
                 }
-                WorkerStats {
+                ServeReport {
                     internal_errors: 1,
-                    ..WorkerStats::default()
+                    ..ServeReport::default()
                 }
             }
         };
-        ServeReport {
-            submitted: self.submitted,
-            accepted: self.accepted,
-            rejected: self.rejected,
-            completed: w.completed,
-            expired: w.expired,
-            expired_in_batch: w.expired_in_batch,
-            shed: w.shed,
-            backoff_shortcircuits: w.backoff_shortcircuits,
-            failed: w.failed,
-            fallbacks: w.fallbacks,
-            batches: w.batches,
-            batched_queries: w.batched_queries,
-            attempts: w.attempts,
-            retries: w.retries,
-            launches: w.launches,
-            packed_launches: w.packed_launches,
-            packed_segments: w.packed_segments,
-            degraded_completions: w.degraded_completions,
-            corruption_detected: w.corruption_detected,
-            injected_faults: w.injected_faults,
-            undetected_injected: w.undetected_injected,
-            breaker_trips: w.breaker_trips,
-            breaker_resets: w.breaker_resets,
-            internal_errors: w.internal_errors,
-            plan_cache: w.plan_cache,
-            static_admission: w.static_admission,
-            geometry: w.geometry,
-            energy_j: w.energy_j,
-            energy_downshifts: w.energy_downshifts,
-            queue_high_water: self.queue.high_water(),
-            profiles: w.profiles,
-            pool: w.pool,
-        }
+        report.submitted = self.submitted;
+        report.accepted = self.accepted;
+        report.rejected = self.rejected;
+        report.queue_high_water = self.queue.high_water();
+        report
     }
 
     /// Current queue depth (racy; for monitoring).
@@ -865,7 +803,7 @@ fn worker_loop(
     cfg: &ServeConfig,
     queue: &BoundedQueue<(Query, Ticket)>,
     gate: &Gate,
-) -> WorkerStats {
+) -> ServeReport {
     let mut worker = Worker::new(cfg);
     // EWMA of per-chunk wall time, the brownout's service-rate
     // estimate. Zero until the first wave completes, so nothing is
@@ -945,7 +883,7 @@ fn worker_loop(
 /// their deadline are left for the dequeue check so they count as
 /// `expired`, not `shed`; and with no measurement yet (`avg == 0`)
 /// nothing sheds.
-fn brownout_shed(chunks: &mut [Vec<(Query, Ticket)>], avg_chunk_s: f64, stats: &mut WorkerStats) {
+fn brownout_shed(chunks: &mut [Vec<(Query, Ticket)>], avg_chunk_s: f64, stats: &mut ServeReport) {
     if avg_chunk_s <= 0.0 {
         return;
     }
@@ -983,7 +921,7 @@ struct Worker<'a> {
     ladder: Ladder,
     /// The ladder of batches static admission denied the GPU.
     cpu: Ladder,
-    stats: WorkerStats,
+    stats: ServeReport,
 }
 
 impl<'a> Worker<'a> {
@@ -999,11 +937,11 @@ impl<'a> Worker<'a> {
             breaker: Mutex::new(Breaker::new(&cfg.resilience)),
             ladder: ladder(Budget::of(cfg.backend, &cfg.resilience, false)),
             cpu: ladder(Budget::CPU),
-            stats: WorkerStats::default(),
+            stats: ServeReport::default(),
         }
     }
 
-    fn finish(self) -> WorkerStats {
+    fn finish(self) -> ServeReport {
         let mut stats = self.stats;
         stats.plan_cache = self.cache.stats();
         stats.static_admission = self.cache.admission_stats();
@@ -1251,7 +1189,7 @@ fn finish_chunk(
     cfg: &ServeConfig,
     live: &[(Query, Ticket)],
     outcome: Result<(Vec<Vec<f32>>, bool), ServeError>,
-    stats: &mut WorkerStats,
+    stats: &mut ServeReport,
 ) {
     if let Some(delay) = cfg.batch_delay {
         std::thread::sleep(delay);
@@ -1541,7 +1479,7 @@ mod tests {
     fn brownout_sheds_only_doomed_queries_in_later_chunks() {
         let sources = SourceSet::new(PointSet::uniform_cube(16, 3, 61));
         let targets = Arc::new(PointSet::uniform_cube(8, 3, 62));
-        let mut stats = WorkerStats::default();
+        let mut stats = ServeReport::default();
         let now = Instant::now();
         let with_deadline = |seed: u64, d: Option<Instant>| {
             let mut q = query(&sources, &targets, seed);

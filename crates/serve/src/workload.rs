@@ -145,7 +145,7 @@ impl Default for SmallQueryWorkloadConfig {
 /// `(M, N, K) = (256, 256, 32)` queries — 16 distinct
 /// `(corpus, target, h)` combinations per wave of 16, with corpora
 /// and target sets shared *across* queries so a packed wave dedups
-/// uploads. `pack_bench` gates its throughput target on this stream.
+/// uploads. `ks-bench pack` gates its throughput target on this stream.
 #[must_use]
 pub fn packed_smoke_workload() -> SmallQueryWorkloadConfig {
     SmallQueryWorkloadConfig::default()

@@ -38,8 +38,10 @@ const USAGE: &str = "usage: ksum [--threads N] [--faults SPEC] <command> [flags]
   --faults SPEC
                global: seeded soft-error injection on the simulated
                device, e.g. seed=7,smem=0.5,reg=1,dram=0.25,sm=0.01,
-               watchdog=0.001 (rates per launch; applies to the
-               gpu-sim backends of solve/profile/compare/serve-bench)
+               watchdog=0.001 (rates per launch: smem/reg/dram are
+               expected flips, at most 10000; sm/watchdog are
+               probabilities; applies to the gpu-sim backends of
+               solve/profile/compare/serve-bench)
   solve        --m M --n N --k K --h H --seed S --backend B
                (backends: cpu-fused, cpu-unfused, reference,
                 gpu-fused, gpu-cuda-unfused, gpu-cublas-unfused)

@@ -89,6 +89,12 @@ fn out_of_range_numeric_flags_are_usage_errors() {
             vec!["solve", "--m", "0", "--backend", "gpu-cublas-unfused"],
             "--m",
         ),
+        (vec!["--faults", "smem=1e18", "solve"], "smem rate"),
+        (vec!["--faults", "smem=1e18", "profile"], "smem rate"),
+        (
+            vec!["--faults", "smem=1e18", "serve-bench", "--smoke"],
+            "smem rate",
+        ),
     ];
     for backend in [
         "cpu-fused",

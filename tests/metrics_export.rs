@@ -6,7 +6,7 @@
 //! an intentional behaviour change, regenerate the golden:
 //!
 //! ```text
-//! cargo run --release -p ks-bench --bin run_all -- --smoke --json tests/goldens/smoke_sweep.json
+//! cargo run --release -p ks-bench -- sweep --smoke --json tests/goldens/smoke_sweep.json
 //! ```
 
 use std::sync::OnceLock;
@@ -68,7 +68,7 @@ fn exported_counters_match_in_memory_profiles() {
 
 #[test]
 fn export_is_schema_complete() {
-    // What `run_all --json` writes (same code path) must parse and
+    // What `ks-bench sweep --json` writes (same code path) must parse and
     // carry every top-level and per-point field of the schema.
     let m = export();
     let dir = std::env::temp_dir().join("ks_metrics_export_test");
@@ -135,13 +135,13 @@ fn csv_export_covers_every_kernel_launch() {
 #[test]
 fn smoke_sweep_matches_golden() {
     let golden_text = std::fs::read_to_string(GOLDEN_PATH)
-        .unwrap_or_else(|e| panic!("cannot read {GOLDEN_PATH}: {e} — regenerate with `cargo run --release -p ks-bench --bin run_all -- --smoke --json {GOLDEN_PATH}`"));
+        .unwrap_or_else(|e| panic!("cannot read {GOLDEN_PATH}: {e} — regenerate with `cargo run --release -p ks-bench -- sweep --smoke --json {GOLDEN_PATH}`"));
     let golden = SweepMetrics::from_json(&golden_text).expect("golden parses");
     let fresh = export();
     let drift = regress::diff(&golden, &fresh);
     assert!(
         drift.is_empty(),
-        "metrics drifted from {GOLDEN_PATH} ({} mismatches):\n{}\n\nIf this change is intentional, regenerate the golden:\n  cargo run --release -p ks-bench --bin run_all -- --smoke --json {GOLDEN_PATH}",
+        "metrics drifted from {GOLDEN_PATH} ({} mismatches):\n{}\n\nIf this change is intentional, regenerate the golden:\n  cargo run --release -p ks-bench -- sweep --smoke --json {GOLDEN_PATH}",
         drift.len(),
         drift.join("\n")
     );
