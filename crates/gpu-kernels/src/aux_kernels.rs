@@ -16,7 +16,7 @@
 //! the paper fixes `N = 1024`.
 
 use ks_gpu_sim::access::{affine_lanes, masked_lanes, AccessSpec, GlobalPattern};
-use ks_gpu_sim::buffer::BufId;
+use ks_gpu_sim::buffer::{BufId, GlobalMem};
 use ks_gpu_sim::dim::{Dim3, LaunchConfig};
 use ks_gpu_sim::exec::BlockCtx;
 use ks_gpu_sim::kernel::VecWidth;
@@ -155,6 +155,19 @@ impl Kernel for NormsKernel {
 
     fn execute_block(&self, block: Dim3, ctx: &mut BlockCtx) {
         self.body(block, &mut FunctionalMachine::new(ctx));
+    }
+
+    /// Each point's `x·x` folded over `dim` in order from 0.0, as a
+    /// lane accumulates it.
+    fn execute_exact(&self, mem: &GlobalMem) -> bool {
+        let pts = mem.download(self.points);
+        for (p, x) in pts[..self.n_points * self.dim]
+            .chunks_exact(self.dim)
+            .enumerate()
+        {
+            mem.store(self.out, p, x.iter().fold(0.0f32, |acc, v| acc + v * v));
+        }
+        true
     }
 
     fn block_traffic(&self, block: Dim3, sink: &mut TrafficSink) {

@@ -52,7 +52,7 @@ use std::marker::PhantomData;
 use ks_gpu_sim::access::{
     affine_lanes, masked_lanes, AccessSpec, BarrierSpec, GlobalPattern, SharedPattern,
 };
-use ks_gpu_sim::buffer::BufId;
+use ks_gpu_sim::buffer::{BufId, GlobalMem};
 use ks_gpu_sim::config::DeviceConfig;
 use ks_gpu_sim::dim::{Dim3, LaunchConfig};
 use ks_gpu_sim::exec::BlockCtx;
@@ -64,6 +64,7 @@ use ks_gpu_sim::trace::AccessDir;
 use ks_gpu_sim::traffic::{TrafficSink, WarpIdx};
 
 use ks_gpu_sim::smem::flip_bit;
+use rayon::prelude::*;
 
 use crate::aux_kernels::{gaussian, Bandwidth};
 use crate::fused_multi::MAX_WEIGHT_COLUMNS;
@@ -74,6 +75,7 @@ use crate::gemm_engine::{
 use crate::geometry::TileGeometry;
 use crate::layout::SmemLayout;
 use crate::machine::{FunctionalMachine, TrafficMachine, WarpMachine};
+use crate::oracle::FusedHost;
 
 /// Words per checksum slot: one full 32-byte DRAM sector per
 /// `(column, row group)` so block-class replay deltas stay
@@ -736,6 +738,51 @@ impl<N: Naming> Kernel for Fused<N> {
 
     fn execute_block(&self, block: Dim3, ctx: &mut BlockCtx) {
         self.body(block, &mut FunctionalMachine::new(ctx));
+    }
+
+    /// The launch on the host ([`crate::oracle`]); the two-pass
+    /// ablation is interpreted. Each row group, in parallel, applies
+    /// its blocks' partials in ascending `bx` with the drain's atomics;
+    /// with verify on, each block then adds its σ (its rows, ascending
+    /// from 0.0) to its checksum slot and 0.0 to the flag, as a clean
+    /// block's epilogue does. Layout, buffering and exec model change
+    /// no bit.
+    fn execute_exact(&self, mem: &GlobalMem) -> bool {
+        if let Reduction::TwoPass { .. } = self.reduction {
+            return false;
+        }
+        let (m, n, k, r) = (self.shape.m, self.shape.n, self.shape.k, self.r);
+        let [a, b, a2, b2, w] =
+            [self.ops.a, self.ops.b, self.a2, self.b2, self.w].map(|buf| mem.download(buf));
+        let host = FusedHost::new(
+            &a[..m * k],
+            &b[..k * n],
+            &a2[..m],
+            &b2[..n],
+            &w[..n * r],
+            (m, n, k),
+            self.bw.h,
+            r,
+        );
+        let bm = self.geometry.block_m;
+        let gy = m / bm;
+        (0..gy).into_par_iter().for_each(|by| {
+            host.row_group(&self.geometry, by, |t| {
+                for (c, col) in t.chunks_exact(bm).enumerate() {
+                    for (i, &x) in col.iter().enumerate() {
+                        mem.atomic_add(self.v, c * m + by * bm + i, x);
+                    }
+                }
+                if let Some(vb) = self.verify {
+                    for (c, col) in t.chunks_exact(bm).enumerate() {
+                        let sigma = col.iter().fold(0.0f32, |s, x| s + x);
+                        mem.atomic_add(vb.checksum, (c * gy + by) * CHECKSUM_SLOT_WORDS, sigma);
+                    }
+                    mem.atomic_add(vb.flag, 0, 0.0);
+                }
+            });
+        });
+        true
     }
 
     fn block_traffic(&self, block: Dim3, sink: &mut TrafficSink) {

@@ -44,7 +44,7 @@
 use std::collections::HashMap;
 
 use ks_gpu_sim::access::AccessSpec;
-use ks_gpu_sim::buffer::BufId;
+use ks_gpu_sim::buffer::{BufId, GlobalMem};
 use ks_gpu_sim::config::DeviceConfig;
 use ks_gpu_sim::device::GpuDevice;
 use ks_gpu_sim::dim::{Dim3, LaunchConfig};
@@ -254,6 +254,13 @@ impl Kernel for FusedMultiPacked {
     fn execute_block(&self, block: Dim3, ctx: &mut BlockCtx) {
         let (seg, local) = self.table.route(block.x);
         self.segments[seg].body(local, &mut FunctionalMachine::new(ctx));
+    }
+
+    /// Each segment's host evaluation in launch order: a segment's
+    /// blocks all precede the next segment's. Serving segments always
+    /// reduce atomically, so every segment has one.
+    fn execute_exact(&self, mem: &GlobalMem) -> bool {
+        self.segments.iter().all(|seg| seg.execute_exact(mem))
     }
 
     fn block_traffic(&self, block: Dim3, sink: &mut TrafficSink) {

@@ -37,8 +37,10 @@
 //!   queries packed into one launch behind a per-block routing table
 //!   (block index → segment descriptor), with plan-cache-aware upload
 //!   deduplication and per-segment ABFT reports.
-//! * [`oracle`] — the geometry-aware bit-exact CPU replay of the fused
-//!   kernel's reduction order (the differential-test contract).
+//! * [`oracle`] — the fused kernel's exact host evaluation, in its
+//!   geometry-aware reduction order: what fault-free functional runs
+//!   take instead of the warp interpreter, and the differential-test
+//!   contract.
 //! * [`pipelines`] — the three end-to-end implementations of §IV:
 //!   `Fused`, `CUDA-Unfused`, `cuBLAS-Unfused`.
 

@@ -1,29 +1,152 @@
-//! The bit-exact CPU replay of the fused kernel (the differential-
-//! test oracle).
+//! The fused kernel's exact host evaluation: the one host definition
+//! of its numerics. Fault-free `GpuDevice::run`s of the fused and
+//! packed kernels take it instead of the warp interpreter
+//! (`Kernel::execute_exact`), and [`fused_oracle`] /
+//! [`fused_multi_oracle`] serve it as the differential-test contract.
 //!
-//! [`fused_oracle`] recomputes `V = Σ_j exp(−‖αᵢ−βⱼ‖²/2h²)·wⱼ` in
-//! **exactly** the floating-point association order the simulated
-//! fused kernel uses on the deterministic sequential schedule
-//! (`GpuDevice::run_counted`, blocks in launch order — `bx` fastest):
+//! Each block's `T` partials come out in **exactly** the simulated
+//! kernel's floating-point association order:
 //!
-//! 1. the GEMM dot product folds over `k` sequentially (one FMUL +
-//!    FADD rounding per step, as `compute_ktile` accumulates);
-//! 2. each thread's γ row partial folds its `micro_n` weighted
-//!    Gaussian terms in ascending column order (line 16 of
-//!    Algorithm 2);
-//! 3. the intra-block reduction sums the `threads_x` thread partials
-//!    in ascending `tx` order (the shuffle-tree model);
-//! 4. the inter-block atomics land in ascending `bx` order.
+//! 1. the GEMM dot product folds over `k` sequentially from 0.0, one
+//!    FMUL + FADD rounding per step as `compute_ktile` accumulates
+//!    (the ks-blas microkernel, which vectorizes across columns and
+//!    never contracts to FMA), once for all `R` columns;
+//! 2. `d = ‖α‖² + ‖β‖² − 2·dot` goes through the same scalar
+//!    [`gaussian`];
+//! 3. each thread's γ partial folds its `micro_n` weighted terms in
+//!    ascending column order from 0.0 (line 16 of Algorithm 2);
+//! 4. the intra-block reduction sums the `threads_x` thread partials
+//!    in ascending `tx` order from 0.0 (the shuffle-tree model).
+//!
+//! The partials then land in ascending `bx`: launch order, the
+//! `run_counted` schedule. Row groups own disjoint rows, so they run
+//! in parallel without changing a bit.
 //!
 //! Steps 2–4 depend only on the **N-side** of the tile geometry
 //! (`block_n`, `micro_n`) — the M-side merely re-partitions rows and
 //! step 1 is the same sequential k-fold for every `tile_k` and
 //! buffering depth. That is the [`TileGeometry::bit_compatible`]
-//! contract: the oracle takes the geometry and the differential suite
-//! checks every feasible lattice point against it bit for bit.
+//! contract.
+
+use ks_blas::microkernel::{microkernel_8x8, MR, NR};
+use rayon::prelude::*;
 
 use crate::aux_kernels::{gaussian, Bandwidth};
+use crate::fused_multi::MAX_WEIGHT_COLUMNS;
 use crate::geometry::TileGeometry;
+
+/// One fused launch's operands on the host, as the kernel reads them:
+/// `a` is `M×K` row-major, `b_panels` the `N` targets packed for the
+/// microkernel, `w_cols` `N×R` column-major.
+pub(crate) struct FusedHost<'a> {
+    a: &'a [f32],
+    b_panels: Vec<f32>,
+    a2: &'a [f32],
+    b2: &'a [f32],
+    w_cols: &'a [f32],
+    n: usize,
+    k: usize,
+    r: usize,
+    inv_2h2: f32,
+}
+
+/// Packs point-contiguous coordinates (`points × k`) k-major in
+/// `lanes`-point panels, the microkernel's operand layout.
+fn pack_panels(coords: &[f32], k: usize, lanes: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; coords.len()];
+    for (p, point) in coords.chunks_exact(k).enumerate() {
+        let base = (p / lanes) * k * lanes + p % lanes;
+        for (t, &x) in point.iter().enumerate() {
+            out[base + t * lanes] = x;
+        }
+    }
+    out
+}
+
+impl<'a> FusedHost<'a> {
+    /// Binds the operands; `b` is `K×N` column-major (point-
+    /// contiguous) and `a2`/`b2` are the squared norms the kernel
+    /// loads.
+    ///
+    /// # Panics
+    /// Panics if a slice length is inconsistent with the shape or
+    /// `r ∉ 1..=MAX_WEIGHT_COLUMNS`.
+    #[allow(clippy::too_many_arguments)] // mirrors the kernel's operand list
+    pub(crate) fn new(
+        a: &'a [f32],
+        b: &'a [f32],
+        a2: &'a [f32],
+        b2: &'a [f32],
+        w_cols: &'a [f32],
+        (m, n, k): (usize, usize, usize),
+        h: f32,
+        r: usize,
+    ) -> Self {
+        assert_eq!(a.len(), m * k, "A must be M*K elements");
+        assert_eq!(b.len(), k * n, "B must be K*N elements");
+        assert_eq!(a2.len(), m, "a2 must be M elements");
+        assert_eq!(b2.len(), n, "b2 must be N elements");
+        assert_eq!(w_cols.len(), n * r, "W must be N*R elements");
+        assert!(
+            (1..=MAX_WEIGHT_COLUMNS).contains(&r),
+            "weight columns {r} out of range 1..={MAX_WEIGHT_COLUMNS}"
+        );
+        Self {
+            a,
+            b_panels: pack_panels(b, k, NR),
+            a2,
+            b2,
+            w_cols,
+            n,
+            k,
+            r,
+            inv_2h2: Bandwidth { h }.inv_2h2(),
+        }
+    }
+
+    /// Evaluates row group `by` block by block in ascending `bx`,
+    /// handing each block's `T` partials to `each`: `t[c·block_m + i]`
+    /// is row `by·block_m + i` of weight column `c`.
+    pub(crate) fn row_group(&self, geo: &TileGeometry, by: usize, mut each: impl FnMut(&[f32])) {
+        let (bm, bn, k, r) = (geo.block_m, geo.block_n, self.k, self.r);
+        let a_panels = pack_panels(&self.a[by * bm * k..(by + 1) * bm * k], k, MR);
+        let mut dots = vec![0.0f32; bm * bn];
+        let mut t = vec![0.0f32; r * bm];
+        for bx in 0..self.n / bn {
+            let col0 = bx * bn;
+            // The block's dot products, bm × bn row-major.
+            dots.fill(0.0);
+            for (ip, a_panel) in a_panels.chunks_exact(k * MR).enumerate() {
+                for jp in 0..bn / NR {
+                    let b_panel = &self.b_panels[(col0 + jp * NR) * k..][..k * NR];
+                    microkernel_8x8(k, a_panel, b_panel, &mut dots[ip * MR * bn + jp * NR..], bn);
+                }
+            }
+            for (i, row) in dots.chunks_exact(bn).enumerate() {
+                let a2i = self.a2[by * bm + i];
+                let mut part = [0.0f32; MAX_WEIGHT_COLUMNS];
+                for (tx, thread) in row.chunks_exact(geo.micro_n).enumerate() {
+                    let mut gamma = [0.0f32; MAX_WEIGHT_COLUMNS];
+                    for (cc, &dot) in thread.iter().enumerate() {
+                        let j = tx * geo.micro_n + cc;
+                        let d = a2i + self.b2[col0 + j] - 2.0 * dot;
+                        let kv = gaussian(d, self.inv_2h2);
+                        for (c, g) in gamma[..r].iter_mut().enumerate() {
+                            *g += kv * self.w_cols[c * self.n + col0 + j];
+                        }
+                    }
+                    for (p, g) in part.iter_mut().zip(&gamma[..r]) {
+                        *p += g;
+                    }
+                }
+                for (c, p) in part[..r].iter().enumerate() {
+                    t[c * bm + i] = *p;
+                }
+            }
+            each(&t);
+        }
+    }
+}
 
 /// Bit-exact replay of the single-weight fused kernel at `geo`.
 ///
@@ -56,10 +179,11 @@ pub fn fused_oracle(
 /// `N×R` column-major, the result is `M×R` column-major. Each column
 /// folds independently in the same order as [`fused_oracle`], which
 /// is why a served batch is bit-identical to `R` single-shot runs.
+/// Every block's partials fold from 0.0 in ascending `bx`.
 ///
 /// # Panics
-/// Panics if the shape does not divide `geo` or a slice length is
-/// inconsistent.
+/// Panics if the shape does not divide `geo`, a slice length is
+/// inconsistent, or `r ∉ 1..=MAX_WEIGHT_COLUMNS`.
 #[allow(clippy::too_many_arguments)] // mirrors the kernel's operand list
 #[must_use]
 pub fn fused_multi_oracle(
@@ -76,48 +200,27 @@ pub fn fused_multi_oracle(
     r: usize,
 ) -> Vec<f32> {
     assert!(geo.divides(m, n, k), "shape {m}x{n}x{k} must divide {geo}");
-    assert_eq!(a.len(), m * k, "A must be M*K elements");
-    assert_eq!(b.len(), k * n, "B must be K*N elements");
-    assert_eq!(a2.len(), m, "a2 must be M elements");
-    assert_eq!(b2.len(), n, "b2 must be N elements");
-    assert_eq!(w_cols.len(), n * r, "W must be N*R elements");
-    let s = Bandwidth { h }.inv_2h2();
-    let blocks_x = n / geo.block_n;
-    let txn = geo.threads_x();
-    let mut v = vec![0.0f32; m * r];
-    for c in 0..r {
-        let w = &w_cols[c * n..(c + 1) * n];
-        for i in 0..m {
-            let ai = &a[i * k..(i + 1) * k];
-            let mut vi = 0.0f32;
-            // Ascending bx: the sequential schedule's atomic order.
-            for bxi in 0..blocks_x {
-                // Intra-block: thread partials in ascending tx.
-                let mut part = 0.0f32;
-                for tx in 0..txn {
-                    // Intra-thread: the thread's micro_n columns in
-                    // ascending order, one FFMA-shaped fold per term.
-                    let mut g = 0.0f32;
-                    for cc in 0..geo.micro_n {
-                        let j = bxi * geo.block_n + tx * geo.micro_n + cc;
-                        let bj = &b[j * k..(j + 1) * k];
-                        // The GEMM k-fold: sequential in global k
-                        // order regardless of tile_k / buffering.
-                        let mut dot = 0.0f32;
-                        for t in 0..k {
-                            dot += ai[t] * bj[t];
-                        }
-                        let d = a2[i] + b2[j] - 2.0 * dot;
-                        g += gaussian(d, s) * w[j];
-                    }
-                    part += g;
+    let host = FusedHost::new(a, b, a2, b2, w_cols, (m, n, k), h, r);
+    let bm = geo.block_m;
+    let groups: Vec<Vec<f32>> = (0..m / bm)
+        .into_par_iter()
+        .map(|by| {
+            let mut v = vec![0.0f32; r * bm];
+            host.row_group(geo, by, |t| {
+                for (x, y) in v.iter_mut().zip(t) {
+                    *x += y;
                 }
-                vi += part;
-            }
-            v[c * m + i] = vi;
+            });
+            v
+        })
+        .collect();
+    let mut out = vec![0.0f32; m * r];
+    for (by, v) in groups.iter().enumerate() {
+        for (c, col) in v.chunks_exact(bm).enumerate() {
+            out[c * m + by * bm..c * m + (by + 1) * bm].copy_from_slice(col);
         }
     }
-    v
+    out
 }
 
 #[cfg(test)]

@@ -2,7 +2,10 @@
 //! feasible [`TileGeometry`] must produce results bit-identical to the
 //! geometry-aware CPU oracle under the sequential (`run_counted`)
 //! schedule — the same reduction-order contract the serving ladder's
-//! CPU/GPU cross-checks rely on.
+//! CPU/GPU cross-checks rely on. A quiet `run`, which takes the
+//! kernels' exact host path instead of the interpreter, must equal
+//! `run_counted` bit for bit in every output: `V`, the ABFT checksum
+//! and flag, and the norms.
 //!
 //! The shapes here are compact so the sweep stays debug-build fast;
 //! the CI `tune-bench` job repeats the same check on the full smoke
@@ -10,12 +13,17 @@
 //! (`ks_tune::admit_geometry`), which refuses to ship any geometry
 //! that fails it.
 
-use ks_gpu_kernels::aux_kernels::Bandwidth;
+use ks_gpu_kernels::aux_kernels::{Bandwidth, NormsKernel};
 use ks_gpu_kernels::fused::FusedKernelSummation;
 use ks_gpu_kernels::fused_multi::FusedMultiWeight;
 use ks_gpu_kernels::gemm_engine::{GemmOperands, GemmShape};
-use ks_gpu_kernels::{fused_multi_oracle, fused_oracle, TileGeometry};
+use ks_gpu_kernels::{
+    fused_multi_oracle, fused_oracle, FusedMultiPacked, TileGeometry, VerifyBufs,
+    CHECKSUM_SLOT_WORDS,
+};
+use ks_gpu_sim::buffer::BufId;
 use ks_gpu_sim::config::DeviceConfig;
+use ks_gpu_sim::kernel::Kernel;
 use ks_gpu_sim::GpuDevice;
 
 fn rand_vec(len: usize, seed: u64) -> Vec<f32> {
@@ -36,6 +44,81 @@ fn host_norms(pts: &[f32], rows: usize, k: usize) -> Vec<f32> {
         .collect()
 }
 
+/// What a launch sequence built on a fresh device leaves behind: its
+/// kernels, in launch order, and every buffer they write.
+type Launches = (Vec<Box<dyn Kernel>>, Vec<BufId>);
+
+/// Builds the launches on a fresh device, runs them through `run` (the
+/// quiet host path) or `run_counted` (the interpreter), and downloads
+/// the written buffers.
+fn outputs(setup: &dyn Fn(&mut GpuDevice) -> Launches, counted: bool) -> Vec<Vec<f32>> {
+    let mut dev = GpuDevice::gtx970();
+    let (kernels, written) = setup(&mut dev);
+    for kern in &kernels {
+        if counted {
+            dev.run_counted(kern.as_ref()).unwrap();
+        } else {
+            dev.run(kern.as_ref()).unwrap();
+        }
+    }
+    written.iter().map(|&buf| dev.download(buf)).collect()
+}
+
+/// Asserts a quiet `run` writes exactly the bits `run_counted` does,
+/// and returns those outputs.
+fn run_equals_run_counted(what: &str, setup: &dyn Fn(&mut GpuDevice) -> Launches) -> Vec<Vec<f32>> {
+    let fast = outputs(setup, false);
+    let slow = outputs(setup, true);
+    for (o, (f, s)) in fast.iter().zip(&slow).enumerate() {
+        assert_eq!(f.len(), s.len());
+        for (i, (x, y)) in f.iter().zip(s).enumerate() {
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "{what}: output {o} word {i}: run {x} vs run_counted {y}"
+            );
+        }
+    }
+    slow
+}
+
+/// One serving launch on device-computed norms: the norms(A) and
+/// norms(B) launches, then the fused kernel at `geo` with `r` columns,
+/// verified or not, and the norms, `V`, checksum and flag it writes.
+fn fused_pipeline(
+    dev: &mut GpuDevice,
+    geo: TileGeometry,
+    shape: GemmShape,
+    r: usize,
+    verify: bool,
+    seed: u64,
+) -> (Vec<Box<dyn Kernel>>, FusedMultiWeight, Vec<BufId>) {
+    let (m, n, k) = (shape.m, shape.n, shape.k);
+    let ops = GemmOperands {
+        a: dev.upload(&rand_vec(m * k, seed)),
+        b: dev.upload(&rand_vec(k * n, seed + 1)),
+    };
+    let (a2, b2) = (dev.alloc(m), dev.alloc(n));
+    let w = dev.upload(&rand_vec(n * r, seed + 2));
+    let v = dev.alloc(m * r);
+    let mut fused =
+        FusedMultiWeight::new(ops, a2, b2, w, v, shape, Bandwidth { h: 0.9 }, r).with_geometry(geo);
+    let mut written = vec![a2, b2, v];
+    if verify {
+        let vb = VerifyBufs {
+            checksum: dev.alloc(r * (m / geo.block_m) * CHECKSUM_SLOT_WORDS),
+            flag: dev.alloc(CHECKSUM_SLOT_WORDS),
+        };
+        fused = fused.with_verify(vb);
+        written.extend([vb.checksum, vb.flag]);
+    }
+    let norms: Vec<Box<dyn Kernel>> = vec![
+        Box::new(NormsKernel::new(ops.a, a2, m, k, "a")),
+        Box::new(NormsKernel::new(ops.b, b2, n, k, "b")),
+    ];
+    (norms, fused, written)
+}
+
 /// Runs every feasible lattice geometry that divides `shape` through
 /// the full-device sequential schedule and asserts bit-identity with
 /// the oracle. Returns how many geometries were exercised.
@@ -52,22 +135,22 @@ fn sweep_shape(shape: GemmShape, seed: u64) -> usize {
         if !geo.divides(shape.m, shape.n, shape.k) {
             continue;
         }
-        let mut dev = GpuDevice::gtx970();
-        let ops = GemmOperands {
-            a: dev.upload(&a),
-            b: dev.upload(&b),
+        let setup = |dev: &mut GpuDevice| -> Launches {
+            let ops = GemmOperands {
+                a: dev.upload(&a),
+                b: dev.upload(&b),
+            };
+            let (ba2, bb2, bw_buf, bv) = (
+                dev.upload(&a2),
+                dev.upload(&b2),
+                dev.upload(&w),
+                dev.alloc(shape.m),
+            );
+            let kern =
+                FusedKernelSummation::new(ops, ba2, bb2, bw_buf, bv, shape, bw).with_geometry(geo);
+            (vec![Box::new(kern)], vec![bv])
         };
-        let (ba2, bb2, bw_buf, bv) = (
-            dev.upload(&a2),
-            dev.upload(&b2),
-            dev.upload(&w),
-            dev.alloc(shape.m),
-        );
-        dev.run_counted(
-            &FusedKernelSummation::new(ops, ba2, bb2, bw_buf, bv, shape, bw).with_geometry(geo),
-        )
-        .unwrap();
-        let got = dev.download(bv);
+        let got = run_equals_run_counted(&geo.to_string(), &setup).remove(0);
         let want = fused_oracle(&geo, &a, &b, &a2, &b2, &w, shape.m, shape.n, shape.k, bw.h);
         for (i, (g, x)) in got.iter().zip(want.iter()).enumerate() {
             assert_eq!(
@@ -141,22 +224,22 @@ fn multi_weight_lattice_matches_the_multi_oracle() {
         if geo.micro_m != 8 || geo.micro_n != 8 {
             continue;
         }
-        let mut dev = GpuDevice::gtx970();
-        let ops = GemmOperands {
-            a: dev.upload(&a),
-            b: dev.upload(&b),
+        let setup = |dev: &mut GpuDevice| -> Launches {
+            let ops = GemmOperands {
+                a: dev.upload(&a),
+                b: dev.upload(&b),
+            };
+            let (ba2, bb2, bw_buf, bv) = (
+                dev.upload(&a2),
+                dev.upload(&b2),
+                dev.upload(&w_flat),
+                dev.alloc(shape.m * r),
+            );
+            let kern =
+                FusedMultiWeight::new(ops, ba2, bb2, bw_buf, bv, shape, bw, r).with_geometry(geo);
+            (vec![Box::new(kern)], vec![bv])
         };
-        let (ba2, bb2, bw_buf, bv) = (
-            dev.upload(&a2),
-            dev.upload(&b2),
-            dev.upload(&w_flat),
-            dev.alloc(shape.m * r),
-        );
-        dev.run_counted(
-            &FusedMultiWeight::new(ops, ba2, bb2, bw_buf, bv, shape, bw, r).with_geometry(geo),
-        )
-        .unwrap();
-        let got = dev.download(bv);
+        let got = run_equals_run_counted(&geo.to_string(), &setup).remove(0);
         let want = fused_multi_oracle(
             &geo, &a, &b, &a2, &b2, &w_flat, shape.m, shape.n, shape.k, bw.h, r,
         );
@@ -166,4 +249,58 @@ fn multi_weight_lattice_matches_the_multi_oracle() {
         exercised += 1;
     }
     assert!(exercised >= 4, "only {exercised} multi geometries swept");
+}
+
+#[test]
+fn quiet_run_equals_run_counted_across_three_column_blocks() {
+    // At three or more column blocks the order in which blocks' atomics
+    // land in V and the checksum slots decides the bits. A sample of
+    // the lattice keeps the debug build quick; every R in {1, 2, 4, 8}
+    // that fits the geometry's T scratch runs verified and not.
+    let lattice = TileGeometry::lattice(&DeviceConfig::gtx970());
+    let mut launches = 0;
+    for geo in lattice.iter().copied().step_by(9) {
+        // The norms kernel takes whole 128-point blocks.
+        let shape = GemmShape {
+            m: geo.block_m.max(128),
+            n: 3 * geo.block_n.max(128),
+            k: 2 * geo.tile_k,
+        };
+        for r in [1, 2, 4, 8].into_iter().filter(|&r| r <= geo.tile_k) {
+            for verify in [false, true] {
+                let what = format!("{geo} R {r} verify {verify}");
+                run_equals_run_counted(&what, &|dev: &mut GpuDevice| {
+                    let (mut kernels, fused, written) =
+                        fused_pipeline(dev, geo, shape, r, verify, 400 + launches);
+                    kernels.push(Box::new(fused));
+                    (kernels, written)
+                });
+                launches += 1;
+            }
+        }
+    }
+    assert!(launches >= 40, "only {launches} launches sampled");
+}
+
+#[test]
+fn quiet_packed_run_equals_run_counted() {
+    // Three segments with mixed R and shapes in one verified packed
+    // launch, every segment at three column blocks.
+    let geo = TileGeometry::paper_default();
+    let segments = [(1, 128, 384), (3, 256, 384), (8, 128, 384)];
+    run_equals_run_counted("packed", &|dev: &mut GpuDevice| {
+        let mut kernels: Vec<Box<dyn Kernel>> = Vec::new();
+        let mut fused = Vec::new();
+        let mut written = Vec::new();
+        for (s, &(r, m, n)) in segments.iter().enumerate() {
+            let shape = GemmShape { m, n, k: 16 };
+            let (norms, seg, seg_written) =
+                fused_pipeline(dev, geo, shape, r, true, 500 + 10 * s as u64);
+            kernels.extend(norms);
+            fused.push(seg);
+            written.extend(seg_written);
+        }
+        kernels.push(Box::new(FusedMultiPacked::new(fused)));
+        (kernels, written)
+    });
 }

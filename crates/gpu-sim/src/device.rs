@@ -230,13 +230,22 @@ impl GpuDevice {
         Ok(self.finish_profile(kernel, counters, before, after))
     }
 
-    /// Runs a kernel functionally (parallel over blocks, no counters).
+    /// Runs a kernel functionally (no counters).
+    ///
+    /// The fault draw comes first. A launch it schedules nothing
+    /// against (a fault-free device, or an empty plan) takes the
+    /// kernel's exact host evaluation ([`Kernel::execute_exact`]) when
+    /// it has one, so its bits equal [`GpuDevice::run_counted`]'s.
+    /// Otherwise the blocks are interpreted in parallel.
     ///
     /// # Errors
     /// Returns a [`LaunchError`] if the launch violates device limits.
     pub fn run(&mut self, kernel: &dyn Kernel) -> Result<(), LaunchError> {
         validate_launch(&self.cfg, kernel)?;
         let plan = self.draw_faults(kernel)?;
+        if plan.as_ref().is_none_or(LaunchFaultPlan::is_empty) && kernel.execute_exact(&self.mem) {
+            return Ok(());
+        }
         let smem_words = kernel.resources().smem_bytes_per_block as usize / 4;
         match plan {
             None => exec::run_functional(&self.mem, kernel, smem_words),
@@ -664,6 +673,98 @@ mod tests {
             dev.launch(&Bad),
             Err(LaunchError::TooManyThreads { .. })
         ));
+    }
+
+    const SENTINEL: f32 = -7.0;
+
+    /// Interpreted, it writes 1.0 to every word; its exact host path
+    /// writes a sentinel instead, so the output tells which path ran.
+    struct Sentinel {
+        y: BufId,
+        n: usize,
+    }
+
+    impl Kernel for Sentinel {
+        fn name(&self) -> String {
+            "sentinel".into()
+        }
+        fn launch_config(&self) -> LaunchConfig {
+            LaunchConfig::new(Dim3::new_1d((self.n / 32) as u32), 32u32)
+        }
+        fn resources(&self) -> KernelResources {
+            KernelResources {
+                threads_per_block: 32,
+                regs_per_thread: 16,
+                smem_bytes_per_block: 0,
+            }
+        }
+        fn execute_block(&self, block: Dim3, ctx: &mut BlockCtx) {
+            let base = block.x as usize * 32;
+            ctx.warp_st_global(self.y, &full_warp_idx(|l| base + l), &[1.0; 32]);
+        }
+        fn execute_exact(&self, mem: &GlobalMem) -> bool {
+            mem.fill(self.y, SENTINEL);
+            true
+        }
+        fn block_traffic(&self, block: Dim3, sink: &mut crate::traffic::TrafficSink) {
+            let base = block.x as usize * 32;
+            sink.global_write(self.y, &full_warp_idx(|l| base + l), 1);
+        }
+        fn analysis_budget(&self) -> crate::kernel::AnalysisBudget {
+            crate::kernel::AnalysisBudget {
+                buffers: vec![crate::kernel::BufferUse {
+                    buf: self.y,
+                    len: self.n,
+                    writes: true,
+                    label: "y",
+                }],
+                ..crate::kernel::AnalysisBudget::default()
+            }
+        }
+    }
+
+    fn run_sentinel(
+        fault: Option<crate::fault::FaultSpec>,
+        counted: bool,
+    ) -> (Vec<f32>, FaultCounters) {
+        let mut cfg = crate::config::DeviceConfig::gtx970();
+        cfg.fault = fault;
+        let mut dev = GpuDevice::new(cfg);
+        let n = 256;
+        let y = dev.alloc(n);
+        let k = Sentinel { y, n };
+        if counted {
+            dev.run_counted(&k).unwrap();
+        } else {
+            dev.run(&k).unwrap();
+        }
+        (dev.download(y), dev.take_fault_counters())
+    }
+
+    #[test]
+    fn only_quiet_runs_take_the_exact_host_path() {
+        use crate::fault::FaultSpec;
+        // A clean device, and a fault-configured one whose draw is empty.
+        for fault in [None, Some(FaultSpec::default())] {
+            let (y, tally) = run_sentinel(fault, false);
+            assert!(y.iter().all(|&v| v == SENTINEL), "{fault:?}: {y:?}");
+            assert!(tally.is_empty());
+        }
+        // A plan that schedules flips is interpreted, and the tally
+        // counts the flips.
+        let flips = FaultSpec {
+            seed: 3,
+            dram_rate: 8.0,
+            ..FaultSpec::default()
+        };
+        let (y, tally) = run_sentinel(Some(flips), false);
+        assert!(tally.dram_flips > 0, "{tally:?}");
+        assert!(y.iter().all(|&v| v != SENTINEL));
+        // run_counted always interprets.
+        for fault in [None, Some(FaultSpec::default())] {
+            let (y, _) = run_sentinel(fault, true);
+            assert!(y.iter().all(|&v| v == 1.0), "{fault:?}");
+        }
     }
 
     #[test]

@@ -6,6 +6,9 @@
 //!   shared memory/block) — the inputs to the occupancy calculator;
 //! * `execute_block` — the **functional** implementation, run against
 //!   real device buffers to validate numerics;
+//! * optionally `execute_exact` — a host evaluation of the whole
+//!   launch in the interpreter's exact floating-point order, which
+//!   fault-free functional runs take instead of interpreting warps;
 //! * `block_traffic` — the **traffic** implementation, which replays
 //!   exactly the same warp-level access pattern into a
 //!   [`crate::traffic::TrafficSink`] without touching data, so
@@ -16,7 +19,7 @@
 //! `ks-gpu-kernels`; consistency between them is enforced by tests
 //! that run both on small problems and compare every counter.
 
-use crate::buffer::BufId;
+use crate::buffer::{BufId, GlobalMem};
 use crate::config::DeviceConfig;
 use crate::dim::{Dim3, LaunchConfig};
 use crate::exec::BlockCtx;
@@ -143,6 +146,18 @@ pub trait Kernel: Sync {
     /// Functional execution of one thread block (numerics + optional
     /// tracing through the [`BlockCtx`]).
     fn execute_block(&self, block: Dim3, ctx: &mut BlockCtx);
+
+    /// Exact host evaluation of the whole launch, taken by
+    /// [`crate::device::GpuDevice::run`] when the launch's fault draw
+    /// schedules nothing. The contract: either leave `mem` exactly as
+    /// interpreting every block in launch order (`x` fastest, the
+    /// `run_counted` schedule) would, bit for bit, and return `true`;
+    /// or return `false` without touching `mem`, and the launch is
+    /// interpreted. The default has no host evaluation.
+    fn execute_exact(&self, mem: &GlobalMem) -> bool {
+        let _ = mem;
+        false
+    }
 
     /// Pure access-pattern replay of one thread block.
     fn block_traffic(&self, block: Dim3, sink: &mut TrafficSink);

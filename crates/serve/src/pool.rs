@@ -48,6 +48,7 @@
 //! per-batch max — the quantity `ks-bench pool` compares across pool
 //! sizes.
 
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -228,9 +229,10 @@ impl PoolReport {
 }
 
 /// Rendezvous for one batch's tasks (row shards or packed
-/// sub-launches).
+/// sub-launches). A task that panicked posts its panic payload, so
+/// the slot is filled either way.
 struct BatchMerge<T> {
-    slots: Mutex<Vec<Option<T>>>,
+    slots: Mutex<Vec<Option<std::thread::Result<T>>>>,
     done: Condvar,
 }
 
@@ -242,7 +244,7 @@ impl<T> BatchMerge<T> {
         }
     }
 
-    fn complete(&self, slot: usize, outcome: T) {
+    fn complete(&self, slot: usize, outcome: std::thread::Result<T>) {
         let mut g = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
         debug_assert!(g[slot].is_none(), "merge slot filled twice");
         g[slot] = Some(outcome);
@@ -251,18 +253,22 @@ impl<T> BatchMerge<T> {
     }
 
     /// Blocks until every slot is filled; returns outcomes in slot
-    /// order.
+    /// order. If a task panicked, the first panic (in slot order)
+    /// resumes here, on the waiting thread, once every task is done.
     fn wait(&self) -> Vec<T> {
         let mut g = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if g.iter().all(Option::is_some) {
-                return g
-                    .iter_mut()
-                    .map(|s| s.take().expect("all filled"))
-                    .collect();
-            }
+        while !g.iter().all(Option::is_some) {
             g = self.done.wait(g).unwrap_or_else(PoisonError::into_inner);
         }
+        let outcomes: Vec<_> = g
+            .iter_mut()
+            .map(|s| s.take().expect("all filled"))
+            .collect();
+        drop(g);
+        outcomes
+            .into_iter()
+            .map(|o| o.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect()
     }
 }
 
@@ -659,7 +665,9 @@ fn device_loop(me: usize, shared: &Arc<Shared>) {
 
 /// Runs one task down the ladder on its owner's slot, on the executing
 /// thread `me` (`stolen` says it differs from the owner), folds the
-/// outcome into the owner's report and posts it to the batch merge.
+/// outcome into the owner's report and posts it to the batch merge. A
+/// panic inside the ladder is posted instead, for the coordinator to
+/// resume; the device thread keeps serving.
 fn run_task(task: Task, me: usize, stolen: bool, shared: &Shared) {
     let dev = &shared.devices[task.owner];
     let slot = DeviceSlot {
@@ -670,7 +678,11 @@ fn run_task(task: Task, me: usize, stolen: bool, shared: &Shared) {
         breaker: &shared.breakers[task.owner],
         batch: task.batch,
     };
-    let outcome = shared.ladder.run(&task.unit, &slot, &mut SimLauncher);
+    let run = || shared.ladder.run(&task.unit, &slot, &mut SimLauncher);
+    let outcome = match std::panic::catch_unwind(AssertUnwindSafe(run)) {
+        Ok(outcome) => outcome,
+        Err(payload) => return task.merge.complete(task.slot, Err(payload)),
+    };
     {
         let mut mine = shared.stats[me]
             .lock()
@@ -710,12 +722,78 @@ fn run_task(task: Task, me: usize, stolen: bool, shared: &Shared) {
             }
         }
     }
-    task.merge.complete(task.slot, outcome);
+    task.merge.complete(task.slot, Ok(outcome));
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
+    use ks_core::plan::{SourcePlan, SourceSet};
+    use ks_core::problem::PointSet;
+    use ks_gpu_kernels::TileGeometry;
+
     use super::*;
+    use crate::cache::PlanKey;
+    use crate::ladder::Segment;
+
+    /// A 256-row segment (two 128-row shards on two devices) with `r`
+    /// weight columns.
+    fn segment(r: usize) -> LaunchUnit {
+        let sources = SourceSet::new(PointSet::uniform_cube(256, 3, 11));
+        LaunchUnit {
+            segments: vec![Segment {
+                plan: Arc::new(SourcePlan::build(sources.points())),
+                key: PlanKey::new(&sources, 0.9),
+                targets: Arc::new(PointSet::uniform_cube(8, 3, 12)),
+                h: 0.9,
+                weights: Arc::new(vec![vec![0.25; 8]; r]),
+                warm: false,
+                resident: false,
+                geometry: TileGeometry::paper_default(),
+                deadline: None,
+            }],
+            packed: false,
+        }
+    }
+
+    #[test]
+    fn a_device_thread_panic_resumes_on_the_coordinator() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let coordinator = std::thread::spawn(move || {
+            let cfg = PoolConfig::homogeneous(2, DeviceConfig::gtx970(), Interconnect::pcie3_x16());
+            let backend = ServeBackend::GpuFused { cpu_fallback: true };
+            let mut pool = DevicePool::start(
+                &cfg,
+                backend,
+                &ResilienceConfig::default(),
+                FusedCpuConfig::default(),
+            );
+            // Nine columns exceed the GPU batch width, so padding
+            // asserts inside the ladder on both device threads.
+            let wide = std::panic::catch_unwind(AssertUnwindSafe(|| pool.run(segment(9), 0)));
+            // The device threads survived and still serve.
+            let served = pool.run(segment(2), 1);
+            let _ = pool.shutdown();
+            let seg = &served.segments[0];
+            tx.send((wide.is_err(), seg.rung, seg.result.clone()))
+                .expect("receiver waits");
+        });
+        let (panicked, rung, result) = rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("a panicking device thread must not hang the pool");
+        coordinator
+            .join()
+            .expect("the coordinator caught the panic");
+        assert!(
+            panicked,
+            "the device-thread panic resumes on the coordinator"
+        );
+        assert_eq!(rung, Rung::Top);
+        let cols = result.expect("the next unit is served");
+        assert_eq!(cols.len(), 2);
+        assert!(cols.iter().all(|c| c.len() == 256));
+    }
 
     #[test]
     fn homogeneous_pool_config_sizes_sanely() {
