@@ -1,22 +1,20 @@
-//! Serial-vs-parallel replay gate over the fused pipeline
+//! Serial-vs-memoized replay gate over the fused pipeline
 //! (`BENCH_replay.json`).
 //!
 //! For each sweep point the fused pipeline is profiled twice on fresh
-//! devices — once with [`ReplayStrategy::Serial`], once with the
-//! default memoized parallel strategy — and the wall-clock of each
-//! replay, their ratio, and whether the two profiles agree on every
-//! counter are recorded.
+//! devices — once with [`ReplayStrategy::Serial`], once with
+//! [`ReplayStrategy::Memoized`] (the default) — and the wall-clock of
+//! each replay, their ratio, and whether the two profiles agree on
+//! every counter are recorded.
 //!
 //! ```text
-//! ks-bench replay [--smoke] [--gate MIN_SPEEDUP] [--threads N] [--json PATH]
+//! ks-bench replay [--smoke] [--gate MIN_SPEEDUP] [--json PATH]
 //! ```
 //!
 //! * default grid: `M ∈ {8192, 65536, 524288}`, `K = 32`, `N = 1024`;
 //! * `--smoke`: `M ∈ {8192, 65536}` only (CI-sized);
 //! * `--gate X`: exit 1 unless the **largest** point's speedup ≥ X
 //!   (and always exit 1 on a counter mismatch);
-//! * `--threads N`: worker count for the parallel runs, at least 1
-//!   (default: the machine's cores);
 //! * `--json PATH`: write the [`ReplayMetrics`] document.
 
 use std::process::ExitCode;
@@ -28,7 +26,7 @@ use ks_gpu_kernels::{GpuKernelSummation, GpuVariant};
 use ks_gpu_sim::{GpuDevice, ReplayStrategy};
 use serde::Serialize;
 
-/// One serial-vs-parallel replay measurement.
+/// One serial-vs-memoized replay measurement.
 #[derive(Debug, Serialize)]
 pub struct ReplayPoint {
     /// Source count.
@@ -41,21 +39,17 @@ pub struct ReplayPoint {
     pub blocks: u64,
     /// Host wall time of the serial replay, in milliseconds.
     pub serial_ms: f64,
-    /// Host wall time of the parallel (memoized) replay, in
-    /// milliseconds.
-    pub parallel_ms: f64,
-    /// `serial_ms / parallel_ms`.
+    /// Host wall time of the memoized replay, in milliseconds.
+    pub memoized_ms: f64,
+    /// `serial_ms / memoized_ms`.
     pub speedup: f64,
-    /// Worker count the parallel replay ran with (0 = machine
-    /// default).
-    pub threads: u64,
     /// Whether both replays produced identical counters and memory
     /// traffic (they must; recorded so a regression is visible in the
     /// artifact, not only in the process exit code).
     pub counters_match: bool,
 }
 
-/// The `replay` document (`BENCH_replay.json`): serial vs parallel
+/// The `replay` document (`BENCH_replay.json`): serial vs memoized
 /// replay wall-clock over the fused pipeline at a set of sweep points.
 #[derive(Debug, Serialize)]
 pub struct ReplayMetrics {
@@ -94,10 +88,8 @@ fn profile_ms(m: usize, strategy: ReplayStrategy) -> (f64, ks_gpu_sim::PipelineP
 /// Replays every point both ways and gates the counters (and, with
 /// `--gate`, the largest point's speedup).
 pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
-    let flags = Flags::parse(args, &["--smoke"], &["--gate", "--threads", "--json"])?;
+    let flags = Flags::parse(args, &["--smoke"], &["--gate", "--json"])?;
     let gate: Option<f64> = flags.parsed("--gate")?;
-    // 0 records "the machine's default" in the document.
-    let threads = flags.size("--threads", 0, 1)?;
     let m_values: &[usize] = if flags.has("--smoke") {
         &[8192, 65_536]
     } else {
@@ -107,17 +99,11 @@ pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
     let mut points = Vec::new();
     for &m in m_values {
         let (serial_ms, serial_prof, blocks) = profile_ms(m, ReplayStrategy::Serial);
-        let (parallel_ms, parallel_prof, _) = profile_ms(
-            m,
-            ReplayStrategy::Parallel {
-                memoize: true,
-                threads: (threads > 0).then_some(threads),
-            },
-        );
-        let counters_match = serial_prof == parallel_prof;
-        let speedup = serial_ms / parallel_ms;
+        let (memoized_ms, memoized_prof, _) = profile_ms(m, ReplayStrategy::Memoized);
+        let counters_match = serial_prof == memoized_prof;
+        let speedup = serial_ms / memoized_ms;
         eprintln!(
-            "M={m:>7} blocks={blocks:>6}: serial {serial_ms:>9.1} ms, parallel {parallel_ms:>9.1} ms, speedup {speedup:.2}x, counters {}",
+            "M={m:>7} blocks={blocks:>6}: serial {serial_ms:>9.1} ms, memoized {memoized_ms:>9.1} ms, speedup {speedup:.2}x, counters {}",
             if counters_match { "match" } else { "MISMATCH" }
         );
         points.push(ReplayPoint {
@@ -126,9 +112,8 @@ pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
             n: N as u64,
             blocks,
             serial_ms,
-            parallel_ms,
+            memoized_ms,
             speedup,
-            threads: threads as u64,
             counters_match,
         });
     }
@@ -136,7 +121,7 @@ pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
     let mut gates = Gates::default();
     gates.check(
         points.iter().all(|p| p.counters_match),
-        "parallel replay drifted from serial counters",
+        "memoized replay drifted from serial counters",
     );
     if let Some(min) = gate {
         let last = points.last().expect("at least one point");

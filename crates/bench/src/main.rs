@@ -34,8 +34,8 @@ const USAGE: &str = "usage: ks-bench <command> [flags]
                (the §V 3.7x projection, run with a vendor-quality GEMM)
   device-study
                (fused vs cuBLAS-Unfused on a GTX980 and L2-size variants)
-  replay       [--smoke] [--gate X] [--threads N] [--json PATH]
-               (serial vs parallel trace replay; counters must match and
+  replay       [--smoke] [--gate X] [--json PATH]
+               (serial vs memoized trace replay; counters must match and
                 the largest point must reach X times serial speed)
   pool         [--smoke] [--devices N] [--queries N] [--seed S] [--json PATH]
                (1- vs N-device pooled serving, N >= 2, default 4)

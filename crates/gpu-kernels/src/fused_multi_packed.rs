@@ -772,6 +772,33 @@ mod tests {
         }
     }
 
+    /// Memoized replay profiles a verified packed launch (three
+    /// segments of mixed R, one block class each) exactly as the
+    /// serial walk does, in every field of every kernel profile.
+    #[test]
+    fn packed_memoized_replay_equals_serial() {
+        let geo = TileGeometry::paper_default();
+        let shape = |m, n| GemmShape { m, n, k: 32 };
+        let segs = [
+            seg(shape(256, 256), 1, 1.0, 41),
+            seg(shape(256, 128), 3, 0.9, 42),
+            seg(shape(128, 256), 8, 1.1, 43),
+        ];
+        let specs: Vec<_> = segs.iter().map(spec).collect();
+        let profile = |strategy| {
+            let mut dev = GpuDevice::gtx970();
+            dev.set_replay_strategy(strategy);
+            execute_fused_multi_packed_with(&mut dev, &geo, &specs, true)
+                .unwrap()
+                .1
+        };
+        let serial = profile(ks_gpu_sim::ReplayStrategy::Serial);
+        let memo = profile(ks_gpu_sim::ReplayStrategy::Memoized);
+        let packed = serial.kernels.last().expect("packed launch profiled");
+        assert_eq!(packed.launch.total_blocks(), 4 + 2 + 2);
+        assert_eq!(serial, memo);
+    }
+
     /// Plan-cache-aware packing: segments sharing a corpus key share
     /// one upload, cold sharers share one norms pass, and a warm
     /// sharer keeps its own uploaded norms (warmth never migrates:

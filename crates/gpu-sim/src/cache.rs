@@ -72,9 +72,7 @@ const INVALID: Line = Line {
 /// clock. Replacement only ever compares `lru` stamps within one set,
 /// so per-set clocks are observably identical to a single global
 /// clock (relative order within a set is preserved, and invalid lines
-/// always lose the `min_by_key` because a valid stamp is ≥ 1) — and
-/// they make disjoint set ranges fully independent state, which is
-/// what [`Cache::shards`] exploits for parallel replay.
+/// always lose the `min_by_key` because a valid stamp is ≥ 1).
 #[inline]
 fn access_set(
     ways: &mut [Line],
@@ -209,18 +207,6 @@ impl Cache {
         (set, line_addr)
     }
 
-    /// Number of sets.
-    #[must_use]
-    pub fn num_sets(&self) -> usize {
-        self.sets
-    }
-
-    /// The set index servicing `addr` (for set-sharded replay).
-    #[must_use]
-    pub fn set_index(&self, addr: u64) -> usize {
-        self.set_of(addr).0
-    }
-
     /// Services a read of the sector containing `addr`. A miss fills
     /// the line (counts one DRAM read) and may write back a dirty
     /// victim (counts one DRAM write).
@@ -247,59 +233,6 @@ impl Cache {
             tag,
             true,
         )
-    }
-
-    /// Splits the cache into `n` disjoint contiguous set-range shards,
-    /// each independently simulatable on its own thread. Every shard
-    /// carries its own [`CacheStats`]; callers fold them back with
-    /// [`Cache::absorb_stats`] after the parallel section.
-    ///
-    /// Because sets share no state, replaying each set's accesses in
-    /// their original global order — which a per-shard pass over a
-    /// block-ordered event stream preserves — leaves the cache lines,
-    /// clocks and summed statistics identical to a serial replay.
-    pub fn shards(&mut self, n: usize) -> Vec<CacheShard<'_>> {
-        let n = n.clamp(1, self.sets);
-        let per = self.sets.div_ceil(n);
-        let assoc = self.assoc;
-        let line_bytes = self.line_bytes;
-        let hashed_index = self.hashed_index;
-        let sets_total = self.sets;
-        let mut out = Vec::with_capacity(n);
-        let mut lines = self.lines.as_mut_slice();
-        let mut clocks = self.clocks.as_mut_slice();
-        let mut set_lo = 0;
-        while set_lo < self.sets {
-            let take = per.min(self.sets - set_lo);
-            let (l, rest_l) = lines.split_at_mut(take * assoc);
-            let (c, rest_c) = clocks.split_at_mut(take);
-            lines = rest_l;
-            clocks = rest_c;
-            out.push(CacheShard {
-                lines: l,
-                clocks: c,
-                set_lo,
-                set_hi: set_lo + take,
-                assoc,
-                line_bytes,
-                hashed_index,
-                sets_total,
-                stats: CacheStats::default(),
-            });
-            set_lo += take;
-        }
-        out
-    }
-
-    /// Adds shard-local statistics back into the cache's ledger.
-    pub fn absorb_stats(&mut self, s: &CacheStats) {
-        self.stats.read_accesses += s.read_accesses;
-        self.stats.read_hits += s.read_hits;
-        self.stats.read_misses += s.read_misses;
-        self.stats.write_accesses += s.write_accesses;
-        self.stats.write_hits += s.write_hits;
-        self.stats.write_misses += s.write_misses;
-        self.stats.write_backs += s.write_backs;
     }
 
     /// Writes back every dirty line (end-of-run accounting) and marks
@@ -331,82 +264,6 @@ impl Cache {
                 *line = INVALID;
             }
         }
-    }
-}
-
-/// A disjoint contiguous range of a [`Cache`]'s sets, borrowed out by
-/// [`Cache::shards`] for parallel set-sharded replay. Accesses whose
-/// set index falls outside the shard are rejected by an assertion —
-/// callers filter the event stream with [`CacheShard::owns`] first.
-pub struct CacheShard<'a> {
-    lines: &'a mut [Line],
-    clocks: &'a mut [u64],
-    set_lo: usize,
-    set_hi: usize,
-    assoc: usize,
-    line_bytes: u64,
-    hashed_index: bool,
-    sets_total: usize,
-    stats: CacheStats,
-}
-
-impl CacheShard<'_> {
-    #[inline]
-    fn set_of(&self, addr: u64) -> (usize, u64) {
-        let line_addr = addr / self.line_bytes;
-        let key = if self.hashed_index {
-            line_addr ^ (line_addr >> 7) ^ (line_addr >> 14)
-        } else {
-            line_addr
-        };
-        ((key % self.sets_total as u64) as usize, line_addr)
-    }
-
-    /// True when this shard's set range services `addr`.
-    #[inline]
-    #[must_use]
-    pub fn owns(&self, addr: u64) -> bool {
-        let (set, _) = self.set_of(addr);
-        set >= self.set_lo && set < self.set_hi
-    }
-
-    /// The shard's set range (for diagnostics).
-    #[must_use]
-    pub fn set_range(&self) -> std::ops::Range<usize> {
-        self.set_lo..self.set_hi
-    }
-
-    #[inline]
-    fn access(&mut self, addr: u64, write: bool) -> Access {
-        let (set, tag) = self.set_of(addr);
-        debug_assert!(
-            set >= self.set_lo && set < self.set_hi,
-            "address outside shard set range"
-        );
-        let local = set - self.set_lo;
-        access_set(
-            &mut self.lines[local * self.assoc..(local + 1) * self.assoc],
-            &mut self.clocks[local],
-            &mut self.stats,
-            tag,
-            write,
-        )
-    }
-
-    /// Shard-local equivalent of [`Cache::read`].
-    pub fn read(&mut self, addr: u64) -> Access {
-        self.access(addr, false)
-    }
-
-    /// Shard-local equivalent of [`Cache::write`].
-    pub fn write(&mut self, addr: u64) -> Access {
-        self.access(addr, true)
-    }
-
-    /// Statistics accumulated by this shard.
-    #[must_use]
-    pub fn stats(&self) -> CacheStats {
-        self.stats
     }
 }
 
@@ -521,103 +378,5 @@ mod tests {
     #[should_panic(expected = "capacity below one set")]
     fn rejects_capacity_below_one_set() {
         let _ = Cache::new(64, 16, 32);
-    }
-
-    /// Deterministic mixed read/write stream over a footprint larger
-    /// than the cache, so hits, misses, evictions and write-backs all
-    /// occur.
-    fn stress_stream(len: usize) -> Vec<(u64, bool)> {
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        (0..len)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
-                let addr = (state >> 16) % (8 * 1024);
-                (addr, state & 1 == 0)
-            })
-            .collect()
-    }
-
-    fn apply_serial(c: &mut Cache, stream: &[(u64, bool)]) {
-        for &(addr, write) in stream {
-            if write {
-                c.write(addr);
-            } else {
-                c.read(addr);
-            }
-        }
-    }
-
-    fn apply_sharded(c: &mut Cache, stream: &[(u64, bool)], n: usize) {
-        let mut shards = c.shards(n);
-        let stats: Vec<CacheStats> = shards
-            .iter_mut()
-            .map(|shard| {
-                // Each shard scans the whole stream in original order,
-                // keeping only its own sets — the global per-set order
-                // is preserved.
-                for &(addr, write) in stream {
-                    if shard.owns(addr) {
-                        if write {
-                            shard.write(addr);
-                        } else {
-                            shard.read(addr);
-                        }
-                    }
-                }
-                shard.stats()
-            })
-            .collect();
-        for s in &stats {
-            c.absorb_stats(s);
-        }
-    }
-
-    #[test]
-    fn sharded_replay_matches_serial_stats_and_state() {
-        let stream = stress_stream(4096);
-        for n in [1, 2, 3, 7, 16] {
-            let mut serial = Cache::new(1024, 4, 32);
-            apply_serial(&mut serial, &stream);
-            let mut sharded = Cache::new(1024, 4, 32);
-            apply_sharded(&mut sharded, &stream, n);
-            assert_eq!(serial.stats(), sharded.stats(), "{n} shards");
-            // Post-state must match too: flushing counts the same
-            // dirty lines, and a follow-up serial pass behaves the
-            // same (tags + LRU order survived the sharded replay).
-            assert_eq!(serial.flush_dirty(), sharded.flush_dirty(), "{n} shards");
-            apply_serial(&mut serial, &stream);
-            apply_serial(&mut sharded, &stream);
-            assert_eq!(serial.stats(), sharded.stats(), "{n} shards, 2nd pass");
-        }
-    }
-
-    #[test]
-    fn sharded_replay_matches_serial_on_hashed_cache() {
-        let stream = stress_stream(2048);
-        let mut serial = Cache::new_hashed(1024, 4, 32);
-        apply_serial(&mut serial, &stream);
-        let mut sharded = Cache::new_hashed(1024, 4, 32);
-        apply_sharded(&mut sharded, &stream, 5);
-        assert_eq!(serial.stats(), sharded.stats());
-    }
-
-    #[test]
-    fn shards_cover_all_sets_exactly_once() {
-        let mut c = Cache::new(1792 * 1024, 16, 32);
-        let shards = c.shards(7);
-        let mut covered = 0;
-        let mut next = 0;
-        for s in &shards {
-            let r = s.set_range();
-            assert_eq!(r.start, next, "ranges contiguous");
-            next = r.end;
-            covered += r.len();
-        }
-        assert_eq!(covered, 3584);
-        // More shards than sets clamps to one set per shard.
-        let mut tiny = Cache::new(128, 2, 32);
-        assert_eq!(tiny.shards(99).len(), 2);
     }
 }

@@ -527,30 +527,17 @@ mod tests {
     }
 
     #[test]
-    fn parallel_replay_matches_serial_on_homogeneous_kernel() {
+    fn memoized_replay_matches_serial_on_homogeneous_kernel() {
         for stride in [32usize, 3] {
             let serial = profile_with(ReplayStrategy::Serial, stride);
-            for threads in [1, 2, 7, 16] {
-                for memoize in [false, true] {
-                    let par = profile_with(
-                        ReplayStrategy::Parallel {
-                            memoize,
-                            threads: Some(threads),
-                        },
-                        stride,
-                    );
-                    assert_eq!(
-                        serial.counters, par.counters,
-                        "stride {stride}, {threads} threads, memoize {memoize}"
-                    );
-                    assert_eq!(serial.mem, par.mem, "stride {stride}, {threads} threads");
-                }
-            }
+            let memo = profile_with(ReplayStrategy::Memoized, stride);
+            assert_eq!(serial.counters, memo.counters, "stride {stride}");
+            assert_eq!(serial.mem, memo.mem, "stride {stride}");
         }
     }
 
     #[test]
-    fn parallel_replay_matches_serial_on_heterogeneous_kernel() {
+    fn memoized_replay_matches_serial_on_heterogeneous_kernel() {
         let n = 32 * 1024;
         let run = |strategy: ReplayStrategy| {
             let mut dev = GpuDevice::gtx970();
@@ -560,41 +547,40 @@ mod tests {
             dev.launch(&Streamer { x, y, n }).unwrap()
         };
         let serial = run(ReplayStrategy::Serial);
-        let par = run(ReplayStrategy::Parallel {
-            memoize: true,
-            threads: Some(5),
-        });
-        assert_eq!(serial.counters, par.counters);
-        assert_eq!(serial.mem, par.mem);
+        let memo = run(ReplayStrategy::Memoized);
+        assert_eq!(serial.counters, memo.counters);
+        assert_eq!(serial.mem, memo.mem);
     }
 
+    /// With per-SM L1s a memoized launch replays serially: an L1
+    /// filters each member's L2 stream through its own history.
     #[test]
-    fn parallel_replay_matches_serial_with_l1s() {
+    fn memoized_replay_matches_serial_with_l1s() {
         let mut cfg = crate::config::DeviceConfig::gtx970();
         cfg.l1_cache_global_loads = true;
-        let n = 16 * 1024;
         let run = |strategy: ReplayStrategy| {
             let mut dev = GpuDevice::new(cfg.clone());
             dev.set_replay_strategy(strategy);
-            let x = dev.alloc(n);
-            let y = dev.alloc(n);
-            dev.launch(&Streamer { x, y, n }).unwrap()
+            let x = dev.alloc(64 * 64);
+            let y = dev.alloc(64 * 64);
+            dev.launch(&Tiled {
+                x,
+                y,
+                blocks: 64,
+                stride: 32,
+            })
+            .unwrap()
         };
         let serial = run(ReplayStrategy::Serial);
-        for threads in [1, 4] {
-            let par = run(ReplayStrategy::Parallel {
-                memoize: true,
-                threads: Some(threads),
-            });
-            assert_eq!(serial.counters, par.counters, "{threads} threads");
-            assert_eq!(serial.mem, par.mem, "{threads} threads");
-        }
+        let memo = run(ReplayStrategy::Memoized);
+        assert_eq!(serial.counters, memo.counters);
+        assert_eq!(serial.mem, memo.mem);
     }
 
     /// A kernel that mis-declares its class (all blocks claim the
     /// same key and anchors, but block 1 actually strides
     /// differently): the per-class spot-check must catch it and fall
-    /// back to direct replay, keeping parallel == serial.
+    /// back to direct replay, keeping memoized == serial.
     struct Liar {
         x: BufId,
     }
@@ -640,12 +626,61 @@ mod tests {
             dev.launch(&Liar { x }).unwrap()
         };
         let serial = run(ReplayStrategy::Serial);
-        let par = run(ReplayStrategy::Parallel {
-            memoize: true,
-            threads: Some(4),
-        });
-        assert_eq!(serial.counters, par.counters);
-        assert_eq!(serial.mem, par.mem);
+        let memo = run(ReplayStrategy::Memoized);
+        assert_eq!(serial.counters, memo.counters);
+        assert_eq!(serial.mem, memo.mem);
+    }
+
+    /// A heterogeneous kernel whose single class is honest about its
+    /// global stream but not its compute: odd blocks issue 9 FFMAs,
+    /// even blocks 1. Block 1 is the spot-checked member, so only a
+    /// spot-check that compares the full counters rejects the class
+    /// before block 3 would take block 0's counters.
+    struct Uneven {
+        x: BufId,
+    }
+
+    impl Kernel for Uneven {
+        fn name(&self) -> String {
+            "uneven".into()
+        }
+        fn launch_config(&self) -> LaunchConfig {
+            LaunchConfig::new(Dim3::new_1d(4), 32u32)
+        }
+        fn resources(&self) -> KernelResources {
+            KernelResources {
+                threads_per_block: 32,
+                regs_per_thread: 16,
+                smem_bytes_per_block: 0,
+            }
+        }
+        fn execute_block(&self, _: Dim3, _: &mut BlockCtx) {}
+        fn block_traffic(&self, block: Dim3, sink: &mut crate::traffic::TrafficSink) {
+            let base = block.x as usize * 32;
+            sink.global_read(self.x, &full_warp_idx(|l| base + l), 1);
+            sink.ffma(if block.x % 2 == 1 { 9 } else { 1 });
+        }
+        fn block_class(&self, block: Dim3) -> Option<crate::kernel::BlockClass> {
+            Some(crate::kernel::BlockClass {
+                key: 0,
+                anchors: vec![(self.x, block.x as usize * 32)],
+            })
+        }
+    }
+
+    #[test]
+    fn memo_spot_check_compares_local_counters_too() {
+        let run = |strategy: ReplayStrategy| {
+            let mut dev = GpuDevice::gtx970();
+            dev.set_replay_strategy(strategy);
+            let x = dev.alloc(4 * 32);
+            dev.launch(&Uneven { x }).unwrap()
+        };
+        let serial = run(ReplayStrategy::Serial);
+        let memo = run(ReplayStrategy::Memoized);
+        assert_eq!(serial.counters.ffma_insts, 2 * 9 + 2);
+        assert_eq!(serial.counters, memo.counters);
+        assert_eq!(serial.mem, memo.mem);
     }
 
     #[test]

@@ -106,8 +106,7 @@ pub struct AnalysisBudget {
 }
 
 /// Declares which translation class a block's global traffic belongs
-/// to, enabling block-class memoization during parallel replay (see
-/// `crate::replay`).
+/// to, enabling memoized replay (see `crate::replay`).
 ///
 /// Two blocks with the same `key` must issue **identical** warp-level
 /// instruction streams whose global accesses differ only by a
@@ -164,9 +163,9 @@ pub trait Kernel: Sync {
 
     /// True if every block issues the identical compute and
     /// shared-memory instruction stream (global addresses may differ).
-    /// Enables the fast profiling path: one block's local counters are
-    /// scaled by the grid size and only global traffic is replayed
-    /// per block. All kernels in this workspace are homogeneous
+    /// Enables the serial replay's fast path: one block's local
+    /// counters are scaled by the grid size and only global traffic is
+    /// replayed per block. Memoized replay does not consult it. All kernels in this workspace are homogeneous
     /// because the tilings require exact divisibility.
     fn traffic_homogeneous(&self) -> bool {
         false

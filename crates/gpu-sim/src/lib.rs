@@ -27,8 +27,8 @@
 //! * [`exec`] — functional block-synchronous execution engine.
 //! * [`fault`] — deterministic, seeded soft-error injection (SMEM /
 //!   register / DRAM bit flips, SM loss, watchdog kills).
-//! * [`replay`] — deterministic parallel traffic replay: sharded
-//!   counting, set-sharded L2 simulation and block-class memoization,
+//! * [`replay`] — traffic replay: one grid-order walk through the live
+//!   L2 on the calling thread, with block-class memoization
 //!   bit-identical to the serial walk ([`replay::ReplayStrategy`]).
 //! * [`device`] — [`device::GpuDevice`]: allocation, launch, profiling.
 //! * [`profiler`] — nvprof-like counters ([`profiler::Counters`],

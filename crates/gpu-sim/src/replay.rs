@@ -1,49 +1,34 @@
-//! Deterministic parallel traffic replay (DESIGN.md §10).
+//! Traffic replay (DESIGN.md §10).
 //!
 //! [`crate::device::GpuDevice::launch`] profiles a kernel by replaying
-//! every block's global-memory traffic through the shared L2. Serially
-//! that is a single in-order walk of the grid. This module parallelises
-//! the walk while keeping every counter **bit-identical** to the serial
-//! replay:
+//! every block's global-memory traffic through the shared L2: one walk
+//! of the grid, in grid order, on the calling thread. Both strategies
+//! leave every counter and the cache state **bit-identical**:
 //!
-//! 1. **Sharded counting.** Per-block [`Counters`] are produced
-//!    independently (blocks share no counter state) and merged in grid
-//!    order, so the totals are independent of worker count and
-//!    schedule.
-//! 2. **Set-sharded L2 simulation.** Each block's L2 sector stream is
-//!    *recorded* ([`TrafficSink::new_recording`]) instead of applied;
-//!    the streams are then concatenated in grid order and partitioned
-//!    by set index ([`Cache::shards`]). Cache sets share no state, and
-//!    each shard sees its sets' accesses in the original global order,
-//!    so the per-set LRU decisions — and therefore hits, misses and
-//!    write-backs — are provably those of the serial replay.
-//! 3. **Block-class memoization.** Tiled kernels declare a
-//!    [`crate::kernel::BlockClass`]: blocks with the same key issue
-//!    identical warp streams modulo a constant per-buffer address
-//!    offset. Each class replays one representative; members reuse its
-//!    counters and replay the representative's stream with a
-//!    per-buffer byte translation applied on the fly — no member
-//!    stream is ever materialised. A translation whose offset is not a
-//!    whole number of sectors falls back to direct replay, and every
-//!    class spot-checks one non-representative member against a direct
-//!    recording before being trusted.
+//! 1. **Grid-order fold.** Per-block [`Counters`] are summed in grid
+//!    order — the launch's canonical reduction, shared with the
+//!    counted functional path (`merge_grid_order`).
+//! 2. **Block-class memoization** ([`ReplayStrategy::Memoized`]).
+//!    Tiled kernels declare a [`crate::kernel::BlockClass`]: blocks
+//!    with the same key issue identical warp streams modulo a constant
+//!    per-buffer address offset. The first block of a class (its
+//!    representative) is recorded in full — compute, shared and global
+//!    counters plus its L2 sector stream. A later member takes the
+//!    representative's counters and streams its recorded sectors,
+//!    shifted per buffer, straight into the live L2 in the member's own
+//!    grid slot, so the L2 sees exactly the serial access order. A
+//!    shift that is not a whole number of sectors walks the block
+//!    directly, and every class spot-checks its first translatable
+//!    member against a direct recording (counters and translated
+//!    stream) before any member is translated.
 //!
-//! When the device models per-SM L1s, blocks are partitioned by the
-//! round-robin CTA→SM assignment instead: each SM's blocks replay in
-//! grid order against that SM's private L1 (exactly the serial
-//! interleaving an L1 observes), and the surviving L2 events are
-//! reassembled in global block order before the set-sharded pass.
-//!
-//! Streams are processed in bounded *waves* so paper-scale grids never
-//! hold the whole launch's event log in memory; the wave length adapts
-//! to the observed events-per-block.
+//! A device with per-SM L1s replays serially: an L1 filters the L2
+//! stream through history that differs per member.
 
-use std::collections::HashMap;
-
-use rayon::prelude::*;
+use std::collections::hash_map::{Entry, HashMap};
 
 use crate::buffer::{BufId, GlobalMem};
-use crate::cache::{Cache, CacheStats};
+use crate::cache::Cache;
 use crate::config::DeviceConfig;
 use crate::dim::Dim3;
 use crate::kernel::Kernel;
@@ -51,38 +36,17 @@ use crate::profiler::Counters;
 use crate::traffic::{L2Event, SinkMode, TrafficSink};
 
 /// How a launch replays traffic through the memory system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReplayStrategy {
-    /// Block-by-block through the live L2 — the reference semantics.
+    /// Every block walks its traffic through the live L2 — the
+    /// reference semantics.
     Serial,
-    /// Record / set-shard / merge (see module docs). Produces counters
-    /// and cache state bit-identical to [`ReplayStrategy::Serial`] for
-    /// every thread count.
-    Parallel {
-        /// Replay translation-equivalent blocks once per class.
-        memoize: bool,
-        /// Worker / L2-shard count; `None` uses the ambient rayon
-        /// thread count.
-        threads: Option<usize>,
-    },
+    /// Class members replay their representative's recorded sectors
+    /// (see module docs). Counters and cache state are bit-identical to
+    /// [`ReplayStrategy::Serial`].
+    #[default]
+    Memoized,
 }
-
-impl Default for ReplayStrategy {
-    fn default() -> Self {
-        ReplayStrategy::Parallel {
-            memoize: true,
-            threads: None,
-        }
-    }
-}
-
-/// First-wave length before the events-per-block estimate exists.
-const FIRST_WAVE_BLOCKS: usize = 64;
-/// Wave length bounds once adaptive.
-const MIN_WAVE_BLOCKS: usize = 64;
-const MAX_WAVE_BLOCKS: usize = 4096;
-/// Target in-memory L2 events per wave (~4M events ≈ 100 MB of logs).
-const EVENT_BUDGET: usize = 4 << 20;
 
 /// Replays `kernel`'s traffic per `strategy`, returning the merged
 /// counters. The L2 (and any L1s) are updated exactly as a serial
@@ -95,12 +59,19 @@ pub(crate) fn replay(
     kernel: &dyn Kernel,
     strategy: ReplayStrategy,
 ) -> Counters {
-    match strategy {
-        ReplayStrategy::Serial => replay_serial(mem, l2, l1s, cfg, kernel),
-        ReplayStrategy::Parallel { memoize, threads } => {
-            let threads = threads.unwrap_or_else(rayon::current_num_threads).max(1);
-            replay_parallel(mem, l2, l1s, cfg, kernel, memoize, threads)
-        }
+    let lc = kernel.launch_config();
+    let memoize = strategy == ReplayStrategy::Memoized
+        && l1s.is_empty()
+        && lc.total_blocks() > 1
+        && lc
+            .grid
+            .iter_indices()
+            .next()
+            .is_some_and(|b| kernel.block_class(b).is_some());
+    if memoize {
+        replay_memoized(mem, l2, cfg, kernel)
+    } else {
+        replay_serial(mem, l2, l1s, cfg, kernel)
     }
 }
 
@@ -155,453 +126,172 @@ fn replay_serial(
     }
 }
 
-fn replay_parallel(
+/// Whether a class's members may take the representative's recording.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Trust {
+    /// No member has been checked yet: the next translatable member is
+    /// recorded directly and compared.
+    Unchecked,
+    /// A member reproduced the translated recording exactly.
+    Trusted,
+    /// A member disagreed; every later member is walked directly.
+    Rejected,
+}
+
+/// One block class: its representative's full recording.
+struct MemoClass {
+    /// The representative's per-buffer anchors (element offsets).
+    anchors: Vec<(BufId, usize)>,
+    /// The representative's counters (compute, shared and global).
+    counters: Counters,
+    /// The representative's L2 sector stream.
+    events: Vec<L2Event>,
+    trust: Trust,
+}
+
+/// The memoized walk (see module docs): one pass over the grid in grid
+/// order. Representatives and spot-checked members are recorded, then
+/// streamed into the L2 in their own grid slot; members of a trusted
+/// class stream the representative's sectors shifted per buffer; every
+/// other block walks its traffic through a live sink.
+fn replay_memoized(
     mem: &GlobalMem,
     l2: &mut Cache,
-    l1s: &mut [Cache],
     cfg: &DeviceConfig,
     kernel: &dyn Kernel,
-    memoize: bool,
-    threads: usize,
 ) -> Counters {
-    let lc = kernel.launch_config();
-    let blocks: Vec<Dim3> = lc.grid.iter_indices().collect();
-    if blocks.is_empty() {
-        return Counters::default();
-    }
-    let homogeneous = kernel.traffic_homogeneous() && blocks.len() > 1;
-
-    // Compute/shared-memory counters are block-invariant for
-    // homogeneous kernels: one LocalOnly replay of the first block,
-    // scaled — exactly the serial fast path.
-    let mut merged = Counters::default();
-    if homogeneous {
-        let mut sink = TrafficSink::new_recording(mem, cfg.sector_bytes, cfg.smem_banks);
-        sink.set_mode(SinkMode::LocalOnly);
-        kernel.block_traffic(blocks[0], &mut sink);
-        merged = sink.counters;
-        merged.scale(blocks.len() as u64);
-    }
-    let mode = if homogeneous {
-        SinkMode::GlobalOnly
-    } else {
-        SinkMode::Full
-    };
-
-    // Memoization needs homogeneous traffic (class members must agree
-    // on compute/shared counters) and no L1s (an L1 filters the L2
-    // stream through history that differs per member).
-    let plan = if memoize && homogeneous && l1s.is_empty() {
-        MemoPlan::build(mem, cfg, kernel, &blocks)
-    } else {
-        None
-    };
-
-    let mut wave_len = FIRST_WAVE_BLOCKS.min(blocks.len());
-    let mut start = 0;
-    while start < blocks.len() {
-        let end = (start + wave_len).min(blocks.len());
-        let wave = &blocks[start..end];
-        let generated: Vec<(Counters, BlockStream)> = if l1s.is_empty() {
-            generate_wave(mem, cfg, kernel, wave, start, mode, plan.as_ref())
-        } else {
-            generate_wave_l1(mem, cfg, kernel, l1s, wave, start, mode)
+    let sector_bytes = u64::from(cfg.sector_bytes);
+    let mut classes: HashMap<u64, MemoClass> = HashMap::new();
+    // Dense per-buffer byte shift of the current member (buffer ids
+    // are small dense indices).
+    let mut shift: Vec<i64> = Vec::new();
+    let mut total = Counters::default();
+    for (gi, b) in kernel.launch_config().grid.iter_indices().enumerate() {
+        let Some(bc) = kernel.block_class(b) else {
+            total.merge(&walk_block(mem, l2, cfg, kernel, b, gi));
+            continue;
         };
-        let events_total: usize = generated.iter().map(|(_, s)| s.len(plan.as_ref())).sum();
-        simulate_wave(l2, &generated, plan.as_ref(), threads);
-        for (c, _) in &generated {
-            merged.merge(c);
+        let cl = match classes.entry(bc.key) {
+            Entry::Vacant(slot) => {
+                let (counters, events) = record_block(mem, cfg, kernel, b, gi);
+                stream(l2, &events, &[]);
+                total.merge(&counters);
+                slot.insert(MemoClass {
+                    anchors: bc.anchors,
+                    counters,
+                    events,
+                    trust: Trust::Unchecked,
+                });
+                continue;
+            }
+            Entry::Occupied(slot) => slot.into_mut(),
+        };
+        if cl.trust == Trust::Rejected
+            || !fill_shift(&cl.anchors, &bc.anchors, sector_bytes, &mut shift)
+        {
+            total.merge(&walk_block(mem, l2, cfg, kernel, b, gi));
+        } else if cl.trust == Trust::Trusted {
+            stream(l2, &cl.events, &shift);
+            total.merge(&cl.counters);
+        } else {
+            let (counters, events) = record_block(mem, cfg, kernel, b, gi);
+            let agrees = counters == cl.counters
+                && events.len() == cl.events.len()
+                && events.iter().zip(&cl.events).all(|(d, r)| {
+                    d.buf == r.buf && d.write == r.write && d.addr == shifted(r, &shift)
+                });
+            cl.trust = if agrees {
+                Trust::Trusted
+            } else {
+                Trust::Rejected
+            };
+            stream(l2, &events, &[]);
+            total.merge(&counters);
         }
-        start = end;
-        let per_block = (events_total / wave.len()).max(1);
-        wave_len = (EVENT_BUDGET / per_block).clamp(MIN_WAVE_BLOCKS, MAX_WAVE_BLOCKS);
     }
-    merged
+    total
 }
 
-/// One block's contribution to a wave's L2 traffic.
-enum BlockStream {
-    /// A directly recorded event log.
-    Direct(Vec<L2Event>),
-    /// A memoized member: replay the class representative's log,
-    /// shifting each event by its buffer's byte delta on the fly
-    /// (empty deltas = the representative itself).
-    Memo {
-        /// Index into [`MemoPlan::classes`].
-        class: usize,
-        /// Per-buffer byte deltas (only buffers with non-zero shift).
-        deltas: Deltas,
-    },
+/// Walks one block's traffic through a live sink in Full mode.
+fn walk_block(
+    mem: &GlobalMem,
+    l2: &mut Cache,
+    cfg: &DeviceConfig,
+    kernel: &dyn Kernel,
+    block: Dim3,
+    linear_idx: usize,
+) -> Counters {
+    let mut sink = TrafficSink::new(mem, l2, cfg.sector_bytes, cfg.smem_banks);
+    sink.begin_block(linear_idx as u64);
+    kernel.block_traffic(block, &mut sink);
+    sink.counters
 }
 
-impl BlockStream {
-    /// Number of L2 events this stream will produce.
-    fn len(&self, plan: Option<&MemoPlan>) -> usize {
-        match self {
-            BlockStream::Direct(ev) => ev.len(),
-            BlockStream::Memo { class, .. } => plan.expect("memo stream implies a plan").classes
-                [*class]
-                .events
-                .len(),
-        }
-    }
-}
-
-/// Records one block's traffic into an event log.
+/// Records one block's traffic in Full mode: its counters and its L2
+/// sector stream.
 fn record_block(
     mem: &GlobalMem,
     cfg: &DeviceConfig,
     kernel: &dyn Kernel,
     block: Dim3,
     linear_idx: usize,
-    mode: SinkMode,
 ) -> (Counters, Vec<L2Event>) {
     let mut sink = TrafficSink::new_recording(mem, cfg.sector_bytes, cfg.smem_banks);
-    sink.set_mode(mode);
     sink.begin_block(linear_idx as u64);
     kernel.block_traffic(block, &mut sink);
     let events = sink.take_recorded();
     (sink.counters, events)
 }
 
-/// Produces `(counters, stream)` for every block of a wave, in wave
-/// order, spending a real replay only on blocks the memo plan cannot
-/// serve by translation.
-fn generate_wave(
-    mem: &GlobalMem,
-    cfg: &DeviceConfig,
-    kernel: &dyn Kernel,
-    wave: &[Dim3],
-    base: usize,
-    mode: SinkMode,
-    plan: Option<&MemoPlan>,
-) -> Vec<(Counters, BlockStream)> {
-    (0..wave.len())
-        .into_par_iter()
-        .map(|i| {
-            let gi = base + i;
-            if let Some(p) = plan {
-                if let Some((ci, anchors)) = &p.assignment[gi] {
-                    let cl = &p.classes[*ci];
-                    if cl.valid {
-                        let deltas = if gi == cl.rep_idx {
-                            Some(Vec::new())
-                        } else {
-                            compute_deltas(&cl.rep_anchors, anchors, u64::from(cfg.sector_bytes))
-                        };
-                        if let Some(deltas) = deltas {
-                            return (cl.counters, BlockStream::Memo { class: *ci, deltas });
-                        }
-                    }
-                }
-            }
-            let (c, ev) = record_block(mem, cfg, kernel, wave[i], gi, mode);
-            (c, BlockStream::Direct(ev))
-        })
-        .collect()
-}
-
-/// Wave generation when per-SM L1s are live. Blocks are partitioned by
-/// the round-robin CTA→SM assignment (`linear_idx % num_sms` — the
-/// same rule [`TrafficSink::begin_block`] applies serially); each SM
-/// worker replays its blocks in grid order against its private L1, so
-/// every L1 observes exactly the serial access interleaving. The
-/// recorded L2 streams are then reassembled in global block order.
-fn generate_wave_l1(
-    mem: &GlobalMem,
-    cfg: &DeviceConfig,
-    kernel: &dyn Kernel,
-    l1s: &mut [Cache],
-    wave: &[Dim3],
-    base: usize,
-    mode: SinkMode,
-) -> Vec<(Counters, BlockStream)> {
-    let num_sms = l1s.len();
-    let mut per_sm: Vec<Vec<usize>> = vec![Vec::new(); num_sms];
-    for i in 0..wave.len() {
-        per_sm[(base + i) % num_sms].push(i);
-    }
-    let items: Vec<(&mut Cache, Vec<usize>)> = l1s.iter_mut().zip(per_sm).collect();
-    let results: Vec<Vec<(usize, Counters, Vec<L2Event>)>> = items
-        .into_par_iter()
-        .map(|(l1, idxs)| {
-            let mut out = Vec::with_capacity(idxs.len());
-            let mut sink = TrafficSink::new_recording(mem, cfg.sector_bytes, cfg.smem_banks);
-            sink.set_mode(mode);
-            // A single attached L1 ⇒ `begin_block` pins `current_sm`
-            // to 0; the partition above already realised the CTA→SM
-            // mapping.
-            sink.set_l1s(std::slice::from_mut(l1));
-            for i in idxs {
-                sink.counters = Counters::default();
-                sink.begin_block((base + i) as u64);
-                kernel.block_traffic(wave[i], &mut sink);
-                let ev = sink.take_recorded();
-                out.push((i, sink.counters, ev));
-            }
-            out
-        })
-        .collect();
-    let mut wave_out: Vec<Option<(Counters, Vec<L2Event>)>> =
-        (0..wave.len()).map(|_| None).collect();
-    for sm in results {
-        for (i, c, ev) in sm {
-            wave_out[i] = Some((c, ev));
-        }
-    }
-    wave_out
-        .into_iter()
-        .map(|o| {
-            let (c, ev) = o.expect("every wave block recorded");
-            (c, BlockStream::Direct(ev))
-        })
-        .collect()
-}
-
-/// Iterates a wave's L2 events in global block order, expanding
-/// memoized streams from their class representative with the byte
-/// translation applied on the fly.
-fn for_each_event(
-    streams: &[(Counters, BlockStream)],
-    plan: Option<&MemoPlan>,
-    mut f: impl FnMut(u64, bool),
-) {
-    for (_, s) in streams {
-        match s {
-            BlockStream::Direct(ev) => {
-                for e in ev {
-                    f(e.addr, e.write);
-                }
-            }
-            BlockStream::Memo { class, deltas } => {
-                let cl = &plan.expect("memo stream implies a plan").classes[*class];
-                if deltas.is_empty() {
-                    for e in &cl.events {
-                        f(e.addr, e.write);
-                    }
-                } else {
-                    // Dense per-buffer table: O(1) lookup on the hot
-                    // path (buffer ids are small dense indices).
-                    let max = deltas.iter().map(|(b, _)| b.0).max().unwrap_or(0);
-                    let mut table = vec![0i64; max + 1];
-                    for (b, d) in deltas {
-                        table[b.0] = *d;
-                    }
-                    for e in &cl.events {
-                        let d = table.get(e.buf.0).copied().unwrap_or(0);
-                        f(e.addr.wrapping_add_signed(d), e.write);
-                    }
-                }
-            }
+/// Streams recorded sectors into the L2 in order, each shifted by its
+/// buffer's entry in `shift`.
+fn stream(l2: &mut Cache, events: &[L2Event], shift: &[i64]) {
+    for e in events {
+        let addr = shifted(e, shift);
+        if e.write {
+            l2.write(addr);
+        } else {
+            l2.read(addr);
         }
     }
 }
 
-/// Applies a wave's block-ordered event streams to the L2 through
-/// disjoint set-range shards. Events are first bucketed by owning
-/// shard — one in-order pass, so each bucket keeps its sets' accesses
-/// in the original global order — then all shards replay concurrently.
-fn simulate_wave(
-    l2: &mut Cache,
-    streams: &[(Counters, BlockStream)],
-    plan: Option<&MemoPlan>,
-    threads: usize,
-) {
-    if threads <= 1 {
-        for_each_event(streams, plan, |addr, write| {
-            if write {
-                l2.write(addr);
-            } else {
-                l2.read(addr);
-            }
-        });
-        return;
-    }
-    let sets = l2.num_sets();
-    let n = threads.clamp(1, sets);
-    // Mirror the shard geometry of `Cache::shards`: contiguous ranges
-    // of ceil(sets/n) sets.
-    let per = sets.div_ceil(n);
-    let n_buckets = sets.div_ceil(per);
-    // Pack (sector addr, dir) into one word; sectors are ≥32B-aligned
-    // so bit 0 is free.
-    let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); n_buckets];
-    for_each_event(streams, plan, |addr, write| {
-        let b = l2.set_index(addr) / per;
-        buckets[b].push((addr << 1) | u64::from(write));
-    });
-    let shards = l2.shards(n);
-    debug_assert_eq!(shards.len(), n_buckets);
-    let work: Vec<_> = shards.into_iter().zip(buckets).collect();
-    let stats: Vec<CacheStats> = work
-        .into_par_iter()
-        .map(|(mut shard, bucket)| {
-            for w in bucket {
-                let addr = w >> 1;
-                if w & 1 == 1 {
-                    shard.write(addr);
-                } else {
-                    shard.read(addr);
-                }
-            }
-            shard.stats()
-        })
-        .collect();
-    for s in &stats {
-        l2.absorb_stats(s);
-    }
-}
-
-/// One translation class: the representative's recorded replay plus
-/// the anchors needed to derive members from it.
-struct MemoClass {
-    /// Linear grid index of the representative block.
-    rep_idx: usize,
-    rep_anchors: Vec<(BufId, usize)>,
-    /// The representative's global counters (shared by every member of
-    /// a homogeneous kernel).
-    counters: Counters,
-    /// The representative's L2 sector stream.
-    events: Vec<L2Event>,
-    /// Cleared when the spot-check finds a member whose direct replay
-    /// disagrees with translation; members then replay directly.
-    valid: bool,
-}
-
-/// A block's per-buffer anchor addresses (element offsets).
-type Anchors = Vec<(BufId, usize)>;
-
-/// Memoized-replay plan over the whole grid.
-struct MemoPlan {
-    /// Per block: `(class, member anchors)`, or `None` for direct
-    /// replay.
-    assignment: Vec<Option<(usize, Anchors)>>,
-    classes: Vec<MemoClass>,
-}
-
-impl MemoPlan {
-    /// Groups blocks by class key in first-encounter grid order,
-    /// records each representative, and spot-checks one
-    /// non-representative member per class. Returns `None` when no
-    /// block declares a class (plain replay is cheaper then).
-    fn build(
-        mem: &GlobalMem,
-        cfg: &DeviceConfig,
-        kernel: &dyn Kernel,
-        blocks: &[Dim3],
-    ) -> Option<MemoPlan> {
-        let mut assignment = Vec::with_capacity(blocks.len());
-        let mut classes: Vec<MemoClass> = Vec::new();
-        let mut spot: Vec<Option<usize>> = Vec::new();
-        let mut by_key: HashMap<u64, usize> = HashMap::new();
-        for (gi, &b) in blocks.iter().enumerate() {
-            let Some(bc) = kernel.block_class(b) else {
-                assignment.push(None);
-                continue;
-            };
-            let ci = *by_key.entry(bc.key).or_insert_with(|| {
-                let (counters, events) =
-                    record_block(mem, cfg, kernel, b, gi, SinkMode::GlobalOnly);
-                classes.push(MemoClass {
-                    rep_idx: gi,
-                    rep_anchors: bc.anchors.clone(),
-                    counters,
-                    events,
-                    valid: true,
-                });
-                spot.push(None);
-                classes.len() - 1
-            });
-            let cl = &classes[ci];
-            let compatible = bc.anchors.len() == cl.rep_anchors.len()
-                && bc
-                    .anchors
-                    .iter()
-                    .zip(&cl.rep_anchors)
-                    .all(|(a, r)| a.0 == r.0);
-            if compatible {
-                if gi != cl.rep_idx && spot[ci].is_none() {
-                    spot[ci] = Some(gi);
-                }
-                assignment.push(Some((ci, bc.anchors)));
-            } else {
-                assignment.push(None);
-            }
-        }
-        if classes.is_empty() {
-            return None;
-        }
-        // Spot-check: one non-representative member per class must
-        // reproduce, by direct recording, both the translated stream
-        // and the representative's counters. A failure demotes the
-        // whole class to direct replay.
-        for (ci, s) in spot.iter().enumerate() {
-            let Some(gi) = *s else { continue };
-            let cl = &classes[ci];
-            let Some((_, anchors)) = &assignment[gi] else {
-                continue;
-            };
-            let ok = match compute_deltas(&cl.rep_anchors, anchors, u64::from(cfg.sector_bytes)) {
-                None => false,
-                Some(deltas) => {
-                    let (direct_c, direct_e) =
-                        record_block(mem, cfg, kernel, blocks[gi], gi, SinkMode::GlobalOnly);
-                    direct_c == cl.counters
-                        && direct_e.len() == cl.events.len()
-                        && direct_e.iter().zip(&cl.events).all(|(d, r)| {
-                            d.buf == r.buf
-                                && d.write == r.write
-                                && d.addr == translated_addr(r, &deltas)
-                        })
-                }
-            };
-            if !ok {
-                classes[ci].valid = false;
-            }
-        }
-        Some(MemoPlan {
-            assignment,
-            classes,
-        })
-    }
-}
-
-/// Per-buffer byte deltas translating a representative's stream to a
-/// member's (only buffers with a non-zero shift are listed).
-type Deltas = Vec<(BufId, i64)>;
-
-/// Computes the member's per-buffer byte deltas from the paired
-/// anchors (anchors are element offsets; cells are 4 bytes). Returns
-/// `None` — caller replays directly — when any delta is not a whole
-/// number of sectors, since a sub-sector shift would change how lane
-/// footprints coalesce.
-fn compute_deltas(
-    rep_anchors: &[(BufId, usize)],
-    member_anchors: &[(BufId, usize)],
-    sector_bytes: u64,
-) -> Option<Deltas> {
-    let mut deltas: Deltas = Vec::with_capacity(rep_anchors.len());
-    for (r, m) in rep_anchors.iter().zip(member_anchors) {
-        debug_assert_eq!(r.0, m.0, "anchor buffers compared positionally");
-        let d = (m.1 as i64 - r.1 as i64) * 4;
-        if d.rem_euclid(sector_bytes as i64) != 0 {
-            return None;
-        }
-        if d != 0 {
-            deltas.push((r.0, d));
-        }
-    }
-    Some(deltas)
-}
-
-/// The member's address for one representative event.
+/// The event's address shifted by its buffer's byte delta (buffers
+/// past the end of `shift` do not move).
 #[inline]
-fn translated_addr(e: &L2Event, deltas: &Deltas) -> u64 {
-    let d = deltas
-        .iter()
-        .find(|(b, _)| *b == e.buf)
-        .map_or(0, |(_, d)| *d);
-    e.addr.wrapping_add_signed(d)
+fn shifted(e: &L2Event, shift: &[i64]) -> u64 {
+    e.addr
+        .wrapping_add_signed(shift.get(e.buf.0).copied().unwrap_or(0))
+}
+
+/// Fills `shift` with a member's per-buffer byte deltas from the
+/// paired anchors (element offsets; cells are 4 bytes). Returns
+/// `false` — the member is walked directly — when the anchors name
+/// different buffers, or when a delta is not a whole number of
+/// sectors, since a sub-sector shift would change how lane footprints
+/// coalesce.
+fn fill_shift(
+    rep: &[(BufId, usize)],
+    member: &[(BufId, usize)],
+    sector_bytes: u64,
+    shift: &mut Vec<i64>,
+) -> bool {
+    if rep.len() != member.len() {
+        return false;
+    }
+    shift.clear();
+    for (r, m) in rep.iter().zip(member) {
+        let d = (m.1 as i64 - r.1 as i64) * 4;
+        if r.0 != m.0 || d.rem_euclid(sector_bytes as i64) != 0 {
+            return false;
+        }
+        let buf = r.0 .0;
+        if shift.len() <= buf {
+            shift.resize(buf + 1, 0);
+        }
+        shift[buf] = d;
+    }
+    true
 }
 
 #[cfg(test)]
@@ -609,14 +299,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_strategy_is_memoized_parallel() {
-        assert_eq!(
-            ReplayStrategy::default(),
-            ReplayStrategy::Parallel {
-                memoize: true,
-                threads: None
-            }
-        );
+    fn default_strategy_is_memoized() {
+        assert_eq!(ReplayStrategy::default(), ReplayStrategy::Memoized);
     }
 
     #[test]
@@ -624,6 +308,7 @@ mod tests {
         let mut mem = GlobalMem::new();
         let a = mem.alloc(1024);
         let b = mem.alloc(1024);
+        let c = mem.alloc(1024);
         let events = [
             L2Event {
                 addr: mem.addr_of(a, 0),
@@ -635,21 +320,39 @@ mod tests {
                 buf: b,
                 write: true,
             },
+            L2Event {
+                addr: mem.addr_of(c, 16),
+                buf: c,
+                write: false,
+            },
         ];
-        // Member anchored 64 elements (256 bytes) further into `a`.
-        let deltas = compute_deltas(&[(a, 0), (b, 8)], &[(a, 64), (b, 8)], 32).unwrap();
-        assert_eq!(translated_addr(&events[0], &deltas), mem.addr_of(a, 64));
-        assert_eq!(translated_addr(&events[1], &deltas), events[1].addr);
+        // Member anchored 64 elements (256 bytes) further into `a`;
+        // `c` is not anchored at all.
+        let mut shift = Vec::new();
+        assert!(fill_shift(
+            &[(a, 0), (b, 8)],
+            &[(a, 64), (b, 8)],
+            32,
+            &mut shift
+        ));
+        assert_eq!(shifted(&events[0], &shift), mem.addr_of(a, 64));
+        assert_eq!(shifted(&events[1], &shift), events[1].addr);
+        assert_eq!(shifted(&events[2], &shift), events[2].addr);
     }
 
     #[test]
     fn translate_rejects_subsector_shift() {
         let mut mem = GlobalMem::new();
         let a = mem.alloc(64);
+        let b = mem.alloc(64);
+        let mut shift = Vec::new();
         // 3 elements = 12 bytes: not a whole 32B sector.
-        assert!(compute_deltas(&[(a, 0)], &[(a, 3)], 32).is_none());
+        assert!(!fill_shift(&[(a, 0)], &[(a, 3)], 32, &mut shift));
         // 8 elements = 32 bytes: exactly one sector.
-        assert!(compute_deltas(&[(a, 0)], &[(a, 8)], 32).is_some());
+        assert!(fill_shift(&[(a, 0)], &[(a, 8)], 32, &mut shift));
+        // Anchors naming different buffers never translate.
+        assert!(!fill_shift(&[(a, 0)], &[(b, 0)], 32, &mut shift));
+        assert!(!fill_shift(&[(a, 0)], &[(a, 0), (b, 0)], 32, &mut shift));
     }
 
     #[test]

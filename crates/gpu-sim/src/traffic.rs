@@ -60,8 +60,8 @@ pub struct L2Event {
 }
 
 /// Where a sink's L2 sector transactions go: straight into the live
-/// cache model, or into an in-order event log for deferred
-/// (set-sharded) simulation.
+/// cache model, or into an in-order event log (a memoized replay's
+/// class representatives, see [`crate::replay`]).
 enum L2Backend<'a> {
     Live(&'a mut Cache),
     Record(Vec<L2Event>),

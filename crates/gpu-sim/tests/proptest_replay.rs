@@ -1,14 +1,12 @@
-//! Property-based tests of the parallel replay engine: replayed
-//! counters and memory traffic are invariant under the worker count
-//! and memoization flag, counter merging is order-independent, and
-//! set-sharded L2 simulation reproduces the whole-cache serial walk
-//! on random address streams.
+//! Property-based tests of traffic replay: memoized replay reproduces
+//! the serial walk's counters and memory traffic on random grids, with
+//! and without block classes, and counter merging is
+//! order-independent.
 
-use ks_gpu_sim::cache::Cache;
 use ks_gpu_sim::dim::{Dim3, LaunchConfig};
 use ks_gpu_sim::exec::BlockCtx;
-use ks_gpu_sim::kernel::KernelResources;
-use ks_gpu_sim::traffic::full_warp_idx;
+use ks_gpu_sim::kernel::{BlockClass, KernelResources};
+use ks_gpu_sim::traffic::{full_warp_idx, full_warp_words};
 use ks_gpu_sim::{BufId, Counters, GpuDevice, Kernel, ReplayStrategy, TrafficSink};
 use proptest::prelude::*;
 
@@ -52,17 +50,70 @@ impl Kernel for Scatter {
     }
 }
 
-fn profile_with(bases: &[usize], strategy: ReplayStrategy) -> ks_gpu_sim::KernelProfile {
+/// Heterogeneous kernel with several honestly declared block classes:
+/// block `i` is `(class, base)`. Each class has its own compute,
+/// shared-memory and atomic mix; every block of a class issues that
+/// mix against the tile at its own base, anchored in both buffers.
+struct Classes {
+    x: BufId,
+    y: BufId,
+    blocks: Vec<(u64, usize)>,
+}
+
+impl Kernel for Classes {
+    fn name(&self) -> String {
+        "classes".into()
+    }
+    fn launch_config(&self) -> LaunchConfig {
+        LaunchConfig::new(Dim3::new_1d(self.blocks.len() as u32), 32u32)
+    }
+    fn resources(&self) -> KernelResources {
+        KernelResources {
+            threads_per_block: 32,
+            regs_per_thread: 16,
+            smem_bytes_per_block: 4096,
+        }
+    }
+    fn execute_block(&self, _block: Dim3, _ctx: &mut BlockCtx) {
+        unreachable!("traffic-only kernel");
+    }
+    fn block_traffic(&self, block: Dim3, sink: &mut TrafficSink) {
+        let (class, base) = self.blocks[block.x as usize];
+        let idx = full_warp_idx(|l| base + l);
+        sink.global_read(self.x, &idx, 1);
+        sink.ffma(1 + class);
+        if class % 2 == 1 {
+            // Stride class + 1 words: a class-dependent bank-conflict
+            // degree.
+            let words = full_warp_words(|l| (l as u64 * (class + 1)) as u32);
+            sink.shared_write(&words, 1);
+            sink.syncthreads(1);
+            sink.shared_read(&words, 1);
+        }
+        sink.global_write(self.y, &idx, 1);
+        if class == 2 {
+            sink.global_atomic(self.y, &idx);
+        }
+    }
+    fn block_class(&self, block: Dim3) -> Option<BlockClass> {
+        let (class, base) = self.blocks[block.x as usize];
+        Some(BlockClass {
+            key: class,
+            anchors: vec![(self.x, base), (self.y, base)],
+        })
+    }
+}
+
+/// Launches a kernel built over two fresh 8192-cell buffers.
+fn profile_with(
+    strategy: ReplayStrategy,
+    kernel: impl Fn(BufId, BufId) -> Box<dyn Kernel>,
+) -> ks_gpu_sim::KernelProfile {
     let mut dev = GpuDevice::gtx970();
     let x = dev.alloc(8192);
     let y = dev.alloc(8192);
     dev.set_replay_strategy(strategy);
-    dev.launch(&Scatter {
-        x,
-        y,
-        bases: bases.to_vec(),
-    })
-    .unwrap()
+    dev.launch(kernel(x, y).as_ref()).unwrap()
 }
 
 fn counters_strategy() -> impl Strategy<Value = Counters> {
@@ -85,55 +136,47 @@ fn counters_strategy() -> impl Strategy<Value = Counters> {
         })
 }
 
-/// Applies `ops` through `n` set shards (bucketing exactly as the
-/// replay engine does: `set_index / ceil(sets / n)`, global order
-/// preserved within each bucket) and folds the shard stats back.
-fn apply_sharded(c: &mut Cache, ops: &[(bool, u64)], n: usize) {
-    let n = n.clamp(1, c.num_sets());
-    let per = c.num_sets().div_ceil(n);
-    let mut buckets: Vec<Vec<(bool, u64)>> = vec![Vec::new(); n];
-    for &(w, a) in ops {
-        buckets[c.set_index(a) / per].push((w, a));
-    }
-    let mut stats = Vec::with_capacity(n);
-    for (shard, bucket) in c.shards(n).iter_mut().zip(&buckets) {
-        for &(w, a) in bucket {
-            if w {
-                shard.write(a);
-            } else {
-                shard.read(a);
-            }
-        }
-        stats.push(shard.stats());
-    }
-    for s in &stats {
-        c.absorb_stats(s);
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Tentpole invariant: the replayed profile (every counter and the
-    /// L2/DRAM traffic delta) does not depend on the shard/worker
-    /// count or on memoization.
+    /// A kernel that declares no classes replays identically under
+    /// both strategies (every counter and the L2/DRAM traffic delta).
     #[test]
-    fn replay_profile_invariant_under_shard_count(
+    fn memoized_replay_matches_serial_on_scatter(
         bases in proptest::collection::vec(0usize..8000, 1..20),
     ) {
-        let serial = profile_with(&bases, ReplayStrategy::Serial);
-        for threads in [1usize, 2, 7, 16] {
-            for memoize in [false, true] {
-                let par = profile_with(
-                    &bases,
-                    ReplayStrategy::Parallel { memoize, threads: Some(threads) },
-                );
-                prop_assert_eq!(serial.counters, par.counters,
-                    "threads {} memoize {}", threads, memoize);
-                prop_assert_eq!(serial.mem, par.mem,
-                    "threads {} memoize {}", threads, memoize);
-            }
-        }
+        let kernel = |x, y| -> Box<dyn Kernel> {
+            Box::new(Scatter { x, y, bases: bases.clone() })
+        };
+        let serial = profile_with(ReplayStrategy::Serial, kernel);
+        let memo = profile_with(ReplayStrategy::Memoized, kernel);
+        prop_assert_eq!(serial.counters, memo.counters);
+        prop_assert_eq!(serial.mem, memo.mem);
+    }
+
+    /// Several honest classes over random bases — sector-aligned ones
+    /// translate, sub-sector ones walk directly — replay identically
+    /// under both strategies.
+    #[test]
+    fn memoized_replay_matches_serial_on_multi_class_kernel(
+        blocks in proptest::collection::vec(
+            (0u64..4, 0usize..1000, any::<bool>(), 1usize..8),
+            1..25,
+        ),
+    ) {
+        let blocks: Vec<(u64, usize)> = blocks
+            .into_iter()
+            .map(|(class, sector, aligned, off)| {
+                (class, sector * 8 + if aligned { 0 } else { off })
+            })
+            .collect();
+        let kernel = |x, y| -> Box<dyn Kernel> {
+            Box::new(Classes { x, y, blocks: blocks.clone() })
+        };
+        let serial = profile_with(ReplayStrategy::Serial, kernel);
+        let memo = profile_with(ReplayStrategy::Memoized, kernel);
+        prop_assert_eq!(serial.counters, memo.counters);
+        prop_assert_eq!(serial.mem, memo.mem);
     }
 
     /// Per-block counters merge to the same total in any order (the
@@ -160,33 +203,5 @@ proptest! {
             permuted.merge(&per_block[i]);
         }
         prop_assert_eq!(grid_order, permuted);
-    }
-
-    /// Set-sharded simulation of a random read/write stream produces
-    /// the same aggregate statistics and the same dirty-line
-    /// population as the serial whole-cache walk, for any shard count.
-    #[test]
-    fn sharded_l2_stats_match_serial(
-        ops in proptest::collection::vec((any::<bool>(), 0u64..(1 << 15)), 1..500),
-        n in 1usize..17,
-        hashed in any::<bool>(),
-    ) {
-        let mk = || if hashed {
-            Cache::new_hashed(16 * 1024, 4, 32)
-        } else {
-            Cache::new(16 * 1024, 4, 32)
-        };
-        let mut serial = mk();
-        for &(w, a) in &ops {
-            if w {
-                serial.write(a);
-            } else {
-                serial.read(a);
-            }
-        }
-        let mut sharded = mk();
-        apply_sharded(&mut sharded, &ops, n);
-        prop_assert_eq!(serial.stats(), sharded.stats(), "shards {}", n);
-        prop_assert_eq!(serial.flush_dirty(), sharded.flush_dirty(), "shards {}", n);
     }
 }

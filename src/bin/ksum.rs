@@ -34,7 +34,8 @@ use kernel_summation::tune::{tune, ProblemShape, TuneConfig};
 
 const USAGE: &str = "usage: ksum [--threads N] [--faults SPEC] <command> [flags]
   --threads N  global: size of the worker pool used for parallel
-               traffic replay (N >= 1; default: machine cores)
+               functional execution and CPU solves (N >= 1; default:
+               machine cores; traffic replay runs on one thread)
   --faults SPEC
                global: seeded soft-error injection on the simulated
                device, e.g. seed=7,smem=0.5,reg=1,dram=0.25,sm=0.01,

@@ -1,10 +1,11 @@
-//! Golden determinism of the parallel replay engine at the export
-//! layer: a smoke-sized sweep profiled with a 1-thread pool and an
-//! 8-thread pool must produce **byte-identical** `BENCH_sweep.json`
-//! documents once the (nondeterministic) host wall-time fields are
-//! zeroed. This is the end-to-end form of the per-counter invariance
-//! tests in `ks-gpu-sim`: any drift in cache state, counter merging,
-//! or memoized translation would surface here as a JSON diff.
+//! Golden determinism of sweep-point parallelism at the export layer:
+//! a smoke-sized sweep profiled with a 1-thread pool and an 8-thread
+//! pool (sweep points run in parallel, each point's replay on its own
+//! thread) must produce **byte-identical** `BENCH_sweep.json` documents
+//! once the (nondeterministic) host wall-time fields are zeroed. Any
+//! state shared between concurrently profiled points, or any drift in
+//! counter merging or memoized translation, would surface here as a
+//! JSON diff.
 
 use ks_bench::metrics::SweepMetrics;
 use ks_bench::{Sweep, SweepData};
