@@ -8,6 +8,16 @@
 //! without a fill (GPU stores are write-validate: a full-sector store
 //! does not need the old data), so a store miss costs a DRAM write
 //! only when the victim line is dirty or at the final flush.
+//!
+//! Every simulated sector passes through [`Cache::read`] or
+//! [`Cache::write`] (a memoized replay streams whole recorded blocks),
+//! so the host representation is built for the lookup: each set's tags
+//! are one contiguous run of words, beside a parallel run of LRU stamps
+//! that carry the dirty bit; all-zero memory is an empty cache; and the
+//! set index is a multiply by a precomputed reciprocal instead of a
+//! divide. None of this is observable: every [`Access`], every
+//! [`CacheStats`] field and every flush count are those of the plain
+//! model with one record per line (see [`Cache`]).
 
 /// Result of a single cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,6 +49,21 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
+    /// Counts one access and its outcome.
+    #[inline]
+    fn count(&mut self, write: bool, access: Access) {
+        let hit = access == Access::Hit;
+        if write {
+            self.write_accesses += 1;
+            self.write_hits += u64::from(hit);
+            self.write_misses += u64::from(!hit);
+        } else {
+            self.read_accesses += 1;
+            self.read_hits += u64::from(hit);
+            self.read_misses += u64::from(!hit);
+        }
+    }
+
     /// Read hit rate in [0, 1]; 1.0 when there were no reads.
     #[must_use]
     pub fn read_hit_rate(&self) -> f64 {
@@ -50,83 +75,83 @@ impl CacheStats {
     }
 }
 
-#[derive(Clone, Copy)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Monotone timestamp of last touch (LRU).
-    lru: u64,
+/// Lemire's reciprocal of `sets` for [`reduce`]: `ceil(2^64 / sets)`,
+/// which wraps to 0 for `sets == 1` (every key then reduces to set 0).
+fn reciprocal(sets: u64) -> u64 {
+    (u64::MAX / sets).wrapping_add(1)
 }
 
-const INVALID: Line = Line {
-    tag: 0,
-    valid: false,
-    dirty: false,
-    lru: 0,
-};
-
-/// Services one access against the ways of a single set.
-///
-/// LRU bookkeeping is **per set**: each set carries its own monotone
-/// clock. Replacement only ever compares `lru` stamps within one set,
-/// so per-set clocks are observably identical to a single global
-/// clock (relative order within a set is preserved, and invalid lines
-/// always lose the `min_by_key` because a valid stamp is ≥ 1).
+/// `key % sets` without a divide when both fit in 32 bits (Lemire,
+/// Kaser & Kurz, "Faster remainder by direct computation", 2019): the
+/// low 64 bits of `magic * key` are the fractional part of
+/// `key / sets`, and scaling them by `sets` yields the remainder
+/// exactly for every 32-bit `key` and `sets`. Wider keys (line
+/// addresses past 2^32: byte addresses past 2^37 with 32-byte lines)
+/// take the divide.
 #[inline]
-fn access_set(
-    ways: &mut [Line],
-    clock: &mut u64,
-    stats: &mut CacheStats,
-    tag: u64,
-    write: bool,
-) -> Access {
-    *clock += 1;
-    if write {
-        stats.write_accesses += 1;
+fn reduce(key: u64, sets: u64, magic: u64) -> u64 {
+    if (key | sets) <= u64::from(u32::MAX) {
+        ((u128::from(magic.wrapping_mul(key)) * u128::from(sets)) >> 64) as u64
     } else {
-        stats.read_accesses += 1;
+        key % sets
     }
-    if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
-        line.lru = *clock;
-        if write {
-            line.dirty = true;
-            stats.write_hits += 1;
-        } else {
-            stats.read_hits += 1;
-        }
-        return Access::Hit;
-    }
-    if write {
-        stats.write_misses += 1;
+}
+
+/// The low bit of a stamp word: the way holds data newer than DRAM's.
+const DIRTY: u64 = 1;
+
+/// The way of one set's `tags` and `stamps` holding `tag`, if any.
+#[inline]
+fn find(tags: &[u64], stamps: &[u64], tag: u64) -> Option<usize> {
+    if tag != 0 {
+        tags.iter().position(|&t| t == tag)
     } else {
-        stats.read_misses += 1;
+        // Only the line at `u64::MAX` with 1-byte lines wraps to the
+        // empty tag; a way holds it only if the way has a stamp.
+        tags.iter()
+            .zip(stamps)
+            .position(|(&t, &s)| t == 0 && s != 0)
     }
-    let victim = ways
-        .iter_mut()
-        .min_by_key(|l| if l.valid { l.lru } else { 0 })
-        .expect("assoc > 0");
-    if victim.valid && victim.dirty {
-        stats.write_backs += 1;
-    }
-    *victim = Line {
-        tag,
-        valid: true,
-        dirty: write,
-        lru: *clock,
-    };
-    Access::Miss
 }
 
 /// A set-associative LRU cache over a flat byte address space.
+///
+/// The ways are stored as two parallel arrays, set after set: a lookup
+/// scans one set's contiguous tags (a 16-way set is two host cache
+/// lines) and only a miss scans the stamps. All-zero memory is an empty
+/// cache, so construction is one zeroed allocation:
+///
+/// * `tags` hold `line_addr + 1`, so an empty way's 0 matches no line
+///   (but the one at address `u64::MAX` with 1-byte lines, which the
+///   lookup tells apart by its stamp);
+/// * `stamps` hold the set clock at the way's last touch, shifted left
+///   one, with the way's dirty bit below it. An empty way's word
+///   is 0; a valid way's is ≥ 2, because the clock advances before it
+///   is read.
+///
+/// LRU bookkeeping is **per set**: each set carries its own monotone
+/// clock. Replacement only ever compares stamps within one set, so
+/// per-set clocks are observably identical to a single global clock.
+/// Valid stamps within a set are distinct, so the dirty bit never
+/// decides an order. A miss evicts the first way with the smallest
+/// stamp word: the first empty way if there is one, else the least
+/// recently used line. That is the rule of the one-record-per-line
+/// model this layout replaced (the first line by `min_by_key`, an
+/// invalid line keyed 0, a valid one by its last touch), which
+/// `tests/proptest_sim.rs` keeps as the reference.
 pub struct Cache {
-    lines: Vec<Line>,
-    sets: usize,
-    assoc: usize,
-    line_bytes: u64,
-    hashed_index: bool,
-    /// One LRU clock per set (see [`access_set`]).
+    /// `line_addr + 1` per way (0 when empty).
+    tags: Vec<u64>,
+    /// `clock << 1 | dirty` at the way's last touch (0 when empty).
+    stamps: Vec<u64>,
+    /// One LRU clock per set.
     clocks: Vec<u64>,
+    sets: u64,
+    /// [`reciprocal`] of `sets`.
+    magic: u64,
+    assoc: usize,
+    line_shift: u32,
+    hashed_index: bool,
     stats: CacheStats,
 }
 
@@ -160,16 +185,19 @@ impl Cache {
             line_bytes.is_power_of_two(),
             "line size must be a power of two"
         );
-        let total_lines = capacity_bytes / line_bytes as u64;
-        assert!(total_lines >= assoc as u64, "capacity below one set");
-        let sets = (total_lines / assoc as u64) as usize;
+        let total_lines = capacity_bytes / u64::from(line_bytes);
+        assert!(total_lines >= u64::from(assoc), "capacity below one set");
+        let sets = total_lines / u64::from(assoc);
+        let ways = (sets * u64::from(assoc)) as usize;
         Self {
-            lines: vec![INVALID; sets * assoc as usize],
+            tags: vec![0; ways],
+            stamps: vec![0; ways],
+            clocks: vec![0; sets as usize],
             sets,
+            magic: reciprocal(sets),
             assoc: assoc as usize,
-            line_bytes: line_bytes as u64,
+            line_shift: line_bytes.trailing_zeros(),
             hashed_index,
-            clocks: vec![0; sets],
             stats: CacheStats::default(),
         }
     }
@@ -177,7 +205,7 @@ impl Cache {
     /// Effective capacity in bytes after set rounding.
     #[must_use]
     pub fn capacity_bytes(&self) -> u64 {
-        self.sets as u64 * self.assoc as u64 * self.line_bytes
+        (self.sets * self.assoc as u64) << self.line_shift
     }
 
     /// Current statistics.
@@ -188,14 +216,15 @@ impl Cache {
 
     /// Clears contents and statistics.
     pub fn reset(&mut self) {
-        self.lines.fill(INVALID);
+        self.invalidate();
         self.clocks.fill(0);
         self.stats = CacheStats::default();
     }
 
+    /// The set holding `addr`, and the line's tag (`line_addr + 1`).
     #[inline]
-    fn set_of(&self, addr: u64) -> (usize, u64) {
-        let line_addr = addr / self.line_bytes;
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        let line_addr = addr >> self.line_shift;
         let key = if self.hashed_index {
             // Fold high line-address bits into the index so strided
             // streams spread across all sets.
@@ -203,47 +232,82 @@ impl Cache {
         } else {
             line_addr
         };
-        let set = (key % self.sets as u64) as usize;
-        (set, line_addr)
+        let set = reduce(key, self.sets, self.magic) as usize;
+        (set, line_addr.wrapping_add(1))
+    }
+
+    /// One set's tags and stamps.
+    #[inline]
+    fn ways_mut(&mut self, set: usize) -> (&mut [u64], &mut [u64]) {
+        let ways = set * self.assoc..(set + 1) * self.assoc;
+        (&mut self.tags[ways.clone()], &mut self.stamps[ways])
+    }
+
+    /// Services one access, counting it in `stats` (a copy of
+    /// `self.stats` the caller writes back, so a whole stream can keep
+    /// the counters in registers).
+    #[inline]
+    fn access(&mut self, stats: &mut CacheStats, addr: u64, write: bool) -> Access {
+        let (set, tag) = self.locate(addr);
+        self.clocks[set] += 1;
+        let now = self.clocks[set] << 1 | u64::from(write);
+        let (tags, stamps) = self.ways_mut(set);
+        if let Some(w) = find(tags, stamps, tag) {
+            stamps[w] = now | (stamps[w] & DIRTY);
+            stats.count(write, Access::Hit);
+            return Access::Hit;
+        }
+        stats.count(write, Access::Miss);
+        let (mut victim, mut oldest) = (0, stamps[0]);
+        for (w, &s) in stamps.iter().enumerate().skip(1) {
+            if s < oldest {
+                (victim, oldest) = (w, s);
+            }
+        }
+        stats.write_backs += oldest & DIRTY;
+        tags[victim] = tag;
+        stamps[victim] = now;
+        Access::Miss
     }
 
     /// Services a read of the sector containing `addr`. A miss fills
     /// the line (counts one DRAM read) and may write back a dirty
     /// victim (counts one DRAM write).
     pub fn read(&mut self, addr: u64) -> Access {
-        let (set, tag) = self.set_of(addr);
-        access_set(
-            &mut self.lines[set * self.assoc..(set + 1) * self.assoc],
-            &mut self.clocks[set],
-            &mut self.stats,
-            tag,
-            false,
-        )
+        let mut stats = self.stats;
+        let a = self.access(&mut stats, addr, false);
+        self.stats = stats;
+        a
     }
 
     /// Services a write of the sector containing `addr`. Write misses
     /// allocate without a fill (write-validate); the data reaches DRAM
     /// when the dirty line is evicted or flushed.
     pub fn write(&mut self, addr: u64) -> Access {
-        let (set, tag) = self.set_of(addr);
-        access_set(
-            &mut self.lines[set * self.assoc..(set + 1) * self.assoc],
-            &mut self.clocks[set],
-            &mut self.stats,
-            tag,
-            true,
-        )
+        let mut stats = self.stats;
+        let a = self.access(&mut stats, addr, true);
+        self.stats = stats;
+        a
+    }
+
+    /// Services a stream of `(addr, write)` accesses in order, exactly
+    /// as the same sequence of [`Cache::read`] and [`Cache::write`]
+    /// calls would, with the statistics held in locals throughout.
+    pub(crate) fn stream(&mut self, accesses: impl Iterator<Item = (u64, bool)>) {
+        let mut stats = self.stats;
+        for (addr, write) in accesses {
+            self.access(&mut stats, addr, write);
+        }
+        self.stats = stats;
     }
 
     /// Writes back every dirty line (end-of-run accounting) and marks
     /// them clean. Returns the number of lines flushed.
     pub fn flush_dirty(&mut self) -> u64 {
         let mut n = 0;
-        for line in &mut self.lines {
-            if line.valid && line.dirty {
-                line.dirty = false;
-                n += 1;
-            }
+        for s in &mut self.stamps {
+            n += *s & DIRTY;
+            *s &= !DIRTY;
         }
         self.stats.write_backs += n;
         n
@@ -251,18 +315,20 @@ impl Cache {
 
     /// Invalidates everything without counting write-backs (used when a
     /// fresh logical device state is needed but statistics continue).
+    /// The per-set clocks keep running.
     pub fn invalidate(&mut self) {
-        self.lines.fill(INVALID);
+        self.tags.fill(0);
+        self.stamps.fill(0);
     }
 
     /// Invalidates the line holding `addr` if present (write-through
     /// no-allocate caches invalidate on store to stay coherent).
     pub fn invalidate_addr(&mut self, addr: u64) {
-        let (set, tag) = self.set_of(addr);
-        for line in &mut self.lines[set * self.assoc..(set + 1) * self.assoc] {
-            if line.valid && line.tag == tag {
-                *line = INVALID;
-            }
+        let (set, tag) = self.locate(addr);
+        let (tags, stamps) = self.ways_mut(set);
+        if let Some(w) = find(tags, stamps, tag) {
+            tags[w] = 0;
+            stamps[w] = 0;
         }
     }
 }
@@ -372,6 +438,46 @@ mod tests {
         c.read(0);
         assert!((c.stats().read_hit_rate() - 0.5).abs() < 1e-12);
         assert_eq!(CacheStats::default().read_hit_rate(), 1.0);
+    }
+
+    #[test]
+    fn top_line_of_one_byte_lines_is_not_an_empty_way() {
+        // With 1-byte lines the line at `u64::MAX` encodes to the
+        // empty tag, 0.
+        let mut c = Cache::new(64, 4, 1);
+        assert_eq!(c.read(u64::MAX), Access::Miss);
+        assert_eq!(c.read(u64::MAX), Access::Hit);
+        assert_eq!(c.write(u64::MAX - 4), Access::Miss);
+        c.invalidate_addr(u64::MAX);
+        assert_eq!(c.write(u64::MAX), Access::Miss);
+        assert_eq!(c.write(u64::MAX), Access::Hit);
+        assert_eq!(c.flush_dirty(), 2);
+        let s = c.stats();
+        assert_eq!((s.read_hits, s.read_misses), (1, 1));
+        assert_eq!((s.write_hits, s.write_misses), (1, 2));
+    }
+
+    #[test]
+    fn reciprocal_set_index_equals_modulo() {
+        for sets in [1u64, 2, 3, 7, 3584, 28672] {
+            let magic = reciprocal(sets);
+            let edges = [
+                0,
+                sets - 1,
+                sets,
+                u64::from(u32::MAX),
+                1 << 32,
+                u64::MAX >> 5,
+            ];
+            let sweep = (0..=u64::from(u32::MAX)).step_by(65_521);
+            for key in edges.into_iter().chain(sweep) {
+                assert_eq!(
+                    reduce(key, sets, magic),
+                    key % sets,
+                    "key {key} sets {sets}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -246,14 +246,7 @@ fn record_block(
 /// Streams recorded sectors into the L2 in order, each shifted by its
 /// buffer's entry in `shift`.
 fn stream(l2: &mut Cache, events: &[L2Event], shift: &[i64]) {
-    for e in events {
-        let addr = shifted(e, shift);
-        if e.write {
-            l2.write(addr);
-        } else {
-            l2.read(addr);
-        }
-    }
+    l2.stream(events.iter().map(|e| (shifted(e, shift), e.write)));
 }
 
 /// The event's address shifted by its buffer's byte delta (buffers
@@ -261,7 +254,7 @@ fn stream(l2: &mut Cache, events: &[L2Event], shift: &[i64]) {
 #[inline]
 fn shifted(e: &L2Event, shift: &[i64]) -> u64 {
     e.addr
-        .wrapping_add_signed(shift.get(e.buf.0).copied().unwrap_or(0))
+        .wrapping_add_signed(shift.get(e.buf as usize).copied().unwrap_or(0))
 }
 
 /// Fills `shift` with a member's per-buffer byte deltas from the
@@ -310,21 +303,9 @@ mod tests {
         let b = mem.alloc(1024);
         let c = mem.alloc(1024);
         let events = [
-            L2Event {
-                addr: mem.addr_of(a, 0),
-                buf: a,
-                write: false,
-            },
-            L2Event {
-                addr: mem.addr_of(b, 8),
-                buf: b,
-                write: true,
-            },
-            L2Event {
-                addr: mem.addr_of(c, 16),
-                buf: c,
-                write: false,
-            },
+            L2Event::new(mem.addr_of(a, 0), a, false),
+            L2Event::new(mem.addr_of(b, 8), b, true),
+            L2Event::new(mem.addr_of(c, 16), c, false),
         ];
         // Member anchored 64 elements (256 bytes) further into `a`;
         // `c` is not anchored at all.

@@ -48,15 +48,27 @@ pub enum SinkMode {
 /// address, the buffer it belongs to (so block-class memoization can
 /// translate the stream per buffer) and the direction. An atomic
 /// records its read-modify-write as a read event followed by a write
-/// event, preserving the in-order L2 interaction.
+/// event, preserving the in-order L2 interaction. An event is 16 bytes,
+/// so a memoized replay's stream of recorded sectors stays compact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct L2Event {
     /// Sector byte address.
     pub addr: u64,
-    /// Buffer the sector belongs to.
-    pub buf: BufId,
+    /// Index of the buffer the sector belongs to.
+    pub buf: u32,
     /// True for a write, false for a read.
     pub write: bool,
+}
+
+impl L2Event {
+    /// An event on `buf`, whose index must fit in 32 bits.
+    pub(crate) fn new(addr: u64, buf: BufId, write: bool) -> Self {
+        Self {
+            addr,
+            buf: u32::try_from(buf.0).expect("buffer index fits in u32"),
+            write,
+        }
+    }
 }
 
 /// Where a sink's L2 sector transactions go: straight into the live
@@ -74,11 +86,7 @@ impl L2Backend<'_> {
             L2Backend::Live(c) => {
                 c.read(addr);
             }
-            L2Backend::Record(log) => log.push(L2Event {
-                addr,
-                buf,
-                write: false,
-            }),
+            L2Backend::Record(log) => log.push(L2Event::new(addr, buf, false)),
         }
     }
 
@@ -88,11 +96,7 @@ impl L2Backend<'_> {
             L2Backend::Live(c) => {
                 c.write(addr);
             }
-            L2Backend::Record(log) => log.push(L2Event {
-                addr,
-                buf,
-                write: true,
-            }),
+            L2Backend::Record(log) => log.push(L2Event::new(addr, buf, true)),
         }
     }
 }
@@ -507,6 +511,11 @@ mod tests {
         assert_eq!(c.flops, 640 + 64 + 32);
         assert_eq!(c.warp_insts(), 10 + 2 + 1 + 5 + 8);
         assert_eq!(c.thread_insts, 32 * 26);
+    }
+
+    #[test]
+    fn recorded_event_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<L2Event>(), 16);
     }
 
     #[test]
