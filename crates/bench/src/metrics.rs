@@ -246,6 +246,11 @@ pub struct ServeMetrics {
     pub geometry_resolves: u64,
     /// Batches whose geometry came from the per-shape memo.
     pub geometry_hits: u64,
+    /// GPU attempts whose pipeline profile came from their device
+    /// slot's memo (no traffic replay); host-side accounting.
+    pub profile_memo_hits: u64,
+    /// GPU attempts that replayed and recorded their profile.
+    pub profile_memo_misses: u64,
     /// Merged GPU pipeline metrics (all batches' kernels in execution
     /// order); `None` when no GPU batch completed.
     pub gpu: Option<PipelineMetrics>,
@@ -289,6 +294,8 @@ impl ServeMetrics {
             energy_downshifts: report.energy_downshifts,
             geometry_resolves: report.geometry.resolves,
             geometry_hits: report.geometry.hits,
+            profile_memo_hits: report.profile_memo.hits,
+            profile_memo_misses: report.profile_memo.misses,
             gpu,
         }
     }

@@ -327,6 +327,26 @@ impl Fused<Serving> {
     }
 }
 
+impl<N> Fused<N> {
+    /// Whether `other` issues this kernel's per-block warp streams,
+    /// its buffers aside: every parameter that shapes the traffic
+    /// agrees. The bandwidth is left out — it enters the numerics
+    /// only, never an address or an instruction count.
+    pub(crate) fn same_stream(&self, other: &Self) -> bool {
+        self.shape == other.shape
+            && self.geometry == other.geometry
+            && self.r == other.r
+            && self.verify.is_some() == other.verify.is_some()
+            && self.layout == other.layout
+            && matches!(
+                (self.reduction, other.reduction),
+                (Reduction::Atomic, Reduction::Atomic)
+                    | (Reduction::TwoPass { .. }, Reduction::TwoPass { .. })
+            )
+            && self.exec_model == other.exec_model
+    }
+}
+
 impl<N: Naming> Fused<N> {
     #[allow(clippy::too_many_arguments)]
     fn from_parts(

@@ -154,6 +154,9 @@ pub struct FusedMultiPacked {
     geometry: TileGeometry,
     max_r: usize,
     verified: bool,
+    /// Per segment, the first segment issuing the same warp streams:
+    /// the block class its blocks replay in.
+    stream_of: Vec<usize>,
 }
 
 impl FusedMultiPacked {
@@ -184,7 +187,15 @@ impl FusedMultiPacked {
             .map(|s| s.shape.grid_for(&geometry))
             .collect();
         let max_r = segments.iter().map(|s| s.r).max().expect("non-empty");
+        let stream_of = (0..segments.len())
+            .map(|s| {
+                (0..=s)
+                    .find(|&o| segments[o].same_stream(&segments[s]))
+                    .expect("a segment streams like itself")
+            })
+            .collect();
         Self {
+            stream_of,
             segments,
             table: RoutingTable::new(&grids),
             geometry,
@@ -286,14 +297,16 @@ impl Kernel for FusedMultiPacked {
     fn block_class(&self, block: Dim3) -> Option<BlockClass> {
         // Within a segment all blocks share one instruction stream and
         // differ only by the segment's own per-buffer anchors (the
-        // unpacked kernel's class, key 0). Across segments streams
-        // differ, so the class key is the segment index.
+        // unpacked kernel's class, key 0). Segments of one shape, R
+        // and geometry issue that same stream on their own buffers, so
+        // they share a class, keyed by the first such segment; the
+        // anchors pair up by position across their buffers.
         let (seg, local) = self.table.route(block.x);
         let inner = self.segments[seg]
             .block_class(local)
             .expect("segment kernels always classify");
         Some(BlockClass {
-            key: seg as u64,
+            key: self.stream_of[seg] as u64,
             anchors: inner.anchors,
         })
     }
@@ -797,6 +810,109 @@ mod tests {
         let packed = serial.kernels.last().expect("packed launch profiled");
         assert_eq!(packed.launch.total_blocks(), 4 + 2 + 2);
         assert_eq!(serial, memo);
+    }
+
+    /// Segments of one shape, R and geometry replay as one block
+    /// class across their own buffers. The memoized replay still
+    /// profiles such a launch exactly as the serial walk does —
+    /// distinct and shared corpora and targets, warm and cold norms,
+    /// different bandwidths, a segment of another R in between,
+    /// verified or not, on the serving 16 KB L2 and the full one.
+    #[test]
+    fn packed_segments_of_one_stream_replay_exactly() {
+        let geo = TileGeometry::paper_default();
+        let shape = GemmShape {
+            m: 256,
+            n: 256,
+            k: 32,
+        };
+        let data: Vec<SegData> = (0..3)
+            .map(|i| seg(shape, 1, 0.8 + 0.2 * i as f32, 51 + i as u64))
+            .collect();
+        let wide = seg(shape, 3, 1.0, 54);
+        let a2: Vec<f32> = data[0]
+            .a
+            .chunks(shape.k)
+            .map(|row| row.iter().map(|v| v * v).sum())
+            .collect();
+        fn keyed(d: &SegData, a: u64, b: u64) -> PackedSegmentSpec<'_> {
+            PackedSegmentSpec {
+                a_key: Some(a),
+                b_key: Some(b),
+                ..spec(d)
+            }
+        }
+        let specs = vec![
+            keyed(&data[0], 1, 10),
+            // Another corpus on segment 0's targets.
+            PackedSegmentSpec {
+                b: &data[0].b,
+                ..keyed(&data[1], 2, 10)
+            },
+            keyed(&wide, 4, 14),
+            // Segment 0's corpus, warm, on other targets.
+            PackedSegmentSpec {
+                a: &data[0].a,
+                a2: Some(&a2),
+                ..keyed(&data[2], 1, 12)
+            },
+            keyed(&data[2], 3, 12),
+            spec(&data[1]),
+        ];
+        for l2_bytes in [16 * 1024, DeviceConfig::gtx970().l2_bytes] {
+            for verify in [false, true] {
+                let profile = |strategy| {
+                    let mut dev = GpuDevice::new(DeviceConfig {
+                        l2_bytes,
+                        ..DeviceConfig::gtx970()
+                    });
+                    dev.set_replay_strategy(strategy);
+                    execute_fused_multi_packed_with(&mut dev, &geo, &specs, verify)
+                        .unwrap()
+                        .1
+                };
+                assert_eq!(
+                    profile(ks_gpu_sim::ReplayStrategy::Serial),
+                    profile(ks_gpu_sim::ReplayStrategy::Memoized),
+                    "L2 {l2_bytes} B, verify {verify}"
+                );
+            }
+        }
+    }
+
+    /// The packed kernel keys each segment's blocks by the first
+    /// segment issuing the same warp streams.
+    #[test]
+    fn packed_block_classes_follow_the_warp_stream() {
+        let geo = TileGeometry::paper_default();
+        let shape = GemmShape {
+            m: 256,
+            n: 256,
+            k: 32,
+        };
+        let mut dev = GpuDevice::gtx970();
+        let mut segment = |r: usize, h: f32| {
+            let ops = GemmOperands {
+                a: dev.alloc(shape.m * shape.k),
+                b: dev.alloc(shape.k * shape.n),
+            };
+            let (a2, b2) = (dev.alloc(shape.m), dev.alloc(shape.n));
+            let (w, v) = (dev.alloc(shape.n * r), dev.alloc(shape.m * r));
+            FusedMultiWeight::new(ops, a2, b2, w, v, shape, Bandwidth { h }, r).with_geometry(geo)
+        };
+        let packed = FusedMultiPacked::new(vec![
+            segment(1, 1.0),
+            segment(2, 1.0),
+            segment(1, 0.6),
+            segment(2, 0.8),
+        ]);
+        let mut keys = [None; 4];
+        for b in 0..packed.table().total_blocks() {
+            let (seg, _) = packed.table().route(b);
+            let key = packed.block_class(Dim3::new_1d(b)).unwrap().key;
+            assert!(keys[seg].replace(key).is_none_or(|k| k == key));
+        }
+        assert_eq!(keys, [Some(0), Some(1), Some(0), Some(1)]);
     }
 
     /// Plan-cache-aware packing: segments sharing a corpus key share

@@ -111,7 +111,7 @@ pub struct GemmOperands {
 /// Problem dimensions. The engine requires the shape to divide the
 /// tile geometry exactly (the paper's sweeps satisfy this; fringe
 /// tiles are out of scope — see DESIGN.md).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GemmShape {
     /// Rows of A and C.
     pub m: usize,

@@ -7,6 +7,13 @@
 //! harvested counters. Dirty L2 lines are flushed (and charged as DRAM
 //! writes) at the kernel boundary, so every kernel's DRAM write count
 //! reflects the data it actually produced.
+//!
+//! A device built by [`GpuDevice::from_recording`] returns recorded
+//! profiles from its launches instead of replaying: a launch's
+//! profile is a function of its kernel's shape and the device's
+//! allocation order, never of the data or the fault draw.
+
+use std::vec;
 
 use crate::buffer::{BufId, GlobalMem};
 use crate::cache::Cache;
@@ -34,6 +41,9 @@ pub struct GpuDevice {
     faults: Option<FaultState>,
     /// Applied injections since the last [`GpuDevice::take_fault_counters`].
     fault_counters: FaultCounters,
+    /// Profiles the next launches return instead of replaying (see
+    /// [`GpuDevice::from_recording`]).
+    recording: Option<vec::IntoIter<KernelProfile>>,
 }
 
 impl GpuDevice {
@@ -58,6 +68,28 @@ impl GpuDevice {
             replay: ReplayStrategy::default(),
             faults,
             fault_counters: FaultCounters::default(),
+            recording: None,
+        }
+    }
+
+    /// A device whose launches return `profiles`, in order, instead of
+    /// replaying traffic. Every launch still validates the kernel and
+    /// draws its faults as [`GpuDevice::launch`] does, so launch-level
+    /// faults still fail it and the functional runs' fault epochs stay
+    /// in lockstep; [`GpuDevice::run`] is unchanged. Hand it the
+    /// profiles an identical launch sequence recorded on a fresh
+    /// device of the same configuration, with their `faults` cleared.
+    ///
+    /// # Panics
+    /// A launch panics when the recording is exhausted or its next
+    /// profile's name, launch config or resources differ from the
+    /// kernel's. [`GpuDevice::run_counted`] panics: this device never
+    /// replays.
+    #[must_use]
+    pub fn from_recording(cfg: DeviceConfig, profiles: Vec<KernelProfile>) -> Self {
+        Self {
+            recording: Some(profiles.into_iter()),
+            ..Self::new(cfg)
         }
     }
 
@@ -201,7 +233,9 @@ impl GpuDevice {
     }
 
     /// Profiles a kernel: replays its traffic (no numerics) through
-    /// the memory system and runs the timing model.
+    /// the memory system and runs the timing model. A recorded device
+    /// ([`GpuDevice::from_recording`]) returns its next recorded
+    /// profile instead.
     ///
     /// # Errors
     /// Returns a [`LaunchError`] if the launch violates device limits.
@@ -212,6 +246,9 @@ impl GpuDevice {
         // functional data) but the draw still advances the epoch so
         // profiling and functional runs stay in lockstep.
         let _plan = self.draw_faults(kernel)?;
+        if let Some(recording) = &mut self.recording {
+            return Ok(next_recorded(recording, kernel));
+        }
         let before = self.l2.stats();
         // L1s are not coherent across kernels: invalidate at launch.
         for l1 in &mut self.l1s {
@@ -277,6 +314,7 @@ impl GpuDevice {
     /// # Errors
     /// Returns a [`LaunchError`] if the launch violates device limits.
     pub fn run_counted(&mut self, kernel: &dyn Kernel) -> Result<KernelProfile, LaunchError> {
+        assert!(self.recording.is_none(), "a recorded device never replays");
         validate_launch(&self.cfg, kernel)?;
         let plan = self.draw_faults(kernel)?;
         let smem_words = kernel.resources().smem_bytes_per_block as usize / 4;
@@ -349,6 +387,30 @@ impl GpuDevice {
             faults: FaultCounters::default(),
         }
     }
+}
+
+/// The recording's next profile, checked against the kernel it
+/// stands in for.
+fn next_recorded(
+    recording: &mut vec::IntoIter<KernelProfile>,
+    kernel: &dyn Kernel,
+) -> KernelProfile {
+    let name = kernel.name();
+    let prof = recording
+        .next()
+        .unwrap_or_else(|| panic!("launch of {name} past the device's recording"));
+    assert_eq!(prof.name, name, "recorded profile is of another kernel");
+    assert_eq!(
+        prof.launch,
+        kernel.launch_config(),
+        "recorded launch config of {name} differs"
+    );
+    assert_eq!(
+        prof.resources,
+        kernel.resources(),
+        "recorded resources of {name} differ"
+    );
+    prof
 }
 
 #[cfg(test)]
@@ -800,6 +862,176 @@ mod tests {
             let (y, _) = run_sentinel(fault, true);
             assert!(y.iter().all(|&v| v == 1.0), "{fault:?}");
         }
+    }
+
+    /// Stages a warp's tile through shared memory across
+    /// [`crate::fault::MAX_SYNC_TARGET`] barriers and keeps it in
+    /// registers before the store, so both SMEM and register upsets
+    /// land in `y`.
+    struct Stager {
+        x: BufId,
+        y: BufId,
+        blocks: u32,
+    }
+
+    impl Kernel for Stager {
+        fn name(&self) -> String {
+            "stager".into()
+        }
+        fn launch_config(&self) -> LaunchConfig {
+            LaunchConfig::new(Dim3::new_1d(self.blocks), 32u32)
+        }
+        fn resources(&self) -> KernelResources {
+            KernelResources {
+                threads_per_block: 32,
+                regs_per_thread: 16,
+                smem_bytes_per_block: 32 * 4,
+            }
+        }
+        fn execute_block(&self, block: Dim3, ctx: &mut BlockCtx) {
+            let idx = full_warp_idx(|l| block.x as usize * 32 + l);
+            let words: [Option<u32>; 32] = std::array::from_fn(|l| Some(l as u32));
+            let v = ctx.warp_ld_global(self.x, &idx);
+            ctx.warp_st_shared(&words, &v);
+            for _ in 0..crate::fault::MAX_SYNC_TARGET {
+                ctx.syncthreads(1);
+            }
+            let mut v = ctx.warp_ld_shared(&words);
+            for (pick, bit) in ctx.take_accumulator_faults() {
+                let l = (pick % 32) as usize;
+                v[l] = flip_bit(v[l], bit);
+            }
+            ctx.warp_st_global(self.y, &idx, &v);
+        }
+        fn block_traffic(&self, block: Dim3, sink: &mut crate::traffic::TrafficSink) {
+            let idx = full_warp_idx(|l| block.x as usize * 32 + l);
+            let words: [Option<u32>; 32] = std::array::from_fn(|l| Some(l as u32));
+            sink.global_read(self.x, &idx, 1);
+            sink.shared_write(&words, 1);
+            sink.syncthreads(u64::from(crate::fault::MAX_SYNC_TARGET));
+            sink.shared_read(&words, 1);
+            sink.global_write(self.y, &idx, 1);
+        }
+    }
+
+    /// What a two-launch pipeline leaves behind on `dev`: each
+    /// launch's profile with the applied faults folded in (as the
+    /// serving pipelines fold them), the output bits, and the
+    /// device's remaining fault tally.
+    fn stage_twice(mut dev: GpuDevice) -> (Vec<KernelProfile>, Vec<u32>, FaultCounters) {
+        let blocks = 16;
+        let x = dev.upload(&(0..blocks * 32).map(|i| i as f32).collect::<Vec<_>>());
+        let y = dev.alloc(blocks * 32);
+        let z = dev.alloc(blocks * 32);
+        let mut profiles = Vec::new();
+        for k in [
+            Stager {
+                x,
+                y,
+                blocks: blocks as u32,
+            },
+            Stager {
+                x: y,
+                y: z,
+                blocks: blocks as u32,
+            },
+        ] {
+            let mut kp = dev.launch(&k).unwrap();
+            dev.run(&k).unwrap();
+            kp.faults.merge(&dev.take_fault_counters());
+            profiles.push(kp);
+        }
+        let bits = dev.download(z).iter().map(|v| v.to_bits()).collect();
+        (profiles, bits, dev.take_fault_counters())
+    }
+
+    fn upset_device() -> crate::config::DeviceConfig {
+        crate::config::DeviceConfig {
+            fault: Some(crate::fault::FaultSpec {
+                seed: 11,
+                smem_rate: 6.0,
+                reg_rate: 6.0,
+                ..crate::fault::FaultSpec::default()
+            }),
+            ..crate::config::DeviceConfig::gtx970()
+        }
+    }
+
+    /// The profiles a device records, as a recorded device takes them.
+    fn recording(profiles: &[KernelProfile]) -> Vec<KernelProfile> {
+        profiles
+            .iter()
+            .map(|p| KernelProfile {
+                faults: FaultCounters::default(),
+                ..p.clone()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_recorded_device_keeps_the_bits_and_fault_tally_under_upsets() {
+        let cfg = upset_device();
+        let (replayed, bits, rest) = stage_twice(GpuDevice::new(cfg.clone()));
+        let applied: u64 = replayed
+            .iter()
+            .map(|p| p.faults.smem_flips + p.faults.reg_flips)
+            .sum();
+        assert!(
+            replayed
+                .iter()
+                .all(|p| p.faults.smem_flips > 0 && p.faults.reg_flips > 0),
+            "both kinds of upset land: {:?}",
+            replayed.iter().map(|p| p.faults).collect::<Vec<_>>()
+        );
+        assert!(applied > 0 && rest.is_empty());
+        let recorded = GpuDevice::from_recording(cfg, recording(&replayed));
+        assert_eq!(stage_twice(recorded), (replayed, bits, rest));
+    }
+
+    #[test]
+    fn a_launch_fault_still_fails_a_recorded_launch() {
+        let clean = crate::config::DeviceConfig::gtx970();
+        let (profiles, _, _) = stage_twice(GpuDevice::new(clean.clone()));
+        let mut cfg = clean;
+        cfg.fault = Some(crate::fault::FaultSpec {
+            watchdog_rate: 1.0,
+            ..crate::fault::FaultSpec::default()
+        });
+        let mut dev = GpuDevice::from_recording(cfg, recording(&profiles));
+        let x = dev.alloc(16 * 32);
+        let y = dev.alloc(16 * 32);
+        assert!(matches!(
+            dev.launch(&Stager { x, y, blocks: 16 }),
+            Err(LaunchError::WatchdogTimeout { .. })
+        ));
+        assert_eq!(dev.take_fault_counters().launch_faults, 1);
+    }
+
+    #[test]
+    fn a_recorded_launch_checks_name_config_and_resources() {
+        let (profiles, _, _) = stage_twice(GpuDevice::gtx970());
+        let launch = |edit: &dyn Fn(&mut KernelProfile)| {
+            let mut recorded = recording(&profiles);
+            edit(&mut recorded[0]);
+            let mut dev = GpuDevice::from_recording(DeviceConfig::gtx970(), recorded);
+            let x = dev.alloc(16 * 32);
+            let y = dev.alloc(16 * 32);
+            let k = Stager { x, y, blocks: 16 };
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dev.launch(&k).unwrap()))
+        };
+        assert_eq!(launch(&|_| {}).ok(), Some(profiles[0].clone()));
+        assert!(launch(&|p| p.name = "other".into()).is_err());
+        assert!(launch(&|p| p.launch = LaunchConfig::new(Dim3::new_1d(8), 32u32)).is_err());
+        assert!(launch(&|p| p.resources.regs_per_thread += 1).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "past the device's recording")]
+    fn a_launch_past_the_recording_panics() {
+        let mut dev = GpuDevice::from_recording(DeviceConfig::gtx970(), Vec::new());
+        let x = dev.alloc(32);
+        let y = dev.alloc(32);
+        let _ = dev.launch(&Streamer { x, y, n: 32 });
     }
 
     #[test]

@@ -109,14 +109,15 @@ pub struct AnalysisBudget {
 /// to, enabling memoized replay (see `crate::replay`).
 ///
 /// Two blocks with the same `key` must issue **identical** warp-level
-/// instruction streams whose global accesses differ only by a
-/// constant per-buffer element offset — the `anchors`. For such a
-/// pair, every sector address of one block equals the corresponding
-/// sector address of the other shifted by `Δanchor × 4` bytes,
-/// provided the byte delta is a multiple of the sector size (the
-/// replay engine verifies this at runtime and falls back to direct
-/// replay otherwise). Buffers absent from `anchors` are accessed at
-/// block-independent addresses (delta 0).
+/// instruction streams whose global accesses differ only by where
+/// each anchored buffer access lands — the `anchors`, paired by
+/// position. For such a pair, every sector address of one block
+/// equals the corresponding sector address of the other moved by the
+/// distance between the paired anchors' addresses, which may lie in
+/// different buffers, provided that distance is a multiple of the
+/// sector size (the replay engine verifies this at runtime and falls
+/// back to direct replay otherwise). Buffers absent from `anchors`
+/// are accessed at block-independent addresses (delta 0).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockClass {
     /// Class discriminant; blocks sharing a key are

@@ -22,6 +22,13 @@
 //!    member against a direct recording (counters and translated
 //!    stream) before any member is translated.
 //!
+//!    A class may span buffers: a member whose anchors name other
+//!    buffers than its representative's (a packed launch's segments
+//!    that share one warp stream) streams the representative's sectors
+//!    moved onto its own buffers. Such cross-buffer members are
+//!    spot-checked separately: the first one is recorded and compared
+//!    before any other is translated.
+//!
 //! A device with per-SM L1s replays serially: an L1 filters the L2
 //! stream through history that differs per member.
 
@@ -146,7 +153,10 @@ struct MemoClass {
     counters: Counters,
     /// The representative's L2 sector stream.
     events: Vec<L2Event>,
+    /// Trust in members on the representative's own buffers.
     trust: Trust,
+    /// Trust in members on other buffers.
+    cross: Trust,
 }
 
 /// The memoized walk (see module docs): one pass over the grid in grid
@@ -162,9 +172,11 @@ fn replay_memoized(
 ) -> Counters {
     let sector_bytes = u64::from(cfg.sector_bytes);
     let mut classes: HashMap<u64, MemoClass> = HashMap::new();
-    // Dense per-buffer byte shift of the current member (buffer ids
+    // Dense per-buffer byte shift of the current member and the
+    // buffer each of the representative's buffers moves to (buffer ids
     // are small dense indices).
     let mut shift: Vec<i64> = Vec::new();
+    let mut remap: Vec<Option<u32>> = Vec::new();
     let mut total = Counters::default();
     for (gi, b) in kernel.launch_config().grid.iter_indices().enumerate() {
         let Some(bc) = kernel.block_class(b) else {
@@ -181,32 +193,51 @@ fn replay_memoized(
                     counters,
                     events,
                     trust: Trust::Unchecked,
+                    cross: Trust::Unchecked,
                 });
                 continue;
             }
             Entry::Occupied(slot) => slot.into_mut(),
         };
-        if cl.trust == Trust::Rejected
-            || !fill_shift(&cl.anchors, &bc.anchors, sector_bytes, &mut shift)
-        {
+        let Some(crosses) = fill_shift(
+            mem,
+            &cl.anchors,
+            &bc.anchors,
+            sector_bytes,
+            &mut shift,
+            &mut remap,
+        ) else {
             total.merge(&walk_block(mem, l2, cfg, kernel, b, gi));
-        } else if cl.trust == Trust::Trusted {
-            stream(l2, &cl.events, &shift);
-            total.merge(&cl.counters);
+            continue;
+        };
+        let trust = if crosses {
+            &mut cl.cross
         } else {
-            let (counters, events) = record_block(mem, cfg, kernel, b, gi);
-            let agrees = counters == cl.counters
-                && events.len() == cl.events.len()
-                && events.iter().zip(&cl.events).all(|(d, r)| {
-                    d.buf == r.buf && d.write == r.write && d.addr == shifted(r, &shift)
-                });
-            cl.trust = if agrees {
-                Trust::Trusted
-            } else {
-                Trust::Rejected
-            };
-            stream(l2, &events, &[]);
-            total.merge(&counters);
+            &mut cl.trust
+        };
+        match *trust {
+            Trust::Rejected => total.merge(&walk_block(mem, l2, cfg, kernel, b, gi)),
+            Trust::Trusted => {
+                stream(l2, &cl.events, &shift);
+                total.merge(&cl.counters);
+            }
+            Trust::Unchecked => {
+                let (counters, events) = record_block(mem, cfg, kernel, b, gi);
+                let agrees = counters == cl.counters
+                    && events.len() == cl.events.len()
+                    && events.iter().zip(&cl.events).all(|(d, r)| {
+                        d.buf == moved(r, &remap)
+                            && d.write == r.write
+                            && d.addr == shifted(r, &shift)
+                    });
+                *trust = if agrees {
+                    Trust::Trusted
+                } else {
+                    Trust::Rejected
+                };
+                stream(l2, &events, &[]);
+                total.merge(&counters);
+            }
         }
     }
     total
@@ -257,34 +288,60 @@ fn shifted(e: &L2Event, shift: &[i64]) -> u64 {
         .wrapping_add_signed(shift.get(e.buf as usize).copied().unwrap_or(0))
 }
 
-/// Fills `shift` with a member's per-buffer byte deltas from the
-/// paired anchors (element offsets; cells are 4 bytes). Returns
-/// `false` — the member is walked directly — when the anchors name
-/// different buffers, or when a delta is not a whole number of
-/// sectors, since a sub-sector shift would change how lane footprints
-/// coalesce.
+/// The buffer the event's sector lands in for the current member:
+/// its own buffer moved through `remap` (unanchored buffers stay).
+fn moved(e: &L2Event, remap: &[Option<u32>]) -> u32 {
+    remap
+        .get(e.buf as usize)
+        .copied()
+        .flatten()
+        .unwrap_or(e.buf)
+}
+
+/// Fills `shift` with a member's per-buffer byte deltas and `remap`
+/// with the buffer each of the representative's anchored buffers
+/// moves to, from the paired anchors (element offsets into their
+/// buffers). Returns whether any anchor moves to another buffer, or
+/// `None` — the member is walked directly — when the anchor lists
+/// differ in length, one representative buffer would move two ways,
+/// or a delta is not a whole number of sectors, since a sub-sector
+/// shift would change how lane footprints coalesce.
 fn fill_shift(
+    mem: &GlobalMem,
     rep: &[(BufId, usize)],
     member: &[(BufId, usize)],
     sector_bytes: u64,
     shift: &mut Vec<i64>,
-) -> bool {
+    remap: &mut Vec<Option<u32>>,
+) -> Option<bool> {
     if rep.len() != member.len() {
-        return false;
+        return None;
     }
     shift.clear();
+    remap.clear();
+    let mut crosses = false;
     for (r, m) in rep.iter().zip(member) {
-        let d = (m.1 as i64 - r.1 as i64) * 4;
-        if r.0 != m.0 || d.rem_euclid(sector_bytes as i64) != 0 {
-            return false;
+        let d = mem.addr_of(m.0, m.1) as i64 - mem.addr_of(r.0, r.1) as i64;
+        if d.rem_euclid(sector_bytes as i64) != 0 {
+            return None;
         }
         let buf = r.0 .0;
         if shift.len() <= buf {
             shift.resize(buf + 1, 0);
+            remap.resize(buf + 1, None);
         }
-        shift[buf] = d;
+        let to = u32::try_from(m.0 .0).expect("buffer index fits in u32");
+        match remap[buf] {
+            None => {
+                remap[buf] = Some(to);
+                shift[buf] = d;
+            }
+            Some(prev) if prev == to && shift[buf] == d => {}
+            Some(_) => return None,
+        }
+        crosses |= r.0 != m.0;
     }
-    true
+    Some(crosses)
 }
 
 #[cfg(test)]
@@ -309,16 +366,78 @@ mod tests {
         ];
         // Member anchored 64 elements (256 bytes) further into `a`;
         // `c` is not anchored at all.
-        let mut shift = Vec::new();
-        assert!(fill_shift(
-            &[(a, 0), (b, 8)],
-            &[(a, 64), (b, 8)],
-            32,
-            &mut shift
-        ));
+        let (mut shift, mut remap) = (Vec::new(), Vec::new());
+        assert_eq!(
+            fill_shift(
+                &mem,
+                &[(a, 0), (b, 8)],
+                &[(a, 64), (b, 8)],
+                32,
+                &mut shift,
+                &mut remap
+            ),
+            Some(false)
+        );
         assert_eq!(shifted(&events[0], &shift), mem.addr_of(a, 64));
         assert_eq!(shifted(&events[1], &shift), events[1].addr);
         assert_eq!(shifted(&events[2], &shift), events[2].addr);
+        assert_eq!(
+            events.map(|e| moved(&e, &remap)),
+            [a, b, c].map(|x| x.0 as u32)
+        );
+    }
+
+    #[test]
+    fn translate_moves_a_member_onto_its_own_buffers() {
+        let mut mem = GlobalMem::new();
+        let a = mem.alloc(1024);
+        let b = mem.alloc(1024);
+        let a2 = mem.alloc(1024);
+        let b2 = mem.alloc(1024);
+        let (mut shift, mut remap) = (Vec::new(), Vec::new());
+        // A member on `a2` and `b2` at the representative's offsets
+        // plus 8 elements (one sector) into `a2`.
+        assert_eq!(
+            fill_shift(
+                &mem,
+                &[(a, 0), (b, 16)],
+                &[(a2, 8), (b2, 16)],
+                32,
+                &mut shift,
+                &mut remap
+            ),
+            Some(true)
+        );
+        let ea = L2Event::new(mem.addr_of(a, 40), a, false);
+        let eb = L2Event::new(mem.addr_of(b, 16), b, true);
+        assert_eq!(shifted(&ea, &shift), mem.addr_of(a2, 48));
+        assert_eq!(shifted(&eb, &shift), mem.addr_of(b2, 16));
+        assert_eq!(moved(&ea, &remap), a2.0 as u32);
+        assert_eq!(moved(&eb, &remap), b2.0 as u32);
+        // One representative buffer moving two ways never translates.
+        assert_eq!(
+            fill_shift(
+                &mem,
+                &[(a, 0), (a, 0)],
+                &[(a, 0), (a2, 0)],
+                32,
+                &mut shift,
+                &mut remap
+            ),
+            None
+        );
+        // Twice the same way does.
+        assert_eq!(
+            fill_shift(
+                &mem,
+                &[(a, 0), (a, 0)],
+                &[(a2, 8), (a2, 8)],
+                32,
+                &mut shift,
+                &mut remap
+            ),
+            Some(true)
+        );
     }
 
     #[test]
@@ -326,14 +445,19 @@ mod tests {
         let mut mem = GlobalMem::new();
         let a = mem.alloc(64);
         let b = mem.alloc(64);
-        let mut shift = Vec::new();
+        let (mut shift, mut remap) = (Vec::new(), Vec::new());
+        let mut fill = |rep: &[(BufId, usize)], member: &[(BufId, usize)]| {
+            fill_shift(&mem, rep, member, 32, &mut shift, &mut remap)
+        };
         // 3 elements = 12 bytes: not a whole 32B sector.
-        assert!(!fill_shift(&[(a, 0)], &[(a, 3)], 32, &mut shift));
+        assert_eq!(fill(&[(a, 0)], &[(a, 3)]), None);
         // 8 elements = 32 bytes: exactly one sector.
-        assert!(fill_shift(&[(a, 0)], &[(a, 8)], 32, &mut shift));
-        // Anchors naming different buffers never translate.
-        assert!(!fill_shift(&[(a, 0)], &[(b, 0)], 32, &mut shift));
-        assert!(!fill_shift(&[(a, 0)], &[(a, 0), (b, 0)], 32, &mut shift));
+        assert_eq!(fill(&[(a, 0)], &[(a, 8)]), Some(false));
+        // Another buffer at a whole-sector distance: a cross member.
+        assert_eq!(fill(&[(a, 0)], &[(b, 0)]), Some(true));
+        assert_eq!(fill(&[(a, 0)], &[(b, 3)]), None);
+        // Anchor lists must pair up.
+        assert_eq!(fill(&[(a, 0)], &[(a, 0), (b, 0)]), None);
     }
 
     #[test]

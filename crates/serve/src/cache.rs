@@ -204,16 +204,12 @@ pub struct PlanCache {
     /// Static-admission verdict memo. A verdict depends only on the
     /// padded launch geometry (and the device model, fixed per
     /// server), so unlike plans there is no LRU pressure: distinct
-    /// padded shapes number in the handfuls. [`ADMISSION_MEMO_CAP`]
-    /// bounds the degenerate many-shapes case.
-    admission: HashMap<AdmissionKey, Arc<AdmissionVerdict>>,
-    admission_stats: AdmissionStats,
+    /// padded shapes number in the handfuls.
+    admission: CappedMemo<AdmissionKey, Arc<AdmissionVerdict>>,
+    admission_rejects: u64,
     /// Winning-geometry memo: the tile geometry the server resolved
-    /// for a raw batch shape `(M, N, K)` on this server's device. Like
-    /// the admission memo, there is no LRU pressure — distinct shapes
-    /// number in the handfuls — but the same cap bounds degeneracy.
-    geometry: HashMap<(usize, usize, usize), (TileGeometry, Option<TileGeometry>)>,
-    geometry_stats: GeometryStats,
+    /// for a raw batch shape `(M, N, K)` on this server's device.
+    geometry: CappedMemo<(usize, usize, usize), (TileGeometry, Option<TileGeometry>)>,
 }
 
 /// Counters of the winning-geometry memo.
@@ -225,9 +221,71 @@ pub struct GeometryStats {
     pub hits: u64,
 }
 
-/// Verdict-memo bound; reaching it clears the memo (verdicts are
-/// cheap to recompute, so wholesale reset beats LRU bookkeeping).
-const ADMISSION_MEMO_CAP: usize = 256;
+/// Hit/miss counters of a memo, one per lookup.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Lookups served from the memo.
+    pub hits: u64,
+    /// Lookups that found nothing and computed the value.
+    pub misses: u64,
+}
+
+/// Entry bound of every [`CappedMemo`].
+const MEMO_CAP: usize = 256;
+
+/// A memo of values that are pure functions of their key, bounded by
+/// [`MEMO_CAP`] entries. Reaching the bound clears it: its values are
+/// cheap to recompute next to LRU bookkeeping, and distinct keys
+/// number in the handfuls, so only a degenerate stream of shapes
+/// ever fills it.
+pub(crate) struct CappedMemo<K, V> {
+    map: HashMap<K, V>,
+    stats: MemoStats,
+}
+
+impl<K: Eq + Hash, V: Clone> CappedMemo<K, V> {
+    pub(crate) fn new() -> Self {
+        Self {
+            map: HashMap::new(),
+            stats: MemoStats::default(),
+        }
+    }
+
+    /// The value memoised for `key`, counting the lookup as a hit or
+    /// a miss.
+    pub(crate) fn get(&mut self, key: &K) -> Option<V> {
+        let value = self.map.get(key).cloned();
+        if value.is_some() {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
+        }
+        value
+    }
+
+    /// Memoises `value` for `key`, clearing the memo first when full.
+    pub(crate) fn insert(&mut self, key: K, value: V) {
+        if self.map.len() >= MEMO_CAP {
+            self.map.clear();
+        }
+        self.map.insert(key, value);
+    }
+
+    /// The value memoised for `key`, computed by `make` and memoised
+    /// on a miss; the flag says whether it was a hit.
+    fn get_or_insert_with(&mut self, key: K, make: impl FnOnce() -> V) -> (V, bool) {
+        if let Some(value) = self.get(&key) {
+            return (value, true);
+        }
+        let value = make();
+        self.insert(key, value.clone());
+        (value, false)
+    }
+
+    pub(crate) fn stats(&self) -> MemoStats {
+        self.stats
+    }
+}
 
 impl PlanCache {
     /// Creates a cache holding at most `capacity` plans.
@@ -238,10 +296,9 @@ impl PlanCache {
     pub fn new(capacity: usize) -> Self {
         Self {
             lru: Lru::new(capacity),
-            admission: HashMap::new(),
-            admission_stats: AdmissionStats::default(),
-            geometry: HashMap::new(),
-            geometry_stats: GeometryStats::default(),
+            admission: CappedMemo::new(),
+            admission_rejects: 0,
+            geometry: CappedMemo::new(),
         }
     }
 
@@ -254,23 +311,17 @@ impl PlanCache {
         shape: (usize, usize, usize),
         resolve: impl FnOnce() -> (TileGeometry, Option<TileGeometry>),
     ) -> (TileGeometry, Option<TileGeometry>) {
-        if let Some(&g) = self.geometry.get(&shape) {
-            self.geometry_stats.hits += 1;
-            return g;
-        }
-        if self.geometry.len() >= ADMISSION_MEMO_CAP {
-            self.geometry.clear();
-        }
-        self.geometry_stats.resolves += 1;
-        let g = resolve();
-        self.geometry.insert(shape, g);
-        g
+        self.geometry.get_or_insert_with(shape, resolve).0
     }
 
     /// Geometry-memo counter snapshot.
     #[must_use]
     pub fn geometry_stats(&self) -> GeometryStats {
-        self.geometry_stats
+        let MemoStats { hits, misses } = self.geometry.stats();
+        GeometryStats {
+            resolves: misses,
+            hits,
+        }
     }
 
     /// Looks up the static-admission verdict for `key`, computing and
@@ -282,28 +333,23 @@ impl PlanCache {
         key: AdmissionKey,
         check: impl FnOnce() -> AdmissionVerdict,
     ) -> (Arc<AdmissionVerdict>, bool) {
-        if let Some(v) = self.admission.get(&key) {
-            self.admission_stats.hits += 1;
-            return (Arc::clone(v), true);
-        }
-        if self.admission.len() >= ADMISSION_MEMO_CAP {
-            self.admission.clear();
-        }
-        self.admission_stats.checks += 1;
-        let v = Arc::new(check());
-        self.admission.insert(key, Arc::clone(&v));
-        (v, false)
+        self.admission.get_or_insert_with(key, || Arc::new(check()))
     }
 
     /// Records one batch denied the GPU by a static-admission reject.
     pub fn note_admission_reject(&mut self) {
-        self.admission_stats.rejects += 1;
+        self.admission_rejects += 1;
     }
 
     /// Admission-memo counter snapshot.
     #[must_use]
     pub fn admission_stats(&self) -> AdmissionStats {
-        self.admission_stats
+        let MemoStats { hits, misses } = self.admission.stats();
+        AdmissionStats {
+            checks: misses,
+            hits,
+            rejects: self.admission_rejects,
+        }
     }
 
     /// Looks up `key`, building (and inserting) the plan on a miss.

@@ -75,6 +75,18 @@ pub(crate) struct PaddedBatch {
     pub(crate) r: usize,
 }
 
+/// The segment's launch shape: its dimensions padded to its
+/// geometry's tiling.
+pub(crate) fn padded_shape(seg: &Segment) -> GemmShape {
+    let geo = &seg.geometry;
+    let (m, k) = seg.plan.dims();
+    GemmShape {
+        m: m.next_multiple_of(geo.block_m),
+        n: seg.targets.len().next_multiple_of(geo.block_n),
+        k: k.next_multiple_of(geo.tile_k),
+    }
+}
+
 pub(crate) fn pad_batch(seg: &Segment) -> PaddedBatch {
     let geo = &seg.geometry;
     let (m, k) = seg.plan.dims();
@@ -84,15 +96,14 @@ pub(crate) fn pad_batch(seg: &Segment) -> PaddedBatch {
         (1..=MAX_GPU_BATCH).contains(&r),
         "GPU batch width {r} out of range 1..={MAX_GPU_BATCH}"
     );
-    let m_pad = m.next_multiple_of(geo.block_m);
-    let n_pad = n.next_multiple_of(geo.block_n);
     assert!(
         r <= geo.tile_k,
         "batch width {r} exceeds the geometry's tile_k {}; the server \
          must resolve a geometry wide enough for the batch",
         geo.tile_k
     );
-    let k_pad = k.next_multiple_of(geo.tile_k);
+    let shape = padded_shape(seg);
+    let (m_pad, n_pad, k_pad) = (shape.m, shape.n, shape.k);
     let a = pad_coords(seg.plan.pack_words(), m, k, m_pad, k_pad);
     let b = pad_coords(seg.targets.coords(), n, k, n_pad, k_pad);
     // N×R column-major; padded targets carry zero weight.
@@ -112,11 +123,7 @@ pub(crate) fn pad_batch(seg: &Segment) -> PaddedBatch {
         b,
         w_cols,
         a2,
-        shape: GemmShape {
-            m: m_pad,
-            n: n_pad,
-            k: k_pad,
-        },
+        shape,
         m,
         r,
     }

@@ -7,9 +7,11 @@
 //! the server's plan-cache verdict and its resolved tile geometry. A
 //! **device slot** is where the unit runs: a device model, an optional
 //! interconnect, the lifecycle phase drawn for the batch, a
-//! fault-decorrelation key and the slot's circuit breaker. The
-//! **budget** is derived from the backend and is not configurable
-//! (DESIGN.md §11):
+//! fault-decorrelation key and the slot's circuit breaker. Each slot
+//! also keeps a memo of whole pipeline profiles ([`SimLauncher`],
+//! DESIGN.md §10): an attempt whose launch shape the slot has served
+//! replays no traffic. The **budget** is derived from the backend and
+//! is not configurable (DESIGN.md §11):
 //!
 //! | configuration | top rung | GPU attempts | unverified rung | CPU harbor |
 //! |---|---|---|---|---|
@@ -42,15 +44,16 @@ use std::time::Instant;
 use ks_core::plan::SourcePlan;
 use ks_core::problem::PointSet;
 use ks_core::FusedCpuConfig;
+use ks_gpu_kernels::gemm_engine::GemmShape;
 use ks_gpu_kernels::TileGeometry;
 use ks_gpu_sim::config::{DeviceConfig, Interconnect};
 use ks_gpu_sim::device::GpuDevice;
-use ks_gpu_sim::fault::{DevicePhase, LinkFaultState};
+use ks_gpu_sim::fault::{DevicePhase, FaultCounters, LinkFaultState};
 use ks_gpu_sim::kernel::LaunchError;
-use ks_gpu_sim::profiler::PipelineProfile;
+use ks_gpu_sim::profiler::{KernelProfile, PipelineProfile};
 use ks_gpu_sim::timing::{estimate_transfer, estimate_transfer_faulted};
 
-use crate::cache::PlanKey;
+use crate::cache::{CappedMemo, PlanKey};
 use crate::executor;
 use crate::health::ShardHealth;
 use crate::packed;
@@ -272,10 +275,79 @@ pub(crate) trait Launcher {
     ) -> Result<Attempt, LaunchError>;
 }
 
-/// The simulated GPU.
-pub(crate) struct SimLauncher;
+/// Everything a launched pipeline's profiles depend on besides the
+/// slot's device (DESIGN.md §10). The fault seed the ladder reseeds
+/// on every attempt is left out: replay never reads the fault plan.
+#[derive(PartialEq, Eq, Hash)]
+pub(crate) struct ProfileKey {
+    packed: bool,
+    verify: bool,
+    segments: Vec<SegmentShape>,
+}
 
-impl Launcher for SimLauncher {
+/// One segment's part of a [`ProfileKey`].
+#[derive(PartialEq, Eq, Hash)]
+struct SegmentShape {
+    /// Padded to the geometry's tiling.
+    shape: GemmShape,
+    r: usize,
+    /// Ships its norms: no `norms(A)` launch.
+    warm: bool,
+    geometry: TileGeometry,
+    /// The first segment of the set holding the same `plan` and
+    /// `targets` `Arc`s: a packed launch uploads each once.
+    plan_of: usize,
+    targets_of: usize,
+}
+
+impl ProfileKey {
+    fn of(segs: &[&Segment], packed: bool, verify: bool) -> Self {
+        let segments = segs
+            .iter()
+            .map(|s| SegmentShape {
+                shape: executor::padded_shape(s),
+                r: s.weights.len(),
+                warm: s.warm,
+                geometry: s.geometry,
+                plan_of: segs
+                    .iter()
+                    .position(|o| Arc::ptr_eq(&o.plan, &s.plan))
+                    .expect("the segment itself"),
+                targets_of: segs
+                    .iter()
+                    .position(|o| Arc::ptr_eq(&o.targets, &s.targets))
+                    .expect("the segment itself"),
+            })
+            .collect();
+        Self {
+            packed,
+            verify,
+            segments,
+        }
+    }
+}
+
+/// One device slot's memo of whole pipeline profiles, fault counters
+/// cleared. Never shared between slots or servers.
+pub(crate) type ProfileMemo = CappedMemo<ProfileKey, Vec<KernelProfile>>;
+
+/// The simulated GPU. A launch whose [`ProfileKey`] its slot has
+/// served runs on a device built from the recorded profiles
+/// ([`GpuDevice::from_recording`]): the results are computed and the
+/// faults drawn as on a fresh device, but no traffic is replayed.
+pub(crate) struct SimLauncher<'m> {
+    /// The memo of the slot the unit runs on (its owner's, when a
+    /// pool task is stolen).
+    pub(crate) memo: &'m Mutex<ProfileMemo>,
+}
+
+impl SimLauncher<'_> {
+    fn memo(&self) -> MutexGuard<'_, ProfileMemo> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Launcher for SimLauncher<'_> {
     fn launch(
         &mut self,
         device: DeviceConfig,
@@ -283,12 +355,31 @@ impl Launcher for SimLauncher {
         packed: bool,
         verify: bool,
     ) -> Result<Attempt, LaunchError> {
-        let mut dev = GpuDevice::new(device);
-        if packed {
+        let key = ProfileKey::of(segs, packed, verify);
+        let recorded = self.memo().get(&key);
+        let hit = recorded.is_some();
+        let mut dev = match recorded {
+            Some(kernels) => GpuDevice::from_recording(device, kernels),
+            None => GpuDevice::new(device),
+        };
+        let attempt = if packed {
             packed::execute_gpu_packed(&mut dev, segs, verify)
         } else {
             executor::execute_gpu(&mut dev, segs[0], verify)
+        }?;
+        if !hit {
+            let kernels = attempt
+                .profile
+                .kernels
+                .iter()
+                .map(|k| KernelProfile {
+                    faults: FaultCounters::default(),
+                    ..k.clone()
+                })
+                .collect();
+            self.memo().insert(key, kernels);
         }
+        Ok(attempt)
     }
 }
 
@@ -688,6 +779,7 @@ mod tests {
     use std::time::Duration;
 
     use super::*;
+    use crate::cache::MemoStats;
     use ks_core::plan::SourceSet;
     use ks_gpu_sim::fault::LinkFaultSpec;
     use ks_gpu_sim::FaultSpec;
@@ -737,7 +829,8 @@ mod tests {
             {
                 Step::Fail => Err(LaunchError::WatchdogTimeout { limit_ms: 1 }),
                 Step::Done(flags, injected) => {
-                    let mut a = SimLauncher.launch(device, segs, packed, false)?;
+                    let memo = Mutex::new(ProfileMemo::new());
+                    let mut a = SimLauncher { memo: &memo }.launch(device, segs, packed, false)?;
                     a.flags = flags;
                     a.profile.kernels[0].faults.dram_flips += injected;
                     Ok(a)
@@ -1111,6 +1204,206 @@ mod tests {
             charged(&[&cold, &mate]).transfers.len(),
             6,
             "wave-mates share one A and one B upload"
+        );
+    }
+
+    /// One launch on a fresh device, outside any memo.
+    fn fresh(device: &DeviceConfig, segs: &[&Segment], packed: bool, verify: bool) -> Attempt {
+        let mut dev = GpuDevice::new(device.clone());
+        if packed {
+            packed::execute_gpu_packed(&mut dev, segs, verify)
+        } else {
+            executor::execute_gpu(&mut dev, segs[0], verify)
+        }
+        .expect("a fresh launch completes")
+    }
+
+    /// Same profile (`==`), flags and result bits.
+    fn assert_same_attempt(got: &Attempt, want: &Attempt, case: &str) {
+        assert_eq!(got.profile, want.profile, "{case}");
+        assert_eq!(got.flags, want.flags, "{case}");
+        let bits = |a: &Attempt| -> Vec<u32> {
+            a.results
+                .iter()
+                .flatten()
+                .flatten()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(got), bits(want), "{case}");
+    }
+
+    /// Launches every case twice through one memoised launcher and
+    /// checks both attempts against a fresh device; returns the memo's
+    /// counters. Sharing one memo across the cases makes a key that
+    /// misses a dependency serve one case another's recording.
+    fn memo_exact(
+        device: &DeviceConfig,
+        cases: &[(String, Vec<&Segment>, bool, bool)],
+    ) -> MemoStats {
+        let memo = Mutex::new(ProfileMemo::new());
+        let mut launcher = SimLauncher { memo: &memo };
+        for (case, segs, packed, verify) in cases {
+            let want = fresh(device, segs, *packed, *verify);
+            for _ in 0..2 {
+                let got = launcher
+                    .launch(device.clone(), segs, *packed, *verify)
+                    .expect("a memoised launch completes");
+                assert_same_attempt(&got, &want, case);
+            }
+        }
+        let stats = memo.lock().unwrap().stats();
+        stats
+    }
+
+    /// Counters of `n` cases that are each their own key: one miss,
+    /// then one hit.
+    fn distinct(n: usize) -> MemoStats {
+        MemoStats {
+            hits: n as u64,
+            misses: n as u64,
+        }
+    }
+
+    fn with_columns(seg: &Segment, r: usize, warm: bool, geometry: TileGeometry) -> Segment {
+        let n = seg.targets.len();
+        Segment {
+            weights: Arc::new((0..r).map(|c| vec![0.5 - c as f32 / 8.0; n]).collect()),
+            warm,
+            geometry,
+            ..seg.with_plan(Arc::clone(&seg.plan), false)
+        }
+    }
+
+    /// The paper default and a bit-compatible low-power variant.
+    fn geometries() -> [TileGeometry; 2] {
+        let paper = TileGeometry::paper_default();
+        let low = TileGeometry {
+            micro_m: 16,
+            ..paper
+        };
+        assert!(low.bit_compatible(&paper));
+        [paper, low]
+    }
+
+    #[test]
+    fn a_memo_hit_equals_a_fresh_launch_on_every_unpacked_shape() {
+        let base = segment(20);
+        let mut segs = Vec::new();
+        for r in 1..=8 {
+            for warm in [false, true] {
+                for geometry in geometries() {
+                    segs.push((r, warm, geometry, with_columns(&base, r, warm, geometry)));
+                }
+            }
+        }
+        let mut cases = Vec::new();
+        for (r, warm, geometry, seg) in &segs {
+            for verify in [false, true] {
+                let case = format!("R {r}, warm {warm}, verify {verify}, {geometry:?}");
+                cases.push((case, vec![seg], false, verify));
+            }
+        }
+        assert_eq!(
+            memo_exact(&DeviceConfig::gtx970(), &cases),
+            distinct(cases.len())
+        );
+    }
+
+    #[test]
+    fn a_memo_hit_equals_a_fresh_launch_on_packed_sets() {
+        let a = segment(21);
+        let b = segment(22);
+        // Each mate shares one of `a`'s Arcs and differs from `copy`
+        // (`a`'s data in Arcs of its own) only in that sharing.
+        let corpus_mate = Segment {
+            targets: Arc::clone(&b.targets),
+            ..a.with_plan(Arc::clone(&a.plan), false)
+        };
+        let targets_mate = Segment {
+            targets: Arc::clone(&a.targets),
+            ..b.with_plan(Arc::clone(&b.plan), false)
+        };
+        let copy = Segment {
+            plan: Arc::new((*a.plan).clone()),
+            targets: Arc::new((*a.targets).clone()),
+            ..a.with_plan(Arc::clone(&a.plan), false)
+        };
+        // A warm segment on a cold one's corpus: the shared slot
+        // carries both norms buffers.
+        let warm_mate = Segment {
+            warm: true,
+            ..corpus_mate.with_plan(Arc::clone(&a.plan), false)
+        };
+        let mut cases = Vec::new();
+        for verify in [false, true] {
+            for (name, segs) in [
+                ("distinct corpora", vec![&a, &copy]),
+                ("shared corpus", vec![&a, &corpus_mate]),
+                ("shared targets", vec![&a, &targets_mate]),
+                ("shared corpus, warm mate", vec![&a, &warm_mate]),
+                ("three, mixed", vec![&a, &corpus_mate, &targets_mate]),
+                ("three, a twice", vec![&a, &copy, &a]),
+                // Other data in the shapes of "distinct corpora": its
+                // key, so both launches hit that case's recording.
+                ("other data", vec![&a, &b]),
+            ] {
+                cases.push((format!("{name}, verify {verify}"), segs, true, verify));
+            }
+        }
+        let keys = cases.len() - 2;
+        let mut want = distinct(keys);
+        want.hits += 4;
+        assert_eq!(memo_exact(&DeviceConfig::gtx970(), &cases), want);
+    }
+
+    #[test]
+    fn a_memo_hit_keeps_the_fault_draws_of_a_fresh_launch() {
+        let upsets = DeviceConfig {
+            fault: Some(FaultSpec {
+                seed: 5,
+                smem_rate: 4.0,
+                reg_rate: 4.0,
+                ..FaultSpec::default()
+            }),
+            ..DeviceConfig::gtx970()
+        };
+        let (a, b) = (segment(23), segment(24));
+        let cases = vec![
+            ("row, verified".to_owned(), vec![&a], false, true),
+            ("row".to_owned(), vec![&a], false, false),
+            ("packed, verified".to_owned(), vec![&a, &b], true, true),
+        ];
+        for (case, segs, packed, verify) in &cases {
+            let applied: u64 = fresh(&upsets, segs, *packed, *verify)
+                .profile
+                .kernels
+                .iter()
+                .map(|k| k.faults.smem_flips + k.faults.reg_flips)
+                .sum();
+            assert!(applied > 0, "{case}: the upsets land");
+        }
+        assert_eq!(memo_exact(&upsets, &cases), distinct(cases.len()));
+
+        // A launch-level fault fails a hit as it fails a fresh launch.
+        let memo = Mutex::new(ProfileMemo::new());
+        let mut launcher = SimLauncher { memo: &memo };
+        let clean = DeviceConfig::gtx970();
+        launcher.launch(clean.clone(), &[&a], false, false).unwrap();
+        let watchdog = DeviceConfig {
+            fault: Some(FaultSpec {
+                watchdog_rate: 1.0,
+                ..FaultSpec::default()
+            }),
+            ..clean
+        };
+        assert!(matches!(
+            launcher.launch(watchdog, &[&a], false, false),
+            Err(LaunchError::WatchdogTimeout { .. })
+        ));
+        assert_eq!(
+            memo.lock().unwrap().stats(),
+            MemoStats { hits: 1, misses: 1 }
         );
     }
 

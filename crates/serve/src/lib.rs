@@ -16,7 +16,9 @@
 //! * `ladder` — the one degradation ladder every launch unit runs,
 //!   pooled or not: GPU attempts gated by a circuit breaker, the
 //!   fault and link streams decorrelated per attempt, transfers
-//!   charged, ending at the bit-exact CPU safe harbor. The backend
+//!   charged, ending at the bit-exact CPU safe harbor; each device
+//!   slot replays a launch shape's traffic once and reuses the
+//!   recorded profiles after. The backend
 //!   fixes its budget: one attempt with an optional CPU fallback, or
 //!   on the `gpu-resilient` backend ABFT-verified launches with
 //!   seeded-backoff retries and an unverified middle rung.
@@ -65,7 +67,7 @@ pub mod server;
 pub mod workload;
 
 pub use admission::{AdmissionKey, AdmissionStats, AdmissionVerdict};
-pub use cache::{GeometryStats, PlanCache, PlanCacheStats, PlanKey};
+pub use cache::{GeometryStats, MemoStats, PlanCache, PlanCacheStats, PlanKey};
 pub use executor::MAX_GPU_BATCH;
 pub use health::HealthConfig;
 pub use packed::{packable, PACK_MAX_COL_BLOCKS, PACK_MAX_SEGMENT_BLOCKS};

@@ -59,10 +59,11 @@ use ks_gpu_sim::config::{DeviceConfig, Interconnect};
 use ks_gpu_sim::fault::{DevicePhase, LifecycleSpec, LifecycleState};
 use ks_gpu_sim::profiler::PipelineProfile;
 
-use crate::cache::{PlanCacheStats, ShardKey, ShardPlanCache};
+use crate::cache::{MemoStats, PlanCacheStats, ShardKey, ShardPlanCache};
 use crate::health::{HealthConfig, HealthMonitor};
 use crate::ladder::{
-    Breaker, Budget, DeviceSlot, Ladder, LaunchUnit, Rung, SegmentOutcome, SimLauncher, UnitOutcome,
+    Breaker, Budget, DeviceSlot, Ladder, LaunchUnit, ProfileMemo, Rung, SegmentOutcome,
+    SimLauncher, UnitOutcome,
 };
 use crate::queue::BoundedQueue;
 use crate::server::{ResilienceConfig, ServeBackend};
@@ -170,6 +171,9 @@ pub struct DeviceReport {
     pub link_retransmits: u64,
     /// Shard-plan cache counters (coordinator-resolved).
     pub plan_cache: PlanCacheStats,
+    /// Pipeline-profile memo counters of this device's slot, stolen
+    /// tasks included.
+    pub profile_memo: MemoStats,
     /// Bytes moved over this device's interconnect.
     pub transfer_bytes: u64,
     /// Modelled time spent moving them, in seconds.
@@ -292,6 +296,9 @@ struct Shared {
     queues: Vec<Arc<BoundedQueue<Task>>>,
     devices: Vec<PoolDevice>,
     breakers: Vec<Mutex<Breaker>>,
+    /// Per-device pipeline-profile memos; a stolen task uses its
+    /// owner's.
+    memos: Vec<Mutex<ProfileMemo>>,
     stats: Vec<Mutex<DeviceReport>>,
     /// The pooled ladder every device thread runs.
     ladder: Ladder,
@@ -347,6 +354,7 @@ impl DevicePool {
             breakers: (0..n)
                 .map(|_| Mutex::new(Breaker::new(resilience)))
                 .collect(),
+            memos: (0..n).map(|_| Mutex::new(ProfileMemo::new())).collect(),
             stats: pool
                 .devices
                 .iter()
@@ -587,6 +595,10 @@ impl DevicePool {
             dr.breaker_trips = b.trips;
             dr.breaker_resets = b.resets;
             dr.plan_cache = self.caches[d].stats();
+            dr.profile_memo = self.shared.memos[d]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .stats();
             dr.evictions = self.health.evictions[d];
             dr.readmissions = self.health.readmissions[d];
             report.stolen_tasks += dr.stolen;
@@ -678,7 +690,10 @@ fn run_task(task: Task, me: usize, stolen: bool, shared: &Shared) {
         breaker: &shared.breakers[task.owner],
         batch: task.batch,
     };
-    let run = || shared.ladder.run(&task.unit, &slot, &mut SimLauncher);
+    let mut launcher = SimLauncher {
+        memo: &shared.memos[task.owner],
+    };
+    let run = || shared.ladder.run(&task.unit, &slot, &mut launcher);
     let outcome = match std::panic::catch_unwind(AssertUnwindSafe(run)) {
         Ok(outcome) => outcome,
         Err(payload) => return task.merge.complete(task.slot, Err(payload)),

@@ -38,9 +38,11 @@ use ks_gpu_sim::kernel::LaunchError;
 use ks_gpu_sim::profiler::PipelineProfile;
 
 use crate::admission::{self, AdmissionKey, AdmissionStats};
-use crate::cache::{GeometryStats, PlanCache, PlanCacheStats, PlanKey};
+use crate::cache::{GeometryStats, MemoStats, PlanCache, PlanCacheStats, PlanKey};
 use crate::executor::MAX_GPU_BATCH;
-use crate::ladder::{Breaker, Budget, DeviceSlot, Ladder, LaunchUnit, Rung, Segment, SimLauncher};
+use crate::ladder::{
+    Breaker, Budget, DeviceSlot, Ladder, LaunchUnit, ProfileMemo, Rung, Segment, SimLauncher,
+};
 use crate::packed;
 use crate::pool::{DevicePool, PoolConfig, PoolReport};
 use crate::queue::BoundedQueue;
@@ -479,6 +481,12 @@ pub struct ServeReport {
     pub static_admission: AdmissionStats,
     /// Winning-geometry memo counters.
     pub geometry: GeometryStats,
+    /// Pipeline-profile memo counters, one lookup per GPU attempt;
+    /// summed over the members when pooled. A hit skips the traffic
+    /// replay and changes no modelled figure. Host-side accounting: in
+    /// a pool, stealing can reorder two same-shape tasks of one owner,
+    /// so the split may differ between runs.
+    pub profile_memo: MemoStats,
     /// Modelled GPU energy across all completed batch profiles,
     /// joules (the energy model over the exact simulated counters).
     pub energy_j: f64,
@@ -911,12 +919,14 @@ struct PreparedChunk {
 }
 
 /// The worker thread's state: the plan cache, the pool (when pooled),
-/// the unpooled slot's breaker, the ladders and the counters.
+/// the unpooled slot's breaker and profile memo, the ladders and the
+/// counters.
 struct Worker<'a> {
     cfg: &'a ServeConfig,
     cache: PlanCache,
     pool: Option<DevicePool>,
     breaker: Mutex<Breaker>,
+    profiles: Mutex<ProfileMemo>,
     /// The unpooled ladder of the configured backend.
     ladder: Ladder,
     /// The ladder of batches static admission denied the GPU.
@@ -935,6 +945,7 @@ impl<'a> Worker<'a> {
                 .as_ref()
                 .map(|p| DevicePool::start(p, cfg.backend, &cfg.resilience, cfg.cpu)),
             breaker: Mutex::new(Breaker::new(&cfg.resilience)),
+            profiles: Mutex::new(ProfileMemo::new()),
             ladder: ladder(Budget::of(cfg.backend, &cfg.resilience, false)),
             cpu: ladder(Budget::CPU),
             stats: ServeReport::default(),
@@ -952,7 +963,16 @@ impl<'a> Worker<'a> {
             .unwrap_or_else(PoisonError::into_inner);
         stats.breaker_trips = breaker.trips;
         stats.breaker_resets = breaker.resets;
+        stats.profile_memo = self
+            .profiles
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .stats();
         stats.pool = self.pool.map(DevicePool::shutdown);
+        for d in stats.pool.iter().flat_map(|p| &p.devices) {
+            stats.profile_memo.hits += d.profile_memo.hits;
+            stats.profile_memo.misses += d.profile_memo.misses;
+        }
         stats
     }
 
@@ -1142,7 +1162,10 @@ impl<'a> Worker<'a> {
                     breaker: &self.breaker,
                     batch,
                 };
-                ladder.run(&unit, &slot, &mut SimLauncher)
+                let mut launcher = SimLauncher {
+                    memo: &self.profiles,
+                };
+                ladder.run(&unit, &slot, &mut launcher)
             }
         };
         let s = &mut self.stats;
@@ -1831,5 +1854,72 @@ mod tests {
         let report = srv.shutdown();
         assert_eq!(report.static_admission, AdmissionStats::default());
         assert_eq!(report.profiles.len(), 1);
+    }
+
+    /// Serves `batches` one-query batches of one shape, cold every
+    /// time (no plan cache), so each has the same profile key.
+    fn serve_repeats(pool: Option<PoolConfig>, batches: u64) -> ServeReport {
+        let sources = SourceSet::new(PointSet::uniform_cube(256, 5, 141));
+        let targets = Arc::new(PointSet::uniform_cube(70, 5, 142));
+        let cfg = ServeConfig {
+            backend: ServeBackend::GpuFused {
+                cpu_fallback: false,
+            },
+            max_batch: 1,
+            enable_plan_cache: false,
+            start_paused: true,
+            pool,
+            ..ServeConfig::default()
+        };
+        let mut srv = Server::start(cfg);
+        let tickets: Vec<Ticket> = (0..batches)
+            .map(|i| match srv.submit(query(&sources, &targets, 150 + i)) {
+                Submit::Accepted(t) => t,
+                Submit::Rejected(_) => panic!("must accept"),
+            })
+            .collect();
+        srv.resume();
+        for t in &tickets {
+            assert!(t.wait().is_ok());
+        }
+        srv.shutdown()
+    }
+
+    /// A repeated batch misses its slot's profile memo once and hits
+    /// it after, with the miss's profile; a new server starts empty.
+    #[test]
+    fn a_repeated_batch_replays_once_per_server() {
+        let report = serve_repeats(None, 3);
+        assert_eq!(report.batches, 3);
+        assert_eq!(report.profile_memo, MemoStats { hits: 2, misses: 1 });
+        assert!(report.profiles.windows(2).all(|p| p[0] == p[1]));
+        let again = serve_repeats(None, 1);
+        assert_eq!(
+            again.profile_memo,
+            MemoStats { hits: 0, misses: 1 },
+            "two servers never share an entry"
+        );
+    }
+
+    /// Pooled, each member keeps its own memo: both shards of the
+    /// first batch miss on their devices, and the repeat hits on both.
+    #[test]
+    fn pool_members_memoise_their_own_shards() {
+        let pool = PoolConfig::homogeneous(
+            2,
+            DeviceConfig::gtx970(),
+            ks_gpu_sim::config::Interconnect::pcie3_x16(),
+        );
+        let report = serve_repeats(Some(pool), 2);
+        let devices = &report.pool.as_ref().expect("pooled").devices;
+        for d in devices {
+            assert_eq!(
+                d.profile_memo,
+                MemoStats { hits: 1, misses: 1 },
+                "{}",
+                d.name
+            );
+        }
+        assert_eq!(report.profile_memo, MemoStats { hits: 2, misses: 2 });
     }
 }

@@ -664,6 +664,10 @@ fn cmd_serve_bench(rest: &[String], fault: Option<FaultSpec>) -> Result<ExitCode
         report.queue_high_water, report.fallbacks
     );
     println!(
+        "profile memo: {} hits / {} misses",
+        report.profile_memo.hits, report.profile_memo.misses
+    );
+    println!(
         "launches {} | packed launches {} carrying {} segments",
         report.launches, report.packed_launches, report.packed_segments
     );
