@@ -1,5 +1,6 @@
-//! Multi-weight serving: the batched entries around
-//! [`FusedMultiWeight`], the fused kernel under its serving name.
+//! Multi-weight serving: [`execute_fused_multi_with`], the one entry
+//! every served launch takes, around [`FusedMultiWeight`], the fused
+//! kernel under its serving name.
 //!
 //! Kernel regression evaluates `V = K·W` for several weight columns at
 //! once. The fused kernel ([`crate::fused`]) computes each Gaussian
@@ -17,7 +18,19 @@
 //! Layouts: `W` is `N×R` **column-major** (each weight column
 //! contiguous), `V` is `M×R` column-major (each output column receives
 //! coalesced atomics).
+//!
+//! One entry serves any number of segments. In horizontal fusion's
+//! terms (Li et al.) an unpacked batch is the one-segment case of a
+//! packed wave: one segment launches [`FusedMultiWeight`] on its own
+//! 2-D grid (`fused_multiw{R}…`, pipeline `Fused-Multi[-ABFT]`), two
+//! or more launch [`FusedMultiPacked`] over their concatenated grids
+//! (`fused_multi_packed{S}w{R}…`, pipeline
+//! `Fused-Multi-Packed[-ABFT]`). Both run one sequence: validate,
+//! upload (deduplicated by key), norms, launch, download, verify.
 
+use std::collections::HashMap;
+
+use ks_gpu_sim::buffer::BufId;
 use ks_gpu_sim::device::GpuDevice;
 use ks_gpu_sim::kernel::{Kernel, LaunchError};
 use ks_gpu_sim::profiler::PipelineProfile;
@@ -25,6 +38,7 @@ use ks_gpu_sim::profiler::PipelineProfile;
 use crate::aux_kernels::{Bandwidth, NormsKernel};
 pub use crate::fused::FusedMultiWeight;
 use crate::fused::{VerifyBufs, VerifyReport, CHECKSUM_SLOT_WORDS};
+use crate::fused_multi_packed::FusedMultiPacked;
 use crate::gemm_engine::{GemmOperands, GemmShape};
 use crate::geometry::TileGeometry;
 
@@ -40,163 +54,287 @@ pub const FUSED_MULTI_PIPELINE: &str = "Fused-Multi";
 /// Pipeline label of the ABFT-verified serving path.
 pub const FUSED_MULTI_VERIFIED_PIPELINE: &str = "Fused-Multi-ABFT";
 
-/// Batched serving entry: runs the multi-weight pipeline end to end on
-/// `dev` at `geometry` — `norms(B)`, `norms(A)` **unless** precomputed
-/// row norms are supplied (the plan-cache hit path uploads them
-/// instead of relaunching the kernel), then the fused multi-weight
-/// kernel — and returns the `M×R` column-major result plus the
-/// pipeline profile.
+/// Label under which packed waves appear in profiles and metrics.
+pub const FUSED_MULTI_PACKED_PIPELINE: &str = "Fused-Multi-Packed";
+
+/// Pipeline label of the ABFT-verified packed path.
+pub const FUSED_MULTI_PACKED_VERIFIED_PIPELINE: &str = "Fused-Multi-Packed-ABFT";
+
+/// One query batch's slice of a serving launch, as the host sees it.
 ///
-/// `w_cols` is `N×R` column-major (column `c` of query `c` contiguous
-/// at offset `c·N`); the result places query `c` at `c·M..c·M+M`.
-///
-/// # Errors
-/// Propagates launch-validation failures from any kernel.
-///
-/// # Panics
-/// Panics if the shape does not divide `geometry`, buffer lengths
-/// disagree with the shape, `w_cols` is not a whole number of columns,
-/// or the column count is outside `1..=MAX_WEIGHT_COLUMNS` or exceeds
-/// the geometry's `tile_k`.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_fused_multi_with(
-    dev: &mut GpuDevice,
-    geometry: &TileGeometry,
-    shape: GemmShape,
-    h: f32,
-    a: &[f32],
-    b: &[f32],
-    w_cols: &[f32],
-    a2: Option<&[f32]>,
-) -> Result<(Vec<f32>, PipelineProfile), LaunchError> {
-    let (v, prof, _) = execute_fused_multi_inner(dev, geometry, shape, h, a, b, w_cols, a2, false)?;
-    Ok((v, prof))
+/// `a_key`/`b_key` enable plan-cache-aware upload deduplication:
+/// segments carrying equal keys promise **byte-identical** `a` (resp.
+/// `b`) slices and share one uploaded buffer. Norms sharing splits by
+/// warmth — cold sharers share one norms pass, warm sharers share the
+/// first uploaded `a2` (equal keys promise byte-identical norms too)
+/// — but warmth never migrates between sharers: host-precomputed
+/// norms are not bit-identical to the kernel's, so upgrading a cold
+/// segment would break the bit-identity contract. `None` keys never
+/// share.
+#[derive(Clone, Copy)]
+pub struct SegmentSpec<'a> {
+    /// Padded GEMM shape of this segment (must divide the geometry).
+    pub shape: GemmShape,
+    /// Gaussian bandwidth.
+    pub h: f32,
+    /// `M×K` row-major source corpus.
+    pub a: &'a [f32],
+    /// `N×K` row-major target points (stored `K×N` GEMM-wise).
+    pub b: &'a [f32],
+    /// `N×R` column-major weights (column `c` contiguous at `c·N`).
+    pub w_cols: &'a [f32],
+    /// Precomputed `‖aᵢ‖²` row norms (plan-cache hit): skips norms(A).
+    pub a2: Option<&'a [f32]>,
+    /// Upload-dedup key for `a` (e.g. the plan's identity).
+    pub a_key: Option<u64>,
+    /// Upload-dedup key for `b` (e.g. the target set's identity).
+    pub b_key: Option<u64>,
 }
 
-/// [`execute_fused_multi_with`] with ABFT verification enabled: the
-/// fused kernel runs in its checksum-augmented variant and the host
-/// compares the per-row-group checksum column against `V` before
-/// returning. The returned [`VerifyReport`] says whether any
-/// corruption was detected; the result vector must not be used when
-/// it was.
+/// Per-corpus upload slot shared by all segments with one dedup key.
+///
+/// The *data* upload is shared unconditionally (equal keys promise
+/// byte-identical slices), but norms are split by warmth: precomputed
+/// norms are **not** bit-identical to the norms kernel's output (the
+/// host accumulates in f64, the kernel in f32), so a warm segment's
+/// upload must never serve a cold sharer — each class keeps its own
+/// buffer and a mixed slot carries both.
+struct CorpusSlot {
+    buf: BufId,
+    /// Uploaded precomputed norms, shared by the slot's warm segments.
+    sq_warm: Option<BufId>,
+    /// Kernel-computed norms, shared by the slot's cold segments; a
+    /// norms kernel fills this before the fused launch.
+    sq_cold: Option<BufId>,
+    points: usize,
+    dim: usize,
+    /// Norms-kernel label ("a" or "b").
+    label: &'static str,
+}
+
+/// The uploads of one launch: every corpus and target slot in
+/// first-use order, indexed by side label and dedup key.
+#[derive(Default)]
+struct Uploads {
+    slots: Vec<CorpusSlot>,
+    index: HashMap<(&'static str, u64), usize>,
+}
+
+impl Uploads {
+    /// The slot holding `data` under `key` on side `label`, uploading
+    /// the data on first use.
+    fn slot(
+        &mut self,
+        dev: &mut GpuDevice,
+        key: Option<u64>,
+        data: &[f32],
+        (points, dim): (usize, usize),
+        label: &'static str,
+    ) -> usize {
+        if let Some(&i) = key.and_then(|k| self.index.get(&(label, k))) {
+            let slot = &self.slots[i];
+            assert_eq!(
+                (slot.points, slot.dim),
+                (points, dim),
+                "segments sharing an upload key must share the padded corpus shape"
+            );
+            return i;
+        }
+        let i = self.slots.len();
+        if let Some(k) = key {
+            self.index.insert((label, k), i);
+        }
+        self.slots.push(CorpusSlot {
+            buf: dev.upload(data),
+            sq_warm: None,
+            sq_cold: None,
+            points,
+            dim,
+            label,
+        });
+        i
+    }
+
+    /// The norms buffer slot `i`'s segment reads: the uploaded `norms`
+    /// when it ships them (warm), else the kernel-filled buffer
+    /// (cold), each created on first use.
+    fn norms(&mut self, dev: &mut GpuDevice, i: usize, norms: Option<&[f32]>) -> BufId {
+        let slot = &mut self.slots[i];
+        match norms {
+            Some(nm) => {
+                assert_eq!(
+                    nm.len(),
+                    slot.points,
+                    "row norms must match the corpus rows"
+                );
+                *slot.sq_warm.get_or_insert_with(|| dev.upload(nm))
+            }
+            None => *slot.sq_cold.get_or_insert_with(|| dev.alloc(slot.points)),
+        }
+    }
+}
+
+/// What a serving launch hands back.
+pub struct FusedMultiOutput {
+    /// Per segment, its `M×R` column-major result.
+    pub v: Vec<Vec<f32>>,
+    /// The launch's pipeline profile.
+    pub profile: PipelineProfile,
+    /// Per segment, its ABFT report; empty unless verified.
+    pub reports: Vec<VerifyReport>,
+}
+
+/// Runs one serving launch end to end on `dev` at `geometry`: one
+/// norms pass per **unique** cold corpus or target slot (warm
+/// segments upload their precomputed norms instead, and never lend
+/// them to cold sharers — see [`SegmentSpec`]), then **one** fused
+/// launch over every segment: [`FusedMultiWeight`] on its own grid
+/// for one segment, [`FusedMultiPacked`] for two or more.
+///
+/// Each segment allocates in one order — `A`, `B`, `A` norms, `B`
+/// norms, `W`, `V`, then the checksum and flag when verified — and
+/// skips a corpus or target set an earlier segment uploaded under the
+/// same key.
+///
+/// Returns each segment's result, the pipeline profile and, when
+/// `verify`, one [`VerifyReport`] per segment, so a corrupted launch
+/// degrades only the affected segments. A packed launch is
+/// bit-identical to launching each of its segments alone: every block
+/// executes the same body at the same local coordinates against the
+/// same data, and segments write disjoint outputs.
 ///
 /// # Errors
 /// Propagates launch-validation failures and injected launch-level
 /// faults from any kernel.
 ///
 /// # Panics
-/// As [`execute_fused_multi_with`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_fused_multi_verified_with(
+/// Panics on an empty segment list, a shape that does not divide
+/// `geometry`, buffer lengths that disagree with a shape, `w_cols`
+/// that is not a whole number of columns, a column count outside
+/// `1..=MAX_WEIGHT_COLUMNS` or above the geometry's `tile_k`, or
+/// segments that share a dedup key but disagree on the padded corpus
+/// shape.
+pub fn execute_fused_multi_with(
     dev: &mut GpuDevice,
     geometry: &TileGeometry,
-    shape: GemmShape,
-    h: f32,
-    a: &[f32],
-    b: &[f32],
-    w_cols: &[f32],
-    a2: Option<&[f32]>,
-) -> Result<(Vec<f32>, PipelineProfile, VerifyReport), LaunchError> {
-    let (v, prof, report) =
-        execute_fused_multi_inner(dev, geometry, shape, h, a, b, w_cols, a2, true)?;
-    Ok((
-        v,
-        prof,
-        report.expect("verified path always builds a report"),
-    ))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn execute_fused_multi_inner(
-    dev: &mut GpuDevice,
-    geometry: &TileGeometry,
-    shape: GemmShape,
-    h: f32,
-    a: &[f32],
-    b: &[f32],
-    w_cols: &[f32],
-    a2: Option<&[f32]>,
+    segs: &[SegmentSpec],
     verify: bool,
-) -> Result<(Vec<f32>, PipelineProfile, Option<VerifyReport>), LaunchError> {
-    shape.validate_for(geometry);
-    let (m, n, k) = (shape.m, shape.n, shape.k);
-    assert_eq!(a.len(), m * k, "A must be M·K elements");
-    assert_eq!(b.len(), k * n, "B must be K·N elements");
-    assert_eq!(w_cols.len() % n, 0, "W must be a whole number of columns");
-    let r = w_cols.len() / n;
-    if let Some(norms) = a2 {
-        assert_eq!(norms.len(), m, "precomputed row norms must be M elements");
-    }
-    let bw = Bandwidth { h };
-    let _ = bw.inv_2h2(); // validates h
+) -> Result<FusedMultiOutput, LaunchError> {
+    assert!(!segs.is_empty(), "a serving launch needs segments");
+    let mut uploads = Uploads::default();
+    let mut kernels: Vec<FusedMultiWeight> = Vec::with_capacity(segs.len());
+    // Per segment: its `V` buffer, rows and columns.
+    let mut outputs: Vec<(BufId, usize, usize)> = Vec::with_capacity(segs.len());
+    let mut verify_bufs: Vec<VerifyBufs> = Vec::new();
 
-    let ops = GemmOperands {
-        a: dev.upload(a),
-        b: dev.upload(b),
-    };
-    let a2_buf = match a2 {
-        Some(norms) => dev.upload(norms),
-        None => dev.alloc(m),
-    };
-    let b2_buf = dev.alloc(n);
-    let w_buf = dev.upload(w_cols);
-    let v_buf = dev.alloc(m * r);
-    let verify_bufs = verify.then(|| {
-        let checksum = dev.alloc(r * (m / geometry.block_m) * CHECKSUM_SLOT_WORDS);
-        let flag = dev.alloc(CHECKSUM_SLOT_WORDS);
-        VerifyBufs { checksum, flag }
-    });
+    for seg in segs {
+        seg.shape.validate_for(geometry);
+        let (m, n, k) = (seg.shape.m, seg.shape.n, seg.shape.k);
+        assert_eq!(seg.a.len(), m * k, "A must be M·K elements");
+        assert_eq!(seg.b.len(), k * n, "B must be K·N elements");
+        assert_eq!(
+            seg.w_cols.len() % n,
+            0,
+            "W must be a whole number of columns"
+        );
+        let r = seg.w_cols.len() / n;
+        let bw = Bandwidth { h: seg.h };
+        let _ = bw.inv_2h2(); // validates h
+
+        let ai = uploads.slot(dev, seg.a_key, seg.a, (m, k), "a");
+        let bi = uploads.slot(dev, seg.b_key, seg.b, (n, k), "b");
+        let a2 = uploads.norms(dev, ai, seg.a2);
+        let b2 = uploads.norms(dev, bi, None);
+        let ops = GemmOperands {
+            a: uploads.slots[ai].buf,
+            b: uploads.slots[bi].buf,
+        };
+        let w = dev.upload(seg.w_cols);
+        let v = dev.alloc(m * r);
+        outputs.push((v, m, r));
+        let mut kern =
+            FusedMultiWeight::new(ops, a2, b2, w, v, seg.shape, bw, r).with_geometry(*geometry);
+        if verify {
+            let vb = VerifyBufs {
+                checksum: dev.alloc(r * (m / geometry.block_m) * CHECKSUM_SLOT_WORDS),
+                flag: dev.alloc(CHECKSUM_SLOT_WORDS),
+            };
+            verify_bufs.push(vb);
+            kern = kern.with_verify(vb);
+        }
+        kernels.push(kern);
+    }
+
+    // One cold-cache point per launch: wave-mates sharing corpora hit
+    // L2 instead of re-reading DRAM between back-to-back launches.
     dev.invalidate_l2();
-    dev.memset_zero(v_buf); // cudaMemset before the atomic reduction
-    if let Some(vb) = verify_bufs {
+    for &(v, _, _) in &outputs {
+        dev.memset_zero(v); // cudaMemset before the atomic reduction
+    }
+    for vb in &verify_bufs {
         dev.memset_zero(vb.checksum);
         dev.memset_zero(vb.flag);
     }
 
-    let mut kernels: Vec<Box<dyn Kernel>> = Vec::with_capacity(3);
-    if a2.is_none() {
-        kernels.push(Box::new(NormsKernel::new(ops.a, a2_buf, m, k, "a")));
-    }
-    kernels.push(Box::new(NormsKernel::new(ops.b, b2_buf, n, k, "b")));
-    let mut fused = FusedMultiWeight::new(ops, a2_buf, b2_buf, w_buf, v_buf, shape, bw, r)
-        .with_geometry(*geometry);
-    if let Some(vb) = verify_bufs {
-        fused = fused.with_verify(vb);
-    }
-    kernels.push(Box::new(fused));
-
-    let mut prof = PipelineProfile::new(if verify {
-        FUSED_MULTI_VERIFIED_PIPELINE
-    } else {
-        FUSED_MULTI_PIPELINE
+    let packed = kernels.len() > 1;
+    let mut prof = PipelineProfile::new(match (packed, verify) {
+        (false, false) => FUSED_MULTI_PIPELINE,
+        (false, true) => FUSED_MULTI_VERIFIED_PIPELINE,
+        (true, false) => FUSED_MULTI_PACKED_PIPELINE,
+        (true, true) => FUSED_MULTI_PACKED_VERIFIED_PIPELINE,
     });
-    for kern in kernels {
-        let mut kp = dev.launch(kern.as_ref())?;
-        dev.run(kern.as_ref())?;
+    let mut launch_run = |kern: &dyn Kernel| -> Result<(), LaunchError> {
+        let mut kp = dev.launch(kern)?;
+        dev.run(kern)?;
         // The launch replay schedules upsets; the functional run
         // applies them — fold the applied tally into the profile.
         kp.faults.merge(&dev.take_fault_counters());
         prof.kernels.push(kp);
+        Ok(())
+    };
+    for slot in &uploads.slots {
+        if let Some(sq) = slot.sq_cold {
+            launch_run(&NormsKernel::new(
+                slot.buf,
+                sq,
+                slot.points,
+                slot.dim,
+                slot.label,
+            ))?;
+        }
     }
-    let v = dev.download(v_buf);
-    let report = verify_bufs.map(|vb| {
-        VerifyReport::from_outputs(
-            &v,
-            &dev.download(vb.checksum),
-            &dev.download(vb.flag),
-            m,
-            r,
-            geometry.block_m,
-        )
-    });
-    Ok((v, prof, report))
+    if packed {
+        launch_run(&FusedMultiPacked::new(kernels))?;
+    } else {
+        launch_run(&kernels[0])?;
+    }
+
+    let v: Vec<Vec<f32>> = outputs.iter().map(|&(v, _, _)| dev.download(v)).collect();
+    let reports = verify_bufs
+        .iter()
+        .zip(&v)
+        .zip(&outputs)
+        .map(|((vb, v), &(_, m, r))| {
+            VerifyReport::from_outputs(
+                v,
+                &dev.download(vb.checksum),
+                &dev.download(vb.flag),
+                m,
+                r,
+                geometry.block_m,
+            )
+        })
+        .collect();
+    Ok(FusedMultiOutput {
+        v,
+        profile: prof,
+        reports,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ks_gpu_sim::buffer::BufId;
-    use ks_gpu_sim::GpuDevice;
 
     const PAPER: TileGeometry = TileGeometry::paper_default();
 
@@ -259,6 +397,20 @@ mod tests {
             shape,
             bw: Bandwidth { h: 1.0 },
             r,
+        }
+    }
+
+    /// `s`'s data as one unkeyed segment.
+    fn spec(s: &Setup) -> SegmentSpec<'_> {
+        SegmentSpec {
+            shape: s.shape,
+            h: s.bw.h,
+            a: &s.a,
+            b: &s.b,
+            w_cols: &s.w,
+            a2: None,
+            a_key: None,
+            b_key: None,
         }
     }
 
@@ -556,10 +708,15 @@ mod tests {
         };
         let s = setup(shape, 3, 91);
         let mut dev = GpuDevice::gtx970();
-        let (got, prof) =
-            execute_fused_multi_with(&mut dev, &PAPER, shape, 1.0, &s.a, &s.b, &s.w, None).unwrap();
+        let FusedMultiOutput {
+            v: got,
+            profile: prof,
+            reports,
+        } = execute_fused_multi_with(&mut dev, &PAPER, &[spec(&s)], false).unwrap();
         assert_eq!(prof.name, FUSED_MULTI_PIPELINE);
         assert_eq!(prof.kernels.len(), 3, "norms(A), norms(B), fused-multi");
+        assert!(reports.is_empty(), "no reports unless verified");
+        let got = &got[0];
         let want = reference(&s);
         for (i, (g, x)) in got.iter().zip(want.iter()).enumerate() {
             assert!(
@@ -595,13 +752,21 @@ mod tests {
             })
             .collect();
         let mut d_cold = small_l2();
-        let (v_cold, p_cold) =
-            execute_fused_multi_with(&mut d_cold, &PAPER, shape, 1.0, &s.a, &s.b, &s.w, None)
-                .unwrap();
+        let FusedMultiOutput {
+            v: v_cold,
+            profile: p_cold,
+            ..
+        } = execute_fused_multi_with(&mut d_cold, &PAPER, &[spec(&s)], false).unwrap();
+        let hit = SegmentSpec {
+            a2: Some(&a2),
+            ..spec(&s)
+        };
         let mut d_hit = small_l2();
-        let (v_hit, p_hit) =
-            execute_fused_multi_with(&mut d_hit, &PAPER, shape, 1.0, &s.a, &s.b, &s.w, Some(&a2))
-                .unwrap();
+        let FusedMultiOutput {
+            v: v_hit,
+            profile: p_hit,
+            ..
+        } = execute_fused_multi_with(&mut d_hit, &PAPER, &[hit], false).unwrap();
         assert_eq!(p_cold.kernels.len(), 3);
         assert_eq!(p_hit.kernels.len(), 2, "norms(A) skipped on a plan hit");
         assert!(
@@ -610,7 +775,7 @@ mod tests {
             p_hit.total_mem().dram_transactions(),
             p_cold.total_mem().dram_transactions()
         );
-        for (i, (a, b)) in v_cold.iter().zip(v_hit.iter()).enumerate() {
+        for (i, (a, b)) in v_cold[0].iter().zip(v_hit[0].iter()).enumerate() {
             assert!(
                 (a - b).abs() < 2e-3 * a.abs().max(1.0),
                 "idx {i}: {a} vs {b}"
@@ -639,12 +804,15 @@ mod tests {
         };
         let s = setup(shape, 3, 92);
         let mut d1 = GpuDevice::gtx970();
-        let (plain, _) =
-            execute_fused_multi_with(&mut d1, &PAPER, shape, 1.0, &s.a, &s.b, &s.w, None).unwrap();
+        let FusedMultiOutput { v: plain, .. } =
+            execute_fused_multi_with(&mut d1, &PAPER, &[spec(&s)], false).unwrap();
         let mut d2 = GpuDevice::gtx970();
-        let (got, prof, report) =
-            execute_fused_multi_verified_with(&mut d2, &PAPER, shape, 1.0, &s.a, &s.b, &s.w, None)
-                .unwrap();
+        let FusedMultiOutput {
+            v: got,
+            profile: prof,
+            reports,
+        } = execute_fused_multi_with(&mut d2, &PAPER, &[spec(&s)], true).unwrap();
+        let report = &reports[0];
         assert_eq!(prof.name, FUSED_MULTI_VERIFIED_PIPELINE);
         assert_eq!(prof.kernels.len(), 3);
         assert!(
@@ -654,7 +822,7 @@ mod tests {
         );
         assert!(!report.corruption_detected(), "{report:?}");
         assert_eq!(report.checksum_groups, 3 * (shape.m / 128));
-        for (g, p) in got.iter().zip(plain.iter()) {
+        for (g, p) in got[0].iter().zip(plain[0].iter()) {
             assert!((g - p).abs() < 1e-4 * p.abs().max(1.0), "{g} vs {p}");
         }
     }
@@ -672,34 +840,36 @@ mod tests {
         };
         let s = setup(shape, 2, 93);
         let mut clean = GpuDevice::gtx970();
-        let (base, _, clean_report) = execute_fused_multi_verified_with(
-            &mut clean, &PAPER, shape, 1.0, &s.a, &s.b, &s.w, None,
-        )
-        .unwrap();
-        assert!(!clean_report.corruption_detected());
+        let FusedMultiOutput {
+            v: base,
+            reports: clean_reports,
+            ..
+        } = execute_fused_multi_with(&mut clean, &PAPER, &[spec(&s)], true).unwrap();
+        assert!(!clean_reports[0].corruption_detected());
 
         let mut corrupted = 0u32;
         let mut injected_total = 0u64;
         for seed in 0..10u64 {
             let mut dev = faulty_device("smem=3,reg=2", seed);
-            let (got, prof, report) = execute_fused_multi_verified_with(
-                &mut dev, &PAPER, shape, 1.0, &s.a, &s.b, &s.w, None,
-            )
-            .unwrap();
+            let FusedMultiOutput {
+                v: got,
+                profile: prof,
+                reports,
+            } = execute_fused_multi_with(&mut dev, &PAPER, &[spec(&s)], true).unwrap();
             let injected: u64 = prof
                 .kernels
                 .iter()
                 .map(|k| k.faults.smem_flips + k.faults.reg_flips)
                 .sum();
             injected_total += injected;
-            let changed = got
+            let changed = got[0]
                 .iter()
-                .zip(base.iter())
+                .zip(base[0].iter())
                 .any(|(g, b)| g.to_bits() != b.to_bits());
             if changed {
                 corrupted += 1;
                 assert!(
-                    report.blocks_flagged > 0,
+                    reports[0].blocks_flagged > 0,
                     "seed {seed}: silent corruption ({injected} flips applied)"
                 );
             }

@@ -12,6 +12,11 @@
 //! block index back to (segment, local block), so each block executes
 //! the *existing* fused microkernel against its own segment's buffers.
 //!
+//! This module holds the kernel and its routing table only. The one
+//! serving entry, [`crate::fused_multi::execute_fused_multi_with`],
+//! launches it whenever a launch has two or more segments; a single
+//! segment launches [`FusedMultiWeight`] on its own 2-D grid.
+//!
 //! ## Routing table
 //! Segment `i` owns the half-open linear block range
 //! `prefix[i]..prefix[i+1]` where `prefix` is the running sum of
@@ -46,19 +51,15 @@ use std::collections::HashMap;
 use ks_gpu_sim::access::AccessSpec;
 use ks_gpu_sim::buffer::{BufId, GlobalMem};
 use ks_gpu_sim::config::DeviceConfig;
-use ks_gpu_sim::device::GpuDevice;
 use ks_gpu_sim::dim::{Dim3, LaunchConfig};
 use ks_gpu_sim::exec::BlockCtx;
 use ks_gpu_sim::kernel::{
-    AnalysisBudget, BlockClass, BufferUse, Kernel, KernelResources, LaunchError, TimingHints,
+    AnalysisBudget, BlockClass, BufferUse, Kernel, KernelResources, TimingHints,
 };
-use ks_gpu_sim::profiler::PipelineProfile;
 use ks_gpu_sim::traffic::TrafficSink;
 
-use crate::aux_kernels::{Bandwidth, NormsKernel};
-use crate::fused::{FusedMultiWeight, VerifyBufs, VerifyReport, CHECKSUM_SLOT_WORDS};
-use crate::fused_multi::MAX_WEIGHT_COLUMNS;
-use crate::gemm_engine::{GemmOperands, GemmShape, SmemMap};
+use crate::fused::FusedMultiWeight;
+use crate::gemm_engine::SmemMap;
 use crate::geometry::TileGeometry;
 use crate::machine::{FunctionalMachine, TrafficMachine};
 
@@ -341,281 +342,16 @@ impl Kernel for FusedMultiPacked {
     }
 }
 
-/// Label under which packed batches appear in profiles and metrics.
-pub const FUSED_MULTI_PACKED_PIPELINE: &str = "Fused-Multi-Packed";
-
-/// Pipeline label of the ABFT-verified packed path.
-pub const FUSED_MULTI_PACKED_VERIFIED_PIPELINE: &str = "Fused-Multi-Packed-ABFT";
-
-/// One query's slice of a packed launch, as the host sees it.
-///
-/// `a_key`/`b_key` enable plan-cache-aware upload deduplication:
-/// segments carrying equal keys promise **byte-identical** `a` (resp.
-/// `b`) slices and share one uploaded buffer. Norms sharing splits by
-/// warmth — cold sharers share one norms pass, warm sharers share the
-/// first uploaded `a2` (equal keys promise byte-identical norms too)
-/// — but warmth never migrates between sharers: host-precomputed
-/// norms are not bit-identical to the kernel's, so upgrading a cold
-/// segment would break the bit-identity contract. `None` keys never
-/// share.
-pub struct PackedSegmentSpec<'a> {
-    /// Padded GEMM shape of this segment (must divide the geometry).
-    pub shape: GemmShape,
-    /// Gaussian bandwidth.
-    pub h: f32,
-    /// `M×K` row-major source corpus.
-    pub a: &'a [f32],
-    /// `N×K` row-major target points (stored `K×N` GEMM-wise).
-    pub b: &'a [f32],
-    /// `N×R` column-major weights.
-    pub w_cols: &'a [f32],
-    /// Precomputed `‖aᵢ‖²` row norms (plan-cache hit): skips norms(A).
-    pub a2: Option<&'a [f32]>,
-    /// Upload-dedup key for `a` (e.g. the plan's identity).
-    pub a_key: Option<u64>,
-    /// Upload-dedup key for `b` (e.g. the target set's identity).
-    pub b_key: Option<u64>,
-}
-
-/// Per-corpus upload slot shared by all segments with one dedup key.
-///
-/// The *data* upload is shared unconditionally (equal keys promise
-/// byte-identical slices), but norms are split by warmth: precomputed
-/// norms are **not** bit-identical to the norms kernel's output (the
-/// host accumulates in f64, the kernel in f32), so a warm segment's
-/// upload must never serve a cold sharer — each class keeps its own
-/// buffer and a mixed slot carries both.
-struct CorpusSlot {
-    buf: BufId,
-    /// Uploaded precomputed norms, shared by the slot's warm segments.
-    sq_warm: Option<BufId>,
-    /// Kernel-computed norms, shared by the slot's cold segments; a
-    /// norms kernel fills this before the packed launch.
-    sq_cold: Option<BufId>,
-    points: usize,
-    dim: usize,
-    /// Norms-kernel label ("a" or "b"), matching the unpacked pipeline.
-    label: &'static str,
-}
-
-/// Resolves the slot for `(key, data)` and the norms buffer this
-/// segment reads, uploading data/norms or allocating the cold norms
-/// buffer on first use.
-#[allow(clippy::too_many_arguments)]
-fn corpus_slot(
-    dev: &mut GpuDevice,
-    slots: &mut Vec<CorpusSlot>,
-    index: &mut HashMap<u64, usize>,
-    key: Option<u64>,
-    data: &[f32],
-    norms: Option<&[f32]>,
-    points: usize,
-    dim: usize,
-    label: &'static str,
-) -> (usize, BufId) {
-    let i = match key.and_then(|k| index.get(&k).copied()) {
-        Some(i) => {
-            assert_eq!(
-                (slots[i].points, slots[i].dim),
-                (points, dim),
-                "segments sharing an upload key must share the padded corpus shape"
-            );
-            i
-        }
-        None => {
-            let buf = dev.upload(data);
-            let i = slots.len();
-            slots.push(CorpusSlot {
-                buf,
-                sq_warm: None,
-                sq_cold: None,
-                points,
-                dim,
-                label,
-            });
-            if let Some(k) = key {
-                index.insert(k, i);
-            }
-            i
-        }
-    };
-    let slot = &mut slots[i];
-    let sq = match norms {
-        Some(nm) => {
-            assert_eq!(nm.len(), points, "row norms must match the corpus rows");
-            *slot.sq_warm.get_or_insert_with(|| dev.upload(nm))
-        }
-        None => *slot.sq_cold.get_or_insert_with(|| dev.alloc(points)),
-    };
-    (i, sq)
-}
-
-/// Runs a horizontally-fused packed wave end to end on `dev`: one
-/// norms pass per **unique** cold corpus slot (warm segments upload
-/// their precomputed norms exactly as the unpacked plan-hit path
-/// does, and never lend them to cold sharers — see
-/// [`PackedSegmentSpec`]), then **one** packed fused launch over
-/// every segment. Returns
-/// each segment's `M×R` column-major result, the pipeline profile, and
-/// (when `verify`) one [`VerifyReport`] per segment so a corrupted
-/// launch degrades only the affected segments.
-///
-/// Results are bit-identical to running each segment through
-/// [`crate::fused_multi::execute_fused_multi_with`] on its own: every
-/// block executes the same body at the same local coordinates against
-/// the same data, and segments write disjoint outputs.
-///
-/// # Errors
-/// Propagates launch-validation failures and injected launch-level
-/// faults from any kernel.
-///
-/// What a packed wave hands back: per-segment `M×R` column-major
-/// results, the wave's single pipeline profile, and (when verified)
-/// one report per segment.
-pub type PackedWaveOutput = (Vec<Vec<f32>>, PipelineProfile, Option<Vec<VerifyReport>>);
-
-/// # Panics
-/// Panics on shape/geometry violations, buffer-length mismatches,
-/// column counts outside `1..=MAX_WEIGHT_COLUMNS`, or segments that
-/// share a dedup key but disagree on the padded corpus shape.
-pub fn execute_fused_multi_packed_with(
-    dev: &mut GpuDevice,
-    geometry: &TileGeometry,
-    segs: &[PackedSegmentSpec],
-    verify: bool,
-) -> Result<PackedWaveOutput, LaunchError> {
-    assert!(!segs.is_empty(), "packed wave needs segments");
-    let mut slots: Vec<CorpusSlot> = Vec::new();
-    let mut a_index: HashMap<u64, usize> = HashMap::new();
-    let mut b_index: HashMap<u64, usize> = HashMap::new();
-    let mut kernels: Vec<FusedMultiWeight> = Vec::with_capacity(segs.len());
-    let mut v_bufs = Vec::with_capacity(segs.len());
-    let mut verify_bufs: Vec<VerifyBufs> = Vec::new();
-
-    for seg in segs {
-        seg.shape.validate_for(geometry);
-        let (m, n, k) = (seg.shape.m, seg.shape.n, seg.shape.k);
-        assert_eq!(seg.a.len(), m * k, "A must be M·K elements");
-        assert_eq!(seg.b.len(), k * n, "B must be K·N elements");
-        assert_eq!(
-            seg.w_cols.len() % n,
-            0,
-            "W must be a whole number of columns"
-        );
-        let r = seg.w_cols.len() / n;
-        assert!(
-            (1..=MAX_WEIGHT_COLUMNS).contains(&r),
-            "weight columns {r} out of range 1..={MAX_WEIGHT_COLUMNS}"
-        );
-        let bw = Bandwidth { h: seg.h };
-        let _ = bw.inv_2h2(); // validates h
-
-        let (ai, a2_buf) = corpus_slot(
-            dev,
-            &mut slots,
-            &mut a_index,
-            seg.a_key,
-            seg.a,
-            seg.a2,
-            m,
-            k,
-            "a",
-        );
-        let (bi, b2_buf) = corpus_slot(
-            dev,
-            &mut slots,
-            &mut b_index,
-            seg.b_key,
-            seg.b,
-            None,
-            n,
-            k,
-            "b",
-        );
-        let ops = GemmOperands {
-            a: slots[ai].buf,
-            b: slots[bi].buf,
-        };
-        let w_buf = dev.upload(seg.w_cols);
-        let v_buf = dev.alloc(m * r);
-        v_bufs.push((v_buf, m, r));
-        let mut kern = FusedMultiWeight::new(ops, a2_buf, b2_buf, w_buf, v_buf, seg.shape, bw, r)
-            .with_geometry(*geometry);
-        if verify {
-            let vb = VerifyBufs {
-                checksum: dev.alloc(r * (m / geometry.block_m) * CHECKSUM_SLOT_WORDS),
-                flag: dev.alloc(CHECKSUM_SLOT_WORDS),
-            };
-            verify_bufs.push(vb);
-            kern = kern.with_verify(vb);
-        }
-        kernels.push(kern);
-    }
-
-    // One cold-cache point per packed wave — the whole point of the
-    // fusion: segments sharing corpora hit L2 instead of re-reading
-    // DRAM between back-to-back launches.
-    dev.invalidate_l2();
-    for &(v_buf, _, _) in &v_bufs {
-        dev.memset_zero(v_buf);
-    }
-    for vb in &verify_bufs {
-        dev.memset_zero(vb.checksum);
-        dev.memset_zero(vb.flag);
-    }
-
-    let mut prof = PipelineProfile::new(if verify {
-        FUSED_MULTI_PACKED_VERIFIED_PIPELINE
-    } else {
-        FUSED_MULTI_PACKED_PIPELINE
-    });
-    let launch_run = |dev: &mut GpuDevice,
-                      kern: &dyn Kernel,
-                      prof: &mut PipelineProfile|
-     -> Result<(), LaunchError> {
-        let mut kp = dev.launch(kern)?;
-        dev.run(kern)?;
-        kp.faults.merge(&dev.take_fault_counters());
-        prof.kernels.push(kp);
-        Ok(())
-    };
-    for slot in &slots {
-        if let Some(sq) = slot.sq_cold {
-            let norms = NormsKernel::new(slot.buf, sq, slot.points, slot.dim, slot.label);
-            launch_run(dev, &norms, &mut prof)?;
-        }
-    }
-    let packed = FusedMultiPacked::new(kernels);
-    launch_run(dev, &packed, &mut prof)?;
-
-    let mut outputs = Vec::with_capacity(v_bufs.len());
-    for &(v_buf, _, _) in &v_bufs {
-        outputs.push(dev.download(v_buf));
-    }
-    let reports = verify.then(|| {
-        verify_bufs
-            .iter()
-            .zip(outputs.iter())
-            .zip(v_bufs.iter())
-            .map(|((vb, v), &(_, m, r))| {
-                VerifyReport::from_outputs(
-                    v,
-                    &dev.download(vb.checksum),
-                    &dev.download(vb.flag),
-                    m,
-                    r,
-                    geometry.block_m,
-                )
-            })
-            .collect::<Vec<_>>()
-    });
-    Ok((outputs, prof, reports))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fused_multi::{execute_fused_multi_verified_with, execute_fused_multi_with};
+    use crate::aux_kernels::Bandwidth;
+    use crate::fused_multi::{
+        execute_fused_multi_with, FusedMultiOutput, SegmentSpec, FUSED_MULTI_PACKED_PIPELINE,
+        FUSED_MULTI_PACKED_VERIFIED_PIPELINE,
+    };
+    use crate::gemm_engine::{GemmOperands, GemmShape};
+    use ks_gpu_sim::device::GpuDevice;
 
     fn lcg(seed: u64) -> impl FnMut() -> f32 {
         let mut state = seed | 1;
@@ -646,8 +382,8 @@ mod tests {
         }
     }
 
-    fn spec(s: &SegData) -> PackedSegmentSpec<'_> {
-        PackedSegmentSpec {
+    fn spec(s: &SegData) -> SegmentSpec<'_> {
+        SegmentSpec {
             shape: s.shape,
             h: s.h,
             a: &s.a,
@@ -718,16 +454,19 @@ mod tests {
         ];
         let specs: Vec<_> = segs.iter().map(spec).collect();
         let mut dev = GpuDevice::gtx970();
-        let (packed, prof, _) =
-            execute_fused_multi_packed_with(&mut dev, &geo, &specs, false).unwrap();
+        let FusedMultiOutput {
+            v: packed,
+            profile: prof,
+            ..
+        } = execute_fused_multi_with(&mut dev, &geo, &specs, false).unwrap();
         assert_eq!(prof.name, FUSED_MULTI_PACKED_PIPELINE);
         // 2 norms per segment (all cold, no shared keys) + 1 packed.
         assert_eq!(prof.kernels.len(), 2 * segs.len() + 1);
         for (i, s) in segs.iter().enumerate() {
             let mut solo = GpuDevice::gtx970();
-            let (want, _) =
-                execute_fused_multi_with(&mut solo, &geo, s.shape, s.h, &s.a, &s.b, &s.w, None)
-                    .unwrap();
+            let FusedMultiOutput { v: want, .. } =
+                execute_fused_multi_with(&mut solo, &geo, &[spec(s)], false).unwrap();
+            let want = &want[0];
             assert_eq!(packed[i].len(), want.len());
             for (j, (g, x)) in packed[i].iter().zip(want.iter()).enumerate() {
                 assert_eq!(g.to_bits(), x.to_bits(), "seg {i} idx {j}: {g} vs {x}");
@@ -762,10 +501,12 @@ mod tests {
         ];
         let specs: Vec<_> = segs.iter().map(spec).collect();
         let mut dev = GpuDevice::gtx970();
-        let (packed, prof, reports) =
-            execute_fused_multi_packed_with(&mut dev, &geo, &specs, true).unwrap();
+        let FusedMultiOutput {
+            v: packed,
+            profile: prof,
+            reports,
+        } = execute_fused_multi_with(&mut dev, &geo, &specs, true).unwrap();
         assert_eq!(prof.name, FUSED_MULTI_PACKED_VERIFIED_PIPELINE);
-        let reports = reports.expect("verified path builds reports");
         assert_eq!(reports.len(), segs.len());
         for (i, s) in segs.iter().enumerate() {
             assert!(
@@ -774,11 +515,13 @@ mod tests {
                 reports[i]
             );
             let mut solo = GpuDevice::gtx970();
-            let (want, _, rep) = execute_fused_multi_verified_with(
-                &mut solo, &geo, s.shape, s.h, &s.a, &s.b, &s.w, None,
-            )
-            .unwrap();
-            assert!(!rep.corruption_detected());
+            let FusedMultiOutput {
+                v: want,
+                reports: rep,
+                ..
+            } = execute_fused_multi_with(&mut solo, &geo, &[spec(s)], true).unwrap();
+            assert!(!rep[0].corruption_detected());
+            let want = &want[0];
             for (j, (g, x)) in packed[i].iter().zip(want.iter()).enumerate() {
                 assert_eq!(g.to_bits(), x.to_bits(), "seg {i} idx {j}");
             }
@@ -801,9 +544,9 @@ mod tests {
         let profile = |strategy| {
             let mut dev = GpuDevice::gtx970();
             dev.set_replay_strategy(strategy);
-            execute_fused_multi_packed_with(&mut dev, &geo, &specs, true)
+            execute_fused_multi_with(&mut dev, &geo, &specs, true)
                 .unwrap()
-                .1
+                .profile
         };
         let serial = profile(ks_gpu_sim::ReplayStrategy::Serial);
         let memo = profile(ks_gpu_sim::ReplayStrategy::Memoized);
@@ -835,8 +578,8 @@ mod tests {
             .chunks(shape.k)
             .map(|row| row.iter().map(|v| v * v).sum())
             .collect();
-        fn keyed(d: &SegData, a: u64, b: u64) -> PackedSegmentSpec<'_> {
-            PackedSegmentSpec {
+        fn keyed(d: &SegData, a: u64, b: u64) -> SegmentSpec<'_> {
+            SegmentSpec {
                 a_key: Some(a),
                 b_key: Some(b),
                 ..spec(d)
@@ -845,13 +588,13 @@ mod tests {
         let specs = vec![
             keyed(&data[0], 1, 10),
             // Another corpus on segment 0's targets.
-            PackedSegmentSpec {
+            SegmentSpec {
                 b: &data[0].b,
                 ..keyed(&data[1], 2, 10)
             },
             keyed(&wide, 4, 14),
             // Segment 0's corpus, warm, on other targets.
-            PackedSegmentSpec {
+            SegmentSpec {
                 a: &data[0].a,
                 a2: Some(&a2),
                 ..keyed(&data[2], 1, 12)
@@ -867,9 +610,9 @@ mod tests {
                         ..DeviceConfig::gtx970()
                     });
                     dev.set_replay_strategy(strategy);
-                    execute_fused_multi_packed_with(&mut dev, &geo, &specs, verify)
+                    execute_fused_multi_with(&mut dev, &geo, &specs, verify)
                         .unwrap()
-                        .1
+                        .profile
                 };
                 assert_eq!(
                     profile(ks_gpu_sim::ReplayStrategy::Serial),
@@ -942,12 +685,12 @@ mod tests {
         // Segment 2 arrives warm; segment 0 stays cold on the shared
         // slot, so both norms variants coexist.
         let specs = vec![
-            PackedSegmentSpec {
+            SegmentSpec {
                 a_key: Some(7),
                 ..spec(&base)
             },
             spec(&other),
-            PackedSegmentSpec {
+            SegmentSpec {
                 a_key: Some(7),
                 a2: Some(&a2),
                 b: &other.b,
@@ -956,8 +699,11 @@ mod tests {
             },
         ];
         let mut dev = GpuDevice::gtx970();
-        let (packed, prof, _) =
-            execute_fused_multi_packed_with(&mut dev, &geo, &specs, false).unwrap();
+        let FusedMultiOutput {
+            v: packed,
+            profile: prof,
+            ..
+        } = execute_fused_multi_with(&mut dev, &geo, &specs, false).unwrap();
         // Norms: the shared A slot runs one cold pass for segment 0
         // (segment 2's warm upload does not serve it), segment 1's A
         // runs its own, and the three distinct B slots (no b_key) run
@@ -973,9 +719,15 @@ mod tests {
         .enumerate()
         {
             let mut solo = GpuDevice::gtx970();
-            let (want, _) =
-                execute_fused_multi_with(&mut solo, &geo, s.shape, s.h, &s.a, my_b, my_w, *my_a2)
-                    .unwrap();
+            let alone = SegmentSpec {
+                b: my_b,
+                w_cols: my_w,
+                a2: *my_a2,
+                ..spec(s)
+            };
+            let FusedMultiOutput { v: want, .. } =
+                execute_fused_multi_with(&mut solo, &geo, &[alone], false).unwrap();
+            let want = &want[0];
             for (j, (g, x)) in packed[i].iter().zip(want.iter()).enumerate() {
                 assert_eq!(g.to_bits(), x.to_bits(), "seg {i} idx {j}");
             }
@@ -999,7 +751,7 @@ mod tests {
         let mut specs = Vec::new();
         for (ci, c) in corpora.iter().enumerate() {
             for (ti, t) in targets.iter().enumerate() {
-                specs.push(PackedSegmentSpec {
+                specs.push(SegmentSpec {
                     a_key: Some(ci as u64),
                     b_key: Some(1000 + ti as u64),
                     b: &t.b,
@@ -1009,8 +761,10 @@ mod tests {
             }
         }
         let mut dev = GpuDevice::gtx970();
-        let (_, packed_prof, _) =
-            execute_fused_multi_packed_with(&mut dev, &geo, &specs, false).unwrap();
+        let FusedMultiOutput {
+            profile: packed_prof,
+            ..
+        } = execute_fused_multi_with(&mut dev, &geo, &specs, false).unwrap();
         let packed_time: f64 = packed_prof.kernels.iter().map(|k| k.timing.time_s).sum();
         let packed_dram: u64 = packed_prof
             .kernels
@@ -1022,10 +776,8 @@ mod tests {
         let mut solo_dram = 0u64;
         for sp in &specs {
             let mut solo = GpuDevice::gtx970();
-            let (_, p) = execute_fused_multi_with(
-                &mut solo, &geo, sp.shape, sp.h, sp.a, sp.b, sp.w_cols, None,
-            )
-            .unwrap();
+            let FusedMultiOutput { profile: p, .. } =
+                execute_fused_multi_with(&mut solo, &geo, &[*sp], false).unwrap();
             solo_time += p.kernels.iter().map(|k| k.timing.time_s).sum::<f64>();
             solo_dram += p
                 .kernels

@@ -31,12 +31,14 @@
 //!   [`FusedKernelSummation`] (the paper pipeline, `R = 1`, with the
 //!   layout, double-buffering, reduction and exec-model ablations) and
 //!   [`FusedMultiWeight`] (serving, `R` columns).
-//! * [`fused_multi`] — the `execute_fused_multi[_verified]_with`
-//!   batched serving entries.
-//! * [`fused_multi_packed`] — horizontal fusion: many unrelated small
-//!   queries packed into one launch behind a per-block routing table
-//!   (block index → segment descriptor), with plan-cache-aware upload
-//!   deduplication and per-segment ABFT reports.
+//! * [`fused_multi`] — [`execute_fused_multi_with`], the one serving
+//!   entry: any number of [`SegmentSpec`]s in one launch, with
+//!   plan-cache-aware upload deduplication and per-segment ABFT
+//!   reports. One segment launches [`FusedMultiWeight`]; two or more
+//!   launch [`FusedMultiPacked`].
+//! * [`fused_multi_packed`] — horizontal fusion: the
+//!   [`FusedMultiPacked`] kernel, many unrelated small queries in one
+//!   launch behind a per-block routing table (block index → segment).
 //! * [`oracle`] — the fused kernel's exact host evaluation, in its
 //!   geometry-aware reduction order: what fault-free functional runs
 //!   take instead of the warp interpreter, and the differential-test
@@ -65,13 +67,11 @@ pub mod small_micro;
 
 pub use fused::{FusedKernelSummation, VerifyBufs, VerifyReport, CHECKSUM_SLOT_WORDS};
 pub use fused_multi::{
-    execute_fused_multi_verified_with, execute_fused_multi_with, FusedMultiWeight,
-    FUSED_MULTI_PIPELINE, FUSED_MULTI_VERIFIED_PIPELINE, MAX_WEIGHT_COLUMNS,
+    execute_fused_multi_with, FusedMultiOutput, FusedMultiWeight, SegmentSpec,
+    FUSED_MULTI_PACKED_PIPELINE, FUSED_MULTI_PACKED_VERIFIED_PIPELINE, FUSED_MULTI_PIPELINE,
+    FUSED_MULTI_VERIFIED_PIPELINE, MAX_WEIGHT_COLUMNS,
 };
-pub use fused_multi_packed::{
-    execute_fused_multi_packed_with, FusedMultiPacked, PackedSegmentSpec, RoutingTable,
-    FUSED_MULTI_PACKED_PIPELINE, FUSED_MULTI_PACKED_VERIFIED_PIPELINE,
-};
+pub use fused_multi_packed::{FusedMultiPacked, RoutingTable};
 pub use geometry::{TileGeometry, TileSide};
 pub use layout::SmemLayout;
 pub use oracle::{fused_multi_oracle, fused_oracle};

@@ -1,23 +1,27 @@
-//! Batch execution: one coalesced multi-weight solve per backend.
+//! Batch execution: one launch unit's segments per backend.
 //!
-//! A batch is `R` queries sharing a corpus, target set and bandwidth;
-//! each query contributes one weight column. The CPU path goes through
-//! [`ks_core::solve_multi_planned`], so each served column is **bit-identical**
-//! to the single-shot `solve_multi_fused` answer for that query alone
-//! (per-column accumulation is independent of `R`). The GPU path runs
-//! the simulated fused-multi pipeline at the segment's resolved tile
-//! geometry, padding to that geometry's tiling constraints; on
-//! a plan-cache hit it ships the precomputed row norms and skips the
+//! A segment is `R` queries sharing a corpus, target set and
+//! bandwidth; each query contributes one weight column. The CPU path
+//! goes through [`ks_core::solve_multi_planned`], so each served column
+//! is **bit-identical** to the single-shot `solve_multi_fused` answer
+//! for that query alone (per-column accumulation is independent of
+//! `R`). The GPU path, `execute_gpu`, is the one GPU executor: it
+//! pads every segment to its resolved tile geometry's tiling and runs
+//! them all in one simulated fused-multi launch
+//! ([`ks_gpu_kernels::execute_fused_multi_with`]) — a row batch or
+//! shard is the one-segment case, a packed wave
+//! ([`crate::packed`]) the multi-segment one. A warm segment
+//! (plan-cache hit) ships the precomputed row norms and skips the
 //! `norms(A)` kernel.
+
+use std::sync::Arc;
 
 use ks_blas::{Layout, Matrix};
 use ks_core::plan::SourcePlan;
 use ks_core::problem::PointSet;
 use ks_core::{FusedCpuConfig, GaussianKernel};
 use ks_gpu_kernels::gemm_engine::GemmShape;
-use ks_gpu_kernels::{
-    execute_fused_multi_verified_with, execute_fused_multi_with, MAX_WEIGHT_COLUMNS,
-};
+use ks_gpu_kernels::{execute_fused_multi_with, FusedMultiOutput, SegmentSpec, MAX_WEIGHT_COLUMNS};
 use ks_gpu_sim::device::GpuDevice;
 use ks_gpu_sim::kernel::LaunchError;
 
@@ -62,17 +66,15 @@ fn pad_coords(
     out
 }
 
-/// A batch padded to the GPU tiling constraints, ready to launch.
-/// `pub(crate)` so the horizontal-fusion planner ([`crate::packed`])
-/// can pad each segment exactly as the unpacked path would.
-pub(crate) struct PaddedBatch {
-    pub(crate) a: Vec<f32>,
-    pub(crate) b: Vec<f32>,
-    pub(crate) w_cols: Vec<f32>,
-    pub(crate) a2: Option<Vec<f32>>,
-    pub(crate) shape: GemmShape,
-    pub(crate) m: usize,
-    pub(crate) r: usize,
+/// A segment padded to the GPU tiling constraints, ready to launch.
+struct PaddedBatch {
+    a: Vec<f32>,
+    b: Vec<f32>,
+    w_cols: Vec<f32>,
+    a2: Option<Vec<f32>>,
+    shape: GemmShape,
+    m: usize,
+    r: usize,
 }
 
 /// The segment's launch shape: its dimensions padded to its
@@ -87,7 +89,7 @@ pub(crate) fn padded_shape(seg: &Segment) -> GemmShape {
     }
 }
 
-pub(crate) fn pad_batch(seg: &Segment) -> PaddedBatch {
+fn pad_batch(seg: &Segment) -> PaddedBatch {
     let geo = &seg.geometry;
     let (m, k) = seg.plan.dims();
     let n = seg.targets.len();
@@ -131,50 +133,58 @@ pub(crate) fn pad_batch(seg: &Segment) -> PaddedBatch {
 
 impl PaddedBatch {
     /// Slices the padded `M_pad×R` result back to `R` vectors of `M`.
-    pub(crate) fn unpad(&self, v: &[f32]) -> Vec<Vec<f32>> {
+    fn unpad(&self, v: &[f32]) -> Vec<Vec<f32>> {
         (0..self.r)
             .map(|c| v[c * self.shape.m..c * self.shape.m + self.m].to_vec())
             .collect()
     }
 }
 
-/// Runs one segment on the simulated GPU at its resolved geometry. A
-/// warm segment (plan-cache hit) ships the plan's precomputed row
-/// norms and skips the `norms(A)` kernel launch. With `verify` the
-/// batch runs through the checksum-augmented (ABFT) pipeline and the
-/// attempt's flag says whether any in-kernel check or host-side
-/// checksum comparison tripped; a flagged result must not be
-/// fulfilled.
+/// Runs `segs` on the simulated GPU in one launch at their resolved
+/// geometry, which they share (one segment, or a packed wave the
+/// planner grouped by geometry). Pads every segment, keys upload
+/// deduplication on the plan and target-set identities (clones of one
+/// `Arc` are byte-identical, and all `Arc`s are alive for the whole
+/// call, so pointer keys cannot alias), and unpads each segment's
+/// result. With `verify` the launch runs the checksum-augmented (ABFT)
+/// pipeline and each segment's flag says whether any of its in-kernel
+/// checks or host-side checksum comparisons tripped; a flagged result
+/// must not be fulfilled.
 ///
 /// # Errors
 /// Propagates launch-validation failures and injected launch-level
-/// faults.
+/// faults; the ladder degrades the affected segments individually.
 pub(crate) fn execute_gpu(
     dev: &mut GpuDevice,
-    seg: &Segment,
+    segs: &[&Segment],
     verify: bool,
 ) -> Result<Attempt, LaunchError> {
-    let batch = pad_batch(seg);
-    let (geo, shape, h, a, b, w, a2) = (
-        &seg.geometry,
-        batch.shape,
-        seg.h,
-        &batch.a,
-        &batch.b,
-        &batch.w_cols,
-        batch.a2.as_deref(),
-    );
-    let (v, profile, flag) = if verify {
-        let (v, p, report) = execute_fused_multi_verified_with(dev, geo, shape, h, a, b, w, a2)?;
-        (v, p, report.corruption_detected())
-    } else {
-        let (v, p) = execute_fused_multi_with(dev, geo, shape, h, a, b, w, a2)?;
-        (v, p, false)
-    };
-    Ok(Attempt {
-        results: vec![batch.unpad(&v)],
+    let padded: Vec<PaddedBatch> = segs.iter().map(|s| pad_batch(s)).collect();
+    let specs: Vec<SegmentSpec> = segs
+        .iter()
+        .zip(&padded)
+        .map(|(s, p)| SegmentSpec {
+            shape: p.shape,
+            h: s.h,
+            a: &p.a,
+            b: &p.b,
+            w_cols: &p.w_cols,
+            a2: p.a2.as_deref(),
+            a_key: Some(Arc::as_ptr(&s.plan) as u64),
+            b_key: Some(Arc::as_ptr(&s.targets) as u64),
+        })
+        .collect();
+    let FusedMultiOutput {
+        v,
         profile,
-        flags: vec![flag],
+        reports,
+    } = execute_fused_multi_with(dev, &segs[0].geometry, &specs, verify)?;
+    Ok(Attempt {
+        results: padded.iter().zip(&v).map(|(p, v)| p.unpad(v)).collect(),
+        profile,
+        flags: (0..segs.len())
+            .map(|i| reports.get(i).is_some_and(|r| r.corruption_detected()))
+            .collect(),
     })
 }
 
@@ -242,7 +252,7 @@ mod tests {
         let targets = PointSet::uniform_cube(70, 5, 12);
         let ws = weights(70, 2, 13);
         let seg = segment(&sources, &targets, 0.9, &ws, false);
-        let got = execute_gpu(&mut GpuDevice::gtx970(), &seg, false).unwrap();
+        let got = execute_gpu(&mut GpuDevice::gtx970(), &[&seg], false).unwrap();
         assert_eq!(got.profile.kernels.len(), 3);
         assert_eq!(got.flags, [false]);
         for (c, w) in ws.iter().enumerate() {
@@ -268,8 +278,8 @@ mod tests {
         let targets = PointSet::uniform_cube(64, 5, 32);
         let ws = weights(64, 3, 33);
         let seg = segment(&sources, &targets, 0.9, &ws, false);
-        let plain = execute_gpu(&mut GpuDevice::gtx970(), &seg, false).unwrap();
-        let verified = execute_gpu(&mut GpuDevice::gtx970(), &seg, true).unwrap();
+        let plain = execute_gpu(&mut GpuDevice::gtx970(), &[&seg], false).unwrap();
+        let verified = execute_gpu(&mut GpuDevice::gtx970(), &[&seg], true).unwrap();
         assert_eq!(verified.flags, [false], "fault-free run is clean");
         assert_eq!(verified.profile.kernels.len(), 3);
         for (c, (a, b)) in plain.results[0]
@@ -289,7 +299,7 @@ mod tests {
         let targets = PointSet::uniform_cube(128, 8, 22);
         let ws = weights(128, 1, 23);
         let seg = segment(&sources, &targets, 1.0, &ws, true);
-        let got = execute_gpu(&mut GpuDevice::gtx970(), &seg, false).unwrap();
+        let got = execute_gpu(&mut GpuDevice::gtx970(), &[&seg], false).unwrap();
         assert_eq!(
             got.profile.kernels.len(),
             2,

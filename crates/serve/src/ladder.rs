@@ -2,12 +2,15 @@
 //! from the GPU down to the CPU safe harbor, pooled or not.
 //!
 //! A **launch unit** is a row batch, a pooled row shard of one, or a
-//! packed segment set (horizontal fusion, [`crate::packed`]). Every
-//! [`Segment`] carries its plan, targets, bandwidth, weight columns,
-//! the server's plan-cache verdict and its resolved tile geometry. A
-//! **device slot** is where the unit runs: a device model, an optional
-//! interconnect, the lifecycle phase drawn for the batch, a
-//! fault-decorrelation key and the slot's circuit breaker. Each slot
+//! packed segment set (horizontal fusion, [`crate::packed`]). A GPU
+//! attempt runs its segments as one launch through the one GPU
+//! executor ([`executor::execute_gpu`]), packed exactly when there are
+//! two or more. Every [`Segment`] carries its plan, targets,
+//! bandwidth, weight columns, the server's plan-cache verdict and its
+//! resolved tile geometry. A **device slot** is where the unit runs:
+//! a device model, an optional interconnect, the lifecycle phase drawn
+//! for the batch, a fault-decorrelation key and the slot's circuit
+//! breaker. Each slot
 //! also keeps a memo of whole pipeline profiles ([`SimLauncher`],
 //! DESIGN.md §10): an attempt whose launch shape the slot has served
 //! replays no traffic. The **budget** is derived from the backend and
@@ -56,7 +59,6 @@ use ks_gpu_sim::timing::{estimate_transfer, estimate_transfer_faulted};
 use crate::cache::{CappedMemo, PlanKey};
 use crate::executor;
 use crate::health::ShardHealth;
-use crate::packed;
 use crate::server::{backoff_delay, splitmix64, ResilienceConfig, ServeBackend};
 
 /// One segment of a launch unit.
@@ -99,11 +101,10 @@ impl Segment {
     }
 }
 
-/// A row batch or shard (one segment), or a packed segment set.
+/// A row batch or shard (one segment), or a packed segment set (two
+/// or more, launched as one horizontally-fused kernel).
 pub(crate) struct LaunchUnit {
     pub(crate) segments: Vec<Segment>,
-    /// Launch the segments as one horizontally-fused kernel.
-    pub(crate) packed: bool,
 }
 
 /// Where a unit runs.
@@ -270,7 +271,6 @@ pub(crate) trait Launcher {
         &mut self,
         device: DeviceConfig,
         segs: &[&Segment],
-        packed: bool,
         verify: bool,
     ) -> Result<Attempt, LaunchError>;
 }
@@ -278,9 +278,10 @@ pub(crate) trait Launcher {
 /// Everything a launched pipeline's profiles depend on besides the
 /// slot's device (DESIGN.md §10). The fault seed the ladder reseeds
 /// on every attempt is left out: replay never reads the fault plan.
+/// The segment count alone picks the kernel (one segment launches
+/// unpacked).
 #[derive(PartialEq, Eq, Hash)]
 pub(crate) struct ProfileKey {
-    packed: bool,
     verify: bool,
     segments: Vec<SegmentShape>,
 }
@@ -301,7 +302,7 @@ struct SegmentShape {
 }
 
 impl ProfileKey {
-    fn of(segs: &[&Segment], packed: bool, verify: bool) -> Self {
+    fn of(segs: &[&Segment], verify: bool) -> Self {
         let segments = segs
             .iter()
             .map(|s| SegmentShape {
@@ -319,11 +320,7 @@ impl ProfileKey {
                     .expect("the segment itself"),
             })
             .collect();
-        Self {
-            packed,
-            verify,
-            segments,
-        }
+        Self { verify, segments }
     }
 }
 
@@ -352,21 +349,16 @@ impl Launcher for SimLauncher<'_> {
         &mut self,
         device: DeviceConfig,
         segs: &[&Segment],
-        packed: bool,
         verify: bool,
     ) -> Result<Attempt, LaunchError> {
-        let key = ProfileKey::of(segs, packed, verify);
+        let key = ProfileKey::of(segs, verify);
         let recorded = self.memo().get(&key);
         let hit = recorded.is_some();
         let mut dev = match recorded {
             Some(kernels) => GpuDevice::from_recording(device, kernels),
             None => GpuDevice::new(device),
         };
-        let attempt = if packed {
-            packed::execute_gpu_packed(&mut dev, segs, verify)
-        } else {
-            executor::execute_gpu(&mut dev, segs[0], verify)
-        }?;
+        let attempt = executor::execute_gpu(&mut dev, segs, verify)?;
         if !hit {
             let kernels = attempt
                 .profile
@@ -383,8 +375,8 @@ impl Launcher for SimLauncher<'_> {
     }
 }
 
-/// Salt decorrelating a packed launch's fault and link streams from
-/// the row attempts of the same slot.
+/// Salt decorrelating a packed launch's (two or more segments) fault
+/// and link streams from the row attempts of the same slot.
 const PACKED_SALT: u64 = 0x9a0c_4ed5 << 16;
 
 /// Salt decorrelating a slot's link-fault stream from its device's
@@ -425,7 +417,7 @@ impl Ladder {
         } else {
             if run.admit() {
                 let all: Vec<usize> = (0..n).collect();
-                run.gpu(&all, unit.packed, Rung::Top);
+                run.gpu(&all, Rung::Top);
             }
             for i in 0..n {
                 if run.climbs[i].served.is_none() {
@@ -540,7 +532,7 @@ impl Run<'_> {
                 shortcircuit = true;
                 break;
             }
-            self.gpu(&[i], false, Rung::Top);
+            self.gpu(&[i], Rung::Top);
         }
         if self.climbs[i].served.is_none()
             && !shortcircuit
@@ -549,16 +541,18 @@ impl Run<'_> {
             && self.admit()
             && self.back_off(i)
         {
-            self.gpu(&[i], false, Rung::Unverified);
+            self.gpu(&[i], Rung::Unverified);
         }
         if self.climbs[i].served.is_none() && budget.harbor {
             self.harbor(i, Rung::Harbor);
         }
     }
 
-    /// One GPU attempt of segments `members` on `rung`.
-    fn gpu(&mut self, members: &[usize], packed: bool, rung: Rung) {
+    /// One GPU attempt of segments `members` on `rung`, packed when
+    /// there are two or more.
+    fn gpu(&mut self, members: &[usize], rung: Rung) {
         let (unit, slot) = (self.unit, self.slot);
+        let packed = members.len() > 1;
         let first = members[0];
         let mut key = slot
             .key
@@ -584,7 +578,7 @@ impl Run<'_> {
             results,
             mut profile,
             flags,
-        } = match self.launcher.launch(device, &segs, packed, verify) {
+        } = match self.launcher.launch(device, &segs, verify) {
             Ok(a) => a,
             Err(e) => return self.fail(members, Some(e)),
         };
@@ -797,7 +791,6 @@ mod tests {
     #[derive(Debug, PartialEq)]
     struct Call {
         segments: usize,
-        packed: bool,
         verify: bool,
         seed: u64,
     }
@@ -813,12 +806,10 @@ mod tests {
             &mut self,
             device: DeviceConfig,
             segs: &[&Segment],
-            packed: bool,
             verify: bool,
         ) -> Result<Attempt, LaunchError> {
             self.calls.push(Call {
                 segments: segs.len(),
-                packed,
                 verify,
                 seed: device.fault.map_or(0, |f| f.seed),
             });
@@ -830,7 +821,7 @@ mod tests {
                 Step::Fail => Err(LaunchError::WatchdogTimeout { limit_ms: 1 }),
                 Step::Done(flags, injected) => {
                     let memo = Mutex::new(ProfileMemo::new());
-                    let mut a = SimLauncher { memo: &memo }.launch(device, segs, packed, false)?;
+                    let mut a = SimLauncher { memo: &memo }.launch(device, segs, false)?;
                     a.flags = flags;
                     a.profile.kernels[0].faults.dram_flips += injected;
                     Ok(a)
@@ -928,10 +919,9 @@ mod tests {
         }
     }
 
-    fn unit(seeds: &[u64], packed: bool) -> LaunchUnit {
+    fn unit(seeds: &[u64]) -> LaunchUnit {
         LaunchUnit {
             segments: seeds.iter().map(|&s| segment(s)).collect(),
-            packed,
         }
     }
 
@@ -1000,7 +990,7 @@ mod tests {
     #[test]
     fn a_cpu_budget_serves_on_the_undegraded_cpu_rung() {
         let rig = Rig::new();
-        let u = unit(&[1], false);
+        let u = unit(&[1]);
         let (out, calls) = rig.run(Budget::CPU, &u, vec![]);
         assert!(calls.is_empty());
         assert_eq!(rungs(&out), [(Rung::Top, 1, 0)]);
@@ -1013,13 +1003,11 @@ mod tests {
         let rig = Rig::new();
         let (out, calls) = rig.run(
             rig.budget(RESILIENT, false),
-            &unit(&[2], false),
+            &unit(&[2]),
             vec![Step::Fail, Step::Done(vec![false], 0)],
         );
         assert_eq!(rungs(&out), [(Rung::Top, 2, 0)]);
-        assert!(calls
-            .iter()
-            .all(|c| c.verify && !c.packed && c.segments == 1));
+        assert!(calls.iter().all(|c| c.verify && c.segments == 1));
         assert_eq!(
             calls[0].seed,
             7 ^ splitmix64(BATCH),
@@ -1036,12 +1024,12 @@ mod tests {
         let budget = rig.budget(RESILIENT, false);
         let (out, calls) = rig.run(
             budget,
-            &unit(&[3], false),
+            &unit(&[3]),
             vec![Step::Fail, Step::Fail, Step::Done(vec![false], 0)],
         );
         assert_eq!(rungs(&out), [(Rung::Unverified, 3, 0)]);
         assert!(!calls[2].verify, "the middle rung drops the checksums");
-        let u = unit(&[4], false);
+        let u = unit(&[4]);
         let (out, calls) = rig.run(budget, &u, vec![Step::Done(vec![true], 3), Step::Fail]);
         assert_eq!(
             rungs(&out),
@@ -1059,7 +1047,7 @@ mod tests {
         rig.rc.breaker_threshold = 1;
         rig.breaker = Mutex::new(Breaker::new(&rig.rc));
         rig.breaker.lock().unwrap().record_failure(BATCH);
-        let (out, calls) = rig.run(rig.budget(RESILIENT, false), &unit(&[5], false), vec![]);
+        let (out, calls) = rig.run(rig.budget(RESILIENT, false), &unit(&[5]), vec![]);
         assert!(calls.is_empty(), "no GPU attempt while open");
         assert_eq!(rungs(&out), [(Rung::Harbor, 1, 0)]);
         assert_eq!(out.health, ShardHealth::Passive, "never tried, no evidence");
@@ -1069,7 +1057,7 @@ mod tests {
     fn lifecycle_and_link_failures_fail_the_attempt_like_a_launch_error() {
         let mut rig = Rig::new();
         rig.phase = DevicePhase::Hung;
-        let (out, calls) = rig.run(rig.budget(FUSED, true), &unit(&[6], false), vec![]);
+        let (out, calls) = rig.run(rig.budget(FUSED, true), &unit(&[6]), vec![]);
         assert!(calls.is_empty(), "a hung device never launches");
         assert_eq!(rungs(&out), [(Rung::Harbor, 2, 0)]);
         assert_eq!(out.lifecycle, Some(DevicePhase::Hung));
@@ -1087,7 +1075,7 @@ mod tests {
         });
         let (out, calls) = rig.run(
             rig.budget(RESILIENT, true),
-            &unit(&[7], false),
+            &unit(&[7]),
             vec![Step::Done(vec![false], 1)],
         );
         assert_eq!(calls.len(), 1);
@@ -1106,7 +1094,7 @@ mod tests {
     #[test]
     fn a_packed_attempt_keeps_clean_segments_and_surfaces_their_faults() {
         let rig = Rig::new();
-        let u = unit(&[8, 9, 10], true);
+        let u = unit(&[8, 9, 10]);
         let (out, calls) = rig.run(
             rig.budget(RESILIENT, true),
             &u,
@@ -1116,7 +1104,6 @@ mod tests {
             calls,
             [Call {
                 segments: 3,
-                packed: true,
                 verify: true,
                 seed: 7 ^ splitmix64(BATCH ^ PACKED_SALT),
             }]
@@ -1143,13 +1130,13 @@ mod tests {
             rungs(&out),
             [(Rung::Top, 1, 0), (Rung::Harbor, 3, 1), (Rung::Top, 1, 0)]
         );
-        assert!(calls[1].verify && !calls[1].packed && calls[1].segments == 1);
+        assert!(calls[1].verify && calls[1].segments == 1);
     }
 
     #[test]
     fn a_failed_packed_launch_continues_every_segment_alone() {
         let rig = Rig::new();
-        let u = unit(&[11, 12], true);
+        let u = unit(&[11, 12]);
         let (out, _) = rig.run(rig.budget(FUSED, false), &u, vec![Step::Fail]);
         assert_eq!(rungs(&out), [(Rung::Harbor, 2, 0), (Rung::Harbor, 2, 0)]);
         assert_eq!(out.packed_launches, 0);
@@ -1164,7 +1151,7 @@ mod tests {
             ],
         );
         assert_eq!(rungs(&out), [(Rung::Top, 2, 0), (Rung::Top, 2, 0)]);
-        assert!(calls[1..].iter().all(|c| !c.packed && c.segments == 1));
+        assert!(calls[1..].iter().all(|c| c.segments == 1));
         assert_ne!(
             calls[1].seed, calls[2].seed,
             "segments draw their own faults"
@@ -1208,14 +1195,9 @@ mod tests {
     }
 
     /// One launch on a fresh device, outside any memo.
-    fn fresh(device: &DeviceConfig, segs: &[&Segment], packed: bool, verify: bool) -> Attempt {
+    fn fresh(device: &DeviceConfig, segs: &[&Segment], verify: bool) -> Attempt {
         let mut dev = GpuDevice::new(device.clone());
-        if packed {
-            packed::execute_gpu_packed(&mut dev, segs, verify)
-        } else {
-            executor::execute_gpu(&mut dev, segs[0], verify)
-        }
-        .expect("a fresh launch completes")
+        executor::execute_gpu(&mut dev, segs, verify).expect("a fresh launch completes")
     }
 
     /// Same profile (`==`), flags and result bits.
@@ -1237,17 +1219,14 @@ mod tests {
     /// checks both attempts against a fresh device; returns the memo's
     /// counters. Sharing one memo across the cases makes a key that
     /// misses a dependency serve one case another's recording.
-    fn memo_exact(
-        device: &DeviceConfig,
-        cases: &[(String, Vec<&Segment>, bool, bool)],
-    ) -> MemoStats {
+    fn memo_exact(device: &DeviceConfig, cases: &[(String, Vec<&Segment>, bool)]) -> MemoStats {
         let memo = Mutex::new(ProfileMemo::new());
         let mut launcher = SimLauncher { memo: &memo };
-        for (case, segs, packed, verify) in cases {
-            let want = fresh(device, segs, *packed, *verify);
+        for (case, segs, verify) in cases {
+            let want = fresh(device, segs, *verify);
             for _ in 0..2 {
                 let got = launcher
-                    .launch(device.clone(), segs, *packed, *verify)
+                    .launch(device.clone(), segs, *verify)
                     .expect("a memoised launch completes");
                 assert_same_attempt(&got, &want, case);
             }
@@ -1301,7 +1280,7 @@ mod tests {
         for (r, warm, geometry, seg) in &segs {
             for verify in [false, true] {
                 let case = format!("R {r}, warm {warm}, verify {verify}, {geometry:?}");
-                cases.push((case, vec![seg], false, verify));
+                cases.push((case, vec![seg], verify));
             }
         }
         assert_eq!(
@@ -1348,7 +1327,7 @@ mod tests {
                 // key, so both launches hit that case's recording.
                 ("other data", vec![&a, &b]),
             ] {
-                cases.push((format!("{name}, verify {verify}"), segs, true, verify));
+                cases.push((format!("{name}, verify {verify}"), segs, verify));
             }
         }
         let keys = cases.len() - 2;
@@ -1370,12 +1349,12 @@ mod tests {
         };
         let (a, b) = (segment(23), segment(24));
         let cases = vec![
-            ("row, verified".to_owned(), vec![&a], false, true),
-            ("row".to_owned(), vec![&a], false, false),
-            ("packed, verified".to_owned(), vec![&a, &b], true, true),
+            ("row, verified".to_owned(), vec![&a], true),
+            ("row".to_owned(), vec![&a], false),
+            ("packed, verified".to_owned(), vec![&a, &b], true),
         ];
-        for (case, segs, packed, verify) in &cases {
-            let applied: u64 = fresh(&upsets, segs, *packed, *verify)
+        for (case, segs, verify) in &cases {
+            let applied: u64 = fresh(&upsets, segs, *verify)
                 .profile
                 .kernels
                 .iter()
@@ -1389,7 +1368,7 @@ mod tests {
         let memo = Mutex::new(ProfileMemo::new());
         let mut launcher = SimLauncher { memo: &memo };
         let clean = DeviceConfig::gtx970();
-        launcher.launch(clean.clone(), &[&a], false, false).unwrap();
+        launcher.launch(clean.clone(), &[&a], false).unwrap();
         let watchdog = DeviceConfig {
             fault: Some(FaultSpec {
                 watchdog_rate: 1.0,
@@ -1398,7 +1377,7 @@ mod tests {
             ..clean
         };
         assert!(matches!(
-            launcher.launch(watchdog, &[&a], false, false),
+            launcher.launch(watchdog, &[&a], false),
             Err(LaunchError::WatchdogTimeout { .. })
         ));
         assert_eq!(

@@ -30,15 +30,18 @@
 //!   occupancy) from its declared access spec before the first
 //!   attempt; verdicts are memoized beside the plan cache and a
 //!   reject serves the batch on the bit-exact CPU path.
-//! * [`executor`] — one coalesced batch on either backend. The CPU
-//!   path is bit-deterministic and column-wise identical to the
-//!   single-shot solver; the GPU path pads to the tiling constraints.
+//! * [`executor`] — a launch unit's segments on either backend. The
+//!   CPU path is bit-deterministic and column-wise identical to the
+//!   single-shot solver; the one GPU executor pads every segment to
+//!   its tiling and runs them in one fused launch, packed exactly when
+//!   there are two or more segments.
 //! * [`workload`] — deterministic synthetic arrival streams and the
 //!   multi-client driver behind `ksum serve-bench`.
 //! * [`packed`] — horizontal fusion: the `PackedBatch` planner groups
 //!   mutually-unrelated small GPU batches from one scheduling wave
-//!   into a single routed launch ([`ks_gpu_kernels::FusedMultiPacked`])
-//!   with results bit-identical to unpacked serving.
+//!   into one launch unit, which the executor runs as a single routed
+//!   launch ([`ks_gpu_kernels::FusedMultiPacked`]) with results
+//!   bit-identical to unpacked serving.
 //! * [`pool`] — multi-device sharded serving: each batch is
 //!   partitioned row-wise over `N` simulated devices (own residency
 //!   cache, fault spec, breaker, interconnect), every shard runs the

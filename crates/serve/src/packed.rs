@@ -1,5 +1,4 @@
-//! Horizontal fusion: the `PackedBatch` planner and the packed-wave
-//! executor.
+//! Horizontal fusion: the `PackedBatch` planner.
 //!
 //! The worker only coalesces queries that share one
 //! `(corpus, h, targets)` key, so at serving scale a wave of mutually
@@ -7,9 +6,13 @@
 //! — a 256×256 batch fills 4 of the GTX 970's 26 resident block slots
 //! per wave. This module packs those launches horizontally: prepared
 //! chunks whose resolved [`TileGeometry`] matches and whose grids are
-//! small are grouped into one
-//! [`ks_gpu_kernels::FusedMultiPacked`] launch, where a per-block
+//! small are grouped into one launch unit. The one GPU executor
+//! ([`crate::executor`]) launches a unit of two or more segments as
+//! one [`ks_gpu_kernels::FusedMultiPacked`] kernel, where a per-block
 //! routing table maps each thread block to its own segment's buffers.
+//! A launch is packed exactly when it has two or more segments: a
+//! pooled device that owns one segment of a wave runs it as a plain
+//! one-segment launch.
 //!
 //! Results are **bit-identical** to serving every chunk unpacked: a
 //! segment's blocks execute the unpacked kernel body at the same local
@@ -28,16 +31,7 @@
 //!   already saturates the device gains nothing and only delays its
 //!   wave-mates.
 
-use std::sync::Arc;
-
-use ks_gpu_kernels::{
-    execute_fused_multi_packed_with, PackedSegmentSpec, TileGeometry, VerifyReport,
-};
-use ks_gpu_sim::device::GpuDevice;
-use ks_gpu_sim::kernel::LaunchError;
-
-use crate::executor::{pad_batch, PaddedBatch};
-use crate::ladder::{Attempt, Segment};
+use ks_gpu_kernels::TileGeometry;
 
 /// Largest per-segment grid (in thread blocks, after padding) the
 /// planner will pack. Segments above this already occupy a meaningful
@@ -89,49 +83,6 @@ impl PackedBatch {
                 .collect(),
         }
     }
-}
-
-/// Runs one packed wave on `dev` at the segments' shared geometry:
-/// pads every segment exactly as the unpacked executor would, keys
-/// upload deduplication on the plan and target-set identities (clones
-/// of one `Arc` are byte-identical, and all `Arc`s are alive for the
-/// whole call, so pointer keys cannot alias), and unpads each
-/// segment's result slice. With `verify` each segment carries its own
-/// ABFT flag.
-///
-/// # Errors
-/// Propagates launch-validation failures and injected launch-level
-/// faults; the ladder degrades the affected segments individually.
-pub(crate) fn execute_gpu_packed(
-    dev: &mut GpuDevice,
-    segs: &[&Segment],
-    verify: bool,
-) -> Result<Attempt, LaunchError> {
-    let padded: Vec<PaddedBatch> = segs.iter().map(|s| pad_batch(s)).collect();
-    let specs: Vec<PackedSegmentSpec> = segs
-        .iter()
-        .zip(&padded)
-        .map(|(s, p)| PackedSegmentSpec {
-            shape: p.shape,
-            h: s.h,
-            a: &p.a,
-            b: &p.b,
-            w_cols: &p.w_cols,
-            a2: p.a2.as_deref(),
-            a_key: Some(Arc::as_ptr(&s.plan) as u64),
-            b_key: Some(Arc::as_ptr(&s.targets) as u64),
-        })
-        .collect();
-    let (vs, profile, reports) =
-        execute_fused_multi_packed_with(dev, &segs[0].geometry, &specs, verify)?;
-    Ok(Attempt {
-        results: padded.iter().zip(&vs).map(|(p, v)| p.unpad(v)).collect(),
-        profile,
-        flags: match reports {
-            Some(r) => r.iter().map(VerifyReport::corruption_detected).collect(),
-            None => vec![false; segs.len()],
-        },
-    })
 }
 
 #[cfg(test)]

@@ -27,12 +27,13 @@
 //! * Each device has its own [`DeviceConfig`] (including an optional
 //!   fault spec), interconnect and circuit breaker: together they are
 //!   the device slot a task runs on. A task is a launch unit — a row
-//!   shard, or the device's share of a packed wave — and its device
-//!   thread runs it down the one degradation ladder (`crate::ladder`,
-//!   DESIGN.md §11) with a pooled budget: one GPU attempt, then the
-//!   bit-exact CPU harbor. A failed attempt records a failure on *its
-//!   own* slot's breaker, so a sick device degrades without taking
-//!   the pool down — and without ever failing a batch.
+//!   shard, or the device's share of a packed wave (a plain
+//!   one-segment launch when that share is one segment) — and its
+//!   device thread runs it down the one degradation ladder
+//!   (`crate::ladder`, DESIGN.md §11) with a pooled budget: one GPU
+//!   attempt, then the bit-exact CPU harbor. A failed attempt records
+//!   a failure on *its own* slot's breaker, so a sick device degrades
+//!   without taking the pool down — and without ever failing a batch.
 //! * Shards launch at the batch's resolved tile geometry and take the
 //!   norms path of the server's plan-cache verdict, so pooled results
 //!   are bit-identical to unpooled serving. Device residency (the
@@ -417,10 +418,12 @@ impl DevicePool {
     /// A row unit is sharded row-wise: the shard count shrinks with
     /// the active set, and because the merge concatenates in slot
     /// order the pooled result stays bit-identical for *any* active
-    /// count. A packed unit places each segment whole on one device
-    /// (cache-first on corpus residency, so wave-mates sharing a
-    /// corpus cluster and dedup its upload), and every device owning
-    /// segments runs them as **one** packed launch.
+    /// count. A unit of two or more segments (a packed wave) places
+    /// each segment whole on one device (cache-first on corpus
+    /// residency, so wave-mates sharing a corpus cluster and dedup its
+    /// upload), and every device owning segments runs them as **one**
+    /// launch — packed when it owns two or more, a plain one-segment
+    /// launch when it owns one.
     pub(crate) fn run(&mut self, unit: LaunchUnit, batch: u64) -> UnitOutcome {
         // Advance every device's lifecycle one epoch (evicted devices
         // included — a hung device must keep aging toward recovery).
@@ -439,7 +442,7 @@ impl DevicePool {
         // merges into.
         let mut slots: Vec<(usize, Vec<usize>)> = Vec::new();
         let merge;
-        if unit.packed {
+        if n_segs > 1 {
             let mut groups: Vec<(usize, Vec<usize>, LaunchUnit)> = Vec::new();
             for (i, mut seg) in unit.segments.into_iter().enumerate() {
                 let (m, _) = seg.plan.dims();
@@ -461,7 +464,6 @@ impl DevicePool {
                         vec![i],
                         LaunchUnit {
                             segments: vec![seg],
-                            packed: true,
                         },
                     )),
                 }
@@ -488,7 +490,6 @@ impl DevicePool {
                 let (plan, resident) = self.caches[owner].get_or_slice(key, &seg.plan, rows);
                 let sub = LaunchUnit {
                     segments: vec![seg.with_plan(plan, resident)],
-                    packed: false,
                 };
                 slots.push((owner, vec![0]));
                 self.dispatch(sub, owner, phases[owner], batch, slot, &merge);
@@ -768,7 +769,6 @@ mod tests {
                 geometry: TileGeometry::paper_default(),
                 deadline: None,
             }],
-            packed: false,
         }
     }
 

@@ -988,7 +988,7 @@ impl<'a> Worker<'a> {
         if !self.cfg.pack || !uses_gpu(self.cfg) {
             for chunk in chunks {
                 if let Some(prep) = self.prepare(chunk) {
-                    self.serve(vec![prep], false);
+                    self.serve(vec![prep]);
                 }
             }
             return;
@@ -1013,10 +1013,10 @@ impl<'a> Worker<'a> {
                 .into_iter()
                 .map(|i| prepared[i].take().expect("planner indices are distinct"))
                 .collect();
-            self.serve(preps, true);
+            self.serve(preps);
         }
         for prep in prepared.into_iter().flatten() {
-            self.serve(vec![prep], false);
+            self.serve(vec![prep]);
         }
     }
 
@@ -1129,16 +1129,16 @@ impl<'a> Worker<'a> {
         geo
     }
 
-    /// Serves one launch unit — a chunk, or a packed group of chunks —
-    /// down the ladder (on the pool's device threads when pooled),
-    /// then folds its outcome into the counters and fulfils its
-    /// queries.
+    /// Serves one launch unit — a chunk, or a packed group of two or
+    /// more chunks — down the ladder (on the pool's device threads
+    /// when pooled), then folds its outcome into the counters and
+    /// fulfils its queries.
     ///
     /// # Panics
     /// [`FaultInjection::PanicFirst`] panics the worker before its
     /// first GPU-capable unit is dispatched — deliberately, to
     /// exercise the poison-recovery path.
-    fn serve(&mut self, preps: Vec<PreparedChunk>, packed: bool) {
+    fn serve(&mut self, preps: Vec<PreparedChunk>) {
         // A packed group holds admitted chunks only.
         let admitted = preps[0].admitted;
         let ladder = if admitted { &self.ladder } else { &self.cpu };
@@ -1148,7 +1148,7 @@ impl<'a> Worker<'a> {
         }
         let (lives, segments): (Vec<_>, Vec<_>) =
             preps.into_iter().map(|p| (p.live, p.segment)).unzip();
-        let unit = LaunchUnit { segments, packed };
+        let unit = LaunchUnit { segments };
         let batch = self.stats.batches;
         let out = match &mut self.pool {
             Some(pool) if admitted => pool.run(unit, batch),

@@ -130,6 +130,16 @@ fn packed_pooled_serving_is_bit_identical_to_unpacked() {
             "N={devices}: pooled packing must fire"
         );
         assert!(report.packed_segments >= 2 * report.packed_launches);
+        // A packed kernel fuses at least two segments: a device that
+        // owns one segment of a wave runs a plain launch.
+        for k in report.profiles.iter().flat_map(|p| &p.kernels) {
+            if let Some(rest) = k.name.strip_prefix("fused_multi_packed") {
+                let segments: usize = rest[..rest.find('w').expect("a w tag")]
+                    .parse()
+                    .expect("a segment count");
+                assert!(segments >= 2, "N={devices}: {}", k.name);
+            }
+        }
         assert_eq!(report.failed, 0);
         let pool = report.pool.expect("pooled run reports the pool");
         assert_eq!(pool.total_fallbacks(), 0, "healthy pool never falls back");
@@ -259,6 +269,70 @@ fn pooled_norms_follow_the_servers_plan_cache_verdict() {
         out
     };
     let (want, got) = (serve(false), serve(true));
+    for (qi, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_bits_eq(g, w, &format!("query {qi}"));
+    }
+}
+
+/// A 256×256×32 query on its own corpus and target set.
+fn distinct_query(seed: u64) -> Query {
+    Query {
+        sources: SourceSet::new(PointSet::uniform_cube(256, 32, seed)),
+        targets: Arc::new(PointSet::uniform_cube(256, 32, seed + 1)),
+        weights: (0..256).map(|j| (j % 5) as f32 / 5.0 - 0.4).collect(),
+        h: 1.5,
+        deadline: None,
+    }
+}
+
+/// Serves `queries` as one paused wave and returns the results and
+/// the report.
+fn serve_wave(mut cfg: ServeConfig, queries: &[Query]) -> (Vec<Vec<f32>>, ks_serve::ServeReport) {
+    cfg.start_paused = true;
+    let mut srv = Server::start(cfg);
+    let tickets: Vec<Ticket> = queries
+        .iter()
+        .map(|q| match srv.submit(q.clone()) {
+            Submit::Accepted(t) => t,
+            Submit::Rejected(_) => panic!("queue has room"),
+        })
+        .collect();
+    srv.resume();
+    let results = tickets
+        .iter()
+        .map(|t| t.wait().expect("completes"))
+        .collect();
+    (results, srv.shutdown())
+}
+
+/// A launch is packed exactly when it has two or more segments. A
+/// two-query wave on a healthy 2-device pool places one segment on
+/// each device, so each device runs a plain one-segment launch: no
+/// packed launch is counted, and the results equal unpooled unpacked
+/// serving bit for bit.
+#[test]
+fn a_pooled_device_owning_one_segment_runs_a_plain_launch() {
+    let queries = [distinct_query(81), distinct_query(83)];
+    let (want, _) = serve_wave(gpu_cfg(false), &queries);
+    let mut cfg = gpu_cfg(true);
+    cfg.pool = Some(PoolConfig::homogeneous(
+        2,
+        DeviceConfig::gtx970(),
+        Interconnect::pcie3_x16(),
+    ));
+    let (got, report) = serve_wave(cfg, &queries);
+    assert_eq!((report.packed_launches, report.packed_segments), (0, 0));
+    assert_eq!(report.profiles.len(), 2, "one launch per device");
+    for p in &report.profiles {
+        assert_eq!(p.name, "Fused-Multi");
+        assert!(
+            p.kernels
+                .iter()
+                .any(|k| k.name == "fused_multiw1_256x256x32"),
+            "{:?}",
+            p.kernels.iter().map(|k| &k.name).collect::<Vec<_>>()
+        );
+    }
     for (qi, (g, w)) in got.iter().zip(&want).enumerate() {
         assert_bits_eq(g, w, &format!("query {qi}"));
     }
