@@ -1,9 +1,9 @@
-//! The pieces every `ks-bench` command shares: flag parsing, document
-//! writing and gate reporting.
+//! The command-line pieces both binaries share: flag parsing for every
+//! `ks-bench` and `ksum` command, document writing and gate reporting.
 //!
-//! Exit codes follow `ksum`: 0 when every gate held, 1 when a gate
-//! failed or a document could not be written, 2 for a malformed
-//! invocation (reported as a [`UsageError`]).
+//! Both binaries exit 0 on success (every gate held), 1 when a gate or
+//! a run failed or a document could not be written, and 2 for a
+//! malformed invocation (reported as a [`UsageError`]).
 
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -54,10 +54,44 @@ impl Flags {
         Ok(Self { given })
     }
 
+    /// Removes each flag in `valued`, with the value after it, from
+    /// anywhere in `args`: the flags every command of a binary takes.
+    /// Returns those flags and the arguments left, in order. Values
+    /// never start with `--`.
+    ///
+    /// # Errors
+    /// A flag in `valued` with no value.
+    pub fn extract(args: &[String], valued: &[&str]) -> Result<(Self, Vec<String>), UsageError> {
+        let mut given = Vec::new();
+        let mut rest = Vec::with_capacity(args.len());
+        let mut it = args.iter().peekable();
+        while let Some(arg) = it.next() {
+            if valued.contains(&arg.as_str()) {
+                let value = it
+                    .next_if(|v| !v.starts_with("--"))
+                    .ok_or_else(|| UsageError(format!("missing value for {arg}")))?;
+                given.push((arg.clone(), Some(value.clone())));
+            } else {
+                rest.push(arg.clone());
+            }
+        }
+        Ok((Self { given }, rest))
+    }
+
     /// Whether `flag` was given, with or without a value.
     #[must_use]
     pub fn has(&self, flag: &str) -> bool {
         self.given.iter().any(|(f, _)| f == flag)
+    }
+
+    /// Which of `flags` was given last, for switches that override
+    /// each other.
+    #[must_use]
+    pub fn last_of(&self, flags: &[&str]) -> Option<&str> {
+        self.given
+            .iter()
+            .rev()
+            .find_map(|(f, _)| flags.contains(&f.as_str()).then_some(f.as_str()))
     }
 
     /// The value given to `flag` (the last one when repeated).

@@ -31,10 +31,10 @@ use std::time::Instant;
 use ks_bench::cli::{Flags, Gates, UsageError};
 use ks_bench::metrics::SCHEMA_VERSION;
 use ks_gpu_sim::FaultSpec;
-use ks_serve::{generate_queries, ServeBackend, ServeConfig, WorkloadConfig};
+use ks_serve::{generate_queries, serve_backlog, ServeBackend, ServeConfig, WorkloadConfig};
 use serde::Serialize;
 
-use super::{accounting_holds, check_against_reference, serve};
+use super::{accounting_holds, check_against_reference};
 
 /// Per-launch fault rates of the soak: expected data flips well above
 /// a 1e-3/launch floor, plus launch-level faults so the retry and
@@ -150,7 +150,7 @@ pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
     });
 
     let t0 = Instant::now();
-    let (outcomes, report, _) = serve(cfg, &stream);
+    let (outcomes, report, _) = serve_backlog(cfg, &stream);
     let c = check_against_reference(&stream, &outcomes);
     let wall_time_ms = t0.elapsed().as_secs_f64() * 1e3;
 

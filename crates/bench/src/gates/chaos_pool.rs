@@ -38,14 +38,12 @@ use ks_bench::metrics::SCHEMA_VERSION;
 use ks_gpu_sim::config::{DeviceConfig, Interconnect};
 use ks_gpu_sim::{LifecycleSpec, LinkFaultSpec};
 use ks_serve::{
-    generate_queries, HealthConfig, PoolConfig, PoolDevice, Query, ServeBackend, ServeConfig,
-    ServeReport, WorkloadConfig,
+    generate_queries, serve_backlog, HealthConfig, PoolConfig, PoolDevice, Query, ServeBackend,
+    ServeConfig, ServeReport, WorkloadConfig,
 };
 use serde::Serialize;
 
-use super::{
-    accounting_holds, check_against_reference, pool_report, same_outcomes, serve, Outcome,
-};
+use super::{accounting_holds, check_against_reference, pool_report, same_outcomes, Outcome};
 
 const DEVICES: usize = 4;
 /// Index of the flapping member (chaos pass) / lost member
@@ -156,7 +154,7 @@ fn serve_pooled(
         }),
         ..ServeConfig::default()
     };
-    let (outcomes, report, _) = serve(cfg, stream);
+    let (outcomes, report, _) = serve_backlog(cfg, stream);
     (outcomes, report)
 }
 

@@ -1,16 +1,15 @@
-//! The gate commands, plus what they share: serving a whole stream
-//! through a paused server, checking results against the CPU fused
-//! reference, and the bitwise and tolerance comparisons of results.
+//! The gate commands, plus what they share: checking results against
+//! the CPU fused reference, and the bitwise and tolerance comparisons
+//! of results. Each gate serves its streams with
+//! [`ks_serve::serve_backlog`].
 //!
 //! Each gate writes one `BENCH_*.json` document with `--json PATH` and
 //! exits 1 when any of its gates fails.
 
-use std::time::Instant;
-
 use ks_blas::{Layout, Matrix};
 use ks_core::problem::KernelSumProblem;
 use ks_core::{solve_multi_fused, FusedCpuConfig, GaussianKernel};
-use ks_serve::{PoolReport, Query, ServeConfig, ServeError, ServeReport, Server, Submit};
+use ks_serve::{PoolReport, Query, ServeError, ServeReport};
 
 pub mod chaos;
 pub mod chaos_pool;
@@ -26,28 +25,6 @@ const TOL: f32 = 5e-3;
 
 /// One query's result, or the error its ticket surfaced.
 pub type Outcome = Result<Vec<f32>, ServeError>;
-
-/// Serves `stream` through one server that starts paused with a queue
-/// holding the whole stream, so batch composition is deterministic.
-/// Returns every query's outcome in stream order, the shutdown report
-/// and the host wall time in milliseconds.
-pub fn serve(mut cfg: ServeConfig, stream: &[Query]) -> (Vec<Outcome>, ServeReport, f64) {
-    cfg.queue_capacity = stream.len();
-    cfg.start_paused = true;
-    let t0 = Instant::now();
-    let mut srv = Server::start(cfg);
-    let tickets: Vec<_> = stream
-        .iter()
-        .map(|q| match srv.submit(q.clone()) {
-            Submit::Accepted(t) => t,
-            Submit::Rejected(_) => unreachable!("the paused queue holds the whole stream"),
-        })
-        .collect();
-    srv.resume();
-    let outcomes = tickets.iter().map(|t| t.wait()).collect();
-    let report = srv.shutdown();
-    (outcomes, report, t0.elapsed().as_secs_f64() * 1e3)
-}
 
 /// The pool accounting of a pooled run.
 pub fn pool_report(report: &ServeReport) -> &PoolReport {

@@ -27,10 +27,12 @@ use std::process::ExitCode;
 use ks_bench::cli::{Flags, Gates, UsageError};
 use ks_bench::metrics::SCHEMA_VERSION;
 use ks_gpu_sim::config::DeviceConfig;
-use ks_serve::{generate_small_queries, packed_smoke_workload, ServeConfig, ServeReport};
+use ks_serve::{
+    generate_small_queries, packed_smoke_workload, serve_backlog, ServeConfig, ServeReport,
+};
 use serde::Serialize;
 
-use super::{same_outcomes, serve};
+use super::same_outcomes;
 
 /// Simulated-time speedup floor for the packed pass over back-to-back
 /// serving (the paper-level target is 2×; the smoke stream must still
@@ -166,9 +168,9 @@ pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
     let device = ServeConfig::default().device;
 
     eprintln!("serving {} queries back-to-back (golden)...", stream.len());
-    let (golden, unpacked_report, unpacked_wall) = serve(cfg(false), &stream);
+    let (golden, unpacked_report, unpacked_wall) = serve_backlog(cfg(false), &stream);
     eprintln!("serving with horizontal fusion...");
-    let (packed_res, packed_report, packed_wall) = serve(cfg(true), &stream);
+    let (packed_res, packed_report, packed_wall) = serve_backlog(cfg(true), &stream);
 
     let unpacked = PackRunMetrics::collect(&unpacked_report, &device, unpacked_wall);
     let packed = PackRunMetrics::collect(&packed_report, &device, packed_wall);

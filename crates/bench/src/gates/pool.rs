@@ -31,10 +31,12 @@ use std::process::ExitCode;
 use ks_bench::cli::{Flags, Gates, UsageError};
 use ks_bench::metrics::SCHEMA_VERSION;
 use ks_gpu_sim::{FaultSpec, Interconnect};
-use ks_serve::{generate_queries, PoolConfig, ServeConfig, ServeReport, WorkloadConfig};
+use ks_serve::{
+    generate_queries, serve_backlog, PoolConfig, ServeConfig, ServeReport, WorkloadConfig,
+};
 use serde::Serialize;
 
-use super::{close, pool_report, same_outcomes, serve};
+use super::{close, pool_report, same_outcomes};
 
 /// Simulated-time speedup floor for the N-device pool over the
 /// 1-device baseline.
@@ -186,11 +188,11 @@ pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
     };
 
     eprintln!("serving {} queries unpooled (golden)...", stream.len());
-    let (golden, golden_report, golden_wall) = serve(ServeConfig::default(), &stream);
+    let (golden, golden_report, golden_wall) = serve_backlog(ServeConfig::default(), &stream);
     eprintln!("serving through a 1-device pool...");
-    let (single_res, single_report, single_wall) = serve(pooled_cfg(1), &stream);
+    let (single_res, single_report, single_wall) = serve_backlog(pooled_cfg(1), &stream);
     eprintln!("serving through a {devices}-device pool...");
-    let (pooled_res, pooled_report, pooled_wall) = serve(pooled_cfg(devices), &stream);
+    let (pooled_res, pooled_report, pooled_wall) = serve_backlog(pooled_cfg(devices), &stream);
 
     let sick = SICK.min(devices - 1);
     eprintln!("serving with device {sick} permanently faulted...");
@@ -202,7 +204,7 @@ pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
             ..FaultSpec::default()
         });
     }
-    let (faulted_res, faulted_report, faulted_wall) = serve(sick_cfg, &stream);
+    let (faulted_res, faulted_report, faulted_wall) = serve_backlog(sick_cfg, &stream);
 
     let single = PoolRunMetrics::collect(&single_report, single_wall);
     let pooled = PoolRunMetrics::collect(&pooled_report, pooled_wall);

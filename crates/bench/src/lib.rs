@@ -18,7 +18,8 @@
 //! the per-exhibit computations in [`exhibits`] (returned as
 //! structured rows so the integration tests can assert the paper's
 //! claims without parsing stdout); flag parsing, document writing and
-//! gate reporting for every command in [`cli`].
+//! gate reporting for every command of both `ks-bench` and `ksum` in
+//! [`cli`].
 
 #![warn(missing_docs)]
 

@@ -59,7 +59,7 @@ be written; 2 a malformed invocation";
 fn sweep(args: &[String]) -> Result<ExitCode, UsageError> {
     let flags = Flags::parse(args, &["--smoke", "--full", "--csv"], &["--json", "--csv"])?;
     let csv = flags.has("--csv") && flags.opt("--csv").is_none();
-    let sweep = Sweep::from_args(args);
+    let sweep = Sweep::from_flags(&flags);
     eprintln!("profiling {} (K, M) points ...", sweep.len());
     let d = profile_or_exit(sweep);
     let metrics = SweepMetrics::collect(&d);

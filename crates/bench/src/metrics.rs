@@ -313,14 +313,6 @@ impl ServeMetrics {
     pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(s)
     }
-
-    /// Writes [`ServeMetrics::to_json`] to `path`.
-    ///
-    /// # Errors
-    /// Propagates the I/O error.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
 }
 
 #[cfg(test)]

@@ -40,8 +40,8 @@ fn fused_vendor_time(m: usize, n: usize, k: usize) -> f64 {
 
 /// Prints both projections at every point of the chosen sweep.
 pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
-    Flags::parse(args, &["--smoke", "--full"], &[])?;
-    let d = profile_or_exit(Sweep::from_args(args));
+    let flags = Flags::parse(args, &["--smoke", "--full"], &[])?;
+    let d = profile_or_exit(Sweep::from_flags(&flags));
 
     let mut t = TextTable::new(vec![
         "K",

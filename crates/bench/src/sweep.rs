@@ -3,6 +3,8 @@
 //! to 1024 in all groups. Within each group, the value of M dimension
 //! increases from 1024 to 524288.").
 
+use crate::cli::Flags;
+
 /// The paper's K values.
 pub const PAPER_K: [usize; 4] = [32, 64, 128, 256];
 /// The paper's fixed N.
@@ -78,13 +80,13 @@ impl Sweep {
         }
     }
 
-    /// Chooses a sweep from command-line arguments: `--full` /
+    /// Chooses a sweep from a command's parsed flags: `--full` /
     /// `--smoke`, default scaled.
     #[must_use]
-    pub fn from_args(args: &[String]) -> Self {
-        if args.iter().any(|a| a == "--full") {
+    pub fn from_flags(flags: &Flags) -> Self {
+        if flags.has("--full") {
             Self::paper()
-        } else if args.iter().any(|a| a == "--smoke") {
+        } else if flags.has("--smoke") {
             Self::smoke()
         } else {
             Self::scaled()
@@ -155,9 +157,14 @@ mod tests {
     }
 
     #[test]
-    fn args_select_sweeps() {
-        assert_eq!(Sweep::from_args(&["--full".into()]), Sweep::paper());
-        assert_eq!(Sweep::from_args(&["--smoke".into()]), Sweep::smoke());
-        assert_eq!(Sweep::from_args(&[]), Sweep::scaled());
+    fn flags_select_sweeps() {
+        let sweep = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| (*a).to_string()).collect();
+            Sweep::from_flags(&Flags::parse(&args, &["--smoke", "--full"], &[]).expect("valid"))
+        };
+        assert_eq!(sweep(&["--full"]), Sweep::paper());
+        assert_eq!(sweep(&["--smoke", "--full"]), Sweep::paper());
+        assert_eq!(sweep(&["--smoke"]), Sweep::smoke());
+        assert_eq!(sweep(&[]), Sweep::scaled());
     }
 }

@@ -284,17 +284,14 @@ impl GpuDevice {
             return Ok(());
         }
         let smem_words = kernel.resources().smem_bytes_per_block as usize / 4;
-        match plan {
-            None => exec::run_functional(&self.mem, kernel, smem_words),
-            Some(plan) => {
-                exec::run_functional_with_faults(&self.mem, kernel, smem_words, &plan);
-                self.fault_counters.merge(&FaultCounters {
-                    smem_flips: plan.applied_smem(),
-                    reg_flips: plan.applied_reg(),
-                    dram_flips: self.apply_dram_faults(kernel, &plan),
-                    launch_faults: 0,
-                });
-            }
+        exec::run_functional(&self.mem, kernel, smem_words, plan.as_ref());
+        if let Some(plan) = plan {
+            self.fault_counters.merge(&FaultCounters {
+                smem_flips: plan.applied_smem(),
+                reg_flips: plan.applied_reg(),
+                dram_flips: self.apply_dram_faults(kernel, &plan),
+                launch_faults: 0,
+            });
         }
         Ok(())
     }
@@ -331,14 +328,13 @@ impl GpuDevice {
         if !self.l1s.is_empty() {
             sink.set_l1s(&mut self.l1s);
         }
-        let per_block = match plan.as_ref() {
-            None => {
-                exec::run_functional_counted_per_block(&self.mem, kernel, smem_words, &mut sink)
-            }
-            Some(plan) => exec::run_functional_counted_per_block_with_faults(
-                &self.mem, kernel, smem_words, &mut sink, plan,
-            ),
-        };
+        let per_block = exec::run_functional_counted_per_block(
+            &self.mem,
+            kernel,
+            smem_words,
+            &mut sink,
+            plan.as_ref(),
+        );
         let counters = replay::merge_grid_order(&per_block);
         self.l2.flush_dirty();
         let after = self.l2.stats();

@@ -302,31 +302,22 @@ impl<'a, 'b> BlockCtx<'a, 'b> {
 
 /// Runs every block of `kernel` functionally, in parallel over host
 /// threads. No counters are collected (use
-/// [`crate::device::GpuDevice::run_counted`] for that).
-pub fn run_functional(mem: &GlobalMem, kernel: &dyn Kernel, smem_words: usize) {
-    let lc = kernel.launch_config();
-    let blocks: Vec<_> = lc.grid.iter_indices().collect();
-    blocks.par_iter().for_each(|&b| {
-        let mut ctx = BlockCtx::new(mem, smem_words, None);
-        kernel.execute_block(b, &mut ctx);
-    });
-}
-
-/// [`run_functional`] with a fault schedule: each block is armed with
-/// the faults aimed at its launch-order (linear) index before it
-/// executes. The linear index is the position in the grid's block
-/// enumeration order, which is stable under the rayon partitioning.
-pub fn run_functional_with_faults(
+/// [`crate::device::GpuDevice::run_counted`] for that). With a fault
+/// `plan`, each block is armed with the faults aimed at its
+/// launch-order (linear) index before it executes. The linear index is
+/// the position in the grid's block enumeration order, which is stable
+/// under the rayon partitioning.
+pub fn run_functional(
     mem: &GlobalMem,
     kernel: &dyn Kernel,
     smem_words: usize,
-    plan: &LaunchFaultPlan,
+    plan: Option<&LaunchFaultPlan>,
 ) {
     let lc = kernel.launch_config();
-    let blocks: Vec<_> = lc.grid.iter_indices().collect();
-    blocks.par_iter().enumerate().for_each(|(i, &b)| {
+    let blocks: Vec<_> = lc.grid.iter_indices().enumerate().collect();
+    blocks.par_iter().for_each(|&(i, b)| {
         let mut ctx = BlockCtx::new(mem, smem_words, None);
-        if let Some(f) = plan.block_faults(i as u64) {
+        if let Some(f) = plan.and_then(|p| p.block_faults(i as u64)) {
             ctx.arm_faults(f);
         }
         kernel.execute_block(b, &mut ctx);
@@ -335,29 +326,19 @@ pub fn run_functional_with_faults(
 
 /// Runs every block sequentially in launch order, feeding `sink` —
 /// functional execution with full profiling (slow; for validation).
-pub fn run_functional_counted<'a>(
-    mem: &'a GlobalMem,
-    kernel: &dyn Kernel,
-    smem_words: usize,
-    sink: &mut TrafficSink<'a>,
-) {
-    let lc = kernel.launch_config();
-    for (i, b) in lc.grid.iter_indices().enumerate() {
-        sink.begin_block(i as u64);
-        let mut ctx = BlockCtx::new(mem, smem_words, Some(sink));
-        kernel.execute_block(b, &mut ctx);
-    }
-}
-
-/// Like [`run_functional_counted`], but harvests each block's counters
-/// separately (the sink's running counters are reset per block), so
-/// the caller can merge them through the same deterministic grid-order
-/// reduction the traffic replay engine uses.
+/// Each block's counters are harvested separately (the sink's running
+/// counters are reset per block), so the caller can merge them through
+/// the same deterministic grid-order reduction the traffic replay
+/// engine uses. A fault `plan` arms blocks as in [`run_functional`].
+/// Faults perturb data, never the harvested counters: the per-block
+/// counter vector is bit-identical to a fault-free run because every
+/// kernel's instruction stream is data-independent.
 pub fn run_functional_counted_per_block<'a>(
     mem: &'a GlobalMem,
     kernel: &dyn Kernel,
     smem_words: usize,
     sink: &mut TrafficSink<'a>,
+    plan: Option<&LaunchFaultPlan>,
 ) -> Vec<crate::profiler::Counters> {
     let lc = kernel.launch_config();
     let mut per_block = Vec::with_capacity(lc.total_blocks() as usize);
@@ -365,31 +346,7 @@ pub fn run_functional_counted_per_block<'a>(
         sink.counters = crate::profiler::Counters::default();
         sink.begin_block(i as u64);
         let mut ctx = BlockCtx::new(mem, smem_words, Some(sink));
-        kernel.execute_block(b, &mut ctx);
-        per_block.push(sink.counters);
-    }
-    per_block
-}
-
-/// [`run_functional_counted_per_block`] with a fault schedule (see
-/// [`run_functional_with_faults`]). Faults perturb data, never the
-/// harvested counters: the per-block counter vector is bit-identical
-/// to a fault-free run because every kernel's instruction stream is
-/// data-independent.
-pub fn run_functional_counted_per_block_with_faults<'a>(
-    mem: &'a GlobalMem,
-    kernel: &dyn Kernel,
-    smem_words: usize,
-    sink: &mut TrafficSink<'a>,
-    plan: &LaunchFaultPlan,
-) -> Vec<crate::profiler::Counters> {
-    let lc = kernel.launch_config();
-    let mut per_block = Vec::with_capacity(lc.total_blocks() as usize);
-    for (i, b) in lc.grid.iter_indices().enumerate() {
-        sink.counters = crate::profiler::Counters::default();
-        sink.begin_block(i as u64);
-        let mut ctx = BlockCtx::new(mem, smem_words, Some(sink));
-        if let Some(f) = plan.block_faults(i as u64) {
+        if let Some(f) = plan.and_then(|p| p.block_faults(i as u64)) {
             ctx.arm_faults(f);
         }
         kernel.execute_block(b, &mut ctx);
@@ -457,7 +414,7 @@ mod tests {
         let x = mem.upload(&(0..n).map(|i| i as f32).collect::<Vec<_>>());
         let y = mem.alloc(n);
         let k = Doubler { x, y, n };
-        run_functional(&mem, &k, 0);
+        run_functional(&mem, &k, 0, None);
         let out = mem.download(y);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, 2.0 * i as f32);
@@ -474,7 +431,7 @@ mod tests {
 
         let mut l2a = Cache::new(64 * 1024, 16, 32);
         let mut sink_a = TrafficSink::new(&mem, &mut l2a, 32, 32);
-        run_functional_counted(&mem, &k, 0, &mut sink_a);
+        let per_block = run_functional_counted_per_block(&mem, &k, 0, &mut sink_a, None);
 
         let mut l2b = Cache::new(64 * 1024, 16, 32);
         let mut sink_b = TrafficSink::new(&mem, &mut l2b, 32, 32);
@@ -482,7 +439,7 @@ mod tests {
             k.block_traffic(b, &mut sink_b);
         }
 
-        assert_eq!(sink_a.counters, sink_b.counters);
+        assert_eq!(crate::replay::merge_grid_order(&per_block), sink_b.counters);
         assert_eq!(l2a.stats(), l2b.stats());
     }
 
@@ -548,7 +505,7 @@ mod tests {
                 sink.global_atomic(self.acc, &full_warp_idx(|l| l));
             }
         }
-        run_functional(&mem, &AtomicK { acc }, 0);
+        run_functional(&mem, &AtomicK { acc }, 0, None);
         assert_eq!(mem.download(acc), vec![10.0; 32]);
     }
 }

@@ -105,54 +105,25 @@ impl FaultSpec {
     /// # Errors
     /// Returns a human-readable description of the first problem.
     pub fn parse(spec: &str) -> Result<Self, String> {
-        let mut out = Self::default();
-        for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("fault spec entry `{part}` is not key=value"))?;
-            let key = key.trim();
-            let value = value.trim();
-            let rate = |what: &str| -> Result<f64, String> {
-                let r: f64 = value
-                    .parse()
-                    .map_err(|_| format!("invalid {what} value `{value}`"))?;
-                if !r.is_finite() || r < 0.0 {
-                    return Err(format!("{what} must be a finite non-negative number"));
-                }
-                Ok(r)
-            };
-            let events = |what: &str| -> Result<f64, String> {
-                let r = rate(what)?;
-                if r > MAX_EVENT_RATE {
-                    return Err(format!("{what} must be <= {MAX_EVENT_RATE}"));
-                }
-                Ok(r)
-            };
-            match key {
-                "seed" => {
-                    out.seed = value
-                        .parse()
-                        .map_err(|_| format!("invalid seed value `{value}`"))?;
-                }
-                "smem" => out.smem_rate = events("smem rate")?,
-                "reg" => out.reg_rate = events("reg rate")?,
-                "dram" => out.dram_rate = events("dram rate")?,
-                "sm" => {
-                    out.sm_loss_rate = rate("sm probability")?;
-                    if out.sm_loss_rate > 1.0 {
-                        return Err("sm probability must be <= 1".into());
-                    }
-                }
-                "watchdog" => {
-                    out.watchdog_rate = rate("watchdog probability")?;
-                    if out.watchdog_rate > 1.0 {
-                        return Err("watchdog probability must be <= 1".into());
-                    }
-                }
-                other => return Err(format!("unknown fault spec key `{other}`")),
-            }
-        }
-        Ok(out)
+        let (seed, [smem_rate, reg_rate, dram_rate, sm_loss_rate, watchdog_rate]) = parse_spec(
+            spec,
+            "fault",
+            [
+                ("smem", "smem rate", MAX_EVENT_RATE),
+                ("reg", "reg rate", MAX_EVENT_RATE),
+                ("dram", "dram rate", MAX_EVENT_RATE),
+                ("sm", "sm probability", 1.0),
+                ("watchdog", "watchdog probability", 1.0),
+            ],
+        )?;
+        Ok(Self {
+            seed,
+            smem_rate,
+            reg_rate,
+            dram_rate,
+            sm_loss_rate,
+            watchdog_rate,
+        })
     }
 
     /// True if no fault can ever fire under this spec.
@@ -164,6 +135,47 @@ impl FaultSpec {
             && self.sm_loss_rate == 0.0
             && self.watchdog_rate == 0.0
     }
+}
+
+/// Parses the `key=value` comma list of a `kind` spec: `seed=N` and
+/// one rate per `(key, name in messages, upper bound)` in `rates`.
+/// Returns the seed and the rates in `rates` order; a key not given
+/// reads 0, a repeated one keeps its last value.
+fn parse_spec<const N: usize>(
+    spec: &str,
+    kind: &str,
+    rates: [(&str, &str, f64); N],
+) -> Result<(u64, [f64; N]), String> {
+    let mut seed = 0;
+    let mut out = [0.0; N];
+    for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
+        let (key, value) = part
+            .split_once('=')
+            .ok_or_else(|| format!("{kind} spec entry `{part}` is not key=value"))?;
+        let (key, value) = (key.trim(), value.trim());
+        if key == "seed" {
+            seed = value
+                .parse()
+                .map_err(|_| format!("invalid seed value `{value}`"))?;
+            continue;
+        }
+        let (slot, (_, what, max)) = out
+            .iter_mut()
+            .zip(rates)
+            .find(|(_, (k, _, _))| *k == key)
+            .ok_or_else(|| format!("unknown {kind} spec key `{key}`"))?;
+        let r: f64 = value
+            .parse()
+            .map_err(|_| format!("invalid {what} value `{value}`"))?;
+        if !r.is_finite() || r < 0.0 {
+            return Err(format!("{what} must be a finite non-negative number"));
+        }
+        if r > max {
+            return Err(format!("{what} must be <= {max}"));
+        }
+        *slot = r;
+    }
+    Ok((seed, out))
 }
 
 /// Counts of *applied* fault injections.
@@ -477,38 +489,21 @@ impl LifecycleSpec {
     /// # Errors
     /// Returns a human-readable description of the first problem.
     pub fn parse(spec: &str) -> Result<Self, String> {
-        let mut out = Self::default();
-        for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("lifecycle spec entry `{part}` is not key=value"))?;
-            let key = key.trim();
-            let value = value.trim();
-            let prob = |what: &str| -> Result<f64, String> {
-                let r: f64 = value
-                    .parse()
-                    .map_err(|_| format!("invalid {what} value `{value}`"))?;
-                if !r.is_finite() || r < 0.0 {
-                    return Err(format!("{what} must be a finite non-negative number"));
-                }
-                if r > 1.0 {
-                    return Err(format!("{what} must be <= 1"));
-                }
-                Ok(r)
-            };
-            match key {
-                "seed" => {
-                    out.seed = value
-                        .parse()
-                        .map_err(|_| format!("invalid seed value `{value}`"))?;
-                }
-                "hang" => out.hang_rate = prob("hang probability")?,
-                "loss" => out.loss_rate = prob("loss probability")?,
-                "recover" => out.recover_rate = prob("recover probability")?,
-                other => return Err(format!("unknown lifecycle spec key `{other}`")),
-            }
-        }
-        Ok(out)
+        let (seed, [hang_rate, loss_rate, recover_rate]) = parse_spec(
+            spec,
+            "lifecycle",
+            [
+                ("hang", "hang probability", 1.0),
+                ("loss", "loss probability", 1.0),
+                ("recover", "recover probability", 1.0),
+            ],
+        )?;
+        Ok(Self {
+            seed,
+            hang_rate,
+            loss_rate,
+            recover_rate,
+        })
     }
 
     /// True if the device can never leave [`DevicePhase::Healthy`]
@@ -628,37 +623,19 @@ impl LinkFaultSpec {
     /// # Errors
     /// Returns a human-readable description of the first problem.
     pub fn parse(spec: &str) -> Result<Self, String> {
-        let mut out = Self::default();
-        for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("link spec entry `{part}` is not key=value"))?;
-            let key = key.trim();
-            let value = value.trim();
-            let prob = |what: &str| -> Result<f64, String> {
-                let r: f64 = value
-                    .parse()
-                    .map_err(|_| format!("invalid {what} value `{value}`"))?;
-                if !r.is_finite() || r < 0.0 {
-                    return Err(format!("{what} must be a finite non-negative number"));
-                }
-                if r > 1.0 {
-                    return Err(format!("{what} must be <= 1"));
-                }
-                Ok(r)
-            };
-            match key {
-                "seed" => {
-                    out.seed = value
-                        .parse()
-                        .map_err(|_| format!("invalid seed value `{value}`"))?;
-                }
-                "corrupt" => out.corrupt_rate = prob("corrupt probability")?,
-                "timeout" => out.timeout_rate = prob("timeout probability")?,
-                other => return Err(format!("unknown link spec key `{other}`")),
-            }
-        }
-        Ok(out)
+        let (seed, [corrupt_rate, timeout_rate]) = parse_spec(
+            spec,
+            "link",
+            [
+                ("corrupt", "corrupt probability", 1.0),
+                ("timeout", "timeout probability", 1.0),
+            ],
+        )?;
+        Ok(Self {
+            seed,
+            corrupt_rate,
+            timeout_rate,
+        })
     }
 
     /// True if no transfer fault can ever fire under this spec.

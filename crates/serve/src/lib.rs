@@ -36,7 +36,8 @@
 //!   its tiling and runs them in one fused launch, packed exactly when
 //!   there are two or more segments.
 //! * [`workload`] — deterministic synthetic arrival streams and the
-//!   multi-client driver behind `ksum serve-bench`.
+//!   backlog runner behind `ksum serve-bench` and the `ks-bench`
+//!   serving gates.
 //! * [`packed`] — horizontal fusion: the `PackedBatch` planner groups
 //!   mutually-unrelated small GPU batches from one scheduling wave
 //!   into one launch unit, which the executor runs as a single routed
@@ -81,6 +82,6 @@ pub use server::{
     ServeConfig, ServeError, ServeReport, Server, Submit, Ticket,
 };
 pub use workload::{
-    generate_queries, generate_small_queries, packed_smoke_workload, run_workload, smoke_workload,
+    generate_queries, generate_small_queries, packed_smoke_workload, serve_backlog, smoke_workload,
     SmallQueryWorkloadConfig, WorkloadConfig,
 };

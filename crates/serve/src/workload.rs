@@ -1,11 +1,11 @@
 //! Synthetic serving workloads: arrival mixes over shared corpora.
 //!
 //! [`generate_queries`] is deterministic in the seed so tests can
-//! replay exactly the stream a benchmark ran; [`run_workload`] drives
-//! a [`Server`] with concurrent client threads and returns the final
-//! [`ServeReport`].
+//! replay exactly the stream a benchmark ran; [`serve_backlog`] serves
+//! a whole stream through a paused [`Server`] and returns every
+//! outcome with the final [`ServeReport`].
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ks_core::plan::SourceSet;
@@ -14,15 +14,16 @@ use rand::distributions::{Distribution, Uniform};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::server::{ServeConfig, ServeReport, Server, Submit, Ticket};
+use crate::server::{ServeConfig, ServeError, ServeReport, Server, Submit};
 use crate::Query;
 
 /// Workload shape: who asks what, how often against shared corpora.
 #[derive(Debug, Clone)]
 pub struct WorkloadConfig {
-    /// Concurrent client threads.
+    /// Client streams; [`generate_queries`] lists them one after
+    /// another.
     pub clients: usize,
-    /// Queries each client submits.
+    /// Queries in each client stream.
     pub queries_per_client: usize,
     /// Number of long-lived shared corpora.
     pub corpora: usize,
@@ -40,7 +41,7 @@ pub struct WorkloadConfig {
     pub k: usize,
     /// Gaussian bandwidth.
     pub h: f32,
-    /// Per-query deadline, applied at submission time.
+    /// Per-query deadline, relative to generation time.
     pub deadline: Option<Duration>,
     /// Master seed; everything is deterministic in it.
     pub seed: u64,
@@ -234,6 +235,7 @@ pub fn generate_queries(wl: &WorkloadConfig) -> Vec<Query> {
         (0.0..=1.0).contains(&wl.shared_ratio) && (0.0..=1.0).contains(&wl.large_ratio),
         "ratios must be in [0, 1]"
     );
+    let deadline = wl.deadline.map(|d| Instant::now() + d);
     let mut rng = ChaCha8Rng::seed_from_u64(wl.seed);
     let unit = Uniform::new(0.0f64, 1.0f64);
     let weight = Uniform::new(-0.5f32, 0.5f32);
@@ -280,69 +282,39 @@ pub fn generate_queries(wl: &WorkloadConfig) -> Vec<Query> {
                 targets,
                 weights,
                 h: wl.h,
-                deadline: None,
+                deadline,
             }
         })
         .collect()
 }
 
-/// Drives a server with `wl.clients` concurrent producer threads and
-/// returns the final report. The worker is never gated
-/// (`start_paused` is overridden to `false` — clients block on their
-/// own tickets, so a paused worker would deadlock). Rejected queries
-/// are dropped, not retried.
+/// Serves `stream` through one server that starts paused with a queue
+/// holding the whole stream, so batch composition is deterministic.
+/// Returns every query's outcome in stream order, the shutdown report
+/// and the host wall time in milliseconds.
 ///
 /// # Panics
-/// Panics on an invalid workload or if a client thread panics.
-#[must_use]
-pub fn run_workload(mut cfg: ServeConfig, wl: &WorkloadConfig) -> ServeReport {
-    cfg.start_paused = false;
-    let queries = generate_queries(wl);
-    let server = Arc::new(Mutex::new(Server::start(cfg)));
-    let mut clients = Vec::with_capacity(wl.clients);
-    let mut streams: Vec<Vec<Query>> = Vec::with_capacity(wl.clients);
-    {
-        let mut rest = queries;
-        for _ in 0..wl.clients {
-            let tail = rest.split_off(wl.queries_per_client.min(rest.len()));
-            streams.push(rest);
-            rest = tail;
-        }
-    }
-    for stream in streams {
-        let server = Arc::clone(&server);
-        let deadline = wl.deadline;
-        clients.push(std::thread::spawn(move || {
-            let mut tickets: Vec<Ticket> = Vec::with_capacity(stream.len());
-            for mut q in stream {
-                if let Some(d) = deadline {
-                    q.deadline = Some(Instant::now() + d);
-                }
-                // Recover from poisoning: a sibling client panicking
-                // mid-submit must not take the rest of the stream
-                // down with it (submit itself never panics).
-                match server
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .submit(q)
-                {
-                    Submit::Accepted(t) => tickets.push(t),
-                    Submit::Rejected(_) => {}
-                }
-            }
-            for t in tickets {
-                let _ = t.wait();
-            }
-        }));
-    }
-    for c in clients {
-        c.join().expect("client thread panicked");
-    }
-    let server = Arc::try_unwrap(server)
-        .unwrap_or_else(|_| panic!("clients joined, server uniquely owned"))
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    server.shutdown()
+/// Panics on an empty stream (a zero queue capacity) and wherever
+/// [`Server::start`] panics on `cfg`.
+pub fn serve_backlog(
+    mut cfg: ServeConfig,
+    stream: &[Query],
+) -> (Vec<Result<Vec<f32>, ServeError>>, ServeReport, f64) {
+    cfg.queue_capacity = stream.len();
+    cfg.start_paused = true;
+    let t0 = Instant::now();
+    let mut srv = Server::start(cfg);
+    let tickets: Vec<_> = stream
+        .iter()
+        .map(|q| match srv.submit(q.clone()) {
+            Submit::Accepted(t) => t,
+            Submit::Rejected(_) => unreachable!("the paused queue holds the whole stream"),
+        })
+        .collect();
+    srv.resume();
+    let outcomes = tickets.iter().map(|t| t.wait()).collect();
+    let report = srv.shutdown();
+    (outcomes, report, t0.elapsed().as_secs_f64() * 1e3)
 }
 
 #[cfg(test)]
@@ -376,6 +348,31 @@ mod tests {
                 > 1
         });
         assert!(shared, "workload must exercise corpus sharing");
+    }
+
+    #[test]
+    fn deadlines_are_stamped_at_generation_without_a_draw() {
+        let wl = WorkloadConfig {
+            clients: 1,
+            queries_per_client: 8,
+            m: 16,
+            n: 8,
+            k: 4,
+            ..WorkloadConfig::default()
+        };
+        let d = Duration::from_secs(10);
+        let start = Instant::now();
+        let timed = generate_queries(&WorkloadConfig {
+            deadline: Some(d),
+            ..wl.clone()
+        });
+        let end = Instant::now();
+        for (t, plain) in timed.iter().zip(&generate_queries(&wl)) {
+            let at = t.deadline.expect("every query carries the deadline");
+            assert!(start + d <= at && at <= end + d);
+            assert_eq!(t.weights, plain.weights, "the stamp draws nothing");
+            assert_eq!(plain.deadline, None);
+        }
     }
 
     #[test]
@@ -432,7 +429,7 @@ mod tests {
     }
 
     #[test]
-    fn workload_completes_on_cpu_backend() {
+    fn backlog_completes_on_cpu_backend() {
         let wl = WorkloadConfig {
             clients: 3,
             queries_per_client: 5,
@@ -445,9 +442,15 @@ mod tests {
             backend: ServeBackend::CpuFused,
             ..ServeConfig::default()
         };
-        let report = run_workload(cfg, &wl);
+        let (outcomes, report, _) = serve_backlog(cfg, &generate_queries(&wl));
+        assert_eq!(outcomes.len(), 15);
+        assert!(outcomes.iter().all(Result::is_ok));
         assert_eq!(report.submitted, 15);
-        assert_eq!(report.accepted + report.rejected, report.submitted);
+        assert_eq!((report.accepted, report.rejected), (15, 0));
+        assert_eq!(
+            report.queue_high_water, 15,
+            "the paused queue holds the stream"
+        );
         assert_eq!(
             report.completed + report.expired + report.shed + report.failed,
             report.accepted

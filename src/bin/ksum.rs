@@ -11,13 +11,21 @@
 //! ksum tune        [--smoke] [--seed S] [--json PATH]
 //! ```
 //!
-//! Argument errors (unknown command, flag, backend or variant, a
-//! malformed value, or a number out of range) print the usage to
-//! stderr and exit with status 2; they never panic.
+//! `serve-bench` serves its whole generated stream as one backlog
+//! through [`kernel_summation::serve::serve_backlog`], the runner the
+//! `ks-bench` serving gates use, so an unpooled run's export repeats
+//! byte for byte.
+//!
+//! Every command reads its arguments through
+//! [`kernel_summation::bench::cli::Flags`]. Argument errors (unknown
+//! command, flag, backend or variant, a malformed value, or a number
+//! out of range) print the usage to stderr and exit with status 2;
+//! they never panic.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
+use kernel_summation::bench::cli::{to_json, write_all, Flags, UsageError};
 use kernel_summation::bench::ServeMetrics;
 use kernel_summation::core::gpu::{profile_gpu, try_profile_gpu_on, try_solve_gpu_on, GpuReport};
 use kernel_summation::core::Backend;
@@ -28,7 +36,8 @@ use kernel_summation::gpu_sim::Interconnect;
 use kernel_summation::gpu_sim::{FaultSpec, GpuDevice, LifecycleSpec, LinkFaultSpec};
 use kernel_summation::prelude::*;
 use kernel_summation::serve::{
-    run_workload, smoke_workload, PoolConfig, ServeBackend, ServeConfig, WorkloadConfig,
+    generate_queries, serve_backlog, smoke_workload, PoolConfig, ServeBackend, ServeConfig,
+    WorkloadConfig,
 };
 use kernel_summation::tune::{tune, ProblemShape, TuneConfig};
 
@@ -60,13 +69,17 @@ const USAGE: &str = "usage: ksum [--threads N] [--faults SPEC] <command> [flags]
                 against trace replay and writes the matrix as JSON)
   serve-bench  [--smoke] [--clients C] [--queries Q] [--corpora R]
                [--shared-ratio F] [--large-ratio F] [--m M] [--n N]
-               [--k K] [--h H] [--seed S] [--queue DEPTH] [--wave W]
+               [--k K] [--h H] [--seed S] [--wave W]
                [--no-cache] [--devices N] [--energy-budget J]
                [--pack | --no-pack]
                [--lifecycle-faults SPEC] [--link-faults SPEC]
                [--backend cpu-fused|gpu-fused|gpu-resilient]
                [--json PATH]
-               (--pack fuses mutually-unrelated small batches from one
+               (serves the C x Q query stream as one backlog: queued on
+                a paused server, then drained in waves of W, so every
+                run serves the same batches; --smoke is a preset that
+                explicit workload flags override;
+                --pack fuses mutually-unrelated small batches from one
                 scheduling wave into a single routed launch; results
                 stay bit-identical to unpacked serving;
                 --devices N shards every batch row-wise over a pool of
@@ -91,20 +104,7 @@ const USAGE: &str = "usage: ksum [--threads N] [--faults SPEC] <command> [flags]
                 model and prints its per-shape picks; --smoke shrinks
                 the training grid; --json exports the picks)";
 
-/// A usage error: printed to stderr with the usage text, exit code 2.
-struct UsageError(String);
-
-fn usage_exit(e: &UsageError) -> ExitCode {
-    eprintln!("error: {}", e.0);
-    eprintln!("{USAGE}");
-    ExitCode::from(2)
-}
-
-fn parse_value<T: std::str::FromStr>(flag: &str, val: &str) -> Result<T, UsageError> {
-    val.parse()
-        .map_err(|_| UsageError(format!("invalid value for {flag}: {val}")))
-}
-
+/// The flags `solve`, `profile` and `compare` share.
 struct Args {
     m: usize,
     n: usize,
@@ -115,33 +115,31 @@ struct Args {
     variant: String,
 }
 
-fn parse(rest: &[String]) -> Result<Args, UsageError> {
-    let mut a = Args {
-        m: 4096,
-        n: 1024,
-        k: 32,
-        h: 1.0,
-        seed: 42,
-        backend: "cpu-fused".into(),
-        variant: "fused".into(),
-    };
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let val = it
-            .next()
-            .ok_or_else(|| UsageError(format!("missing value for {flag}")))?;
-        match flag.as_str() {
-            "--m" => a.m = parse_value(flag, val)?,
-            "--n" => a.n = parse_value(flag, val)?,
-            "--k" => a.k = parse_value(flag, val)?,
-            "--h" => a.h = parse_value(flag, val)?,
-            "--seed" => a.seed = parse_value(flag, val)?,
-            "--backend" => a.backend = val.clone(),
-            "--variant" => a.variant = val.clone(),
-            other => return Err(UsageError(format!("unknown flag {other}"))),
-        }
+impl Args {
+    fn parse(args: &[String]) -> Result<Self, UsageError> {
+        let f = Flags::parse(
+            args,
+            &[],
+            &[
+                "--m",
+                "--n",
+                "--k",
+                "--h",
+                "--seed",
+                "--backend",
+                "--variant",
+            ],
+        )?;
+        Ok(Self {
+            m: f.get("--m", 4096)?,
+            n: f.get("--n", 1024)?,
+            k: f.get("--k", 32)?,
+            h: f.get("--h", 1.0)?,
+            seed: f.get("--seed", 42)?,
+            backend: f.opt("--backend").unwrap_or("cpu-fused").into(),
+            variant: f.opt("--variant").unwrap_or("fused").into(),
+        })
     }
-    Ok(a)
 }
 
 /// Rejects a bandwidth the Gaussian kernel cannot use.
@@ -337,116 +335,63 @@ fn cmd_compare(a: &Args, fault: Option<FaultSpec>) -> Result<ExitCode, UsageErro
     Ok(ExitCode::SUCCESS)
 }
 
-/// Writes `content` to `path`, mapping I/O failure to exit 1.
-fn write_artifact(path: &str, content: &str, what: &str) -> Result<(), ExitCode> {
-    match std::fs::write(path, content) {
-        Ok(()) => {
-            println!("{what} written to {path}");
-            Ok(())
-        }
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            Err(ExitCode::FAILURE)
-        }
-    }
-}
-
-fn cmd_lint(rest: &[String]) -> Result<ExitCode, UsageError> {
-    let mut out: Option<String> = None;
-    let mut json: Option<String> = None;
-    let mut agreement: Option<String> = None;
-    let mut kernel: Option<String> = None;
-    let mut static_mode = false;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--static" {
-            static_mode = true;
-            continue;
-        }
-        let val = it
-            .next()
-            .ok_or_else(|| UsageError(format!("missing value for {flag}")))?
-            .clone();
-        match flag.as_str() {
-            "--out" => out = Some(val),
-            "--json" => json = Some(val),
-            "--agreement" => agreement = Some(val),
-            "--kernel" => kernel = Some(val),
-            other => {
-                return Err(UsageError(format!(
-                    "unknown flag {other} (lint takes --static, --kernel NAME, \
-                     --out PATH, --json PATH, --agreement PATH)"
-                )))
-            }
-        }
-    }
+fn cmd_lint(args: &[String]) -> Result<ExitCode, UsageError> {
+    let flags = Flags::parse(
+        args,
+        &["--static"],
+        &["--out", "--json", "--agreement", "--kernel"],
+    )?;
+    let kernel = flags.opt("--kernel");
     let dev = DeviceConfig::gtx970();
+    let mut docs = Vec::new();
 
     // Differential artifact: every static verdict cross-checked
     // against trace replay; disagreement is a failure in itself.
     let mut agreement_ok = true;
-    if let Some(path) = agreement {
+    if let Some(path) = flags.opt("--agreement") {
         let diff = kernel_summation::analyze::differential::differential_report(&dev);
         agreement_ok = diff.all_agree();
         println!("static/dynamic agreement over the probe registry:");
         println!("{}", diff.table());
-        if let Err(code) = write_artifact(&path, &diff.to_json(), "agreement report") {
-            return Ok(code);
-        }
+        docs.push((Some(path), diff.to_json()));
     }
 
-    let (report, text) = if static_mode {
+    let (report, table) = if flags.has("--static") {
         println!(
             "statically linting declared access specs against a simulated {}",
             dev.name
         );
         let mut outcome = kernel_summation::analyze::lint_report_static(&dev);
-        if let Some(name) = &kernel {
-            outcome.kernels.retain(|k| &k.kernel == name);
+        if let Some(name) = kernel {
+            outcome.kernels.retain(|k| k.kernel == name);
             outcome.report.retain_kernel(name);
         }
         println!("{}", outcome.summary_table());
         let table = outcome.report.table();
         println!("{table}");
-        if let Some(path) = json {
-            if let Err(code) = write_artifact(&path, &outcome.to_json(), "static lint report") {
-                return Ok(code);
-            }
-        }
+        docs.push((flags.opt("--json"), outcome.to_json()));
         let text = format!("{}\n{table}", outcome.summary_table());
         (outcome.report, text)
     } else {
         println!("linting recorded warp traces on a simulated {}", dev.name);
         let mut report = kernel_summation::analyze::lint_report(&dev);
-        if let Some(name) = &kernel {
+        if let Some(name) = kernel {
             report.retain_kernel(name);
         }
         let table = report.table();
         println!("{table}");
-        if let Some(path) = json {
-            if let Err(code) = write_artifact(&path, &report.to_json(), "lint report") {
-                return Ok(code);
-            }
-        }
-        (report, String::new())
+        docs.push((flags.opt("--json"), report.to_json()));
+        (report, table)
     };
-    let table = if text.is_empty() {
-        report.table()
-    } else {
-        text
-    };
-    if let Some(path) = out {
-        if let Err(code) = write_artifact(&path, &table, "findings table") {
-            return Ok(code);
-        }
-    }
-    if let Some(name) = &kernel {
+    docs.push((flags.opt("--out"), table));
+    let written = write_all(&docs);
+    if let Some(name) = kernel {
         if report.checked.is_empty() && report.findings.is_empty() {
             eprintln!("warning: no probe named {name} in the registry");
         }
     }
     Ok(if report.is_clean() && agreement_ok {
-        ExitCode::SUCCESS
+        written
     } else {
         ExitCode::FAILURE
     })
@@ -461,8 +406,8 @@ fn serve_device() -> DeviceConfig {
     d
 }
 
-/// Rejects workload and server sizes `run_workload` cannot serve.
-fn check_serve_sizes(wl: &WorkloadConfig, cfg: &ServeConfig) -> Result<(), UsageError> {
+/// Rejects workload and server sizes the backlog cannot serve.
+fn check_serve_sizes(wl: &WorkloadConfig, wave: usize) -> Result<(), UsageError> {
     check_bandwidth(wl.h)?;
     for (flag, value) in [
         ("--clients", wl.clients),
@@ -471,8 +416,7 @@ fn check_serve_sizes(wl: &WorkloadConfig, cfg: &ServeConfig) -> Result<(), Usage
         ("--m", wl.m),
         ("--n", wl.n),
         ("--k", wl.k),
-        ("--queue", cfg.queue_capacity),
-        ("--wave", cfg.wave),
+        ("--wave", wave),
     ] {
         if value == 0 {
             return Err(UsageError(format!("{flag} must be at least 1")));
@@ -489,108 +433,97 @@ fn check_serve_sizes(wl: &WorkloadConfig, cfg: &ServeConfig) -> Result<(), Usage
     Ok(())
 }
 
-fn cmd_serve_bench(rest: &[String], fault: Option<FaultSpec>) -> Result<ExitCode, UsageError> {
-    let mut wl = WorkloadConfig::default();
+fn cmd_serve_bench(args: &[String], fault: Option<FaultSpec>) -> Result<ExitCode, UsageError> {
+    let flags = Flags::parse(
+        args,
+        &["--smoke", "--no-cache", "--pack", "--no-pack"],
+        &[
+            "--clients",
+            "--queries",
+            "--corpora",
+            "--shared-ratio",
+            "--large-ratio",
+            "--m",
+            "--n",
+            "--k",
+            "--h",
+            "--seed",
+            "--devices",
+            "--wave",
+            "--backend",
+            "--lifecycle-faults",
+            "--link-faults",
+            "--energy-budget",
+            "--json",
+        ],
+    )?;
+    let base = if flags.has("--smoke") {
+        smoke_workload()
+    } else {
+        WorkloadConfig::default()
+    };
+    let wl = WorkloadConfig {
+        clients: flags.get("--clients", base.clients)?,
+        queries_per_client: flags.get("--queries", base.queries_per_client)?,
+        corpora: flags.get("--corpora", base.corpora)?,
+        shared_ratio: flags.get("--shared-ratio", base.shared_ratio)?,
+        large_ratio: flags.get("--large-ratio", base.large_ratio)?,
+        m: flags.get("--m", base.m)?,
+        n: flags.get("--n", base.n)?,
+        k: flags.get("--k", base.k)?,
+        h: flags.get("--h", base.h)?,
+        seed: flags.get("--seed", base.seed)?,
+        ..base
+    };
+    let backend = match flags.opt("--backend").unwrap_or("gpu-fused") {
+        "cpu-fused" => ServeBackend::CpuFused,
+        "gpu-fused" => ServeBackend::GpuFused { cpu_fallback: true },
+        "gpu-resilient" => ServeBackend::GpuResilient,
+        other => {
+            return Err(UsageError(format!(
+                "unknown serve backend {other} (try cpu-fused, gpu-fused, gpu-resilient)"
+            )))
+        }
+    };
     let mut device = serve_device();
     device.fault = fault;
     let mut cfg = ServeConfig {
-        backend: ServeBackend::GpuFused { cpu_fallback: true },
+        backend,
         device,
-        wave: 4,
+        wave: flags.get("--wave", 4)?,
+        enable_plan_cache: !flags.has("--no-cache"),
+        pack: flags.last_of(&["--pack", "--no-pack"]) == Some("--pack"),
         ..ServeConfig::default()
     };
-    let mut json: Option<String> = None;
-    let mut devices: usize = 0;
-    let mut lifecycle: Option<LifecycleSpec> = None;
-    let mut link_fault: Option<LinkFaultSpec> = None;
-    let mut it = rest.iter().peekable();
-    while let Some(flag) = it.next() {
-        // Bare switches first; everything else takes a value.
-        match flag.as_str() {
-            "--smoke" => {
-                wl = smoke_workload();
-                continue;
-            }
-            "--no-cache" => {
-                cfg.enable_plan_cache = false;
-                continue;
-            }
-            "--pack" => {
-                cfg.pack = true;
-                continue;
-            }
-            "--no-pack" => {
-                cfg.pack = false;
-                continue;
-            }
-            _ => {}
-        }
-        let val = it
-            .next()
-            .ok_or_else(|| UsageError(format!("missing value for {flag}")))?;
-        match flag.as_str() {
-            "--clients" => wl.clients = parse_value(flag, val)?,
-            "--queries" => wl.queries_per_client = parse_value(flag, val)?,
-            "--corpora" => wl.corpora = parse_value(flag, val)?,
-            "--shared-ratio" => wl.shared_ratio = parse_value(flag, val)?,
-            "--large-ratio" => wl.large_ratio = parse_value(flag, val)?,
-            "--m" => wl.m = parse_value(flag, val)?,
-            "--n" => wl.n = parse_value(flag, val)?,
-            "--k" => wl.k = parse_value(flag, val)?,
-            "--h" => wl.h = parse_value(flag, val)?,
-            "--seed" => wl.seed = parse_value(flag, val)?,
-            "--queue" => cfg.queue_capacity = parse_value(flag, val)?,
-            "--devices" => {
-                devices = parse_value(flag, val)?;
-                if devices == 0 {
-                    return Err(UsageError("--devices needs at least 1 device".into()));
-                }
-            }
-            "--wave" => cfg.wave = parse_value(flag, val)?,
-            "--backend" => {
-                cfg.backend = match val.as_str() {
-                    "cpu-fused" => ServeBackend::CpuFused,
-                    "gpu-fused" => ServeBackend::GpuFused { cpu_fallback: true },
-                    "gpu-resilient" => ServeBackend::GpuResilient,
-                    other => {
-                        return Err(UsageError(format!(
-                        "unknown serve backend {other} (try cpu-fused, gpu-fused, gpu-resilient)"
-                    )))
-                    }
-                };
-            }
-            "--lifecycle-faults" => {
-                lifecycle =
-                    Some(LifecycleSpec::parse(val).map_err(|e| {
-                        UsageError(format!("invalid --lifecycle-faults spec: {e}"))
-                    })?);
-            }
-            "--link-faults" => {
-                link_fault = Some(
-                    LinkFaultSpec::parse(val)
-                        .map_err(|e| UsageError(format!("invalid --link-faults spec: {e}")))?,
-                );
-            }
-            "--energy-budget" => {
-                let budget: f64 = parse_value(flag, val)?;
-                if budget <= 0.0 || budget.is_nan() {
-                    return Err(UsageError("--energy-budget must be positive".into()));
-                }
-                cfg.energy_budget_j = Some(budget);
-                // The downshift target for shapes without a tuned
-                // pick: the default's bit-compatibility class with
-                // taller microtile rows (fewer threads, more register
-                // reuse), so routing never changes result bits.
-                cfg.low_power = Some(TileGeometry {
-                    micro_m: 16,
-                    ..TileGeometry::paper_default()
-                });
-            }
-            "--json" => json = Some(val.clone()),
-            other => return Err(UsageError(format!("unknown flag {other}"))),
-        }
+    let devices: usize = flags.get("--devices", 0)?;
+    if flags.has("--devices") && devices == 0 {
+        return Err(UsageError("--devices needs at least 1 device".into()));
     }
-    check_serve_sizes(&wl, &cfg)?;
+    if let Some(budget) = flags.parsed::<f64>("--energy-budget")? {
+        if budget <= 0.0 || budget.is_nan() {
+            return Err(UsageError("--energy-budget must be positive".into()));
+        }
+        cfg.energy_budget_j = Some(budget);
+        // The downshift target for shapes without a tuned pick: the
+        // default's bit-compatibility class with taller microtile rows
+        // (fewer threads, more register reuse), so routing never
+        // changes result bits.
+        cfg.low_power = Some(TileGeometry {
+            micro_m: 16,
+            ..TileGeometry::paper_default()
+        });
+    }
+    let lifecycle = flags
+        .opt("--lifecycle-faults")
+        .map(LifecycleSpec::parse)
+        .transpose()
+        .map_err(|e| UsageError(format!("invalid --lifecycle-faults spec: {e}")))?;
+    let link_fault = flags
+        .opt("--link-faults")
+        .map(LinkFaultSpec::parse)
+        .transpose()
+        .map_err(|e| UsageError(format!("invalid --link-faults spec: {e}")))?;
+    check_serve_sizes(&wl, cfg.wave)?;
     if (lifecycle.is_some() || link_fault.is_some()) && devices == 0 {
         return Err(UsageError(
             "--lifecycle-faults and --link-faults model pool members; pass --devices N".into(),
@@ -634,7 +567,7 @@ fn cmd_serve_bench(rest: &[String], fault: Option<FaultSpec>) -> Result<ExitCode
     );
     let device = cfg.device.clone();
     let t = Instant::now();
-    let report = run_workload(cfg, &wl);
+    let (_, report, _) = serve_backlog(cfg, &generate_queries(&wl));
     let wall = t.elapsed();
     println!(
         "submitted {} | accepted {} | rejected {} | completed {} | expired {} | shed {} | failed {}",
@@ -749,45 +682,23 @@ fn cmd_serve_bench(rest: &[String], fault: Option<FaultSpec>) -> Result<ExitCode
             gpu.energy.total_j() * 1e3
         );
     }
-    if let Some(path) = json {
-        if let Err(e) = metrics.write_json(&path) {
-            eprintln!("error: cannot write {path}: {e}");
-            return Ok(ExitCode::FAILURE);
-        }
-        eprintln!("wrote {path}");
-    }
-    Ok(ExitCode::SUCCESS)
+    Ok(write_all(&[(flags.opt("--json"), metrics.to_json())]))
 }
 
-fn cmd_tune(rest: &[String]) -> Result<ExitCode, UsageError> {
+fn cmd_tune(args: &[String]) -> Result<ExitCode, UsageError> {
+    let flags = Flags::parse(args, &["--smoke"], &["--seed", "--json"])?;
     let mut cfg = TuneConfig::smoke(DeviceConfig::gtx970());
-    let mut json: Option<String> = None;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--smoke" {
-            cfg.train_shapes = vec![
-                ProblemShape::new(1024, 1024, 32),
-                ProblemShape::new(512, 512, 32),
-                ProblemShape::new(256, 256, 64),
-            ];
-            cfg.pick_shapes = vec![
-                ProblemShape::new(1024, 1024, 32),
-                ProblemShape::new(256, 256, 64),
-            ];
-            continue;
-        }
-        let val = it
-            .next()
-            .ok_or_else(|| UsageError(format!("missing value for {flag}")))?;
-        match flag.as_str() {
-            "--seed" => cfg.seed = parse_value(flag, val)?,
-            "--json" => json = Some(val.clone()),
-            other => {
-                return Err(UsageError(format!(
-                    "unknown flag {other} (tune takes --smoke, --seed S, --json PATH)"
-                )))
-            }
-        }
+    cfg.seed = flags.get("--seed", cfg.seed)?;
+    if flags.has("--smoke") {
+        cfg.train_shapes = vec![
+            ProblemShape::new(1024, 1024, 32),
+            ProblemShape::new(512, 512, 32),
+            ProblemShape::new(256, 256, 64),
+        ];
+        cfg.pick_shapes = vec![
+            ProblemShape::new(1024, 1024, 32),
+            ProblemShape::new(256, 256, 64),
+        ];
     }
     println!(
         "tuning {} geometries x {} training shapes on a simulated {}",
@@ -827,94 +738,52 @@ fn cmd_tune(rest: &[String]) -> Result<ExitCode, UsageError> {
             p.m, p.n, p.k, p.choice.geometry, p.choice.pred_time_s, p.choice.pred_energy_j
         );
     }
-    if let Some(path) = json {
-        let doc = serde_json::to_string_pretty(&out.picks).expect("picks serialise");
-        if let Err(code) = write_artifact(&path, &doc, "tuned picks") {
-            return Ok(code);
-        }
+    Ok(write_all(&[(flags.opt("--json"), to_json(&out.picks))]))
+}
+
+/// Parses the global flags, valid anywhere on the line, and runs the
+/// command.
+fn run(args: &[String]) -> Result<ExitCode, UsageError> {
+    let (globals, args) = Flags::extract(args, &["--threads", "--faults"])?;
+    let threads: Option<usize> = globals.parsed("--threads")?;
+    if threads == Some(0) {
+        return Err(UsageError("--threads must be >= 1".into()));
     }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// Global flags, valid anywhere on the command line.
-struct Globals {
-    /// Worker-pool size for parallel traffic replay.
-    threads: Option<usize>,
-    /// Soft-error injection spec for the simulated device.
-    fault: Option<FaultSpec>,
-}
-
-/// Strips the global `--threads N` and `--faults SPEC` flags (valid
-/// anywhere on the command line) and returns the remaining args plus
-/// the parsed globals. `N` must parse as an integer >= 1; `SPEC` must
-/// satisfy [`FaultSpec::parse`].
-fn extract_globals(args: &[String]) -> Result<(Vec<String>, Globals), UsageError> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut g = Globals {
-        threads: None,
-        fault: None,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--threads" => {
-                let val = it
-                    .next()
-                    .ok_or_else(|| UsageError("missing value for --threads".into()))?;
-                let n: usize = parse_value("--threads", val)?;
-                if n == 0 {
-                    return Err(UsageError("--threads must be >= 1".into()));
-                }
-                g.threads = Some(n);
-            }
-            "--faults" => {
-                let val = it
-                    .next()
-                    .ok_or_else(|| UsageError("missing value for --faults".into()))?;
-                let spec = FaultSpec::parse(val)
-                    .map_err(|e| UsageError(format!("invalid --faults spec: {e}")))?;
-                g.fault = Some(spec);
-            }
-            _ => rest.push(arg.clone()),
-        }
-    }
-    Ok((rest, g))
-}
-
-fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().collect();
-    let (args, globals) = match extract_globals(&raw) {
-        Ok(x) => x,
-        Err(e) => return usage_exit(&e),
-    };
-    let Some(cmd) = args.get(1) else {
+    let fault = globals
+        .opt("--faults")
+        .map(FaultSpec::parse)
+        .transpose()
+        .map_err(|e| UsageError(format!("invalid --faults spec: {e}")))?;
+    let Some((cmd, rest)) = args.split_first() else {
         eprintln!("{USAGE}");
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     };
-    let fault = globals.fault;
     let run = || -> Result<ExitCode, UsageError> {
         match cmd.as_str() {
-            "lint" => cmd_lint(&args[2..]),
-            "serve-bench" => cmd_serve_bench(&args[2..], fault),
-            "tune" => cmd_tune(&args[2..]),
-            "solve" => parse(&args[2..]).and_then(|a| cmd_solve(&a, fault)),
-            "profile" => parse(&args[2..]).and_then(|a| cmd_profile(&a, fault)),
-            "compare" => parse(&args[2..]).and_then(|a| cmd_compare(&a, fault)),
+            "lint" => cmd_lint(rest),
+            "serve-bench" => cmd_serve_bench(rest, fault),
+            "tune" => cmd_tune(rest),
+            "solve" => cmd_solve(&Args::parse(rest)?, fault),
+            "profile" => cmd_profile(&Args::parse(rest)?, fault),
+            "compare" => cmd_compare(&Args::parse(rest)?, fault),
             other => Err(UsageError(format!("unknown command {other}"))),
         }
     };
-    let out = match globals.threads {
-        Some(n) => {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(n)
-                .build()
-                .map_err(|e| UsageError(format!("cannot build thread pool: {e}")));
-            pool.and_then(|p| p.install(run))
-        }
+    match threads {
+        Some(n) => rayon::ThreadPoolBuilder::new()
+            .num_threads(n)
+            .build()
+            .map_err(|e| UsageError(format!("cannot build thread pool: {e}")))?
+            .install(run),
         None => run(),
-    };
-    match out {
-        Ok(code) => code,
-        Err(e) => usage_exit(&e),
     }
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    run(&args).unwrap_or_else(|e| {
+        eprintln!("error: {}", e.0);
+        eprintln!("{USAGE}");
+        ExitCode::from(2)
+    })
 }

@@ -1,7 +1,7 @@
 //! Black-box tests of the `ksum` binary's argument handling: malformed
 //! invocations must print the usage to stderr and exit with status 2
 //! (never panic), and `serve-bench --json` must emit a parseable
-//! `ServeMetrics` document.
+//! `ServeMetrics` document that repeats byte for byte between runs.
 
 use std::process::{Command, Output};
 
@@ -46,6 +46,97 @@ fn no_command_prints_usage_and_exits_2() {
 #[test]
 fn unknown_command_is_a_usage_error() {
     assert_usage_error(&ksum(&["frobnicate"]), "unknown command frobnicate");
+}
+
+/// Each command's valued flags, and which of them take a number.
+const VALUED_FLAGS: [(&str, &[&str], &[&str]); 6] = [
+    ("solve", PROBLEM_FLAGS, PROBLEM_NUMBERS),
+    ("profile", PROBLEM_FLAGS, PROBLEM_NUMBERS),
+    ("compare", PROBLEM_FLAGS, PROBLEM_NUMBERS),
+    ("lint", &["--out", "--json", "--agreement", "--kernel"], &[]),
+    (
+        "serve-bench",
+        &[
+            "--clients",
+            "--queries",
+            "--corpora",
+            "--shared-ratio",
+            "--large-ratio",
+            "--m",
+            "--n",
+            "--k",
+            "--h",
+            "--seed",
+            "--devices",
+            "--wave",
+            "--backend",
+            "--lifecycle-faults",
+            "--link-faults",
+            "--energy-budget",
+            "--json",
+            "--threads",
+            "--faults",
+        ],
+        &[
+            "--clients",
+            "--queries",
+            "--corpora",
+            "--shared-ratio",
+            "--large-ratio",
+            "--m",
+            "--n",
+            "--k",
+            "--h",
+            "--seed",
+            "--devices",
+            "--wave",
+            "--energy-budget",
+            "--threads",
+        ],
+    ),
+    ("tune", &["--seed", "--json"], &["--seed"]),
+];
+const PROBLEM_FLAGS: &[&str] = &[
+    "--m",
+    "--n",
+    "--k",
+    "--h",
+    "--seed",
+    "--backend",
+    "--variant",
+];
+const PROBLEM_NUMBERS: &[&str] = &["--m", "--n", "--k", "--h", "--seed"];
+
+#[test]
+fn every_valued_flag_without_a_value_or_with_a_non_number_is_a_usage_error() {
+    for (command, valued, numeric) in VALUED_FLAGS {
+        for flag in valued {
+            // Last on the line, and followed by another flag.
+            for args in [vec![command, flag], vec![command, flag, "--smoke"]] {
+                let out = ksum(&args);
+                assert_usage_error(&out, &format!("missing value for {flag}"));
+                assert!(out.stdout.is_empty(), "{args:?} ran before failing");
+            }
+        }
+        for flag in numeric {
+            let args = [command, flag, "x"];
+            let out = ksum(&args);
+            assert_usage_error(&out, &format!("invalid value for {flag}: x"));
+            assert!(out.stdout.is_empty(), "{args:?} ran before failing");
+        }
+    }
+}
+
+#[test]
+fn a_value_never_starts_with_two_dashes_and_strays_are_named() {
+    assert_usage_error(
+        &ksum(&["lint", "--json", "--static"]),
+        "missing value for --json",
+    );
+    assert_usage_error(
+        &ksum(&["solve", "--m", "64", "stray"]),
+        "unexpected argument stray",
+    );
 }
 
 #[test]
@@ -117,7 +208,6 @@ fn out_of_range_numeric_flags_are_usage_errors() {
         ("--queries", "0"),
         ("--corpora", "0"),
         ("--wave", "0"),
-        ("--queue", "0"),
         ("--shared-ratio", "2"),
     ] {
         cases.push((vec!["serve-bench", "--smoke", flag, value], flag));
@@ -372,6 +462,62 @@ fn serve_bench_json_export_parses() {
     assert_eq!(metrics.completed + metrics.rejected, metrics.submitted);
     assert!(metrics.gpu.is_none(), "cpu-fused backend runs no GPU batch");
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn serve_bench_flags_override_the_smoke_preset_wherever_they_appear() {
+    let out = ksum(&[
+        "serve-bench",
+        "--m",
+        "128",
+        "--smoke",
+        "--backend",
+        "cpu-fused",
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("48 queries") && stdout.contains("M=128 N=128 K=32"),
+        "--smoke sizes the stream, --m 128 its corpora; stdout: {stdout}"
+    );
+}
+
+#[test]
+fn serve_bench_exports_repeat_byte_for_byte() {
+    let dir = std::env::temp_dir().join("ksum_cli_test_repeat");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for (name, extra) in [("plain", None), ("packed", Some("--pack"))] {
+        let docs: Vec<String> = (0..3)
+            .map(|run| {
+                let path = dir.join(format!("{name}_{run}.json"));
+                let mut args = vec!["serve-bench", "--smoke", "--json"];
+                args.push(path.to_str().expect("utf-8 temp path"));
+                args.extend(extra);
+                let out = ksum(&args);
+                assert_eq!(
+                    out.status.code(),
+                    Some(0),
+                    "stderr: {}",
+                    String::from_utf8_lossy(&out.stderr)
+                );
+                let doc = std::fs::read_to_string(&path).expect("json written");
+                std::fs::remove_file(&path).ok();
+                doc
+            })
+            .collect();
+        assert!(
+            docs.iter().all(|d| *d == docs[0]),
+            "{name} serve-bench exports differ between runs"
+        );
+        let metrics = ServeMetrics::from_json(&docs[0]).expect("valid ServeMetrics document");
+        assert_eq!(metrics.rejected, 0, "a backlog rejects nothing");
+        assert_eq!(metrics.queue_high_water, metrics.submitted);
+    }
 }
 
 #[test]
