@@ -125,6 +125,7 @@ impl BrokenFusedGemm {
             block.x as usize,
             block.y as usize,
             acc,
+            false,
         );
     }
 }

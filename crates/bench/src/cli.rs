@@ -1,12 +1,18 @@
 //! The command-line pieces both binaries share: flag parsing for every
-//! `ks-bench` and `ksum` command, document writing and gate reporting.
+//! `ks-bench` and `ksum` command, stdout, document writing and gate
+//! reporting.
 //!
 //! Both binaries exit 0 on success (every gate held), 1 when a gate or
 //! a run failed or a document could not be written, and 2 for a
-//! malformed invocation (reported as a [`UsageError`]).
+//! malformed invocation (reported as a [`UsageError`]). They print
+//! through [`out!`](crate::out) and [`outln!`](crate::outln), so a
+//! closed stdout never changes that status.
 
+use std::fmt;
+use std::io::Write;
 use std::process::ExitCode;
 use std::str::FromStr;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use serde::Serialize;
 
@@ -137,6 +143,41 @@ impl Flags {
             n => Ok(n.unwrap_or(default)),
         }
     }
+}
+
+/// Set by the first failed write to stdout.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes `args` to stdout, where `print!` would panic on a failed
+/// write: once a write fails (a reader that exited early, as `| head`
+/// does), this and every later call drops its output, and the command
+/// keeps its own exit status. Called through [`out!`](crate::out) and
+/// [`outln!`](crate::outln).
+pub fn write_stdout(args: fmt::Arguments) {
+    if !STDOUT_CLOSED.load(Ordering::Relaxed) && std::io::stdout().write_fmt(args).is_err() {
+        STDOUT_CLOSED.store(true, Ordering::Relaxed);
+    }
+}
+
+/// `print!` through [`cli::write_stdout`](crate::cli::write_stdout):
+/// a closed stdout drops the output instead of panicking.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`cli::write_stdout`](crate::cli::write_stdout):
+/// a closed stdout drops the output instead of panicking.
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::out!("\n")
+    };
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
 }
 
 /// Writes every document that has a path and logs each path to

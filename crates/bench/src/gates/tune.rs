@@ -31,6 +31,7 @@ use std::time::Instant;
 
 use ks_bench::cli::{to_json, Flags, Gates, UsageError};
 use ks_bench::metrics::SCHEMA_VERSION;
+use ks_bench::outln;
 use ks_gpu_kernels::TileGeometry;
 use ks_gpu_sim::config::DeviceConfig;
 use ks_tune::{profile_geometry, tune, ProblemShape, TuneConfig};
@@ -223,7 +224,7 @@ pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         gates_passed: gates.passed(),
         host_wall_s: wall.elapsed().as_secs_f64(),
     };
-    println!("{}", to_json(&metrics));
+    outln!("{}", to_json(&metrics));
     if gates.passed() {
         eprintln!(
             "tune: all gates passed ({} picks, {wins} strict wins, {:.1}s)",

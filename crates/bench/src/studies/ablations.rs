@@ -11,6 +11,7 @@
 use std::process::ExitCode;
 
 use ks_bench::cli::{Flags, UsageError};
+use ks_bench::outln;
 use ks_bench::table::{f3, ms, TableSet, TextTable};
 use ks_gpu_kernels::aux_kernels::{Bandwidth, EvalSumCoalescedKernel, EvalSumKernel};
 use ks_gpu_kernels::fused::{FusedKernelSummation, ReducePartialsKernel, Reduction};
@@ -62,7 +63,7 @@ pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
     let flags = Flags::parse(args, &[], &["--json", "--csv"])?;
     let mut tables = TableSet::default();
     let (m, n, k) = (16384, 1024, 64);
-    println!("Ablations at M={m}, N={n}, K={k} (simulated GTX970)\n");
+    outln!("Ablations at M={m}, N={n}, K={k} (simulated GTX970)\n");
 
     // 1. Double buffering.
     let mut t = TextTable::new(vec!["double_buffer", "time", "syncthreads", "smem_bytes"]);

@@ -11,6 +11,7 @@
 use std::process::ExitCode;
 
 use ks_bench::cli::{Flags, UsageError};
+use ks_bench::outln;
 use ks_bench::table::{f3, TextTable};
 use ks_gpu_kernels::{GpuKernelSummation, GpuVariant};
 use ks_gpu_sim::{DeviceConfig, GpuDevice};
@@ -76,8 +77,8 @@ pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         &format!("Device study: fused vs cuBLAS-Unfused at M={m}, N=1024"),
         false,
     );
-    println!("The fusion advantage is a property of the algorithm, not of one card:");
-    println!("it persists on the GTX980 and grows as the L2 shrinks (the unfused");
-    println!("pipeline depends on the cache to absorb its intermediate re-reads).");
+    outln!("The fusion advantage is a property of the algorithm, not of one card:");
+    outln!("it persists on the GTX980 and grows as the L2 shrinks (the unfused");
+    outln!("pipeline depends on the cache to absorb its intermediate re-reads).");
     Ok(ExitCode::SUCCESS)
 }

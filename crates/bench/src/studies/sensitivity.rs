@@ -16,6 +16,7 @@
 use std::process::ExitCode;
 
 use ks_bench::cli::{Flags, UsageError};
+use ks_bench::outln;
 use ks_bench::table::{f3, TableSet, TextTable};
 use ks_gpu_kernels::{GpuKernelSummation, GpuVariant};
 use ks_gpu_sim::timing::TimingParams;
@@ -139,10 +140,10 @@ pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
     );
     let written = tables.export(flags.opt("--json"), flags.opt("--csv"));
     if all_hold {
-        println!("All qualitative claims hold across the calibration sweep ✓");
+        outln!("All qualitative claims hold across the calibration sweep ✓");
         Ok(written)
     } else {
-        println!("WARNING: some claims flipped — see rows marked NO");
+        outln!("WARNING: some claims flipped — see rows marked NO");
         Ok(ExitCode::FAILURE)
     }
 }

@@ -3,6 +3,8 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
+use crate::{out, outln};
+
 /// A simple column-aligned text table.
 #[derive(Debug, Clone, Default)]
 pub struct TextTable {
@@ -91,9 +93,9 @@ impl TextTable {
     /// Prints the rendered table (and CSV when `csv` is set).
     pub fn print(&self, title: &str, csv: bool) {
         if csv {
-            print!("{}", self.to_csv());
+            out!("{}", self.to_csv());
         } else {
-            println!("{}", self.render(title));
+            outln!("{}", self.render(title));
         }
     }
 

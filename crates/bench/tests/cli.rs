@@ -1,7 +1,8 @@
 //! `ks-bench` argument handling: every malformed invocation prints the
-//! usage and exits 2, before any work runs and without a panic.
+//! usage and exits 2, before any work runs and without a panic; a
+//! closed stdout keeps a run's exit status.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn ks_bench(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_ks-bench"))
@@ -52,4 +53,29 @@ fn a_two_device_pool_reaches_a_verdict_without_panicking() {
         "{stderr}"
     );
     assert!(matches!(out.status.code(), Some(0 | 1)), "{stderr}");
+}
+
+/// A closed stdout (a reader that exited early, as `| head -0` does)
+/// drops the printed exhibits: the sweep exits as it does with stdout
+/// on `/dev/null`, and nothing panics.
+#[test]
+fn a_closed_stdout_keeps_the_exit_status_and_never_panics() {
+    let args = ["sweep", "--smoke"];
+    let to_null = Command::new(env!("CARGO_BIN_EXE_ks-bench"))
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .expect("ks-bench runs");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ks-bench"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("ks-bench runs");
+    drop(child.stdout.take());
+    let closed = child.wait_with_output().expect("ks-bench runs");
+    let stderr = String::from_utf8_lossy(&closed.stderr);
+    assert_eq!(closed.status.code(), to_null.code(), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

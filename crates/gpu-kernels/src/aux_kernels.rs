@@ -174,10 +174,6 @@ impl Kernel for NormsKernel {
         self.body(block, &mut TrafficMachine::new(sink));
     }
 
-    fn traffic_homogeneous(&self) -> bool {
-        true
-    }
-
     fn access_spec(&self) -> Option<AccessSpec> {
         let mut spec = AccessSpec::default();
         let dim = self.dim;
@@ -360,10 +356,6 @@ impl Kernel for EvalSumKernel {
 
     fn block_traffic(&self, block: Dim3, sink: &mut TrafficSink) {
         self.body(block, &mut TrafficMachine::new(sink));
-    }
-
-    fn traffic_homogeneous(&self) -> bool {
-        true
     }
 
     fn access_spec(&self) -> Option<AccessSpec> {
@@ -606,10 +598,6 @@ impl Kernel for EvalSumCoalescedKernel {
         self.body(block, &mut TrafficMachine::new(sink));
     }
 
-    fn traffic_homogeneous(&self) -> bool {
-        true
-    }
-
     fn access_spec(&self) -> Option<AccessSpec> {
         let mut spec = AccessSpec::default();
         let n = self.n;
@@ -792,10 +780,6 @@ impl Kernel for EvalKernel {
         self.body(block, &mut TrafficMachine::new(sink));
     }
 
-    fn traffic_homogeneous(&self) -> bool {
-        true
-    }
-
     fn access_spec(&self) -> Option<AccessSpec> {
         // The element-linear walk (`base + 4·lane` over C/K) is always
         // affine, but the row-norm broadcast (`base / n`) and the
@@ -973,10 +957,6 @@ impl Kernel for GemvKernel {
 
     fn block_traffic(&self, block: Dim3, sink: &mut TrafficSink) {
         self.body(block, &mut TrafficMachine::new(sink));
-    }
-
-    fn traffic_homogeneous(&self) -> bool {
-        true
     }
 
     fn access_spec(&self) -> Option<AccessSpec> {

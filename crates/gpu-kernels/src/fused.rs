@@ -21,26 +21,35 @@
 //! `M×N` intermediate never exists in memory. That is the paper's
 //! whole point.
 //!
-//! ## One kernel, two names
+//! ## One kernel, three names
 //! [`Fused`] evaluates `V = K·W` for `R` weight columns: each Gaussian
 //! value is computed once and folded into `R` per-column accumulators
-//! (`W` is `N×R` and `V` is `M×R`, both column-major). It carries one
-//! of two names, chosen by a [`Naming`] marker whose only job is the
-//! kernel-name prefix:
+//! (`W` is `N×R` and `V` is `M×R`, both column-major). A kernel holds a
+//! list of segments — each one query's operands, norms, `W`, `V`,
+//! shape, bandwidth, `R` and optional ABFT buffers — launched at one
+//! geometry, layout, reduction and exec model. A [`Naming`] marker
+//! decides only the kernel name and the grid:
 //!
 //! * [`FusedKernelSummation`] (`fused_ks…`) is the paper's
-//!   single-weight kernel, `R = 1`. It alone takes the ablation
-//!   parameters: shared-memory layout
+//!   single-weight kernel, `R = 1`, one segment on its own 2-D grid.
+//!   It alone takes the ablation parameters: shared-memory layout
 //!   ([`with_layout`](FusedKernelSummation::with_layout)), double
 //!   buffering, the two-pass reduction
 //!   ([`with_reduction`](FusedKernelSummation::with_reduction)) and
 //!   the vendor execution model.
 //! * [`FusedMultiWeight`] (`fused_multiw{R}…`) is the serving kernel,
-//!   `R ∈ 1..=MAX_WEIGHT_COLUMNS` (see [`crate::fused_multi`]).
+//!   `R ∈ 1..=MAX_WEIGHT_COLUMNS`, one segment on its own 2-D grid
+//!   (see [`crate::fused_multi`]).
+//! * [`FusedMultiPacked`] (`fused_multi_packed{S}w{R}…_{B}b`) is
+//!   horizontal fusion: the segments of `S` serving kernels on one 1-D
+//!   grid of `B` blocks, each block routed to its segment by the
+//!   [`RoutingTable`] (see [`crate::fused_multi_packed`]). It declares
+//!   no access spec.
 //!
-//! Both names run the same block body, access spec, block class,
-//! analysis budget, resources and timing hints, so at `R = 1` they
-//! agree in every result bit and counter; only `name()` differs.
+//! Every name runs the same block body, block class, analysis budget,
+//! resources and timing hints over its segment list, so one segment
+//! agrees in every result bit and counter under all three names; only
+//! `name()` and the grid's shape differ.
 //!
 //! The kernel is parameterized over [`TileGeometry`]
 //! ([`Fused::with_geometry`]); the paper's hand-tuned configuration is
@@ -68,9 +77,10 @@ use rayon::prelude::*;
 
 use crate::aux_kernels::{gaussian, Bandwidth};
 use crate::fused_multi::MAX_WEIGHT_COLUMNS;
+use crate::fused_multi_packed::RoutingTable;
 use crate::gemm_engine::{
-    gemm_access_spec, gemm_block, gemm_block_verified, syncs_per_block, AccGrid, GemmOperands,
-    GemmShape, SmemMap, MAX_MICRO,
+    gemm_access_spec, gemm_block, syncs_per_block, AccGrid, GemmOperands, GemmShape, SmemMap,
+    MAX_MICRO,
 };
 use crate::geometry::TileGeometry;
 use crate::layout::SmemLayout;
@@ -188,11 +198,18 @@ pub enum Reduction {
     },
 }
 
-/// Picks the kernel-name prefix of one of the fused kernel's two
+/// Picks the name and the grid of one of the fused kernel's three
 /// public names (see the module docs).
 pub trait Naming {
-    /// Name prefix for a kernel with `r` weight columns.
-    fn prefix(r: usize) -> String;
+    /// True for the packed name: one 1-D grid over every segment's
+    /// blocks behind the [`RoutingTable`], with no declared access
+    /// spec. The other names launch their one segment on its own 2-D
+    /// grid.
+    const PACKED: bool;
+
+    /// Name prefix for `segments` segments of at most `r` weight
+    /// columns.
+    fn prefix(segments: usize, r: usize) -> String;
 }
 
 /// Marker of the paper pipeline's name, `fused_ks…`.
@@ -201,15 +218,30 @@ pub struct Paper;
 /// Marker of the serving name, `fused_multiw{R}…`.
 pub struct Serving;
 
+/// Marker of the packed name, `fused_multi_packed{S}w{R}…`.
+pub struct Packed;
+
 impl Naming for Paper {
-    fn prefix(_r: usize) -> String {
+    const PACKED: bool = false;
+
+    fn prefix(_segments: usize, _r: usize) -> String {
         "fused_ks".into()
     }
 }
 
 impl Naming for Serving {
-    fn prefix(r: usize) -> String {
+    const PACKED: bool = false;
+
+    fn prefix(_segments: usize, r: usize) -> String {
         format!("fused_multiw{r}")
+    }
+}
+
+impl Naming for Packed {
+    const PACKED: bool = true;
+
+    fn prefix(segments: usize, r: usize) -> String {
+        format!("fused_multi_packed{segments}w{r}")
     }
 }
 
@@ -221,13 +253,13 @@ pub type FusedKernelSummation = Fused<Paper>;
 /// columns.
 pub type FusedMultiWeight = Fused<Serving>;
 
-/// The fused kernel-summation kernel (see the module docs).
-///
-/// `geometry`, `r`, `shape` and `verify` are `pub(crate)` so the
-/// horizontally-fused packed kernel ([`crate::fused_multi_packed`])
-/// can reuse this kernel's block body and per-block metadata as its
-/// segment descriptor.
-pub struct Fused<N> {
+/// Horizontal fusion: the fused kernel over many serving segments in
+/// one launch (see [`crate::fused_multi_packed`]).
+pub type FusedMultiPacked = Fused<Packed>;
+
+/// One query's slice of a fused launch: its buffers, shape, bandwidth
+/// and weight columns.
+struct Segment {
     ops: GemmOperands,
     a2: BufId,
     b2: BufId,
@@ -235,14 +267,37 @@ pub struct Fused<N> {
     w: BufId,
     /// `M×R` column-major output (must be zeroed before launch).
     v: BufId,
-    pub(crate) shape: GemmShape,
+    shape: GemmShape,
     bw: Bandwidth,
-    pub(crate) geometry: TileGeometry,
-    pub(crate) r: usize,
-    pub(crate) verify: Option<VerifyBufs>,
+    r: usize,
+    verify: Option<VerifyBufs>,
+}
+
+impl Segment {
+    /// Whether `other`'s blocks issue this segment's warp streams on
+    /// their own buffers. Geometry, layout, reduction and exec model
+    /// are launch-wide; the bandwidth enters the numerics only, never
+    /// an address or an instruction count.
+    fn same_stream(&self, other: &Self) -> bool {
+        self.shape == other.shape
+            && self.r == other.r
+            && self.verify.is_some() == other.verify.is_some()
+    }
+}
+
+/// The fused kernel-summation kernel (see the module docs): a list of
+/// segments launched at one geometry, layout, reduction and exec model.
+pub struct Fused<N> {
+    segments: Vec<Segment>,
+    geometry: TileGeometry,
     layout: SmemLayout,
     reduction: Reduction,
     exec_model: ExecModel,
+    /// Each segment's block range in launch order.
+    table: RoutingTable,
+    /// Per segment, the first segment issuing the same warp streams:
+    /// the block class its blocks replay in.
+    stream_of: Vec<usize>,
     /// `fn() -> N` keeps the kernel `Send + Sync` whatever the marker.
     naming: PhantomData<fn() -> N>,
 }
@@ -264,7 +319,7 @@ impl Fused<Paper> {
         shape: GemmShape,
         bw: Bandwidth,
     ) -> Self {
-        Self::from_parts(ops, a2, b2, w, v, shape, bw, 1)
+        Self::one(ops, a2, b2, w, v, shape, bw, 1)
     }
 
     /// Switches the timing-model execution class. `Vendor` models the
@@ -323,33 +378,49 @@ impl Fused<Serving> {
             (1..=MAX_WEIGHT_COLUMNS).contains(&r),
             "weight columns {r} out of range 1..={MAX_WEIGHT_COLUMNS}"
         );
-        Self::from_parts(ops, a2, b2, w, v, shape, bw, r)
+        Self::one(ops, a2, b2, w, v, shape, bw, r)
     }
 }
 
-impl<N> Fused<N> {
-    /// Whether `other` issues this kernel's per-block warp streams,
-    /// its buffers aside: every parameter that shapes the traffic
-    /// agrees. The bandwidth is left out — it enters the numerics
-    /// only, never an address or an instruction count.
-    pub(crate) fn same_stream(&self, other: &Self) -> bool {
-        self.shape == other.shape
-            && self.geometry == other.geometry
-            && self.r == other.r
-            && self.verify.is_some() == other.verify.is_some()
-            && self.layout == other.layout
-            && matches!(
-                (self.reduction, other.reduction),
-                (Reduction::Atomic, Reduction::Atomic)
-                    | (Reduction::TwoPass { .. }, Reduction::TwoPass { .. })
-            )
-            && self.exec_model == other.exec_model
+impl Fused<Packed> {
+    /// Packs the segments of `kernels` into one launch over their
+    /// concatenated grids, in order.
+    ///
+    /// # Panics
+    /// Panics when `kernels` is empty, the kernels do not share one
+    /// tile geometry (one launch has one block shape / smem footprint),
+    /// or ABFT verification is not uniform across them.
+    #[must_use]
+    pub fn new(kernels: Vec<FusedMultiWeight>) -> Self {
+        assert!(!kernels.is_empty(), "packed launch needs segments");
+        let geometry = kernels[0].geometry;
+        assert!(
+            kernels.iter().all(|k| k.geometry == geometry),
+            "packed segments must share one tile geometry"
+        );
+        let segments: Vec<Segment> = kernels.into_iter().flat_map(|k| k.segments).collect();
+        assert!(
+            segments
+                .iter()
+                .all(|s| s.verify.is_some() == segments[0].verify.is_some()),
+            "packed segments must uniformly enable or disable ABFT"
+        );
+        Self::from_segments(segments, geometry)
     }
+}
+
+/// The routing table of `segments`' grids at `geometry`.
+fn routing(segments: &[Segment], geometry: &TileGeometry) -> RoutingTable {
+    let grids: Vec<(u32, u32)> = segments
+        .iter()
+        .map(|s| s.shape.grid_for(geometry))
+        .collect();
+    RoutingTable::new(&grids)
 }
 
 impl<N: Naming> Fused<N> {
     #[allow(clippy::too_many_arguments)]
-    fn from_parts(
+    fn one(
         ops: GemmOperands,
         a2: BufId,
         b2: BufId,
@@ -360,7 +431,7 @@ impl<N: Naming> Fused<N> {
         r: usize,
     ) -> Self {
         shape.validate();
-        Self {
+        let segment = Segment {
             ops,
             a2,
             b2,
@@ -368,9 +439,25 @@ impl<N: Naming> Fused<N> {
             v,
             shape,
             bw,
-            geometry: TileGeometry::paper_default(),
             r,
             verify: None,
+        };
+        Self::from_segments(vec![segment], TileGeometry::paper_default())
+    }
+
+    fn from_segments(segments: Vec<Segment>, geometry: TileGeometry) -> Self {
+        let stream_of = (0..segments.len())
+            .map(|s| {
+                (0..=s)
+                    .find(|&o| segments[o].same_stream(&segments[s]))
+                    .expect("a segment streams like itself")
+            })
+            .collect();
+        Self {
+            table: routing(&segments, &geometry),
+            stream_of,
+            segments,
+            geometry,
             layout: SmemLayout::default(),
             reduction: Reduction::Atomic,
             exec_model: ExecModel::CudaC,
@@ -378,22 +465,25 @@ impl<N: Naming> Fused<N> {
         }
     }
 
-    /// Selects the tile geometry (the autotuner's knob). The shape must
-    /// divide it, and the column count must fit its `T` scratch
-    /// (`r ≤ tile_k`).
+    /// Selects the tile geometry (the autotuner's knob). Every
+    /// segment's shape must divide it, and its column count must fit
+    /// the `T` scratch (`r ≤ tile_k`).
     ///
     /// # Panics
-    /// Panics if the shape violates the geometry's tiling constraints
-    /// or `r > geometry.tile_k`.
+    /// Panics if a shape violates the geometry's tiling constraints or
+    /// `r > geometry.tile_k`.
     #[must_use]
     pub fn with_geometry(mut self, geometry: TileGeometry) -> Self {
-        self.shape.validate_for(&geometry);
-        assert!(
-            self.r <= geometry.tile_k,
-            "{} weight columns exceed the T scratch of {geometry} (tile_k {})",
-            self.r,
-            geometry.tile_k
-        );
+        for s in &self.segments {
+            s.shape.validate_for(&geometry);
+            assert!(
+                s.r <= geometry.tile_k,
+                "{} weight columns exceed the T scratch of {geometry} (tile_k {})",
+                s.r,
+                geometry.tile_k
+            );
+        }
+        self.table = routing(&self.segments, &geometry);
         self.geometry = geometry;
         self
     }
@@ -404,30 +494,52 @@ impl<N: Naming> Fused<N> {
         &self.geometry
     }
 
-    /// Enables ABFT verification: the shared-memory audit, the γ
-    /// re-fold, the `T` drain digest, and the checksum column /
-    /// corruption flag in `bufs`. The checksum buffer must hold
-    /// `R·(M/block_m)·CHECKSUM_SLOT_WORDS` zeroed words (slot
-    /// `(c·(M/block_m) + by)·CHECKSUM_SLOT_WORDS` for column `c`, row
-    /// group `by`) and the flag buffer `CHECKSUM_SLOT_WORDS` zeroed
-    /// words.
+    /// Enables ABFT verification of the kernel's one segment: the
+    /// shared-memory audit, the γ re-fold, the `T` drain digest, and
+    /// the checksum column / corruption flag in `bufs`. The checksum
+    /// buffer must hold `R·(M/block_m)·CHECKSUM_SLOT_WORDS` zeroed
+    /// words (slot `(c·(M/block_m) + by)·CHECKSUM_SLOT_WORDS` for
+    /// column `c`, row group `by`) and the flag buffer
+    /// `CHECKSUM_SLOT_WORDS` zeroed words.
+    ///
+    /// # Panics
+    /// Panics on a kernel of several segments: packed segments bring
+    /// their own buffers.
     #[must_use]
     pub fn with_verify(mut self, bufs: VerifyBufs) -> Self {
-        self.verify = Some(bufs);
+        let [segment] = &mut self.segments[..] else {
+            panic!("packed segments bring their own verification buffers");
+        };
+        segment.verify = Some(bufs);
         self
     }
 
-    pub(crate) fn body<M: WarpMachine>(&self, block: Dim3, mach: &mut M) {
+    /// The widest segment's weight columns.
+    fn max_r(&self) -> usize {
+        self.segments.iter().map(|s| s.r).max().expect("segments")
+    }
+
+    /// The segment block `block` belongs to, and the block's
+    /// coordinates in that segment's 2-D grid.
+    fn route(&self, block: Dim3) -> (usize, Dim3) {
+        if N::PACKED {
+            self.table.route(block.x)
+        } else {
+            (0, block)
+        }
+    }
+
+    fn body<M: WarpMachine>(&self, seg: &Segment, block: Dim3, mach: &mut M) {
         let (bx, by) = (block.x as usize, block.y as usize);
-        let s = self.bw.inv_2h2();
+        let s = seg.bw.inv_2h2();
         let geo = &self.geometry;
         let warps = geo.warps_per_block();
         let (mm, mn) = (geo.micro_m, geo.micro_n);
         let txn = geo.threads_x();
         let rpw = geo.rows_per_warp();
         let threads = geo.threads_per_block();
-        let r = self.r;
-        let (n, m) = (self.shape.n, self.shape.m);
+        let r = seg.r;
+        let (n, m) = (seg.shape.n, seg.shape.m);
 
         // --- GEMM phase (Algorithm 2 lines 5–13) -----------------------
         let mut acc = if M::FUNCTIONAL {
@@ -435,30 +547,17 @@ impl<N: Naming> Fused<N> {
         } else {
             AccGrid::empty(geo)
         };
-        let mut corrupt = if self.verify.is_some() {
-            gemm_block_verified(
-                mach,
-                geo,
-                &self.ops,
-                &self.shape,
-                self.layout,
-                bx,
-                by,
-                &mut acc,
-            )
-        } else {
-            gemm_block(
-                mach,
-                geo,
-                &self.ops,
-                &self.shape,
-                self.layout,
-                bx,
-                by,
-                &mut acc,
-            );
-            false
-        };
+        let mut corrupt = gemm_block(
+            mach,
+            geo,
+            &seg.ops,
+            &seg.shape,
+            self.layout,
+            bx,
+            by,
+            &mut acc,
+            seg.verify.is_some(),
+        );
 
         // Accumulator-register upsets scheduled against this block land
         // on the γ partials (data only — no instructions, so the
@@ -484,7 +583,7 @@ impl<N: Naming> Fused<N> {
         // double buffering that compute reads `a[(tiles−1) % 2]`, so T
         // parks in `a[tiles % 2]`; single-buffered, both map to word 0
         // and the extra barrier before the eval loop orders them.
-        let tiles = geo.tiles(self.shape.k);
+        let tiles = geo.tiles(seg.shape.k);
         let t_off = SmemMap::for_geometry(geo).a[tiles % 2];
         // gamma[(tid·r + col)·micro_m + row]
         let mut gamma = vec![0.0f32; if M::FUNCTIONAL { threads * mm * r } else { 0 }];
@@ -504,7 +603,7 @@ impl<N: Naming> Fused<N> {
             for (chunk, dst) in a2_chunks.iter_mut().enumerate() {
                 let idx: WarpIdx =
                     std::array::from_fn(|lane| Some(by * geo.block_m + row0(lane) + 4 * chunk));
-                let v = mach.ld_global(self.a2, &idx, VecWidth::V4);
+                let v = mach.ld_global(seg.a2, &idx, VecWidth::V4);
                 if M::FUNCTIONAL {
                     *dst = v;
                 }
@@ -515,7 +614,7 @@ impl<N: Naming> Fused<N> {
             for (chunk, dst) in b2_chunks.iter_mut().enumerate() {
                 let idx: WarpIdx =
                     std::array::from_fn(|lane| Some(bx * geo.block_n + col0(lane) + 4 * chunk));
-                let v = mach.ld_global(self.b2, &idx, VecWidth::V4);
+                let v = mach.ld_global(seg.b2, &idx, VecWidth::V4);
                 if M::FUNCTIONAL {
                     *dst = v;
                 }
@@ -526,7 +625,7 @@ impl<N: Naming> Fused<N> {
                     let idx: WarpIdx = std::array::from_fn(|lane| {
                         Some(c * n + bx * geo.block_n + col0(lane) + 4 * chunk)
                     });
-                    let v = mach.ld_global(self.w, &idx, VecWidth::V4);
+                    let v = mach.ld_global(seg.w, &idx, VecWidth::V4);
                     if M::FUNCTIONAL {
                         *dst = v;
                     }
@@ -571,7 +670,7 @@ impl<N: Naming> Fused<N> {
                 }
             }
 
-            if self.verify.is_some() {
+            if seg.verify.is_some() {
                 // DMR on the R folds: re-evaluate γ from the (ECC-clean)
                 // Gaussian values and compare. The simulator's
                 // recompute is bit-identical, so the comparison is
@@ -592,7 +691,7 @@ impl<N: Naming> Fused<N> {
                     let idx = (tid * r + col) * mm + row;
                     gamma[idx] = flip_bit(gamma[idx], bit);
                 }
-                if self.verify.is_some() {
+                if seg.verify.is_some() {
                     for lane in 0..32 {
                         let tid = wp * 32 + lane;
                         for g in &gamma[tid * r * mm..(tid + 1) * r * mm] {
@@ -630,7 +729,7 @@ impl<N: Naming> Fused<N> {
                                 sum += gamma[(tid * r + c) * mm + row];
                             }
                             vals[h * txn][0] = sum;
-                            if self.verify.is_some() {
+                            if seg.verify.is_some() {
                                 t_store_xor ^= sum.to_bits();
                             }
                         }
@@ -654,7 +753,7 @@ impl<N: Naming> Fused<N> {
                 });
                 let t_vals = mach.ld_shared(&words, VecWidth::V1);
                 let lane_vals: [f32; 32] = std::array::from_fn(|lane| t_vals[lane][0]);
-                if M::FUNCTIONAL && self.verify.is_some() {
+                if M::FUNCTIONAL && seg.verify.is_some() {
                     for v in &lane_vals {
                         t_drain_xor ^= v.to_bits();
                         sigma[c] += v;
@@ -665,7 +764,7 @@ impl<N: Naming> Fused<N> {
                         let vidx: WarpIdx = std::array::from_fn(|lane| {
                             Some(c * m + by * geo.block_m + p * 32 + lane)
                         });
-                        mach.atomic_add(self.v, &vidx, &lane_vals);
+                        mach.atomic_add(seg.v, &vidx, &lane_vals);
                     }
                     // Only the single-weight name selects it: r == 1.
                     Reduction::TwoPass { partials } => {
@@ -681,7 +780,7 @@ impl<N: Naming> Fused<N> {
         }
 
         // --- ABFT epilogue: checksum column + corruption flag ---------
-        if let Some(vb) = self.verify {
+        if let Some(vb) = seg.verify {
             corrupt |= gamma_clean_xor != gamma_parked_xor;
             corrupt |= t_store_xor != t_drain_xor;
             let gy = m / geo.block_m;
@@ -707,7 +806,11 @@ impl<N: Naming> Fused<N> {
 
 impl<N: Naming> Kernel for Fused<N> {
     fn name(&self) -> String {
-        let tag = if self.verify.is_some() { "_abft" } else { "" };
+        let tag = if self.segments[0].verify.is_some() {
+            "_abft"
+        } else {
+            ""
+        };
         let gtag = if self.geometry == TileGeometry::paper_default() {
             String::new()
         } else {
@@ -717,19 +820,27 @@ impl<N: Naming> Kernel for Fused<N> {
                 g.block_m, g.block_n, g.micro_m, g.micro_n, g.tile_k, g.double_buffer_depth
             )
         };
+        let launch = if N::PACKED {
+            format!("{}b", self.table.total_blocks())
+        } else {
+            let s = &self.segments[0].shape;
+            format!("{}x{}x{}", s.m, s.n, s.k)
+        };
         format!(
-            "{}{tag}{gtag}_{}x{}x{}",
-            N::prefix(self.r),
-            self.shape.m,
-            self.shape.n,
-            self.shape.k
+            "{}{tag}{gtag}_{launch}",
+            N::prefix(self.segments.len(), self.max_r())
         )
     }
 
     fn launch_config(&self) -> LaunchConfig {
-        let (gx, gy) = self.shape.grid_for(&self.geometry);
+        let grid = if N::PACKED {
+            Dim3::new_1d(self.table.total_blocks())
+        } else {
+            let (gx, gy) = self.table.grid(0);
+            Dim3::new_2d(gx, gy)
+        };
         LaunchConfig::new(
-            Dim3::new_2d(gx, gy),
+            grid,
             Dim3::new_2d(
                 self.geometry.threads_x() as u32,
                 self.geometry.threads_y() as u32,
@@ -738,9 +849,11 @@ impl<N: Naming> Kernel for Fused<N> {
     }
 
     fn resources(&self) -> KernelResources {
+        // One launch, one register/smem budget: the occupancy cost is
+        // set by the widest segment.
         KernelResources {
             threads_per_block: self.geometry.threads_per_block() as u32,
-            regs_per_thread: self.geometry.regs_per_thread_multi(self.r).min(255),
+            regs_per_thread: self.geometry.regs_per_thread_multi(self.max_r()).min(255),
             smem_bytes_per_block: SmemMap::for_geometry(&self.geometry).bytes(),
         }
     }
@@ -757,63 +870,69 @@ impl<N: Naming> Kernel for Fused<N> {
     }
 
     fn execute_block(&self, block: Dim3, ctx: &mut BlockCtx) {
-        self.body(block, &mut FunctionalMachine::new(ctx));
+        let (seg, local) = self.route(block);
+        self.body(&self.segments[seg], local, &mut FunctionalMachine::new(ctx));
     }
 
-    /// The launch on the host ([`crate::oracle`]); the two-pass
-    /// ablation is interpreted. Each row group, in parallel, applies
-    /// its blocks' partials in ascending `bx` with the drain's atomics;
-    /// with verify on, each block then adds its σ (its rows, ascending
-    /// from 0.0) to its checksum slot and 0.0 to the flag, as a clean
-    /// block's epilogue does. Layout, buffering and exec model change
-    /// no bit.
+    /// The launch on the host ([`crate::oracle`]), segment by segment
+    /// in launch order; the two-pass ablation is interpreted. Each row
+    /// group, in parallel, applies its blocks' partials in ascending
+    /// `bx` with the drain's atomics; with verify on, each block then
+    /// adds its σ (its rows, ascending from 0.0) to its checksum slot
+    /// and 0.0 to the flag, as a clean block's epilogue does. Layout,
+    /// buffering and exec model change no bit.
     fn execute_exact(&self, mem: &GlobalMem) -> bool {
         if let Reduction::TwoPass { .. } = self.reduction {
             return false;
         }
-        let (m, n, k, r) = (self.shape.m, self.shape.n, self.shape.k, self.r);
-        let [a, b, a2, b2, w] =
-            [self.ops.a, self.ops.b, self.a2, self.b2, self.w].map(|buf| mem.download(buf));
-        let host = FusedHost::new(
-            &a[..m * k],
-            &b[..k * n],
-            &a2[..m],
-            &b2[..n],
-            &w[..n * r],
-            (m, n, k),
-            self.bw.h,
-            r,
-        );
-        let bm = self.geometry.block_m;
-        let gy = m / bm;
-        (0..gy).into_par_iter().for_each(|by| {
-            host.row_group(&self.geometry, by, |t| {
-                for (c, col) in t.chunks_exact(bm).enumerate() {
-                    for (i, &x) in col.iter().enumerate() {
-                        mem.atomic_add(self.v, c * m + by * bm + i, x);
-                    }
-                }
-                if let Some(vb) = self.verify {
+        for seg in &self.segments {
+            let (m, n, k, r) = (seg.shape.m, seg.shape.n, seg.shape.k, seg.r);
+            let [a, b, a2, b2, w] =
+                [seg.ops.a, seg.ops.b, seg.a2, seg.b2, seg.w].map(|buf| mem.download(buf));
+            let host = FusedHost::new(
+                &a[..m * k],
+                &b[..k * n],
+                &a2[..m],
+                &b2[..n],
+                &w[..n * r],
+                (m, n, k),
+                seg.bw.h,
+                r,
+            );
+            let bm = self.geometry.block_m;
+            let gy = m / bm;
+            (0..gy).into_par_iter().for_each(|by| {
+                host.row_group(&self.geometry, by, |t| {
                     for (c, col) in t.chunks_exact(bm).enumerate() {
-                        let sigma = col.iter().fold(0.0f32, |s, x| s + x);
-                        mem.atomic_add(vb.checksum, (c * gy + by) * CHECKSUM_SLOT_WORDS, sigma);
+                        for (i, &x) in col.iter().enumerate() {
+                            mem.atomic_add(seg.v, c * m + by * bm + i, x);
+                        }
                     }
-                    mem.atomic_add(vb.flag, 0, 0.0);
-                }
+                    if let Some(vb) = seg.verify {
+                        for (c, col) in t.chunks_exact(bm).enumerate() {
+                            let sigma = col.iter().fold(0.0f32, |s, x| s + x);
+                            mem.atomic_add(vb.checksum, (c * gy + by) * CHECKSUM_SLOT_WORDS, sigma);
+                        }
+                        mem.atomic_add(vb.flag, 0, 0.0);
+                    }
+                });
             });
-        });
+        }
         true
     }
 
     fn block_traffic(&self, block: Dim3, sink: &mut TrafficSink) {
-        self.body(block, &mut TrafficMachine::new(sink));
+        let (seg, local) = self.route(block);
+        self.body(&self.segments[seg], local, &mut TrafficMachine::new(sink));
     }
 
-    fn traffic_homogeneous(&self) -> bool {
-        true
-    }
-
+    /// The one segment's declared pattern; a packed launch's routed
+    /// grid has none (see [`crate::fused_multi_packed`]).
     fn access_spec(&self) -> Option<AccessSpec> {
+        if N::PACKED {
+            return None;
+        }
+        let seg = &self.segments[0];
         let geo = &self.geometry;
         let (mm, mn) = (geo.micro_m, geo.micro_n);
         let txn = geo.threads_x();
@@ -823,13 +942,13 @@ impl<N: Naming> Kernel for Fused<N> {
         gemm_access_spec(
             &mut spec,
             geo,
-            &self.ops,
-            &self.shape,
+            &seg.ops,
+            &seg.shape,
             self.layout,
-            self.verify.is_some(),
+            seg.verify.is_some(),
         );
-        let (n, m, r) = (self.shape.n, self.shape.m, self.r);
-        let tiles = geo.tiles(self.shape.k);
+        let (n, m, r) = (seg.shape.n, seg.shape.m, seg.r);
+        let tiles = geo.tiles(seg.shape.k);
         let t_off = SmemMap::for_geometry(geo).a[tiles % 2];
         // Evaluation phase: per warp, norm/weight vector loads and the
         // micro_m T-park store phases per column (tx == 0 lanes only).
@@ -840,7 +959,7 @@ impl<N: Naming> Kernel for Fused<N> {
             for chunk in 0..cm {
                 spec.global.push(
                     GlobalPattern::new(
-                        self.a2,
+                        seg.a2,
                         "a2",
                         AccessDir::Read,
                         VecWidth::V4,
@@ -852,7 +971,7 @@ impl<N: Naming> Kernel for Fused<N> {
             for chunk in 0..cn {
                 spec.global.push(
                     GlobalPattern::new(
-                        self.b2,
+                        seg.b2,
                         "b2",
                         AccessDir::Read,
                         VecWidth::V4,
@@ -866,7 +985,7 @@ impl<N: Naming> Kernel for Fused<N> {
                 for chunk in 0..cn {
                     spec.global.push(
                         GlobalPattern::new(
-                            self.w,
+                            seg.w,
                             "w",
                             AccessDir::Read,
                             VecWidth::V4,
@@ -898,7 +1017,7 @@ impl<N: Naming> Kernel for Fused<N> {
                     .push(SharedPattern::new(words, VecWidth::V1, AccessDir::Read));
                 spec.global.push(match self.reduction {
                     Reduction::Atomic => GlobalPattern::new(
-                        self.v,
+                        seg.v,
                         "v",
                         AccessDir::Atomic,
                         VecWidth::V1,
@@ -918,7 +1037,7 @@ impl<N: Naming> Kernel for Fused<N> {
             }
         }
         // ABFT epilogue: the R-lane checksum atomic and the lane-0 flag.
-        if let Some(vb) = self.verify {
+        if let Some(vb) = seg.verify {
             let gy = m / geo.block_m;
             spec.global.push(
                 GlobalPattern::new(
@@ -941,47 +1060,53 @@ impl<N: Naming> Kernel for Fused<N> {
             ));
         }
         spec.barriers = Some(BarrierSpec {
-            count: syncs_per_block(geo, self.shape.k) + 1,
+            count: syncs_per_block(geo, seg.shape.k) + 1,
             warps: warps as u64,
         });
         Some(spec)
     }
 
     fn block_class(&self, block: Dim3) -> Option<BlockClass> {
-        // Every block runs the identical tile schedule; only the tile
-        // origin moves. All global accesses are affine in (bx, by):
-        // A rows start at by·block_m·k, B columns at bx·block_n·k, the
-        // norm / weight vectors at by·block_m / bx·block_n, and the
-        // reduction target at by·block_m (atomic) or bx·m + by·block_m
-        // (two-pass partials). The c·n / c·m weight and output column
-        // offsets are block-independent.
-        let (bx, by) = (block.x as usize, block.y as usize);
-        let geo = &self.geometry;
+        // Every block of a segment runs the identical tile schedule;
+        // only the tile origin moves. All global accesses are affine in
+        // (bx, by): A rows start at by·block_m·k, B columns at
+        // bx·block_n·k, the norm / weight vectors at by·block_m /
+        // bx·block_n, and the reduction target at by·block_m (atomic)
+        // or bx·m + by·block_m (two-pass partials). The c·n / c·m
+        // weight and output column offsets are block-independent.
+        // Segments issuing one warp stream share a class, keyed by the
+        // first such segment; the anchors pair up by position across
+        // their buffers.
+        let (i, local) = self.route(block);
+        let (seg, geo) = (&self.segments[i], &self.geometry);
+        let (bx, by) = (local.x as usize, local.y as usize);
         let mut anchors = vec![
-            (self.ops.a, by * geo.block_m * self.shape.k),
-            (self.ops.b, bx * geo.block_n * self.shape.k),
-            (self.a2, by * geo.block_m),
-            (self.b2, bx * geo.block_n),
-            (self.w, bx * geo.block_n),
+            (seg.ops.a, by * geo.block_m * seg.shape.k),
+            (seg.ops.b, bx * geo.block_n * seg.shape.k),
+            (seg.a2, by * geo.block_m),
+            (seg.b2, bx * geo.block_n),
+            (seg.w, bx * geo.block_n),
         ];
         match self.reduction {
-            Reduction::Atomic => anchors.push((self.v, by * geo.block_m)),
+            Reduction::Atomic => anchors.push((seg.v, by * geo.block_m)),
             Reduction::TwoPass { partials } => {
-                anchors.push((partials, bx * self.shape.m + by * geo.block_m));
+                anchors.push((partials, bx * seg.shape.m + by * geo.block_m));
             }
         }
-        if let Some(vb) = self.verify {
+        if let Some(vb) = seg.verify {
             // Checksum slots shift by one sector-aligned slot per row
             // group (the c·gy·8 column offsets are block-invariant);
             // the flag never moves.
             anchors.push((vb.checksum, by * CHECKSUM_SLOT_WORDS));
             anchors.push((vb.flag, 0));
         }
-        Some(BlockClass { key: 0, anchors })
+        Some(BlockClass {
+            key: self.stream_of[i] as u64,
+            anchors,
+        })
     }
 
     fn analysis_budget(&self) -> AnalysisBudget {
-        let (m, n, k, r) = (self.shape.m, self.shape.n, self.shape.k, self.r);
         let geo = &self.geometry;
         let read = |buf, len, label| BufferUse {
             buf,
@@ -995,26 +1120,41 @@ impl<N: Naming> Kernel for Fused<N> {
             writes: true,
             label,
         };
-        let mut buffers = vec![
-            read(self.ops.a, m * k, "a"),
-            read(self.ops.b, k * n, "b"),
-            read(self.a2, m, "a2"),
-            read(self.b2, n, "b2"),
-            read(self.w, n * r, "w"),
-            match self.reduction {
-                Reduction::Atomic => write(self.v, m * r, "v"),
-                Reduction::TwoPass { partials } => {
-                    write(partials, (n / geo.block_n) * m, "partials")
+        // Every segment's buffers, merged: a buffer several segments
+        // share (a deduplicated corpus upload) keeps its widest extent.
+        let mut buffers: Vec<BufferUse> = Vec::new();
+        for seg in &self.segments {
+            let (m, n, k, r) = (seg.shape.m, seg.shape.n, seg.shape.k, seg.r);
+            let mut uses = vec![
+                read(seg.ops.a, m * k, "a"),
+                read(seg.ops.b, k * n, "b"),
+                read(seg.a2, m, "a2"),
+                read(seg.b2, n, "b2"),
+                read(seg.w, n * r, "w"),
+                match self.reduction {
+                    Reduction::Atomic => write(seg.v, m * r, "v"),
+                    Reduction::TwoPass { partials } => {
+                        write(partials, (n / geo.block_n) * m, "partials")
+                    }
+                },
+            ];
+            if let Some(vb) = seg.verify {
+                uses.push(write(
+                    vb.checksum,
+                    r * (m / geo.block_m) * CHECKSUM_SLOT_WORDS,
+                    "chk",
+                ));
+                uses.push(write(vb.flag, CHECKSUM_SLOT_WORDS, "flag"));
+            }
+            for us in uses {
+                match buffers.iter_mut().find(|b| b.buf == us.buf) {
+                    Some(slot) => {
+                        slot.len = slot.len.max(us.len);
+                        slot.writes |= us.writes;
+                    }
+                    None => buffers.push(us),
                 }
-            },
-        ];
-        if let Some(vb) = self.verify {
-            buffers.push(write(
-                vb.checksum,
-                r * (m / geo.block_m) * CHECKSUM_SLOT_WORDS,
-                "chk",
-            ));
-            buffers.push(write(vb.flag, CHECKSUM_SLOT_WORDS, "flag"));
+            }
         }
         // Occupancy expectation on the reference device this repo's
         // analysis fixtures run on, from the §III-A register economy:
@@ -1115,10 +1255,6 @@ impl Kernel for ReducePartialsKernel {
 
     fn block_traffic(&self, block: Dim3, sink: &mut TrafficSink) {
         self.body(block, &mut TrafficMachine::new(sink));
-    }
-
-    fn traffic_homogeneous(&self) -> bool {
-        true
     }
 
     fn access_spec(&self) -> Option<AccessSpec> {

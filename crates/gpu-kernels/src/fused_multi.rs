@@ -23,7 +23,8 @@
 //! terms (Li et al.) an unpacked batch is the one-segment case of a
 //! packed wave: one segment launches [`FusedMultiWeight`] on its own
 //! 2-D grid (`fused_multiw{R}…`, pipeline `Fused-Multi[-ABFT]`), two
-//! or more launch [`FusedMultiPacked`] over their concatenated grids
+//! or more launch [`FusedMultiPacked`] — the same fused kernel under
+//! its packed name — over their concatenated grids
 //! (`fused_multi_packed{S}w{R}…`, pipeline
 //! `Fused-Multi-Packed[-ABFT]`). Both run one sequence: validate,
 //! upload (deduplicated by key), norms, launch, download, verify.
@@ -37,8 +38,7 @@ use ks_gpu_sim::profiler::PipelineProfile;
 
 use crate::aux_kernels::{Bandwidth, NormsKernel};
 pub use crate::fused::FusedMultiWeight;
-use crate::fused::{VerifyBufs, VerifyReport, CHECKSUM_SLOT_WORDS};
-use crate::fused_multi_packed::FusedMultiPacked;
+use crate::fused::{FusedMultiPacked, VerifyBufs, VerifyReport, CHECKSUM_SLOT_WORDS};
 use crate::gemm_engine::{GemmOperands, GemmShape};
 use crate::geometry::TileGeometry;
 

@@ -1,5 +1,5 @@
-//! Horizontally-fused packed kernel: many unrelated small fused-multi
-//! queries in **one** launch.
+//! Horizontal fusion: many unrelated small serving queries in **one**
+//! launch of the fused kernel.
 //!
 //! At serving scale traffic is dominated by small `(source, target, h)`
 //! queries that each underfill the grid — a 256×256 query at the paper
@@ -10,12 +10,17 @@
 //! instead: a single 1-D grid covers the **concatenation** of the
 //! segments' 2-D grids and a per-block routing table maps each linear
 //! block index back to (segment, local block), so each block executes
-//! the *existing* fused microkernel against its own segment's buffers.
+//! the fused kernel's one block body against its own segment's
+//! buffers.
 //!
-//! This module holds the kernel and its routing table only. The one
-//! serving entry, [`crate::fused_multi::execute_fused_multi_with`],
-//! launches it whenever a launch has two or more segments; a single
-//! segment launches [`FusedMultiWeight`] on its own 2-D grid.
+//! The packed launch is the fused kernel itself under its third name,
+//! [`FusedMultiPacked`](crate::fused::FusedMultiPacked) =
+//! `Fused<Packed>` (see [`crate::fused`]). This
+//! module holds its [`RoutingTable`]. The one serving entry,
+//! [`crate::fused_multi::execute_fused_multi_with`], packs whenever a
+//! launch has two or more segments; a single segment launches
+//! [`FusedMultiWeight`](crate::fused::FusedMultiWeight) on its own 2-D
+//! grid.
 //!
 //! ## Routing table
 //! Segment `i` owns the half-open linear block range
@@ -28,7 +33,7 @@
 //!
 //! ## Bit-exactness
 //! A packed launch is bit-identical to running the segments back to
-//! back: each block runs the [`Fused`](crate::fused::Fused) block body with the same local
+//! back: each block runs the fused block body with the same local
 //! coordinates and the same buffer contents it would see unpacked, the
 //! segments write disjoint output buffers, and the atomic-reduction
 //! envelope *within* a segment (how many blocks fold into each `V`
@@ -37,7 +42,7 @@
 //! (≤ 2 atomic contributors per output element).
 //!
 //! ## Admission
-//! The packed kernel deliberately returns `access_spec() = None` — an
+//! The packed name deliberately returns `access_spec() = None` — an
 //! honest dynamic-lint downgrade. Each segment's access pattern is
 //! affine in its *own* 2-D grid, but the packed launch is a 1-D grid
 //! whose block → offset map is piecewise (one piece per segment), which
@@ -46,22 +51,7 @@
 //! segment *individually* (same `AdmissionKey` as unpacked) before it
 //! is eligible for packing, so no un-admitted shape can ride in.
 
-use std::collections::HashMap;
-
-use ks_gpu_sim::access::AccessSpec;
-use ks_gpu_sim::buffer::{BufId, GlobalMem};
-use ks_gpu_sim::config::DeviceConfig;
-use ks_gpu_sim::dim::{Dim3, LaunchConfig};
-use ks_gpu_sim::exec::BlockCtx;
-use ks_gpu_sim::kernel::{
-    AnalysisBudget, BlockClass, BufferUse, Kernel, KernelResources, TimingHints,
-};
-use ks_gpu_sim::traffic::TrafficSink;
-
-use crate::fused::FusedMultiWeight;
-use crate::gemm_engine::SmemMap;
-use crate::geometry::TileGeometry;
-use crate::machine::{FunctionalMachine, TrafficMachine};
+use ks_gpu_sim::dim::Dim3;
 
 /// Block-index → segment routing for a packed launch.
 ///
@@ -146,212 +136,20 @@ impl RoutingTable {
     }
 }
 
-/// The horizontally-fused packed kernel: one 1-D launch over the
-/// concatenated grids of many [`FusedMultiWeight`] segments (see the
-/// module docs for routing and bit-exactness).
-pub struct FusedMultiPacked {
-    segments: Vec<FusedMultiWeight>,
-    table: RoutingTable,
-    geometry: TileGeometry,
-    max_r: usize,
-    verified: bool,
-    /// Per segment, the first segment issuing the same warp streams:
-    /// the block class its blocks replay in.
-    stream_of: Vec<usize>,
-}
-
-impl FusedMultiPacked {
-    /// Packs `segments` into one launch.
-    ///
-    /// # Panics
-    /// Panics when `segments` is empty, the segments do not share one
-    /// tile geometry (one launch has one block shape / smem footprint),
-    /// or ABFT verification is not uniform across segments.
-    #[must_use]
-    pub fn new(segments: Vec<FusedMultiWeight>) -> Self {
-        assert!(!segments.is_empty(), "packed launch needs segments");
-        let geometry = segments[0].geometry;
-        let verified = segments[0].verify.is_some();
-        for seg in &segments {
-            assert_eq!(
-                seg.geometry, geometry,
-                "packed segments must share one tile geometry"
-            );
-            assert_eq!(
-                seg.verify.is_some(),
-                verified,
-                "packed segments must uniformly enable or disable ABFT"
-            );
-        }
-        let grids: Vec<(u32, u32)> = segments
-            .iter()
-            .map(|s| s.shape.grid_for(&geometry))
-            .collect();
-        let max_r = segments.iter().map(|s| s.r).max().expect("non-empty");
-        let stream_of = (0..segments.len())
-            .map(|s| {
-                (0..=s)
-                    .find(|&o| segments[o].same_stream(&segments[s]))
-                    .expect("a segment streams like itself")
-            })
-            .collect();
-        Self {
-            stream_of,
-            segments,
-            table: RoutingTable::new(&grids),
-            geometry,
-            max_r,
-            verified,
-        }
-    }
-
-    /// The per-block routing table.
-    #[must_use]
-    pub fn table(&self) -> &RoutingTable {
-        &self.table
-    }
-
-    /// The shared tile geometry.
-    #[must_use]
-    pub fn geometry(&self) -> &TileGeometry {
-        &self.geometry
-    }
-}
-
-impl Kernel for FusedMultiPacked {
-    fn name(&self) -> String {
-        let tag = if self.verified { "_abft" } else { "" };
-        let gtag = if self.geometry == TileGeometry::paper_default() {
-            String::new()
-        } else {
-            let g = &self.geometry;
-            format!(
-                "_g{}x{}u{}x{}k{}d{}",
-                g.block_m, g.block_n, g.micro_m, g.micro_n, g.tile_k, g.double_buffer_depth
-            )
-        };
-        format!(
-            "fused_multi_packed{}w{}{tag}{gtag}_{}b",
-            self.segments.len(),
-            self.max_r,
-            self.table.total_blocks()
-        )
-    }
-
-    fn launch_config(&self) -> LaunchConfig {
-        LaunchConfig::new(
-            Dim3::new_1d(self.table.total_blocks()),
-            Dim3::new_2d(
-                self.geometry.threads_x() as u32,
-                self.geometry.threads_y() as u32,
-            ),
-        )
-    }
-
-    fn resources(&self) -> KernelResources {
-        // One launch, one register/smem budget: the occupancy cost is
-        // set by the widest segment (max column count).
-        KernelResources {
-            threads_per_block: self.geometry.threads_per_block() as u32,
-            regs_per_thread: self.geometry.regs_per_thread_multi(self.max_r).min(255),
-            smem_bytes_per_block: SmemMap::for_geometry(&self.geometry).bytes(),
-        }
-    }
-
-    fn timing_hints(&self) -> TimingHints {
-        // Same execution model as the segments it hosts.
-        self.segments[0].timing_hints()
-    }
-
-    fn execute_block(&self, block: Dim3, ctx: &mut BlockCtx) {
-        let (seg, local) = self.table.route(block.x);
-        self.segments[seg].body(local, &mut FunctionalMachine::new(ctx));
-    }
-
-    /// Each segment's host evaluation in launch order: a segment's
-    /// blocks all precede the next segment's. Serving segments always
-    /// reduce atomically, so every segment has one.
-    fn execute_exact(&self, mem: &GlobalMem) -> bool {
-        self.segments.iter().all(|seg| seg.execute_exact(mem))
-    }
-
-    fn block_traffic(&self, block: Dim3, sink: &mut TrafficSink) {
-        let (seg, local) = self.table.route(block.x);
-        self.segments[seg].body(local, &mut TrafficMachine::new(sink));
-    }
-
-    fn traffic_homogeneous(&self) -> bool {
-        // Blocks of different segments run different shapes/column
-        // counts — never scale one block's counters by the grid.
-        false
-    }
-
-    fn access_spec(&self) -> Option<AccessSpec> {
-        // Honest dynamic-lint downgrade (see module docs): per-segment
-        // patterns are affine in the segment-local grid, not in the
-        // packed linear grid, so no single AccessSpec describes this
-        // launch. Serve-side admission gates each segment individually
-        // before it may be packed.
-        None
-    }
-
-    fn block_class(&self, block: Dim3) -> Option<BlockClass> {
-        // Within a segment all blocks share one instruction stream and
-        // differ only by the segment's own per-buffer anchors (the
-        // unpacked kernel's class, key 0). Segments of one shape, R
-        // and geometry issue that same stream on their own buffers, so
-        // they share a class, keyed by the first such segment; the
-        // anchors pair up by position across their buffers.
-        let (seg, local) = self.table.route(block.x);
-        let inner = self.segments[seg]
-            .block_class(local)
-            .expect("segment kernels always classify");
-        Some(BlockClass {
-            key: self.stream_of[seg] as u64,
-            anchors: inner.anchors,
-        })
-    }
-
-    fn analysis_budget(&self) -> AnalysisBudget {
-        // Merge the per-segment buffer inventories; shared buffers
-        // (deduplicated corpora uploads) keep their widest extent.
-        let mut merged: Vec<BufferUse> = Vec::new();
-        let mut index: HashMap<BufId, usize> = HashMap::new();
-        for seg in &self.segments {
-            for us in seg.analysis_budget().buffers {
-                match index.get(&us.buf) {
-                    Some(&i) => {
-                        let slot: &mut BufferUse = &mut merged[i];
-                        slot.len = slot.len.max(us.len);
-                        slot.writes |= us.writes;
-                    }
-                    None => {
-                        index.insert(us.buf, merged.len());
-                        merged.push(us);
-                    }
-                }
-            }
-        }
-        let occ = ks_gpu_sim::occupancy::occupancy(&DeviceConfig::gtx970(), &self.resources());
-        AnalysisBudget {
-            smem_conflict_budget: 0,
-            expected_blocks_per_sm: Some(occ.blocks_per_sm),
-            expected_limiter: Some(occ.limiter),
-            buffers: merged,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aux_kernels::Bandwidth;
+    use crate::fused::{FusedMultiPacked, FusedMultiWeight};
     use crate::fused_multi::{
         execute_fused_multi_with, FusedMultiOutput, SegmentSpec, FUSED_MULTI_PACKED_PIPELINE,
         FUSED_MULTI_PACKED_VERIFIED_PIPELINE,
     };
     use crate::gemm_engine::{GemmOperands, GemmShape};
+    use crate::geometry::TileGeometry;
+    use ks_gpu_sim::config::DeviceConfig;
     use ks_gpu_sim::device::GpuDevice;
+    use ks_gpu_sim::kernel::Kernel;
 
     fn lcg(seed: u64) -> impl FnMut() -> f32 {
         let mut state = seed | 1;
@@ -649,13 +447,92 @@ mod tests {
             segment(1, 0.6),
             segment(2, 0.8),
         ]);
+        let table = RoutingTable::new(&[shape.grid_for(&geo); 4]);
+        assert_eq!(
+            packed.launch_config().total_blocks(),
+            u64::from(table.total_blocks())
+        );
         let mut keys = [None; 4];
-        for b in 0..packed.table().total_blocks() {
-            let (seg, _) = packed.table().route(b);
+        for b in 0..table.total_blocks() {
+            let (seg, _) = table.route(b);
             let key = packed.block_class(Dim3::new_1d(b)).unwrap().key;
             assert!(keys[seg].replace(key).is_none_or(|k| k == key));
         }
         assert_eq!(keys, [Some(0), Some(1), Some(0), Some(1)]);
+    }
+
+    /// One segment launched under the serving name and under the
+    /// packed name, through `run_counted` on a fresh device (quiet, or
+    /// with seeded SMEM and register upsets), returns the same `V`,
+    /// checksum, flag and applied faults bit for bit, and the same
+    /// profile apart from the name and the grid's shape.
+    #[test]
+    fn one_segment_runs_alike_under_the_serving_and_packed_names() {
+        use crate::fused::{VerifyBufs, CHECKSUM_SLOT_WORDS};
+        use ks_gpu_sim::FaultSpec;
+        let shape = GemmShape {
+            m: 256,
+            n: 256,
+            k: 32,
+        };
+        let r = 2;
+        let data = seg(shape, r, 0.9, 61);
+        let norms = |pts: &[f32]| -> Vec<f32> {
+            pts.chunks(shape.k)
+                .map(|p| p.iter().map(|v| v * v).sum())
+                .collect()
+        };
+        let (a2, b2) = (norms(&data.a), norms(&data.b));
+        let run = |faults: Option<&str>, verify: bool, packed: bool| {
+            let mut cfg = DeviceConfig::gtx970();
+            cfg.fault = faults.map(|spec| FaultSpec {
+                seed: 5,
+                ..FaultSpec::parse(spec).expect("valid fault spec")
+            });
+            let mut dev = GpuDevice::new(cfg);
+            let ops = GemmOperands {
+                a: dev.upload(&data.a),
+                b: dev.upload(&data.b),
+            };
+            let (ba2, bb2, w) = (dev.upload(&a2), dev.upload(&b2), dev.upload(&data.w));
+            let v = dev.alloc(shape.m * r);
+            let vb = VerifyBufs {
+                checksum: dev.alloc(r * (shape.m / 128) * CHECKSUM_SLOT_WORDS),
+                flag: dev.alloc(CHECKSUM_SLOT_WORDS),
+            };
+            let mut kern =
+                FusedMultiWeight::new(ops, ba2, bb2, w, v, shape, Bandwidth { h: data.h }, r);
+            if verify {
+                kern = kern.with_verify(vb);
+            }
+            let mut prof = if packed {
+                dev.run_counted(&FusedMultiPacked::new(vec![kern]))
+            } else {
+                dev.run_counted(&kern)
+            }
+            .unwrap();
+            let bits =
+                |buf| -> Vec<u32> { dev.download(buf).iter().map(|x| x.to_bits()).collect() };
+            let outputs = [bits(v), bits(vb.checksum), bits(vb.flag)];
+            let applied = dev.take_fault_counters();
+            let (name, grid) = (std::mem::take(&mut prof.name), prof.launch.grid);
+            (outputs, applied, prof, name, grid)
+        };
+        for faults in [None, Some("smem=3,reg=2")] {
+            for verify in [false, true] {
+                let what = format!("faults {faults:?}, verify {verify}");
+                let (outputs, applied, mut prof, name, grid) = run(faults, verify, false);
+                let (p_outputs, p_applied, p_prof, p_name, p_grid) = run(faults, verify, true);
+                assert!(name.starts_with("fused_multiw2"), "{name}");
+                assert!(p_name.starts_with("fused_multi_packed1w2"), "{p_name}");
+                assert_eq!((grid.count(), p_grid.y), (p_grid.count(), 1), "{what}");
+                assert_eq!(outputs, p_outputs, "{what}");
+                assert_eq!(applied, p_applied, "{what}");
+                assert_eq!(faults.is_some(), applied != Default::default(), "{what}");
+                prof.launch.grid = p_grid;
+                assert_eq!(prof, p_prof, "{what}");
+            }
+        }
     }
 
     /// Plan-cache-aware packing: segments sharing a corpus key share

@@ -227,7 +227,7 @@ impl SmemMap {
 ///
 /// Returns the XOR of the bit patterns of all stored words — the
 /// *staged checksum* of the tile pair, computed for free while the
-/// values pass through registers. [`gemm_block_verified`] compares it
+/// values pass through registers. An audited [`gemm_block`] compares it
 /// against a post-compute [`audit_tile`] re-read to detect shared-
 /// memory corruption. Traffic mode returns 0.
 #[allow(clippy::too_many_arguments)] // mirrors the CUDA kernel's parameter list
@@ -401,6 +401,16 @@ pub fn compute_ktile<M: WarpMachine>(
 
 /// Runs the full GEMM phase of one block: Algorithm 2 lines 5–13.
 /// Leaves the microtile products in `acc` (functional mode).
+///
+/// With `audit` (ABFT), every tile pair's staged checksum (the XOR
+/// [`load_tiles`] computes while the values pass through registers) is
+/// compared against an [`audit_tile`] re-read issued right after the
+/// `compute_ktile` that consumed it. Returns `true` iff any consumed
+/// tile word differed from what was staged — i.e. a bit flip landed in
+/// a live tile buffer between its store and its last read. Flips into
+/// dead or about-to-be-overwritten buffers never reach `acc` and are
+/// deliberately *not* flagged. Always `false` without `audit` or in
+/// traffic mode (both digests are 0).
 #[allow(clippy::too_many_arguments)] // mirrors the CUDA kernel's parameter list
 pub fn gemm_block<M: WarpMachine>(
     mach: &mut M,
@@ -411,59 +421,7 @@ pub fn gemm_block<M: WarpMachine>(
     bx: usize,
     by: usize,
     acc: &mut AccGrid,
-) {
-    let smem = SmemMap::for_geometry(geo);
-    let tiles = geo.tiles(shape.k);
-    let warps = geo.warps_per_block() as u64;
-
-    if geo.double_buffer_depth == 2 {
-        let mut j = 0usize;
-        load_tiles(
-            mach, geo, ops, shape, layout, bx, by, 0, smem.a[j], smem.b[j],
-        );
-        mach.syncthreads(warps);
-        for i in 1..tiles {
-            let prev = j;
-            j ^= 1;
-            load_tiles(
-                mach, geo, ops, shape, layout, bx, by, i, smem.a[j], smem.b[j],
-            );
-            compute_ktile(mach, geo, layout, smem.a[prev], smem.b[prev], acc);
-            mach.syncthreads(warps);
-        }
-        compute_ktile(mach, geo, layout, smem.a[j], smem.b[j], acc);
-    } else {
-        for i in 0..tiles {
-            load_tiles(
-                mach, geo, ops, shape, layout, bx, by, i, smem.a[0], smem.b[0],
-            );
-            mach.syncthreads(warps);
-            compute_ktile(mach, geo, layout, smem.a[0], smem.b[0], acc);
-            mach.syncthreads(warps);
-        }
-    }
-}
-
-/// [`gemm_block`] with an ABFT shared-memory audit: every tile pair's
-/// staged checksum (the XOR [`load_tiles`] computes while the values
-/// pass through registers) is compared against an [`audit_tile`]
-/// re-read issued right after the `compute_ktile` that consumed it.
-///
-/// Returns `true` iff any consumed tile word differed from what was
-/// staged — i.e. a bit flip landed in a live tile buffer between its
-/// store and its last read. Flips into dead or about-to-be-overwritten
-/// buffers never reach `acc` and are deliberately *not* flagged.
-/// Always `false` in traffic mode (both digests are 0).
-#[allow(clippy::too_many_arguments)] // mirrors gemm_block
-pub fn gemm_block_verified<M: WarpMachine>(
-    mach: &mut M,
-    geo: &TileGeometry,
-    ops: &GemmOperands,
-    shape: &GemmShape,
-    layout: SmemLayout,
-    bx: usize,
-    by: usize,
-    acc: &mut AccGrid,
+    audit: bool,
 ) -> bool {
     let smem = SmemMap::for_geometry(geo);
     let tiles = geo.tiles(shape.k);
@@ -484,11 +442,11 @@ pub fn gemm_block_verified<M: WarpMachine>(
                 mach, geo, ops, shape, layout, bx, by, i, smem.a[j], smem.b[j],
             );
             compute_ktile(mach, geo, layout, smem.a[prev], smem.b[prev], acc);
-            corrupt |= audit_pair(mach, geo, smem.a[prev], smem.b[prev]) != staged[prev];
+            corrupt |= audit && audit_pair(mach, geo, smem.a[prev], smem.b[prev]) != staged[prev];
             mach.syncthreads(warps);
         }
         compute_ktile(mach, geo, layout, smem.a[j], smem.b[j], acc);
-        corrupt |= audit_pair(mach, geo, smem.a[j], smem.b[j]) != staged[j];
+        corrupt |= audit && audit_pair(mach, geo, smem.a[j], smem.b[j]) != staged[j];
     } else {
         for i in 0..tiles {
             let staged = load_tiles(
@@ -496,7 +454,7 @@ pub fn gemm_block_verified<M: WarpMachine>(
             );
             mach.syncthreads(warps);
             compute_ktile(mach, geo, layout, smem.a[0], smem.b[0], acc);
-            corrupt |= audit_pair(mach, geo, smem.a[0], smem.b[0]) != staged;
+            corrupt |= audit && audit_pair(mach, geo, smem.a[0], smem.b[0]) != staged;
             mach.syncthreads(warps);
         }
     }
@@ -519,7 +477,7 @@ pub fn syncs_per_block(geo: &TileGeometry, k: usize) -> u64 {
 /// (see `ks_gpu_sim::access`): the per-warp tile-track global loads,
 /// the swizzled (or naive) shared stores and compute-phase loads, and
 /// — when `verified` — the ABFT audit re-reads. Mirrors exactly what
-/// [`gemm_block`] / [`gemm_block_verified`] issue per block, at any
+/// [`gemm_block`] issues per block, audited or not, at any
 /// feasible geometry.
 ///
 /// Shared patterns use the parity-0 buffer bases: the double-buffer
@@ -684,7 +642,7 @@ mod tests {
         let mut ctx = BlockCtx::new(mem, smem.words as usize, None);
         let mut acc = AccGrid::for_geometry(geo);
         let mut mach = FunctionalMachine::new(&mut ctx);
-        gemm_block(&mut mach, geo, ops, shape, layout, bx, by, &mut acc);
+        gemm_block(&mut mach, geo, ops, shape, layout, bx, by, &mut acc, false);
         acc
     }
 
@@ -868,6 +826,7 @@ mod tests {
                 0,
                 0,
                 &mut acc,
+                false,
             );
         }
         let c = &sink.counters;
@@ -935,6 +894,7 @@ mod tests {
                     0,
                     0,
                     &mut acc,
+                    false,
                 );
             }
             let c = &sink.counters;
@@ -990,7 +950,7 @@ mod tests {
             let mut sink = TrafficSink::new(&mem, &mut l2, 32, 32);
             let mut mach = TrafficMachine::new(&mut sink);
             let mut acc = AccGrid::empty(&geo);
-            gemm_block(&mut mach, &geo, &ops, &shape, layout, 0, 0, &mut acc);
+            gemm_block(&mut mach, &geo, &ops, &shape, layout, 0, 0, &mut acc, false);
             sink.counters.smem
         };
         let sw = count(SmemLayout::Swizzled);

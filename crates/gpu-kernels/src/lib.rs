@@ -27,18 +27,19 @@
 //!   three-level reduction (intra-thread, intra-block, atomic
 //!   inter-block) over `R` weight columns and the ABFT-verified
 //!   variant (checksum column, shared-memory audit, γ re-fold;
-//!   DESIGN.md §11). It has two public names:
+//!   DESIGN.md §11). One type, `Fused<N>`, holds a list of segments;
+//!   its marker picks one of three names and grids:
 //!   [`FusedKernelSummation`] (the paper pipeline, `R = 1`, with the
-//!   layout, double-buffering, reduction and exec-model ablations) and
-//!   [`FusedMultiWeight`] (serving, `R` columns).
+//!   layout, double-buffering, reduction and exec-model ablations),
+//!   [`FusedMultiWeight`] (serving, `R` columns) and
+//!   [`FusedMultiPacked`] (many serving segments on one routed grid).
 //! * [`fused_multi`] — [`execute_fused_multi_with`], the one serving
 //!   entry: any number of [`SegmentSpec`]s in one launch, with
 //!   plan-cache-aware upload deduplication and per-segment ABFT
 //!   reports. One segment launches [`FusedMultiWeight`]; two or more
 //!   launch [`FusedMultiPacked`].
-//! * [`fused_multi_packed`] — horizontal fusion: the
-//!   [`FusedMultiPacked`] kernel, many unrelated small queries in one
-//!   launch behind a per-block routing table (block index → segment).
+//! * [`fused_multi_packed`] — horizontal fusion's [`RoutingTable`]
+//!   (block index → segment) and the packed launch's contract.
 //! * [`oracle`] — the fused kernel's exact host evaluation, in its
 //!   geometry-aware reduction order: what fault-free functional runs
 //!   take instead of the warp interpreter, and the differential-test
@@ -65,13 +66,15 @@ pub mod pipelines;
 pub mod sgemm;
 pub mod small_micro;
 
-pub use fused::{FusedKernelSummation, VerifyBufs, VerifyReport, CHECKSUM_SLOT_WORDS};
+pub use fused::{
+    FusedKernelSummation, FusedMultiPacked, VerifyBufs, VerifyReport, CHECKSUM_SLOT_WORDS,
+};
 pub use fused_multi::{
     execute_fused_multi_with, FusedMultiOutput, FusedMultiWeight, SegmentSpec,
     FUSED_MULTI_PACKED_PIPELINE, FUSED_MULTI_PACKED_VERIFIED_PIPELINE, FUSED_MULTI_PIPELINE,
     FUSED_MULTI_VERIFIED_PIPELINE, MAX_WEIGHT_COLUMNS,
 };
-pub use fused_multi_packed::{FusedMultiPacked, RoutingTable};
+pub use fused_multi_packed::RoutingTable;
 pub use geometry::{TileGeometry, TileSide};
 pub use layout::SmemLayout;
 pub use oracle::{fused_multi_oracle, fused_oracle};

@@ -100,6 +100,7 @@ impl CudaSgemm {
             bx,
             by,
             &mut acc,
+            false,
         );
 
         // Write back submatrixC: each thread stores its 8×8 microtile
@@ -175,10 +176,6 @@ impl Kernel for CudaSgemm {
     fn block_traffic(&self, block: Dim3, sink: &mut TrafficSink) {
         let mut mach = TrafficMachine::new(sink);
         self.body(block, &mut mach);
-    }
-
-    fn traffic_homogeneous(&self) -> bool {
-        true
     }
 
     fn access_spec(&self) -> Option<AccessSpec> {
@@ -311,10 +308,6 @@ impl Kernel for VendorSgemm {
         self.inner.block_traffic(block, sink);
     }
 
-    fn traffic_homogeneous(&self) -> bool {
-        true
-    }
-
     fn block_class(&self, block: Dim3) -> Option<BlockClass> {
         self.inner.block_class(block)
     }
@@ -402,7 +395,7 @@ mod tests {
 
         assert_eq!(
             p_fast.counters, p_slow.counters,
-            "homogeneous fast path must be exact"
+            "memoized replay must be exact"
         );
         assert_eq!(p_fast.mem, p_slow.mem);
     }

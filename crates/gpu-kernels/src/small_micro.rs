@@ -256,10 +256,6 @@ impl Kernel for Sgemm4x4 {
         self.body(block, &mut TrafficMachine::new(sink));
     }
 
-    fn traffic_homogeneous(&self) -> bool {
-        true
-    }
-
     fn access_spec(&self) -> Option<AccessSpec> {
         let mut spec = AccessSpec::default();
         let (n, k) = (self.shape.n, self.shape.k);

@@ -545,9 +545,6 @@ mod tests {
                 smem_bytes_per_block: 0,
             }
         }
-        fn traffic_homogeneous(&self) -> bool {
-            true
-        }
         fn execute_block(&self, block: Dim3, ctx: &mut BlockCtx) {
             let base = block.x as usize * self.stride;
             let idx = full_warp_idx(|l| base + l);
@@ -656,9 +653,6 @@ mod tests {
                 regs_per_thread: 16,
                 smem_bytes_per_block: 0,
             }
-        }
-        fn traffic_homogeneous(&self) -> bool {
-            true
         }
         fn execute_block(&self, _: Dim3, _: &mut BlockCtx) {}
         fn block_traffic(&self, block: Dim3, sink: &mut crate::traffic::TrafficSink) {

@@ -162,16 +162,6 @@ pub trait Kernel: Sync {
     /// Pure access-pattern replay of one thread block.
     fn block_traffic(&self, block: Dim3, sink: &mut TrafficSink);
 
-    /// True if every block issues the identical compute and
-    /// shared-memory instruction stream (global addresses may differ).
-    /// Enables the serial replay's fast path: one block's local
-    /// counters are scaled by the grid size and only global traffic is
-    /// replayed per block. Memoized replay does not consult it. All kernels in this workspace are homogeneous
-    /// because the tilings require exact divisibility.
-    fn traffic_homogeneous(&self) -> bool {
-        false
-    }
-
     /// Budgets and expectations for static analysis (`ks-analyze`).
     /// The default declares nothing: conflict budget 0, no occupancy
     /// expectation, no buffer extents (bounds checking skipped).

@@ -78,30 +78,6 @@ impl Counters {
             + self.smem.store_instructions
     }
 
-    /// Multiplies every counter by `f` (used to extrapolate one
-    /// block's compute/shared counters across a homogeneous grid).
-    pub fn scale(&mut self, f: u64) {
-        self.ffma_insts *= f;
-        self.falu_insts *= f;
-        self.alu_insts *= f;
-        self.sfu_insts *= f;
-        self.global_load_insts *= f;
-        self.global_store_insts *= f;
-        self.atomic_insts *= f;
-        self.sync_insts *= f;
-        self.thread_insts *= f;
-        self.flops *= f;
-        self.smem.load_instructions *= f;
-        self.smem.load_transactions *= f;
-        self.smem.store_instructions *= f;
-        self.smem.store_transactions *= f;
-        self.l2_read_sectors *= f;
-        self.l2_write_sectors *= f;
-        self.atomic_sectors *= f;
-        self.l1_read_sectors *= f;
-        self.l1_read_hits *= f;
-    }
-
     /// Accumulates another counter block.
     pub fn merge(&mut self, o: &Counters) {
         self.ffma_insts += o.ffma_insts;

@@ -40,7 +40,7 @@ use crate::config::DeviceConfig;
 use crate::dim::Dim3;
 use crate::kernel::Kernel;
 use crate::profiler::Counters;
-use crate::traffic::{L2Event, SinkMode, TrafficSink};
+use crate::traffic::{L2Event, TrafficSink};
 
 /// How a launch replays traffic through the memory system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -105,32 +105,11 @@ fn replay_serial(
     if !l1s.is_empty() {
         sink.set_l1s(l1s);
     }
-    let lc = kernel.launch_config();
-    let blocks = lc.total_blocks();
-    if kernel.traffic_homogeneous() && blocks > 1 {
-        // Fast path: one block's compute/shared counters × grid size;
-        // global traffic replayed per block through the L2.
-        sink.set_mode(SinkMode::LocalOnly);
-        let first = lc.grid.iter_indices().next().expect("non-empty grid");
-        kernel.block_traffic(first, &mut sink);
-        let mut local = sink.counters;
-        local.scale(blocks);
-        sink.counters = Counters::default();
-        sink.set_mode(SinkMode::GlobalOnly);
-        for (i, b) in lc.grid.iter_indices().enumerate() {
-            sink.begin_block(i as u64);
-            kernel.block_traffic(b, &mut sink);
-        }
-        let mut c = sink.counters;
-        c.merge(&local);
-        c
-    } else {
-        for (i, b) in lc.grid.iter_indices().enumerate() {
-            sink.begin_block(i as u64);
-            kernel.block_traffic(b, &mut sink);
-        }
-        sink.counters
+    for (i, b) in kernel.launch_config().grid.iter_indices().enumerate() {
+        sink.begin_block(i as u64);
+        kernel.block_traffic(b, &mut sink);
     }
+    sink.counters
 }
 
 /// Whether a class's members may take the representative's recording.

@@ -25,25 +25,6 @@ use crate::trace::{AccessDir, TraceSink};
 /// element index accessed by the lane, or `None` if inactive.
 pub type WarpIdx = [Option<usize>; 32];
 
-/// Which event classes a [`TrafficSink`] records.
-///
-/// Kernels whose per-block compute/shared-memory behaviour is
-/// identical across blocks (every kernel in this workspace) can be
-/// profiled cheaply: one block is replayed in [`SinkMode::LocalOnly`]
-/// and its counters scaled by the grid size, then every block's
-/// *global* accesses — the only block-dependent part — are replayed in
-/// [`SinkMode::GlobalOnly`] through the L2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SinkMode {
-    /// Record everything.
-    #[default]
-    Full,
-    /// Record only global-memory events (and drive the L2).
-    GlobalOnly,
-    /// Record only compute and shared-memory events (L2 untouched).
-    LocalOnly,
-}
-
 /// One L2 sector transaction captured by a recording sink: the sector
 /// address, the buffer it belongs to (so block-class memoization can
 /// translate the stream per buffer) and the direction. An atomic
@@ -113,10 +94,7 @@ pub struct TrafficSink<'a> {
     current_sm: usize,
     sector_bytes: u32,
     num_banks: u32,
-    mode: SinkMode,
-    /// Optional access-trace recorder (see [`crate::trace`]). Trace
-    /// events are forwarded regardless of [`SinkMode`] so analyses see
-    /// the complete access history.
+    /// Optional access-trace recorder (see [`crate::trace`]).
     trace: Option<&'a mut TraceSink>,
 }
 
@@ -132,7 +110,6 @@ impl<'a> TrafficSink<'a> {
             current_sm: 0,
             sector_bytes,
             num_banks,
-            mode: SinkMode::Full,
             trace: None,
         }
     }
@@ -153,7 +130,6 @@ impl<'a> TrafficSink<'a> {
             current_sm: 0,
             sector_bytes,
             num_banks,
-            mode: SinkMode::Full,
             trace: None,
         }
     }
@@ -173,7 +149,7 @@ impl<'a> TrafficSink<'a> {
     }
 
     /// Attaches a trace recorder; every subsequent warp event is also
-    /// forwarded to it (independent of the [`SinkMode`]).
+    /// forwarded to it.
     pub fn set_trace(&mut self, trace: &'a mut TraceSink) {
         self.trace = Some(trace);
     }
@@ -198,27 +174,6 @@ impl<'a> TrafficSink<'a> {
         }
     }
 
-    /// Switches the recording mode.
-    pub fn set_mode(&mut self, mode: SinkMode) {
-        self.mode = mode;
-    }
-
-    /// Current recording mode.
-    #[must_use]
-    pub fn mode(&self) -> SinkMode {
-        self.mode
-    }
-
-    #[inline]
-    fn record_global(&self) -> bool {
-        self.mode != SinkMode::LocalOnly
-    }
-
-    #[inline]
-    fn record_local(&self) -> bool {
-        self.mode != SinkMode::GlobalOnly
-    }
-
     fn active(idx: &WarpIdx) -> u64 {
         idx.iter().filter(|l| l.is_some()).count() as u64
     }
@@ -233,9 +188,6 @@ impl<'a> TrafficSink<'a> {
     pub fn global_read(&mut self, buf: BufId, idx: &WarpIdx, vlen: u32) {
         if let Some(t) = self.trace.as_deref_mut() {
             t.global(buf, idx, vlen, AccessDir::Read);
-        }
-        if !self.record_global() {
-            return;
         }
         debug_assert!(matches!(vlen, 1 | 2 | 4));
         self.counters.global_load_insts += 1;
@@ -269,9 +221,6 @@ impl<'a> TrafficSink<'a> {
         if let Some(t) = self.trace.as_deref_mut() {
             t.global(buf, idx, vlen, AccessDir::Write);
         }
-        if !self.record_global() {
-            return;
-        }
         debug_assert!(matches!(vlen, 1 | 2 | 4));
         self.counters.global_store_insts += 1;
         self.counters.thread_insts += Self::active(idx);
@@ -295,9 +244,6 @@ impl<'a> TrafficSink<'a> {
     pub fn global_atomic(&mut self, buf: BufId, idx: &WarpIdx) {
         if let Some(t) = self.trace.as_deref_mut() {
             t.global(buf, idx, 1, AccessDir::Atomic);
-        }
-        if !self.record_global() {
-            return;
         }
         self.counters.atomic_insts += 1;
         self.counters.thread_insts += Self::active(idx);
@@ -324,9 +270,6 @@ impl<'a> TrafficSink<'a> {
         if let Some(t) = self.trace.as_deref_mut() {
             t.shared(word, vlen, AccessDir::Read);
         }
-        if !self.record_local() {
-            return;
-        }
         self.counters.smem.load_instructions += 1;
         self.counters.thread_insts += word.iter().filter(|l| l.is_some()).count() as u64;
         for j in 0..vlen {
@@ -341,9 +284,6 @@ impl<'a> TrafficSink<'a> {
         if let Some(t) = self.trace.as_deref_mut() {
             t.shared(word, vlen, AccessDir::Write);
         }
-        if !self.record_local() {
-            return;
-        }
         self.counters.smem.store_instructions += 1;
         self.counters.thread_insts += word.iter().filter(|l| l.is_some()).count() as u64;
         for j in 0..vlen {
@@ -355,9 +295,6 @@ impl<'a> TrafficSink<'a> {
 
     /// `n` full-warp FFMA instructions (2 FLOPs per lane).
     pub fn ffma(&mut self, n: u64) {
-        if !self.record_local() {
-            return;
-        }
         self.counters.ffma_insts += n;
         self.counters.thread_insts += 32 * n;
         self.counters.flops += 64 * n;
@@ -365,9 +302,6 @@ impl<'a> TrafficSink<'a> {
 
     /// `n` full-warp FADD/FMUL instructions (1 FLOP per lane).
     pub fn falu(&mut self, n: u64) {
-        if !self.record_local() {
-            return;
-        }
         self.counters.falu_insts += n;
         self.counters.thread_insts += 32 * n;
         self.counters.flops += 32 * n;
@@ -375,9 +309,6 @@ impl<'a> TrafficSink<'a> {
 
     /// `n` full-warp integer/addressing/control instructions.
     pub fn alu(&mut self, n: u64) {
-        if !self.record_local() {
-            return;
-        }
         self.counters.alu_insts += n;
         self.counters.thread_insts += 32 * n;
     }
@@ -385,9 +316,6 @@ impl<'a> TrafficSink<'a> {
     /// `n` full-warp special-function instructions (MUFU.EX2 …,
     /// 1 special FLOP per lane).
     pub fn sfu(&mut self, n: u64) {
-        if !self.record_local() {
-            return;
-        }
         self.counters.sfu_insts += n;
         self.counters.thread_insts += 32 * n;
         self.counters.flops += 32 * n;
@@ -397,9 +325,6 @@ impl<'a> TrafficSink<'a> {
     pub fn syncthreads(&mut self, warps: u64) {
         if let Some(t) = self.trace.as_deref_mut() {
             t.barrier(warps);
-        }
-        if !self.record_local() {
-            return;
         }
         self.counters.sync_insts += warps;
         self.counters.thread_insts += 32 * warps;

@@ -20,13 +20,14 @@
 //! [`kernel_summation::bench::cli::Flags`]. Argument errors (unknown
 //! command, flag, backend or variant, a malformed value, or a number
 //! out of range) print the usage to stderr and exit with status 2;
-//! they never panic.
+//! they never panic. Output goes through `ks_bench`'s `out!` and
+//! `outln!`, so a closed stdout (`| head`) keeps a command's status.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use kernel_summation::bench::cli::{to_json, write_all, Flags, UsageError};
-use kernel_summation::bench::ServeMetrics;
+use kernel_summation::bench::{out, outln, ServeMetrics};
 use kernel_summation::core::gpu::{profile_gpu, try_profile_gpu_on, try_solve_gpu_on, GpuReport};
 use kernel_summation::core::Backend;
 use kernel_summation::gpu_kernels::TileGeometry;
@@ -209,9 +210,12 @@ fn faulty_device(fault: FaultSpec) -> GpuDevice {
 fn print_fault_tally(dev: &mut GpuDevice) {
     let fc = dev.take_fault_counters();
     if !fc.is_empty() {
-        println!(
+        outln!(
             "injected faults: {} smem, {} reg, {} dram, {} launch",
-            fc.smem_flips, fc.reg_flips, fc.dram_flips, fc.launch_faults
+            fc.smem_flips,
+            fc.reg_flips,
+            fc.dram_flips,
+            fc.launch_faults
         );
     }
 }
@@ -231,9 +235,13 @@ fn cmd_solve(a: &Args, fault: Option<FaultSpec>) -> Result<ExitCode, UsageError>
         )));
     }
     let p = build(a);
-    println!(
+    outln!(
         "solving M={} N={} K={} h={} with {}",
-        a.m, a.n, a.k, a.h, a.backend
+        a.m,
+        a.n,
+        a.k,
+        a.h,
+        a.backend
     );
     let t = Instant::now();
     let v = match (fault, backend) {
@@ -256,7 +264,7 @@ fn cmd_solve(a: &Args, fault: Option<FaultSpec>) -> Result<ExitCode, UsageError>
     let dt = t.elapsed();
     let sum: f64 = v.iter().map(|&x| x as f64).sum();
     let max = v.iter().cloned().fold(f32::MIN, f32::max);
-    println!(
+    outln!(
         "done in {dt:?}: Σ V = {sum:.4}, max V = {max:.4}, V[0..4] = {:?}",
         &v[..v.len().min(4)]
     );
@@ -264,9 +272,9 @@ fn cmd_solve(a: &Args, fault: Option<FaultSpec>) -> Result<ExitCode, UsageError>
 }
 
 fn print_profile_report(r: &GpuReport) {
-    print!("{}", r.profile);
-    println!("{}", summary(&r.profile, r.peak_gflops));
-    println!(
+    out!("{}", r.profile);
+    outln!("{}", summary(&r.profile, r.peak_gflops));
+    outln!(
         "energy {:.3} mJ (compute {:.1}%, smem {:.1}%, l2 {:.1}%, dram {:.1}%)",
         r.energy.total_j() * 1e3,
         r.energy.compute_share() * 100.0,
@@ -279,7 +287,7 @@ fn print_profile_report(r: &GpuReport) {
 fn cmd_profile(a: &Args, fault: Option<FaultSpec>) -> Result<ExitCode, UsageError> {
     let variant = variant_of(&a.variant)?;
     check_paper_shape(a)?;
-    println!(
+    outln!(
         "profiling {} at M={} N={} K={} on a simulated GTX970",
         variant.label(),
         a.m,
@@ -306,9 +314,11 @@ fn cmd_profile(a: &Args, fault: Option<FaultSpec>) -> Result<ExitCode, UsageErro
 
 fn cmd_compare(a: &Args, fault: Option<FaultSpec>) -> Result<ExitCode, UsageError> {
     check_paper_shape(a)?;
-    println!(
+    outln!(
         "comparing pipelines at M={} N={} K={} (simulated GTX970)",
-        a.m, a.n, a.k
+        a.m,
+        a.n,
+        a.k
     );
     let mut times = Vec::new();
     for variant in GpuVariant::ALL {
@@ -325,12 +335,12 @@ fn cmd_compare(a: &Args, fault: Option<FaultSpec>) -> Result<ExitCode, UsageErro
             }
             None => profile_gpu(a.m, a.n, a.k, a.h, variant),
         };
-        println!("  {}", summary(&r.profile, r.peak_gflops));
+        outln!("  {}", summary(&r.profile, r.peak_gflops));
         times.push((variant.label(), r.profile.total_time_s()));
     }
     let fused = times[0].1;
     for (label, t) in &times[1..] {
-        println!("  fused speedup vs {label}: {:.3}x", t / fused);
+        outln!("  fused speedup vs {label}: {:.3}x", t / fused);
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -351,13 +361,13 @@ fn cmd_lint(args: &[String]) -> Result<ExitCode, UsageError> {
     if let Some(path) = flags.opt("--agreement") {
         let diff = kernel_summation::analyze::differential::differential_report(&dev);
         agreement_ok = diff.all_agree();
-        println!("static/dynamic agreement over the probe registry:");
-        println!("{}", diff.table());
+        outln!("static/dynamic agreement over the probe registry:");
+        outln!("{}", diff.table());
         docs.push((Some(path), diff.to_json()));
     }
 
     let (report, table) = if flags.has("--static") {
-        println!(
+        outln!(
             "statically linting declared access specs against a simulated {}",
             dev.name
         );
@@ -366,20 +376,20 @@ fn cmd_lint(args: &[String]) -> Result<ExitCode, UsageError> {
             outcome.kernels.retain(|k| k.kernel == name);
             outcome.report.retain_kernel(name);
         }
-        println!("{}", outcome.summary_table());
+        outln!("{}", outcome.summary_table());
         let table = outcome.report.table();
-        println!("{table}");
+        outln!("{table}");
         docs.push((flags.opt("--json"), outcome.to_json()));
         let text = format!("{}\n{table}", outcome.summary_table());
         (outcome.report, text)
     } else {
-        println!("linting recorded warp traces on a simulated {}", dev.name);
+        outln!("linting recorded warp traces on a simulated {}", dev.name);
         let mut report = kernel_summation::analyze::lint_report(&dev);
         if let Some(name) = kernel {
             report.retain_kernel(name);
         }
         let table = report.table();
-        println!("{table}");
+        outln!("{table}");
         docs.push((flags.opt("--json"), report.to_json()));
         (report, table)
     };
@@ -550,7 +560,7 @@ fn cmd_serve_bench(args: &[String], fault: Option<FaultSpec>) -> Result<ExitCode
         }
         cfg.pool = Some(pool);
     }
-    println!(
+    outln!(
         "serve-bench: {} clients x {} queries, {} corpora, shared ratio {}, M={} N={} K={}{}",
         wl.clients,
         wl.queries_per_client,
@@ -569,7 +579,7 @@ fn cmd_serve_bench(args: &[String], fault: Option<FaultSpec>) -> Result<ExitCode
     let t = Instant::now();
     let (_, report, _) = serve_backlog(cfg, &generate_queries(&wl));
     let wall = t.elapsed();
-    println!(
+    outln!(
         "submitted {} | accepted {} | rejected {} | completed {} | expired {} | shed {} | failed {}",
         report.submitted,
         report.accepted,
@@ -579,7 +589,7 @@ fn cmd_serve_bench(args: &[String], fault: Option<FaultSpec>) -> Result<ExitCode
         report.shed,
         report.failed
     );
-    println!(
+    outln!(
         "batches {} (avg width {:.2}) | plan cache: {} hits / {} misses / {} evictions (hit rate {:.2})",
         report.batches,
         if report.batches > 0 {
@@ -592,19 +602,23 @@ fn cmd_serve_bench(args: &[String], fault: Option<FaultSpec>) -> Result<ExitCode
         report.plan_cache.evictions,
         report.hit_rate(),
     );
-    println!(
+    outln!(
         "queue high water {} | fallbacks {} | wall {wall:?}",
-        report.queue_high_water, report.fallbacks
+        report.queue_high_water,
+        report.fallbacks
     );
-    println!(
+    outln!(
         "profile memo: {} hits / {} misses",
-        report.profile_memo.hits, report.profile_memo.misses
+        report.profile_memo.hits,
+        report.profile_memo.misses
     );
-    println!(
+    outln!(
         "launches {} | packed launches {} carrying {} segments",
-        report.launches, report.packed_launches, report.packed_segments
+        report.launches,
+        report.packed_launches,
+        report.packed_segments
     );
-    println!(
+    outln!(
         "energy {:.3} mJ | {:.3} uJ/query | {} budget downshifts",
         report.energy_j * 1e3,
         report.j_per_query() * 1e6,
@@ -614,7 +628,7 @@ fn cmd_serve_bench(args: &[String], fault: Option<FaultSpec>) -> Result<ExitCode
         || report.corruption_detected > 0
         || report.injected_faults > 0
     {
-        println!(
+        outln!(
             "resilience: {} attempts ({} retries) | corruption detected {} | injected faults {} \
              (undetected {}) | degraded {} | breaker trips {} / resets {}",
             report.attempts,
@@ -628,7 +642,7 @@ fn cmd_serve_bench(args: &[String], fault: Option<FaultSpec>) -> Result<ExitCode
         );
     }
     if let Some(pool) = &report.pool {
-        println!(
+        outln!(
             "pool: {} devices | {} shard tasks ({} stolen) | sim time {:.3} ms | \
              {} CPU shard recoveries | breaker trips {}",
             pool.devices.len(),
@@ -639,14 +653,14 @@ fn cmd_serve_bench(args: &[String], fault: Option<FaultSpec>) -> Result<ExitCode
             pool.total_trips(),
         );
         if pool.total_evictions() > 0 || pool.total_readmissions() > 0 {
-            println!(
+            outln!(
                 "pool health: {} evictions | {} readmissions",
                 pool.total_evictions(),
                 pool.total_readmissions(),
             );
         }
         for d in &pool.devices {
-            println!(
+            outln!(
                 "  {}: {} executed ({} stolen), {} gpu / {} cpu shards, \
                  shard cache {} hits / {} misses, {} B transferred",
                 d.name,
@@ -659,22 +673,27 @@ fn cmd_serve_bench(args: &[String], fault: Option<FaultSpec>) -> Result<ExitCode
                 d.transfer_bytes,
             );
             if d.lifecycle_hangs + d.lifecycle_losses + d.evictions > 0 {
-                println!(
+                outln!(
                     "    lifecycle: {} hang / {} loss epochs | {} evictions, {} readmissions",
-                    d.lifecycle_hangs, d.lifecycle_losses, d.evictions, d.readmissions,
+                    d.lifecycle_hangs,
+                    d.lifecycle_losses,
+                    d.evictions,
+                    d.readmissions,
                 );
             }
             if d.link_crc_detected + d.link_retransmits + d.link_timeouts > 0 {
-                println!(
+                outln!(
                     "    link: {} crc detections, {} retransmits, {} timeouts",
-                    d.link_crc_detected, d.link_retransmits, d.link_timeouts,
+                    d.link_crc_detected,
+                    d.link_retransmits,
+                    d.link_timeouts,
                 );
             }
         }
     }
     let metrics = ServeMetrics::collect(&report, &device);
     if let Some(gpu) = &metrics.gpu {
-        println!(
+        outln!(
             "gpu: {} kernels, sim time {:.3} ms, {} DRAM transactions, {:.3} mJ",
             gpu.profile.kernels.len(),
             gpu.time_s * 1e3,
@@ -700,7 +719,7 @@ fn cmd_tune(args: &[String]) -> Result<ExitCode, UsageError> {
             ProblemShape::new(256, 256, 64),
         ];
     }
-    println!(
+    outln!(
         "tuning {} geometries x {} training shapes on a simulated {}",
         TileGeometry::lattice(&cfg.device).len(),
         cfg.train_shapes.len(),
@@ -708,14 +727,14 @@ fn cmd_tune(args: &[String]) -> Result<ExitCode, UsageError> {
     );
     let t = Instant::now();
     let out = tune(&cfg);
-    println!(
+    outln!(
         "{} admitted, {} rejected, {} profiled samples in {:?}",
         out.admitted.len(),
         out.rejected.len(),
         out.samples.len(),
         t.elapsed()
     );
-    println!(
+    outln!(
         "fit: {} train / {} holdout, time err mape {:.4} max {:.4},          energy err mape {:.4} max {:.4}",
         out.fit.train_count,
         out.fit.holdout_count,
@@ -725,17 +744,22 @@ fn cmd_tune(args: &[String]) -> Result<ExitCode, UsageError> {
         out.fit.holdout_max_rel_energy
     );
     for r in &out.rejected {
-        println!("  rejected {} at {}: {}", r.geometry, r.stage, r.reason);
+        outln!("  rejected {} at {}: {}", r.geometry, r.stage, r.reason);
     }
-    println!("picks (model-only, paper default wins near-ties):");
+    outln!("picks (model-only, paper default wins near-ties):");
     for p in &out.picks {
         let low = p
             .choice
             .low_power
             .map_or(String::new(), |g| format!(" (low-power {g})"));
-        println!(
+        outln!(
             "  {}x{}x{}: {} pred {:.3e} s / {:.3e} J{low}",
-            p.m, p.n, p.k, p.choice.geometry, p.choice.pred_time_s, p.choice.pred_energy_j
+            p.m,
+            p.n,
+            p.k,
+            p.choice.geometry,
+            p.choice.pred_time_s,
+            p.choice.pred_energy_j
         );
     }
     Ok(write_all(&[(flags.opt("--json"), to_json(&out.picks))]))

@@ -1,9 +1,10 @@
 //! Black-box tests of the `ksum` binary's argument handling: malformed
 //! invocations must print the usage to stderr and exit with status 2
-//! (never panic), and `serve-bench --json` must emit a parseable
-//! `ServeMetrics` document that repeats byte for byte between runs.
+//! (never panic), `serve-bench --json` must emit a parseable
+//! `ServeMetrics` document that repeats byte for byte between runs, and
+//! a closed stdout must not turn a run into a panic.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use kernel_summation::bench::ServeMetrics;
 
@@ -699,4 +700,33 @@ fn serve_bench_reports_energy_per_query() {
         stdout.contains("uJ/query"),
         "serve-bench must report energy per query; stdout: {stdout}"
     );
+}
+
+/// A closed stdout (a reader that exited early, as `| head -0` does)
+/// drops the rest of the output: each command exits as it does with
+/// stdout on `/dev/null`, and nothing panics.
+#[test]
+fn a_closed_stdout_keeps_the_exit_status_and_never_panics() {
+    for args in [
+        &["solve", "--m", "64", "--n", "32", "--k", "4"][..],
+        &["lint", "--static"],
+    ] {
+        let to_null = Command::new(env!("CARGO_BIN_EXE_ksum"))
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .status()
+            .expect("ksum binary runs");
+        let mut child = Command::new(env!("CARGO_BIN_EXE_ksum"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("ksum binary runs");
+        drop(child.stdout.take());
+        let closed = child.wait_with_output().expect("ksum binary runs");
+        let stderr = String::from_utf8_lossy(&closed.stderr);
+        assert_eq!(closed.status.code(), to_null.code(), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+    }
 }
