@@ -5,8 +5,9 @@
 //! Both binaries exit 0 on success (every gate held), 1 when a gate or
 //! a run failed or a document could not be written, and 2 for a
 //! malformed invocation (reported as a [`UsageError`]). They print
-//! through [`out!`](crate::out) and [`outln!`](crate::outln), so a
-//! closed stdout never changes that status.
+//! through [`out!`](crate::out) and [`outln!`](crate::outln), and log
+//! through [`eoutln!`](crate::eoutln), so a closed stdout or stderr
+//! never changes that status.
 
 use std::fmt;
 use std::io::Write;
@@ -147,6 +148,16 @@ impl Flags {
 
 /// Set by the first failed write to stdout.
 static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+/// Set by the first failed write to stderr.
+static STDERR_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes `args` to `stream` unless an earlier write to it failed; a
+/// failed write marks it `closed`.
+fn write_open(mut stream: impl Write, closed: &AtomicBool, args: fmt::Arguments) {
+    if !closed.load(Ordering::Relaxed) && stream.write_fmt(args).is_err() {
+        closed.store(true, Ordering::Relaxed);
+    }
+}
 
 /// Writes `args` to stdout, where `print!` would panic on a failed
 /// write: once a write fails (a reader that exited early, as `| head`
@@ -154,9 +165,13 @@ static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
 /// keeps its own exit status. Called through [`out!`](crate::out) and
 /// [`outln!`](crate::outln).
 pub fn write_stdout(args: fmt::Arguments) {
-    if !STDOUT_CLOSED.load(Ordering::Relaxed) && std::io::stdout().write_fmt(args).is_err() {
-        STDOUT_CLOSED.store(true, Ordering::Relaxed);
-    }
+    write_open(std::io::stdout(), &STDOUT_CLOSED, args);
+}
+
+/// [`write_stdout`] for stderr, where `eprintln!` would panic on a
+/// failed write. Called through [`eoutln!`](crate::eoutln).
+pub fn write_stderr(args: fmt::Arguments) {
+    write_open(std::io::stderr(), &STDERR_CLOSED, args);
 }
 
 /// `print!` through [`cli::write_stdout`](crate::cli::write_stdout):
@@ -180,6 +195,15 @@ macro_rules! outln {
     };
 }
 
+/// `eprintln!` through [`cli::write_stderr`](crate::cli::write_stderr):
+/// a closed stderr drops the output instead of panicking.
+#[macro_export]
+macro_rules! eoutln {
+    ($($arg:tt)*) => {
+        $crate::cli::write_stderr(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// Writes every document that has a path and logs each path to
 /// stderr. Returns exit code 1 when any write failed (the others are
 /// still attempted).
@@ -189,9 +213,9 @@ pub fn write_all(docs: &[(Option<&str>, String)]) -> ExitCode {
     for (path, doc) in docs {
         let Some(path) = path else { continue };
         match std::fs::write(path, doc) {
-            Ok(()) => eprintln!("wrote {path}"),
+            Ok(()) => crate::eoutln!("wrote {path}"),
             Err(e) => {
-                eprintln!("error: cannot write {path}: {e}");
+                crate::eoutln!("error: cannot write {path}: {e}");
                 code = ExitCode::FAILURE;
             }
         }
@@ -233,7 +257,7 @@ impl Gates {
     pub fn finish(self, doc: &impl Serialize, json: Option<&str>) -> ExitCode {
         let written = write_all(&[(json, to_json(doc))]);
         for label in &self.failures {
-            eprintln!("FAIL: {label}");
+            crate::eoutln!("FAIL: {label}");
         }
         if self.passed() {
             written

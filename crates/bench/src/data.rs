@@ -101,7 +101,7 @@ impl PointData {
 #[must_use]
 pub fn profile_or_exit(sweep: Sweep) -> SweepData {
     SweepData::compute(sweep).unwrap_or_else(|e| {
-        eprintln!("error: cannot profile sweep: {e}");
+        crate::eoutln!("error: cannot profile sweep: {e}");
         std::process::exit(1);
     })
 }

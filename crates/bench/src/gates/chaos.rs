@@ -29,6 +29,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use ks_bench::cli::{Flags, Gates, UsageError};
+use ks_bench::eoutln;
 use ks_bench::metrics::SCHEMA_VERSION;
 use ks_gpu_sim::FaultSpec;
 use ks_serve::{generate_queries, serve_backlog, ServeBackend, ServeConfig, WorkloadConfig};
@@ -196,12 +197,16 @@ pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         wall_time_ms,
     };
 
-    eprintln!(
+    eoutln!(
         "{} queries in {wall_time_ms:.0} ms: {} bit-exact, {} in-tolerance, \
          {} surfaced, {} silently wrong",
-        report.submitted, c.bit_exact, c.tolerant, c.errors, c.silent_wrong
+        report.submitted,
+        c.bit_exact,
+        c.tolerant,
+        c.errors,
+        c.silent_wrong
     );
-    eprintln!(
+    eoutln!(
         "ladder: {} batches, {} attempts ({} retries), {} corruption detections, \
          {} injected fault events, {} breaker trips / {} resets, {} CPU fallbacks",
         report.batches,
@@ -214,7 +219,7 @@ pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         report.fallbacks
     );
     if gates.passed() {
-        eprintln!("chaos soak passed: zero silently-wrong results, accounting consistent");
+        eoutln!("chaos soak passed: zero silently-wrong results, accounting consistent");
     }
     Ok(gates.finish(&metrics, flags.opt("--json")))
 }

@@ -34,6 +34,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use ks_bench::cli::{Flags, Gates, UsageError};
+use ks_bench::eoutln;
 use ks_bench::metrics::SCHEMA_VERSION;
 use ks_gpu_sim::config::{DeviceConfig, Interconnect};
 use ks_gpu_sim::{LifecycleSpec, LinkFaultSpec};
@@ -98,7 +99,7 @@ pub struct ChaosPoolMetrics {
     pub link_timeouts: u64,
     /// Chaos pass: shard tasks dispatched by the coordinator.
     pub shards_dispatched: u64,
-    /// Chaos pass: shard tasks executed across all device threads.
+    /// Chaos pass: shard tasks executed across the pool's devices.
     /// Equal to `shards_dispatched` — a drained shard is re-served,
     /// never dropped.
     pub shards_executed: u64,
@@ -342,7 +343,7 @@ pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         wall_time_ms,
     };
 
-    eprintln!(
+    eoutln!(
         "chaos: {} completed / {} shed / {} expired / {} failed; \
          {} evictions, {} readmissions, {} hang epochs; \
          link: {} crc / {} retransmits / {} timeouts; {} CPU-recovered shards",
@@ -358,12 +359,12 @@ pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         link_timeouts,
         cpu_fallbacks,
     );
-    eprintln!(
+    eoutln!(
         "throughput: single {single_sim_time_s:.4}s sim vs degraded {degraded_sim_time_s:.4}s \
          sim = {degraded_speedup:.2}x"
     );
     if gates.passed() {
-        eprintln!(
+        eoutln!(
             "chaos pool soak passed in {wall_time_ms:.0} ms: zero silently-wrong results, \
              no dropped shards, evict/readmit cycled, {degraded_speedup:.2}x degraded throughput"
         );

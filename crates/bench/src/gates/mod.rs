@@ -6,6 +6,7 @@
 //! Each gate writes one `BENCH_*.json` document with `--json PATH` and
 //! exits 1 when any of its gates fails.
 
+use ks_bench::eoutln;
 use ks_blas::{Layout, Matrix};
 use ks_core::problem::KernelSumProblem;
 use ks_core::{solve_multi_fused, FusedCpuConfig, GaussianKernel};
@@ -71,12 +72,12 @@ pub fn check_against_reference(stream: &[Query], outcomes: &[Outcome]) -> Checke
                     c.tolerant += 1;
                 } else {
                     c.silent_wrong += 1;
-                    eprintln!("SILENT WRONG: query {qi} completed outside tolerance");
+                    eoutln!("SILENT WRONG: query {qi} completed outside tolerance");
                 }
             }
             Err(e) => {
                 c.errors += 1;
-                eprintln!("query {qi} surfaced: {e}");
+                eoutln!("query {qi} surfaced: {e}");
             }
         }
     }

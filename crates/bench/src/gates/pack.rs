@@ -25,6 +25,7 @@
 use std::process::ExitCode;
 
 use ks_bench::cli::{Flags, Gates, UsageError};
+use ks_bench::eoutln;
 use ks_bench::metrics::SCHEMA_VERSION;
 use ks_gpu_sim::config::DeviceConfig;
 use ks_serve::{
@@ -167,9 +168,9 @@ pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
     };
     let device = ServeConfig::default().device;
 
-    eprintln!("serving {} queries back-to-back (golden)...", stream.len());
+    eoutln!("serving {} queries back-to-back (golden)...", stream.len());
     let (golden, unpacked_report, unpacked_wall) = serve_backlog(cfg(false), &stream);
-    eprintln!("serving with horizontal fusion...");
+    eoutln!("serving with horizontal fusion...");
     let (packed_res, packed_report, packed_wall) = serve_backlog(cfg(true), &stream);
 
     let unpacked = PackRunMetrics::collect(&unpacked_report, &device, unpacked_wall);
@@ -221,11 +222,12 @@ pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         gates_passed: gates.passed(),
     };
 
-    eprintln!(
+    eoutln!(
         "sim time: {:.6} s back-to-back, {:.6} s packed ({speedup:.2}x, floor {SPEEDUP_FLOOR}x)",
-        metrics.unpacked.sim_time_s, metrics.packed.sim_time_s
+        metrics.unpacked.sim_time_s,
+        metrics.packed.sim_time_s
     );
-    eprintln!(
+    eoutln!(
         "launches: {} -> {} ({} packed waves carrying {} segments); \
          DRAM: {} -> {} ({dram_saved} saved); fused wave fill {:.2} -> {:.2}",
         metrics.unpacked.launches,
@@ -237,12 +239,13 @@ pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         metrics.unpacked.fused_wave_fill,
         metrics.packed.fused_wave_fill,
     );
-    eprintln!(
+    eoutln!(
         "wall: golden {:.0} ms, packed {:.0} ms",
-        metrics.unpacked.wall_time_ms, metrics.packed.wall_time_ms
+        metrics.unpacked.wall_time_ms,
+        metrics.packed.wall_time_ms
     );
     if gates.passed() {
-        eprintln!("pack bench passed: bit-identical, {speedup:.2}x, {dram_saved} DRAM saved");
+        eoutln!("pack bench passed: bit-identical, {speedup:.2}x, {dram_saved} DRAM saved");
     }
     Ok(gates.finish(&metrics, flags.opt("--json")))
 }

@@ -29,6 +29,7 @@
 use std::process::ExitCode;
 
 use ks_bench::cli::{Flags, Gates, UsageError};
+use ks_bench::eoutln;
 use ks_bench::metrics::SCHEMA_VERSION;
 use ks_gpu_sim::{FaultSpec, Interconnect};
 use ks_serve::{
@@ -63,8 +64,6 @@ pub struct PoolRunMetrics {
     pub fallbacks: u64,
     /// Shard tasks dispatched across the pool.
     pub shard_tasks: u64,
-    /// Shard tasks executed by a thread other than their owner.
-    pub stolen_tasks: u64,
     /// Circuit-breaker trips summed over devices.
     pub breaker_trips: u64,
     /// Host↔device bytes moved over the modelled interconnects.
@@ -89,7 +88,6 @@ impl PoolRunMetrics {
             batched_queries: report.batched_queries,
             fallbacks: report.fallbacks,
             shard_tasks: pool.shard_tasks,
-            stolen_tasks: pool.stolen_tasks,
             breaker_trips: pool.total_trips(),
             transfer_bytes: pool.devices.iter().map(|d| d.transfer_bytes).sum(),
             sim_time_s: pool.sim_time_s,
@@ -187,15 +185,15 @@ pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         cfg
     };
 
-    eprintln!("serving {} queries unpooled (golden)...", stream.len());
+    eoutln!("serving {} queries unpooled (golden)...", stream.len());
     let (golden, golden_report, golden_wall) = serve_backlog(ServeConfig::default(), &stream);
-    eprintln!("serving through a 1-device pool...");
+    eoutln!("serving through a 1-device pool...");
     let (single_res, single_report, single_wall) = serve_backlog(pooled_cfg(1), &stream);
-    eprintln!("serving through a {devices}-device pool...");
+    eoutln!("serving through a {devices}-device pool...");
     let (pooled_res, pooled_report, pooled_wall) = serve_backlog(pooled_cfg(devices), &stream);
 
     let sick = SICK.min(devices - 1);
-    eprintln!("serving with device {sick} permanently faulted...");
+    eoutln!("serving with device {sick} permanently faulted...");
     let mut sick_cfg = pooled_cfg(devices);
     if let Some(pool) = sick_cfg.pool.as_mut() {
         pool.devices[sick].device.fault = Some(FaultSpec {
@@ -243,12 +241,12 @@ pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         match (got, want) {
             (Ok(got), Ok(want)) => {
                 if !close(got, want) {
-                    eprintln!("degraded pass: query {qi} outside tolerance");
+                    eoutln!("degraded pass: query {qi} outside tolerance");
                     faulted_correct = false;
                 }
             }
             _ => {
-                eprintln!("degraded pass: query {qi} did not complete");
+                eoutln!("degraded pass: query {qi} did not complete");
                 faulted_correct = false;
             }
         }
@@ -290,23 +288,26 @@ pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         gates_passed: gates.passed(),
     };
 
-    eprintln!(
+    eoutln!(
         "sim time: {:.6} s at 1 device, {:.6} s at {devices} ({speedup:.2}x, floor {SPEEDUP_FLOOR}x)",
         metrics.single.sim_time_s, metrics.pooled.sim_time_s
     );
-    eprintln!(
-        "pool: {} shard tasks ({} stolen), {} bytes over PCIe; degraded pass: \
+    eoutln!(
+        "pool: {} shard tasks, {} bytes over PCIe; degraded pass: \
          {faulted_sick_trips} sick trips, {faulted_sick_fallbacks} sick / \
          {faulted_healthy_fallbacks} healthy CPU shard recoveries",
-        metrics.pooled.shard_tasks, metrics.pooled.stolen_tasks, metrics.pooled.transfer_bytes
+        metrics.pooled.shard_tasks,
+        metrics.pooled.transfer_bytes
     );
-    eprintln!(
+    eoutln!(
         "wall: golden {golden_wall:.0} ms, pool1 {:.0} ms, pool{devices} {:.0} ms, \
          degraded {:.0} ms",
-        metrics.single.wall_time_ms, metrics.pooled.wall_time_ms, metrics.faulted.wall_time_ms
+        metrics.single.wall_time_ms,
+        metrics.pooled.wall_time_ms,
+        metrics.faulted.wall_time_ms
     );
     if gates.passed() {
-        eprintln!(
+        eoutln!(
             "pool bench passed: bit-identical, counters stable, {speedup:.2}x at {devices} devices"
         );
     }

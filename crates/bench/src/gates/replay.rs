@@ -21,6 +21,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use ks_bench::cli::{Flags, Gates, UsageError};
+use ks_bench::eoutln;
 use ks_bench::metrics::SCHEMA_VERSION;
 use ks_gpu_kernels::{GpuKernelSummation, GpuVariant};
 use ks_gpu_sim::{GpuDevice, ReplayStrategy};
@@ -72,7 +73,7 @@ fn profile_ms(m: usize, strategy: ReplayStrategy) -> (f64, ks_gpu_sim::PipelineP
     let prof = pipeline
         .profile(&mut dev, GpuVariant::Fused)
         .unwrap_or_else(|e| {
-            eprintln!("error: cannot profile M={m}: {e}");
+            eoutln!("error: cannot profile M={m}: {e}");
             std::process::exit(1);
         });
     let ms = t.elapsed().as_secs_f64() * 1e3;
@@ -102,7 +103,7 @@ pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         let (memoized_ms, memoized_prof, _) = profile_ms(m, ReplayStrategy::Memoized);
         let counters_match = serial_prof == memoized_prof;
         let speedup = serial_ms / memoized_ms;
-        eprintln!(
+        eoutln!(
             "M={m:>7} blocks={blocks:>6}: serial {serial_ms:>9.1} ms, memoized {memoized_ms:>9.1} ms, speedup {speedup:.2}x, counters {}",
             if counters_match { "match" } else { "MISMATCH" }
         );
@@ -132,9 +133,10 @@ pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
                 last.speedup, last.m
             ),
         ) {
-            eprintln!(
+            eoutln!(
                 "gate passed: {:.2}x >= {min:.2}x at M={}",
-                last.speedup, last.m
+                last.speedup,
+                last.m
             );
         }
     }

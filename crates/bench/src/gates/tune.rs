@@ -31,7 +31,7 @@ use std::time::Instant;
 
 use ks_bench::cli::{to_json, Flags, Gates, UsageError};
 use ks_bench::metrics::SCHEMA_VERSION;
-use ks_bench::outln;
+use ks_bench::{eoutln, outln};
 use ks_gpu_kernels::TileGeometry;
 use ks_gpu_sim::config::DeviceConfig;
 use ks_tune::{profile_geometry, tune, ProblemShape, TuneConfig};
@@ -138,14 +138,14 @@ pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
     }
 
     let wall = Instant::now();
-    eprintln!(
+    eoutln!(
         "tune: sweeping {} geometries x {} shapes on {}",
         TileGeometry::lattice(&cfg.device).len(),
         cfg.train_shapes.len(),
         cfg.device.name
     );
     let out = tune(&cfg);
-    eprintln!(
+    eoutln!(
         "tune: {} admitted, {} rejected, {} samples; holdout mape {:.4}, max {:.4}",
         out.admitted.len(),
         out.rejected.len(),
@@ -177,9 +177,11 @@ pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         if non_paper && speedup > 1.0 && p.choice.geometry != default {
             wins += 1;
         }
-        eprintln!(
+        eoutln!(
             "tune: {shape}: pick {} ({:.3e}s pred) replays {:.2}x vs default",
-            p.choice.geometry, p.choice.pred_time_s, speedup
+            p.choice.geometry,
+            p.choice.pred_time_s,
+            speedup
         );
         picks.push(TunePickMetrics {
             m: p.m as u64,
@@ -226,7 +228,7 @@ pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
     };
     outln!("{}", to_json(&metrics));
     if gates.passed() {
-        eprintln!(
+        eoutln!(
             "tune: all gates passed ({} picks, {wins} strict wins, {:.1}s)",
             metrics.picks.len(),
             metrics.host_wall_s

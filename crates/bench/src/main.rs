@@ -14,7 +14,7 @@
 use std::process::ExitCode;
 
 use ks_bench::cli::{write_all, Flags, UsageError};
-use ks_bench::{exhibits, profile_or_exit, Sweep, SweepMetrics};
+use ks_bench::{eoutln, exhibits, profile_or_exit, Sweep, SweepMetrics};
 
 mod gates;
 mod studies;
@@ -60,7 +60,7 @@ fn sweep(args: &[String]) -> Result<ExitCode, UsageError> {
     let flags = Flags::parse(args, &["--smoke", "--full", "--csv"], &["--json", "--csv"])?;
     let csv = flags.has("--csv") && flags.opt("--csv").is_none();
     let sweep = Sweep::from_flags(&flags);
-    eprintln!("profiling {} (K, M) points ...", sweep.len());
+    eoutln!("profiling {} (K, M) points ...", sweep.len());
     let d = profile_or_exit(sweep);
     let metrics = SweepMetrics::collect(&d);
     let written = write_all(&[
@@ -143,8 +143,8 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     run(&args).unwrap_or_else(|e| {
-        eprintln!("error: {}", e.0);
-        eprintln!("{USAGE}");
+        eoutln!("error: {}", e.0);
+        eoutln!("{USAGE}");
         ExitCode::from(2)
     })
 }

@@ -1,6 +1,6 @@
 //! `ks-bench` argument handling: every malformed invocation prints the
 //! usage and exits 2, before any work runs and without a panic; a
-//! closed stdout keeps a run's exit status.
+//! closed stdout or stderr keeps a run's exit status.
 
 use std::process::{Command, Stdio};
 
@@ -57,7 +57,8 @@ fn a_two_device_pool_reaches_a_verdict_without_panicking() {
 
 /// A closed stdout (a reader that exited early, as `| head -0` does)
 /// drops the printed exhibits: the sweep exits as it does with stdout
-/// on `/dev/null`, and nothing panics.
+/// on `/dev/null`, and nothing panics. A closed stderr drops the log
+/// lines and the usage text the same way.
 #[test]
 fn a_closed_stdout_keeps_the_exit_status_and_never_panics() {
     let args = ["sweep", "--smoke"];
@@ -67,6 +68,7 @@ fn a_closed_stdout_keeps_the_exit_status_and_never_panics() {
         .stderr(Stdio::null())
         .status()
         .expect("ks-bench runs");
+    assert_eq!(to_null.code(), Some(0));
     let mut child = Command::new(env!("CARGO_BIN_EXE_ks-bench"))
         .args(args)
         .stdout(Stdio::piped())
@@ -78,4 +80,17 @@ fn a_closed_stdout_keeps_the_exit_status_and_never_panics() {
     let stderr = String::from_utf8_lossy(&closed.stderr);
     assert_eq!(closed.status.code(), to_null.code(), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+    // The read end is closed before each run starts, so the first
+    // write to stderr fails; a panic would exit 101.
+    for (args, code) in [(&["bogus"][..], 2), (&args[..], 0)] {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let closed = Command::new(env!("CARGO_BIN_EXE_ks-bench"))
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(writer)
+            .status()
+            .expect("ks-bench runs");
+        assert_eq!(closed.code(), Some(code), "{args:?} with stderr closed");
+    }
 }

@@ -60,11 +60,17 @@ fn bandwidth_of(p: &KernelSumProblem) -> f32 {
     (-1.0 / (2.0 * e.ln())).sqrt()
 }
 
-/// Pads point coordinates from `(count, dim)` to `(count_pad, dim_pad)`
-/// with zeros. Zero coordinates do not change pairwise distances in
-/// the original dimensions, and padded *points* are neutralised by
+/// Pads row-major point coordinates from `(count, dim)` to
+/// `(count_pad, dim_pad)` with zeros (`count_pad ≥ count`,
+/// `dim_pad ≥ dim`). Zero coordinates do not change pairwise distances
+/// in the original dimensions, and padded *points* are neutralised by
 /// zero weights (targets) or dropped from the output (sources).
-fn pad_points(
+///
+/// # Panics
+/// Panics if `coords` holds fewer than `count * dim` values or
+/// `count_pad < count`.
+#[must_use]
+pub fn pad_points(
     coords: &[f32],
     count: usize,
     dim: usize,

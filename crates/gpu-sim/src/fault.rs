@@ -664,12 +664,12 @@ impl LinkDraw {
 }
 
 /// Per-task link-fault generator: the spec plus a transfer epoch.
-/// Deliberately *task-scoped*, not device-resident — work stealing
-/// lets two shards of one owner execute concurrently, so the pool
-/// coordinator binds a fresh state (seed decorrelated by batch and
-/// slot) into each task and transfers advance it task-locally. A
-/// draw sequence is then a pure function of `(spec, batch, slot,
-/// transfer ordinal)` regardless of which host thread runs the task.
+/// Deliberately *task-scoped*, not device-resident: each pool task
+/// attempt binds a fresh state (seed decorrelated by batch and slot)
+/// and its transfers advance it task-locally. A draw sequence is then
+/// a pure function of `(spec, batch, slot, transfer ordinal)`, so it
+/// does not depend on which other tasks the device ran or in what
+/// order.
 #[derive(Debug, Clone)]
 pub struct LinkFaultState {
     spec: LinkFaultSpec,

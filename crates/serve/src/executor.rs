@@ -17,6 +17,7 @@
 use std::sync::Arc;
 
 use ks_blas::{Layout, Matrix};
+use ks_core::gpu::pad_points;
 use ks_core::plan::SourcePlan;
 use ks_core::problem::PointSet;
 use ks_core::{FusedCpuConfig, GaussianKernel};
@@ -47,23 +48,6 @@ pub(crate) fn execute_cpu(
     (0..r)
         .map(|c| (0..m).map(|i| v.get(i, c)).collect())
         .collect()
-}
-
-/// Zero-pads point coordinates to `(count_pad, dim_pad)`. Zero
-/// coordinates preserve pairwise distances; padded rows are dropped
-/// from the output below.
-fn pad_coords(
-    coords: &[f32],
-    count: usize,
-    dim: usize,
-    count_pad: usize,
-    dim_pad: usize,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; count_pad * dim_pad];
-    for p in 0..count {
-        out[p * dim_pad..p * dim_pad + dim].copy_from_slice(&coords[p * dim..(p + 1) * dim]);
-    }
-    out
 }
 
 /// A segment padded to the GPU tiling constraints, ready to launch.
@@ -106,8 +90,9 @@ fn pad_batch(seg: &Segment) -> PaddedBatch {
     );
     let shape = padded_shape(seg);
     let (m_pad, n_pad, k_pad) = (shape.m, shape.n, shape.k);
-    let a = pad_coords(seg.plan.pack_words(), m, k, m_pad, k_pad);
-    let b = pad_coords(seg.targets.coords(), n, k, n_pad, k_pad);
+    // Padded source rows are dropped from the output by `unpad`.
+    let a = pad_points(seg.plan.pack_words(), m, k, m_pad, k_pad);
+    let b = pad_points(seg.targets.coords(), n, k, n_pad, k_pad);
     // N×R column-major; padded targets carry zero weight.
     let mut w_cols = vec![0.0f32; n_pad * r];
     for (c, w) in seg.weights.iter().enumerate() {

@@ -8,14 +8,14 @@
 //! devices re-plan shard ranges, so merged results stay bit-identical
 //! to single-device serving (shards merge by concatenation in slot
 //! order regardless of the active-device count). In-flight shards are
-//! **drained**, never dropped — the coordinator blocks on the batch
-//! merge and a sick shard recovers on the bit-exact CPU path before
-//! the eviction takes effect. After [`HealthConfig::probe_cooldown`]
-//! batches the device re-enters on **probation**: it receives real
-//! traffic again, a clean GPU completion **readmits** it, and a
-//! probation failure re-evicts it with a fresh cooldown window — so a
-//! flapping device converges to serving only while it is actually
-//! healthy.
+//! **drained**, never dropped — the coordinator waits for every task
+//! of the batch and a sick shard recovers on the bit-exact CPU path
+//! before the eviction takes effect. After
+//! [`HealthConfig::probe_cooldown`] batches the device re-enters on
+//! **probation**: it receives real traffic again, a clean GPU
+//! completion **readmits** it, and a probation failure re-evicts it
+//! with a fresh cooldown window — so a flapping device converges to
+//! serving only while it is actually healthy.
 //!
 //! Passive CPU fallbacks (an open breaker, or a CPU-only policy)
 //! carry **no health evidence**: the device was never tried, so they

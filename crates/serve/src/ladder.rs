@@ -41,7 +41,7 @@
 //!   `attempts == batches + retries`.
 
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::Instant;
 
 use ks_core::plan::SourcePlan;
@@ -119,7 +119,8 @@ pub(crate) struct DeviceSlot<'a> {
     /// A pool slot uses `batch ^ (slot << 48)`; the unpooled slot uses
     /// `batch ^ (1 << 48)`, numbering its attempts from 1.
     pub(crate) key: u64,
-    pub(crate) breaker: &'a Mutex<Breaker>,
+    /// The slot's breaker; a slot runs one unit at a time.
+    pub(crate) breaker: &'a mut Breaker,
     /// The serving batch index: the breaker's clock and the backoff
     /// jitter's input.
     pub(crate) batch: u64,
@@ -333,15 +334,8 @@ pub(crate) type ProfileMemo = CappedMemo<ProfileKey, Vec<KernelProfile>>;
 /// ([`GpuDevice::from_recording`]): the results are computed and the
 /// faults drawn as on a fresh device, but no traffic is replayed.
 pub(crate) struct SimLauncher<'m> {
-    /// The memo of the slot the unit runs on (its owner's, when a
-    /// pool task is stolen).
-    pub(crate) memo: &'m Mutex<ProfileMemo>,
-}
-
-impl SimLauncher<'_> {
-    fn memo(&self) -> MutexGuard<'_, ProfileMemo> {
-        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
-    }
+    /// The memo of the slot the unit runs on.
+    pub(crate) memo: &'m mut ProfileMemo,
 }
 
 impl Launcher for SimLauncher<'_> {
@@ -352,7 +346,7 @@ impl Launcher for SimLauncher<'_> {
         verify: bool,
     ) -> Result<Attempt, LaunchError> {
         let key = ProfileKey::of(segs, verify);
-        let recorded = self.memo().get(&key);
+        let recorded = self.memo.get(&key);
         let hit = recorded.is_some();
         let mut dev = match recorded {
             Some(kernels) => GpuDevice::from_recording(device, kernels),
@@ -369,7 +363,7 @@ impl Launcher for SimLauncher<'_> {
                     ..k.clone()
                 })
                 .collect();
-            self.memo().insert(key, kernels);
+            self.memo.insert(key, kernels);
         }
         Ok(attempt)
     }
@@ -398,7 +392,7 @@ impl Ladder {
     pub(crate) fn run(
         &self,
         unit: &LaunchUnit,
-        slot: &DeviceSlot<'_>,
+        slot: DeviceSlot<'_>,
         launcher: &mut dyn Launcher,
     ) -> UnitOutcome {
         let n = unit.segments.len();
@@ -461,7 +455,7 @@ struct Climb {
 struct Run<'r> {
     ladder: &'r Ladder,
     unit: &'r LaunchUnit,
-    slot: &'r DeviceSlot<'r>,
+    slot: DeviceSlot<'r>,
     launcher: &'r mut dyn Launcher,
     out: UnitOutcome,
     climbs: Vec<Climb>,
@@ -469,18 +463,14 @@ struct Run<'r> {
 
 impl Run<'_> {
     /// The slot's breaker, when the budget uses one.
-    fn breaker(&self) -> Option<MutexGuard<'_, Breaker>> {
-        self.ladder.budget.harbor.then(|| {
-            self.slot
-                .breaker
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-        })
+    fn breaker(&mut self) -> Option<&mut Breaker> {
+        self.ladder.budget.harbor.then_some(&mut *self.slot.breaker)
     }
 
     /// May a GPU attempt run now?
-    fn admit(&self) -> bool {
-        self.breaker().is_none_or(|mut b| b.allow(self.slot.batch))
+    fn admit(&mut self) -> bool {
+        let batch = self.slot.batch;
+        self.breaker().is_none_or(|b| b.allow(batch))
     }
 
     /// Scores a finished GPU attempt on the breaker and as health
@@ -491,9 +481,10 @@ impl Run<'_> {
         } else if self.out.health == ShardHealth::Passive {
             self.out.health = ShardHealth::CleanGpu;
         }
-        if let Some(mut b) = self.breaker() {
+        let batch = self.slot.batch;
+        if let Some(b) = self.breaker() {
             if failed {
-                b.record_failure(self.slot.batch);
+                b.record_failure(batch);
             } else {
                 b.record_success();
             }
@@ -551,7 +542,7 @@ impl Run<'_> {
     /// One GPU attempt of segments `members` on `rung`, packed when
     /// there are two or more.
     fn gpu(&mut self, members: &[usize], rung: Rung) {
-        let (unit, slot) = (self.unit, self.slot);
+        let (unit, slot) = (self.unit, &self.slot);
         let packed = members.len() > 1;
         let first = members[0];
         let mut key = slot
@@ -654,9 +645,9 @@ fn injected_data_faults(prof: &PipelineProfile) -> u64 {
 /// once per distinct plan the device does not hold, `B` once per
 /// distinct target set, `W` and `V` per segment (logical payload
 /// sizes; padding is device-side). The link-fault stream is seeded by
-/// the attempt's key, so its draws are a pure function of the task,
-/// whichever host thread runs it. With a quiet (or absent) link-fault
-/// spec the entries equal the fault-free model's.
+/// the attempt's key, so its draws are a pure function of the task.
+/// With a quiet (or absent) link-fault spec the entries equal the
+/// fault-free model's.
 fn charge_transfers(
     prof: &mut PipelineProfile,
     ic: &Interconnect,
@@ -820,8 +811,8 @@ mod tests {
             {
                 Step::Fail => Err(LaunchError::WatchdogTimeout { limit_ms: 1 }),
                 Step::Done(flags, injected) => {
-                    let memo = Mutex::new(ProfileMemo::new());
-                    let mut a = SimLauncher { memo: &memo }.launch(device, segs, false)?;
+                    let mut memo = ProfileMemo::new();
+                    let mut a = SimLauncher { memo: &mut memo }.launch(device, segs, false)?;
                     a.flags = flags;
                     a.profile.kernels[0].faults.dram_flips += injected;
                     Ok(a)
@@ -837,7 +828,7 @@ mod tests {
         device: DeviceConfig,
         link: Option<Interconnect>,
         phase: DevicePhase,
-        breaker: Mutex<Breaker>,
+        breaker: Breaker,
     }
 
     const BATCH: u64 = 5;
@@ -851,7 +842,7 @@ mod tests {
                 ..ResilienceConfig::default()
             };
             Self {
-                breaker: Mutex::new(Breaker::new(&rc)),
+                breaker: Breaker::new(&rc),
                 rc,
                 device: DeviceConfig {
                     fault: Some(FaultSpec {
@@ -870,7 +861,7 @@ mod tests {
         }
 
         fn run(
-            &self,
+            &mut self,
             budget: Budget,
             unit: &LaunchUnit,
             steps: Vec<Step>,
@@ -881,14 +872,14 @@ mod tests {
                 link: self.link.as_ref(),
                 phase: self.phase,
                 key: BATCH,
-                breaker: &self.breaker,
+                breaker: &mut self.breaker,
                 batch: BATCH,
             };
             let mut script = Script {
                 steps: steps.into(),
                 calls: Vec::new(),
             };
-            let out = ladder.run(unit, &slot, &mut script);
+            let out = ladder.run(unit, slot, &mut script);
             assert!(
                 script.steps.is_empty(),
                 "the ladder played the whole script"
@@ -897,7 +888,7 @@ mod tests {
         }
 
         fn failures(&self) -> u32 {
-            self.breaker.lock().unwrap().consecutive_failures
+            self.breaker.consecutive_failures
         }
     }
 
@@ -989,7 +980,7 @@ mod tests {
 
     #[test]
     fn a_cpu_budget_serves_on_the_undegraded_cpu_rung() {
-        let rig = Rig::new();
+        let mut rig = Rig::new();
         let u = unit(&[1]);
         let (out, calls) = rig.run(Budget::CPU, &u, vec![]);
         assert!(calls.is_empty());
@@ -1000,7 +991,7 @@ mod tests {
 
     #[test]
     fn retries_stay_on_the_top_rung_with_decorrelated_fault_seeds() {
-        let rig = Rig::new();
+        let mut rig = Rig::new();
         let (out, calls) = rig.run(
             rig.budget(RESILIENT, false),
             &unit(&[2]),
@@ -1020,7 +1011,7 @@ mod tests {
 
     #[test]
     fn the_unverified_rung_follows_launch_failures_but_never_corruption() {
-        let rig = Rig::new();
+        let mut rig = Rig::new();
         let budget = rig.budget(RESILIENT, false);
         let (out, calls) = rig.run(
             budget,
@@ -1045,8 +1036,8 @@ mod tests {
     fn an_open_breaker_refuses_every_gpu_attempt() {
         let mut rig = Rig::new();
         rig.rc.breaker_threshold = 1;
-        rig.breaker = Mutex::new(Breaker::new(&rig.rc));
-        rig.breaker.lock().unwrap().record_failure(BATCH);
+        rig.breaker = Breaker::new(&rig.rc);
+        rig.breaker.record_failure(BATCH);
         let (out, calls) = rig.run(rig.budget(RESILIENT, false), &unit(&[5]), vec![]);
         assert!(calls.is_empty(), "no GPU attempt while open");
         assert_eq!(rungs(&out), [(Rung::Harbor, 1, 0)]);
@@ -1093,7 +1084,7 @@ mod tests {
 
     #[test]
     fn a_packed_attempt_keeps_clean_segments_and_surfaces_their_faults() {
-        let rig = Rig::new();
+        let mut rig = Rig::new();
         let u = unit(&[8, 9, 10]);
         let (out, calls) = rig.run(
             rig.budget(RESILIENT, true),
@@ -1135,7 +1126,7 @@ mod tests {
 
     #[test]
     fn a_failed_packed_launch_continues_every_segment_alone() {
-        let rig = Rig::new();
+        let mut rig = Rig::new();
         let u = unit(&[11, 12]);
         let (out, _) = rig.run(rig.budget(FUSED, false), &u, vec![Step::Fail]);
         assert_eq!(rungs(&out), [(Rung::Harbor, 2, 0), (Rung::Harbor, 2, 0)]);
@@ -1220,8 +1211,8 @@ mod tests {
     /// counters. Sharing one memo across the cases makes a key that
     /// misses a dependency serve one case another's recording.
     fn memo_exact(device: &DeviceConfig, cases: &[(String, Vec<&Segment>, bool)]) -> MemoStats {
-        let memo = Mutex::new(ProfileMemo::new());
-        let mut launcher = SimLauncher { memo: &memo };
+        let mut memo = ProfileMemo::new();
+        let mut launcher = SimLauncher { memo: &mut memo };
         for (case, segs, verify) in cases {
             let want = fresh(device, segs, *verify);
             for _ in 0..2 {
@@ -1231,8 +1222,7 @@ mod tests {
                 assert_same_attempt(&got, &want, case);
             }
         }
-        let stats = memo.lock().unwrap().stats();
-        stats
+        memo.stats()
     }
 
     /// Counters of `n` cases that are each their own key: one miss,
@@ -1365,8 +1355,8 @@ mod tests {
         assert_eq!(memo_exact(&upsets, &cases), distinct(cases.len()));
 
         // A launch-level fault fails a hit as it fails a fresh launch.
-        let memo = Mutex::new(ProfileMemo::new());
-        let mut launcher = SimLauncher { memo: &memo };
+        let mut memo = ProfileMemo::new();
+        let mut launcher = SimLauncher { memo: &mut memo };
         let clean = DeviceConfig::gtx970();
         launcher.launch(clean.clone(), &[&a], false).unwrap();
         let watchdog = DeviceConfig {
@@ -1380,10 +1370,7 @@ mod tests {
             launcher.launch(watchdog, &[&a], false),
             Err(LaunchError::WatchdogTimeout { .. })
         ));
-        assert_eq!(
-            memo.lock().unwrap().stats(),
-            MemoStats { hits: 1, misses: 1 }
-        );
+        assert_eq!(memo.stats(), MemoStats { hits: 1, misses: 1 });
     }
 
     #[test]

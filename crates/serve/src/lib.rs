@@ -45,10 +45,11 @@
 //!   bit-identical to unpacked serving.
 //! * [`pool`] — multi-device sharded serving: each batch is
 //!   partitioned row-wise over `N` simulated devices (own residency
-//!   cache, fault spec, breaker, interconnect), every shard runs the
-//!   ladder with a pooled budget on its device's thread, and the
-//!   partial results merge in fixed shard order, bit-identical to a
-//!   single-device solve.
+//!   cache, fault spec, breaker, interconnect), the shards run
+//!   fork-join — devices in parallel, each device's shards in slot
+//!   order on its own slot — down the ladder with a pooled budget,
+//!   and the partial results merge in fixed shard order,
+//!   bit-identical to a single-device solve.
 //! * [`router`] — the shard placement policy: cache-first, then
 //!   load-aware, deterministic.
 //! * [`health`] — the pool's drain → evict → readmit control loop:

@@ -13,27 +13,28 @@
 //!
 //! Architecture:
 //!
-//! * The **coordinator** (the server's worker thread) owns the
-//!   per-device shard-plan caches and all placement decisions, made
-//!   synchronously at enqueue time via [`crate::router::place`] —
-//!   cache-first, then load-aware. Keeping routing out of the device
-//!   threads makes warm/cold accounting (and therefore transfer bytes
-//!   and simulated time) deterministic.
-//! * Each device has a bounded task queue and a host thread. Idle
-//!   threads **steal** from other queues (deterministic ring scan),
-//!   but a stolen task still executes against its *owner's* device
-//!   model, breaker and interconnect — stealing parallelises the
-//!   host-side simulation without changing any modelled outcome.
+//! * The **coordinator** (the server's worker thread) owns the pool:
+//!   the per-device shard-plan caches and every placement decision,
+//!   made synchronously via [`crate::router::place`] — cache-first,
+//!   then load-aware over the tasks the unit has already placed. Only
+//!   the coordinator routes, so warm/cold accounting (and therefore
+//!   transfer bytes and simulated time) is deterministic.
+//! * Each unit runs **fork-join**: its owners run in parallel (the
+//!   coordinator takes the first, a scoped thread each of the rest),
+//!   each owner runs its tasks in slot order, and the unit returns
+//!   once every task has finished. A device has no thread or queue of
+//!   its own, and a task runs only on its owner, so every host-side
+//!   counter repeats from run to run.
 //! * Each device has its own [`DeviceConfig`] (including an optional
-//!   fault spec), interconnect and circuit breaker: together they are
-//!   the device slot a task runs on. A task is a launch unit — a row
-//!   shard, or the device's share of a packed wave (a plain
-//!   one-segment launch when that share is one segment) — and its
-//!   device thread runs it down the one degradation ladder
-//!   (`crate::ladder`, DESIGN.md §11) with a pooled budget: one GPU
-//!   attempt, then the bit-exact CPU harbor. A failed attempt records
-//!   a failure on *its own* slot's breaker, so a sick device degrades
-//!   without taking the pool down — and without ever failing a batch.
+//!   fault spec), interconnect, circuit breaker and profile memo:
+//!   together they are the device slot a task runs on. A task is a
+//!   launch unit — a row shard, or the device's share of a packed wave
+//!   (a plain one-segment launch when that share is one segment) — and
+//!   it runs down the one degradation ladder (`crate::ladder`,
+//!   DESIGN.md §11) with a pooled budget: one GPU attempt, then the
+//!   bit-exact CPU harbor. A failed attempt records a failure on *its
+//!   own* slot's breaker, so a sick device degrades without taking the
+//!   pool down — and without ever failing a batch.
 //! * Shards launch at the batch's resolved tile geometry and take the
 //!   norms path of the server's plan-cache verdict, so pooled results
 //!   are bit-identical to unpooled serving. Device residency (the
@@ -50,9 +51,6 @@
 //! sizes.
 
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
 
 use ks_core::plan::shard_ranges;
 use ks_core::FusedCpuConfig;
@@ -66,7 +64,6 @@ use crate::ladder::{
     Breaker, Budget, DeviceSlot, Ladder, LaunchUnit, ProfileMemo, Rung, SegmentOutcome,
     SimLauncher, UnitOutcome,
 };
-use crate::queue::BoundedQueue;
 use crate::server::{ResilienceConfig, ServeBackend};
 
 /// Rows per shard-alignment tile: the GPU block tile, so shard
@@ -93,7 +90,8 @@ pub struct PoolDevice {
 pub struct PoolConfig {
     /// The devices; shard count per batch is at most `devices.len()`.
     pub devices: Vec<PoolDevice>,
-    /// Per-device task queue bound.
+    /// Unused: the pool keeps no task queues. Kept because the
+    /// benchmark package (`perfbench`) names it.
     pub queue_capacity: usize,
     /// Per-device shard-plan cache capacity (entries).
     pub plan_cache_capacity: usize,
@@ -106,8 +104,8 @@ pub struct PoolConfig {
 }
 
 impl PoolConfig {
-    /// `n` identical devices on identical links, with defaults sized
-    /// so one batch's shards never deadlock on queue backpressure.
+    /// `n` identical devices on identical links, with default cache,
+    /// alignment and health settings.
     ///
     /// # Panics
     /// Panics if `n == 0`.
@@ -132,16 +130,15 @@ impl PoolConfig {
 }
 
 /// Per-device accounting, reported at shutdown.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeviceReport {
     /// Device name (from its config).
     pub name: String,
     /// Shard tasks placed on (owned by) this device.
     pub shard_tasks: u64,
-    /// Tasks this device's thread executed (own or stolen).
+    /// Tasks run on this device's slot: one per row shard it owned,
+    /// one per packed wave it held segments of.
     pub executed: u64,
-    /// Of `executed`: tasks stolen from another device's queue.
-    pub stolen: u64,
     /// Shards completed on this device's GPU model.
     pub gpu_shards: u64,
     /// Shards recovered on the bit-exact CPU path (launch failure,
@@ -172,8 +169,7 @@ pub struct DeviceReport {
     pub link_retransmits: u64,
     /// Shard-plan cache counters (coordinator-resolved).
     pub plan_cache: PlanCacheStats,
-    /// Pipeline-profile memo counters of this device's slot, stolen
-    /// tasks included.
+    /// Pipeline-profile memo counters of this device's slot.
     pub profile_memo: MemoStats,
     /// Bytes moved over this device's interconnect.
     pub transfer_bytes: u64,
@@ -184,9 +180,41 @@ pub struct DeviceReport {
     pub busy_time_s: f64,
 }
 
+impl DeviceReport {
+    /// Folds in one finished task of `segments` placed segments.
+    fn record(&mut self, segments: usize, outcome: &UnitOutcome, on_gpu: bool) {
+        self.shard_tasks += segments as u64;
+        self.executed += 1;
+        for s in &outcome.segments {
+            if s.rung == Rung::Harbor {
+                self.cpu_fallbacks += 1;
+            } else if on_gpu {
+                self.gpu_shards += 1;
+            }
+            self.corruption_detected += s.corruption;
+        }
+        self.injected_faults += outcome.injected_faults;
+        match outcome.lifecycle {
+            Some(DevicePhase::Hung) => self.lifecycle_hangs += 1,
+            Some(DevicePhase::Lost) => self.lifecycle_losses += 1,
+            _ => {}
+        }
+        for p in &outcome.profiles {
+            self.transfer_bytes += p.transfer_bytes();
+            self.transfer_time_s += p.transfer_time_s();
+            self.busy_time_s += p.total_time_s();
+            for t in &p.transfers {
+                self.link_crc_detected += t.crc_detected;
+                self.link_retransmits += t.retransmits;
+                self.link_timeouts += u64::from(t.timed_out);
+            }
+        }
+    }
+}
+
 /// Pool-level accounting, attached to
 /// [`crate::server::ServeReport::pool`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PoolReport {
     /// Per-device reports, in device order.
     pub devices: Vec<DeviceReport>,
@@ -194,7 +222,8 @@ pub struct PoolReport {
     pub batches: u64,
     /// Shard tasks across all batches.
     pub shard_tasks: u64,
-    /// Tasks executed by a thread other than their owner's.
+    /// Always 0: every task runs on its owner. Kept because the
+    /// benchmark package (`perfbench`) reads it.
     pub stolen_tasks: u64,
     /// Simulated serving time: Σ over batches of the slowest shard's
     /// pipeline time (devices run concurrently).
@@ -233,187 +262,115 @@ impl PoolReport {
     }
 }
 
-/// Rendezvous for one batch's tasks (row shards or packed
-/// sub-launches). A task that panicked posts its panic payload, so
-/// the slot is filled either way.
-struct BatchMerge<T> {
-    slots: Mutex<Vec<Option<std::thread::Result<T>>>>,
-    done: Condvar,
-}
-
-impl<T> BatchMerge<T> {
-    fn new(slots: usize) -> Self {
-        Self {
-            slots: Mutex::new((0..slots).map(|_| None).collect()),
-            done: Condvar::new(),
-        }
-    }
-
-    fn complete(&self, slot: usize, outcome: std::thread::Result<T>) {
-        let mut g = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
-        debug_assert!(g[slot].is_none(), "merge slot filled twice");
-        g[slot] = Some(outcome);
-        drop(g);
-        self.done.notify_all();
-    }
-
-    /// Blocks until every slot is filled; returns outcomes in slot
-    /// order. If a task panicked, the first panic (in slot order)
-    /// resumes here, on the waiting thread, once every task is done.
-    fn wait(&self) -> Vec<T> {
-        let mut g = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
-        while !g.iter().all(Option::is_some) {
-            g = self.done.wait(g).unwrap_or_else(PoisonError::into_inner);
-        }
-        let outcomes: Vec<_> = g
-            .iter_mut()
-            .map(|s| s.take().expect("all filled"))
-            .collect();
-        drop(g);
-        outcomes
-            .into_iter()
-            .map(|o| o.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
-            .collect()
-    }
-}
-
 /// One unit of device work — a row shard of one coalesced batch, or
-/// one device's share of a packed wave — bound at placement time to
-/// its owner's slot and lifecycle phase, so a steal changes *which
-/// host thread* runs the simulation, never what is simulated.
+/// one device's share of a packed wave — placed on its owner.
 struct Task {
-    unit: LaunchUnit,
     owner: usize,
-    /// The owner's lifecycle phase this batch, drawn by the
-    /// coordinator and bound here so a steal never re-draws it.
-    phase: DevicePhase,
-    batch: u64,
-    slot: usize,
-    merge: Arc<BatchMerge<UnitOutcome>>,
+    /// The unit segment each of the task's segments merges into.
+    origin: Vec<usize>,
+    unit: LaunchUnit,
 }
 
-/// State shared between the coordinator and the device threads.
-struct Shared {
-    queues: Vec<Arc<BoundedQueue<Task>>>,
-    devices: Vec<PoolDevice>,
-    breakers: Vec<Mutex<Breaker>>,
-    /// Per-device pipeline-profile memos; a stolen task uses its
-    /// owner's.
-    memos: Vec<Mutex<ProfileMemo>>,
-    stats: Vec<Mutex<DeviceReport>>,
-    /// The pooled ladder every device thread runs.
-    ladder: Ladder,
-    /// Bumped (under the lock) whenever work is enqueued.
-    work_seq: Mutex<u64>,
-    work: Condvar,
-    closed: AtomicBool,
+/// One device of the pool: its slot (device model, link, breaker and
+/// profile memo, used by one task at a time) and what the coordinator
+/// keeps for it.
+struct Member {
+    device: DeviceConfig,
+    interconnect: Interconnect,
+    breaker: Breaker,
+    memo: ProfileMemo,
+    report: DeviceReport,
+    /// Residency: the row shards and whole corpora the device holds.
+    cache: ShardPlanCache,
+    /// The lifecycle generator (`None` = never flaps), advanced once
+    /// per unit on the coordinator so the phase trajectory is
+    /// deterministic and an evicted device keeps aging (a hung device
+    /// can recover while out of the placement set).
+    lifecycle: Option<LifecycleState>,
+}
+
+impl Member {
+    /// Runs `unit`, task `index` of `batch`, down `ladder` on this
+    /// device's slot in `phase`. A panic inside the ladder is returned,
+    /// for the coordinator to resume once the unit's other tasks have
+    /// finished.
+    fn run(
+        &mut self,
+        ladder: &Ladder,
+        unit: &LaunchUnit,
+        phase: DevicePhase,
+        batch: u64,
+        index: usize,
+    ) -> std::thread::Result<UnitOutcome> {
+        let slot = DeviceSlot {
+            device: &self.device,
+            link: Some(&self.interconnect),
+            phase,
+            key: batch ^ ((index as u64) << 48),
+            breaker: &mut self.breaker,
+            batch,
+        };
+        let mut launcher = SimLauncher {
+            memo: &mut self.memo,
+        };
+        std::panic::catch_unwind(AssertUnwindSafe(|| ladder.run(unit, slot, &mut launcher)))
+    }
 }
 
 /// The device pool. Owned by the server's worker thread; one instance
-/// lives for the server's lifetime so breakers and shard-plan caches
-/// persist across batches.
+/// lives for the server's lifetime so breakers, profile memos and
+/// shard-plan caches persist across batches.
 pub(crate) struct DevicePool {
-    shared: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
-    /// Coordinator-owned per-device residency: row shards and whole
-    /// corpora each device has uploaded.
-    caches: Vec<ShardPlanCache>,
+    members: Vec<Member>,
+    /// The pooled ladder every task runs.
+    ladder: Ladder,
     shard_align: usize,
-    /// Per-device lifecycle generators (`None` = never flaps),
-    /// advanced once per batch/wave on the coordinator so the phase
-    /// trajectory is deterministic and evicted devices keep aging
-    /// (a hung device can recover while out of the placement set).
-    lifecycles: Vec<Option<LifecycleState>>,
     /// Membership authority: drain → evict → readmit.
     health: HealthMonitor,
     report: PoolReport,
 }
 
 impl DevicePool {
-    /// Spawns the device threads.
+    /// A pool of `pool`'s devices serving `backend`.
     ///
     /// # Panics
-    /// Panics on an empty device list or zero sizing.
-    pub(crate) fn start(
+    /// Panics on an empty device list or a zero shard alignment.
+    pub(crate) fn new(
         pool: &PoolConfig,
         backend: ServeBackend,
         resilience: &ResilienceConfig,
         cpu: FusedCpuConfig,
     ) -> Self {
         assert!(!pool.devices.is_empty(), "pool needs at least one device");
-        assert!(
-            pool.queue_capacity > 0,
-            "pool queue capacity must be positive"
-        );
         assert!(pool.shard_align > 0, "shard alignment must be positive");
-        let n = pool.devices.len();
-        let shared = Arc::new(Shared {
-            queues: (0..n)
-                .map(|_| Arc::new(BoundedQueue::new(pool.queue_capacity)))
-                .collect(),
-            devices: pool.devices.clone(),
-            breakers: (0..n)
-                .map(|_| Mutex::new(Breaker::new(resilience)))
-                .collect(),
-            memos: (0..n).map(|_| Mutex::new(ProfileMemo::new())).collect(),
-            stats: pool
+        Self {
+            members: pool
                 .devices
                 .iter()
-                .map(|d| {
-                    Mutex::new(DeviceReport {
+                .map(|d| Member {
+                    device: d.device.clone(),
+                    interconnect: d.interconnect.clone(),
+                    breaker: Breaker::new(resilience),
+                    memo: ProfileMemo::new(),
+                    report: DeviceReport {
                         name: d.device.name.clone(),
                         ..DeviceReport::default()
-                    })
+                    },
+                    cache: ShardPlanCache::new(pool.plan_cache_capacity.max(1)),
+                    lifecycle: d.lifecycle.map(LifecycleState::new),
                 })
                 .collect(),
             ladder: Ladder::new(Budget::of(backend, resilience, true), resilience, cpu),
-            work_seq: Mutex::new(0),
-            work: Condvar::new(),
-            closed: AtomicBool::new(false),
-        });
-        let threads = (0..n)
-            .map(|me| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || device_loop(me, &shared))
-            })
-            .collect();
-        Self {
-            shared,
-            threads,
-            caches: (0..n)
-                .map(|_| ShardPlanCache::new(pool.plan_cache_capacity.max(1)))
-                .collect(),
             shard_align: pool.shard_align,
-            lifecycles: pool
-                .devices
-                .iter()
-                .map(|d| d.lifecycle.map(LifecycleState::new))
-                .collect(),
-            health: HealthMonitor::new(n, pool.health),
+            health: HealthMonitor::new(pool.devices.len(), pool.health),
             report: PoolReport::default(),
         }
     }
 
-    /// Picks the owner of a task whose `A` panel is `key`: cache-first
-    /// on residency, then load-aware (queue depth plus what this batch
-    /// already placed — queues may drain faster than we enqueue), over
-    /// the health-eligible devices only.
-    fn place(&self, key: &ShardKey, placed: &[usize], eligible: &[bool]) -> usize {
-        let warm: Vec<bool> = self.caches.iter().map(|c| c.contains(key)).collect();
-        let depth: Vec<usize> = self
-            .shared
-            .queues
-            .iter()
-            .zip(placed)
-            .map(|(q, p)| q.len() + p)
-            .collect();
-        crate::router::place_masked(&warm, &depth, eligible)
-    }
-
     /// Executes one launch unit across the pool and merges the tasks'
-    /// outcomes in slot order; blocks until every task completes and
-    /// never fails (sick tasks land on the bit-exact CPU harbor). Only
-    /// health-eligible devices receive tasks.
+    /// outcomes in slot order; returns once every task has finished
+    /// and never fails (sick tasks land on the bit-exact CPU harbor).
+    /// Only health-eligible devices receive tasks.
     ///
     /// A row unit is sharded row-wise: the shard count shrinks with
     /// the active set, and because the merge concatenates in slot
@@ -428,89 +385,37 @@ impl DevicePool {
         // Advance every device's lifecycle one epoch (evicted devices
         // included — a hung device must keep aging toward recovery).
         let phases: Vec<DevicePhase> = self
-            .lifecycles
+            .members
             .iter_mut()
-            .map(|l| {
-                l.as_mut()
+            .map(|m| {
+                m.lifecycle
+                    .as_mut()
                     .map_or(DevicePhase::Healthy, LifecycleState::advance)
             })
             .collect();
         let eligible = self.health.eligible(batch);
         let n_segs = unit.segments.len();
-        let mut placed = vec![0usize; self.caches.len()];
-        // Per slot: the owner and the unit segment each task segment
-        // merges into.
-        let mut slots: Vec<(usize, Vec<usize>)> = Vec::new();
-        let merge;
-        if n_segs > 1 {
-            let mut groups: Vec<(usize, Vec<usize>, LaunchUnit)> = Vec::new();
-            for (i, mut seg) in unit.segments.into_iter().enumerate() {
-                let (m, _) = seg.plan.dims();
-                let key = ShardKey {
-                    plan: seg.key,
-                    row0: 0,
-                    rows: m,
-                };
-                let owner = self.place(&key, &placed, &eligible);
-                placed[owner] += 1;
-                seg.resident = self.caches[owner].hold(key, &seg.plan);
-                match groups.iter_mut().find(|g| g.0 == owner) {
-                    Some((_, members, sub)) => {
-                        members.push(i);
-                        sub.segments.push(seg);
-                    }
-                    None => groups.push((
-                        owner,
-                        vec![i],
-                        LaunchUnit {
-                            segments: vec![seg],
-                        },
-                    )),
-                }
-            }
-            merge = Arc::new(BatchMerge::new(groups.len()));
-            for (slot, (owner, members, sub)) in groups.into_iter().enumerate() {
-                slots.push((owner, members));
-                self.dispatch(sub, owner, phases[owner], batch, slot, &merge);
-            }
-        } else {
-            let seg = &unit.segments[0];
-            let (m, _) = seg.plan.dims();
-            let active = eligible.iter().filter(|&&e| e).count();
-            let ranges = shard_ranges(m, active, self.shard_align);
-            merge = Arc::new(BatchMerge::new(ranges.len()));
-            for (slot, rows) in ranges.into_iter().enumerate() {
-                let key = ShardKey {
-                    plan: seg.key,
-                    row0: rows.start,
-                    rows: rows.len(),
-                };
-                let owner = self.place(&key, &placed, &eligible);
-                placed[owner] += 1;
-                let (plan, resident) = self.caches[owner].get_or_slice(key, &seg.plan, rows);
-                let sub = LaunchUnit {
-                    segments: vec![seg.with_plan(plan, resident)],
-                };
-                slots.push((owner, vec![0]));
-                self.dispatch(sub, owner, phases[owner], batch, slot, &merge);
-            }
-        }
-        let outcomes = merge.wait();
+        let tasks = self.place_unit(unit, &eligible);
+        let outcomes = self.execute(&tasks, &phases, batch);
 
         // Merge in slot order — the fixed deterministic order the
         // bit-identity invariant needs. Health is scored in slot
-        // order too, after every in-flight task has drained:
-        // evictions are deterministic and never race a live batch.
+        // order too, after every task has finished: evictions are
+        // deterministic and never race a live batch.
+        let on_gpu = self.ladder.budget.gpu_attempts > 0;
         let mut out = UnitOutcome::empty();
         let mut merged: Vec<Option<SegmentOutcome>> = (0..n_segs).map(|_| None).collect();
         let mut batch_sim = 0.0f64;
-        for ((owner, members), mut o) in slots.into_iter().zip(outcomes) {
-            self.health.note_outcome(owner, o.health, batch);
+        for (task, mut o) in tasks.into_iter().zip(outcomes) {
+            self.health.note_outcome(task.owner, o.health, batch);
+            self.members[task.owner]
+                .report
+                .record(task.origin.len(), &o, on_gpu);
             let slot_sim: f64 = o.profiles.iter().map(PipelineProfile::total_time_s).sum();
             batch_sim = batch_sim.max(slot_sim);
             out.absorb(&mut o);
-            self.report.shard_tasks += members.len() as u64;
-            for (i, s) in members.into_iter().zip(o.segments) {
+            self.report.shard_tasks += task.origin.len() as u64;
+            for (i, s) in task.origin.into_iter().zip(o.segments) {
                 merged[i] = Some(match merged[i].take() {
                     None => s,
                     Some(acc) => concat_rows(acc, s),
@@ -526,83 +431,124 @@ impl DevicePool {
         out
     }
 
-    /// Binds one task to its owner and queues it (spinning through
-    /// backpressure — the device threads are draining), waking the
-    /// pool.
-    fn dispatch(
-        &self,
-        unit: LaunchUnit,
-        owner: usize,
-        phase: DevicePhase,
-        batch: u64,
-        slot: usize,
-        merge: &Arc<BatchMerge<UnitOutcome>>,
-    ) {
-        self.shared.stats[owner]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .shard_tasks += unit.segments.len() as u64;
-        let mut item = Task {
-            unit,
-            owner,
-            phase,
-            batch,
-            slot,
-            merge: Arc::clone(merge),
-        };
-        loop {
-            match self.shared.queues[owner].try_push(item) {
-                Ok(()) => break,
-                Err(back) => {
-                    item = back;
-                    std::thread::yield_now();
-                }
-            }
-        }
-        let mut seq = self
-            .shared
-            .work_seq
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        *seq += 1;
-        drop(seq);
-        self.shared.work.notify_all();
+    /// Picks the owner of a task whose `A` panel is `key`: cache-first
+    /// on residency, then load-aware over `placed` (the tasks this
+    /// unit already placed on each device), over the health-eligible
+    /// devices only.
+    fn place(&self, key: &ShardKey, placed: &[usize], eligible: &[bool]) -> usize {
+        let warm: Vec<bool> = self.members.iter().map(|m| m.cache.contains(key)).collect();
+        crate::router::place_masked(&warm, placed, eligible)
     }
 
-    /// Joins the device threads and assembles the final report.
-    pub(crate) fn shutdown(mut self) -> PoolReport {
-        self.shared.closed.store(true, Ordering::SeqCst);
-        for q in &self.shared.queues {
-            q.close();
+    /// Places `unit` on the eligible devices and returns its tasks in
+    /// slot order: one per row shard, or one per device owning
+    /// segments of a packed wave.
+    fn place_unit(&mut self, unit: LaunchUnit, eligible: &[bool]) -> Vec<Task> {
+        let mut placed = vec![0usize; self.members.len()];
+        let mut tasks: Vec<Task> = Vec::new();
+        if unit.segments.len() > 1 {
+            for (i, mut seg) in unit.segments.into_iter().enumerate() {
+                let (m, _) = seg.plan.dims();
+                let key = ShardKey {
+                    plan: seg.key,
+                    row0: 0,
+                    rows: m,
+                };
+                let owner = self.place(&key, &placed, eligible);
+                placed[owner] += 1;
+                seg.resident = self.members[owner].cache.hold(key, &seg.plan);
+                match tasks.iter_mut().find(|t| t.owner == owner) {
+                    Some(t) => {
+                        t.origin.push(i);
+                        t.unit.segments.push(seg);
+                    }
+                    None => tasks.push(Task {
+                        owner,
+                        origin: vec![i],
+                        unit: LaunchUnit {
+                            segments: vec![seg],
+                        },
+                    }),
+                }
+            }
+        } else {
+            let seg = &unit.segments[0];
+            let (m, _) = seg.plan.dims();
+            let active = eligible.iter().filter(|&&e| e).count();
+            for rows in shard_ranges(m, active, self.shard_align) {
+                let key = ShardKey {
+                    plan: seg.key,
+                    row0: rows.start,
+                    rows: rows.len(),
+                };
+                let owner = self.place(&key, &placed, eligible);
+                placed[owner] += 1;
+                let (plan, resident) = self.members[owner].cache.get_or_slice(key, &seg.plan, rows);
+                tasks.push(Task {
+                    owner,
+                    origin: vec![0],
+                    unit: LaunchUnit {
+                        segments: vec![seg.with_plan(plan, resident)],
+                    },
+                });
+            }
         }
-        {
-            let mut seq = self
-                .shared
-                .work_seq
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            *seq += 1;
-        }
-        self.shared.work.notify_all();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-        let mut report = std::mem::take(&mut self.report);
-        for (d, stat) in self.shared.stats.iter().enumerate() {
-            let mut dr = stat.lock().unwrap_or_else(PoisonError::into_inner).clone();
-            let b = self.shared.breakers[d]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            dr.breaker_trips = b.trips;
-            dr.breaker_resets = b.resets;
-            dr.plan_cache = self.caches[d].stats();
-            dr.profile_memo = self.shared.memos[d]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .stats();
+        tasks
+    }
+
+    /// Runs every task on its owner's slot — the owners in parallel,
+    /// each owner's tasks in slot order — and returns the outcomes in
+    /// slot order. If a task panicked, the first panic in slot order
+    /// resumes here once every task has finished.
+    fn execute(&mut self, tasks: &[Task], phases: &[DevicePhase], batch: u64) -> Vec<UnitOutcome> {
+        let ladder = &self.ladder;
+        let run_owner = |(d, member): (usize, &mut Member)| {
+            tasks
+                .iter()
+                .enumerate()
+                .filter(|(_, t)| t.owner == d)
+                .map(|(s, t)| (s, member.run(ladder, &t.unit, phases[d], batch, s)))
+                .collect::<Vec<_>>()
+        };
+        let mut owners = self
+            .members
+            .iter_mut()
+            .enumerate()
+            .filter(|(d, _)| tasks.iter().any(|t| t.owner == *d));
+        // The coordinator runs the first owner itself, so a unit with
+        // one owner starts no thread.
+        let first = owners.next();
+        let mut done = std::thread::scope(|scope| {
+            let rest: Vec<_> = owners
+                .map(|owner| scope.spawn(|| run_owner(owner)))
+                .collect();
+            let mut done = first.map(run_owner).unwrap_or_default();
+            for handle in rest {
+                done.extend(
+                    handle
+                        .join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+                );
+            }
+            done
+        });
+        done.sort_unstable_by_key(|&(s, _)| s);
+        done.into_iter()
+            .map(|(_, o)| o.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect()
+    }
+
+    /// Assembles the final report.
+    pub(crate) fn into_report(self) -> PoolReport {
+        let mut report = self.report;
+        for (d, m) in self.members.into_iter().enumerate() {
+            let mut dr = m.report;
+            dr.breaker_trips = m.breaker.trips;
+            dr.breaker_resets = m.breaker.resets;
+            dr.plan_cache = m.cache.stats();
+            dr.profile_memo = m.memo.stats();
             dr.evictions = self.health.evictions[d];
             dr.readmissions = self.health.readmissions[d];
-            report.stolen_tasks += dr.stolen;
             report.devices.push(dr);
         }
         report
@@ -628,121 +574,9 @@ fn concat_rows(mut acc: SegmentOutcome, s: SegmentOutcome) -> SegmentOutcome {
     acc
 }
 
-/// Device-thread main loop: drain the own queue, steal when idle,
-/// park when the pool is quiet, exit when closed and fully drained.
-fn device_loop(me: usize, shared: &Arc<Shared>) {
-    let n = shared.queues.len();
-    loop {
-        if let Some(task) = shared.queues[me].try_pop() {
-            run_task(task, me, false, shared);
-            continue;
-        }
-        // Deterministic steal scan: ring-wise from the next device.
-        let mut stole = false;
-        for off in 1..n {
-            let victim = (me + off) % n;
-            if let Some(task) = shared.queues[victim].try_pop() {
-                run_task(task, me, true, shared);
-                stole = true;
-                break;
-            }
-        }
-        if stole {
-            continue;
-        }
-        if shared.closed.load(Ordering::SeqCst) {
-            // Queues are closed: nothing new arrives, and the scans
-            // above found them all empty.
-            return;
-        }
-        // Park until the coordinator enqueues more work (with a
-        // timeout so a lost wakeup only costs latency, not liveness).
-        let seq = shared
-            .work_seq
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let before = *seq;
-        let mut seq = seq;
-        while *seq == before && !shared.closed.load(Ordering::SeqCst) {
-            let (g, timeout) = shared
-                .work
-                .wait_timeout(seq, std::time::Duration::from_millis(5))
-                .unwrap_or_else(PoisonError::into_inner);
-            seq = g;
-            if timeout.timed_out() {
-                break;
-            }
-        }
-    }
-}
-
-/// Runs one task down the ladder on its owner's slot, on the executing
-/// thread `me` (`stolen` says it differs from the owner), folds the
-/// outcome into the owner's report and posts it to the batch merge. A
-/// panic inside the ladder is posted instead, for the coordinator to
-/// resume; the device thread keeps serving.
-fn run_task(task: Task, me: usize, stolen: bool, shared: &Shared) {
-    let dev = &shared.devices[task.owner];
-    let slot = DeviceSlot {
-        device: &dev.device,
-        link: Some(&dev.interconnect),
-        phase: task.phase,
-        key: task.batch ^ ((task.slot as u64) << 48),
-        breaker: &shared.breakers[task.owner],
-        batch: task.batch,
-    };
-    let mut launcher = SimLauncher {
-        memo: &shared.memos[task.owner],
-    };
-    let run = || shared.ladder.run(&task.unit, &slot, &mut launcher);
-    let outcome = match std::panic::catch_unwind(AssertUnwindSafe(run)) {
-        Ok(outcome) => outcome,
-        Err(payload) => return task.merge.complete(task.slot, Err(payload)),
-    };
-    {
-        let mut mine = shared.stats[me]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        mine.executed += 1;
-        if stolen {
-            mine.stolen += 1;
-        }
-    }
-    {
-        let mut owner = shared.stats[task.owner]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let on_gpu = shared.ladder.budget.gpu_attempts > 0;
-        for s in &outcome.segments {
-            if s.rung == Rung::Harbor {
-                owner.cpu_fallbacks += 1;
-            } else if on_gpu {
-                owner.gpu_shards += 1;
-            }
-            owner.corruption_detected += s.corruption;
-        }
-        owner.injected_faults += outcome.injected_faults;
-        match outcome.lifecycle {
-            Some(DevicePhase::Hung) => owner.lifecycle_hangs += 1,
-            Some(DevicePhase::Lost) => owner.lifecycle_losses += 1,
-            _ => {}
-        }
-        for p in &outcome.profiles {
-            owner.transfer_bytes += p.transfer_bytes();
-            owner.transfer_time_s += p.transfer_time_s();
-            owner.busy_time_s += p.total_time_s();
-            for t in &p.transfers {
-                owner.link_crc_detected += t.crc_detected;
-                owner.link_retransmits += t.retransmits;
-                owner.link_timeouts += u64::from(t.timed_out);
-            }
-        }
-    }
-    task.merge.complete(task.slot, Ok(outcome));
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
     use std::time::Duration;
 
     use ks_core::plan::{SourcePlan, SourceSet};
@@ -772,42 +606,94 @@ mod tests {
         }
     }
 
+    /// A healthy two-device pool on the fused GPU backend.
+    fn two_devices() -> DevicePool {
+        let cfg = PoolConfig::homogeneous(2, DeviceConfig::gtx970(), Interconnect::pcie3_x16());
+        DevicePool::new(
+            &cfg,
+            ServeBackend::GpuFused { cpu_fallback: true },
+            &ResilienceConfig::default(),
+            FusedCpuConfig::default(),
+        )
+    }
+
     #[test]
-    fn a_device_thread_panic_resumes_on_the_coordinator() {
+    fn a_task_panic_resumes_on_the_coordinator() {
         let (tx, rx) = std::sync::mpsc::channel();
         let coordinator = std::thread::spawn(move || {
-            let cfg = PoolConfig::homogeneous(2, DeviceConfig::gtx970(), Interconnect::pcie3_x16());
-            let backend = ServeBackend::GpuFused { cpu_fallback: true };
-            let mut pool = DevicePool::start(
-                &cfg,
-                backend,
-                &ResilienceConfig::default(),
-                FusedCpuConfig::default(),
-            );
+            let mut pool = two_devices();
             // Nine columns exceed the GPU batch width, so padding
-            // asserts inside the ladder on both device threads.
-            let wide = std::panic::catch_unwind(AssertUnwindSafe(|| pool.run(segment(9), 0)));
-            // The device threads survived and still serve.
-            let served = pool.run(segment(2), 1);
-            let _ = pool.shutdown();
+            // asserts inside the ladder. In this packed unit only
+            // device 0's segment is that wide: device 1's task still
+            // runs to the end before the panic resumes.
+            let mut mixed = segment(9);
+            mixed.segments.append(&mut segment(2).segments);
+            let packed = std::panic::catch_unwind(AssertUnwindSafe(|| pool.run(mixed, 0)));
+            let finished = pool.members[1].memo.stats();
+            // Here both devices' tasks panic.
+            let wide = std::panic::catch_unwind(AssertUnwindSafe(|| pool.run(segment(9), 1)));
+            // The pool still serves.
+            let served = pool.run(segment(2), 2);
+            let _ = pool.into_report();
             let seg = &served.segments[0];
-            tx.send((wide.is_err(), seg.rung, seg.result.clone()))
-                .expect("receiver waits");
+            tx.send((
+                wide.is_err() && packed.is_err(),
+                finished,
+                seg.rung,
+                seg.result.clone(),
+            ))
+            .expect("receiver waits");
         });
-        let (panicked, rung, result) = rx
+        let (panicked, finished, rung, result) = rx
             .recv_timeout(Duration::from_secs(120))
-            .expect("a panicking device thread must not hang the pool");
+            .expect("a panicking task must not hang the pool");
         coordinator
             .join()
             .expect("the coordinator caught the panic");
-        assert!(
-            panicked,
-            "the device-thread panic resumes on the coordinator"
+        assert!(panicked, "each task panic resumes on the coordinator");
+        assert_eq!(
+            finished,
+            MemoStats { hits: 0, misses: 1 },
+            "device 1 launched its segment before the panic resumed"
         );
         assert_eq!(rung, Rung::Top);
         let cols = result.expect("the next unit is served");
         assert_eq!(cols.len(), 2);
         assert!(cols.iter().all(|c| c.len() == 256));
+    }
+
+    #[test]
+    fn an_owner_runs_its_tasks_in_slot_order_on_its_own_slot() {
+        let mut pool = two_devices();
+        let unit = segment(2);
+        // Device 0 holds both shards, so cache-first placement gives
+        // it both tasks and device 1 none.
+        let seg = &unit.segments[0];
+        for rows in [0..128, 128..256] {
+            let key = ShardKey {
+                plan: seg.key,
+                row0: rows.start,
+                rows: rows.len(),
+            };
+            let _ = pool.members[0].cache.get_or_slice(key, &seg.plan, rows);
+        }
+        let out = pool.run(unit, 0);
+        let cols = out.segments[0].result.as_ref().expect("served");
+        assert!(cols.iter().all(|c| c.len() == 256));
+        assert_eq!(out.profiles.len(), 2, "one launch per shard");
+        let report = pool.into_report();
+        let [d0, d1] = &report.devices[..] else {
+            panic!("two devices")
+        };
+        assert_eq!(
+            d0.profile_memo,
+            MemoStats { hits: 1, misses: 1 },
+            "the second shard replays the recording of the first"
+        );
+        assert_eq!(d1.profile_memo, MemoStats::default());
+        assert_eq!((d0.executed, d1.executed), (2, 0));
+        assert_eq!((d0.shard_tasks, d1.shard_tasks), (2, 0));
+        assert_eq!((report.shard_tasks, report.stolen_tasks), (2, 0));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Shard placement policy for the device pool.
 //!
 //! The router decides which device owns each shard task. Placement is
-//! **load-aware** (fewest queued tasks wins) but **cache-first**: a
+//! **load-aware** (fewest tasks already placed wins) but **cache-first**: a
 //! device whose shard-plan cache already holds this `(plan, shard)` is
 //! preferred over any cold device regardless of load, because a warm
 //! placement skips both the `norms(A)` kernel launch and the shard's
@@ -16,9 +16,9 @@
 /// Picks the device for one shard task.
 ///
 /// `warm[d]` says whether device `d` has the shard's plan resident;
-/// `depth[d]` is its current queue depth (queued plus already placed
-/// this batch). Warm devices are preferred; within a class the
-/// shallowest queue wins; ties go to the lowest index.
+/// `depth[d]` is its load: the tasks already placed on it this batch.
+/// Warm devices are preferred; within a class the least-loaded device
+/// wins; ties go to the lowest index.
 ///
 /// # Panics
 /// Panics if the slices are empty or disagree in length.

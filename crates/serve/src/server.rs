@@ -403,7 +403,7 @@ impl Default for ServeConfig {
 /// `attempts == batches + retries`: every batch makes exactly one
 /// first attempt and each extra attempt — GPU retry, rung
 /// degradation, or CPU fallback — counts one retry.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeReport {
     /// Queries offered to [`Server::submit`].
     pub submitted: u64,
@@ -483,9 +483,9 @@ pub struct ServeReport {
     pub geometry: GeometryStats,
     /// Pipeline-profile memo counters, one lookup per GPU attempt;
     /// summed over the members when pooled. A hit skips the traffic
-    /// replay and changes no modelled figure. Host-side accounting: in
-    /// a pool, stealing can reorder two same-shape tasks of one owner,
-    /// so the split may differ between runs.
+    /// replay and changes no modelled figure. Host-side accounting
+    /// that repeats from run to run: every slot runs its tasks in a
+    /// fixed order.
     pub profile_memo: MemoStats,
     /// Modelled GPU energy across all completed batch profiles,
     /// joules (the energy model over the exact simulated counters).
@@ -925,8 +925,8 @@ struct Worker<'a> {
     cfg: &'a ServeConfig,
     cache: PlanCache,
     pool: Option<DevicePool>,
-    breaker: Mutex<Breaker>,
-    profiles: Mutex<ProfileMemo>,
+    breaker: Breaker,
+    profiles: ProfileMemo,
     /// The unpooled ladder of the configured backend.
     ladder: Ladder,
     /// The ladder of batches static admission denied the GPU.
@@ -943,9 +943,9 @@ impl<'a> Worker<'a> {
             pool: cfg
                 .pool
                 .as_ref()
-                .map(|p| DevicePool::start(p, cfg.backend, &cfg.resilience, cfg.cpu)),
-            breaker: Mutex::new(Breaker::new(&cfg.resilience)),
-            profiles: Mutex::new(ProfileMemo::new()),
+                .map(|p| DevicePool::new(p, cfg.backend, &cfg.resilience, cfg.cpu)),
+            breaker: Breaker::new(&cfg.resilience),
+            profiles: ProfileMemo::new(),
             ladder: ladder(Budget::of(cfg.backend, &cfg.resilience, false)),
             cpu: ladder(Budget::CPU),
             stats: ServeReport::default(),
@@ -957,18 +957,10 @@ impl<'a> Worker<'a> {
         stats.plan_cache = self.cache.stats();
         stats.static_admission = self.cache.admission_stats();
         stats.geometry = self.cache.geometry_stats();
-        let breaker = self
-            .breaker
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        stats.breaker_trips = breaker.trips;
-        stats.breaker_resets = breaker.resets;
-        stats.profile_memo = self
-            .profiles
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .stats();
-        stats.pool = self.pool.map(DevicePool::shutdown);
+        stats.breaker_trips = self.breaker.trips;
+        stats.breaker_resets = self.breaker.resets;
+        stats.profile_memo = self.profiles.stats();
+        stats.pool = self.pool.map(DevicePool::into_report);
         for d in stats.pool.iter().flat_map(|p| &p.devices) {
             stats.profile_memo.hits += d.profile_memo.hits;
             stats.profile_memo.misses += d.profile_memo.misses;
@@ -1130,9 +1122,9 @@ impl<'a> Worker<'a> {
     }
 
     /// Serves one launch unit — a chunk, or a packed group of two or
-    /// more chunks — down the ladder (on the pool's device threads
-    /// when pooled), then folds its outcome into the counters and
-    /// fulfils its queries.
+    /// more chunks — down the ladder (across the pool's devices when
+    /// pooled), then folds its outcome into the counters and fulfils
+    /// its queries.
     ///
     /// # Panics
     /// [`FaultInjection::PanicFirst`] panics the worker before its
@@ -1159,13 +1151,13 @@ impl<'a> Worker<'a> {
                     phase: DevicePhase::Healthy,
                     // Unpooled attempts number from 1 (`DeviceSlot::key`).
                     key: batch ^ (1 << 48),
-                    breaker: &self.breaker,
+                    breaker: &mut self.breaker,
                     batch,
                 };
                 let mut launcher = SimLauncher {
-                    memo: &self.profiles,
+                    memo: &mut self.profiles,
                 };
-                ladder.run(&unit, &slot, &mut launcher)
+                ladder.run(&unit, slot, &mut launcher)
             }
         };
         let s = &mut self.stats;

@@ -176,11 +176,11 @@ fn pooled_gpu_serving_is_bit_identical_to_unpooled_cold_and_warm() {
 }
 
 #[test]
-fn work_stealing_keeps_results_bit_identical() {
+fn one_owner_of_every_shard_keeps_results_bit_identical() {
     // One device owns every shard (the other three are cold and the
-    // router is cache-first after batch one), yet four threads drain
-    // the queues — steals execute with the owner's semantics, so bits
-    // cannot move.
+    // router is cache-first after batch one), so one slot runs every
+    // unit while three sit idle — the owner's semantics alone decide
+    // the bits.
     let queries = pool_queries(33, 10);
     let backend = ServeBackend::GpuFused { cpu_fallback: true };
     let (base_cold, base_warm, _) = serve_two_passes(unpooled(backend), &queries);
@@ -190,10 +190,10 @@ fn work_stealing_keeps_results_bit_identical() {
     }
     let (cold, warm, report) = serve_two_passes(cfg, &queries);
     for (qi, (g, w)) in cold.iter().zip(&base_cold).enumerate() {
-        assert_bits_eq(g, w, &format!("steal cold query {qi}"));
+        assert_bits_eq(g, w, &format!("one-owner cold query {qi}"));
     }
     for (qi, (g, w)) in warm.iter().zip(&base_warm).enumerate() {
-        assert_bits_eq(g, w, &format!("steal warm query {qi}"));
+        assert_bits_eq(g, w, &format!("one-owner warm query {qi}"));
     }
     let pool = report.pool.expect("pool report");
     assert_eq!(
@@ -403,7 +403,7 @@ fn serve_within(cfg: ServeConfig, queries: &[Query], limit: Duration) -> Vec<Vec
 /// Pooled shards launch at the batch's resolved geometry. A configured
 /// geometry narrower than the batch (`tile_k` 4 under 8 coalesced
 /// queries) resolves to the paper default; launching the configured
-/// one instead panics the device threads and wedges the merge.
+/// one instead panics the shard tasks.
 #[test]
 fn pooled_batches_launch_at_their_resolved_geometry() {
     let sources = SourceSet::new(PointSet::uniform_cube(256, 8, 61));

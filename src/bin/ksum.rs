@@ -13,21 +13,22 @@
 //!
 //! `serve-bench` serves its whole generated stream as one backlog
 //! through [`kernel_summation::serve::serve_backlog`], the runner the
-//! `ks-bench` serving gates use, so an unpooled run's export repeats
-//! byte for byte.
+//! `ks-bench` serving gates use, so its export repeats byte for byte,
+//! pooled or not.
 //!
 //! Every command reads its arguments through
 //! [`kernel_summation::bench::cli::Flags`]. Argument errors (unknown
 //! command, flag, backend or variant, a malformed value, or a number
 //! out of range) print the usage to stderr and exit with status 2;
 //! they never panic. Output goes through `ks_bench`'s `out!` and
-//! `outln!`, so a closed stdout (`| head`) keeps a command's status.
+//! `outln!` and logs through its `eoutln!`, so a closed stdout or
+//! stderr (`| head`) keeps a command's status.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use kernel_summation::bench::cli::{to_json, write_all, Flags, UsageError};
-use kernel_summation::bench::{out, outln, ServeMetrics};
+use kernel_summation::bench::{eoutln, out, outln, ServeMetrics};
 use kernel_summation::core::gpu::{profile_gpu, try_profile_gpu_on, try_solve_gpu_on, GpuReport};
 use kernel_summation::core::Backend;
 use kernel_summation::gpu_kernels::TileGeometry;
@@ -254,7 +255,7 @@ fn cmd_solve(a: &Args, fault: Option<FaultSpec>) -> Result<ExitCode, UsageError>
                 }
                 Err(e) => {
                     print_fault_tally(&mut dev);
-                    eprintln!("error: launch failed: {e}");
+                    eoutln!("error: launch failed: {e}");
                     return Ok(ExitCode::FAILURE);
                 }
             }
@@ -301,7 +302,7 @@ fn cmd_profile(a: &Args, fault: Option<FaultSpec>) -> Result<ExitCode, UsageErro
                 Ok(r) => r,
                 Err(e) => {
                     print_fault_tally(&mut dev);
-                    eprintln!("error: launch failed: {e}");
+                    eoutln!("error: launch failed: {e}");
                     return Ok(ExitCode::FAILURE);
                 }
             }
@@ -328,7 +329,7 @@ fn cmd_compare(a: &Args, fault: Option<FaultSpec>) -> Result<ExitCode, UsageErro
                 match try_profile_gpu_on(&mut dev, a.m, a.n, a.k, a.h, variant) {
                     Ok(r) => r,
                     Err(e) => {
-                        eprintln!("error: launch failed for {}: {e}", variant.label());
+                        eoutln!("error: launch failed for {}: {e}", variant.label());
                         return Ok(ExitCode::FAILURE);
                     }
                 }
@@ -397,7 +398,7 @@ fn cmd_lint(args: &[String]) -> Result<ExitCode, UsageError> {
     let written = write_all(&docs);
     if let Some(name) = kernel {
         if report.checked.is_empty() && report.findings.is_empty() {
-            eprintln!("warning: no probe named {name} in the registry");
+            eoutln!("warning: no probe named {name} in the registry");
         }
     }
     Ok(if report.is_clean() && agreement_ok {
@@ -643,11 +644,10 @@ fn cmd_serve_bench(args: &[String], fault: Option<FaultSpec>) -> Result<ExitCode
     }
     if let Some(pool) = &report.pool {
         outln!(
-            "pool: {} devices | {} shard tasks ({} stolen) | sim time {:.3} ms | \
+            "pool: {} devices | {} shard tasks | sim time {:.3} ms | \
              {} CPU shard recoveries | breaker trips {}",
             pool.devices.len(),
             pool.shard_tasks,
-            pool.stolen_tasks,
             pool.sim_time_s * 1e3,
             pool.total_fallbacks(),
             pool.total_trips(),
@@ -661,11 +661,10 @@ fn cmd_serve_bench(args: &[String], fault: Option<FaultSpec>) -> Result<ExitCode
         }
         for d in &pool.devices {
             outln!(
-                "  {}: {} executed ({} stolen), {} gpu / {} cpu shards, \
+                "  {}: {} executed, {} gpu / {} cpu shards, \
                  shard cache {} hits / {} misses, {} B transferred",
                 d.name,
                 d.executed,
-                d.stolen,
                 d.gpu_shards,
                 d.cpu_fallbacks,
                 d.plan_cache.hits,
@@ -779,7 +778,7 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         .transpose()
         .map_err(|e| UsageError(format!("invalid --faults spec: {e}")))?;
     let Some((cmd, rest)) = args.split_first() else {
-        eprintln!("{USAGE}");
+        eoutln!("{USAGE}");
         return Ok(ExitCode::from(2));
     };
     let run = || -> Result<ExitCode, UsageError> {
@@ -806,8 +805,8 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     run(&args).unwrap_or_else(|e| {
-        eprintln!("error: {}", e.0);
-        eprintln!("{USAGE}");
+        eoutln!("error: {}", e.0);
+        eoutln!("{USAGE}");
         ExitCode::from(2)
     })
 }

@@ -2,7 +2,7 @@
 //! invocations must print the usage to stderr and exit with status 2
 //! (never panic), `serve-bench --json` must emit a parseable
 //! `ServeMetrics` document that repeats byte for byte between runs, and
-//! a closed stdout must not turn a run into a panic.
+//! a closed stdout or stderr must not turn a run into a panic.
 
 use std::process::{Command, Output, Stdio};
 
@@ -704,19 +704,23 @@ fn serve_bench_reports_energy_per_query() {
 
 /// A closed stdout (a reader that exited early, as `| head -0` does)
 /// drops the rest of the output: each command exits as it does with
-/// stdout on `/dev/null`, and nothing panics.
+/// stdout on `/dev/null`, and nothing panics. A closed stderr drops
+/// the log lines and the usage text the same way.
 #[test]
 fn a_closed_stdout_keeps_the_exit_status_and_never_panics() {
-    for args in [
-        &["solve", "--m", "64", "--n", "32", "--k", "4"][..],
-        &["lint", "--static"],
-    ] {
-        let to_null = Command::new(env!("CARGO_BIN_EXE_ksum"))
+    let status_on_null = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_ksum"))
             .args(args)
             .stdout(Stdio::null())
             .stderr(Stdio::null())
             .status()
-            .expect("ksum binary runs");
+            .expect("ksum binary runs")
+    };
+    for args in [
+        &["solve", "--m", "64", "--n", "32", "--k", "4"][..],
+        &["lint", "--static"],
+    ] {
+        let to_null = status_on_null(args);
         let mut child = Command::new(env!("CARGO_BIN_EXE_ksum"))
             .args(args)
             .stdout(Stdio::piped())
@@ -729,4 +733,17 @@ fn a_closed_stdout_keeps_the_exit_status_and_never_panics() {
         assert_eq!(closed.status.code(), to_null.code(), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
     }
+    // The read end is closed before the run starts, so the first
+    // write to stderr fails; a panic would exit 101.
+    let args = ["frobnicate"];
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    let closed = Command::new(env!("CARGO_BIN_EXE_ksum"))
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(writer)
+        .status()
+        .expect("ksum binary runs");
+    assert_eq!(closed.code(), Some(2), "{args:?} with stderr closed");
+    assert_eq!(closed.code(), status_on_null(&args).code());
 }
