@@ -1,10 +1,12 @@
 //! Shared profiling engine: every exhibit is a view over one sweep's
 //! worth of pipeline profiles.
 
+use std::sync::Arc;
+
 use ks_energy::{pipeline_energy, EnergyBreakdown, EnergyParams};
 use ks_gpu_kernels::{GpuKernelSummation, GpuVariant};
 use ks_gpu_sim::profiler::{KernelProfile, PipelineProfile};
-use ks_gpu_sim::{DeviceConfig, GpuDevice, LaunchError};
+use ks_gpu_sim::{DeviceConfig, GpuDevice, LaunchError, ReplayMemo};
 use rayon::prelude::*;
 
 use crate::sweep::Sweep;
@@ -35,18 +37,32 @@ pub struct PointData {
 }
 
 impl PointData {
-    /// Profiles all three variants at `(k, m, n)` on fresh devices.
+    /// Profiles all three variants at `(k, m, n)` on fresh devices
+    /// sharing one replay memo: the two unfused pipelines send the
+    /// same L2 stream launch for launch (the vendor GEMM differs in
+    /// timing only), and all three start with the same norms
+    /// launches, so 6 of the 11 launches restore a memoised L2
+    /// instead of replaying.
     ///
     /// # Errors
     /// Returns the [`LaunchError`] of the first variant whose launch
     /// the device rejects (e.g. the dimensions violate the tiling
     /// constraints).
     pub fn compute(k: usize, m: usize, n: usize) -> Result<Self, LaunchError> {
+        Self::compute_with(k, m, n, &Arc::new(ReplayMemo::new()))
+    }
+
+    fn compute_with(
+        k: usize,
+        m: usize,
+        n: usize,
+        memo: &Arc<ReplayMemo>,
+    ) -> Result<Self, LaunchError> {
         let started = std::time::Instant::now();
         let pipeline = GpuKernelSummation::new(m, n, k, 1.0);
         let params = EnergyParams::default();
         let run = |variant: GpuVariant| {
-            let mut dev = GpuDevice::gtx970();
+            let mut dev = GpuDevice::gtx970().with_memo(Arc::clone(memo));
             pipeline.profile(&mut dev, variant)
         };
         let fused = run(GpuVariant::Fused)?;
@@ -169,6 +185,25 @@ mod tests {
         assert!(d.at(32, 1024).is_some());
         assert!(d.at(99, 1024).is_none());
         assert_eq!(d.group(32).count(), 2);
+    }
+
+    #[test]
+    fn a_point_replays_each_launch_once_and_matches_fresh_devices() {
+        let memo = Arc::new(ReplayMemo::new());
+        let p = PointData::compute_with(32, 1024, 1024, &memo).expect("valid launch");
+        let stats = memo.stats();
+        assert_eq!((stats.hits, stats.misses, stats.retired), (6, 4, 0));
+        let pipeline = GpuKernelSummation::new(1024, 1024, 32, 1.0);
+        for (variant, got) in
+            GpuVariant::ALL
+                .into_iter()
+                .zip([&p.fused, &p.cuda_unfused, &p.cublas_unfused])
+        {
+            let mut dev = GpuDevice::gtx970();
+            dev.set_replay_strategy(ks_gpu_sim::ReplayStrategy::Serial);
+            let want = pipeline.profile(&mut dev, variant).expect("valid launch");
+            assert_eq!(got, &want, "{}", variant.label());
+        }
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //!    anything outside tolerance without a surfaced error is
 //!    **silently wrong** and fails the soak. The health loop must
 //!    actually cycle (evictions > 0 *and* readmissions > 0), no shard
-//!    may be dropped across drain/evict/readmit (`executed` summed
-//!    over devices equals the coordinator's dispatch count), and the
-//!    brownout accounting identity must hold.
+//!    may be dropped across drain/evict/readmit (`executed`, the
+//!    segments each device ran, summed over devices equals the
+//!    coordinator's count of placed segments), and the brownout
+//!    accounting identity must hold.
 //! 2. **Degraded throughput** — the same pool with one member
 //!    permanently lost at epoch one. After eviction the survivors
 //!    carry the stream; simulated serving time is gated at ≥ 2× the

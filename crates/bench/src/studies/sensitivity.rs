@@ -14,13 +14,14 @@
 //! exits 1 if they do.
 
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use ks_bench::cli::{Flags, UsageError};
 use ks_bench::outln;
 use ks_bench::table::{f3, TableSet, TextTable};
 use ks_gpu_kernels::{GpuKernelSummation, GpuVariant};
 use ks_gpu_sim::timing::TimingParams;
-use ks_gpu_sim::GpuDevice;
+use ks_gpu_sim::{GpuDevice, ReplayMemo};
 
 struct Outcome {
     speedup_k32: f64,
@@ -28,10 +29,13 @@ struct Outcome {
     gemm_ratio: f64,
 }
 
-fn evaluate(params: TimingParams) -> Outcome {
+/// The three claims' figures under `params`. The timing constants
+/// never reach replay, so every setting shares `memo` and only the
+/// first replays the unfused pipelines' traffic.
+fn evaluate(params: TimingParams, memo: &Arc<ReplayMemo>) -> Outcome {
     let run = |k: usize, variant: GpuVariant| {
         let ks = GpuKernelSummation::new(8192, 1024, k, 1.0);
-        let mut dev = GpuDevice::gtx970();
+        let mut dev = GpuDevice::gtx970().with_memo(Arc::clone(memo));
         dev.set_timing_params(params);
         ks.profile(&mut dev, variant).expect("valid launch")
     };
@@ -62,8 +66,9 @@ pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
     ]);
 
     let mut all_hold = true;
+    let memo = Arc::new(ReplayMemo::new());
     let mut eval_row = |label: String, value: f64, p: TimingParams| {
-        let o = evaluate(p);
+        let o = evaluate(p, &memo);
         let holds = o.speedup_k32 > 1.0 && o.speedup_k256 < 1.05 && o.gemm_ratio > 1.0;
         all_hold &= holds;
         t.row(vec![

@@ -23,6 +23,7 @@ use ks_gpu_sim::kernel::VecWidth;
 use ks_gpu_sim::kernel::{
     AnalysisBudget, BlockClass, BufferUse, ExecModel, Kernel, KernelResources, TimingHints,
 };
+use ks_gpu_sim::memo::key_of;
 use ks_gpu_sim::trace::AccessDir;
 use ks_gpu_sim::traffic::{TrafficSink, WarpIdx};
 
@@ -211,6 +212,11 @@ impl Kernel for NormsKernel {
             key: 0,
             anchors: vec![(self.points, b * 128 * self.dim), (self.out, b * 128)],
         })
+    }
+
+    fn traffic_key(&self, mem: &GlobalMem) -> Option<u64> {
+        let bufs = [self.points, self.out].map(|b| mem.base_addr(b));
+        Some(key_of(&("norms", self.n_points, self.dim, bufs)))
     }
 
     fn analysis_budget(&self) -> AnalysisBudget {
@@ -425,6 +431,12 @@ impl Kernel for EvalSumKernel {
                 (self.v, b * 128),
             ],
         })
+    }
+
+    /// The bandwidth enters the numerics only.
+    fn traffic_key(&self, mem: &GlobalMem) -> Option<u64> {
+        let bufs = [self.c_mat, self.a2, self.b2, self.w, self.v].map(|b| mem.base_addr(b));
+        Some(key_of(&("eval_sum", self.m, self.n, bufs)))
     }
 
     fn analysis_budget(&self) -> AnalysisBudget {

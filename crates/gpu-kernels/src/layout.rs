@@ -20,7 +20,7 @@
 use crate::geometry::{TileGeometry, TileSide};
 
 /// How a tile is placed in shared memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SmemLayout {
     /// Fig 5 swizzle: store and load conflict-free.
     #[default]

@@ -394,6 +394,63 @@ mod tests {
         assert!(prof.total_time_s() > 0.0);
     }
 
+    /// The unfused pipelines' traffic keys change with every buffer
+    /// address and stream parameter, and never with a name, a label,
+    /// the bandwidth or the exec model: the vendor GEMM keys as its
+    /// inner CUDA-C GEMM.
+    #[test]
+    fn traffic_keys_cover_every_buffer_and_stream_parameter() {
+        let mut dev = GpuDevice::gtx970();
+        let bufs: Vec<BufId> = (0..6).map(|_| dev.alloc_virtual(1 << 16)).collect();
+        let mem = dev.mem();
+        let key = |k: &dyn Kernel| k.traffic_key(mem).expect("keyed kernel");
+        let moved = |i: usize| {
+            let mut b = bufs.clone();
+            b[i] = bufs[5];
+            b
+        };
+        let shape = GemmShape {
+            m: 256,
+            n: 256,
+            k: 16,
+        };
+        let sgemm =
+            |b: &[BufId], shape| CudaSgemm::new(GemmOperands { a: b[0], b: b[1] }, b[2], shape);
+        let base = key(&sgemm(&bufs, shape));
+        for i in 0..3 {
+            assert_ne!(key(&sgemm(&moved(i), shape)), base, "sgemm buffer {i}");
+        }
+        assert_ne!(key(&sgemm(&bufs, GemmShape { k: 32, ..shape })), base);
+        assert_ne!(
+            key(&sgemm(&bufs, shape).with_layout(SmemLayout::NaiveRowMajor)),
+            base
+        );
+        assert_ne!(key(&sgemm(&bufs, shape).with_double_buffer(false)), base);
+        let ops = GemmOperands {
+            a: bufs[0],
+            b: bufs[1],
+        };
+        assert_eq!(key(&VendorSgemm::new(ops, bufs[2], shape)), base);
+
+        let norms = |b: &[BufId], n, label| NormsKernel::new(b[0], b[1], n, 16, label);
+        let base = key(&norms(&bufs, 256, "a"));
+        assert_eq!(key(&norms(&bufs, 256, "b")), base);
+        assert_ne!(key(&norms(&bufs, 384, "a")), base);
+        for i in 0..2 {
+            assert_ne!(key(&norms(&moved(i), 256, "a")), base, "norms buffer {i}");
+        }
+
+        let eval = |b: &[BufId], m, h| {
+            EvalSumKernel::new(b[0], b[1], b[2], b[3], b[4], m, 256, Bandwidth { h })
+        };
+        let base = key(&eval(&bufs, 256, 1.0));
+        assert_eq!(key(&eval(&bufs, 256, 2.0)), base);
+        assert_ne!(key(&eval(&bufs, 384, 1.0)), base);
+        for i in 0..5 {
+            assert_ne!(key(&eval(&moved(i), 256, 1.0)), base, "eval_sum buffer {i}");
+        }
+    }
+
     #[test]
     fn variant_labels() {
         assert_eq!(GpuVariant::Fused.label(), "Fused");

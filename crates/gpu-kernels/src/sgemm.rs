@@ -9,13 +9,14 @@
 //! replays, no dual issue, heavyweight barriers). Fig 7 compares them.
 
 use ks_gpu_sim::access::{affine_lanes, AccessSpec, BarrierSpec, GlobalPattern};
-use ks_gpu_sim::buffer::BufId;
+use ks_gpu_sim::buffer::{BufId, GlobalMem};
 use ks_gpu_sim::dim::{Dim3, LaunchConfig};
 use ks_gpu_sim::exec::BlockCtx;
 use ks_gpu_sim::kernel::VecWidth;
 use ks_gpu_sim::kernel::{
     AnalysisBudget, BlockClass, BufferUse, ExecModel, Kernel, KernelResources, TimingHints,
 };
+use ks_gpu_sim::memo::key_of;
 use ks_gpu_sim::occupancy::OccupancyLimiter;
 use ks_gpu_sim::trace::AccessDir;
 use ks_gpu_sim::traffic::{TrafficSink, WarpIdx};
@@ -227,6 +228,17 @@ impl Kernel for CudaSgemm {
         })
     }
 
+    fn traffic_key(&self, mem: &GlobalMem) -> Option<u64> {
+        let bufs = [self.ops.a, self.ops.b, self.c].map(|b| mem.base_addr(b));
+        Some(key_of(&(
+            "sgemm",
+            self.shape,
+            self.layout,
+            self.double_buffer,
+            bufs,
+        )))
+    }
+
     fn analysis_budget(&self) -> AnalysisBudget {
         let (m, n, k) = (self.shape.m, self.shape.n, self.shape.k);
         AnalysisBudget {
@@ -310,6 +322,10 @@ impl Kernel for VendorSgemm {
 
     fn block_class(&self, block: Dim3) -> Option<BlockClass> {
         self.inner.block_class(block)
+    }
+
+    fn traffic_key(&self, mem: &GlobalMem) -> Option<u64> {
+        self.inner.traffic_key(mem)
     }
 
     fn access_spec(&self) -> Option<AccessSpec> {

@@ -73,6 +73,19 @@ impl CacheStats {
             self.read_hits as f64 / self.read_accesses as f64
         }
     }
+
+    /// What was counted between `before` and `self`.
+    pub(crate) fn since(&self, before: &CacheStats) -> CacheStats {
+        CacheStats {
+            read_accesses: self.read_accesses - before.read_accesses,
+            read_hits: self.read_hits - before.read_hits,
+            read_misses: self.read_misses - before.read_misses,
+            write_accesses: self.write_accesses - before.write_accesses,
+            write_hits: self.write_hits - before.write_hits,
+            write_misses: self.write_misses - before.write_misses,
+            write_backs: self.write_backs - before.write_backs,
+        }
+    }
 }
 
 /// Lemire's reciprocal of `sets` for [`reduce`]: `ceil(2^64 / sets)`,
@@ -331,6 +344,92 @@ impl Cache {
             stamps[w] = 0;
         }
     }
+
+    /// The contents in compact form, or `None` when they have none: a
+    /// dirty line (flush first), a hashed set index, or a line whose
+    /// `line / sets + 1` passes `u32::MAX`.
+    ///
+    /// Only which lines each set holds and their recency order are
+    /// observable (every [`Access`], [`CacheStats`] field and flush
+    /// count follows from them), so a set is stored as its valid
+    /// lines, least recently used first, each as `line / sets + 1`:
+    /// the set index is the rest of the line address.
+    #[must_use]
+    pub fn snapshot(&self) -> Option<CacheSnapshot> {
+        if self.hashed_index {
+            return None;
+        }
+        let mut words = vec![0u32; self.tags.len()];
+        let mut order: Vec<usize> = Vec::with_capacity(self.assoc);
+        for (set, out) in words.chunks_exact_mut(self.assoc).enumerate() {
+            let ways = set * self.assoc..(set + 1) * self.assoc;
+            let (tags, stamps) = (&self.tags[ways.clone()], &self.stamps[ways]);
+            order.clear();
+            order.extend((0..self.assoc).filter(|&w| stamps[w] != 0));
+            order.sort_unstable_by_key(|&w| stamps[w]);
+            for (slot, &w) in out.iter_mut().zip(&order) {
+                if stamps[w] & DIRTY != 0 {
+                    return None;
+                }
+                let quotient = tags[w].wrapping_sub(1) / self.sets;
+                *slot = u32::try_from(quotient.checked_add(1)?).ok()?;
+            }
+        }
+        Some(CacheSnapshot {
+            sets: self.sets,
+            words: words.into(),
+        })
+    }
+
+    /// Replaces the contents with `snap`'s, leaving the statistics
+    /// untouched. Each set's lines go into its first ways with
+    /// ascending stamps, so the restored cache decides every later
+    /// access as the one the snapshot was taken of.
+    ///
+    /// # Panics
+    /// Panics when `snap` was taken of a cache of another geometry.
+    pub fn restore(&mut self, snap: &CacheSnapshot) {
+        assert!(
+            snap.sets == self.sets && snap.words.len() == self.tags.len() && !self.hashed_index,
+            "snapshot of another cache geometry"
+        );
+        for (set, lines) in snap.words.chunks_exact(self.assoc).enumerate() {
+            let mut valid = 0;
+            let (tags, stamps) = self.ways_mut(set);
+            for (w, &q) in lines.iter().enumerate() {
+                if q == 0 {
+                    tags[w] = 0;
+                    stamps[w] = 0;
+                } else {
+                    tags[w] = (u64::from(q) - 1) * snap.sets + set as u64 + 1;
+                    stamps[w] = (w as u64 + 1) << 1;
+                    valid = w as u64 + 1;
+                }
+            }
+            self.clocks[set] = valid;
+        }
+    }
+
+    /// Counts `delta` as if its accesses had just been serviced.
+    pub(crate) fn add_stats(&mut self, delta: &CacheStats) {
+        let s = &mut self.stats;
+        s.read_accesses += delta.read_accesses;
+        s.read_hits += delta.read_hits;
+        s.read_misses += delta.read_misses;
+        s.write_accesses += delta.write_accesses;
+        s.write_hits += delta.write_hits;
+        s.write_misses += delta.write_misses;
+        s.write_backs += delta.write_backs;
+    }
+}
+
+/// A clean cache's contents, 4 bytes per way (see [`Cache::snapshot`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CacheSnapshot {
+    sets: u64,
+    /// `assoc` words per set: its valid lines' `line / sets + 1`, least
+    /// recently used first, then zeros.
+    words: Box<[u32]>,
 }
 
 #[cfg(test)]

@@ -11,18 +11,23 @@
 //! A device built by [`GpuDevice::from_recording`] returns recorded
 //! profiles from its launches instead of replaying: a launch's
 //! profile is a function of its kernel's shape and the device's
-//! allocation order, never of the data or the fault draw.
+//! allocation order, never of the data or the fault draw. A device
+//! with a [`ReplayMemo`] ([`GpuDevice::with_memo`]) replays a keyed
+//! launch once per entering L2 state across every device sharing the
+//! memo.
 
+use std::sync::Arc;
 use std::vec;
 
 use crate::buffer::{BufId, GlobalMem};
-use crate::cache::Cache;
+use crate::cache::{Cache, CacheStats};
 use crate::config::DeviceConfig;
 use crate::exec;
 use crate::fault::{FaultCounters, FaultState, LaunchFault, LaunchFaultPlan};
 use crate::kernel::{validate_launch, Kernel, LaunchError};
+use crate::memo::{self, first_block_digest, MemoKey, Recall, ReplayMemo};
 use crate::occupancy::occupancy;
-use crate::profiler::{KernelProfile, MemTraffic};
+use crate::profiler::{Counters, KernelProfile, MemTraffic};
 use crate::replay::{self, ReplayStrategy};
 use crate::smem::flip_bit;
 use crate::timing::{self, TimingParams};
@@ -44,6 +49,12 @@ pub struct GpuDevice {
     /// Profiles the next launches return instead of replaying (see
     /// [`GpuDevice::from_recording`]).
     recording: Option<vec::IntoIter<KernelProfile>>,
+    /// Replay memo shared with other devices (see
+    /// [`GpuDevice::with_memo`]).
+    memo: Option<Arc<ReplayMemo>>,
+    /// The L2's state id in the memo's chain, `None` when unknown
+    /// (see [`crate::memo`]).
+    l2_state: Option<u64>,
 }
 
 impl GpuDevice {
@@ -60,6 +71,7 @@ impl GpuDevice {
         };
         let faults = cfg.fault.map(FaultState::new);
         Self {
+            l2_state: Some(memo::empty_state(&cfg)),
             cfg,
             mem: GlobalMem::new(),
             l2,
@@ -69,7 +81,22 @@ impl GpuDevice {
             faults,
             fault_counters: FaultCounters::default(),
             recording: None,
+            memo: None,
         }
+    }
+
+    /// Attaches a replay memo shared with other devices (DESIGN.md §10
+    /// part 6). A launch of a kernel with a
+    /// [`Kernel::traffic_key`] that a device sharing `memo` already
+    /// made from the same L2 state restores the L2 that launch left and
+    /// takes its counters and L2 traffic instead of replaying. Timing
+    /// still comes from the kernel's hints and this device's
+    /// [`TimingParams`], so every profile equals the replayed one. A
+    /// device with per-SM L1s never uses the memo.
+    #[must_use]
+    pub fn with_memo(mut self, memo: Arc<ReplayMemo>) -> Self {
+        self.memo = Some(memo);
+        self
     }
 
     /// A device whose launches return `profiles`, in order, instead of
@@ -169,6 +196,7 @@ impl GpuDevice {
         for l1 in &mut self.l1s {
             l1.invalidate();
         }
+        self.l2_state = Some(memo::empty_state(&self.cfg));
     }
 
     /// Injected-fault counters accumulated since the last call,
@@ -235,7 +263,8 @@ impl GpuDevice {
     /// Profiles a kernel: replays its traffic (no numerics) through
     /// the memory system and runs the timing model. A recorded device
     /// ([`GpuDevice::from_recording`]) returns its next recorded
-    /// profile instead.
+    /// profile instead, and a memo hit ([`GpuDevice::with_memo`])
+    /// restores the L2 the same launch left instead of replaying.
     ///
     /// # Errors
     /// Returns a [`LaunchError`] if the launch violates device limits.
@@ -247,9 +276,34 @@ impl GpuDevice {
         // profiling and functional runs stay in lockstep.
         let _plan = self.draw_faults(kernel)?;
         if let Some(recording) = &mut self.recording {
+            self.l2_state = None;
             return Ok(next_recorded(recording, kernel));
         }
         let before = self.l2.stats();
+        let counters = self.replay(kernel, &before);
+        let after = self.l2.stats();
+        Ok(self.finish_profile(kernel, counters, before, after))
+    }
+
+    /// Replays `kernel`'s traffic and flushes the L2 at the kernel
+    /// boundary, or takes both from the memo, moving the L2 state id.
+    /// `before` is the L2's statistics on entry.
+    fn replay(&mut self, kernel: &dyn Kernel, before: &CacheStats) -> Counters {
+        let memo = self.memo.clone().filter(|_| self.l1s.is_empty());
+        let key = match (&memo, self.l2_state) {
+            (Some(_), Some(state)) => MemoKey::of(state, kernel, &self.mem),
+            _ => None,
+        };
+        self.l2_state = key.as_ref().map(MemoKey::leaves);
+        let memo = memo.zip(key);
+        if let Some((memo, key)) = &memo {
+            let digest = || first_block_digest(&self.mem, &self.cfg, kernel);
+            if let Some(hit) = memo.recall(key, digest) {
+                self.l2.restore(&hit.leaves);
+                self.l2.add_stats(&hit.delta);
+                return hit.counters;
+            }
+        }
         // L1s are not coherent across kernels: invalidate at launch.
         for l1 in &mut self.l1s {
             l1.invalidate();
@@ -263,8 +317,18 @@ impl GpuDevice {
             self.replay,
         );
         self.l2.flush_dirty();
-        let after = self.l2.stats();
-        Ok(self.finish_profile(kernel, counters, before, after))
+        if let Some((memo, key)) = memo {
+            if let Some(leaves) = self.l2.snapshot() {
+                let recall = Recall {
+                    counters,
+                    delta: self.l2.stats().since(before),
+                    leaves,
+                    digest: first_block_digest(&self.mem, &self.cfg, kernel),
+                };
+                memo.store(key, recall);
+            }
+        }
+        counters
     }
 
     /// Runs a kernel functionally (no counters).
@@ -315,6 +379,7 @@ impl GpuDevice {
         validate_launch(&self.cfg, kernel)?;
         let plan = self.draw_faults(kernel)?;
         let smem_words = kernel.resources().smem_bytes_per_block as usize / 4;
+        self.l2_state = None;
         let before = self.l2.stats();
         for l1 in &mut self.l1s {
             l1.invalidate();
@@ -354,9 +419,9 @@ impl GpuDevice {
     fn finish_profile(
         &self,
         kernel: &dyn Kernel,
-        counters: crate::profiler::Counters,
-        before: crate::cache::CacheStats,
-        after: crate::cache::CacheStats,
+        counters: Counters,
+        before: CacheStats,
+        after: CacheStats,
     ) -> KernelProfile {
         let mem = MemTraffic::from_delta(&before, &after);
         let res = kernel.resources();
@@ -564,6 +629,10 @@ mod tests {
                 key: 0,
                 anchors: vec![(self.x, base), (self.y, base)],
             })
+        }
+        fn traffic_key(&self, mem: &GlobalMem) -> Option<u64> {
+            let bufs = [self.x, self.y].map(|b| mem.base_addr(b));
+            Some(crate::memo::key_of(&(self.stride, bufs)))
         }
     }
 
@@ -1022,6 +1091,88 @@ mod tests {
         let x = dev.alloc(32);
         let y = dev.alloc(32);
         let _ = dev.launch(&Streamer { x, y, n: 32 });
+    }
+
+    /// Two devices of different timing constants share a memo: the
+    /// second's launches hit, take the first's counters and traffic,
+    /// and keep their own timing, equal to a replaying device's.
+    #[test]
+    fn a_memo_hit_keeps_the_devices_own_timing() {
+        let slow = TimingParams {
+            cudac_issue_efficiency: 0.3,
+            ..TimingParams::default()
+        };
+        let memo = Arc::new(ReplayMemo::new());
+        let run = |params: TimingParams, memo: Option<&Arc<ReplayMemo>>| {
+            let mut dev = GpuDevice::gtx970();
+            if let Some(memo) = memo {
+                dev = dev.with_memo(Arc::clone(memo));
+            }
+            dev.set_timing_params(params);
+            let x = dev.alloc(64 * 64);
+            let y = dev.alloc(64 * 64);
+            let k = Tiled {
+                x,
+                y,
+                blocks: 64,
+                stride: 32,
+            };
+            [dev.launch(&k).unwrap(), dev.launch(&k).unwrap()]
+        };
+        let first = run(TimingParams::default(), Some(&memo));
+        assert_eq!(memo.stats().misses, 2);
+        let second = run(slow, Some(&memo));
+        assert_eq!(memo.stats().hits, 2);
+        assert_eq!(second, run(slow, None));
+        for (a, b) in first.iter().zip(&second) {
+            assert_eq!((a.counters, a.mem), (b.counters, b.mem));
+            assert_ne!(a.timing, b.timing);
+        }
+    }
+
+    /// A key that leaves out the output buffer's address claims two
+    /// different streams are one: the first hit records the first
+    /// block again, finds another stream, retires the entry and
+    /// replays.
+    #[test]
+    fn a_memo_entry_whose_first_block_disagrees_is_retired() {
+        struct Careless(Streamer);
+        impl Kernel for Careless {
+            fn name(&self) -> String {
+                self.0.name()
+            }
+            fn launch_config(&self) -> LaunchConfig {
+                self.0.launch_config()
+            }
+            fn resources(&self) -> KernelResources {
+                self.0.resources()
+            }
+            fn execute_block(&self, block: Dim3, ctx: &mut BlockCtx) {
+                self.0.execute_block(block, ctx);
+            }
+            fn block_traffic(&self, block: Dim3, sink: &mut crate::traffic::TrafficSink) {
+                self.0.block_traffic(block, sink);
+            }
+            fn traffic_key(&self, mem: &GlobalMem) -> Option<u64> {
+                Some(crate::memo::key_of(&mem.base_addr(self.0.x)))
+            }
+        }
+        let n = 32 * 64;
+        let run = |memo: Option<&Arc<ReplayMemo>>, output: usize| {
+            let mut dev = GpuDevice::gtx970();
+            if let Some(memo) = memo {
+                dev = dev.with_memo(Arc::clone(memo));
+            }
+            let x = dev.alloc(n);
+            let ys: Vec<BufId> = (0..2).map(|_| dev.alloc(n)).collect();
+            let y = ys[output];
+            dev.launch(&Careless(Streamer { x, y, n })).unwrap()
+        };
+        let memo = Arc::new(ReplayMemo::new());
+        assert_eq!(run(Some(&memo), 0), run(None, 0));
+        assert_eq!(run(Some(&memo), 1), run(None, 1));
+        let stats = memo.stats();
+        assert_eq!((stats.hits, stats.misses, stats.retired), (0, 2, 1));
     }
 
     #[test]

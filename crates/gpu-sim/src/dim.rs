@@ -68,7 +68,7 @@ impl From<u32> for Dim3 {
 }
 
 /// Grid and block extents of a kernel launch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LaunchConfig {
     /// Number of thread blocks in each grid dimension.
     pub grid: Dim3,

@@ -189,6 +189,19 @@ pub trait Kernel: Sync {
         let _ = block;
         None
     }
+
+    /// A hash ([`crate::memo::key_of`]) of everything this launch's
+    /// block streams and non-timing counters depend on — its
+    /// parameters and the addresses in `mem` of the buffers it
+    /// touches, never its name or exec model — so a launch repeated
+    /// from the same L2 state replays once ([`crate::memo`]). Two
+    /// launches of one launch config with equal keys must issue
+    /// identical block streams. The default, `None`, is never
+    /// memoised.
+    fn traffic_key(&self, mem: &GlobalMem) -> Option<u64> {
+        let _ = mem;
+        None
+    }
 }
 
 /// Vector width of a warp memory operation, in 32-bit words per lane.

@@ -30,6 +30,9 @@
 //! * [`replay`] — traffic replay: one grid-order walk through the live
 //!   L2 on the calling thread, with block-class memoization
 //!   bit-identical to the serial walk ([`replay::ReplayStrategy`]).
+//! * [`memo`] — the cross-launch replay memo: a keyed launch repeated
+//!   from the same L2 state restores the L2 it left instead of
+//!   replaying ([`memo::ReplayMemo`]).
 //! * [`device`] — [`device::GpuDevice`]: allocation, launch, profiling.
 //! * [`profiler`] — nvprof-like counters ([`profiler::Counters`],
 //!   [`profiler::KernelProfile`]).
@@ -67,6 +70,7 @@ pub mod dim;
 pub mod exec;
 pub mod fault;
 pub mod kernel;
+pub mod memo;
 pub mod occupancy;
 pub mod profiler;
 pub mod replay;
@@ -90,6 +94,7 @@ pub use kernel::{
     AnalysisBudget, BlockClass, BufferUse, ExecModel, Kernel, KernelResources, LaunchError,
     TimingHints, VecWidth,
 };
+pub use memo::{ReplayMemo, ReplayMemoStats};
 pub use occupancy::{occupancy, Occupancy, OccupancyLimiter};
 pub use profiler::{Counters, KernelProfile, PipelineProfile, TransferProfile};
 pub use replay::ReplayStrategy;

@@ -24,7 +24,7 @@ use crate::smem::SmemStats;
 use crate::timing::KernelTiming;
 
 /// Raw event counters accumulated by a [`crate::traffic::TrafficSink`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Counters {
     /// Warp-level FFMA instructions.
     pub ffma_insts: u64,

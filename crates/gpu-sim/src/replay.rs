@@ -239,7 +239,7 @@ fn walk_block(
 
 /// Records one block's traffic in Full mode: its counters and its L2
 /// sector stream.
-fn record_block(
+pub(crate) fn record_block(
     mem: &GlobalMem,
     cfg: &DeviceConfig,
     kernel: &dyn Kernel,

@@ -87,7 +87,9 @@ mod heapless_set {
 }
 
 /// Aggregate shared-memory statistics for a kernel.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(
+    Debug, Default, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
+)]
 pub struct SmemStats {
     /// Warp-level shared load instructions issued.
     pub load_instructions: u64,

@@ -1,13 +1,20 @@
 //! Property-based tests of traffic replay: memoized replay reproduces
 //! the serial walk's counters and memory traffic on random grids, with
-//! and without block classes, and counter merging is
-//! order-independent.
+//! and without block classes; devices sharing a replay memo profile
+//! random launch sequences as fresh serial devices do; and counter
+//! merging is order-independent.
+
+use std::sync::Arc;
 
 use ks_gpu_sim::dim::{Dim3, LaunchConfig};
 use ks_gpu_sim::exec::BlockCtx;
 use ks_gpu_sim::kernel::{BlockClass, KernelResources};
-use ks_gpu_sim::traffic::{full_warp_idx, full_warp_words};
-use ks_gpu_sim::{BufId, Counters, GpuDevice, Kernel, ReplayStrategy, TrafficSink};
+use ks_gpu_sim::memo::key_of;
+use ks_gpu_sim::traffic::{full_warp_idx, full_warp_words, WarpIdx};
+use ks_gpu_sim::{
+    BufId, Counters, DeviceConfig, GlobalMem, GpuDevice, Kernel, KernelProfile, ReplayMemo,
+    ReplayStrategy, TrafficSink,
+};
 use proptest::prelude::*;
 
 /// Heterogeneous kernel driven by a per-block table of tile bases:
@@ -116,6 +123,146 @@ fn profile_with(
     dev.launch(kernel(x, y).as_ref()).unwrap()
 }
 
+/// The replay memo's probe: block `i` reads `x` and writes `y` at
+/// element `i · stride`, with `work` FFMAs between. A block class (when
+/// `tiled`) changes only how a launch replays, never its stream, so it
+/// stays out of the traffic key; an unkeyed probe is never memoised.
+#[derive(Debug, Clone, Copy)]
+struct Probe {
+    x: BufId,
+    y: BufId,
+    blocks: u32,
+    stride: usize,
+    work: u64,
+    tiled: bool,
+    keyed: bool,
+}
+
+impl Probe {
+    fn tile(&self, block: Dim3) -> WarpIdx {
+        let base = block.x as usize * self.stride;
+        full_warp_idx(|l| base + l)
+    }
+}
+
+impl Kernel for Probe {
+    fn name(&self) -> String {
+        "probe".into()
+    }
+    fn launch_config(&self) -> LaunchConfig {
+        LaunchConfig::new(Dim3::new_1d(self.blocks), 32u32)
+    }
+    fn resources(&self) -> KernelResources {
+        KernelResources {
+            threads_per_block: 32,
+            regs_per_thread: 16,
+            smem_bytes_per_block: 0,
+        }
+    }
+    fn execute_block(&self, block: Dim3, ctx: &mut BlockCtx) {
+        let idx = self.tile(block);
+        let v = ctx.warp_ld_global(self.x, &idx);
+        ctx.warp_st_global(self.y, &idx, &v);
+    }
+    fn block_traffic(&self, block: Dim3, sink: &mut TrafficSink) {
+        let idx = self.tile(block);
+        sink.global_read(self.x, &idx, 1);
+        sink.ffma(self.work);
+        sink.global_write(self.y, &idx, 1);
+    }
+    fn block_class(&self, block: Dim3) -> Option<BlockClass> {
+        let base = block.x as usize * self.stride;
+        self.tiled.then(|| BlockClass {
+            key: 0,
+            anchors: vec![(self.x, base), (self.y, base)],
+        })
+    }
+    fn traffic_key(&self, mem: &GlobalMem) -> Option<u64> {
+        let bufs = [self.x, self.y].map(|b| mem.base_addr(b));
+        self.keyed.then(|| key_of(&(self.stride, self.work, bufs)))
+    }
+}
+
+/// A probe over the sequence's buffers: `x` and `y` index them.
+#[derive(Debug, Clone, Copy)]
+struct Spec {
+    x: usize,
+    y: usize,
+    blocks: u32,
+    stride: usize,
+    work: u64,
+    /// Bit 0: tiled; bits 1–3 nonzero: keyed.
+    flags: u32,
+}
+
+impl Spec {
+    fn probe(&self, bufs: &[BufId]) -> Probe {
+        Probe {
+            x: bufs[self.x],
+            y: bufs[self.y],
+            blocks: self.blocks,
+            stride: self.stride,
+            work: self.work,
+            tiled: self.flags & 1 == 1,
+            keyed: self.flags >> 1 != 0,
+        }
+    }
+}
+
+/// One step of a device's sequence.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Launch(Spec),
+    Counted(Spec),
+    Invalidate,
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    let spec = (
+        (0usize..3, 0usize..3),
+        1u32..9,
+        proptest::sample::select(vec![3usize, 8, 32, 64]),
+        1u64..3,
+        0u32..16,
+    )
+        .prop_map(|((x, y), blocks, stride, work, flags)| Spec {
+            x,
+            y,
+            blocks,
+            stride,
+            work,
+            flags,
+        });
+    (0u32..12, spec).prop_map(|(kind, spec)| match kind {
+        0..=8 => Op::Launch(spec),
+        9 => Op::Counted(spec),
+        _ => Op::Invalidate,
+    })
+}
+
+/// A GTX970 with a 4 KB L2 (8 sets): a few probe launches fill it, so
+/// recency order decides evictions.
+fn small_l2() -> DeviceConfig {
+    DeviceConfig {
+        l2_bytes: 4096,
+        ..DeviceConfig::gtx970()
+    }
+}
+
+/// Runs `ops` on `dev` over three fresh 1024-cell buffers.
+fn run_ops(mut dev: GpuDevice, ops: &[Op]) -> Vec<KernelProfile> {
+    let bufs: Vec<BufId> = (0..3).map(|_| dev.alloc(1024)).collect();
+    let mut profiles = Vec::new();
+    for op in ops {
+        match op {
+            Op::Launch(s) => profiles.push(dev.launch(&s.probe(&bufs)).unwrap()),
+            Op::Counted(s) => profiles.push(dev.run_counted(&s.probe(&bufs)).unwrap()),
+            Op::Invalidate => dev.invalidate_l2(),
+        }
+    }
+    profiles
+}
+
 fn counters_strategy() -> impl Strategy<Value = Counters> {
     (
         0u64..1000,
@@ -203,5 +350,35 @@ proptest! {
             permuted.merge(&per_block[i]);
         }
         prop_assert_eq!(grid_order, permuted);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Devices sharing one memo run a sequence's keyed launches alone,
+    /// then the whole sequence twice — repeated launches, launches on
+    /// other buffers and with other parameters, tiled and untiled,
+    /// between `invalidate_l2`, `run_counted` and unkeyed launches —
+    /// and every profile equals a fresh serial device's without a
+    /// memo.
+    #[test]
+    fn memo_devices_profile_as_fresh_serial_devices(
+        ops in proptest::collection::vec(op(), 1..24),
+    ) {
+        let keyed: Vec<Op> = ops
+            .iter()
+            .copied()
+            .filter(|op| matches!(op, Op::Launch(s) if s.flags >> 1 != 0))
+            .collect();
+        let memo = Arc::new(ReplayMemo::new());
+        for seq in [&keyed, &ops, &ops] {
+            let mut serial = GpuDevice::new(small_l2());
+            serial.set_replay_strategy(ReplayStrategy::Serial);
+            let want = run_ops(serial, seq);
+            let got = run_ops(GpuDevice::new(small_l2()).with_memo(Arc::clone(&memo)), seq);
+            prop_assert_eq!(got, want, "{:?}", seq);
+        }
+        prop_assert_eq!(memo.stats().retired, 0);
     }
 }

@@ -1,9 +1,10 @@
 //! Property-based tests of the simulator substrate: invariants of the
 //! bank-conflict model, the coalescer, the cache, and the occupancy
 //! calculator under random inputs, plus an operation-by-operation
-//! comparison of `Cache` with a straightforward reference model.
+//! comparison of `Cache` with a straightforward reference model and of
+//! a restored cache snapshot with the cache it was taken of.
 
-use ks_gpu_sim::cache::Cache;
+use ks_gpu_sim::cache::{Access, Cache, CacheStats};
 use ks_gpu_sim::coalesce::{warp_sectors, warp_transaction_count, MAX_SECTORS_PER_WARP};
 use ks_gpu_sim::config::DeviceConfig;
 use ks_gpu_sim::kernel::KernelResources;
@@ -283,6 +284,40 @@ fn cache_op(
     }
 }
 
+/// Applies `op` to `c`, returning the access outcome or flush count.
+fn apply(c: &mut Cache, op: CacheOp) -> Option<Result<Access, u64>> {
+    match op {
+        CacheOp::Read(addr) => Some(Ok(c.read(addr))),
+        CacheOp::Write(addr) => Some(Ok(c.write(addr))),
+        CacheOp::InvalidateAddr(addr) => {
+            c.invalidate_addr(addr);
+            None
+        }
+        CacheOp::Flush => Some(Err(c.flush_dirty())),
+        CacheOp::Invalidate => {
+            c.invalidate();
+            None
+        }
+        CacheOp::Reset => {
+            c.reset();
+            None
+        }
+    }
+}
+
+/// `now − base`, field by field.
+fn stats_since(now: CacheStats, base: CacheStats) -> CacheStats {
+    CacheStats {
+        read_accesses: now.read_accesses - base.read_accesses,
+        read_hits: now.read_hits - base.read_hits,
+        read_misses: now.read_misses - base.read_misses,
+        write_accesses: now.write_accesses - base.write_accesses,
+        write_hits: now.write_hits - base.write_hits,
+        write_misses: now.write_misses - base.write_misses,
+        write_backs: now.write_backs - base.write_backs,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -416,6 +451,52 @@ proptest! {
         }
         prop_assert_eq!(c.flush_dirty(), r.flush_dirty());
         prop_assert_eq!(c.stats(), r.stats());
+    }
+
+    /// After random operations and a flush, a snapshot restored into
+    /// a fresh cache continues exactly as the original: every access,
+    /// flush count and statistic over the same random operations. Only
+    /// a hashed index or a line past `u32::MAX` sets has no snapshot
+    /// (regions 0–2 of [`cache_op`] keep the quotients small unless a
+    /// set count of one meets region 2).
+    #[test]
+    fn a_restored_snapshot_continues_as_the_original(
+        geometry in cache_geometry(),
+        before in cache_ops(),
+        after in cache_ops(),
+    ) {
+        let (capacity, assoc, line, hashed) = geometry;
+        let build = || if hashed {
+            Cache::new_hashed(capacity, assoc, line)
+        } else {
+            Cache::new(capacity, assoc, line)
+        };
+        let low = |(kind, region, set, way, byte): (u32, usize, u64, u64, u64)| {
+            cache_op((kind, region % 3, set, way, byte), geometry)
+        };
+        let mut c = build();
+        for &raw in &before {
+            apply(&mut c, low(raw));
+        }
+        c.flush_dirty();
+        let sets = capacity / u64::from(line) / u64::from(assoc);
+        match c.snapshot() {
+            None => prop_assert!(hashed || sets == 1, "a plain cache of {} sets has a snapshot", sets),
+            Some(snap) => {
+                prop_assert!(!hashed);
+                let mut r = build();
+                r.restore(&snap);
+                let mut base = c.stats();
+                for (i, &raw) in after.iter().enumerate() {
+                    let op = low(raw);
+                    prop_assert_eq!(apply(&mut c, op), apply(&mut r, op), "op {} {:?}", i, op);
+                    if matches!(op, CacheOp::Reset) {
+                        base = CacheStats::default();
+                    }
+                    prop_assert_eq!(stats_since(c.stats(), base), r.stats(), "op {} {:?}", i, op);
+                }
+            }
+        }
     }
 
     #[test]

@@ -136,8 +136,9 @@ pub struct DeviceReport {
     pub name: String,
     /// Shard tasks placed on (owned by) this device.
     pub shard_tasks: u64,
-    /// Tasks run on this device's slot: one per row shard it owned,
-    /// one per packed wave it held segments of.
+    /// Segments run on this device's slot: one per row shard it owned,
+    /// and each of a packed wave's segments it held. Summed over the
+    /// pool it equals [`PoolReport::shard_tasks`].
     pub executed: u64,
     /// Shards completed on this device's GPU model.
     pub gpu_shards: u64,
@@ -184,7 +185,7 @@ impl DeviceReport {
     /// Folds in one finished task of `segments` placed segments.
     fn record(&mut self, segments: usize, outcome: &UnitOutcome, on_gpu: bool) {
         self.shard_tasks += segments as u64;
-        self.executed += 1;
+        self.executed += segments as u64;
         for s in &outcome.segments {
             if s.rung == Rung::Harbor {
                 self.cpu_fallbacks += 1;

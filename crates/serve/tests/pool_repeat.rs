@@ -60,6 +60,10 @@ fn assert_repeats(cfg: &ServeConfig, stream: &[Query], case: &str) -> ServeRepor
     assert!(a == b, "{case}: serve reports differ");
     let executed: u64 = pool.devices.iter().map(|d| d.executed).sum();
     assert!(executed > 0, "{case}: the pool ran tasks");
+    assert_eq!(
+        executed, pool.shard_tasks,
+        "{case}: every placed segment runs once"
+    );
     assert_eq!(pool.stolen_tasks, 0, "{case}: tasks run on their owner");
     a
 }
