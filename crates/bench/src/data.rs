@@ -192,7 +192,7 @@ mod tests {
         let memo = Arc::new(ReplayMemo::new());
         let p = PointData::compute_with(32, 1024, 1024, &memo).expect("valid launch");
         let stats = memo.stats();
-        assert_eq!((stats.hits, stats.misses, stats.retired), (6, 4, 0));
+        assert_eq!((stats.hits, stats.misses, stats.retired), (6, 5, 0));
         let pipeline = GpuKernelSummation::new(1024, 1024, 32, 1.0);
         for (variant, got) in
             GpuVariant::ALL

@@ -246,11 +246,14 @@ pub struct ServeMetrics {
     pub geometry_resolves: u64,
     /// Batches whose geometry came from the per-shape memo.
     pub geometry_hits: u64,
-    /// GPU attempts whose pipeline profile came from their device
-    /// slot's memo (no traffic replay); host-side accounting.
-    pub profile_memo_hits: u64,
-    /// GPU attempts that replayed and recorded their profile.
-    pub profile_memo_misses: u64,
+    /// Keyed launches that restored their device slot's memoised L2
+    /// instead of replaying traffic; host-side accounting.
+    pub replay_memo_hits: u64,
+    /// Keyed launches that replayed and stored their L2.
+    pub replay_memo_misses: u64,
+    /// Memo entries retired because a launch's first block disagreed
+    /// with their digest (each also counts as a miss).
+    pub replay_memo_retired: u64,
     /// Merged GPU pipeline metrics (all batches' kernels in execution
     /// order); `None` when no GPU batch completed.
     pub gpu: Option<PipelineMetrics>,
@@ -294,8 +297,9 @@ impl ServeMetrics {
             energy_downshifts: report.energy_downshifts,
             geometry_resolves: report.geometry.resolves,
             geometry_hits: report.geometry.hits,
-            profile_memo_hits: report.profile_memo.hits,
-            profile_memo_misses: report.profile_memo.misses,
+            replay_memo_hits: report.replay_memo.hits,
+            replay_memo_misses: report.replay_memo.misses,
+            replay_memo_retired: report.replay_memo.retired,
             gpu,
         }
     }

@@ -31,7 +31,7 @@ struct Outcome {
 
 /// The three claims' figures under `params`. The timing constants
 /// never reach replay, so every setting shares `memo` and only the
-/// first replays the unfused pipelines' traffic.
+/// first replays any traffic.
 fn evaluate(params: TimingParams, memo: &Arc<ReplayMemo>) -> Outcome {
     let run = |k: usize, variant: GpuVariant| {
         let ks = GpuKernelSummation::new(8192, 1024, k, 1.0);

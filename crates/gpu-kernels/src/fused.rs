@@ -69,6 +69,7 @@ use ks_gpu_sim::kernel::VecWidth;
 use ks_gpu_sim::kernel::{
     AnalysisBudget, BlockClass, BufferUse, ExecModel, Kernel, KernelResources, TimingHints,
 };
+use ks_gpu_sim::memo::key_of;
 use ks_gpu_sim::trace::AccessDir;
 use ks_gpu_sim::traffic::{TrafficSink, WarpIdx};
 
@@ -1104,6 +1105,35 @@ impl<N: Naming> Kernel for Fused<N> {
             key: self.stream_of[i] as u64,
             anchors,
         })
+    }
+
+    /// The grid choice, geometry, layout and reduction, and per
+    /// segment its shape, `R` and the addresses of its buffers. The
+    /// name and exec model reach timing only, and the bandwidth the
+    /// numerics only.
+    fn traffic_key(&self, mem: &GlobalMem) -> Option<u64> {
+        let addr = |b: BufId| mem.base_addr(b);
+        let reduction = match self.reduction {
+            Reduction::Atomic => None,
+            Reduction::TwoPass { partials } => Some(addr(partials)),
+        };
+        let segments: Vec<_> = self
+            .segments
+            .iter()
+            .map(|s| {
+                let bufs = [s.ops.a, s.ops.b, s.a2, s.b2, s.w, s.v].map(addr);
+                let verify = s.verify.map(|vb| [vb.checksum, vb.flag].map(addr));
+                (s.shape, s.r, bufs, verify)
+            })
+            .collect();
+        Some(key_of(&(
+            "fused",
+            N::PACKED,
+            self.geometry,
+            self.layout,
+            reduction,
+            segments,
+        )))
     }
 
     fn analysis_budget(&self) -> AnalysisBudget {

@@ -293,6 +293,8 @@ impl GpuKernelSummation {
 mod tests {
     use super::*;
     use crate::aux_kernels::gaussian;
+    use crate::fused::{FusedMultiPacked, FusedMultiWeight, Reduction, VerifyBufs};
+    use ks_gpu_sim::kernel::ExecModel;
 
     fn lcg(seed: u64) -> impl FnMut() -> f32 {
         let mut state = seed | 1;
@@ -394,19 +396,21 @@ mod tests {
         assert!(prof.total_time_s() > 0.0);
     }
 
-    /// The unfused pipelines' traffic keys change with every buffer
+    /// Every keyed kernel's traffic key changes with every buffer
     /// address and stream parameter, and never with a name, a label,
     /// the bandwidth or the exec model: the vendor GEMM keys as its
-    /// inner CUDA-C GEMM.
+    /// inner CUDA-C GEMM, and the fused kernel's names key alike on
+    /// one grid.
     #[test]
     fn traffic_keys_cover_every_buffer_and_stream_parameter() {
         let mut dev = GpuDevice::gtx970();
-        let bufs: Vec<BufId> = (0..6).map(|_| dev.alloc_virtual(1 << 16)).collect();
+        let bufs: Vec<BufId> = (0..17).map(|_| dev.alloc_virtual(1 << 16)).collect();
         let mem = dev.mem();
         let key = |k: &dyn Kernel| k.traffic_key(mem).expect("keyed kernel");
+        let spare = bufs[16];
         let moved = |i: usize| {
             let mut b = bufs.clone();
-            b[i] = bufs[5];
+            b[i] = spare;
             b
         };
         let shape = GemmShape {
@@ -449,6 +453,104 @@ mod tests {
         for i in 0..5 {
             assert_ne!(key(&eval(&moved(i), 256, 1.0)), base, "eval_sum buffer {i}");
         }
+
+        // The fused kernel: eight buffers per segment.
+        let serving = |b: &[BufId], shape, r, h| {
+            FusedMultiWeight::new(
+                GemmOperands { a: b[0], b: b[1] },
+                b[2],
+                b[3],
+                b[4],
+                b[5],
+                shape,
+                Bandwidth { h },
+                r,
+            )
+            .with_verify(VerifyBufs {
+                checksum: b[6],
+                flag: b[7],
+            })
+        };
+        let base = key(&serving(&bufs, shape, 2, 1.0));
+        assert_eq!(key(&serving(&bufs, shape, 2, 2.0)), base, "h");
+        assert_ne!(key(&serving(&bufs, shape, 3, 1.0)), base, "R");
+        assert_ne!(
+            key(&serving(&bufs, GemmShape { k: 32, ..shape }, 2, 1.0)),
+            base,
+            "shape"
+        );
+        let low = TileGeometry {
+            micro_m: 16,
+            ..TileGeometry::paper_default()
+        };
+        assert_ne!(
+            key(&serving(&bufs, shape, 2, 1.0).with_geometry(low)),
+            base,
+            "geometry"
+        );
+        for i in 0..8 {
+            assert_ne!(
+                key(&serving(&moved(i), shape, 2, 1.0)),
+                base,
+                "serving buffer {i}"
+            );
+        }
+
+        let packed = |b: &[BufId], segments: usize, h| {
+            let kernels = (0..segments)
+                .map(|s| serving(&b[8 * s..8 * s + 8], shape, 2, h))
+                .collect();
+            key(&FusedMultiPacked::new(kernels))
+        };
+        assert_ne!(packed(&bufs, 1, 1.0), base, "the packed grid");
+        let base = packed(&bufs, 2, 1.0);
+        assert_eq!(packed(&bufs, 2, 2.0), base, "h");
+        assert_ne!(packed(&bufs, 1, 1.0), base, "segment count");
+        for i in 0..16 {
+            assert_ne!(packed(&moved(i), 2, 1.0), base, "packed buffer {i}");
+        }
+
+        let ops = GemmOperands {
+            a: bufs[0],
+            b: bufs[1],
+        };
+        let paper = || {
+            FusedKernelSummation::new(
+                ops,
+                bufs[2],
+                bufs[3],
+                bufs[4],
+                bufs[5],
+                shape,
+                Bandwidth { h: 1.0 },
+            )
+        };
+        let base = key(&paper());
+        let unverified = FusedMultiWeight::new(
+            ops,
+            bufs[2],
+            bufs[3],
+            bufs[4],
+            bufs[5],
+            shape,
+            Bandwidth { h: 1.0 },
+            1,
+        );
+        assert_eq!(key(&unverified), base, "name");
+        assert_eq!(
+            key(&paper().with_exec_model(ExecModel::Vendor)),
+            base,
+            "exec model"
+        );
+        assert_ne!(
+            key(&paper().with_layout(SmemLayout::NaiveRowMajor)),
+            base,
+            "layout"
+        );
+        assert_ne!(key(&paper().with_double_buffer(false)), base, "buffering");
+        let two_pass = |partials| key(&paper().with_reduction(Reduction::TwoPass { partials }));
+        assert_ne!(two_pass(bufs[6]), base, "reduction");
+        assert_ne!(two_pass(bufs[7]), two_pass(bufs[6]), "partials");
     }
 
     #[test]

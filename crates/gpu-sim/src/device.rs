@@ -8,16 +8,13 @@
 //! writes) at the kernel boundary, so every kernel's DRAM write count
 //! reflects the data it actually produced.
 //!
-//! A device built by [`GpuDevice::from_recording`] returns recorded
-//! profiles from its launches instead of replaying: a launch's
-//! profile is a function of its kernel's shape and the device's
-//! allocation order, never of the data or the fault draw. A device
-//! with a [`ReplayMemo`] ([`GpuDevice::with_memo`]) replays a keyed
-//! launch once per entering L2 state across every device sharing the
-//! memo.
+//! A device with a [`ReplayMemo`] ([`GpuDevice::with_memo`]) replays a
+//! keyed launch once per entering L2 state across every device sharing
+//! the memo: what a launch does to the memory system is a function of
+//! its block streams and the L2 it enters, never of the data or the
+//! fault draw.
 
 use std::sync::Arc;
-use std::vec;
 
 use crate::buffer::{BufId, GlobalMem};
 use crate::cache::{Cache, CacheStats};
@@ -46,9 +43,6 @@ pub struct GpuDevice {
     faults: Option<FaultState>,
     /// Applied injections since the last [`GpuDevice::take_fault_counters`].
     fault_counters: FaultCounters,
-    /// Profiles the next launches return instead of replaying (see
-    /// [`GpuDevice::from_recording`]).
-    recording: Option<vec::IntoIter<KernelProfile>>,
     /// Replay memo shared with other devices (see
     /// [`GpuDevice::with_memo`]).
     memo: Option<Arc<ReplayMemo>>,
@@ -80,13 +74,12 @@ impl GpuDevice {
             replay: ReplayStrategy::default(),
             faults,
             fault_counters: FaultCounters::default(),
-            recording: None,
             memo: None,
         }
     }
 
     /// Attaches a replay memo shared with other devices (DESIGN.md §10
-    /// part 6). A launch of a kernel with a
+    /// part 5). A launch of a kernel with a
     /// [`Kernel::traffic_key`] that a device sharing `memo` already
     /// made from the same L2 state restores the L2 that launch left and
     /// takes its counters and L2 traffic instead of replaying. Timing
@@ -97,27 +90,6 @@ impl GpuDevice {
     pub fn with_memo(mut self, memo: Arc<ReplayMemo>) -> Self {
         self.memo = Some(memo);
         self
-    }
-
-    /// A device whose launches return `profiles`, in order, instead of
-    /// replaying traffic. Every launch still validates the kernel and
-    /// draws its faults as [`GpuDevice::launch`] does, so launch-level
-    /// faults still fail it and the functional runs' fault epochs stay
-    /// in lockstep; [`GpuDevice::run`] is unchanged. Hand it the
-    /// profiles an identical launch sequence recorded on a fresh
-    /// device of the same configuration, with their `faults` cleared.
-    ///
-    /// # Panics
-    /// A launch panics when the recording is exhausted or its next
-    /// profile's name, launch config or resources differ from the
-    /// kernel's. [`GpuDevice::run_counted`] panics: this device never
-    /// replays.
-    #[must_use]
-    pub fn from_recording(cfg: DeviceConfig, profiles: Vec<KernelProfile>) -> Self {
-        Self {
-            recording: Some(profiles.into_iter()),
-            ..Self::new(cfg)
-        }
     }
 
     /// A GTX970 device (the paper's machine).
@@ -261,10 +233,10 @@ impl GpuDevice {
     }
 
     /// Profiles a kernel: replays its traffic (no numerics) through
-    /// the memory system and runs the timing model. A recorded device
-    /// ([`GpuDevice::from_recording`]) returns its next recorded
-    /// profile instead, and a memo hit ([`GpuDevice::with_memo`])
-    /// restores the L2 the same launch left instead of replaying.
+    /// the memory system and runs the timing model. A memo hit
+    /// ([`GpuDevice::with_memo`]) restores the L2 the same launch left
+    /// instead of replaying; launch-level faults are drawn first, so
+    /// they fail a hit as they fail a replay.
     ///
     /// # Errors
     /// Returns a [`LaunchError`] if the launch violates device limits.
@@ -275,10 +247,6 @@ impl GpuDevice {
         // functional data) but the draw still advances the epoch so
         // profiling and functional runs stay in lockstep.
         let _plan = self.draw_faults(kernel)?;
-        if let Some(recording) = &mut self.recording {
-            self.l2_state = None;
-            return Ok(next_recorded(recording, kernel));
-        }
         let before = self.l2.stats();
         let counters = self.replay(kernel, &before);
         let after = self.l2.stats();
@@ -308,7 +276,7 @@ impl GpuDevice {
         for l1 in &mut self.l1s {
             l1.invalidate();
         }
-        let counters = replay::replay(
+        let (counters, digest) = replay::replay(
             &self.mem,
             &mut self.l2,
             &mut self.l1s,
@@ -323,7 +291,8 @@ impl GpuDevice {
                     counters,
                     delta: self.l2.stats().since(before),
                     leaves,
-                    digest: first_block_digest(&self.mem, &self.cfg, kernel),
+                    digest: digest
+                        .unwrap_or_else(|| first_block_digest(&self.mem, &self.cfg, kernel)),
                 };
                 memo.store(key, recall);
             }
@@ -375,7 +344,6 @@ impl GpuDevice {
     /// # Errors
     /// Returns a [`LaunchError`] if the launch violates device limits.
     pub fn run_counted(&mut self, kernel: &dyn Kernel) -> Result<KernelProfile, LaunchError> {
-        assert!(self.recording.is_none(), "a recorded device never replays");
         validate_launch(&self.cfg, kernel)?;
         let plan = self.draw_faults(kernel)?;
         let smem_words = kernel.resources().smem_bytes_per_block as usize / 4;
@@ -448,30 +416,6 @@ impl GpuDevice {
             faults: FaultCounters::default(),
         }
     }
-}
-
-/// The recording's next profile, checked against the kernel it
-/// stands in for.
-fn next_recorded(
-    recording: &mut vec::IntoIter<KernelProfile>,
-    kernel: &dyn Kernel,
-) -> KernelProfile {
-    let name = kernel.name();
-    let prof = recording
-        .next()
-        .unwrap_or_else(|| panic!("launch of {name} past the device's recording"));
-    assert_eq!(prof.name, name, "recorded profile is of another kernel");
-    assert_eq!(
-        prof.launch,
-        kernel.launch_config(),
-        "recorded launch config of {name} differs"
-    );
-    assert_eq!(
-        prof.resources,
-        kernel.resources(),
-        "recorded resources of {name} differ"
-    );
-    prof
 }
 
 #[cfg(test)]
@@ -971,6 +915,10 @@ mod tests {
             sink.shared_read(&words, 1);
             sink.global_write(self.y, &idx, 1);
         }
+        fn traffic_key(&self, mem: &GlobalMem) -> Option<u64> {
+            let bufs = [self.x, self.y].map(|b| mem.base_addr(b));
+            Some(crate::memo::key_of(&(self.blocks, bufs)))
+        }
     }
 
     /// What a two-launch pipeline leaves behind on `dev`: each
@@ -1016,19 +964,21 @@ mod tests {
         }
     }
 
-    /// The profiles a device records, as a recorded device takes them.
-    fn recording(profiles: &[KernelProfile]) -> Vec<KernelProfile> {
-        profiles
-            .iter()
-            .map(|p| KernelProfile {
-                faults: FaultCounters::default(),
-                ..p.clone()
-            })
-            .collect()
+    /// A fresh device of `cfg` on `memo`.
+    fn on_memo(cfg: &DeviceConfig, memo: &Arc<ReplayMemo>) -> GpuDevice {
+        GpuDevice::new(cfg.clone()).with_memo(Arc::clone(memo))
+    }
+
+    fn memo_stats(hits: u64, misses: u64) -> crate::memo::ReplayMemoStats {
+        crate::memo::ReplayMemoStats {
+            hits,
+            misses,
+            retired: 0,
+        }
     }
 
     #[test]
-    fn a_recorded_device_keeps_the_bits_and_fault_tally_under_upsets() {
+    fn a_memo_hit_keeps_the_bits_and_fault_tally_under_upsets() {
         let cfg = upset_device();
         let (replayed, bits, rest) = stage_twice(GpuDevice::new(cfg.clone()));
         let applied: u64 = replayed
@@ -1043,54 +993,39 @@ mod tests {
             replayed.iter().map(|p| p.faults).collect::<Vec<_>>()
         );
         assert!(applied > 0 && rest.is_empty());
-        let recorded = GpuDevice::from_recording(cfg, recording(&replayed));
-        assert_eq!(stage_twice(recorded), (replayed, bits, rest));
+        let want = (replayed, bits, rest);
+        let memo = Arc::new(ReplayMemo::new());
+        assert_eq!(stage_twice(on_memo(&cfg, &memo)), want);
+        assert_eq!(memo.stats(), memo_stats(0, 2));
+        assert_eq!(stage_twice(on_memo(&cfg, &memo)), want);
+        assert_eq!(memo.stats(), memo_stats(2, 2));
     }
 
     #[test]
-    fn a_launch_fault_still_fails_a_recorded_launch() {
-        let clean = crate::config::DeviceConfig::gtx970();
-        let (profiles, _, _) = stage_twice(GpuDevice::new(clean.clone()));
-        let mut cfg = clean;
-        cfg.fault = Some(crate::fault::FaultSpec {
+    fn a_launch_fault_still_fails_a_memo_hit() {
+        let clean = DeviceConfig::gtx970();
+        let memo = Arc::new(ReplayMemo::new());
+        let _ = stage_twice(on_memo(&clean, &memo));
+        let mut watchdog = clean.clone();
+        watchdog.fault = Some(crate::fault::FaultSpec {
             watchdog_rate: 1.0,
             ..crate::fault::FaultSpec::default()
         });
-        let mut dev = GpuDevice::from_recording(cfg, recording(&profiles));
-        let x = dev.alloc(16 * 32);
-        let y = dev.alloc(16 * 32);
-        assert!(matches!(
-            dev.launch(&Stager { x, y, blocks: 16 }),
-            Err(LaunchError::WatchdogTimeout { .. })
-        ));
-        assert_eq!(dev.take_fault_counters().launch_faults, 1);
-    }
-
-    #[test]
-    fn a_recorded_launch_checks_name_config_and_resources() {
-        let (profiles, _, _) = stage_twice(GpuDevice::gtx970());
-        let launch = |edit: &dyn Fn(&mut KernelProfile)| {
-            let mut recorded = recording(&profiles);
-            edit(&mut recorded[0]);
-            let mut dev = GpuDevice::from_recording(DeviceConfig::gtx970(), recorded);
+        // The first launch of `stage_twice`, on the same buffers.
+        let first = |cfg: &DeviceConfig| {
+            let mut dev = on_memo(cfg, &memo);
             let x = dev.alloc(16 * 32);
             let y = dev.alloc(16 * 32);
-            let k = Stager { x, y, blocks: 16 };
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dev.launch(&k).unwrap()))
+            let launched = dev.launch(&Stager { x, y, blocks: 16 });
+            (launched, dev.take_fault_counters().launch_faults)
         };
-        assert_eq!(launch(&|_| {}).ok(), Some(profiles[0].clone()));
-        assert!(launch(&|p| p.name = "other".into()).is_err());
-        assert!(launch(&|p| p.launch = LaunchConfig::new(Dim3::new_1d(8), 32u32)).is_err());
-        assert!(launch(&|p| p.resources.regs_per_thread += 1).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "past the device's recording")]
-    fn a_launch_past_the_recording_panics() {
-        let mut dev = GpuDevice::from_recording(DeviceConfig::gtx970(), Vec::new());
-        let x = dev.alloc(32);
-        let y = dev.alloc(32);
-        let _ = dev.launch(&Streamer { x, y, n: 32 });
+        let (launched, faults) = first(&watchdog);
+        assert!(matches!(launched, Err(LaunchError::WatchdogTimeout { .. })));
+        assert_eq!(faults, 1);
+        assert_eq!(memo.stats(), memo_stats(0, 2), "no lookup");
+        let (launched, faults) = first(&clean);
+        assert!(launched.is_ok() && faults == 0);
+        assert_eq!(memo.stats(), memo_stats(1, 2), "the entry was there");
     }
 
     /// Two devices of different timing constants share a memo: the

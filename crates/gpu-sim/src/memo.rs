@@ -1,4 +1,4 @@
-//! The cross-launch replay memo (DESIGN.md §10 part 6).
+//! The cross-launch replay memo (DESIGN.md §10 part 5).
 //!
 //! Replay reads addresses only, so what a launch does to the memory
 //! system — its counters, its L2 statistics and the L2 it leaves — is a
@@ -14,15 +14,16 @@
 //! **State ids.** A fresh device, and one after `invalidate_l2`, is in
 //! its configuration's empty state. A keyed launch, hit or miss, moves
 //! the id to the hash of (id, key, launch config). Everything else that
-//! changes the L2 outside that chain — `run_counted`, a keyless launch,
-//! a recorded launch — leaves the id unknown, and so does every launch
-//! on a device with per-SM L1s, which never uses the memo. An unknown
-//! id never hits.
+//! changes the L2 outside that chain — `run_counted` or a keyless
+//! launch — leaves the id unknown, and so does every launch on a device
+//! with per-SM L1s, which never uses the memo. An unknown id never
+//! hits.
 //!
 //! **Trust.** A declared key is a claim. A miss stores a digest of the
-//! launch's first block as recorded (counters and L2 sector stream);
-//! the first hit on the entry records that block again and compares.
-//! A mismatch retires the entry and the launch replays.
+//! launch's first block as recorded (counters and L2 sector stream),
+//! taken from the replay's own recording of that block when it made
+//! one; the first hit on the entry records that block again and
+//! compares. A mismatch retires the entry and the launch replays.
 
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -35,9 +36,11 @@ use crate::dim::LaunchConfig;
 use crate::kernel::Kernel;
 use crate::profiler::Counters;
 use crate::replay::record_block;
+use crate::traffic::L2Event;
 
 /// Entry bound; reaching it clears the memo. A paper point stores
-/// four entries and `ks-bench sensitivity` eight.
+/// five entries, `ks-bench sensitivity` ten, and a serving slot at
+/// most 20 over one round of a benchmark serving workload.
 const CAPACITY: usize = 32;
 
 /// Hashes `parts` into a 64-bit key: a kernel's
@@ -93,8 +96,18 @@ pub(crate) struct Recall {
     pub(crate) digest: u64,
 }
 
-/// Digest of `kernel`'s first block as recorded on `mem`: its counters
-/// and its L2 sector stream.
+/// Digest of one block's recording: its counters and its L2 sector
+/// stream.
+pub(crate) fn digest_of(counters: &Counters, events: &[L2Event]) -> u64 {
+    let mut h = DefaultHasher::new();
+    counters.hash(&mut h);
+    for e in events {
+        (e.addr, e.write).hash(&mut h);
+    }
+    h.finish()
+}
+
+/// [`digest_of`] `kernel`'s first block as recorded on `mem`.
 pub(crate) fn first_block_digest(mem: &GlobalMem, cfg: &DeviceConfig, kernel: &dyn Kernel) -> u64 {
     let first = kernel
         .launch_config()
@@ -103,12 +116,7 @@ pub(crate) fn first_block_digest(mem: &GlobalMem, cfg: &DeviceConfig, kernel: &d
         .next()
         .expect("a validated launch has a block");
     let (counters, events) = record_block(mem, cfg, kernel, first, 0);
-    let mut h = DefaultHasher::new();
-    counters.hash(&mut h);
-    for e in &events {
-        (e.addr, e.write).hash(&mut h);
-    }
-    h.finish()
+    digest_of(&counters, &events)
 }
 
 /// Lookup counters of a [`ReplayMemo`].

@@ -39,6 +39,7 @@ use crate::cache::Cache;
 use crate::config::DeviceConfig;
 use crate::dim::Dim3;
 use crate::kernel::Kernel;
+use crate::memo::digest_of;
 use crate::profiler::Counters;
 use crate::traffic::{L2Event, TrafficSink};
 
@@ -56,8 +57,10 @@ pub enum ReplayStrategy {
 }
 
 /// Replays `kernel`'s traffic per `strategy`, returning the merged
-/// counters. The L2 (and any L1s) are updated exactly as a serial
-/// in-order replay would.
+/// counters and, when the walk recorded the first block in full (a
+/// memoized walk records it as its class's representative), that
+/// recording's [`digest_of`]. The L2 (and any L1s) are updated exactly
+/// as a serial in-order replay would.
 pub(crate) fn replay(
     mem: &GlobalMem,
     l2: &mut Cache,
@@ -65,7 +68,7 @@ pub(crate) fn replay(
     cfg: &DeviceConfig,
     kernel: &dyn Kernel,
     strategy: ReplayStrategy,
-) -> Counters {
+) -> (Counters, Option<u64>) {
     let lc = kernel.launch_config();
     let memoize = strategy == ReplayStrategy::Memoized
         && l1s.is_empty()
@@ -78,7 +81,7 @@ pub(crate) fn replay(
     if memoize {
         replay_memoized(mem, l2, cfg, kernel)
     } else {
-        replay_serial(mem, l2, l1s, cfg, kernel)
+        (replay_serial(mem, l2, l1s, cfg, kernel), None)
     }
 }
 
@@ -142,13 +145,14 @@ struct MemoClass {
 /// order. Representatives and spot-checked members are recorded, then
 /// streamed into the L2 in their own grid slot; members of a trusted
 /// class stream the representative's sectors shifted per buffer; every
-/// other block walks its traffic through a live sink.
+/// other block walks its traffic through a live sink. Returns the
+/// counters and, when it has a class, the first block's digest.
 fn replay_memoized(
     mem: &GlobalMem,
     l2: &mut Cache,
     cfg: &DeviceConfig,
     kernel: &dyn Kernel,
-) -> Counters {
+) -> (Counters, Option<u64>) {
     let sector_bytes = u64::from(cfg.sector_bytes);
     let mut classes: HashMap<u64, MemoClass> = HashMap::new();
     // Dense per-buffer byte shift of the current member and the
@@ -157,6 +161,7 @@ fn replay_memoized(
     let mut shift: Vec<i64> = Vec::new();
     let mut remap: Vec<Option<u32>> = Vec::new();
     let mut total = Counters::default();
+    let mut first = None;
     for (gi, b) in kernel.launch_config().grid.iter_indices().enumerate() {
         let Some(bc) = kernel.block_class(b) else {
             total.merge(&walk_block(mem, l2, cfg, kernel, b, gi));
@@ -165,6 +170,9 @@ fn replay_memoized(
         let cl = match classes.entry(bc.key) {
             Entry::Vacant(slot) => {
                 let (counters, events) = record_block(mem, cfg, kernel, b, gi);
+                if gi == 0 {
+                    first = Some(digest_of(&counters, &events));
+                }
                 stream(l2, &events, &[]);
                 total.merge(&counters);
                 slot.insert(MemoClass {
@@ -219,7 +227,7 @@ fn replay_memoized(
             }
         }
     }
-    total
+    (total, first)
 }
 
 /// Walks one block's traffic through a live sink in Full mode.

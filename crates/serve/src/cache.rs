@@ -221,13 +221,13 @@ pub struct GeometryStats {
     pub hits: u64,
 }
 
-/// Hit/miss counters of a memo, one per lookup.
+/// Hit/miss counters of a [`CappedMemo`], one per lookup.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct MemoStats {
+pub(crate) struct MemoStats {
     /// Lookups served from the memo.
-    pub hits: u64,
+    pub(crate) hits: u64,
     /// Lookups that found nothing and computed the value.
-    pub misses: u64,
+    pub(crate) misses: u64,
 }
 
 /// Entry bound of every [`CappedMemo`].

@@ -61,18 +61,6 @@ struct PaddedBatch {
     r: usize,
 }
 
-/// The segment's launch shape: its dimensions padded to its
-/// geometry's tiling.
-pub(crate) fn padded_shape(seg: &Segment) -> GemmShape {
-    let geo = &seg.geometry;
-    let (m, k) = seg.plan.dims();
-    GemmShape {
-        m: m.next_multiple_of(geo.block_m),
-        n: seg.targets.len().next_multiple_of(geo.block_n),
-        k: k.next_multiple_of(geo.tile_k),
-    }
-}
-
 fn pad_batch(seg: &Segment) -> PaddedBatch {
     let geo = &seg.geometry;
     let (m, k) = seg.plan.dims();
@@ -88,7 +76,11 @@ fn pad_batch(seg: &Segment) -> PaddedBatch {
          must resolve a geometry wide enough for the batch",
         geo.tile_k
     );
-    let shape = padded_shape(seg);
+    let shape = GemmShape {
+        m: m.next_multiple_of(geo.block_m),
+        n: n.next_multiple_of(geo.block_n),
+        k: k.next_multiple_of(geo.tile_k),
+    };
     let (m_pad, n_pad, k_pad) = (shape.m, shape.n, shape.k);
     // Padded source rows are dropped from the output by `unpad`.
     let a = pad_points(seg.plan.pack_words(), m, k, m_pad, k_pad);

@@ -11,10 +11,10 @@
 //! a device model, an optional interconnect, the lifecycle phase drawn
 //! for the batch, a fault-decorrelation key and the slot's circuit
 //! breaker. Each slot
-//! also keeps a memo of whole pipeline profiles ([`SimLauncher`],
-//! DESIGN.md §10): an attempt whose launch shape the slot has served
-//! replays no traffic. The **budget** is derived from the backend and
-//! is not configurable (DESIGN.md §11):
+//! also keeps a replay memo ([`SimLauncher`], DESIGN.md §10): a launch
+//! the slot has made from the same L2 state replays no traffic. The
+//! **budget** is derived from the backend and is not configurable
+//! (DESIGN.md §11):
 //!
 //! | configuration | top rung | GPU attempts | unverified rung | CPU harbor |
 //! |---|---|---|---|---|
@@ -47,16 +47,16 @@ use std::time::Instant;
 use ks_core::plan::SourcePlan;
 use ks_core::problem::PointSet;
 use ks_core::FusedCpuConfig;
-use ks_gpu_kernels::gemm_engine::GemmShape;
 use ks_gpu_kernels::TileGeometry;
 use ks_gpu_sim::config::{DeviceConfig, Interconnect};
 use ks_gpu_sim::device::GpuDevice;
-use ks_gpu_sim::fault::{DevicePhase, FaultCounters, LinkFaultState};
+use ks_gpu_sim::fault::{DevicePhase, LinkFaultState};
 use ks_gpu_sim::kernel::LaunchError;
-use ks_gpu_sim::profiler::{KernelProfile, PipelineProfile};
+use ks_gpu_sim::profiler::PipelineProfile;
 use ks_gpu_sim::timing::{estimate_transfer, estimate_transfer_faulted};
+use ks_gpu_sim::ReplayMemo;
 
-use crate::cache::{CappedMemo, PlanKey};
+use crate::cache::PlanKey;
 use crate::executor;
 use crate::health::ShardHealth;
 use crate::server::{backoff_delay, splitmix64, ResilienceConfig, ServeBackend};
@@ -276,66 +276,13 @@ pub(crate) trait Launcher {
     ) -> Result<Attempt, LaunchError>;
 }
 
-/// Everything a launched pipeline's profiles depend on besides the
-/// slot's device (DESIGN.md §10). The fault seed the ladder reseeds
-/// on every attempt is left out: replay never reads the fault plan.
-/// The segment count alone picks the kernel (one segment launches
-/// unpacked).
-#[derive(PartialEq, Eq, Hash)]
-pub(crate) struct ProfileKey {
-    verify: bool,
-    segments: Vec<SegmentShape>,
-}
-
-/// One segment's part of a [`ProfileKey`].
-#[derive(PartialEq, Eq, Hash)]
-struct SegmentShape {
-    /// Padded to the geometry's tiling.
-    shape: GemmShape,
-    r: usize,
-    /// Ships its norms: no `norms(A)` launch.
-    warm: bool,
-    geometry: TileGeometry,
-    /// The first segment of the set holding the same `plan` and
-    /// `targets` `Arc`s: a packed launch uploads each once.
-    plan_of: usize,
-    targets_of: usize,
-}
-
-impl ProfileKey {
-    fn of(segs: &[&Segment], verify: bool) -> Self {
-        let segments = segs
-            .iter()
-            .map(|s| SegmentShape {
-                shape: executor::padded_shape(s),
-                r: s.weights.len(),
-                warm: s.warm,
-                geometry: s.geometry,
-                plan_of: segs
-                    .iter()
-                    .position(|o| Arc::ptr_eq(&o.plan, &s.plan))
-                    .expect("the segment itself"),
-                targets_of: segs
-                    .iter()
-                    .position(|o| Arc::ptr_eq(&o.targets, &s.targets))
-                    .expect("the segment itself"),
-            })
-            .collect();
-        Self { verify, segments }
-    }
-}
-
-/// One device slot's memo of whole pipeline profiles, fault counters
-/// cleared. Never shared between slots or servers.
-pub(crate) type ProfileMemo = CappedMemo<ProfileKey, Vec<KernelProfile>>;
-
-/// The simulated GPU. A launch whose [`ProfileKey`] its slot has
-/// served runs on a device built from the recorded profiles
-/// ([`GpuDevice::from_recording`]): the results are computed and the
-/// faults drawn as on a fresh device, but no traffic is replayed.
+/// The simulated GPU: each attempt runs on a fresh device that shares
+/// its slot's replay memo (DESIGN.md §10 part 5), so a launch the slot
+/// has made from the same L2 state restores that state instead of
+/// replaying. Results and fault draws are a fresh device's.
 pub(crate) struct SimLauncher<'m> {
     /// The memo of the slot the unit runs on.
-    pub(crate) memo: &'m mut ProfileMemo,
+    pub(crate) memo: &'m Arc<ReplayMemo>,
 }
 
 impl Launcher for SimLauncher<'_> {
@@ -345,27 +292,8 @@ impl Launcher for SimLauncher<'_> {
         segs: &[&Segment],
         verify: bool,
     ) -> Result<Attempt, LaunchError> {
-        let key = ProfileKey::of(segs, verify);
-        let recorded = self.memo.get(&key);
-        let hit = recorded.is_some();
-        let mut dev = match recorded {
-            Some(kernels) => GpuDevice::from_recording(device, kernels),
-            None => GpuDevice::new(device),
-        };
-        let attempt = executor::execute_gpu(&mut dev, segs, verify)?;
-        if !hit {
-            let kernels = attempt
-                .profile
-                .kernels
-                .iter()
-                .map(|k| KernelProfile {
-                    faults: FaultCounters::default(),
-                    ..k.clone()
-                })
-                .collect();
-            self.memo.insert(key, kernels);
-        }
-        Ok(attempt)
+        let mut dev = GpuDevice::new(device).with_memo(Arc::clone(self.memo));
+        executor::execute_gpu(&mut dev, segs, verify)
     }
 }
 
@@ -764,10 +692,10 @@ mod tests {
     use std::time::Duration;
 
     use super::*;
-    use crate::cache::MemoStats;
     use ks_core::plan::SourceSet;
     use ks_gpu_sim::fault::LinkFaultSpec;
     use ks_gpu_sim::FaultSpec;
+    use ks_gpu_sim::ReplayMemoStats;
 
     /// One scripted GPU attempt.
     enum Step {
@@ -811,8 +739,7 @@ mod tests {
             {
                 Step::Fail => Err(LaunchError::WatchdogTimeout { limit_ms: 1 }),
                 Step::Done(flags, injected) => {
-                    let mut memo = ProfileMemo::new();
-                    let mut a = SimLauncher { memo: &mut memo }.launch(device, segs, false)?;
+                    let mut a = executor::execute_gpu(&mut GpuDevice::new(device), segs, false)?;
                     a.flags = flags;
                     a.profile.kernels[0].faults.dram_flips += injected;
                     Ok(a)
@@ -1209,10 +1136,13 @@ mod tests {
     /// Launches every case twice through one memoised launcher and
     /// checks both attempts against a fresh device; returns the memo's
     /// counters. Sharing one memo across the cases makes a key that
-    /// misses a dependency serve one case another's recording.
-    fn memo_exact(device: &DeviceConfig, cases: &[(String, Vec<&Segment>, bool)]) -> MemoStats {
-        let mut memo = ProfileMemo::new();
-        let mut launcher = SimLauncher { memo: &mut memo };
+    /// misses a dependency serve one case another's launch.
+    fn memo_exact(
+        device: &DeviceConfig,
+        cases: &[(String, Vec<&Segment>, bool)],
+    ) -> ReplayMemoStats {
+        let memo = Arc::new(ReplayMemo::new());
+        let mut launcher = SimLauncher { memo: &memo };
         for (case, segs, verify) in cases {
             let want = fresh(device, segs, *verify);
             for _ in 0..2 {
@@ -1225,12 +1155,11 @@ mod tests {
         memo.stats()
     }
 
-    /// Counters of `n` cases that are each their own key: one miss,
-    /// then one hit.
-    fn distinct(n: usize) -> MemoStats {
-        MemoStats {
-            hits: n as u64,
-            misses: n as u64,
+    fn memo_stats(hits: u64, misses: u64) -> ReplayMemoStats {
+        ReplayMemoStats {
+            hits,
+            misses,
+            retired: 0,
         }
     }
 
@@ -1273,9 +1202,14 @@ mod tests {
                 cases.push((case, vec![seg], verify));
             }
         }
+        // 320 launches: a cold case makes three (norms of A and B,
+        // then the fused kernel), a warm one two. Each of the 64
+        // fused launches misses once. The three norms launches (A,
+        // then B, from an empty L2; B alone) miss once each time the
+        // 32-entry memo has cleared, and it clears twice over the run.
         assert_eq!(
             memo_exact(&DeviceConfig::gtx970(), &cases),
-            distinct(cases.len())
+            memo_stats(320 - 64 - 3 * 3, 64 + 3 * 3)
         );
     }
 
@@ -1314,16 +1248,20 @@ mod tests {
                 ("three, mixed", vec![&a, &corpus_mate, &targets_mate]),
                 ("three, a twice", vec![&a, &copy, &a]),
                 // Other data in the shapes of "distinct corpora": its
-                // key, so both launches hit that case's recording.
+                // keys, so both attempts hit every launch of that case.
                 ("other data", vec![&a, &b]),
             ] {
                 cases.push((format!("{name}, verify {verify}"), segs, verify));
             }
         }
-        let keys = cases.len() - 2;
-        let mut want = distinct(keys);
-        want.hits += 4;
-        assert_eq!(memo_exact(&DeviceConfig::gtx970(), &cases), want);
+        // 128 launches. 12 distinct fused launches ("other data"
+        // makes "distinct corpora"'s) and 12 distinct norms launches
+        // miss once; the norms of equal-sized corpora and targets on
+        // one address from one L2 state are one launch.
+        assert_eq!(
+            memo_exact(&DeviceConfig::gtx970(), &cases),
+            memo_stats(128 - 24, 24)
+        );
     }
 
     #[test]
@@ -1352,11 +1290,14 @@ mod tests {
                 .sum();
             assert!(applied > 0, "{case}: the upsets land");
         }
-        assert_eq!(memo_exact(&upsets, &cases), distinct(cases.len()));
+        // 22 launches; the three fused launches, the first segment's
+        // two norms launches and the packed mate's two miss once.
+        assert_eq!(memo_exact(&upsets, &cases), memo_stats(15, 7));
 
-        // A launch-level fault fails a hit as it fails a fresh launch.
-        let mut memo = ProfileMemo::new();
-        let mut launcher = SimLauncher { memo: &mut memo };
+        // A launch-level fault fails a hit as it fails a fresh launch:
+        // the fault is drawn before the memo is looked up.
+        let memo = Arc::new(ReplayMemo::new());
+        let mut launcher = SimLauncher { memo: &memo };
         let clean = DeviceConfig::gtx970();
         launcher.launch(clean.clone(), &[&a], false).unwrap();
         let watchdog = DeviceConfig {
@@ -1364,13 +1305,15 @@ mod tests {
                 watchdog_rate: 1.0,
                 ..FaultSpec::default()
             }),
-            ..clean
+            ..clean.clone()
         };
         assert!(matches!(
             launcher.launch(watchdog, &[&a], false),
             Err(LaunchError::WatchdogTimeout { .. })
         ));
-        assert_eq!(memo.stats(), MemoStats { hits: 1, misses: 1 });
+        assert_eq!(memo.stats(), memo_stats(0, 3), "no lookup");
+        launcher.launch(clean, &[&a], false).unwrap();
+        assert_eq!(memo.stats(), memo_stats(3, 3), "the entries were there");
     }
 
     #[test]

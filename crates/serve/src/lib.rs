@@ -17,8 +17,8 @@
 //!   pooled or not: GPU attempts gated by a circuit breaker, the
 //!   fault and link streams decorrelated per attempt, transfers
 //!   charged, ending at the bit-exact CPU safe harbor; each device
-//!   slot replays a launch shape's traffic once and reuses the
-//!   recorded profiles after. The backend
+//!   slot's replay memo replays a launch once per entering L2 state
+//!   and restores the L2 after. The backend
 //!   fixes its budget: one attempt with an optional CPU fallback, or
 //!   on the `gpu-resilient` backend ABFT-verified launches with
 //!   seeded-backoff retries and an unverified middle rung.
@@ -72,7 +72,7 @@ pub mod server;
 pub mod workload;
 
 pub use admission::{AdmissionKey, AdmissionStats, AdmissionVerdict};
-pub use cache::{GeometryStats, MemoStats, PlanCache, PlanCacheStats, PlanKey};
+pub use cache::{GeometryStats, PlanCache, PlanCacheStats, PlanKey};
 pub use executor::MAX_GPU_BATCH;
 pub use health::HealthConfig;
 pub use packed::{packable, PACK_MAX_COL_BLOCKS, PACK_MAX_SEGMENT_BLOCKS};

@@ -26,7 +26,7 @@
 //!   its own, and a task runs only on its owner, so every host-side
 //!   counter repeats from run to run.
 //! * Each device has its own [`DeviceConfig`] (including an optional
-//!   fault spec), interconnect, circuit breaker and profile memo:
+//!   fault spec), interconnect, circuit breaker and replay memo:
 //!   together they are the device slot a task runs on. A task is a
 //!   launch unit — a row shard, or the device's share of a packed wave
 //!   (a plain one-segment launch when that share is one segment) — and
@@ -51,18 +51,19 @@
 //! sizes.
 
 use std::panic::AssertUnwindSafe;
+use std::sync::Arc;
 
 use ks_core::plan::shard_ranges;
 use ks_core::FusedCpuConfig;
 use ks_gpu_sim::config::{DeviceConfig, Interconnect};
 use ks_gpu_sim::fault::{DevicePhase, LifecycleSpec, LifecycleState};
 use ks_gpu_sim::profiler::PipelineProfile;
+use ks_gpu_sim::{ReplayMemo, ReplayMemoStats};
 
-use crate::cache::{MemoStats, PlanCacheStats, ShardKey, ShardPlanCache};
+use crate::cache::{PlanCacheStats, ShardKey, ShardPlanCache};
 use crate::health::{HealthConfig, HealthMonitor};
 use crate::ladder::{
-    Breaker, Budget, DeviceSlot, Ladder, LaunchUnit, ProfileMemo, Rung, SegmentOutcome,
-    SimLauncher, UnitOutcome,
+    Breaker, Budget, DeviceSlot, Ladder, LaunchUnit, Rung, SegmentOutcome, SimLauncher, UnitOutcome,
 };
 use crate::server::{ResilienceConfig, ServeBackend};
 
@@ -170,8 +171,9 @@ pub struct DeviceReport {
     pub link_retransmits: u64,
     /// Shard-plan cache counters (coordinator-resolved).
     pub plan_cache: PlanCacheStats,
-    /// Pipeline-profile memo counters of this device's slot.
-    pub profile_memo: MemoStats,
+    /// Replay-memo counters of this device's slot, one lookup per
+    /// keyed launch.
+    pub replay_memo: ReplayMemoStats,
     /// Bytes moved over this device's interconnect.
     pub transfer_bytes: u64,
     /// Modelled time spent moving them, in seconds.
@@ -273,13 +275,13 @@ struct Task {
 }
 
 /// One device of the pool: its slot (device model, link, breaker and
-/// profile memo, used by one task at a time) and what the coordinator
+/// replay memo, used by one task at a time) and what the coordinator
 /// keeps for it.
 struct Member {
     device: DeviceConfig,
     interconnect: Interconnect,
     breaker: Breaker,
-    memo: ProfileMemo,
+    memo: Arc<ReplayMemo>,
     report: DeviceReport,
     /// Residency: the row shards and whole corpora the device holds.
     cache: ShardPlanCache,
@@ -311,15 +313,13 @@ impl Member {
             breaker: &mut self.breaker,
             batch,
         };
-        let mut launcher = SimLauncher {
-            memo: &mut self.memo,
-        };
+        let mut launcher = SimLauncher { memo: &self.memo };
         std::panic::catch_unwind(AssertUnwindSafe(|| ladder.run(unit, slot, &mut launcher)))
     }
 }
 
 /// The device pool. Owned by the server's worker thread; one instance
-/// lives for the server's lifetime so breakers, profile memos and
+/// lives for the server's lifetime so breakers, replay memos and
 /// shard-plan caches persist across batches.
 pub(crate) struct DevicePool {
     members: Vec<Member>,
@@ -352,7 +352,7 @@ impl DevicePool {
                     device: d.device.clone(),
                     interconnect: d.interconnect.clone(),
                     breaker: Breaker::new(resilience),
-                    memo: ProfileMemo::new(),
+                    memo: Arc::new(ReplayMemo::new()),
                     report: DeviceReport {
                         name: d.device.name.clone(),
                         ..DeviceReport::default()
@@ -547,7 +547,7 @@ impl DevicePool {
             dr.breaker_trips = m.breaker.trips;
             dr.breaker_resets = m.breaker.resets;
             dr.plan_cache = m.cache.stats();
-            dr.profile_memo = m.memo.stats();
+            dr.replay_memo = m.memo.stats();
             dr.evictions = self.health.evictions[d];
             dr.readmissions = self.health.readmissions[d];
             report.devices.push(dr);
@@ -577,7 +577,6 @@ fn concat_rows(mut acc: SegmentOutcome, s: SegmentOutcome) -> SegmentOutcome {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
     use std::time::Duration;
 
     use ks_core::plan::{SourcePlan, SourceSet};
@@ -653,9 +652,9 @@ mod tests {
             .expect("the coordinator caught the panic");
         assert!(panicked, "each task panic resumes on the coordinator");
         assert_eq!(
-            finished,
-            MemoStats { hits: 0, misses: 1 },
-            "device 1 launched its segment before the panic resumed"
+            (finished.hits, finished.misses, finished.retired),
+            (0, 3, 0),
+            "device 1 launched its segment (two norms and the fused kernel) before the panic resumed"
         );
         assert_eq!(rung, Rung::Top);
         let cols = result.expect("the next unit is served");
@@ -686,12 +685,13 @@ mod tests {
         let [d0, d1] = &report.devices[..] else {
             panic!("two devices")
         };
+        let memo = d0.replay_memo;
         assert_eq!(
-            d0.profile_memo,
-            MemoStats { hits: 1, misses: 1 },
-            "the second shard replays the recording of the first"
+            (memo.hits, memo.misses, memo.retired),
+            (3, 3, 0),
+            "the second shard restores the first one's three launches"
         );
-        assert_eq!(d1.profile_memo, MemoStats::default());
+        assert_eq!(d1.replay_memo, ReplayMemoStats::default());
         assert_eq!((d0.executed, d1.executed), (2, 0));
         assert_eq!((d0.shard_tasks, d1.shard_tasks), (2, 0));
         assert_eq!((report.shard_tasks, report.stolen_tasks), (2, 0));

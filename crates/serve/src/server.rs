@@ -36,13 +36,12 @@ use ks_gpu_sim::config::DeviceConfig;
 use ks_gpu_sim::fault::DevicePhase;
 use ks_gpu_sim::kernel::LaunchError;
 use ks_gpu_sim::profiler::PipelineProfile;
+use ks_gpu_sim::{ReplayMemo, ReplayMemoStats};
 
 use crate::admission::{self, AdmissionKey, AdmissionStats};
-use crate::cache::{GeometryStats, MemoStats, PlanCache, PlanCacheStats, PlanKey};
+use crate::cache::{GeometryStats, PlanCache, PlanCacheStats, PlanKey};
 use crate::executor::MAX_GPU_BATCH;
-use crate::ladder::{
-    Breaker, Budget, DeviceSlot, Ladder, LaunchUnit, ProfileMemo, Rung, Segment, SimLauncher,
-};
+use crate::ladder::{Breaker, Budget, DeviceSlot, Ladder, LaunchUnit, Rung, Segment, SimLauncher};
 use crate::packed;
 use crate::pool::{DevicePool, PoolConfig, PoolReport};
 use crate::queue::BoundedQueue;
@@ -481,12 +480,12 @@ pub struct ServeReport {
     pub static_admission: AdmissionStats,
     /// Winning-geometry memo counters.
     pub geometry: GeometryStats,
-    /// Pipeline-profile memo counters, one lookup per GPU attempt;
-    /// summed over the members when pooled. A hit skips the traffic
-    /// replay and changes no modelled figure. Host-side accounting
-    /// that repeats from run to run: every slot runs its tasks in a
-    /// fixed order.
-    pub profile_memo: MemoStats,
+    /// Replay-memo counters, one lookup per keyed launch, summed over
+    /// the device slots (the members when pooled). A hit skips the
+    /// traffic replay and changes no modelled figure. Host-side
+    /// accounting that repeats from run to run: every slot runs its
+    /// tasks in a fixed order.
+    pub replay_memo: ReplayMemoStats,
     /// Modelled GPU energy across all completed batch profiles,
     /// joules (the energy model over the exact simulated counters).
     pub energy_j: f64,
@@ -919,14 +918,14 @@ struct PreparedChunk {
 }
 
 /// The worker thread's state: the plan cache, the pool (when pooled),
-/// the unpooled slot's breaker and profile memo, the ladders and the
+/// the unpooled slot's breaker and replay memo, the ladders and the
 /// counters.
 struct Worker<'a> {
     cfg: &'a ServeConfig,
     cache: PlanCache,
     pool: Option<DevicePool>,
     breaker: Breaker,
-    profiles: ProfileMemo,
+    memo: Arc<ReplayMemo>,
     /// The unpooled ladder of the configured backend.
     ladder: Ladder,
     /// The ladder of batches static admission denied the GPU.
@@ -945,7 +944,7 @@ impl<'a> Worker<'a> {
                 .as_ref()
                 .map(|p| DevicePool::new(p, cfg.backend, &cfg.resilience, cfg.cpu)),
             breaker: Breaker::new(&cfg.resilience),
-            profiles: ProfileMemo::new(),
+            memo: Arc::new(ReplayMemo::new()),
             ladder: ladder(Budget::of(cfg.backend, &cfg.resilience, false)),
             cpu: ladder(Budget::CPU),
             stats: ServeReport::default(),
@@ -959,11 +958,13 @@ impl<'a> Worker<'a> {
         stats.geometry = self.cache.geometry_stats();
         stats.breaker_trips = self.breaker.trips;
         stats.breaker_resets = self.breaker.resets;
-        stats.profile_memo = self.profiles.stats();
+        stats.replay_memo = self.memo.stats();
         stats.pool = self.pool.map(DevicePool::into_report);
         for d in stats.pool.iter().flat_map(|p| &p.devices) {
-            stats.profile_memo.hits += d.profile_memo.hits;
-            stats.profile_memo.misses += d.profile_memo.misses;
+            let (sum, slot) = (&mut stats.replay_memo, d.replay_memo);
+            sum.hits += slot.hits;
+            sum.misses += slot.misses;
+            sum.retired += slot.retired;
         }
         stats
     }
@@ -1154,9 +1155,7 @@ impl<'a> Worker<'a> {
                     breaker: &mut self.breaker,
                     batch,
                 };
-                let mut launcher = SimLauncher {
-                    memo: &mut self.profiles,
-                };
+                let mut launcher = SimLauncher { memo: &self.memo };
                 ladder.run(&unit, slot, &mut launcher)
             }
         };
@@ -1848,8 +1847,16 @@ mod tests {
         assert_eq!(report.profiles.len(), 1);
     }
 
+    fn memo_stats(hits: u64, misses: u64) -> ReplayMemoStats {
+        ReplayMemoStats {
+            hits,
+            misses,
+            retired: 0,
+        }
+    }
+
     /// Serves `batches` one-query batches of one shape, cold every
-    /// time (no plan cache), so each has the same profile key.
+    /// time (no plan cache), so each makes the same launches.
     fn serve_repeats(pool: Option<PoolConfig>, batches: u64) -> ServeReport {
         let sources = SourceSet::new(PointSet::uniform_cube(256, 5, 141));
         let targets = Arc::new(PointSet::uniform_cube(70, 5, 142));
@@ -1877,24 +1884,26 @@ mod tests {
         srv.shutdown()
     }
 
-    /// A repeated batch misses its slot's profile memo once and hits
-    /// it after, with the miss's profile; a new server starts empty.
+    /// A repeated batch's three launches (two norms and the fused
+    /// kernel) miss their slot's replay memo once and hit it after,
+    /// with the misses' profile; a new server starts empty.
     #[test]
     fn a_repeated_batch_replays_once_per_server() {
         let report = serve_repeats(None, 3);
         assert_eq!(report.batches, 3);
-        assert_eq!(report.profile_memo, MemoStats { hits: 2, misses: 1 });
+        assert_eq!(report.replay_memo, memo_stats(6, 3));
         assert!(report.profiles.windows(2).all(|p| p[0] == p[1]));
         let again = serve_repeats(None, 1);
         assert_eq!(
-            again.profile_memo,
-            MemoStats { hits: 0, misses: 1 },
+            again.replay_memo,
+            memo_stats(0, 3),
             "two servers never share an entry"
         );
     }
 
-    /// Pooled, each member keeps its own memo: both shards of the
-    /// first batch miss on their devices, and the repeat hits on both.
+    /// Pooled, each member keeps its own memo: both shards' three
+    /// launches of the first batch miss on their devices, and the
+    /// repeat hits on both.
     #[test]
     fn pool_members_memoise_their_own_shards() {
         let pool = PoolConfig::homogeneous(
@@ -1905,13 +1914,8 @@ mod tests {
         let report = serve_repeats(Some(pool), 2);
         let devices = &report.pool.as_ref().expect("pooled").devices;
         for d in devices {
-            assert_eq!(
-                d.profile_memo,
-                MemoStats { hits: 1, misses: 1 },
-                "{}",
-                d.name
-            );
+            assert_eq!(d.replay_memo, memo_stats(3, 3), "{}", d.name);
         }
-        assert_eq!(report.profile_memo, MemoStats { hits: 2, misses: 2 });
+        assert_eq!(report.replay_memo, memo_stats(6, 6));
     }
 }

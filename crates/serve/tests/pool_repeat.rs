@@ -1,7 +1,7 @@
 //! Pooled serving repeats exactly. A pool runs each unit fork-join,
 //! every task on its owner's slot and each owner's tasks in slot
 //! order, so one stream served twice gives the same result bits and
-//! the same report — the host-side counters (`executed`, the profile
+//! the same report — the host-side counters (`executed`, the replay
 //! memo's hits and misses, breaker transitions) included.
 
 use ks_gpu_sim::config::{DeviceConfig, Interconnect};
@@ -56,7 +56,14 @@ fn assert_repeats(cfg: &ServeConfig, stream: &[Query], case: &str) -> ServeRepor
         assert_eq!(x, y, "{case}: device {d}'s report");
     }
     assert_eq!(pa, pb, "{case}: pool report");
-    assert_eq!(a.profile_memo, b.profile_memo, "{case}: profile memo");
+    assert_eq!(a.replay_memo, b.replay_memo, "{case}: replay memo");
+    for d in &pool.devices {
+        assert_eq!(
+            d.replay_memo.retired, 0,
+            "{case}: {} retired an entry",
+            d.name
+        );
+    }
     assert!(a == b, "{case}: serve reports differ");
     let executed: u64 = pool.devices.iter().map(|d| d.executed).sum();
     assert!(executed > 0, "{case}: the pool ran tasks");

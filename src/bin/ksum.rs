@@ -609,9 +609,10 @@ fn cmd_serve_bench(args: &[String], fault: Option<FaultSpec>) -> Result<ExitCode
         report.fallbacks
     );
     outln!(
-        "profile memo: {} hits / {} misses",
-        report.profile_memo.hits,
-        report.profile_memo.misses
+        "replay memo: {} hits / {} misses / {} retired",
+        report.replay_memo.hits,
+        report.replay_memo.misses,
+        report.replay_memo.retired
     );
     outln!(
         "launches {} | packed launches {} carrying {} segments",
