@@ -8,7 +8,7 @@
 //!    and a second member behind a lossy link (corruption + timeouts).
 //!    Every completion is checked against the CPU fused reference;
 //!    anything outside tolerance without a surfaced error is
-//!    **silently wrong** and fails the soak. The health loop must
+//!    **silently wrong** and fails the soak. The members' breakers must
 //!    actually cycle (evictions > 0 *and* readmissions > 0), no shard
 //!    may be dropped across drain/evict/readmit (`executed`, the
 //!    segments each device ran, summed over devices equals the
@@ -84,9 +84,9 @@ pub struct ChaosPoolMetrics {
     /// Completions outside the GPU tolerance of the CPU reference
     /// with no surfaced error. The soak fails unless this is zero.
     pub silent_wrong: u64,
-    /// Chaos pass: health-driven device evictions (must be > 0).
+    /// Chaos pass: member evictions (breaker trips; must be > 0).
     pub evictions: u64,
-    /// Chaos pass: probe-success readmissions (must be > 0).
+    /// Chaos pass: probe readmissions (breaker resets; must be > 0).
     pub readmissions: u64,
     /// Chaos pass: lifecycle hang epochs observed at launch time.
     pub lifecycle_hangs: u64,
@@ -138,7 +138,7 @@ fn members(n: usize, interconnect: Interconnect) -> Vec<PoolDevice> {
 }
 
 /// Serves the stream through one pool of `devices` with one batch
-/// per query, so every batch advances a health epoch.
+/// per query, so every batch advances the lifecycle and breaker clocks.
 fn serve_pooled(
     devices: Vec<PoolDevice>,
     health: HealthConfig,

@@ -9,8 +9,8 @@
 //!    golden and at least 2× faster in simulated time;
 //! 4. the N-device pool with one device **permanently faulted** — the
 //!    pool must degrade shard-locally (only the sick device's breaker
-//!    trips, its shards recover on the CPU) and still complete every
-//!    query correctly.
+//!    trips, evicting it; its shards recover on the CPU) and still
+//!    complete every query correctly.
 //!
 //! Any bit drift, counter drift between the passes, a speedup below
 //! the floor, or pool-wide degradation fails the run.
@@ -64,7 +64,7 @@ pub struct PoolRunMetrics {
     pub fallbacks: u64,
     /// Shard tasks dispatched across the pool.
     pub shard_tasks: u64,
-    /// Circuit-breaker trips summed over devices.
+    /// Circuit-breaker trips (evictions) summed over devices.
     pub breaker_trips: u64,
     /// Host↔device bytes moved over the modelled interconnects.
     pub transfer_bytes: u64,
@@ -88,7 +88,7 @@ impl PoolRunMetrics {
             batched_queries: report.batched_queries,
             fallbacks: report.fallbacks,
             shard_tasks: pool.shard_tasks,
-            breaker_trips: pool.total_trips(),
+            breaker_trips: report.breaker_trips,
             transfer_bytes: pool.devices.iter().map(|d| d.transfer_bytes).sum(),
             sim_time_s: pool.sim_time_s,
             wall_time_ms,
@@ -132,7 +132,7 @@ pub struct PoolMetrics {
     /// The degraded pass: `N` devices, one with a permanent
     /// launch-level fault.
     pub faulted: PoolRunMetrics,
-    /// Breaker trips on the faulted device (must be > 0).
+    /// Breaker trips (evictions) of the faulted device (must be > 0).
     pub faulted_sick_trips: u64,
     /// CPU-recovered shards owned by the faulted device (must be > 0).
     pub faulted_sick_fallbacks: u64,
@@ -252,7 +252,7 @@ pub fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         }
     }
     let faulted_devices = &pool_report(&faulted_report).devices;
-    let faulted_sick_trips = faulted_devices[sick].breaker_trips;
+    let faulted_sick_trips = faulted_devices[sick].evictions;
     let faulted_sick_fallbacks = faulted_devices[sick].cpu_fallbacks;
     let faulted_healthy_fallbacks = faulted_devices
         .iter()

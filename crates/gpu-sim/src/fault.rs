@@ -896,7 +896,7 @@ mod tests {
     #[test]
     fn certain_hang_and_recover_flap() {
         // hang=1, recover=1: the device alternates Hung/Healthy every
-        // epoch — the flapping pattern the health monitor must ride.
+        // epoch — the flapping pattern the pool members' breakers must ride.
         let mut st = LifecycleState::new(lifecycle("hang=1,recover=1"));
         assert_eq!(st.advance(), DevicePhase::Hung);
         assert_eq!(st.advance(), DevicePhase::Healthy);

@@ -58,7 +58,6 @@ use ks_gpu_sim::ReplayMemo;
 
 use crate::cache::PlanKey;
 use crate::executor;
-use crate::health::ShardHealth;
 use crate::server::{backoff_delay, splitmix64, ResilienceConfig, ServeBackend};
 
 /// One segment of a launch unit.
@@ -221,8 +220,6 @@ pub(crate) struct UnitOutcome {
     pub(crate) packed_launches: u64,
     pub(crate) packed_segments: u64,
     pub(crate) backoff_shortcircuits: u64,
-    /// What the unit revealed about the slot's device.
-    pub(crate) health: ShardHealth,
     /// The lifecycle phase that failed an attempt, if any.
     pub(crate) lifecycle: Option<DevicePhase>,
 }
@@ -238,7 +235,6 @@ impl UnitOutcome {
             packed_launches: 0,
             packed_segments: 0,
             backoff_shortcircuits: 0,
-            health: ShardHealth::Passive,
             lifecycle: None,
         }
     }
@@ -401,14 +397,8 @@ impl Run<'_> {
         self.breaker().is_none_or(|b| b.allow(batch))
     }
 
-    /// Scores a finished GPU attempt on the breaker and as health
-    /// evidence: any failed attempt makes the unit a failure.
+    /// Scores a finished GPU attempt on the breaker.
     fn score(&mut self, failed: bool) {
-        if failed {
-            self.out.health = ShardHealth::Failure;
-        } else if self.out.health == ShardHealth::Passive {
-            self.out.health = ShardHealth::CleanGpu;
-        }
         let batch = self.slot.batch;
         if let Some(b) = self.breaker() {
             if failed {
@@ -624,7 +614,9 @@ enum BreakerState {
 /// detected corruption) trip it open; open batches skip the GPU rungs
 /// entirely (straight to the CPU safe harbor); after `cooldown`
 /// batches one half-open probe is admitted — success closes the
-/// breaker, failure re-opens it.
+/// breaker, failure re-opens it. A pool member's breaker is also its
+/// membership: the pool places only on members whose breaker admits
+/// the batch (`crate::health`).
 pub(crate) struct Breaker {
     threshold: u32,
     cooldown: u64,
@@ -635,10 +627,10 @@ pub(crate) struct Breaker {
 }
 
 impl Breaker {
-    pub(crate) fn new(rc: &ResilienceConfig) -> Self {
+    pub(crate) fn new(threshold: u32, cooldown: u64) -> Self {
         Self {
-            threshold: rc.breaker_threshold.max(1),
-            cooldown: rc.breaker_cooldown,
+            threshold: threshold.max(1),
+            cooldown,
             state: BreakerState::Closed,
             consecutive_failures: 0,
             trips: 0,
@@ -646,8 +638,9 @@ impl Breaker {
         }
     }
 
-    /// May batch `batch_idx` attempt the GPU rungs?
-    fn allow(&mut self, batch_idx: u64) -> bool {
+    /// May batch `batch_idx` attempt the GPU rungs? An open breaker
+    /// past its cooldown turns half-open here and admits.
+    pub(crate) fn allow(&mut self, batch_idx: u64) -> bool {
         match self.state {
             BreakerState::Closed | BreakerState::HalfOpen => true,
             BreakerState::Open { since_batch } => {
@@ -669,7 +662,7 @@ impl Breaker {
         self.consecutive_failures = 0;
     }
 
-    fn record_failure(&mut self, batch_idx: u64) {
+    pub(crate) fn record_failure(&mut self, batch_idx: u64) {
         // Saturate: a permanently sick device on a long run would
         // otherwise overflow the counter (a panic in debug, a silent
         // breaker close at the wrap in release).
@@ -769,7 +762,7 @@ mod tests {
                 ..ResilienceConfig::default()
             };
             Self {
-                breaker: Breaker::new(&rc),
+                breaker: Breaker::new(rc.breaker_threshold, rc.breaker_cooldown),
                 rc,
                 device: DeviceConfig {
                     fault: Some(FaultSpec {
@@ -913,7 +906,11 @@ mod tests {
         assert!(calls.is_empty());
         assert_eq!(rungs(&out), [(Rung::Top, 1, 0)]);
         assert_cpu_exact(&out.segments[0], &u.segments[0]);
-        assert_eq!(out.health, ShardHealth::Passive);
+        assert_eq!(
+            rig.failures(),
+            0,
+            "never tried: the breaker records nothing"
+        );
     }
 
     #[test]
@@ -962,13 +959,16 @@ mod tests {
     #[test]
     fn an_open_breaker_refuses_every_gpu_attempt() {
         let mut rig = Rig::new();
-        rig.rc.breaker_threshold = 1;
-        rig.breaker = Breaker::new(&rig.rc);
+        rig.breaker = Breaker::new(1, rig.rc.breaker_cooldown);
         rig.breaker.record_failure(BATCH);
         let (out, calls) = rig.run(rig.budget(RESILIENT, false), &unit(&[5]), vec![]);
         assert!(calls.is_empty(), "no GPU attempt while open");
         assert_eq!(rungs(&out), [(Rung::Harbor, 1, 0)]);
-        assert_eq!(out.health, ShardHealth::Passive, "never tried, no evidence");
+        assert_eq!(
+            (rig.failures(), rig.breaker.trips),
+            (1, 1),
+            "never tried: the breaker records nothing beyond the trip"
+        );
     }
 
     #[test]
@@ -979,7 +979,6 @@ mod tests {
         assert!(calls.is_empty(), "a hung device never launches");
         assert_eq!(rungs(&out), [(Rung::Harbor, 2, 0)]);
         assert_eq!(out.lifecycle, Some(DevicePhase::Hung));
-        assert_eq!(out.health, ShardHealth::Failure);
         assert_eq!(rig.failures(), 1);
 
         let mut rig = Rig::new();
@@ -1005,7 +1004,6 @@ mod tests {
         );
         assert!(out.profiles[0].transfers.iter().any(|t| t.timed_out));
         assert_eq!((out.injected_faults, out.undetected), (1, 0));
-        assert_eq!(out.health, ShardHealth::Failure);
         assert_eq!(rig.failures(), 1);
     }
 
@@ -1035,7 +1033,7 @@ mod tests {
         // so it surfaces them although a wave-mate was flagged.
         assert_eq!((out.injected_faults, out.undetected), (2, 1));
         assert_eq!((out.packed_launches, out.packed_segments), (1, 3));
-        assert_eq!(out.health, ShardHealth::Failure);
+        assert_eq!(rig.failures(), 1, "a flagged wave-mate fails the attempt");
 
         // Unpooled, the flagged segment continues alone with the
         // attempts it has left, verified only.
@@ -1318,12 +1316,7 @@ mod tests {
 
     #[test]
     fn breaker_failure_count_saturates_instead_of_overflowing() {
-        let rc = ResilienceConfig {
-            breaker_threshold: u32::MAX,
-            breaker_cooldown: 1,
-            ..ResilienceConfig::default()
-        };
-        let mut b = Breaker::new(&rc);
+        let mut b = Breaker::new(u32::MAX, 1);
         b.consecutive_failures = u32::MAX - 1;
         b.record_failure(0);
         assert_eq!(b.consecutive_failures, u32::MAX);
@@ -1336,12 +1329,7 @@ mod tests {
 
     #[test]
     fn breaker_trips_cools_down_probes_and_resets() {
-        let rc = ResilienceConfig {
-            breaker_threshold: 2,
-            breaker_cooldown: 3,
-            ..ResilienceConfig::default()
-        };
-        let mut b = Breaker::new(&rc);
+        let mut b = Breaker::new(2, 3);
         assert!(b.allow(0));
         b.record_failure(0);
         assert!(b.allow(0), "below threshold stays closed");
@@ -1361,12 +1349,7 @@ mod tests {
 
     #[test]
     fn half_open_probe_failure_reopens_with_a_fresh_window() {
-        let rc = ResilienceConfig {
-            breaker_threshold: 2,
-            breaker_cooldown: 3,
-            ..ResilienceConfig::default()
-        };
-        let mut b = Breaker::new(&rc);
+        let mut b = Breaker::new(2, 3);
         b.record_failure(0);
         b.record_failure(0); // trips open, since_batch = 0
         assert!(!b.allow(2));

@@ -50,11 +50,12 @@
 //!   order on its own slot — down the ladder with a pooled budget,
 //!   and the partial results merge in fixed shard order,
 //!   bit-identical to a single-device solve.
-//! * [`router`] — the shard placement policy: cache-first, then
-//!   load-aware, deterministic.
-//! * [`health`] — the pool's drain → evict → readmit control loop:
-//!   consecutive-failure eviction, cooldown-gated probation and
-//!   probe-success readmission, driven by per-shard health evidence.
+//! * [`router`] — the shard placement policy over the eligible
+//!   devices: cache-first, then load-aware, deterministic.
+//! * [`health`] — the pool's drain → evict → readmit policy: each
+//!   member's circuit breaker is its membership, so a member whose
+//!   breaker trips leaves placement until its cooldown admits a
+//!   half-open probe, and a clean probe readmits it.
 
 #![warn(missing_docs)]
 #![forbid(clippy::too_many_arguments)]

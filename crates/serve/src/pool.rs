@@ -16,7 +16,8 @@
 //! * The **coordinator** (the server's worker thread) owns the pool:
 //!   the per-device shard-plan caches and every placement decision,
 //!   made synchronously via [`crate::router::place`] — cache-first,
-//!   then load-aware over the tasks the unit has already placed. Only
+//!   then load-aware over the tasks the unit has already placed, among
+//!   the members whose breaker admits the unit (`crate::health`). Only
 //!   the coordinator routes, so warm/cold accounting (and therefore
 //!   transfer bytes and simulated time) is deterministic.
 //! * Each unit runs **fork-join**: its owners run in parallel (the
@@ -34,7 +35,9 @@
 //!   DESIGN.md §11) with a pooled budget: one GPU attempt, then the
 //!   bit-exact CPU harbor. A failed attempt records a failure on *its
 //!   own* slot's breaker, so a sick device degrades without taking the
-//!   pool down — and without ever failing a batch.
+//!   pool down — and without ever failing a batch. A member's breaker
+//!   is its membership: a tripped member leaves placement until its
+//!   cooldown admits a probe ([`HealthConfig`]).
 //! * Shards launch at the batch's resolved tile geometry and take the
 //!   norms path of the server's plan-cache verdict, so pooled results
 //!   are bit-identical to unpooled serving. Device residency (the
@@ -61,7 +64,7 @@ use ks_gpu_sim::profiler::PipelineProfile;
 use ks_gpu_sim::{ReplayMemo, ReplayMemoStats};
 
 use crate::cache::{PlanCacheStats, ShardKey, ShardPlanCache};
-use crate::health::{HealthConfig, HealthMonitor};
+use crate::health::HealthConfig;
 use crate::ladder::{
     Breaker, Budget, DeviceSlot, Ladder, LaunchUnit, Rung, SegmentOutcome, SimLauncher, UnitOutcome,
 };
@@ -100,7 +103,8 @@ pub struct PoolConfig {
     /// (the GPU block tile) for the bit-identity argument to cover the
     /// GPU backend.
     pub shard_align: usize,
-    /// Eviction/readmission policy of the pool's health monitor.
+    /// Eviction/readmission policy: the threshold and cooldown of
+    /// every member's breaker.
     pub health: HealthConfig,
 }
 
@@ -150,13 +154,11 @@ pub struct DeviceReport {
     pub corruption_detected: u64,
     /// Injected data-fault events observed in completed profiles.
     pub injected_faults: u64,
-    /// Circuit-breaker transitions to open.
-    pub breaker_trips: u64,
-    /// Circuit-breaker recoveries.
-    pub breaker_resets: u64,
-    /// Health-monitor evictions (flaps count each time).
+    /// Evictions: this member's breaker trips open (flaps count each
+    /// time).
     pub evictions: u64,
-    /// Health-monitor readmissions after a successful probe.
+    /// Readmissions: this member's breaker closing after a successful
+    /// half-open probe.
     pub readmissions: u64,
     /// Attempts that hit a lifecycle hang on this device.
     pub lifecycle_hangs: u64,
@@ -240,19 +242,13 @@ impl PoolReport {
         self.devices.iter().map(|d| d.cpu_fallbacks).sum()
     }
 
-    /// Total breaker trips across devices.
-    #[must_use]
-    pub fn total_trips(&self) -> u64 {
-        self.devices.iter().map(|d| d.breaker_trips).sum()
-    }
-
-    /// Total health-monitor evictions across devices.
+    /// Total evictions (breaker trips) across devices.
     #[must_use]
     pub fn total_evictions(&self) -> u64 {
         self.devices.iter().map(|d| d.evictions).sum()
     }
 
-    /// Total readmissions across devices.
+    /// Total readmissions (breaker resets) across devices.
     #[must_use]
     pub fn total_readmissions(&self) -> u64 {
         self.devices.iter().map(|d| d.readmissions).sum()
@@ -280,6 +276,8 @@ struct Task {
 struct Member {
     device: DeviceConfig,
     interconnect: Interconnect,
+    /// The slot's breaker, and the member's membership: the pool
+    /// places only on members whose breaker admits the unit.
     breaker: Breaker,
     memo: Arc<ReplayMemo>,
     report: DeviceReport,
@@ -326,8 +324,6 @@ pub(crate) struct DevicePool {
     /// The pooled ladder every task runs.
     ladder: Ladder,
     shard_align: usize,
-    /// Membership authority: drain → evict → readmit.
-    health: HealthMonitor,
     report: PoolReport,
 }
 
@@ -351,7 +347,7 @@ impl DevicePool {
                 .map(|d| Member {
                     device: d.device.clone(),
                     interconnect: d.interconnect.clone(),
-                    breaker: Breaker::new(resilience),
+                    breaker: Breaker::new(pool.health.evict_threshold, pool.health.probe_cooldown),
                     memo: Arc::new(ReplayMemo::new()),
                     report: DeviceReport {
                         name: d.device.name.clone(),
@@ -363,7 +359,6 @@ impl DevicePool {
                 .collect(),
             ladder: Ladder::new(Budget::of(backend, resilience, true), resilience, cpu),
             shard_align: pool.shard_align,
-            health: HealthMonitor::new(pool.devices.len(), pool.health),
             report: PoolReport::default(),
         }
     }
@@ -371,7 +366,7 @@ impl DevicePool {
     /// Executes one launch unit across the pool and merges the tasks'
     /// outcomes in slot order; returns once every task has finished
     /// and never fails (sick tasks land on the bit-exact CPU harbor).
-    /// Only health-eligible devices receive tasks.
+    /// Only members whose breaker admits the unit receive tasks.
     ///
     /// A row unit is sharded row-wise: the shard count shrinks with
     /// the active set, and because the merge concatenates in slot
@@ -394,21 +389,18 @@ impl DevicePool {
                     .map_or(DevicePhase::Healthy, LifecycleState::advance)
             })
             .collect();
-        let eligible = self.health.eligible(batch);
+        let eligible = self.admitting(batch);
         let n_segs = unit.segments.len();
         let tasks = self.place_unit(unit, &eligible);
         let outcomes = self.execute(&tasks, &phases, batch);
 
         // Merge in slot order — the fixed deterministic order the
-        // bit-identity invariant needs. Health is scored in slot
-        // order too, after every task has finished: evictions are
-        // deterministic and never race a live batch.
+        // bit-identity invariant needs.
         let on_gpu = self.ladder.budget.gpu_attempts > 0;
         let mut out = UnitOutcome::empty();
         let mut merged: Vec<Option<SegmentOutcome>> = (0..n_segs).map(|_| None).collect();
         let mut batch_sim = 0.0f64;
         for (task, mut o) in tasks.into_iter().zip(outcomes) {
-            self.health.note_outcome(task.owner, o.health, batch);
             self.members[task.owner]
                 .report
                 .record(task.origin.len(), &o, on_gpu);
@@ -432,13 +424,31 @@ impl DevicePool {
         out
     }
 
+    /// The placement mask of batch `batch`: the members whose breaker
+    /// admits it — closed, half-open, or open past its cooldown (which
+    /// turns it half-open). If none admits, every member is placed and
+    /// their open breakers send the unit to the CPU harbor: the pool
+    /// keeps serving, correctly.
+    fn admitting(&mut self, batch: u64) -> Vec<bool> {
+        let mask: Vec<bool> = self
+            .members
+            .iter_mut()
+            .map(|m| m.breaker.allow(batch))
+            .collect();
+        if mask.contains(&true) {
+            mask
+        } else {
+            vec![true; mask.len()]
+        }
+    }
+
     /// Picks the owner of a task whose `A` panel is `key`: cache-first
     /// on residency, then load-aware over `placed` (the tasks this
-    /// unit already placed on each device), over the health-eligible
-    /// devices only.
+    /// unit already placed on each device), over the eligible members
+    /// only.
     fn place(&self, key: &ShardKey, placed: &[usize], eligible: &[bool]) -> usize {
         let warm: Vec<bool> = self.members.iter().map(|m| m.cache.contains(key)).collect();
-        crate::router::place_masked(&warm, placed, eligible)
+        crate::router::place(&warm, placed, eligible)
     }
 
     /// Places `unit` on the eligible devices and returns its tasks in
@@ -542,14 +552,12 @@ impl DevicePool {
     /// Assembles the final report.
     pub(crate) fn into_report(self) -> PoolReport {
         let mut report = self.report;
-        for (d, m) in self.members.into_iter().enumerate() {
+        for m in self.members {
             let mut dr = m.report;
-            dr.breaker_trips = m.breaker.trips;
-            dr.breaker_resets = m.breaker.resets;
+            dr.evictions = m.breaker.trips;
+            dr.readmissions = m.breaker.resets;
             dr.plan_cache = m.cache.stats();
             dr.replay_memo = m.memo.stats();
-            dr.evictions = self.health.evictions[d];
-            dr.readmissions = self.health.readmissions[d];
             report.devices.push(dr);
         }
         report
@@ -695,6 +703,54 @@ mod tests {
         assert_eq!((d0.executed, d1.executed), (2, 0));
         assert_eq!((d0.shard_tasks, d1.shard_tasks), (2, 0));
         assert_eq!((report.shard_tasks, report.stolen_tasks), (2, 0));
+    }
+
+    /// A pool's members' breakers are its membership. With every
+    /// breaker open the unit is still placed on every member, makes no
+    /// launch and lands on the harbor; the first unit past the cooldown
+    /// probes, and a member whose breaker is open leaves placement.
+    #[test]
+    fn an_all_refusing_pool_places_every_member_on_the_harbor() {
+        let mut cfg = PoolConfig::homogeneous(2, DeviceConfig::gtx970(), Interconnect::pcie3_x16());
+        cfg.health = HealthConfig {
+            evict_threshold: 1,
+            probe_cooldown: 2,
+        };
+        let mut pool = DevicePool::new(
+            &cfg,
+            ServeBackend::GpuFused { cpu_fallback: true },
+            &ResilienceConfig::default(),
+            FusedCpuConfig::default(),
+        );
+        for m in &mut pool.members {
+            m.breaker.record_failure(0);
+        }
+        let refused = pool.run(segment(2), 1);
+        assert!(refused.profiles.is_empty(), "no launch");
+        let seg = &refused.segments[0];
+        assert_eq!((seg.rung, seg.attempts), (Rung::Harbor, 1), "harbor only");
+        let cols = seg.result.as_ref().expect("served");
+        assert!(cols.iter().all(|c| c.len() == 256));
+        for m in &pool.members {
+            assert_eq!((m.report.shard_tasks, m.report.cpu_fallbacks), (1, 1));
+            assert_eq!(m.memo.stats(), ReplayMemoStats::default());
+        }
+
+        let probed = pool.run(segment(2), 2);
+        assert_eq!(probed.segments[0].rung, Rung::Top, "both probes succeed");
+        assert_eq!(probed.profiles.len(), 2, "one probe per member");
+
+        // Member 1 trips again and sits out: member 0 owns the unit.
+        pool.members[1].breaker.record_failure(2);
+        let _ = pool.run(segment(2), 3);
+        let report = pool.into_report();
+        let [d0, d1] = &report.devices[..] else {
+            panic!("two devices")
+        };
+        assert_eq!((d0.shard_tasks, d1.shard_tasks), (3, 2));
+        assert_eq!((d0.evictions, d0.readmissions), (1, 1));
+        assert_eq!((d1.evictions, d1.readmissions), (2, 1));
+        assert_eq!(d1.replay_memo.misses, 3, "member 1 launched its probe only");
     }
 
     #[test]

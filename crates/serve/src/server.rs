@@ -210,15 +210,16 @@ pub enum FaultInjection {
 }
 
 /// Retry, backoff and circuit-breaker policy of
-/// [`ServeBackend::GpuResilient`]. The breaker settings also govern
-/// the breaker of every other backend that has a CPU harbor.
+/// [`ServeBackend::GpuResilient`]. The breaker settings govern the
+/// unpooled slot's breaker on every backend that has a CPU harbor.
 ///
 /// Pooled serving (`--devices N`) keeps its budget of one GPU attempt
 /// per shard or packed sub-wave whatever `gpu_attempts` says: a sick
 /// shard goes straight to the CPU harbor, no backoff and no unverified
 /// rung (DESIGN.md §11–§12). Retrying shards would spend extra GPU
-/// attempts per query on a faulty pool; `verify` and the breaker
-/// settings still apply.
+/// attempts per query on a faulty pool. `verify` still applies; the
+/// pool members' breakers take [`PoolConfig::health`] instead of the
+/// breaker settings here.
 #[derive(Debug, Clone)]
 pub struct ResilienceConfig {
     /// Launch attempts on the top GPU rung before degrading (≥ 1;
@@ -230,9 +231,10 @@ pub struct ResilienceConfig {
     pub backoff_base: Duration,
     /// Seed of the deterministic jitter hash.
     pub backoff_seed: u64,
-    /// Consecutive GPU-attempt failures that trip the breaker open.
+    /// Consecutive GPU-attempt failures that trip the unpooled slot's
+    /// breaker open.
     pub breaker_threshold: u32,
-    /// Batches the breaker stays open before probing half-open.
+    /// Batches that breaker stays open before probing half-open.
     pub breaker_cooldown: u64,
     /// Run the top rung through the checksum-augmented (ABFT)
     /// pipeline. Off, the ladder starts at unverified GPU.
@@ -305,11 +307,9 @@ pub struct GeometryPick {
 pub struct ServeConfig {
     /// Submission queue bound (backpressure threshold).
     pub queue_capacity: usize,
-    /// Maximum queries drained per scheduling wave.
+    /// Maximum queries drained per scheduling wave. A wave's queries
+    /// coalesce into solves of at most [`MAX_GPU_BATCH`] queries.
     pub wave: usize,
-    /// Maximum queries coalesced into one solve (clamped to
-    /// [`MAX_GPU_BATCH`] on the GPU backend).
-    pub max_batch: usize,
     /// LRU plan-cache capacity (plans, not bytes).
     pub plan_cache_capacity: usize,
     /// Disable to rebuild the plan for every batch (ablation).
@@ -321,15 +321,10 @@ pub struct ServeConfig {
     pub device: DeviceConfig,
     /// CPU fused-solver blocking.
     pub cpu: FusedCpuConfig,
-    /// Statically lint the exact kernel a GPU batch would launch
-    /// before its first attempt (see [`crate::admission`]); a proof
-    /// failure serves the batch on the bit-exact CPU path instead.
-    /// Verdicts are memoized by launch geometry alongside the plan
-    /// cache, so warm shapes pay one hash lookup.
-    pub static_lint: bool,
     /// Injected worker faults (tests only).
     pub fault_injection: FaultInjection,
-    /// Retry/backoff/breaker policy of the resilient backend.
+    /// Retry/backoff policy of the resilient backend, and the breaker
+    /// of the unpooled slot.
     pub resilience: ResilienceConfig,
     /// Artificial per-batch latency — a slow consumer for soak tests.
     pub batch_delay: Option<Duration>,
@@ -373,13 +368,11 @@ impl Default for ServeConfig {
         Self {
             queue_capacity: 64,
             wave: 16,
-            max_batch: MAX_GPU_BATCH,
             plan_cache_capacity: 8,
             enable_plan_cache: true,
             backend: ServeBackend::GpuFused { cpu_fallback: true },
             device: DeviceConfig::gtx970(),
             cpu: FusedCpuConfig::default(),
-            static_lint: true,
             fault_injection: FaultInjection::None,
             resilience: ResilienceConfig::default(),
             batch_delay: None,
@@ -465,9 +458,13 @@ pub struct ServeReport {
     /// if any, stayed clean) — masked flips or faults outside ABFT
     /// coverage (see DESIGN.md §11).
     pub undetected_injected: u64,
-    /// Circuit-breaker transitions to open.
+    /// Circuit-breaker transitions to open, summed over the device
+    /// slots (the unpooled slot and each pool member, whose trips are
+    /// its evictions).
     pub breaker_trips: u64,
-    /// Circuit-breaker recoveries (half-open probe succeeded).
+    /// Circuit-breaker recoveries (half-open probe succeeded), summed
+    /// over the device slots like `breaker_trips` (a member's are its
+    /// readmissions).
     pub breaker_resets: u64,
     /// Worker-side internal failures (panicked worker drained at
     /// shutdown). Non-zero voids the per-query invariants above.
@@ -475,8 +472,10 @@ pub struct ServeReport {
     /// Plan-cache counters.
     pub plan_cache: PlanCacheStats,
     /// Static-admission counters (checks computed, memo hits, batches
-    /// denied the GPU); all zero when `static_lint` is off or the
-    /// backend is CPU-only.
+    /// denied the GPU); all zero on the CPU-only backend. Every other
+    /// backend statically lints the exact kernel a batch would launch
+    /// before its first attempt ([`crate::admission`]), memoized by
+    /// launch geometry next to the plan cache.
     pub static_admission: AdmissionStats,
     /// Winning-geometry memo counters.
     pub geometry: GeometryStats,
@@ -633,12 +632,12 @@ impl Server {
     /// Starts the worker thread.
     ///
     /// # Panics
-    /// Panics on a zero queue capacity, wave or batch size, or a zero
-    /// plan-cache capacity while the cache is enabled.
+    /// Panics on a zero queue capacity or wave size, or a tile
+    /// geometry, low-power variant or geometry pick that is infeasible
+    /// on the configured device or not bit-compatible with its base.
     #[must_use]
     pub fn start(cfg: ServeConfig) -> Self {
         assert!(cfg.wave > 0, "wave size must be positive");
-        assert!(cfg.max_batch > 0, "batch size must be positive");
         assert!(
             cfg.geometry.feasibility(&cfg.device).is_ok(),
             "configured tile geometry is infeasible on the configured device"
@@ -848,19 +847,13 @@ fn worker_loop(
                 None => groups.push((key, vec![(q, t)])),
             }
         }
-        let max_batch = match cfg.backend {
-            ServeBackend::CpuFused => cfg.max_batch,
-            ServeBackend::GpuFused { .. } | ServeBackend::GpuResilient => {
-                cfg.max_batch.min(MAX_GPU_BATCH)
-            }
-        };
-        // Split each group into owned max_batch-sized chunks — the
-        // wave's unit of execution (and of packing, when enabled).
+        // Split each group into owned chunks of at most MAX_GPU_BATCH
+        // — the wave's unit of execution (and of packing, when enabled).
         let mut chunks: Vec<Vec<(Query, Ticket)>> = Vec::new();
         for (_, group) in groups {
             let mut rest = group;
-            while rest.len() > max_batch {
-                let tail = rest.split_off(max_batch);
+            while rest.len() > MAX_GPU_BATCH {
+                let tail = rest.split_off(MAX_GPU_BATCH);
                 chunks.push(std::mem::replace(&mut rest, tail));
             }
             chunks.push(rest);
@@ -943,7 +936,10 @@ impl<'a> Worker<'a> {
                 .pool
                 .as_ref()
                 .map(|p| DevicePool::new(p, cfg.backend, &cfg.resilience, cfg.cpu)),
-            breaker: Breaker::new(&cfg.resilience),
+            breaker: Breaker::new(
+                cfg.resilience.breaker_threshold,
+                cfg.resilience.breaker_cooldown,
+            ),
             memo: Arc::new(ReplayMemo::new()),
             ladder: ladder(Budget::of(cfg.backend, &cfg.resilience, false)),
             cpu: ladder(Budget::CPU),
@@ -965,6 +961,8 @@ impl<'a> Worker<'a> {
             sum.hits += slot.hits;
             sum.misses += slot.misses;
             sum.retired += slot.retired;
+            stats.breaker_trips += d.evictions;
+            stats.breaker_resets += d.readmissions;
         }
         stats
     }
@@ -1045,7 +1043,7 @@ impl<'a> Worker<'a> {
         // batch would launch clean before spending any GPU attempt.
         // Verdicts are memoized by padded launch geometry next to the
         // plan cache, so repeat shapes run no analysis.
-        let admitted = if cfg.static_lint && uses_gpu(cfg) {
+        let admitted = if uses_gpu(cfg) {
             let (m, k) = plan.dims();
             let key = AdmissionKey::for_batch(m, proto.targets.len(), k, weights.len(), &geometry);
             let (verdict, _) = self
@@ -1760,7 +1758,7 @@ mod tests {
             backend: ServeBackend::GpuFused {
                 cpu_fallback: false,
             },
-            max_batch: 1, // one query per batch → repeat geometry
+            wave: 1, // one query per batch → repeat geometry
             start_paused: true,
             ..ServeConfig::default()
         };
@@ -1827,26 +1825,6 @@ mod tests {
         }
     }
 
-    /// Turning the gate off restores unconditional GPU dispatch.
-    #[test]
-    fn static_lint_off_skips_admission() {
-        let sources = SourceSet::new(PointSet::uniform_cube(100, 5, 131));
-        let targets = Arc::new(PointSet::uniform_cube(70, 5, 132));
-        let cfg = ServeConfig {
-            backend: ServeBackend::GpuFused { cpu_fallback: true },
-            static_lint: false,
-            ..ServeConfig::default()
-        };
-        let mut srv = Server::start(cfg);
-        let Submit::Accepted(t) = srv.submit(query(&sources, &targets, 133)) else {
-            panic!("must accept");
-        };
-        assert!(t.wait().is_ok());
-        let report = srv.shutdown();
-        assert_eq!(report.static_admission, AdmissionStats::default());
-        assert_eq!(report.profiles.len(), 1);
-    }
-
     fn memo_stats(hits: u64, misses: u64) -> ReplayMemoStats {
         ReplayMemoStats {
             hits,
@@ -1864,7 +1842,7 @@ mod tests {
             backend: ServeBackend::GpuFused {
                 cpu_fallback: false,
             },
-            max_batch: 1,
+            wave: 1,
             enable_plan_cache: false,
             start_paused: true,
             pool,

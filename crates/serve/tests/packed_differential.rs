@@ -143,7 +143,7 @@ fn packed_pooled_serving_is_bit_identical_to_unpacked() {
         assert_eq!(report.failed, 0);
         let pool = report.pool.expect("pooled run reports the pool");
         assert_eq!(pool.total_fallbacks(), 0, "healthy pool never falls back");
-        assert_eq!(pool.total_trips(), 0);
+        assert_eq!(pool.total_evictions(), 0);
     }
 }
 

@@ -164,7 +164,7 @@ fn pooled_gpu_serving_is_bit_identical_to_unpooled_cold_and_warm() {
         assert_eq!(report.completed, base.completed);
         let pool = report.pool.expect("pooled run reports the pool");
         assert_eq!(pool.total_fallbacks(), 0, "healthy pool never falls back");
-        assert_eq!(pool.total_trips(), 0);
+        assert_eq!(pool.total_evictions(), 0);
         // Transfers were charged over the interconnect.
         let moved: u64 = pool.devices.iter().map(|d| d.transfer_bytes).sum();
         assert!(moved > 0, "pooled GPU serving must charge transfers");
@@ -238,7 +238,7 @@ fn faulted_device_trips_only_its_own_breaker() {
     assert_eq!(results.len(), queries.len());
     let pool = report.pool.expect("pool report");
     assert!(
-        pool.devices[sick].breaker_trips >= 1,
+        pool.devices[sick].evictions >= 1,
         "the sick device's breaker must trip"
     );
     assert!(
@@ -247,7 +247,7 @@ fn faulted_device_trips_only_its_own_breaker() {
     );
     for (d, dev) in pool.devices.iter().enumerate() {
         if d != sick {
-            assert_eq!(dev.breaker_trips, 0, "device {d} breaker must stay closed");
+            assert_eq!(dev.evictions, 0, "device {d} breaker must stay closed");
             assert_eq!(dev.cpu_fallbacks, 0, "device {d} must not fall back");
         }
     }
@@ -319,7 +319,7 @@ fn pool_chaos_data_faults_are_surfaced_and_recovered() {
     assert!(pool.devices[sick].cpu_fallbacks > 0);
     for (d, dev) in pool.devices.iter().enumerate() {
         if d != sick {
-            assert_eq!(dev.breaker_trips, 0, "device {d} breaker must stay closed");
+            assert_eq!(dev.evictions, 0, "device {d} breaker must stay closed");
             assert_eq!(
                 dev.corruption_detected, 0,
                 "device {d} must stay corruption-free"

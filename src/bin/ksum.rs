@@ -89,8 +89,8 @@ const USAGE: &str = "usage: ksum [--threads N] [--faults SPEC] <command> [flags]
                 bit-identical to single-device serving;
                 --lifecycle-faults e.g. seed=7,hang=0.1,loss=0.01,
                 recover=0.5 flaps pool devices through seeded hang/
-                loss/recovery epochs — sick devices drain, evict and
-                readmit via the health loop (needs --devices);
+                loss/recovery epochs — a sick device drains, and its
+                breaker evicts and readmits it (needs --devices);
                 --link-faults e.g. seed=7,corrupt=0.2,timeout=0.05
                 injects per-transfer CRC-detected corruption and
                 timeouts on every pool link (needs --devices); seeds
@@ -646,20 +646,14 @@ fn cmd_serve_bench(args: &[String], fault: Option<FaultSpec>) -> Result<ExitCode
     if let Some(pool) = &report.pool {
         outln!(
             "pool: {} devices | {} shard tasks | sim time {:.3} ms | \
-             {} CPU shard recoveries | breaker trips {}",
+             {} CPU shard recoveries | {} evictions / {} readmissions",
             pool.devices.len(),
             pool.shard_tasks,
             pool.sim_time_s * 1e3,
             pool.total_fallbacks(),
-            pool.total_trips(),
+            pool.total_evictions(),
+            pool.total_readmissions(),
         );
-        if pool.total_evictions() > 0 || pool.total_readmissions() > 0 {
-            outln!(
-                "pool health: {} evictions | {} readmissions",
-                pool.total_evictions(),
-                pool.total_readmissions(),
-            );
-        }
         for d in &pool.devices {
             outln!(
                 "  {}: {} executed, {} gpu / {} cpu shards, \
