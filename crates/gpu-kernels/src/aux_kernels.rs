@@ -18,7 +18,7 @@
 use ks_gpu_sim::access::{affine_lanes, masked_lanes, AccessSpec, GlobalPattern};
 use ks_gpu_sim::buffer::{BufId, GlobalMem};
 use ks_gpu_sim::dim::{Dim3, LaunchConfig};
-use ks_gpu_sim::exec::BlockCtx;
+use ks_gpu_sim::exec::{BlockCtx, NamedBlocks};
 use ks_gpu_sim::kernel::VecWidth;
 use ks_gpu_sim::kernel::{
     AnalysisBudget, BlockClass, BufferUse, ExecModel, Kernel, KernelResources, TimingHints,
@@ -158,15 +158,20 @@ impl Kernel for NormsKernel {
         self.body(block, &mut FunctionalMachine::new(ctx));
     }
 
-    /// Each point's `x·x` folded over `dim` in order from 0.0, as a
-    /// lane accumulates it.
-    fn execute_exact(&self, mem: &GlobalMem) -> bool {
+    /// Block by block, each point's `x·x` folded over `dim` in order
+    /// from 0.0, as a lane accumulates it; a named block is
+    /// interpreted instead.
+    fn execute_exact(&self, mem: &GlobalMem, named: NamedBlocks<'_>) -> bool {
         let pts = mem.download(self.points);
-        for (p, x) in pts[..self.n_points * self.dim]
-            .chunks_exact(self.dim)
-            .enumerate()
-        {
-            mem.store(self.out, p, x.iter().fold(0.0f32, |acc, v| acc + v * v));
+        let blocks = pts[..self.n_points * self.dim].chunks_exact(128 * self.dim);
+        for (b, block) in (0u32..).zip(blocks) {
+            if named.interpret(mem, self, Dim3::new_1d(b), b.into()) {
+                continue;
+            }
+            for (i, x) in block.chunks_exact(self.dim).enumerate() {
+                let p = b as usize * 128 + i;
+                mem.store(self.out, p, x.iter().fold(0.0f32, |acc, v| acc + v * v));
+            }
         }
         true
     }

@@ -64,7 +64,7 @@ use ks_gpu_sim::access::{
 use ks_gpu_sim::buffer::{BufId, GlobalMem};
 use ks_gpu_sim::config::DeviceConfig;
 use ks_gpu_sim::dim::{Dim3, LaunchConfig};
-use ks_gpu_sim::exec::BlockCtx;
+use ks_gpu_sim::exec::{BlockCtx, NamedBlocks};
 use ks_gpu_sim::kernel::VecWidth;
 use ks_gpu_sim::kernel::{
     AnalysisBudget, BlockClass, BufferUse, ExecModel, Kernel, KernelResources, TimingHints,
@@ -530,6 +530,20 @@ impl<N: Naming> Fused<N> {
         }
     }
 
+    /// Block `(bx, by)` of segment `seg` as the launch sees it: its
+    /// coordinates in the launch's grid and its launch-order index
+    /// (the inverse of [`Fused::route`]).
+    fn launch_block(&self, seg: usize, bx: usize, by: usize) -> (Dim3, u64) {
+        let (gx, _) = self.table.grid(seg);
+        let local = by as u32 * gx + bx as u32;
+        if N::PACKED {
+            let linear = self.table.segment_start(seg) + local;
+            (Dim3::new_1d(linear), linear.into())
+        } else {
+            (Dim3::new_2d(bx as u32, by as u32), local.into())
+        }
+    }
+
     fn body<M: WarpMachine>(&self, seg: &Segment, block: Dim3, mach: &mut M) {
         let (bx, by) = (block.x as usize, block.y as usize);
         let s = seg.bw.inv_2h2();
@@ -880,13 +894,14 @@ impl<N: Naming> Kernel for Fused<N> {
     /// group, in parallel, applies its blocks' partials in ascending
     /// `bx` with the drain's atomics; with verify on, each block then
     /// adds its σ (its rows, ascending from 0.0) to its checksum slot
-    /// and 0.0 to the flag, as a clean block's epilogue does. Layout,
+    /// and 0.0 to the flag, as a clean block's epilogue does. A named
+    /// block is interpreted in its own `bx` slot instead. Layout,
     /// buffering and exec model change no bit.
-    fn execute_exact(&self, mem: &GlobalMem) -> bool {
+    fn execute_exact(&self, mem: &GlobalMem, named: NamedBlocks<'_>) -> bool {
         if let Reduction::TwoPass { .. } = self.reduction {
             return false;
         }
-        for seg in &self.segments {
+        for (s, seg) in self.segments.iter().enumerate() {
             let (m, n, k, r) = (seg.shape.m, seg.shape.n, seg.shape.k, seg.r);
             let [a, b, a2, b2, w] =
                 [seg.ops.a, seg.ops.b, seg.a2, seg.b2, seg.w].map(|buf| mem.download(buf));
@@ -903,7 +918,11 @@ impl<N: Naming> Kernel for Fused<N> {
             let bm = self.geometry.block_m;
             let gy = m / bm;
             (0..gy).into_par_iter().for_each(|by| {
-                host.row_group(&self.geometry, by, |t| {
+                let interpret = |bx| {
+                    let (block, linear) = self.launch_block(s, bx, by);
+                    named.interpret(mem, self, block, linear)
+                };
+                host.row_group(&self.geometry, by, interpret, |t| {
                     for (c, col) in t.chunks_exact(bm).enumerate() {
                         for (i, &x) in col.iter().enumerate() {
                             mem.atomic_add(seg.v, c * m + by * bm + i, x);

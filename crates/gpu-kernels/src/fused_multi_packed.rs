@@ -35,11 +35,9 @@
 //! A packed launch is bit-identical to running the segments back to
 //! back: each block runs the fused block body with the same local
 //! coordinates and the same buffer contents it would see unpacked, the
-//! segments write disjoint output buffers, and the atomic-reduction
-//! envelope *within* a segment (how many blocks fold into each `V`
-//! element) is unchanged by packing. The serve layer keeps the same
-//! determinism envelope it already documents for the unpacked kernel
-//! (≤ 2 atomic contributors per output element).
+//! segments write disjoint output buffers, and the atomic reduction
+//! *within* a segment (which blocks fold into each `V` element, in
+//! ascending `bx`) is unchanged by packing.
 //!
 //! ## Admission
 //! The packed name deliberately returns `access_spec() = None` — an
@@ -214,7 +212,7 @@ mod tests {
     /// The tentpole invariant: a heterogeneous packed wave (distinct
     /// shapes, bandwidths, and column counts) is bit-identical to
     /// serving each segment through the unpacked entry. All segments
-    /// keep `n ≤ 2·block_n`, the documented determinism envelope.
+    /// keep `n ≤ 2·block_n`, as the serving planner packs them.
     #[test]
     fn packed_wave_is_bit_identical_to_unpacked_segments() {
         let geo = TileGeometry::paper_default();

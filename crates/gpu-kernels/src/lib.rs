@@ -41,9 +41,9 @@
 //! * [`fused_multi_packed`] — horizontal fusion's [`RoutingTable`]
 //!   (block index → segment) and the packed launch's contract.
 //! * [`oracle`] — the fused kernel's exact host evaluation, in its
-//!   geometry-aware reduction order: what fault-free functional runs
-//!   take instead of the warp interpreter, and the differential-test
-//!   contract.
+//!   geometry-aware reduction order: what functional runs take instead
+//!   of the warp interpreter (which runs only the blocks a fault plan
+//!   names), and the differential-test contract.
 //! * [`pipelines`] — the three end-to-end implementations of §IV:
 //!   `Fused`, `CUDA-Unfused`, `cuBLAS-Unfused`.
 

@@ -1,8 +1,9 @@
 //! The fused kernel's exact host evaluation: the one host definition
-//! of its numerics. Fault-free `GpuDevice::run`s of the fused and
-//! packed kernels take it instead of the warp interpreter
-//! (`Kernel::execute_exact`), and [`fused_oracle`] /
-//! [`fused_multi_oracle`] serve it as the differential-test contract.
+//! of its numerics. Every `GpuDevice::run` of the fused and packed
+//! kernels takes it instead of the warp interpreter
+//! (`Kernel::execute_exact`), interpreting only the blocks a fault
+//! plan names, and [`fused_oracle`] / [`fused_multi_oracle`] serve it
+//! as the differential-test contract.
 //!
 //! Each block's `T` partials come out in **exactly** the simulated
 //! kernel's floating-point association order:
@@ -19,8 +20,9 @@
 //!    in ascending `tx` order from 0.0 (the shuffle-tree model).
 //!
 //! The partials then land in ascending `bx`: launch order, the
-//! `run_counted` schedule. Row groups own disjoint rows, so they run
-//! in parallel without changing a bit.
+//! `run_counted` schedule, with an interpreted block's atomics in its
+//! own slot. Row groups own disjoint rows, so they run in parallel
+//! without changing a bit.
 //!
 //! Steps 2–4 depend only on the **N-side** of the tile geometry
 //! (`block_n`, `micro_n`) — the M-side merely re-partitions rows and
@@ -104,15 +106,27 @@ impl<'a> FusedHost<'a> {
         }
     }
 
-    /// Evaluates row group `by` block by block in ascending `bx`,
-    /// handing each block's `T` partials to `each`: `t[c·block_m + i]`
-    /// is row `by·block_m + i` of weight column `c`.
-    pub(crate) fn row_group(&self, geo: &TileGeometry, by: usize, mut each: impl FnMut(&[f32])) {
+    /// Evaluates row group `by` block by block in ascending `bx`. Each
+    /// block is first offered to `interpret`, which either runs it
+    /// some other way and returns `true`, or returns `false`; each
+    /// block it declines has its `T` partials computed and handed to
+    /// `each`: `t[c·block_m + i]` is row `by·block_m + i` of weight
+    /// column `c`.
+    pub(crate) fn row_group(
+        &self,
+        geo: &TileGeometry,
+        by: usize,
+        mut interpret: impl FnMut(usize) -> bool,
+        mut each: impl FnMut(&[f32]),
+    ) {
         let (bm, bn, k, r) = (geo.block_m, geo.block_n, self.k, self.r);
         let a_panels = pack_panels(&self.a[by * bm * k..(by + 1) * bm * k], k, MR);
         let mut dots = vec![0.0f32; bm * bn];
         let mut t = vec![0.0f32; r * bm];
         for bx in 0..self.n / bn {
+            if interpret(bx) {
+                continue;
+            }
             let col0 = bx * bn;
             // The block's dot products, bm × bn row-major.
             dots.fill(0.0);
@@ -206,11 +220,8 @@ pub fn fused_multi_oracle(
         .into_par_iter()
         .map(|by| {
             let mut v = vec![0.0f32; r * bm];
-            host.row_group(geo, by, |t| {
-                for (x, y) in v.iter_mut().zip(t) {
-                    *x += y;
-                }
-            });
+            let add = |t: &[f32]| v.iter_mut().zip(t).for_each(|(x, y)| *x += y);
+            host.row_group(geo, by, |_| false, add);
             v
         })
         .collect();

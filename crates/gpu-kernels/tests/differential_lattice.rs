@@ -2,10 +2,11 @@
 //! feasible [`TileGeometry`] must produce results bit-identical to the
 //! geometry-aware CPU oracle under the sequential (`run_counted`)
 //! schedule — the same reduction-order contract the serving ladder's
-//! CPU/GPU cross-checks rely on. A quiet `run`, which takes the
-//! kernels' exact host path instead of the interpreter, must equal
-//! `run_counted` bit for bit in every output: `V`, the ABFT checksum
-//! and flag, and the norms.
+//! CPU/GPU cross-checks rely on. A `run`, which takes the kernels'
+//! exact host path and interprets only the blocks a fault plan names,
+//! must equal `run_counted` bit for bit in every output — `V`, the
+//! ABFT checksum and flag, and the norms — quiet or faulted, with the
+//! same applied faults.
 //!
 //! The shapes here are compact so the sweep stays debug-build fast;
 //! the CI `tune-bench` job repeats the same check on the full smoke
@@ -23,6 +24,7 @@ use ks_gpu_kernels::{
 };
 use ks_gpu_sim::buffer::BufId;
 use ks_gpu_sim::config::DeviceConfig;
+use ks_gpu_sim::fault::{FaultCounters, FaultSpec};
 use ks_gpu_sim::kernel::Kernel;
 use ks_gpu_sim::GpuDevice;
 
@@ -48,11 +50,18 @@ fn host_norms(pts: &[f32], rows: usize, k: usize) -> Vec<f32> {
 /// kernels, in launch order, and every buffer they write.
 type Launches = (Vec<Box<dyn Kernel>>, Vec<BufId>);
 
-/// Builds the launches on a fresh device, runs them through `run` (the
-/// quiet host path) or `run_counted` (the interpreter), and downloads
-/// the written buffers.
-fn outputs(setup: &dyn Fn(&mut GpuDevice) -> Launches, counted: bool) -> Vec<Vec<f32>> {
-    let mut dev = GpuDevice::gtx970();
+/// Builds the launches on a fresh device under `fault`, runs them
+/// through `run` (the host path) or `run_counted` (the interpreter),
+/// and downloads the written buffers and the applied fault tally.
+fn outputs(
+    setup: &dyn Fn(&mut GpuDevice) -> Launches,
+    counted: bool,
+    fault: Option<FaultSpec>,
+) -> (Vec<Vec<f32>>, FaultCounters) {
+    let mut dev = GpuDevice::new(DeviceConfig {
+        fault,
+        ..DeviceConfig::gtx970()
+    });
     let (kernels, written) = setup(&mut dev);
     for kern in &kernels {
         if counted {
@@ -61,25 +70,60 @@ fn outputs(setup: &dyn Fn(&mut GpuDevice) -> Launches, counted: bool) -> Vec<Vec
             dev.run(kern.as_ref()).unwrap();
         }
     }
-    written.iter().map(|&buf| dev.download(buf)).collect()
+    let out = written.iter().map(|&buf| dev.download(buf)).collect();
+    (out, dev.take_fault_counters())
+}
+
+/// Asserts a `run` under `fault` writes exactly the bits `run_counted`
+/// does and applies the same faults, and returns those outputs and the
+/// tally. A DRAM flip can turn a norm into a NaN, and Rust leaves
+/// which payload an operation on NaNs returns unspecified, so under
+/// DRAM flips two NaNs match whatever their payloads.
+fn run_equals_run_counted_under(
+    what: &str,
+    fault: Option<FaultSpec>,
+    setup: &dyn Fn(&mut GpuDevice) -> Launches,
+) -> (Vec<Vec<f32>>, FaultCounters) {
+    let (fast, fast_tally) = outputs(setup, false, fault);
+    let (slow, slow_tally) = outputs(setup, true, fault);
+    for (o, (f, s)) in fast.iter().zip(&slow).enumerate() {
+        assert_eq!(f.len(), s.len());
+        for (i, (x, y)) in f.iter().zip(s).enumerate() {
+            let both_nan = fault.is_some_and(|f| f.dram_rate > 0.0) && x.is_nan() && y.is_nan();
+            assert!(
+                x.to_bits() == y.to_bits() || both_nan,
+                "{what}: output {o} word {i}: run {x} ({:#010x}) vs run_counted {y} ({:#010x})",
+                x.to_bits(),
+                y.to_bits()
+            );
+        }
+    }
+    assert_eq!(fast_tally, slow_tally, "{what}: applied faults");
+    (slow, slow_tally)
 }
 
 /// Asserts a quiet `run` writes exactly the bits `run_counted` does,
 /// and returns those outputs.
 fn run_equals_run_counted(what: &str, setup: &dyn Fn(&mut GpuDevice) -> Launches) -> Vec<Vec<f32>> {
-    let fast = outputs(setup, false);
-    let slow = outputs(setup, true);
-    for (o, (f, s)) in fast.iter().zip(&slow).enumerate() {
-        assert_eq!(f.len(), s.len());
-        for (i, (x, y)) in f.iter().zip(s).enumerate() {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "{what}: output {o} word {i}: run {x} vs run_counted {y}"
-            );
-        }
-    }
-    slow
+    run_equals_run_counted_under(what, None, setup).0
+}
+
+/// The seeded fault specs of the faulted cases: upsets that name
+/// several blocks of every launch, and DRAM flips only.
+fn fault_specs(seed: u64) -> [FaultSpec; 2] {
+    [
+        FaultSpec {
+            seed,
+            smem_rate: 4.0,
+            reg_rate: 4.0,
+            ..FaultSpec::default()
+        },
+        FaultSpec {
+            seed,
+            dram_rate: 2.0,
+            ..FaultSpec::default()
+        },
+    ]
 }
 
 /// One serving launch on device-computed norms: the norms(A) and
@@ -282,25 +326,89 @@ fn quiet_run_equals_run_counted_across_three_column_blocks() {
     assert!(launches >= 40, "only {launches} launches sampled");
 }
 
+/// Three segments with mixed R and shapes in one packed launch,
+/// verified or not, every segment at three column blocks.
+fn packed_launch(dev: &mut GpuDevice, verify: bool) -> Launches {
+    let geo = TileGeometry::paper_default();
+    let segments = [(1, 128, 384), (3, 384, 384), (8, 128, 384)];
+    let mut kernels: Vec<Box<dyn Kernel>> = Vec::new();
+    let mut fused = Vec::new();
+    let mut written = Vec::new();
+    for (s, &(r, m, n)) in segments.iter().enumerate() {
+        let shape = GemmShape { m, n, k: 16 };
+        let (norms, seg, seg_written) =
+            fused_pipeline(dev, geo, shape, r, verify, 500 + 10 * s as u64);
+        kernels.extend(norms);
+        fused.push(seg);
+        written.extend(seg_written);
+    }
+    kernels.push(Box::new(FusedMultiPacked::new(fused)));
+    (kernels, written)
+}
+
 #[test]
 fn quiet_packed_run_equals_run_counted() {
-    // Three segments with mixed R and shapes in one verified packed
-    // launch, every segment at three column blocks.
+    run_equals_run_counted("packed", &|dev: &mut GpuDevice| packed_launch(dev, true));
+}
+
+/// Every applied flip of `tallies`, asserting each kind landed.
+fn assert_every_kind_applied(what: &str, tallies: &[FaultCounters]) {
+    let mut sum = FaultCounters::default();
+    tallies.iter().for_each(|t| sum.merge(t));
+    assert!(
+        sum.smem_flips > 0 && sum.reg_flips > 0 && sum.dram_flips > 0,
+        "{what}: a kind of fault never landed: {sum:?}"
+    );
+}
+
+#[test]
+fn faulted_run_equals_run_counted_across_column_blocks() {
+    // Upsets on several blocks per launch and DRAM-only plans, at 1, 2
+    // and 3 column blocks: from three on, where a named block's atomics
+    // land among its row group's decides the bits of V and the
+    // checksum slots. Three row groups of 3 blocks: a schedule that
+    // split a row group's blocks over host threads would fold them
+    // out of launch order.
     let geo = TileGeometry::paper_default();
-    let segments = [(1, 128, 384), (3, 256, 384), (8, 128, 384)];
-    run_equals_run_counted("packed", &|dev: &mut GpuDevice| {
-        let mut kernels: Vec<Box<dyn Kernel>> = Vec::new();
-        let mut fused = Vec::new();
-        let mut written = Vec::new();
-        for (s, &(r, m, n)) in segments.iter().enumerate() {
-            let shape = GemmShape { m, n, k: 16 };
-            let (norms, seg, seg_written) =
-                fused_pipeline(dev, geo, shape, r, true, 500 + 10 * s as u64);
-            kernels.extend(norms);
-            fused.push(seg);
-            written.extend(seg_written);
+    let mut tallies = Vec::new();
+    for col_blocks in 1..=3 {
+        let shape = GemmShape {
+            m: 384,
+            n: col_blocks * geo.block_n,
+            k: 16,
+        };
+        for r in [1, 3] {
+            for verify in [false, true] {
+                let seed = 600 + tallies.len() as u64;
+                for fault in fault_specs(seed) {
+                    let what = format!("{fault:?} N {} R {r} verify {verify}", shape.n);
+                    let (_, tally) =
+                        run_equals_run_counted_under(&what, Some(fault), &|dev: &mut GpuDevice| {
+                            let (mut kernels, fused, written) =
+                                fused_pipeline(dev, geo, shape, r, verify, seed);
+                            kernels.push(Box::new(fused));
+                            (kernels, written)
+                        });
+                    tallies.push(tally);
+                }
+            }
         }
-        kernels.push(Box::new(FusedMultiPacked::new(fused)));
-        (kernels, written)
-    });
+    }
+    assert_every_kind_applied("unpacked", &tallies);
+}
+
+#[test]
+fn faulted_packed_run_equals_run_counted() {
+    let mut tallies = Vec::new();
+    for verify in [false, true] {
+        for fault in fault_specs(700 + u64::from(verify)) {
+            let what = format!("packed {fault:?} verify {verify}");
+            let (_, tally) =
+                run_equals_run_counted_under(&what, Some(fault), &|dev: &mut GpuDevice| {
+                    packed_launch(dev, verify)
+                });
+            tallies.push(tally);
+        }
+    }
+    assert_every_kind_applied("packed", &tallies);
 }

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use crate::buffer::{BufId, GlobalMem};
 use crate::cache::{Cache, CacheStats};
 use crate::config::DeviceConfig;
-use crate::exec;
+use crate::exec::{self, NamedBlocks};
 use crate::fault::{FaultCounters, FaultState, LaunchFault, LaunchFaultPlan};
 use crate::kernel::{validate_launch, Kernel, LaunchError};
 use crate::memo::{self, first_block_digest, MemoKey, Recall, ReplayMemo};
@@ -302,22 +302,21 @@ impl GpuDevice {
 
     /// Runs a kernel functionally (no counters).
     ///
-    /// The fault draw comes first. A launch it schedules nothing
-    /// against (a fault-free device, or an empty plan) takes the
-    /// kernel's exact host evaluation ([`Kernel::execute_exact`]) when
-    /// it has one, so its bits equal [`GpuDevice::run_counted`]'s.
-    /// Otherwise the blocks are interpreted in parallel.
+    /// The fault draw comes first. The kernel's exact host evaluation
+    /// ([`Kernel::execute_exact`]) then runs the launch, interpreting
+    /// only the blocks the plan names, so its bits equal
+    /// [`GpuDevice::run_counted`]'s; a kernel without one has every
+    /// block interpreted in parallel. DRAM flips land afterwards.
     ///
     /// # Errors
     /// Returns a [`LaunchError`] if the launch violates device limits.
     pub fn run(&mut self, kernel: &dyn Kernel) -> Result<(), LaunchError> {
         validate_launch(&self.cfg, kernel)?;
         let plan = self.draw_faults(kernel)?;
-        if plan.as_ref().is_none_or(LaunchFaultPlan::is_empty) && kernel.execute_exact(&self.mem) {
-            return Ok(());
+        if !kernel.execute_exact(&self.mem, NamedBlocks::new(plan.as_ref())) {
+            let smem_words = kernel.resources().smem_bytes_per_block as usize / 4;
+            exec::run_functional(&self.mem, kernel, smem_words, plan.as_ref());
         }
-        let smem_words = kernel.resources().smem_bytes_per_block as usize / 4;
-        exec::run_functional(&self.mem, kernel, smem_words, plan.as_ref());
         if let Some(plan) = plan {
             self.fault_counters.merge(&FaultCounters {
                 smem_flips: plan.applied_smem(),
@@ -777,11 +776,14 @@ mod tests {
 
     const SENTINEL: f32 = -7.0;
 
-    /// Interpreted, it writes 1.0 to every word; its exact host path
-    /// writes a sentinel instead, so the output tells which path ran.
+    /// Interpreted, a block logs itself and writes 1.0 to its 32
+    /// words; the exact host path writes a sentinel there instead and
+    /// hands the named blocks to the interpreter, so the log and the
+    /// output tell which blocks were interpreted.
     struct Sentinel {
         y: BufId,
         n: usize,
+        interpreted: std::sync::Mutex<Vec<u32>>,
     }
 
     impl Kernel for Sentinel {
@@ -799,11 +801,16 @@ mod tests {
             }
         }
         fn execute_block(&self, block: Dim3, ctx: &mut BlockCtx) {
+            self.interpreted.lock().unwrap().push(block.x);
             let base = block.x as usize * 32;
             ctx.warp_st_global(self.y, &full_warp_idx(|l| base + l), &[1.0; 32]);
         }
-        fn execute_exact(&self, mem: &GlobalMem) -> bool {
-            mem.fill(self.y, SENTINEL);
+        fn execute_exact(&self, mem: &GlobalMem, named: NamedBlocks<'_>) -> bool {
+            for b in 0..(self.n / 32) as u32 {
+                if !named.interpret(mem, self, Dim3::new_1d(b), b.into()) {
+                    (0..32).for_each(|l| mem.store(self.y, b as usize * 32 + l, SENTINEL));
+                }
+            }
             true
         }
         fn block_traffic(&self, block: Dim3, sink: &mut crate::traffic::TrafficSink) {
@@ -823,47 +830,82 @@ mod tests {
         }
     }
 
+    /// Blocks of the [`Sentinel`] launch [`run_sentinel`] makes.
+    const SENTINEL_BLOCKS: u32 = 8;
+
+    /// Runs one [`Sentinel`] launch on a fresh device under `fault`:
+    /// its output, the fault tally, and the blocks interpreted, in the
+    /// order they ran.
     fn run_sentinel(
         fault: Option<crate::fault::FaultSpec>,
         counted: bool,
-    ) -> (Vec<f32>, FaultCounters) {
+    ) -> (Vec<f32>, FaultCounters, Vec<u32>) {
         let mut cfg = crate::config::DeviceConfig::gtx970();
         cfg.fault = fault;
         let mut dev = GpuDevice::new(cfg);
-        let n = 256;
+        let n = SENTINEL_BLOCKS as usize * 32;
         let y = dev.alloc(n);
-        let k = Sentinel { y, n };
+        let k = Sentinel {
+            y,
+            n,
+            interpreted: std::sync::Mutex::default(),
+        };
         if counted {
             dev.run_counted(&k).unwrap();
         } else {
             dev.run(&k).unwrap();
         }
-        (dev.download(y), dev.take_fault_counters())
+        let interpreted = k.interpreted.into_inner().unwrap();
+        (dev.download(y), dev.take_fault_counters(), interpreted)
     }
 
     #[test]
-    fn only_quiet_runs_take_the_exact_host_path() {
+    fn run_interprets_exactly_the_blocks_the_plan_names() {
         use crate::fault::FaultSpec;
-        // A clean device, and a fault-configured one whose draw is empty.
+        // A clean device, and a fault-configured one whose draw is
+        // empty: no block reaches the interpreter.
         for fault in [None, Some(FaultSpec::default())] {
-            let (y, tally) = run_sentinel(fault, false);
+            let (y, tally, interpreted) = run_sentinel(fault, false);
             assert!(y.iter().all(|&v| v == SENTINEL), "{fault:?}: {y:?}");
-            assert!(tally.is_empty());
+            assert!(tally.is_empty() && interpreted.is_empty(), "{fault:?}");
         }
-        // A plan that schedules flips is interpreted, and the tally
-        // counts the flips.
-        let flips = FaultSpec {
+        // DRAM flips name no block: the host path runs, then the flips
+        // land (exponent and sign bits only, so no word reads 1.0).
+        let dram = FaultSpec {
             seed: 3,
             dram_rate: 8.0,
             ..FaultSpec::default()
         };
-        let (y, tally) = run_sentinel(Some(flips), false);
-        assert!(tally.dram_flips > 0, "{tally:?}");
-        assert!(y.iter().all(|&v| v != SENTINEL));
-        // run_counted always interprets.
-        for fault in [None, Some(FaultSpec::default())] {
-            let (y, _) = run_sentinel(fault, true);
+        let (y, tally, interpreted) = run_sentinel(Some(dram), false);
+        assert!(tally.dram_flips > 0 && interpreted.is_empty(), "{tally:?}");
+        assert!(y.iter().any(|&v| v != SENTINEL) && y.iter().all(|&v| v != 1.0));
+        // Upsets on several blocks: exactly those are interpreted, in
+        // launch order, and every other block takes the host path.
+        let upsets = FaultSpec {
+            seed: 5,
+            smem_rate: 4.0,
+            reg_rate: 4.0,
+            ..FaultSpec::default()
+        };
+        let num_sms = crate::config::DeviceConfig::gtx970().num_sms;
+        let plan = FaultState::new(upsets)
+            .next_draw(SENTINEL_BLOCKS.into(), num_sms)
+            .plan;
+        let named: Vec<u32> = (0..SENTINEL_BLOCKS)
+            .filter(|&b| plan.names(b.into()))
+            .collect();
+        assert!(named.len() >= 2 && named.len() < SENTINEL_BLOCKS as usize);
+        let (y, _, interpreted) = run_sentinel(Some(upsets), false);
+        assert_eq!(interpreted, named);
+        for (b, words) in (0..).zip(y.chunks_exact(32)) {
+            let want = if named.contains(&b) { 1.0 } else { SENTINEL };
+            assert!(words.iter().all(|&v| v == want), "block {b}: {words:?}");
+        }
+        // run_counted interprets every block in launch order.
+        for fault in [None, Some(upsets)] {
+            let (y, _, interpreted) = run_sentinel(fault, true);
             assert!(y.iter().all(|&v| v == 1.0), "{fault:?}");
+            assert_eq!(interpreted, (0..SENTINEL_BLOCKS).collect::<Vec<_>>());
         }
     }
 

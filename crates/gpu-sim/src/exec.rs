@@ -9,10 +9,16 @@
 //! `__syncthreads()` semantics hold trivially; blocks themselves may
 //! run in parallel across host threads (rayon), mirroring independent
 //! CTAs on different SMs.
+//!
+//! A kernel with an exact host evaluation interprets only the blocks
+//! its launch's fault plan names ([`NamedBlocks`]), each at its own
+//! place in launch order; a kernel without one interprets every block
+//! ([`run_functional`]).
 
 use rayon::prelude::*;
 
 use crate::buffer::{BufId, GlobalMem};
+use crate::dim::Dim3;
 use crate::fault::{BlockFaults, LaunchFaultPlan};
 use crate::kernel::Kernel;
 use crate::smem::flip_bit;
@@ -300,8 +306,62 @@ impl<'a, 'b> BlockCtx<'a, 'b> {
     }
 }
 
+/// Interprets block `block` of `kernel`, launch-order index `linear`,
+/// armed with the faults `plan` aims at it.
+fn interpret(
+    mem: &GlobalMem,
+    kernel: &dyn Kernel,
+    smem_words: usize,
+    block: Dim3,
+    linear: u64,
+    plan: Option<&LaunchFaultPlan>,
+) {
+    let mut ctx = BlockCtx::new(mem, smem_words, None);
+    if let Some(f) = plan.and_then(|p| p.block_faults(linear)) {
+        ctx.arm_faults(f);
+    }
+    kernel.execute_block(block, &mut ctx);
+}
+
+/// The blocks of one launch its fault plan names (those with
+/// shared-memory or register flips scheduled), as
+/// [`Kernel::execute_exact`] receives them. A quiet launch names none.
+#[derive(Debug, Clone, Copy)]
+pub struct NamedBlocks<'p> {
+    plan: Option<&'p LaunchFaultPlan>,
+}
+
+impl<'p> NamedBlocks<'p> {
+    /// The blocks `plan` names; `None` names none.
+    #[must_use]
+    pub(crate) fn new(plan: Option<&'p LaunchFaultPlan>) -> Self {
+        Self { plan }
+    }
+
+    /// Interprets block `block` of `kernel`, launch-order index
+    /// `linear`, with its faults armed when the plan names it, and
+    /// returns whether it did. The flips it applies are tallied on the
+    /// plan.
+    #[must_use]
+    pub fn interpret(
+        &self,
+        mem: &GlobalMem,
+        kernel: &dyn Kernel,
+        block: Dim3,
+        linear: u64,
+    ) -> bool {
+        let named = self.plan.is_some_and(|p| p.names(linear));
+        if named {
+            let smem_words = kernel.resources().smem_bytes_per_block as usize / 4;
+            interpret(mem, kernel, smem_words, block, linear, self.plan);
+        }
+        named
+    }
+}
+
 /// Runs every block of `kernel` functionally, in parallel over host
-/// threads. No counters are collected (use
+/// threads: the path of a kernel without a host evaluation. No
+/// counters are collected (use
 /// [`crate::device::GpuDevice::run_counted`] for that). With a fault
 /// `plan`, each block is armed with the faults aimed at its
 /// launch-order (linear) index before it executes. The linear index is
@@ -316,11 +376,7 @@ pub fn run_functional(
     let lc = kernel.launch_config();
     let blocks: Vec<_> = lc.grid.iter_indices().enumerate().collect();
     blocks.par_iter().for_each(|&(i, b)| {
-        let mut ctx = BlockCtx::new(mem, smem_words, None);
-        if let Some(f) = plan.and_then(|p| p.block_faults(i as u64)) {
-            ctx.arm_faults(f);
-        }
-        kernel.execute_block(b, &mut ctx);
+        interpret(mem, kernel, smem_words, b, i as u64, plan);
     });
 }
 

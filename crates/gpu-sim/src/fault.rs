@@ -315,10 +315,11 @@ impl LaunchFaultPlan {
         })
     }
 
-    /// True when nothing is scheduled.
+    /// True when block `linear` (launch-order index) has shared-memory
+    /// or register flips scheduled against it: two lookups, no clone.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.smem.is_empty() && self.reg.is_empty() && self.dram.is_empty()
+    pub fn names(&self, linear: u64) -> bool {
+        self.smem.contains_key(&linear) || self.reg.contains_key(&linear)
     }
 
     /// Applied shared-memory flips so far.
@@ -786,7 +787,7 @@ mod tests {
         for _ in 0..32 {
             let d = st.next_draw(64, 13);
             assert!(d.launch_fault.is_none());
-            assert!(d.plan.is_empty());
+            assert!(d.plan.smem.is_empty() && d.plan.reg.is_empty() && d.plan.dram.is_empty());
         }
     }
 
@@ -814,6 +815,11 @@ mod tests {
         }
         assert_eq!(seen, 16, "every scheduled event belongs to some block");
         assert!(d.plan.block_faults(99).is_none());
+        for b in [0, 1, 2, 3, 99] {
+            assert_eq!(d.plan.names(b), d.plan.block_faults(b).is_some(), "{b}");
+        }
+        let dram = FaultState::new(spec("seed=3,dram=8")).next_draw(4, 13).plan;
+        assert!(!dram.dram.is_empty() && (0..4).all(|b| !dram.names(b)));
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //!   shared memory/block) — the inputs to the occupancy calculator;
 //! * `execute_block` — the **functional** implementation, run against
 //!   real device buffers to validate numerics;
-//! * optionally `execute_exact` — a host evaluation of the whole
-//!   launch in the interpreter's exact floating-point order, which
-//!   fault-free functional runs take instead of interpreting warps;
+//! * optionally `execute_exact` — a host evaluation of the launch in
+//!   the interpreter's exact floating-point order, which functional
+//!   runs take instead of interpreting warps, handing only the blocks
+//!   a fault plan names to the interpreter;
 //! * `block_traffic` — the **traffic** implementation, which replays
 //!   exactly the same warp-level access pattern into a
 //!   [`crate::traffic::TrafficSink`] without touching data, so
@@ -22,7 +23,7 @@
 use crate::buffer::{BufId, GlobalMem};
 use crate::config::DeviceConfig;
 use crate::dim::{Dim3, LaunchConfig};
-use crate::exec::BlockCtx;
+use crate::exec::{BlockCtx, NamedBlocks};
 use crate::occupancy::OccupancyLimiter;
 use crate::traffic::TrafficSink;
 
@@ -147,15 +148,22 @@ pub trait Kernel: Sync {
     /// tracing through the [`BlockCtx`]).
     fn execute_block(&self, block: Dim3, ctx: &mut BlockCtx);
 
-    /// Exact host evaluation of the whole launch, taken by
-    /// [`crate::device::GpuDevice::run`] when the launch's fault draw
-    /// schedules nothing. The contract: either leave `mem` exactly as
-    /// interpreting every block in launch order (`x` fastest, the
-    /// `run_counted` schedule) would, bit for bit, and return `true`;
-    /// or return `false` without touching `mem`, and the launch is
-    /// interpreted. The default has no host evaluation.
-    fn execute_exact(&self, mem: &GlobalMem) -> bool {
-        let _ = mem;
+    /// Exact host evaluation of the launch, taken by every
+    /// [`crate::device::GpuDevice::run`]. `named` holds the blocks the
+    /// launch's fault plan names (none on a quiet launch): the kernel
+    /// offers each block to [`NamedBlocks::interpret`] at its own place
+    /// in launch order, which interprets the named ones, and evaluates
+    /// every other block on the host.
+    /// The contract: either leave `mem` bit for bit as
+    /// [`crate::device::GpuDevice::run_counted`] would — every block in
+    /// launch order (`x` fastest), the named ones interpreted with
+    /// their faults armed — and return `true`; or return `false`
+    /// without touching `mem`, and every block is interpreted. (A NaN
+    /// input may leave a NaN of another payload: Rust does not specify
+    /// which NaN an operation on NaNs returns.) The default has no
+    /// host evaluation.
+    fn execute_exact(&self, mem: &GlobalMem, named: NamedBlocks<'_>) -> bool {
+        let _ = (mem, named);
         false
     }
 

@@ -38,9 +38,10 @@ use crate::profiler::Counters;
 use crate::replay::record_block;
 use crate::traffic::L2Event;
 
-/// Entry bound; reaching it clears the memo. A paper point stores
-/// five entries, `ks-bench sensitivity` ten, and a serving slot at
-/// most 20 over one round of a benchmark serving workload.
+/// Entry bound; a store into a full memo evicts the least recently
+/// used entry (by hit or store). A paper point stores five entries,
+/// `ks-bench sensitivity` ten, and a serving slot at most 20 over one
+/// round of a benchmark serving workload.
 const CAPACITY: usize = 32;
 
 /// Hashes `parts` into a 64-bit key: a kernel's
@@ -131,11 +132,28 @@ pub struct ReplayMemoStats {
     pub retired: u64,
 }
 
+/// One memoised launch.
+struct Entry {
+    recall: Arc<Recall>,
+    /// Whether a hit has checked its digest.
+    checked: bool,
+    /// The clock at its last hit or store.
+    used: u64,
+}
+
 #[derive(Default)]
 struct Entries {
-    /// Each entry with whether a hit has checked its digest.
-    map: HashMap<MemoKey, (Arc<Recall>, bool)>,
+    map: HashMap<MemoKey, Entry>,
+    /// Ticks on every hit and store.
+    clock: u64,
     stats: ReplayMemoStats,
+}
+
+impl Entries {
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
 }
 
 /// A replay memo shared by devices (see the module docs).
@@ -171,44 +189,100 @@ impl ReplayMemo {
         key: &MemoKey,
         digest: impl FnOnce() -> u64,
     ) -> Option<Arc<Recall>> {
-        let found = self.lock().map.get(key).cloned();
-        let recall = match found {
-            None => None,
-            Some((recall, true)) => Some(recall),
-            Some((recall, false)) => {
-                let trusted = digest() == recall.digest;
-                let mut entries = self.lock();
-                if entries
-                    .map
-                    .get(key)
-                    .is_some_and(|(stored, _)| Arc::ptr_eq(stored, &recall))
-                {
-                    if trusted {
-                        entries.map.insert(*key, (Arc::clone(&recall), true));
-                    } else {
-                        entries.map.remove(key);
-                    }
-                }
-                entries.stats.retired += u64::from(!trusted);
-                trusted.then_some(recall)
-            }
-        };
+        let found = self
+            .lock()
+            .map
+            .get(key)
+            .map(|e| (Arc::clone(&e.recall), e.checked));
+        let found = found.map(|(recall, checked)| (checked || digest() == recall.digest, recall));
         let mut entries = self.lock();
-        if recall.is_some() {
-            entries.stats.hits += 1;
-        } else {
+        let Some((trusted, recall)) = found else {
             entries.stats.misses += 1;
+            return None;
+        };
+        let used = entries.tick();
+        // The entry may have been replaced or evicted meanwhile.
+        if let Some(entry) = entries
+            .map
+            .get_mut(key)
+            .filter(|e| Arc::ptr_eq(&e.recall, &recall))
+        {
+            entry.checked = true;
+            entry.used = used;
+            if !trusted {
+                entries.map.remove(key);
+            }
         }
-        recall
+        entries.stats.hits += u64::from(trusted);
+        entries.stats.misses += u64::from(!trusted);
+        entries.stats.retired += u64::from(!trusted);
+        trusted.then_some(recall)
     }
 
-    /// Stores what a launch under `key` did, clearing the memo first
-    /// when it is full.
+    /// Stores what a launch under `key` did, evicting the least
+    /// recently used entry first when the memo is full.
     pub(crate) fn store(&self, key: MemoKey, recall: Recall) {
         let mut entries = self.lock();
-        if entries.map.len() >= CAPACITY {
-            entries.map.clear();
+        if entries.map.len() >= CAPACITY && !entries.map.contains_key(&key) {
+            let lru = entries
+                .map
+                .iter()
+                .min_by_key(|(_, e)| e.used)
+                .map(|(k, _)| *k);
+            if let Some(lru) = lru {
+                entries.map.remove(&lru);
+            }
         }
-        entries.map.insert(key, (Arc::new(recall), false));
+        let used = entries.tick();
+        let entry = Entry {
+            recall: Arc::new(recall),
+            checked: false,
+            used,
+        };
+        entries.map.insert(key, entry);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cache::Cache;
+
+    fn key(traffic: u64) -> MemoKey {
+        MemoKey {
+            state: 0,
+            traffic,
+            launch: LaunchConfig::new(1u32, 32u32),
+        }
+    }
+
+    fn recall() -> Recall {
+        Recall {
+            counters: Counters::default(),
+            delta: CacheStats::default(),
+            leaves: Cache::new(1024, 4, 32).snapshot().expect("a clean cache"),
+            digest: 0,
+        }
+    }
+
+    /// A full memo evicts its least recently used entry, so an entry
+    /// hit before every store outlives any number of other stores.
+    #[test]
+    fn an_entry_hit_before_each_store_survives_a_full_memo() {
+        let memo = ReplayMemo::new();
+        memo.store(key(0), recall());
+        let stores = CAPACITY as u64 + 1;
+        for traffic in 1..=stores {
+            assert!(memo.recall(&key(0), || 0).is_some(), "store {traffic}");
+            memo.store(key(traffic), recall());
+        }
+        assert!(memo.recall(&key(0), || 0).is_some());
+        assert_eq!(memo.lock().map.len(), CAPACITY);
+        // The two stores past the bound evicted the two oldest others.
+        assert!(memo.recall(&key(1), || 0).is_none());
+        assert!(memo.recall(&key(2), || 0).is_none());
+        assert!(memo.recall(&key(3), || 0).is_some());
+        let stats = memo.stats();
+        assert_eq!((stats.hits, stats.misses), (stores + 2, 2));
     }
 }

@@ -1203,11 +1203,12 @@ mod tests {
         // 320 launches: a cold case makes three (norms of A and B,
         // then the fused kernel), a warm one two. Each of the 64
         // fused launches misses once. The three norms launches (A,
-        // then B, from an empty L2; B alone) miss once each time the
-        // 32-entry memo has cleared, and it clears twice over the run.
+        // then B, from an empty L2; B alone) miss once: every case
+        // hits them again before the 32-entry memo evicts its least
+        // recently used entry.
         assert_eq!(
             memo_exact(&DeviceConfig::gtx970(), &cases),
-            memo_stats(320 - 64 - 3 * 3, 64 + 3 * 3)
+            memo_stats(320 - 64 - 3, 64 + 3)
         );
     }
 

@@ -22,10 +22,11 @@
 //!
 //! Eligibility is conservative by construction:
 //!
-//! * `gx ≤ 2` column blocks per segment — at most two atomic
-//!   contributors fold into each output element, which is the
-//!   documented determinism envelope of the fused kernel's relaxed
-//!   atomic drain (two-operand float addition commutes).
+//! * `gx ≤ 2` column blocks per segment ([`PACK_MAX_COL_BLOCKS`]) —
+//!   part of the small-query filter. Every fused launch, faulted or
+//!   not, folds its blocks' atomics in launch order at any `gx`, so
+//!   the bound no longer decides a bit; raising it would change which
+//!   waves pack.
 //! * a small per-segment block budget ([`PACK_MAX_SEGMENT_BLOCKS`]) —
 //!   packing exists to fuse *underfilling* launches; a grid that
 //!   already saturates the device gains nothing and only delays its
@@ -39,9 +40,9 @@ use ks_gpu_kernels::TileGeometry;
 pub const PACK_MAX_SEGMENT_BLOCKS: usize = 16;
 
 /// Largest per-segment column-block count (`gx`) the planner packs:
-/// with `gx ≤ 2` at most two blocks atomically fold into any output
-/// element, the envelope within which the fused kernel's relaxed
-/// atomic drain is bit-deterministic.
+/// part of the small-query filter. Every launch folds its blocks'
+/// atomics in launch order at any `gx`, so the bound decides no bit;
+/// raising it would change which waves pack.
 pub const PACK_MAX_COL_BLOCKS: usize = 2;
 
 /// Whether a batch of raw shape `(m, n)` is pack-eligible under `geo`.

@@ -8,7 +8,7 @@ use ks_gpu_sim::config::{DeviceConfig, Interconnect};
 use ks_gpu_sim::fault::{FaultSpec, LifecycleSpec, LinkFaultSpec};
 use ks_serve::{
     generate_queries, serve_backlog, smoke_workload, PoolConfig, Query, ServeBackend, ServeConfig,
-    ServeError, ServeReport,
+    ServeError, ServeReport, WorkloadConfig,
 };
 
 /// The serve-bench device: a GTX 970 with a 16 KB L2.
@@ -88,9 +88,9 @@ fn a_four_device_pool_repeats_exactly_packed_and_not() {
     }
 }
 
-#[test]
-fn a_faulted_resilient_pool_repeats_exactly() {
-    let stream = generate_queries(&smoke_workload());
+/// The faulted resilient pool: two members under SMEM and register
+/// upsets, flapping lifecycles and lossy links.
+fn faulted_pool() -> ServeConfig {
     let mut pool = PoolConfig::homogeneous(2, device(), Interconnect::pcie3_x16());
     for (d, member) in pool.devices.iter_mut().enumerate() {
         let seed = 0x5EED + d as u64;
@@ -112,11 +112,13 @@ fn a_faulted_resilient_pool_repeats_exactly() {
             timeout_rate: 0.05,
         });
     }
-    let report = assert_repeats(
-        &pooled(ServeBackend::GpuResilient, pool),
-        &stream,
-        "faulted",
-    );
+    pooled(ServeBackend::GpuResilient, pool)
+}
+
+#[test]
+fn a_faulted_resilient_pool_repeats_exactly() {
+    let stream = generate_queries(&smoke_workload());
+    let report = assert_repeats(&faulted_pool(), &stream, "faulted");
     let pool = report.pool.as_ref().expect("pooled");
     assert!(
         report.injected_faults > 0
@@ -124,4 +126,17 @@ fn a_faulted_resilient_pool_repeats_exactly() {
             && pool.devices.iter().any(|d| d.link_crc_detected > 0),
         "every fault domain fires: {pool:?}"
     );
+}
+
+/// At three column blocks (N = 384) where a faulted launch's blocks
+/// land among their row group's atomics decides the bits of V: each
+/// faulted launch folds them in launch order, so the run repeats.
+#[test]
+fn a_faulted_resilient_pool_repeats_exactly_at_three_column_blocks() {
+    let stream = generate_queries(&WorkloadConfig {
+        n: 384,
+        ..smoke_workload()
+    });
+    let report = assert_repeats(&faulted_pool(), &stream, "faulted, N 384");
+    assert!(report.injected_faults > 0, "{report:?}");
 }
