@@ -27,6 +27,7 @@ use ks_gpu_sim::memo::key_of;
 use ks_gpu_sim::trace::AccessDir;
 use ks_gpu_sim::traffic::{TrafficSink, WarpIdx};
 
+use crate::expf::expf;
 use crate::machine::{FunctionalMachine, TrafficMachine, WarpMachine};
 
 /// Gaussian-kernel scale `1 / (2h²)` packaged with the bandwidth.
@@ -53,11 +54,13 @@ impl Bandwidth {
 }
 
 /// Gaussian kernel value for a squared distance (shared by every
-/// implementation so numerics agree bit-for-bit in the oracles).
+/// implementation so numerics agree bit-for-bit in the oracles), on
+/// the repository's own [`expf`], so the bits do not depend on the
+/// host's libm.
 #[inline]
 #[must_use]
 pub fn gaussian(dist_sq: f32, inv_2h2: f32) -> f32 {
-    (-dist_sq * inv_2h2).exp()
+    expf(-dist_sq * inv_2h2)
 }
 
 // ---------------------------------------------------------------------------

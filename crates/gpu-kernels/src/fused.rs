@@ -151,9 +151,14 @@ impl VerifyReport {
                 // different association orders, so they agree to a few
                 // ULPs scaled by the absolute mass; injected DRAM
                 // flips target exponent/sign bits and move a value by
-                // at least half its own magnitude — far above this.
+                // at least half its own magnitude — far above this. A
+                // flip that makes an Inf or a NaN (exponent 255) never
+                // agrees: the comparison is false for a NaN, and an
+                // infinite sum would make the tolerance infinite.
                 let abs: f64 = seg.iter().map(|&x| f64::from(x.abs())).sum::<f64>() + got.abs();
-                if (sum - got).abs() > 1e-3 * abs + 1e-4 {
+                let agrees =
+                    (sum - got).abs() <= 1e-3 * abs + 1e-4 && sum.is_finite() && got.is_finite();
+                if !agrees {
                     mismatches += 1;
                 }
             }
@@ -1863,6 +1868,26 @@ mod tests {
         assert!(r.blocks_flagged >= 1 && r.corruption_detected());
     }
 
+    /// A DRAM flip of bit 30 on a `V` word in [1, 2) makes its
+    /// exponent 255: a NaN from 1.5, +∞ from 1.0. Either one is a
+    /// checksum mismatch, though neither compares as out of tolerance.
+    #[test]
+    fn a_non_finite_row_group_is_a_checksum_mismatch() {
+        for (clean, what) in [(1.5f32, "NaN"), (1.0, "+inf")] {
+            let mut v = vec![clean; 128];
+            v[3] = f32::from_bits(v[3].to_bits() ^ (1 << 30));
+            let mut checksum = vec![0.0f32; CHECKSUM_SLOT_WORDS];
+            checksum[0] = 128.0 * clean;
+            let flag = vec![0.0f32; CHECKSUM_SLOT_WORDS];
+            let r = VerifyReport::from_outputs(&v, &checksum, &flag, 128, 1, 128);
+            assert_eq!(r.checksum_mismatches, 1, "{what}: {r:?}");
+            assert!(r.corruption_detected(), "{what}");
+            let clean_v = vec![clean; 128];
+            let r = VerifyReport::from_outputs(&clean_v, &checksum, &flag, 128, 1, 128);
+            assert_eq!(r.checksum_mismatches, 0, "clean {clean}");
+        }
+    }
+
     /// DRAM upsets land *after* the kernel, on its writable buffers
     /// (V, checksum, flag). The model injects exponent/sign flips; the
     /// FP checksum has a noise floor, so the contract is weaker than
@@ -1902,7 +1927,8 @@ mod tests {
                     .iter()
                     .map(|&x| f64::from(x.abs()))
                     .sum();
-                if (gs - bs).abs() > 2.0 * (1e-3 * abs + 1e-4) {
+                let drifted = !((gs - bs).abs() <= 2.0 * (1e-3 * abs + 1e-4) && gs.is_finite());
+                if drifted {
                     assert!(
                         report.checksum_mismatches >= 1,
                         "dram seed {seed}: group {g} drifted silently"

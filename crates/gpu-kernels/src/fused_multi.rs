@@ -277,12 +277,18 @@ pub fn execute_fused_multi_with(
     }
 
     let packed = kernels.len() > 1;
-    let mut prof = PipelineProfile::new(match (packed, verify) {
-        (false, false) => FUSED_MULTI_PIPELINE,
-        (false, true) => FUSED_MULTI_VERIFIED_PIPELINE,
-        (true, false) => FUSED_MULTI_PACKED_PIPELINE,
-        (true, true) => FUSED_MULTI_PACKED_VERIFIED_PIPELINE,
-    });
+    let cold_norms = uploads.slots.iter().filter(|s| s.sq_cold.is_some()).count();
+    let mut prof = PipelineProfile {
+        // Exactly one slot per launch: a served report keeps every
+        // batch's profile.
+        kernels: Vec::with_capacity(cold_norms + 1),
+        ..PipelineProfile::new(match (packed, verify) {
+            (false, false) => FUSED_MULTI_PIPELINE,
+            (false, true) => FUSED_MULTI_VERIFIED_PIPELINE,
+            (true, false) => FUSED_MULTI_PACKED_PIPELINE,
+            (true, true) => FUSED_MULTI_PACKED_VERIFIED_PIPELINE,
+        })
+    };
     let mut launch_run = |kern: &dyn Kernel| -> Result<(), LaunchError> {
         let mut kp = dev.launch(kern)?;
         dev.run(kern)?;

@@ -54,6 +54,7 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod aux_kernels;
+pub mod expf;
 pub mod fused;
 pub mod fused_multi;
 pub mod fused_multi_packed;

@@ -8,16 +8,26 @@
 //! Each block's `T` partials come out in **exactly** the simulated
 //! kernel's floating-point association order:
 //!
-//! 1. the GEMM dot product folds over `k` sequentially from 0.0, one
+//! 1. the GEMM dot product folds over `k` sequentially from +0.0, one
 //!    FMUL + FADD rounding per step as `compute_ktile` accumulates
-//!    (the ks-blas microkernel, which vectorizes across columns and
-//!    never contracts to FMA), once for all `R` columns;
-//! 2. `d = ‖α‖² + ‖β‖² − 2·dot` goes through the same scalar
-//!    [`gaussian`];
+//!    (never contracted to FMA), once for all `R` columns;
+//! 2. `d = ‖α‖² + ‖β‖² − 2·dot` goes through the same Gaussian as
+//!    [`gaussian`], on the repository's own `expf`;
 //! 3. each thread's γ partial folds its `micro_n` weighted terms in
-//!    ascending column order from 0.0 (line 16 of Algorithm 2);
+//!    ascending column order from +0.0 (line 16 of Algorithm 2);
 //! 4. the intra-block reduction sums the `threads_x` thread partials
-//!    in ascending `tx` order from 0.0 (the shuffle-tree model).
+//!    in ascending `tx` order from +0.0 (the shuffle-tree model).
+//!
+//! The evaluation runs in row lanes: sixteen consecutive rows of a
+//! block ride in the lanes of one `[f32; 16]`, and every lane runs
+//! steps 1–4 exactly as the scalar schedule does, so the tile goes
+//! from the dot products through the exp to the weighted fold without
+//! writing anything intermediate to memory, as on the GPU. That body
+//! is written once over plain lane arrays and compiled three times —
+//! for AVX-512F + FMA, for AVX2 + FMA and for the build's baseline —
+//! and the host's best copy runs (other architectures run the
+//! baseline). Rust never contracts a multiply and an add, so every
+//! copy gives the same bits.
 //!
 //! The partials then land in ascending `bx`: launch order, the
 //! `run_counted` schedule, with an interpreted block's atomics in its
@@ -29,20 +39,44 @@
 //! step 1 is the same sequential k-fold for every `tile_k` and
 //! buffering depth. That is the [`TileGeometry::bit_compatible`]
 //! contract.
+//!
+//! [`gaussian`]: crate::aux_kernels::gaussian
 
-use ks_blas::microkernel::{microkernel_8x8, MR, NR};
 use rayon::prelude::*;
 
-use crate::aux_kernels::{gaussian, Bandwidth};
+use crate::aux_kernels::Bandwidth;
+use crate::expf::{expf_lanes, Isa};
 use crate::fused_multi::MAX_WEIGHT_COLUMNS;
 use crate::geometry::TileGeometry;
 
+/// Rows that ride in one lane array.
+const LANES: usize = 16;
+/// Sixteen rows' values of one quantity.
+type Lanes = [f32; LANES];
+/// Columns whose dot products run side by side, so their independent
+/// k-folds overlap; every `micro_n` is a multiple of it.
+const COLS: usize = 4;
+
+/// Point-contiguous coordinates (`points × k`) regrouped `L` points to
+/// an entry: entry `g·k + t` holds coordinate `t` of points
+/// `L·g..L·g + L` (zero past the last point).
+fn grouped<const L: usize>(coords: &[f32], k: usize) -> Vec<[f32; L]> {
+    let mut out = vec![[0.0f32; L]; coords.len().div_ceil(k * L) * k];
+    for (p, point) in coords.chunks_exact(k).enumerate() {
+        for (t, &x) in point.iter().enumerate() {
+            out[p / L * k + t][p % L] = x;
+        }
+    }
+    out
+}
+
 /// One fused launch's operands on the host, as the kernel reads them:
-/// `a` is `M×K` row-major, `b_panels` the `N` targets packed for the
-/// microkernel, `w_cols` `N×R` column-major.
+/// `a` is `M×K` row-major, `b_cols` the `N` targets in groups of
+/// [`COLS`] (entry `g·K + k` holds coordinate `k` of columns
+/// `COLS·g..COLS·g + COLS`), `w_cols` `N×R` column-major.
 pub(crate) struct FusedHost<'a> {
     a: &'a [f32],
-    b_panels: Vec<f32>,
+    b_cols: Vec<[f32; COLS]>,
     a2: &'a [f32],
     b2: &'a [f32],
     w_cols: &'a [f32],
@@ -50,19 +84,6 @@ pub(crate) struct FusedHost<'a> {
     k: usize,
     r: usize,
     inv_2h2: f32,
-}
-
-/// Packs point-contiguous coordinates (`points × k`) k-major in
-/// `lanes`-point panels, the microkernel's operand layout.
-fn pack_panels(coords: &[f32], k: usize, lanes: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; coords.len()];
-    for (p, point) in coords.chunks_exact(k).enumerate() {
-        let base = (p / lanes) * k * lanes + p % lanes;
-        for (t, &x) in point.iter().enumerate() {
-            out[base + t * lanes] = x;
-        }
-    }
-    out
 }
 
 impl<'a> FusedHost<'a> {
@@ -95,7 +116,7 @@ impl<'a> FusedHost<'a> {
         );
         Self {
             a,
-            b_panels: pack_panels(b, k, NR),
+            b_cols: grouped(b, k),
             a2,
             b2,
             w_cols,
@@ -119,45 +140,138 @@ impl<'a> FusedHost<'a> {
         mut interpret: impl FnMut(usize) -> bool,
         mut each: impl FnMut(&[f32]),
     ) {
-        let (bm, bn, k, r) = (geo.block_m, geo.block_n, self.k, self.r);
-        let a_panels = pack_panels(&self.a[by * bm * k..(by + 1) * bm * k], k, MR);
-        let mut dots = vec![0.0f32; bm * bn];
-        let mut t = vec![0.0f32; r * bm];
-        for bx in 0..self.n / bn {
+        let isa = Isa::host();
+        let rows = self.row_lanes(geo, by);
+        let mut t = vec![0.0f32; self.r * geo.block_m];
+        for bx in 0..self.n / geo.block_n {
             if interpret(bx) {
                 continue;
             }
-            let col0 = bx * bn;
-            // The block's dot products, bm × bn row-major.
-            dots.fill(0.0);
-            for (ip, a_panel) in a_panels.chunks_exact(k * MR).enumerate() {
-                for jp in 0..bn / NR {
-                    let b_panel = &self.b_panels[(col0 + jp * NR) * k..][..k * NR];
-                    microkernel_8x8(k, a_panel, b_panel, &mut dots[ip * MR * bn + jp * NR..], bn);
-                }
-            }
-            for (i, row) in dots.chunks_exact(bn).enumerate() {
-                let a2i = self.a2[by * bm + i];
-                let mut part = [0.0f32; MAX_WEIGHT_COLUMNS];
-                for (tx, thread) in row.chunks_exact(geo.micro_n).enumerate() {
-                    let mut gamma = [0.0f32; MAX_WEIGHT_COLUMNS];
-                    for (cc, &dot) in thread.iter().enumerate() {
-                        let j = tx * geo.micro_n + cc;
-                        let d = a2i + self.b2[col0 + j] - 2.0 * dot;
-                        let kv = gaussian(d, self.inv_2h2);
-                        for (c, g) in gamma[..r].iter_mut().enumerate() {
-                            *g += kv * self.w_cols[c * self.n + col0 + j];
+            self.block_on(isa, geo, by, bx, &rows, &mut t);
+            each(&t);
+        }
+    }
+
+    /// Row group `by`'s rows of `A` in lanes: entry `s·K + k` holds
+    /// coordinate `k` of the group's rows `16s..16s + 16`.
+    fn row_lanes(&self, geo: &TileGeometry, by: usize) -> Vec<Lanes> {
+        let (bm, k) = (geo.block_m, self.k);
+        grouped(&self.a[by * bm * k..(by + 1) * bm * k], k)
+    }
+
+    /// Block `(bx, by)`'s `T` partials into `t` on `isa`'s copy of the
+    /// lane body.
+    ///
+    /// # Panics
+    /// Panics if this host cannot run `isa`'s copy.
+    fn block_on(
+        &self,
+        isa: Isa,
+        geo: &TileGeometry,
+        by: usize,
+        bx: usize,
+        rows: &[Lanes],
+        t: &mut [f32],
+    ) {
+        assert!(isa.supported(), "this host cannot run the {isa:?} copy");
+        match isa {
+            // SAFETY: asserted above that the host has AVX-512F and FMA.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => unsafe { block_avx512(self, geo, by, bx, rows, t) },
+            // SAFETY: asserted above that the host has AVX2 and FMA.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { block_avx2(self, geo, by, bx, rows, t) },
+            _ => block_lanes(self, geo, by, bx, rows, t),
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,fma")]
+fn block_avx512(
+    host: &FusedHost<'_>,
+    geo: &TileGeometry,
+    by: usize,
+    bx: usize,
+    rows: &[Lanes],
+    t: &mut [f32],
+) {
+    block_lanes(host, geo, by, bx, rows, t);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn block_avx2(
+    host: &FusedHost<'_>,
+    geo: &TileGeometry,
+    by: usize,
+    bx: usize,
+    rows: &[Lanes],
+    t: &mut [f32],
+) {
+    block_lanes(host, geo, by, bx, rows, t);
+}
+
+/// The lane body: block `(bx, by)`'s `T` partials into `t`, sixteen
+/// rows at a time, each lane on the scalar schedule of the module
+/// docs. `rows` is [`FusedHost::row_lanes`] of row group `by`.
+#[inline(always)]
+fn block_lanes(
+    host: &FusedHost<'_>,
+    geo: &TileGeometry,
+    by: usize,
+    bx: usize,
+    rows: &[Lanes],
+    t: &mut [f32],
+) {
+    let (bm, bn, mn, k, n, r) = (
+        geo.block_m,
+        geo.block_n,
+        geo.micro_n,
+        host.k,
+        host.n,
+        host.r,
+    );
+    let col0 = bx * bn;
+    for (strip, a) in rows.chunks_exact(k).enumerate() {
+        let row0 = by * bm + strip * LANES;
+        let a2: Lanes = host.a2[row0..row0 + LANES].try_into().expect("16 rows");
+        let mut part = [[0.0f32; LANES]; MAX_WEIGHT_COLUMNS];
+        for thread in (col0..col0 + bn).step_by(mn) {
+            let mut gamma = [[0.0f32; LANES]; MAX_WEIGHT_COLUMNS];
+            for j0 in (thread..thread + mn).step_by(COLS) {
+                let b = &host.b_cols[j0 / COLS * k..][..k];
+                let mut dots = [[0.0f32; LANES]; COLS];
+                for (ak, bk) in a.iter().zip(b) {
+                    for c in 0..COLS {
+                        for l in 0..LANES {
+                            dots[c][l] += ak[l] * bk[c];
                         }
                     }
-                    for (p, g) in part.iter_mut().zip(&gamma[..r]) {
-                        *p += g;
+                }
+                for (j, dot) in (j0..).zip(&dots) {
+                    let mut x = [0.0f32; LANES];
+                    for l in 0..LANES {
+                        let d = a2[l] + host.b2[j] - 2.0 * dot[l];
+                        x[l] = -d * host.inv_2h2;
+                    }
+                    let kv = expf_lanes(x);
+                    for (c, g) in gamma[..r].iter_mut().enumerate() {
+                        let w = host.w_cols[c * n + j];
+                        for l in 0..LANES {
+                            g[l] += kv[l] * w;
+                        }
                     }
                 }
-                for (c, p) in part[..r].iter().enumerate() {
-                    t[c * bm + i] = *p;
+            }
+            for (p, g) in part.iter_mut().zip(&gamma) {
+                for l in 0..LANES {
+                    p[l] += g[l];
                 }
             }
-            each(&t);
+        }
+        for (c, p) in part[..r].iter().enumerate() {
+            t[c * bm + strip * LANES..][..LANES].copy_from_slice(p);
         }
     }
 }
@@ -237,6 +351,7 @@ pub fn fused_multi_oracle(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aux_kernels::gaussian;
 
     fn lcg(seed: u64) -> impl FnMut() -> f32 {
         let mut state = seed | 1;
@@ -246,6 +361,131 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((state >> 33) as f32 / (1u64 << 31) as f32) * 0.5
         }
+    }
+
+    /// The scalar schedule of the module docs, element by element:
+    /// block `(bx, by)`'s `T` partials, reading `B` (`K×N` column-
+    /// major) as given.
+    fn scalar_block(
+        host: &FusedHost<'_>,
+        b: &[f32],
+        geo: &TileGeometry,
+        by: usize,
+        bx: usize,
+    ) -> Vec<f32> {
+        let (bm, bn, mn, k, n, r) = (
+            geo.block_m,
+            geo.block_n,
+            geo.micro_n,
+            host.k,
+            host.n,
+            host.r,
+        );
+        let mut t = vec![0.0f32; r * bm];
+        for i in 0..bm {
+            let row = by * bm + i;
+            let mut part = [0.0f32; MAX_WEIGHT_COLUMNS];
+            for tx in 0..bn / mn {
+                let mut gamma = [0.0f32; MAX_WEIGHT_COLUMNS];
+                for j in bx * bn + tx * mn..bx * bn + (tx + 1) * mn {
+                    let mut dot = 0.0f32;
+                    for kk in 0..k {
+                        dot += host.a[row * k + kk] * b[j * k + kk];
+                    }
+                    let kv = gaussian(host.a2[row] + host.b2[j] - 2.0 * dot, host.inv_2h2);
+                    for c in 0..r {
+                        gamma[c] += kv * host.w_cols[c * n + j];
+                    }
+                }
+                for c in 0..r {
+                    part[c] += gamma[c];
+                }
+            }
+            for c in 0..r {
+                t[c * bm + i] = part[c];
+            }
+        }
+        t
+    }
+
+    /// `differential_lattice.rs` runs only the copy the host picks;
+    /// this runs every copy the host supports, on every N-side of the
+    /// lattice and every `block_m`, against [`scalar_block`], on
+    /// inputs that reach the exp's special paths: far rows (the exp
+    /// underflows to 0), rows whose exp is subnormal, a NaN and a +∞
+    /// coordinate and a −∞ norm, and −0 products (negative coordinates
+    /// against a zero one, and zero Gaussians against negative
+    /// weights). The non-finite operands sit in rows of their own, so
+    /// every other row's `T` stays finite and checks the arithmetic,
+    /// and each such row makes NaNs of one payload only: two NaNs of
+    /// different payloads meeting in an add give either one.
+    #[test]
+    fn every_compiled_copy_matches_the_scalar_schedule() {
+        let k = 5;
+        let mut next = lcg(29);
+        let (mut nans, mut infs, mut finite) = (0, 0, 0);
+        let n_sides = [32, 64, 128, 256]
+            .into_iter()
+            .flat_map(|bn| [4, 8, 16].map(|mn| (bn, mn)));
+        let cases = n_sides.flat_map(|(bn, mn)| [1, 3, 8].map(|r| (bn, mn, r)));
+        for (case, (bn, mn, r)) in cases.enumerate() {
+            let bm = [32, 64, 128, 256][case % 4];
+            let geo = TileGeometry {
+                block_m: bm,
+                block_n: bn,
+                micro_n: mn,
+                ..TileGeometry::paper_default()
+            };
+            let (m, n) = (2 * bm, 2 * bn);
+            let mut a: Vec<f32> = (0..m * k).map(|_| next() + 0.01).collect();
+            let mut b: Vec<f32> = (0..k * n).map(|_| next() + 0.01).collect();
+            // Weight column 0 is positive, so the +∞ row's T is +∞ there.
+            let w: Vec<f32> = (0..n * r)
+                .map(|e| next() + if e < n { 0.01 } else { -0.25 })
+                .collect();
+            let norms = |x: &[f32]| -> Vec<f32> {
+                x.chunks_exact(k)
+                    .map(|p| p.iter().map(|v| v * v).sum())
+                    .collect()
+            };
+            let (mut a2, b2) = (norms(&a), norms(&b));
+            // Block (1, 1): rows bm.., columns bn.. (h = 1, so x = −d/2).
+            for i in bm..2 * bm {
+                match i % 7 {
+                    1 => a2[i] = 1e4,
+                    2 => a2[i] = 176.0 + (i % 32) as f32,
+                    4 => a[i * k..(i + 1) * k].iter_mut().for_each(|x| *x = -*x),
+                    _ => {}
+                }
+            }
+            a[(bm + 3) * k + 1] = f32::NAN;
+            a[(bm + 5) * k + 2] = f32::INFINITY;
+            a2[bm + 9] = f32::NEG_INFINITY;
+            b[(bn + 7) * k] = 0.0;
+
+            let host = FusedHost::new(&a, &b, &a2, &b2, &w, (m, n, k), 1.0, r);
+            let want = scalar_block(&host, &b, &geo, 1, 1);
+            nans += want.iter().filter(|x| x.is_nan()).count();
+            infs += want.iter().filter(|x| x.is_infinite()).count();
+            finite += want.iter().filter(|x| x.is_finite()).count();
+            let rows = host.row_lanes(&geo, 1);
+            for isa in Isa::ALL.into_iter().filter(|isa| isa.supported()) {
+                let mut t = vec![0.0f32; r * bm];
+                host.block_on(isa, &geo, 1, 1, &rows, &mut t);
+                for (e, (got, want)) in t.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{isa:?} copy, {geo}, R {r}: T[{e}] = {got:e}, want {want:e}"
+                    );
+                }
+            }
+        }
+        assert!(nans > 0 && infs > 0, "the special inputs reached T");
+        assert!(
+            finite > 9 * (nans + infs),
+            "the special inputs stayed in their rows"
+        );
     }
 
     #[test]

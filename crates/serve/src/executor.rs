@@ -270,6 +270,26 @@ mod tests {
         }
     }
 
+    /// A served report keeps every batch's profile, so each holds
+    /// exactly its launches: cold, warm and packed.
+    #[test]
+    fn served_profiles_hold_no_spare_capacity() {
+        let sources = SourceSet::new(PointSet::uniform_cube(128, 8, 41));
+        let targets = PointSet::uniform_cube(128, 8, 42);
+        let ws = weights(128, 2, 43);
+        let cold = segment(&sources, &targets, 1.0, &ws, false);
+        let warm = segment(&sources, &targets, 1.0, &ws, true);
+        for (case, segs) in [
+            ("cold", vec![&cold]),
+            ("warm", vec![&warm]),
+            ("packed", vec![&cold, &warm]),
+        ] {
+            let got = execute_gpu(&mut GpuDevice::gtx970(), &segs, false).unwrap();
+            let kernels = &got.profile.kernels;
+            assert_eq!(kernels.capacity(), kernels.len(), "{case}");
+        }
+    }
+
     #[test]
     fn gpu_warm_path_skips_norms_kernel() {
         let sources = SourceSet::new(PointSet::uniform_cube(128, 8, 21));
