@@ -15,7 +15,13 @@ use rayon::prelude::*;
 
 use crate::problem::KernelSumProblem;
 
-/// Blocking parameters of the fused CPU solver.
+/// Blocking parameters of the fused CPU solvers.
+///
+/// [`solve`] reads every field. The multi-weight solver
+/// ([`crate::plan::solve_multi_planned`]) reads only `mb`, its rows per
+/// parallel task, and `gemm.kc`, the depth of the chunks its dot
+/// products fold in, which is the one field that moves its bits; it
+/// does not read `nb`, `gemm.mc` or `gemm.nc`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FusedCpuConfig {
     /// Rows of `V` produced per task (per-task scratch is `mb × nb`).

@@ -6,12 +6,37 @@
 //! inner-product kernels can recover `αᵀβ = (‖α‖² + ‖β‖² − d²) / 2`).
 //! The paper evaluates the Gaussian; the others are drop-in
 //! replacements exercising the same fused structure.
+//!
+//! The fused CPU solver evaluates sixteen source rows against one
+//! target at a time through [`KernelFunction::eval_lanes`]. The
+//! Gaussian's exp is the repository's own ([`expf`]), so its bits do
+//! not depend on the host's libm, and its lane form inlines into each
+//! of the solver's compiled copies.
+
+use ks_gpu_kernels::expf::{expf, expf_lanes};
+
+/// Source rows that ride in one lane array of
+/// [`KernelFunction::eval_lanes`].
+pub const LANES: usize = 16;
 
 /// A pairwise kernel `𝒦(α, β)` evaluated from GEMM by-products.
 pub trait KernelFunction: Sync + Send {
     /// Kernel value given the squared distance `d²` and the squared
     /// norms of the two points.
     fn eval(&self, dist_sq: f32, norm_a_sq: f32, norm_b_sq: f32) -> f32;
+
+    /// [`Self::eval`] for [`LANES`] source rows against one target:
+    /// lane `l` is `eval(dist_sq[l], norm_a_sq[l], norm_b_sq)`, bit
+    /// for bit. The default maps `eval`; a kernel overrides it so its
+    /// lane form inlines into the caller's compiled copies.
+    fn eval_lanes(
+        &self,
+        dist_sq: [f32; LANES],
+        norm_a_sq: [f32; LANES],
+        norm_b_sq: f32,
+    ) -> [f32; LANES] {
+        std::array::from_fn(|l| self.eval(dist_sq[l], norm_a_sq[l], norm_b_sq))
+    }
 
     /// Display name.
     fn name(&self) -> &'static str;
@@ -42,7 +67,17 @@ impl GaussianKernel {
 
 impl KernelFunction for GaussianKernel {
     fn eval(&self, dist_sq: f32, _na: f32, _nb: f32) -> f32 {
-        (-dist_sq.max(0.0) * self.inv_2h2()).exp()
+        expf(-dist_sq.max(0.0) * self.inv_2h2())
+    }
+
+    #[inline(always)]
+    fn eval_lanes(&self, dist_sq: [f32; LANES], _na: [f32; LANES], _nb: f32) -> [f32; LANES] {
+        let scale = self.inv_2h2();
+        let mut x = [0.0f32; LANES];
+        for (x, d2) in x.iter_mut().zip(&dist_sq) {
+            *x = -d2.max(0.0) * scale;
+        }
+        expf_lanes(x)
     }
 
     fn name(&self) -> &'static str {
@@ -149,6 +184,19 @@ mod tests {
         let k = PolynomialKernel { c: 1.0, degree: 2 };
         let v = k.eval(5.0, 5.0, 10.0);
         assert!((v - 36.0).abs() < 1e-5, "{v}");
+    }
+
+    #[test]
+    fn the_gaussian_takes_the_fma_form_exp_on_every_host() {
+        // x = -0x427c65d9: a plain product of 32/ln 2 and x lands one
+        // ulp low (0x11fa2992), as a libm without FMA does.
+        let k = GaussianKernel { h: 0.5 };
+        let d2 = f32::from_bits(0x427c_65d9) / 2.0;
+        assert_eq!(k.eval(d2, 0.0, 0.0).to_bits(), 0x11fa_2993);
+        assert_eq!(
+            k.eval_lanes([d2; LANES], [0.0; LANES], 0.0)[7].to_bits(),
+            0x11fa_2993
+        );
     }
 
     #[test]

@@ -96,12 +96,15 @@ pub fn solve_multi_unfused(p: &KernelSumProblem, weights: &Matrix) -> Matrix {
     v
 }
 
-/// Fused multi-weight evaluation: per-tile GEMM → evaluate → fold all
-/// `R` weight columns while the tile is cache-resident.
+/// Fused multi-weight evaluation: dot products → evaluate → fold all
+/// `R` weight columns in row lanes, with nothing intermediate written
+/// to memory.
 ///
 /// Delegates to [`solve_multi_planned`] over a freshly built
 /// [`SourcePlan`], so single-shot and plan-cached serving paths are
-/// bit-identical by construction.
+/// bit-identical by construction. The problem's kernel goes through
+/// `&dyn KernelFunction`, so its lane form is called through the
+/// vtable rather than inlined into the solver's compiled copies.
 ///
 /// # Panics
 /// Panics if `weights` is not `N×R` or the configuration is invalid.

@@ -14,16 +14,21 @@
 //! artifact; [`solve_multi_planned`] is [`crate::multi::solve_multi_fused`]
 //! with the `A`-side precomputation factored out (the single-shot
 //! entry point now delegates here, so planned and unplanned solves are
-//! bit-identical by construction).
+//! bit-identical by construction). It evaluates in row lanes on the
+//! fused kernel's host-evaluator building blocks from
+//! `ks_gpu_kernels`: the per-ISA copies ([`Isa`]), the repository's
+//! own `expf` and the regrouping helper ([`grouped`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ks_blas::{col_sq_norms, gemm_blocked, row_sq_norms, Layout, Matrix};
+use ks_blas::{row_sq_norms, Layout, Matrix};
+use ks_gpu_kernels::expf::Isa;
+use ks_gpu_kernels::oracle::grouped;
 use rayon::prelude::*;
 
 use crate::cpu_fused::FusedCpuConfig;
-use crate::kernels::KernelFunction;
+use crate::kernels::{KernelFunction, LANES};
 use crate::problem::PointSet;
 
 /// Process-unique identity of a [`SourceSet`].
@@ -174,8 +179,9 @@ impl SourcePlan {
 /// is `Σ_j w_j·k(x_j, a_i)`, a reduction over the targets whose
 /// floating-point evaluation order is row-local, so concatenating
 /// shard outputs in range order is bit-identical to the unsharded
-/// solve on both backends (CPU tiles and the simulated GPU's
-/// 128-row blocks never mix rows across an `align`-multiple boundary).
+/// solve on both backends (every CPU lane is one row, and the
+/// simulated GPU's 128-row blocks never mix rows across an
+/// `align`-multiple boundary).
 ///
 /// # Panics
 /// Panics if `shards` or `align` is zero.
@@ -203,24 +209,91 @@ pub fn shard_ranges(m: usize, shards: usize, align: usize) -> Vec<std::ops::Rang
 }
 
 /// Fused multi-weight evaluation against a prebuilt [`SourcePlan`]:
-/// per-tile GEMM → kernel evaluation → fold of all `R` weight columns,
-/// with the `A`-side pack and norms taken from the plan.
+/// dot products → kernel evaluation → fold of all `R` weight columns,
+/// with nothing intermediate written to memory and the `A`-side pack
+/// and norms taken from the plan.
+///
+/// Every output `(i, c)` runs one schedule:
+///
+/// 1. `dot = αᵢᵀβⱼ` folds `K` in chunks of `cfg.gemm.kc`: each chunk
+///    k-ascending from +0.0 with a separate multiply and add, then the
+///    chunk sums in order onto +0.0 (a `gemm_blocked` product with
+///    α = 1 into a zeroed tile);
+/// 2. `d² = (‖αᵢ‖² + ‖βⱼ‖²) − 2·dot`, where `‖βⱼ‖²` is summed in f64
+///    and rounded once, as `col_sq_norms` does;
+/// 3. `kv = kernel.eval(d², ‖αᵢ‖², ‖βⱼ‖²)`;
+/// 4. `v = v + kv·w(j, c)`, folding `j` ascending from +0.0 over all
+///    `N`.
+///
+/// The evaluation runs in row lanes: sixteen consecutive source rows
+/// ride in the lanes of one `[f32; 16]`, four targets' dot products
+/// run side by side, and [`KernelFunction::eval_lanes`] evaluates a
+/// target's sixteen kernel values at once. Every lane runs the
+/// schedule above, so only `cfg.gemm.kc` moves a bit; `cfg.mb` sets
+/// the rows per parallel task. The body is written once over plain
+/// lane arrays and compiled for AVX-512F + FMA, for AVX2 + FMA and for
+/// the build's baseline, and the host's best copy ([`Isa::host`])
+/// runs. Rust never contracts a multiply and an add, so every copy
+/// gives the same bits. A concrete kernel (`&GaussianKernel`) inlines
+/// its lane form into each copy; `&dyn KernelFunction` calls it
+/// through the vtable.
 ///
 /// [`crate::multi::solve_multi_fused`] delegates here, so for any
 /// query the planned result is **bit-identical** to the single-shot
 /// solve — the invariant the serving layer's differential tests pin.
 ///
+/// [`Isa::host`]: ks_gpu_kernels::expf::Isa::host
+///
 /// # Panics
 /// Panics if `targets` and the plan disagree on the point dimension,
 /// `weights` is not `N×R`, or the configuration is invalid.
 #[must_use]
-pub fn solve_multi_planned(
+pub fn solve_multi_planned<K: KernelFunction + ?Sized>(
     plan: &SourcePlan,
     targets: &PointSet,
-    kernel: &dyn KernelFunction,
+    kernel: &K,
     weights: &Matrix,
     cfg: &FusedCpuConfig,
 ) -> Matrix {
+    solve_on(Isa::host(), plan, targets, kernel, weights, cfg)
+}
+
+/// Targets whose dot products run side by side, so their independent
+/// k-folds overlap.
+const COLS: usize = 4;
+/// Sixteen source rows' values of one quantity.
+type Lanes = [f32; LANES];
+
+/// One solve's operands as the lane body reads them: `a` is `M×K`
+/// row-major, `b_cols` the targets in groups of [`COLS`] (see
+/// [`grouped`]), `w_cols` is `N×R` column-major.
+struct Operands<'a, K: ?Sized> {
+    kernel: &'a K,
+    a: &'a [f32],
+    na: &'a [f32],
+    b_cols: Vec<[f32; COLS]>,
+    nb: Vec<f32>,
+    w_cols: Vec<f32>,
+    n: usize,
+    k: usize,
+    r: usize,
+    kc: usize,
+}
+
+/// [`solve_multi_planned`] on `isa`'s copy of the lane body.
+///
+/// # Panics
+/// As [`solve_multi_planned`], and if this host cannot run `isa`'s
+/// copy.
+fn solve_on<K: KernelFunction + ?Sized>(
+    isa: Isa,
+    plan: &SourcePlan,
+    targets: &PointSet,
+    kernel: &K,
+    weights: &Matrix,
+    cfg: &FusedCpuConfig,
+) -> Matrix {
+    assert!(isa.supported(), "this host cannot run the {isa:?} copy");
     cfg.validate();
     let (m, k) = plan.dims();
     let n = targets.len();
@@ -237,60 +310,132 @@ pub fn solve_multi_planned(
     );
     assert!(weights.cols() > 0, "need at least one weight column");
     let r = weights.cols();
-    let a = plan.a();
-    let vec_a = plan.row_sq_norms();
-    let b = targets.as_col_major_transposed();
-    let vec_b = col_sq_norms(&b);
+    let b = targets.coords();
+    let op = Operands {
+        kernel,
+        a: plan.a().as_slice(),
+        na: plan.row_sq_norms(),
+        b_cols: grouped(b, k),
+        nb: b.chunks_exact(k).map(sq_norm).collect(),
+        w_cols: (0..r)
+            .flat_map(|c| (0..n).map(move |j| weights.get(j, c)))
+            .collect(),
+        n,
+        k,
+        r,
+        kc: cfg.gemm.kc,
+    };
+    let mut v = Matrix::zeros(m, r, Layout::RowMajor);
+    v.as_mut_slice()
+        .par_chunks_mut(cfg.mb * r)
+        .enumerate()
+        .for_each(|(task, out)| {
+            let i0 = task * cfg.mb;
+            match isa {
+                // SAFETY: asserted above that the host has AVX-512F and FMA.
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx512 => unsafe { rows_avx512(&op, i0, out) },
+                // SAFETY: asserted above that the host has AVX2 and FMA.
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx2 => unsafe { rows_avx2(&op, i0, out) },
+                _ => rows_lanes(&op, i0, out),
+            }
+        });
+    v
+}
 
-    let blocks: Vec<usize> = (0..m).step_by(cfg.mb).collect();
-    let chunks: Vec<(usize, Matrix)> = blocks
-        .par_iter()
-        .map(|&i0| {
-            let mb = cfg.mb.min(m - i0);
-            let mut v_local = Matrix::zeros(mb, r, Layout::RowMajor);
-            let a_block =
-                Matrix::from_fn(mb, a.cols(), Layout::RowMajor, |rr, cc| a.get(i0 + rr, cc));
-            let mut scratch = Matrix::zeros(mb, cfg.nb.min(n).max(1), Layout::RowMajor);
-            for j0 in (0..n).step_by(cfg.nb) {
-                let nb = cfg.nb.min(n - j0);
-                let b_block =
-                    Matrix::from_fn(b.rows(), nb, Layout::ColMajor, |rr, cc| b.get(rr, j0 + cc));
-                if scratch.cols() != nb {
-                    scratch = Matrix::zeros(mb, nb, Layout::RowMajor);
+/// `‖p‖²` summed in f64 from +0.0 and rounded once, as `col_sq_norms`
+/// sums a column.
+fn sq_norm(p: &[f32]) -> f32 {
+    p.iter()
+        .fold(0.0f64, |s, &x| s + f64::from(x) * f64::from(x)) as f32
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,fma")]
+fn rows_avx512<K: KernelFunction + ?Sized>(op: &Operands<'_, K>, i0: usize, out: &mut [f32]) {
+    rows_lanes(op, i0, out);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn rows_avx2<K: KernelFunction + ?Sized>(op: &Operands<'_, K>, i0: usize, out: &mut [f32]) {
+    rows_lanes(op, i0, out);
+}
+
+/// The lane body: `V`'s rows from `i0` into `out` (row-major, `R`
+/// words a row), sixteen rows at a time, every lane on the schedule of
+/// [`solve_multi_planned`]. Lanes past the last row hold zeros and are
+/// never stored.
+#[inline(always)]
+fn rows_lanes<K: KernelFunction + ?Sized>(op: &Operands<'_, K>, i0: usize, out: &mut [f32]) {
+    let (k, n, r) = (op.k, op.n, op.r);
+    let rows = out.len() / r;
+    let a = grouped::<LANES>(&op.a[i0 * k..(i0 + rows) * k], k);
+    let na = grouped::<LANES>(&op.na[i0..i0 + rows], 1);
+    let mut v = vec![[0.0f32; LANES]; r];
+    for ((a, &na), out) in a.chunks_exact(k).zip(&na).zip(out.chunks_mut(LANES * r)) {
+        v.fill([0.0; LANES]);
+        for (g, b) in op.b_cols.chunks_exact(k).enumerate() {
+            let js = g * COLS..n.min(g * COLS + COLS);
+            let mut kv = [[0.0f32; LANES]; COLS];
+            for ((j, dot), kv) in js.clone().zip(&dots(a, b, op.kc)).zip(&mut kv) {
+                let nb = op.nb[j];
+                let mut d2 = [0.0f32; LANES];
+                for ((d2, na), dot) in d2.iter_mut().zip(&na).zip(dot) {
+                    *d2 = na + nb - 2.0 * dot;
                 }
-                gemm_blocked(1.0, &a_block, &b_block, 0.0, &mut scratch, cfg.gemm);
-                for rr in 0..mb {
-                    let na = vec_a[i0 + rr];
-                    for cc in 0..nb {
-                        let d2 = na + vec_b[j0 + cc] - 2.0 * scratch.get(rr, cc);
-                        let kv = kernel.eval(d2, na, vec_b[j0 + cc]);
-                        for ch in 0..r {
-                            v_local.add_assign(rr, ch, kv * weights.get(j0 + cc, ch));
-                        }
+                *kv = op.kernel.eval_lanes(d2, na, nb);
+            }
+            for (v, w) in v.iter_mut().zip(op.w_cols.chunks_exact(n)) {
+                let mut acc = *v;
+                for (kv, &w) in kv.iter().zip(&w[js.clone()]) {
+                    for (acc, kv) in acc.iter_mut().zip(kv) {
+                        *acc += kv * w;
                     }
                 }
+                *v = acc;
             }
-            (i0, v_local)
-        })
-        .collect();
-
-    let mut v = Matrix::zeros(m, r, Layout::RowMajor);
-    for (i0, local) in chunks {
-        for rr in 0..local.rows() {
-            for ch in 0..r {
-                v.set(i0 + rr, ch, local.get(rr, ch));
+        }
+        for (l, row) in out.chunks_exact_mut(r).enumerate() {
+            for (x, v) in row.iter_mut().zip(&v) {
+                *x = v[l];
             }
         }
     }
-    v
+}
+
+/// Sixteen rows' dot products with [`COLS`] targets: `K` folds in
+/// chunks of `kc`, each k-ascending from +0.0, and the chunk sums fold
+/// in order onto +0.0.
+#[inline(always)]
+fn dots(a: &[Lanes], b: &[[f32; COLS]], kc: usize) -> [Lanes; COLS] {
+    let mut dots = [[0.0f32; LANES]; COLS];
+    for (a, b) in a.chunks(kc).zip(b.chunks(kc)) {
+        let mut chunk = [[0.0f32; LANES]; COLS];
+        for (ak, bk) in a.iter().zip(b) {
+            for (chunk, bk) in chunk.iter_mut().zip(bk) {
+                for (x, ak) in chunk.iter_mut().zip(ak) {
+                    *x += ak * bk;
+                }
+            }
+        }
+        for (dot, chunk) in dots.iter_mut().zip(&chunk) {
+            for (d, c) in dot.iter_mut().zip(chunk) {
+                *d += c;
+            }
+        }
+    }
+    dots
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::GaussianKernel;
+    use crate::kernels::{CauchyKernel, GaussianKernel, LaplaceKernel, PolynomialKernel};
     use crate::multi::solve_multi_fused;
     use crate::problem::KernelSumProblem;
+    use ks_blas::{col_sq_norms, gemm_blocked, GemmConfig};
 
     fn rand_weights(n: usize, r: usize, seed: u64) -> Matrix {
         let mut state = seed | 1;
@@ -454,5 +599,197 @@ mod tests {
             &w,
             &FusedCpuConfig::default(),
         );
+    }
+
+    /// The schedule `solve_multi_planned` keeps, as the tiled body ran
+    /// it before the lanes: one `gemm_blocked` product (α = 1, zeroed
+    /// tile) for every dot, then each output folded element by element.
+    /// Only `kc` of the blocking moves a bit. Also returns every `d²`.
+    fn scalar_spec(
+        plan: &SourcePlan,
+        targets: &PointSet,
+        kernel: &dyn KernelFunction,
+        weights: &Matrix,
+        kc: usize,
+    ) -> (Matrix, Vec<f32>) {
+        let (m, _) = plan.dims();
+        let (n, r) = (targets.len(), weights.cols());
+        let b = targets.as_col_major_transposed();
+        let nb = col_sq_norms(&b);
+        let mut dots = Matrix::zeros(m, n, Layout::RowMajor);
+        let gemm = GemmConfig {
+            kc,
+            ..GemmConfig::default()
+        };
+        gemm_blocked(1.0, plan.a(), &b, 0.0, &mut dots, gemm);
+        let mut v = Matrix::zeros(m, r, Layout::RowMajor);
+        let mut d2s = Vec::with_capacity(m * n);
+        for (i, &na) in plan.row_sq_norms().iter().enumerate() {
+            for (j, &nb) in nb.iter().enumerate() {
+                let d2 = na + nb - 2.0 * dots.get(i, j);
+                let kv = kernel.eval(d2, na, nb);
+                for c in 0..r {
+                    v.add_assign(i, c, kv * weights.get(j, c));
+                }
+                d2s.push(d2);
+            }
+        }
+        (v, d2s)
+    }
+
+    fn assert_bits_equal(got: &Matrix, want: &Matrix, what: &str) {
+        for (e, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "{what}: V[{e}] = {g:e}, want {w:e}"
+            );
+        }
+    }
+
+    /// `solve_multi_planned` runs only the copy the host picks; this
+    /// runs every copy the host supports against [`scalar_spec`], with
+    /// M not a multiple of 16, N not a multiple of 4, ragged tasks and
+    /// K folded in one chunk or many. The inputs reach the special
+    /// paths: rows equal to a target (d² rounds below 0 and the clamp
+    /// decides), a far row (the exp underflows to 0), a row whose exps
+    /// are subnormal, a NaN, a +∞ and a −∞ coordinate, each in a row of
+    /// its own (so each such row makes NaNs of one payload only), and
+    /// −0 products (a negated row against a zero coordinate, zero
+    /// Gaussians against negative weights). The Gaussian runs
+    /// concretely; it and the other kernels also run through `&dyn`,
+    /// whose lane form the trait's default maps from `eval`.
+    #[test]
+    fn every_compiled_copy_matches_the_scalar_schedule() {
+        let gaussian = GaussianKernel { h: 1.0 };
+        let kernels: [&dyn KernelFunction; 4] = [
+            &gaussian,
+            &LaplaceKernel { h: 1.5 },
+            &CauchyKernel { h: 0.8 },
+            &PolynomialKernel { c: 0.5, degree: 3 },
+        ];
+        let (mut clamped, mut subnormal, mut non_finite) = (0, 0, 0);
+        for (case, (m, n, k)) in [(45, 23, 9), (37, 30, 300)].into_iter().enumerate() {
+            let mut state = 0x9e37_79b9_u64 + case as u64;
+            let mut next = move || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 33) as f32 / (1u64 << 33) as f32 + 0.01
+            };
+            let mut t: Vec<f32> = (0..n * k).map(|_| next()).collect();
+            let mut a: Vec<f32> = (0..m * k).map(|_| next()).collect();
+            for (row, target) in [(3, 0), (19, 5), (35, 11)] {
+                a[row * k..(row + 1) * k].copy_from_slice(&t[target * k..(target + 1) * k]);
+            }
+            a[7 * k..8 * k].iter_mut().for_each(|x| *x += 40.0);
+            a[11 * k] += 13.6;
+            a[13 * k..14 * k].iter_mut().for_each(|x| *x = -*x);
+            t[7 * k] = 0.0;
+            a[23 * k + 2] = f32::NAN;
+            a[27 * k + 1] = f32::INFINITY;
+            a[31 * k + 3] = f32::NEG_INFINITY;
+            let plan = SourcePlan::build(&PointSet::from_coords(m, k, a));
+            let targets = PointSet::from_coords(n, k, t);
+            for r in [1, 3, 8, 12] {
+                // Column 0 positive, the rest of either sign.
+                let w = Matrix::from_fn(n, r, Layout::RowMajor, |_, c| {
+                    next() - if c == 0 { 0.0 } else { 0.25 }
+                });
+                for kc in [2, 7, 256] {
+                    let cfg = FusedCpuConfig {
+                        mb: 20,
+                        nb: 7,
+                        gemm: GemmConfig { mc: 5, kc, nc: 6 },
+                    };
+                    for kernel in kernels {
+                        let (want, d2s) = scalar_spec(&plan, &targets, kernel, &w, kc);
+                        if kernel.name() == "gaussian" {
+                            clamped += d2s.iter().filter(|&&d| d < 0.0).count();
+                            subnormal +=
+                                d2s.iter().filter(|&&d| (175.0..207.0).contains(&d)).count();
+                        }
+                        non_finite += want.as_slice().iter().filter(|x| !x.is_finite()).count();
+                        for isa in Isa::ALL.into_iter().filter(|isa| isa.supported()) {
+                            let what =
+                                |via| format!("{isa:?} copy, {via}, {m}x{n}x{k}, R {r}, kc {kc}");
+                            let got = solve_on(isa, &plan, &targets, kernel, &w, &cfg);
+                            assert_bits_equal(&got, &want, &what(kernel.name()));
+                            if kernel.name() == "gaussian" {
+                                let got = solve_on(isa, &plan, &targets, &gaussian, &w, &cfg);
+                                assert_bits_equal(&got, &want, &what("concrete gaussian"));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(clamped > 0, "no d² rounded below 0");
+        assert!(subnormal > 0, "no exp was subnormal");
+        assert!(non_finite > 0, "no NaN or infinity reached V");
+    }
+
+    /// FNV-1a over the output bits of every case of a fixed grid: five
+    /// shapes (ragged M, N and K among them), R 1, 3, 8 and 12, three
+    /// bandwidths, at the default blocking and, where M < 500, at an
+    /// awkward one.
+    fn grid_digest() -> u64 {
+        let awkward = FusedCpuConfig {
+            mb: 5,
+            nb: 7,
+            gemm: GemmConfig {
+                mc: 4,
+                kc: 2,
+                nc: 6,
+            },
+        };
+        let shapes = [
+            (1024, 256, 32),
+            (2048, 256, 32),
+            (129, 77, 9),
+            (64, 300, 300),
+            (300, 33, 1),
+        ];
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for (case, (m, n, k)) in shapes.into_iter().enumerate() {
+            let seed = 100 * case as u64;
+            let plan = SourcePlan::build(&PointSet::uniform_cube(m, k, seed + 1));
+            let targets = PointSet::uniform_cube(n, k, seed + 2);
+            let cfgs = if m < 500 {
+                vec![FusedCpuConfig::default(), awkward]
+            } else {
+                vec![FusedCpuConfig::default()]
+            };
+            for r in [1, 3, 8, 12] {
+                let w = rand_weights(n, r, seed + 3 + r as u64);
+                for h in [0.25f32, 1.0, 5.0] {
+                    for cfg in &cfgs {
+                        let v =
+                            solve_multi_planned(&plan, &targets, &GaussianKernel { h }, &w, cfg);
+                        for x in v.as_slice() {
+                            for byte in x.to_bits().to_le_bytes() {
+                                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        hash
+    }
+
+    /// The CPU solver's bits, pinned by value: perfbench's oracle and
+    /// the serving differentials compare against this same function, so
+    /// only a digest taken before a rewrite can see a moved bit. The
+    /// value is the tiled GEMM body's on glibc's FMA `expf`.
+    #[test]
+    fn output_bits_match_the_pinned_digest() {
+        const PINNED: u64 = 0x53b1_ebc2_f432_abff;
+        let one = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .expect("a one-thread pool");
+        assert_eq!(one.install(grid_digest), PINNED, "one thread");
+        assert_eq!(grid_digest(), PINNED, "default thread count");
     }
 }

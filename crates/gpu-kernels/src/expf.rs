@@ -17,9 +17,11 @@
 //! inputs above `ln 2¹²⁸` give +∞, a NaN gives `x + x`, and every other
 //! input takes the main path.
 //!
-//! The scalar [`expf`] picks its copy at run time; the host evaluator
-//! (`oracle.rs`) maps the same definition over lane arrays inside each
-//! of its compiled copies, so it never has a second exp.
+//! The scalar [`expf`] picks its copy at run time. The lane bodies —
+//! the fused kernel's host evaluator (`oracle.rs`) and ks-core's CPU
+//! solver — map the same definition over lane arrays through
+//! [`expf_lanes`] inside each of their [`Isa`] copies, so neither has
+//! a second exp.
 
 /// `2^(i/32)`'s bits minus `i << 47`, so that adding `k << 47` for
 /// `k ≡ i (mod 32)` both picks the entry and scales it by `2^⌊k/32⌋`.
@@ -119,7 +121,7 @@ fn expf_fma(x: f32) -> f32 {
 /// [`expf`] over `L` lanes: the same definition, for a lane body to
 /// inline into each of its compiled copies.
 #[inline(always)]
-pub(crate) fn expf_lanes<const L: usize>(x: [f32; L]) -> [f32; L] {
+pub fn expf_lanes<const L: usize>(x: [f32; L]) -> [f32; L] {
     let mut y = [0.0f32; L];
     for (y, &x) in y.iter_mut().zip(&x) {
         *y = expf_def(x);
@@ -130,7 +132,7 @@ pub(crate) fn expf_lanes<const L: usize>(x: [f32; L]) -> [f32; L] {
 /// An instruction set a lane body is compiled for. [`Isa::ALL`] lists
 /// them best first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Isa {
+pub enum Isa {
     /// x86-64 with AVX-512F and FMA.
     Avx512,
     /// x86-64 with AVX2 and FMA.
@@ -141,10 +143,11 @@ pub(crate) enum Isa {
 
 impl Isa {
     /// Every copy, best first.
-    pub(crate) const ALL: [Isa; 3] = [Isa::Avx512, Isa::Avx2, Isa::Baseline];
+    pub const ALL: [Isa; 3] = [Isa::Avx512, Isa::Avx2, Isa::Baseline];
 
     /// Whether this host can run the copy compiled for `self`.
-    pub(crate) fn supported(self) -> bool {
+    #[must_use]
+    pub fn supported(self) -> bool {
         match self {
             Isa::Baseline => true,
             #[cfg(target_arch = "x86_64")]
@@ -157,7 +160,8 @@ impl Isa {
     }
 
     /// The best copy this host can run.
-    pub(crate) fn host() -> Isa {
+    #[must_use]
+    pub fn host() -> Isa {
         Isa::ALL
             .into_iter()
             .find(|isa| isa.supported())

@@ -896,12 +896,15 @@ impl<N: Naming> Kernel for Fused<N> {
 
     /// The launch on the host ([`crate::oracle`]), segment by segment
     /// in launch order; the two-pass ablation is interpreted. Each row
-    /// group, in parallel, applies its blocks' partials in ascending
-    /// `bx` with the drain's atomics; with verify on, each block then
-    /// adds its σ (its rows, ascending from 0.0) to its checksum slot
-    /// and 0.0 to the flag, as a clean block's epilogue does. A named
-    /// block is interpreted in its own `bx` slot instead. Layout,
-    /// buffering and exec model change no bit.
+    /// group, in parallel, adds its blocks' partials in ascending `bx`
+    /// to the `V` rows it owns, word by word as the drain's atomics
+    /// would ([`GlobalMem::add_owned`]); with verify on, each block
+    /// then adds its σ (its rows, ascending from 0.0) to its own
+    /// checksum slot the same way and 0.0 to the flag, which every row
+    /// group shares, atomically, as a clean block's epilogue does. A
+    /// named block is interpreted in its own `bx` slot instead, on the
+    /// same thread, so its atomics land in order. Layout, buffering and
+    /// exec model change no bit.
     fn execute_exact(&self, mem: &GlobalMem, named: NamedBlocks<'_>) -> bool {
         if let Reduction::TwoPass { .. } = self.reduction {
             return false;
@@ -929,14 +932,13 @@ impl<N: Naming> Kernel for Fused<N> {
                 };
                 host.row_group(&self.geometry, by, interpret, |t| {
                     for (c, col) in t.chunks_exact(bm).enumerate() {
-                        for (i, &x) in col.iter().enumerate() {
-                            mem.atomic_add(seg.v, c * m + by * bm + i, x);
-                        }
+                        mem.add_owned(seg.v, c * m + by * bm, col);
                     }
                     if let Some(vb) = seg.verify {
                         for (c, col) in t.chunks_exact(bm).enumerate() {
                             let sigma = col.iter().fold(0.0f32, |s, x| s + x);
-                            mem.atomic_add(vb.checksum, (c * gy + by) * CHECKSUM_SLOT_WORDS, sigma);
+                            let slot = (c * gy + by) * CHECKSUM_SLOT_WORDS;
+                            mem.add_owned(vb.checksum, slot, &[sigma]);
                         }
                         mem.atomic_add(vb.flag, 0, 0.0);
                     }

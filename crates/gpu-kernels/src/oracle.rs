@@ -59,8 +59,10 @@ const COLS: usize = 4;
 
 /// Point-contiguous coordinates (`points × k`) regrouped `L` points to
 /// an entry: entry `g·k + t` holds coordinate `t` of points
-/// `L·g..L·g + L` (zero past the last point).
-fn grouped<const L: usize>(coords: &[f32], k: usize) -> Vec<[f32; L]> {
+/// `L·g..L·g + L` (zero past the last point). A lane body reads `L`
+/// points' coordinate `t` as one lane array.
+#[must_use]
+pub fn grouped<const L: usize>(coords: &[f32], k: usize) -> Vec<[f32; L]> {
     let mut out = vec![[0.0f32; L]; coords.len().div_ceil(k * L) * k];
     for (p, point) in coords.chunks_exact(k).enumerate() {
         for (t, &x) in point.iter().enumerate() {

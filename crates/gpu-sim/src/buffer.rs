@@ -7,7 +7,8 @@
 //! and `atomic_add` implements the device-wide `atomicAdd(float*)`
 //! with a compare-exchange loop — the same read-modify-write the L2
 //! atomic unit performs on Maxwell (paper §III-C, inter-thread-block
-//! reduction).
+//! reduction). `add_owned` gives words that one thread owns the same
+//! adds without the loop.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -199,6 +200,22 @@ impl GlobalMem {
         }
     }
 
+    /// `+=` of `src` into elements `start..start + src.len()`, which
+    /// the caller owns: no other thread writes them until this returns.
+    /// Each word gets the same `old + x` as [`Self::atomic_add`], as a
+    /// relaxed load and store instead of a compare-exchange loop, after
+    /// one bounds check for the whole slice.
+    ///
+    /// # Panics
+    /// Panics on out-of-bounds access.
+    pub fn add_owned(&self, id: BufId, start: usize, src: &[f32]) {
+        let cells = &self.entry(id).cells()[start..start + src.len()];
+        for (cell, x) in cells.iter().zip(src) {
+            let old = f32::from_bits(cell.load(Ordering::Relaxed));
+            cell.store((old + x).to_bits(), Ordering::Relaxed);
+        }
+    }
+
     fn entry(&self, id: BufId) -> &BufferEntry {
         self.buffers.get(id.0).expect("invalid buffer handle")
     }
@@ -271,6 +288,34 @@ mod tests {
             m.atomic_add(a, 0, 1.0);
         });
         assert_eq!(m.load(a, 0), 10_000.0);
+    }
+
+    #[test]
+    fn owned_adds_match_atomic_adds_bit_for_bit() {
+        let mut m = GlobalMem::new();
+        let xs = [0.1f32, -0.0, 3.5e-39, f32::INFINITY, 1e30, -2.25];
+        let before = [0.3f32, 0.0, 1e-39, 1.0, -1e30, 2.25];
+        let (a, b, c) = (m.upload(&before), m.alloc(0), m.upload(&before));
+        m.add_owned(a, 0, &xs);
+        for (i, &x) in xs.iter().enumerate() {
+            m.atomic_add(c, i, x);
+        }
+        let bits = |id| {
+            m.download(id)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(a), bits(c));
+        m.add_owned(b, 0, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn owned_adds_past_the_end_fault() {
+        let mut m = GlobalMem::new();
+        let a = m.alloc(4);
+        m.add_owned(a, 2, &[1.0; 3]);
     }
 
     #[test]

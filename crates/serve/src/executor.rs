@@ -33,6 +33,12 @@ pub const MAX_GPU_BATCH: usize = MAX_WEIGHT_COLUMNS;
 
 /// Runs a batch on the deterministic CPU fused path. Returns one
 /// result vector (length `M`) per query, in input order.
+///
+/// The batch is one `solve_multi_planned` call with one weight column
+/// per query. It passes the Gaussian concretely, so the kernel's lane
+/// exp inlines into the solver's per-ISA copies. Each column folds on
+/// its own, and only `cfg.gemm.kc` of the configuration moves a bit,
+/// so a column equals that query solved alone.
 pub(crate) fn execute_cpu(
     plan: &SourcePlan,
     targets: &PointSet,
