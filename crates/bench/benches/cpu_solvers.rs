@@ -36,23 +36,18 @@ fn bench_fused_block_sizes(c: &mut Criterion) {
     let mut g = c.benchmark_group("cpu_fused_blocking");
     g.sample_size(10);
     let p = build(2048, 1024, 32);
-    for &(mb, nb) in &[(32usize, 128usize), (128, 512), (512, 1024)] {
-        g.bench_with_input(
-            BenchmarkId::from_parameter(format!("{mb}x{nb}")),
-            &p,
-            |b, p| {
-                b.iter(|| {
-                    cpu_fused::solve(
-                        p,
-                        &FusedCpuConfig {
-                            mb,
-                            nb,
-                            ..Default::default()
-                        },
-                    )
-                });
-            },
-        );
+    for mb in [32usize, 128, 512] {
+        g.bench_with_input(BenchmarkId::from_parameter(mb), &p, |b, p| {
+            b.iter(|| {
+                cpu_fused::solve(
+                    p,
+                    &FusedCpuConfig {
+                        mb,
+                        ..Default::default()
+                    },
+                )
+            });
+        });
     }
     g.finish();
 }

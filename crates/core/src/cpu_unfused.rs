@@ -17,6 +17,17 @@ use crate::problem::KernelSumProblem;
 /// Unfused evaluation: GEMM → evaluate → GEMV (Algorithm 1).
 #[must_use]
 pub fn solve(p: &KernelSumProblem) -> Vec<f32> {
+    let c = kernel_matrix(p);
+
+    // Line 16: V = K·W.
+    let mut v = vec![0.0f32; c.rows()];
+    gemv_parallel(1.0, &c, p.weights(), 0.0, &mut v);
+    v
+}
+
+/// Lines 3–14 of Algorithm 1: the materialised `M×N` kernel matrix,
+/// shared by the single- and multi-weight unfused solvers.
+pub(crate) fn kernel_matrix(p: &KernelSumProblem) -> Matrix {
     let (m, n, _) = p.dims();
     let a = p.sources().as_row_major();
     let b = p.targets().as_col_major_transposed();
@@ -31,21 +42,16 @@ pub fn solve(p: &KernelSumProblem) -> Vec<f32> {
 
     // Lines 11–14: kernel evaluation, in place.
     let kernel = p.kernel();
-    {
-        let data = c.as_mut_slice();
-        data.par_chunks_mut(n).enumerate().for_each(|(i, row)| {
+    c.as_mut_slice()
+        .par_chunks_mut(n)
+        .enumerate()
+        .for_each(|(i, row)| {
             let na = vec_a[i];
-            for (j, v) in row.iter_mut().enumerate() {
-                let d2 = na + vec_b[j] - 2.0 * *v;
-                *v = kernel.eval(d2, na, vec_b[j]);
+            for (v, &nb) in row.iter_mut().zip(&vec_b) {
+                *v = kernel.eval(na + nb - 2.0 * *v, na, nb);
             }
         });
-    }
-
-    // Line 16: V = K·W.
-    let mut v = vec![0.0f32; m];
-    gemv_parallel(1.0, &c, p.weights(), 0.0, &mut v);
-    v
+    c
 }
 
 #[cfg(test)]

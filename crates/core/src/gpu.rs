@@ -11,7 +11,6 @@ use ks_gpu_kernels::{GpuKernelSummation, GpuVariant};
 use ks_gpu_sim::profiler::PipelineProfile;
 use ks_gpu_sim::{GpuDevice, LaunchError};
 
-use crate::kernels::{GaussianKernel, KernelFunction};
 use crate::problem::KernelSumProblem;
 
 /// Profile + energy of one simulated run.
@@ -42,22 +41,16 @@ pub struct GpuSolveOutput {
     pub report: GpuReport,
 }
 
-/// Extracts the Gaussian bandwidth the GPU kernels need.
+/// The Gaussian bandwidth the GPU kernels need.
 ///
 /// # Panics
 /// Panics if the problem's kernel is not Gaussian — the GPU pipelines
 /// hard-code the paper's Equation 1 (use the CPU backends for other
 /// kernels).
 fn bandwidth_of(p: &KernelSumProblem) -> f32 {
-    assert_eq!(
-        p.kernel().name(),
-        GaussianKernel { h: 1.0 }.name(),
-        "the simulated GPU pipelines implement the paper's Gaussian kernel only"
-    );
-    // Recover h from the kernel by probing: 𝒦(d²=2h²) = e^{-1}.
-    // eval(1,·,·) = exp(-1/(2h²)) ⇒ h = sqrt(-1 / (2 ln eval)).
-    let e = p.kernel().eval(1.0, 0.0, 0.0);
-    (-1.0 / (2.0 * e.ln())).sqrt()
+    p.kernel()
+        .gaussian_bandwidth()
+        .expect("the simulated GPU pipelines implement the paper's Gaussian kernel only")
 }
 
 /// Pads row-major point coordinates from `(count, dim)` to
@@ -183,6 +176,7 @@ pub fn try_profile_gpu_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::GaussianKernel;
     use crate::problem::{Backend, PointSet};
     use crate::reference;
     use crate::validate::max_rel_error;
@@ -199,7 +193,7 @@ mod tests {
     #[test]
     fn bandwidth_recovery_is_exact() {
         let p = build(128, 128, 8);
-        assert!((bandwidth_of(&p) - 0.9).abs() < 1e-4);
+        assert_eq!(bandwidth_of(&p), 0.9);
     }
 
     #[test]

@@ -11,9 +11,15 @@
 //! target at a time through [`KernelFunction::eval_lanes`]. The
 //! Gaussian's exp is the repository's own ([`expf`]), so its bits do
 //! not depend on the host's libm, and its lane form inlines into each
-//! of the solver's compiled copies.
+//! of the solver's compiled copies, through `&dyn KernelFunction` too
+//! ([`KernelFunction::solve_planned`]).
 
+use ks_blas::Matrix;
 use ks_gpu_kernels::expf::{expf, expf_lanes};
+
+use crate::cpu_fused::FusedCpuConfig;
+use crate::plan::{solve_multi_planned, SourcePlan};
+use crate::problem::PointSet;
 
 /// Source rows that ride in one lane array of
 /// [`KernelFunction::eval_lanes`].
@@ -40,6 +46,27 @@ pub trait KernelFunction: Sync + Send {
 
     /// Display name.
     fn name(&self) -> &'static str;
+
+    /// The bandwidth `h` if this is the paper's Gaussian, which the
+    /// simulated GPU pipelines hard-code; `None` by default.
+    fn gaussian_bandwidth(&self) -> Option<f32> {
+        None
+    }
+
+    /// [`solve_multi_planned`] on this kernel's own compiled copy of
+    /// the solver. Called through `&dyn KernelFunction`, the kernel's
+    /// lane form still inlines into the solver, as for a concrete
+    /// kernel; passing the `&dyn` to [`solve_multi_planned`] instead
+    /// calls it through the vtable. Not meant to be overridden.
+    fn solve_planned(
+        &self,
+        plan: &SourcePlan,
+        targets: &PointSet,
+        weights: &Matrix,
+        cfg: &FusedCpuConfig,
+    ) -> Matrix {
+        solve_multi_planned(plan, targets, self, weights, cfg)
+    }
 }
 
 /// The paper's kernel: `exp(−d² / (2h²))` (Equation 1).
@@ -82,6 +109,10 @@ impl KernelFunction for GaussianKernel {
 
     fn name(&self) -> &'static str {
         "gaussian"
+    }
+
+    fn gaussian_bandwidth(&self) -> Option<f32> {
+        Some(self.h)
     }
 }
 

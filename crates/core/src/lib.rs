@@ -18,9 +18,12 @@
 //! * [`cpu_unfused`] — Algorithm 1 on the CPU with the `ks-blas`
 //!   substrate (materialises the `M×N` intermediate, like the cuBLAS
 //!   pipeline).
-//! * [`cpu_fused`] — the paper's fusion idea applied to the CPU cache
-//!   hierarchy: per-block GEMM → evaluation → reduction, with the
-//!   intermediate confined to an L2-resident scratch tile.
+//! * [`cpu_fused`] — the paper's fusion idea on the CPU: dot products
+//!   → evaluation → reduction in row lanes, with nothing of the `M×N`
+//!   intermediate in memory. It is the `R = 1` column of
+//!   [`multi::solve_multi_fused`], and [`plan`]'s lane body, generic
+//!   over what follows the dot products, is the one fused CPU body
+//!   ([`logspace`] folds a log-sum-exp on it).
 //! * [`gpu`] — the simulated-GTX970 implementations from
 //!   `ks-gpu-kernels`, with profiles and energy reports.
 //!

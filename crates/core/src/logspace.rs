@@ -7,18 +7,19 @@
 //! computed with the streaming log-sum-exp trick: keep the running
 //! maximum exponent `m` and the sum of `exp(x − m)`.
 //!
-//! The implementation reuses the fused blocking of
-//! [`crate::cpu_fused`]: the squared distances for an L2-resident tile
-//! are produced by the blocked GEMM, and the log-sum-exp accumulator
-//! is folded tile by tile — fusion and numerical robustness compose.
+//! The implementation is the fused CPU body of
+//! [`crate::plan::solve_multi_planned`] with a log-sum-exp fold in
+//! place of the weighted sum: the same dot products in row lanes, then
+//! one streaming accumulator per source row — fusion and numerical
+//! robustness compose.
 //!
 //! Weights must be strictly positive (they enter as `ln w_j`).
 
-use ks_blas::{col_sq_norms, gemm_blocked, row_sq_norms, Layout, Matrix};
-use rayon::prelude::*;
+use ks_gpu_kernels::expf::Isa;
 
 use crate::cpu_fused::FusedCpuConfig;
-use crate::kernels::{GaussianKernel, KernelFunction};
+use crate::kernels::{GaussianKernel, KernelFunction, LANES};
+use crate::plan::{solve_on, Fold, Lanes, SourcePlan, COLS};
 use crate::problem::KernelSumProblem;
 
 /// Streaming log-sum-exp accumulator.
@@ -75,6 +76,42 @@ fn recover_gaussian_scale(kernel: &dyn KernelFunction) -> f32 {
     panic!("could not recover a finite Gaussian bandwidth from the kernel");
 }
 
+/// The log-space fold: each target `j` pushes
+/// `−max(d², 0)·s + ln wⱼ` into its row's accumulator, `j` ascending.
+struct LogSumExpFold {
+    /// `1/(2h²)`.
+    s: f32,
+    log_w: Vec<f32>,
+}
+
+impl Fold for LogSumExpFold {
+    type Acc = [LogSumExp; LANES];
+
+    fn width(&self) -> usize {
+        1
+    }
+
+    fn start(&self) -> Self::Acc {
+        [LogSumExp::new(); LANES]
+    }
+
+    #[inline(always)]
+    fn fold(&self, acc: &mut Self::Acc, j0: usize, dots: &[Lanes; COLS], na: &Lanes, nb: &[f32]) {
+        for ((dot, &nb), &log_w) in dots.iter().zip(nb).zip(&self.log_w[j0..]) {
+            for ((lse, na), dot) in acc.iter_mut().zip(na).zip(dot) {
+                let d2 = (na + nb - 2.0 * dot).max(0.0);
+                lse.push(-d2 * self.s + log_w);
+            }
+        }
+    }
+
+    fn store(&self, acc: &Self::Acc, out: &mut [f32]) {
+        for (x, lse) in out.iter_mut().zip(acc) {
+            *x = lse.value();
+        }
+    }
+}
+
 /// Computes `L_i = log Σ_j 𝒦(α_i, β_j) · w_j` for the Gaussian kernel
 /// in a numerically stable way (see module docs).
 ///
@@ -83,7 +120,6 @@ fn recover_gaussian_scale(kernel: &dyn KernelFunction) -> f32 {
 /// strictly positive, or the blocking configuration is invalid.
 #[must_use]
 pub fn solve_logspace(p: &KernelSumProblem, cfg: &FusedCpuConfig) -> Vec<f32> {
-    cfg.validate();
     assert_eq!(
         p.kernel().name(),
         GaussianKernel { h: 1.0 }.name(),
@@ -96,48 +132,12 @@ pub fn solve_logspace(p: &KernelSumProblem, cfg: &FusedCpuConfig) -> Vec<f32> {
     // Recover s = 1/(2h²) from the kernel with an adaptive probe: a
     // fixed probe distance underflows for tiny h (exp(−s) → 0) or
     // loses precision for huge h (exp(−εs) → 1).
-    let s = recover_gaussian_scale(p.kernel());
-
-    let (m, n, _) = p.dims();
-    let a = p.sources().as_row_major();
-    let b = p.targets().as_col_major_transposed();
-    let vec_a = row_sq_norms(&a);
-    let vec_b = col_sq_norms(&b);
-    let log_w: Vec<f32> = p.weights().iter().map(|w| w.ln()).collect();
-
-    let blocks: Vec<usize> = (0..m).step_by(cfg.mb).collect();
-    let chunks: Vec<(usize, Vec<f32>)> = blocks
-        .par_iter()
-        .map(|&i0| {
-            let mb = cfg.mb.min(m - i0);
-            let mut acc = vec![LogSumExp::new(); mb];
-            let a_block = Matrix::from_fn(mb, a.cols(), Layout::RowMajor, |r, c| a.get(i0 + r, c));
-            let mut scratch = Matrix::zeros(mb, cfg.nb.min(n).max(1), Layout::RowMajor);
-            for j0 in (0..n).step_by(cfg.nb) {
-                let nb = cfg.nb.min(n - j0);
-                let b_block =
-                    Matrix::from_fn(b.rows(), nb, Layout::ColMajor, |r, c| b.get(r, j0 + c));
-                if scratch.cols() != nb {
-                    scratch = Matrix::zeros(mb, nb, Layout::RowMajor);
-                }
-                gemm_blocked(1.0, &a_block, &b_block, 0.0, &mut scratch, cfg.gemm);
-                for (r, lse) in acc.iter_mut().enumerate() {
-                    let na = vec_a[i0 + r];
-                    for c in 0..nb {
-                        let d2 = (na + vec_b[j0 + c] - 2.0 * scratch.get(r, c)).max(0.0);
-                        lse.push(-d2 * s + log_w[j0 + c]);
-                    }
-                }
-            }
-            (i0, acc.iter().map(LogSumExp::value).collect())
-        })
-        .collect();
-
-    let mut out = vec![0.0f32; m];
-    for (i0, local) in chunks {
-        out[i0..i0 + local.len()].copy_from_slice(&local);
-    }
-    out
+    let fold = LogSumExpFold {
+        s: recover_gaussian_scale(p.kernel()),
+        log_w: p.weights().iter().map(|w| w.ln()).collect(),
+    };
+    let plan = SourcePlan::build(p.sources());
+    solve_on(Isa::host(), &plan, p.targets(), fold, cfg).into_vec()
 }
 
 #[cfg(test)]
@@ -146,9 +146,27 @@ mod tests {
     use crate::problem::{Backend, PointSet};
 
     fn build(m: usize, n: usize, k: usize, h: f32, seed: u64) -> KernelSumProblem {
+        build_with_equal_rows(m, n, k, h, seed, &[])
+    }
+
+    /// [`build`] with source row `r` set equal to target `t` for each
+    /// `(r, t)` in `equal`.
+    fn build_with_equal_rows(
+        m: usize,
+        n: usize,
+        k: usize,
+        h: f32,
+        seed: u64,
+        equal: &[(usize, usize)],
+    ) -> KernelSumProblem {
+        let targets = PointSet::uniform_cube(n, k, seed + 1);
+        let mut a = PointSet::uniform_cube(m, k, seed).coords().to_vec();
+        for &(r, t) in equal {
+            a[r * k..(r + 1) * k].copy_from_slice(targets.point(t));
+        }
         KernelSumProblem::builder()
-            .sources(PointSet::uniform_cube(m, k, seed))
-            .targets(PointSet::uniform_cube(n, k, seed + 1))
+            .sources(PointSet::from_coords(m, k, a))
+            .targets(targets)
             .weights(
                 PointSet::uniform_cube(n, 1, seed + 2)
                     .coords()
@@ -200,13 +218,56 @@ mod tests {
             &p,
             &FusedCpuConfig {
                 mb: 7,
-                nb: 11,
                 ..Default::default()
             },
         );
         for (a, b) in base.iter().zip(alt.iter()) {
             assert!((a - b).abs() < 1e-3 * a.abs().max(1.0));
         }
+    }
+
+    /// FNV-1a over the output bits of every case of a fixed grid: five
+    /// shapes (ragged M and N, K 300 across the default `kc`), four
+    /// bandwidths (at 0.01 every plain f32 term underflows), strictly
+    /// positive weights, at the default blocking and an awkward one.
+    /// Two source rows equal a target, so a `d²` rounds below 0 and the
+    /// clamp decides.
+    fn grid_digest() -> u64 {
+        let awkward = FusedCpuConfig { mb: 5, kc: 2 };
+        let shapes = [
+            (100, 90, 9),
+            (37, 530, 300),
+            (257, 513, 17),
+            (45, 23, 1),
+            (1024, 256, 32),
+        ];
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for (case, (m, n, k)) in shapes.into_iter().enumerate() {
+            for h in [0.01f32, 0.3, 1.0, 20.0] {
+                let p = build_with_equal_rows(m, n, k, h, 100 * case as u64, &[(3, 0), (19, 5)]);
+                for cfg in [FusedCpuConfig::default(), awkward] {
+                    for x in solve_logspace(&p, &cfg) {
+                        for byte in x.to_bits().to_le_bytes() {
+                            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                        }
+                    }
+                }
+            }
+        }
+        hash
+    }
+
+    /// The log-space solver's bits, pinned by value. The value is the
+    /// tiled GEMM body's.
+    #[test]
+    fn log_space_bits_match_the_pinned_digest() {
+        const PINNED: u64 = 0xcb3a_4d99_6a89_ca71;
+        let one = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .expect("a one-thread pool");
+        assert_eq!(one.install(grid_digest), PINNED, "one thread");
+        assert_eq!(grid_digest(), PINNED, "default thread count");
     }
 
     #[test]

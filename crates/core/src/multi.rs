@@ -12,11 +12,12 @@
 //! gestures at (§VI): the fused structure is unchanged; only the
 //! intra-tile reduction widens.
 
-use ks_blas::{col_sq_norms, gemm_parallel, row_sq_norms, GemmConfig, Layout, Matrix};
+use ks_blas::{gemm_parallel, GemmConfig, Layout, Matrix};
 use rayon::prelude::*;
 
 use crate::cpu_fused::FusedCpuConfig;
-use crate::plan::{solve_multi_planned, SourcePlan};
+use crate::cpu_unfused::kernel_matrix;
+use crate::plan::SourcePlan;
 use crate::problem::KernelSumProblem;
 
 fn check_weights(p: &KernelSumProblem, weights: &Matrix) {
@@ -72,26 +73,8 @@ pub fn solve_multi_reference(p: &KernelSumProblem, weights: &Matrix) -> Matrix {
 #[must_use]
 pub fn solve_multi_unfused(p: &KernelSumProblem, weights: &Matrix) -> Matrix {
     check_weights(p, weights);
-    let (m, n, _) = p.dims();
-    let r = weights.cols();
-    let a = p.sources().as_row_major();
-    let b = p.targets().as_col_major_transposed();
-    let vec_a = row_sq_norms(&a);
-    let vec_b = col_sq_norms(&b);
-    let mut c = Matrix::zeros(m, n, Layout::RowMajor);
-    gemm_parallel(1.0, &a, &b, 0.0, &mut c, GemmConfig::default());
-    let kernel = p.kernel();
-    {
-        let data = c.as_mut_slice();
-        data.par_chunks_mut(n).enumerate().for_each(|(i, row)| {
-            let na = vec_a[i];
-            for (j, v) in row.iter_mut().enumerate() {
-                let d2 = na + vec_b[j] - 2.0 * *v;
-                *v = kernel.eval(d2, na, vec_b[j]);
-            }
-        });
-    }
-    let mut v = Matrix::zeros(m, r, Layout::RowMajor);
+    let c = kernel_matrix(p);
+    let mut v = Matrix::zeros(c.rows(), weights.cols(), Layout::RowMajor);
     gemm_parallel(1.0, &c, weights, 0.0, &mut v, GemmConfig::default());
     v
 }
@@ -100,11 +83,13 @@ pub fn solve_multi_unfused(p: &KernelSumProblem, weights: &Matrix) -> Matrix {
 /// `R` weight columns in row lanes, with nothing intermediate written
 /// to memory.
 ///
-/// Delegates to [`solve_multi_planned`] over a freshly built
-/// [`SourcePlan`], so single-shot and plan-cached serving paths are
-/// bit-identical by construction. The problem's kernel goes through
-/// `&dyn KernelFunction`, so its lane form is called through the
-/// vtable rather than inlined into the solver's compiled copies.
+/// Delegates to [`crate::plan::solve_multi_planned`] over a freshly
+/// built [`SourcePlan`], so single-shot and plan-cached serving paths
+/// are bit-identical by construction. The problem's `&dyn
+/// KernelFunction` goes through
+/// [`crate::KernelFunction::solve_planned`], so the call lands in the
+/// kernel's own compiled copy of the solver, where its lane form
+/// inlines.
 ///
 /// # Panics
 /// Panics if `weights` is not `N×R` or the configuration is invalid.
@@ -112,7 +97,7 @@ pub fn solve_multi_unfused(p: &KernelSumProblem, weights: &Matrix) -> Matrix {
 pub fn solve_multi_fused(p: &KernelSumProblem, weights: &Matrix, cfg: &FusedCpuConfig) -> Matrix {
     check_weights(p, weights);
     let plan = SourcePlan::build(p.sources());
-    solve_multi_planned(&plan, p.targets(), p.kernel(), weights, cfg)
+    p.kernel().solve_planned(&plan, p.targets(), weights, cfg)
 }
 
 #[cfg(test)]
@@ -175,20 +160,37 @@ mod tests {
         );
     }
 
+    /// The single-weight solve is the `R = 1` column, bit for bit: past
+    /// N 512 too, and for a kernel other than the Gaussian.
     #[test]
     fn single_column_matches_scalar_solver() {
-        let m = 64;
-        let p = KernelSumProblem::builder()
-            .sources(PointSet::uniform_cube(m, 5, 1))
-            .targets(PointSet::uniform_cube(48, 5, 2))
-            .weights(rand_weights(48, 1, 3).as_slice().to_vec())
-            .kernel(GaussianKernel { h: 0.8 })
+        for (m, n, k, laplace) in [
+            (64, 48, 5, false),
+            (128, 1024, 32, false),
+            (64, 2000, 5, false),
+            (64, 48, 5, true),
+        ] {
+            let builder = KernelSumProblem::builder()
+                .sources(PointSet::uniform_cube(m, k, 1))
+                .targets(PointSet::uniform_cube(n, k, 2))
+                .weights(rand_weights(n, 1, 3).into_vec());
+            let p = if laplace {
+                builder.kernel(LaplaceKernel { h: 0.5 })
+            } else {
+                builder.kernel(GaussianKernel { h: 0.8 })
+            }
             .build();
-        let w = rand_weights(48, 1, 3);
-        let multi = solve_multi_fused(&p, &w, &FusedCpuConfig::default());
-        let single = crate::cpu_fused::solve(&p, &FusedCpuConfig::default());
-        for (i, s) in single.iter().enumerate().take(m) {
-            assert!((multi.get(i, 0) - s).abs() < 1e-4 * s.abs().max(1.0));
+            let w = rand_weights(n, 1, 3);
+            let multi = solve_multi_fused(&p, &w, &FusedCpuConfig::default());
+            let single = crate::cpu_fused::solve(&p, &FusedCpuConfig::default());
+            for (i, s) in single.iter().enumerate() {
+                assert_eq!(
+                    multi.get(i, 0).to_bits(),
+                    s.to_bits(),
+                    "{m}x{n}x{k}, {}, row {i}",
+                    p.kernel().name()
+                );
+            }
         }
     }
 
@@ -213,19 +215,7 @@ mod tests {
         let p = build(37, 29, 3, 55);
         let w = rand_weights(29, 5, 56);
         let base = solve_multi_fused(&p, &w, &FusedCpuConfig::default());
-        let alt = solve_multi_fused(
-            &p,
-            &w,
-            &FusedCpuConfig {
-                mb: 5,
-                nb: 7,
-                gemm: GemmConfig {
-                    mc: 4,
-                    kc: 2,
-                    nc: 6,
-                },
-            },
-        );
+        let alt = solve_multi_fused(&p, &w, &FusedCpuConfig { mb: 5, kc: 2 });
         assert_close(&alt, &base, 1e-3);
     }
 

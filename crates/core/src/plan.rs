@@ -215,7 +215,7 @@ pub fn shard_ranges(m: usize, shards: usize, align: usize) -> Vec<std::ops::Rang
 ///
 /// Every output `(i, c)` runs one schedule:
 ///
-/// 1. `dot = αᵢᵀβⱼ` folds `K` in chunks of `cfg.gemm.kc`: each chunk
+/// 1. `dot = αᵢᵀβⱼ` folds `K` in chunks of `cfg.kc`: each chunk
 ///    k-ascending from +0.0 with a separate multiply and add, then the
 ///    chunk sums in order onto +0.0 (a `gemm_blocked` product with
 ///    α = 1 into a zeroed tile);
@@ -229,14 +229,14 @@ pub fn shard_ranges(m: usize, shards: usize, align: usize) -> Vec<std::ops::Rang
 /// ride in the lanes of one `[f32; 16]`, four targets' dot products
 /// run side by side, and [`KernelFunction::eval_lanes`] evaluates a
 /// target's sixteen kernel values at once. Every lane runs the
-/// schedule above, so only `cfg.gemm.kc` moves a bit; `cfg.mb` sets
-/// the rows per parallel task. The body is written once over plain
-/// lane arrays and compiled for AVX-512F + FMA, for AVX2 + FMA and for
-/// the build's baseline, and the host's best copy ([`Isa::host`])
-/// runs. Rust never contracts a multiply and an add, so every copy
-/// gives the same bits. A concrete kernel (`&GaussianKernel`) inlines
-/// its lane form into each copy; `&dyn KernelFunction` calls it
-/// through the vtable.
+/// schedule above, so only `cfg.kc` moves a bit; `cfg.mb` sets the
+/// rows per parallel task. The body is written once over plain lane
+/// arrays and compiled for AVX-512F + FMA, for AVX2 + FMA and for the
+/// build's baseline, and the host's best copy ([`Isa::host`]) runs.
+/// Rust never contracts a multiply and an add, so every copy gives the
+/// same bits. A concrete kernel (`&GaussianKernel`) inlines its lane
+/// form into each copy; `&dyn KernelFunction` calls it through the
+/// vtable, so `&dyn` callers use [`KernelFunction::solve_planned`].
 ///
 /// [`crate::multi::solve_multi_fused`] delegates here, so for any
 /// query the planned result is **bit-identical** to the single-shot
@@ -255,79 +255,158 @@ pub fn solve_multi_planned<K: KernelFunction + ?Sized>(
     weights: &Matrix,
     cfg: &FusedCpuConfig,
 ) -> Matrix {
-    solve_on(Isa::host(), plan, targets, kernel, weights, cfg)
+    let fold = WeightedSum::new(kernel, weights, targets.len());
+    solve_on(Isa::host(), plan, targets, fold, cfg)
 }
 
 /// Targets whose dot products run side by side, so their independent
 /// k-folds overlap.
-const COLS: usize = 4;
+pub(crate) const COLS: usize = 4;
 /// Sixteen source rows' values of one quantity.
-type Lanes = [f32; LANES];
+pub(crate) type Lanes = [f32; LANES];
+
+/// Everything a fused CPU solve does after the dot products, the one
+/// part in which [`solve_multi_planned`] and [`crate::solve_logspace`]
+/// differ. It forms its own `d²` from the dots.
+pub(crate) trait Fold: Sync {
+    /// A strip of sixteen source rows' running state.
+    type Acc;
+    /// Output words per source row.
+    fn width(&self) -> usize;
+    /// A strip's state before its first target.
+    fn start(&self) -> Self::Acc;
+    /// Folds targets `j0..j0 + nb.len()` (at most [`COLS`]) into
+    /// `acc`: `dots[c]` holds the rows' dot products with target
+    /// `j0 + c`, `na` the rows' square norms and `nb` the targets'.
+    fn fold(&self, acc: &mut Self::Acc, j0: usize, dots: &[Lanes; COLS], na: &Lanes, nb: &[f32]);
+    /// Writes a strip's existing rows into `out`, row-major.
+    fn store(&self, acc: &Self::Acc, out: &mut [f32]);
+}
+
+/// The weighted sum over `R` weight columns: steps 2–4 of
+/// [`solve_multi_planned`]'s schedule.
+struct WeightedSum<'a, K: ?Sized> {
+    kernel: &'a K,
+    /// The weights, `N×R` column-major.
+    w_cols: Vec<f32>,
+    n: usize,
+    r: usize,
+}
+
+impl<'a, K: KernelFunction + ?Sized> WeightedSum<'a, K> {
+    fn new(kernel: &'a K, weights: &Matrix, n: usize) -> Self {
+        assert_eq!(
+            weights.rows(),
+            n,
+            "weight matrix must have one row per target (N = {n})"
+        );
+        assert!(weights.cols() > 0, "need at least one weight column");
+        let r = weights.cols();
+        Self {
+            kernel,
+            w_cols: (0..r)
+                .flat_map(|c| (0..n).map(move |j| weights.get(j, c)))
+                .collect(),
+            n,
+            r,
+        }
+    }
+}
+
+impl<K: KernelFunction + ?Sized> Fold for WeightedSum<'_, K> {
+    type Acc = Vec<Lanes>;
+
+    fn width(&self) -> usize {
+        self.r
+    }
+
+    #[inline(always)]
+    fn start(&self) -> Vec<Lanes> {
+        vec![[0.0; LANES]; self.r]
+    }
+
+    #[inline(always)]
+    fn fold(&self, v: &mut Vec<Lanes>, j0: usize, dots: &[Lanes; COLS], na: &Lanes, nb: &[f32]) {
+        let mut kv = [[0.0f32; LANES]; COLS];
+        for ((kv, dot), &nb) in kv.iter_mut().zip(dots).zip(nb) {
+            let mut d2 = [0.0f32; LANES];
+            for ((d2, na), dot) in d2.iter_mut().zip(na).zip(dot) {
+                *d2 = na + nb - 2.0 * dot;
+            }
+            *kv = self.kernel.eval_lanes(d2, *na, nb);
+        }
+        for (v, w) in v.iter_mut().zip(self.w_cols.chunks_exact(self.n)) {
+            let mut acc = *v;
+            for (kv, &w) in kv.iter().zip(&w[j0..]) {
+                for (acc, kv) in acc.iter_mut().zip(kv) {
+                    *acc += kv * w;
+                }
+            }
+            *v = acc;
+        }
+    }
+
+    #[inline(always)]
+    fn store(&self, v: &Vec<Lanes>, out: &mut [f32]) {
+        for (l, row) in out.chunks_exact_mut(self.r).enumerate() {
+            for (x, v) in row.iter_mut().zip(v) {
+                *x = v[l];
+            }
+        }
+    }
+}
 
 /// One solve's operands as the lane body reads them: `a` is `M×K`
 /// row-major, `b_cols` the targets in groups of [`COLS`] (see
-/// [`grouped`]), `w_cols` is `N×R` column-major.
-struct Operands<'a, K: ?Sized> {
-    kernel: &'a K,
+/// [`grouped`]).
+struct Operands<'a, F> {
+    fold: F,
     a: &'a [f32],
     na: &'a [f32],
     b_cols: Vec<[f32; COLS]>,
     nb: Vec<f32>,
-    w_cols: Vec<f32>,
     n: usize,
     k: usize,
-    r: usize,
     kc: usize,
 }
 
-/// [`solve_multi_planned`] on `isa`'s copy of the lane body.
+/// The fused CPU body with `fold` after the dot products, on `isa`'s
+/// copy of the lane body: an `M × fold.width()` row-major result.
 ///
 /// # Panics
-/// As [`solve_multi_planned`], and if this host cannot run `isa`'s
-/// copy.
-fn solve_on<K: KernelFunction + ?Sized>(
+/// If `targets` and the plan disagree on the point dimension, the
+/// configuration is invalid, or this host cannot run `isa`'s copy.
+pub(crate) fn solve_on<F: Fold>(
     isa: Isa,
     plan: &SourcePlan,
     targets: &PointSet,
-    kernel: &K,
-    weights: &Matrix,
+    fold: F,
     cfg: &FusedCpuConfig,
 ) -> Matrix {
     assert!(isa.supported(), "this host cannot run the {isa:?} copy");
     cfg.validate();
     let (m, k) = plan.dims();
-    let n = targets.len();
     assert_eq!(
         targets.dim(),
         k,
         "target dimension {} does not match the plan's K = {k}",
         targets.dim()
     );
-    assert_eq!(
-        weights.rows(),
-        n,
-        "weight matrix must have one row per target (N = {n})"
-    );
-    assert!(weights.cols() > 0, "need at least one weight column");
-    let r = weights.cols();
     let b = targets.coords();
+    let width = fold.width();
     let op = Operands {
-        kernel,
+        fold,
         a: plan.a().as_slice(),
         na: plan.row_sq_norms(),
         b_cols: grouped(b, k),
         nb: b.chunks_exact(k).map(sq_norm).collect(),
-        w_cols: (0..r)
-            .flat_map(|c| (0..n).map(move |j| weights.get(j, c)))
-            .collect(),
-        n,
+        n: targets.len(),
         k,
-        r,
-        kc: cfg.gemm.kc,
+        kc: cfg.kc,
     };
-    let mut v = Matrix::zeros(m, r, Layout::RowMajor);
+    let mut v = Matrix::zeros(m, width, Layout::RowMajor);
     v.as_mut_slice()
-        .par_chunks_mut(cfg.mb * r)
+        .par_chunks_mut(cfg.mb * width)
         .enumerate()
         .for_each(|(task, out)| {
             let i0 = task * cfg.mb;
@@ -353,55 +432,39 @@ fn sq_norm(p: &[f32]) -> f32 {
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,fma")]
-fn rows_avx512<K: KernelFunction + ?Sized>(op: &Operands<'_, K>, i0: usize, out: &mut [f32]) {
+fn rows_avx512<F: Fold>(op: &Operands<'_, F>, i0: usize, out: &mut [f32]) {
     rows_lanes(op, i0, out);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-fn rows_avx2<K: KernelFunction + ?Sized>(op: &Operands<'_, K>, i0: usize, out: &mut [f32]) {
+fn rows_avx2<F: Fold>(op: &Operands<'_, F>, i0: usize, out: &mut [f32]) {
     rows_lanes(op, i0, out);
 }
 
-/// The lane body: `V`'s rows from `i0` into `out` (row-major, `R`
-/// words a row), sixteen rows at a time, every lane on the schedule of
-/// [`solve_multi_planned`]. Lanes past the last row hold zeros and are
+/// The lane body: the result's rows from `i0` into `out` (row-major,
+/// `fold.width()` words a row), sixteen rows at a time, every lane's
+/// dot products on step 1 of [`solve_multi_planned`]'s schedule and
+/// the rest in the fold. Lanes past the last row hold zeros and are
 /// never stored.
 #[inline(always)]
-fn rows_lanes<K: KernelFunction + ?Sized>(op: &Operands<'_, K>, i0: usize, out: &mut [f32]) {
-    let (k, n, r) = (op.k, op.n, op.r);
-    let rows = out.len() / r;
+fn rows_lanes<F: Fold>(op: &Operands<'_, F>, i0: usize, out: &mut [f32]) {
+    let (k, n, width) = (op.k, op.n, op.fold.width());
+    let rows = out.len() / width;
     let a = grouped::<LANES>(&op.a[i0 * k..(i0 + rows) * k], k);
     let na = grouped::<LANES>(&op.na[i0..i0 + rows], 1);
-    let mut v = vec![[0.0f32; LANES]; r];
-    for ((a, &na), out) in a.chunks_exact(k).zip(&na).zip(out.chunks_mut(LANES * r)) {
-        v.fill([0.0; LANES]);
+    for ((a, na), out) in a
+        .chunks_exact(k)
+        .zip(&na)
+        .zip(out.chunks_mut(LANES * width))
+    {
+        let mut acc = op.fold.start();
         for (g, b) in op.b_cols.chunks_exact(k).enumerate() {
-            let js = g * COLS..n.min(g * COLS + COLS);
-            let mut kv = [[0.0f32; LANES]; COLS];
-            for ((j, dot), kv) in js.clone().zip(&dots(a, b, op.kc)).zip(&mut kv) {
-                let nb = op.nb[j];
-                let mut d2 = [0.0f32; LANES];
-                for ((d2, na), dot) in d2.iter_mut().zip(&na).zip(dot) {
-                    *d2 = na + nb - 2.0 * dot;
-                }
-                *kv = op.kernel.eval_lanes(d2, na, nb);
-            }
-            for (v, w) in v.iter_mut().zip(op.w_cols.chunks_exact(n)) {
-                let mut acc = *v;
-                for (kv, &w) in kv.iter().zip(&w[js.clone()]) {
-                    for (acc, kv) in acc.iter_mut().zip(kv) {
-                        *acc += kv * w;
-                    }
-                }
-                *v = acc;
-            }
+            let j0 = g * COLS;
+            let nb = &op.nb[j0..n.min(j0 + COLS)];
+            op.fold.fold(&mut acc, j0, &dots(a, b, op.kc), na, nb);
         }
-        for (l, row) in out.chunks_exact_mut(r).enumerate() {
-            for (x, v) in row.iter_mut().zip(&v) {
-                *x = v[l];
-            }
-        }
+        op.fold.store(&acc, out);
     }
 }
 
@@ -697,11 +760,7 @@ mod tests {
                     next() - if c == 0 { 0.0 } else { 0.25 }
                 });
                 for kc in [2, 7, 256] {
-                    let cfg = FusedCpuConfig {
-                        mb: 20,
-                        nb: 7,
-                        gemm: GemmConfig { mc: 5, kc, nc: 6 },
-                    };
+                    let cfg = FusedCpuConfig { mb: 20, kc };
                     for kernel in kernels {
                         let (want, d2s) = scalar_spec(&plan, &targets, kernel, &w, kc);
                         if kernel.name() == "gaussian" {
@@ -713,10 +772,12 @@ mod tests {
                         for isa in Isa::ALL.into_iter().filter(|isa| isa.supported()) {
                             let what =
                                 |via| format!("{isa:?} copy, {via}, {m}x{n}x{k}, R {r}, kc {kc}");
-                            let got = solve_on(isa, &plan, &targets, kernel, &w, &cfg);
+                            let fold = WeightedSum::new(kernel, &w, n);
+                            let got = solve_on(isa, &plan, &targets, fold, &cfg);
                             assert_bits_equal(&got, &want, &what(kernel.name()));
                             if kernel.name() == "gaussian" {
-                                let got = solve_on(isa, &plan, &targets, &gaussian, &w, &cfg);
+                                let fold = WeightedSum::new(&gaussian, &w, n);
+                                let got = solve_on(isa, &plan, &targets, fold, &cfg);
                                 assert_bits_equal(&got, &want, &what("concrete gaussian"));
                             }
                         }
@@ -734,15 +795,7 @@ mod tests {
     /// bandwidths, at the default blocking and, where M < 500, at an
     /// awkward one.
     fn grid_digest() -> u64 {
-        let awkward = FusedCpuConfig {
-            mb: 5,
-            nb: 7,
-            gemm: GemmConfig {
-                mc: 4,
-                kc: 2,
-                nc: 6,
-            },
-        };
+        let awkward = FusedCpuConfig { mb: 5, kc: 2 };
         let shapes = [
             (1024, 256, 32),
             (2048, 256, 32),

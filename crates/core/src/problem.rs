@@ -146,7 +146,7 @@ pub enum Backend {
     Reference,
     /// BLAS pipeline materialising the `M×N` intermediate.
     CpuUnfused,
-    /// Cache-blocked fused CPU implementation (the paper's idea).
+    /// Fused CPU implementation in row lanes (the paper's idea).
     CpuFused,
     /// Simulated GTX970 (see [`crate::gpu`] for the variants and for
     /// profile/energy access).

@@ -1,6 +1,6 @@
 //! Profile rendering: human-readable text (nvprof-style) plus the
-//! machine-readable CSV/JSON metric sink used by the bench harness and
-//! the perf-regression tests.
+//! nvprof-style CSV rows the bench harness exports. The JSON form is
+//! the profiles' serde data model.
 
 use std::fmt;
 
@@ -170,30 +170,6 @@ pub fn kernel_csv_row(pipeline: &str, k: &KernelProfile) -> String {
     cells.join(",")
 }
 
-/// Renders pipelines as a complete nvprof-style CSV document (header
-/// plus one row per kernel launch).
-#[must_use]
-pub fn pipelines_to_csv<'a>(pipelines: impl IntoIterator<Item = &'a PipelineProfile>) -> String {
-    let mut out = csv_header();
-    out.push('\n');
-    for p in pipelines {
-        for k in &p.kernels {
-            out.push_str(&kernel_csv_row(&p.name, k));
-            out.push('\n');
-        }
-    }
-    out
-}
-
-/// Serialises pipelines to a pretty-printed JSON array. The schema is
-/// the serde data model of [`PipelineProfile`] — every counter,
-/// traffic, occupancy and timing field is present.
-#[must_use]
-pub fn pipelines_to_json<'a>(pipelines: impl IntoIterator<Item = &'a PipelineProfile>) -> String {
-    let v: Vec<&PipelineProfile> = pipelines.into_iter().collect();
-    serde_json::to_string_pretty(&v).expect("profiles serialise")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,22 +254,11 @@ mod tests {
     }
 
     #[test]
-    fn csv_document_has_one_row_per_kernel() {
-        let mut p = PipelineProfile::new("Demo");
-        p.kernels.push(fake_profile());
-        p.kernels.push(fake_profile());
-        let doc = pipelines_to_csv([&p]);
-        assert_eq!(doc.lines().count(), 3, "header + 2 kernel rows");
-        assert_eq!(doc.lines().next().unwrap(), csv_header());
-    }
-
-    #[test]
     fn json_round_trips_every_counter() {
         let mut p = PipelineProfile::new("Demo");
         p.kernels.push(fake_profile());
-        let json = pipelines_to_json([&p]);
-        let back: Vec<PipelineProfile> = serde_json::from_str(&json).expect("parse");
-        assert_eq!(back.len(), 1);
-        assert_eq!(back[0], p, "profile must survive a JSON round trip");
+        let json = serde_json::to_string_pretty(&p).expect("profiles serialise");
+        let back: PipelineProfile = serde_json::from_str(&json).expect("parse");
+        assert_eq!(back, p, "profile must survive a JSON round trip");
     }
 }

@@ -35,21 +35,21 @@ pub const MAX_GPU_BATCH: usize = MAX_WEIGHT_COLUMNS;
 /// result vector (length `M`) per query, in input order.
 ///
 /// The batch is one `solve_multi_planned` call with one weight column
-/// per query. It passes the Gaussian concretely, so the kernel's lane
-/// exp inlines into the solver's per-ISA copies. Each column folds on
-/// its own, and only `cfg.gemm.kc` of the configuration moves a bit,
-/// so a column equals that query solved alone.
+/// per query, at the default [`FusedCpuConfig`]. It passes the
+/// Gaussian concretely, so the kernel's lane exp inlines into the
+/// solver's per-ISA copies. Each column folds on its own, so a column
+/// equals that query solved alone.
 pub(crate) fn execute_cpu(
     plan: &SourcePlan,
     targets: &PointSet,
     h: f32,
     weights: &[Vec<f32>],
-    cfg: &FusedCpuConfig,
 ) -> Vec<Vec<f32>> {
     let n = targets.len();
     let r = weights.len();
     let w = Matrix::from_fn(n, r, Layout::RowMajor, |j, c| weights[c][j]);
-    let v = ks_core::solve_multi_planned(plan, targets, &GaussianKernel { h }, &w, cfg);
+    let cfg = FusedCpuConfig::default();
+    let v = ks_core::solve_multi_planned(plan, targets, &GaussianKernel { h }, &w, &cfg);
     let (m, _) = plan.dims();
     (0..r)
         .map(|c| (0..m).map(|i| v.get(i, c)).collect())
@@ -219,10 +219,9 @@ mod tests {
         let targets = PointSet::uniform_cube(36, 5, 2);
         let ws = weights(36, 3, 3);
         let plan = SourcePlan::build(sources.points());
-        let cfg = FusedCpuConfig::default();
-        let batch = execute_cpu(&plan, &targets, 0.8, &ws, &cfg);
+        let batch = execute_cpu(&plan, &targets, 0.8, &ws);
         for (c, w) in ws.iter().enumerate() {
-            let single = execute_cpu(&plan, &targets, 0.8, std::slice::from_ref(w), &cfg);
+            let single = execute_cpu(&plan, &targets, 0.8, std::slice::from_ref(w));
             for (i, (a, b)) in batch[c].iter().zip(single[0].iter()).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "col {c} row {i}");
             }

@@ -46,7 +46,6 @@ use std::time::Instant;
 
 use ks_core::plan::SourcePlan;
 use ks_core::problem::PointSet;
-use ks_core::FusedCpuConfig;
 use ks_gpu_kernels::TileGeometry;
 use ks_gpu_sim::config::{DeviceConfig, Interconnect};
 use ks_gpu_sim::device::GpuDevice;
@@ -182,7 +181,6 @@ impl Budget {
 pub(crate) struct Ladder {
     pub(crate) budget: Budget,
     rc: ResilienceConfig,
-    cpu: FusedCpuConfig,
 }
 
 /// The rung a segment completed on.
@@ -302,11 +300,10 @@ const PACKED_SALT: u64 = 0x9a0c_4ed5 << 16;
 const LINK_FAULT_SALT: u64 = 0x11f7_ab1e << 24;
 
 impl Ladder {
-    pub(crate) fn new(budget: Budget, rc: &ResilienceConfig, cpu: FusedCpuConfig) -> Self {
+    pub(crate) fn new(budget: Budget, rc: &ResilienceConfig) -> Self {
         Self {
             budget,
             rc: rc.clone(),
-            cpu,
         }
     }
 
@@ -543,7 +540,6 @@ impl Run<'_> {
             &seg.targets,
             seg.h,
             &seg.weights,
-            &self.ladder.cpu,
         ));
         climb.rung = rung;
     }
@@ -786,7 +782,7 @@ mod tests {
             unit: &LaunchUnit,
             steps: Vec<Step>,
         ) -> (UnitOutcome, Vec<Call>) {
-            let ladder = Ladder::new(budget, &self.rc, FusedCpuConfig::default());
+            let ladder = Ladder::new(budget, &self.rc);
             let slot = DeviceSlot {
                 device: &self.device,
                 link: self.link.as_ref(),
@@ -845,13 +841,7 @@ mod tests {
 
     /// A harbor result is the bit-exact CPU fused answer.
     fn assert_cpu_exact(s: &SegmentOutcome, seg: &Segment) {
-        let want = executor::execute_cpu(
-            &seg.plan,
-            &seg.targets,
-            seg.h,
-            &seg.weights,
-            &FusedCpuConfig::default(),
-        );
+        let want = executor::execute_cpu(&seg.plan, &seg.targets, seg.h, &seg.weights);
         let got = s.result.as_ref().expect("served");
         for (g, w) in got.iter().flatten().zip(want.iter().flatten()) {
             assert_eq!(g.to_bits(), w.to_bits());

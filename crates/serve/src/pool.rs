@@ -57,7 +57,6 @@ use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
 use ks_core::plan::shard_ranges;
-use ks_core::FusedCpuConfig;
 use ks_gpu_sim::config::{DeviceConfig, Interconnect};
 use ks_gpu_sim::fault::{DevicePhase, LifecycleSpec, LifecycleState};
 use ks_gpu_sim::profiler::PipelineProfile;
@@ -336,7 +335,6 @@ impl DevicePool {
         pool: &PoolConfig,
         backend: ServeBackend,
         resilience: &ResilienceConfig,
-        cpu: FusedCpuConfig,
     ) -> Self {
         assert!(!pool.devices.is_empty(), "pool needs at least one device");
         assert!(pool.shard_align > 0, "shard alignment must be positive");
@@ -357,7 +355,7 @@ impl DevicePool {
                     lifecycle: d.lifecycle.map(LifecycleState::new),
                 })
                 .collect(),
-            ladder: Ladder::new(Budget::of(backend, resilience, true), resilience, cpu),
+            ladder: Ladder::new(Budget::of(backend, resilience, true), resilience),
             shard_align: pool.shard_align,
             report: PoolReport::default(),
         }
@@ -621,7 +619,6 @@ mod tests {
             &cfg,
             ServeBackend::GpuFused { cpu_fallback: true },
             &ResilienceConfig::default(),
-            FusedCpuConfig::default(),
         )
     }
 
@@ -720,7 +717,6 @@ mod tests {
             &cfg,
             ServeBackend::GpuFused { cpu_fallback: true },
             &ResilienceConfig::default(),
-            FusedCpuConfig::default(),
         );
         for m in &mut pool.members {
             m.breaker.record_failure(0);

@@ -29,7 +29,6 @@ use std::time::{Duration, Instant};
 
 use ks_core::plan::{SourcePlan, SourceSet};
 use ks_core::problem::PointSet;
-use ks_core::FusedCpuConfig;
 use ks_energy::{pipeline_energy, EnergyParams};
 use ks_gpu_kernels::{TileGeometry, FUSED_MULTI_PIPELINE};
 use ks_gpu_sim::config::DeviceConfig;
@@ -319,8 +318,6 @@ pub struct ServeConfig {
     /// Device model for unpooled GPU batches (a fresh device per
     /// attempt, so per-batch DRAM accounting is independent).
     pub device: DeviceConfig,
-    /// CPU fused-solver blocking.
-    pub cpu: FusedCpuConfig,
     /// Injected worker faults (tests only).
     pub fault_injection: FaultInjection,
     /// Retry/backoff policy of the resilient backend, and the breaker
@@ -372,7 +369,6 @@ impl Default for ServeConfig {
             enable_plan_cache: true,
             backend: ServeBackend::GpuFused { cpu_fallback: true },
             device: DeviceConfig::gtx970(),
-            cpu: FusedCpuConfig::default(),
             fault_injection: FaultInjection::None,
             resilience: ResilienceConfig::default(),
             batch_delay: None,
@@ -928,14 +924,14 @@ struct Worker<'a> {
 
 impl<'a> Worker<'a> {
     fn new(cfg: &'a ServeConfig) -> Self {
-        let ladder = |budget| Ladder::new(budget, &cfg.resilience, cfg.cpu);
+        let ladder = |budget| Ladder::new(budget, &cfg.resilience);
         Self {
             cfg,
             cache: PlanCache::new(cfg.plan_cache_capacity.max(1)),
             pool: cfg
                 .pool
                 .as_ref()
-                .map(|p| DevicePool::new(p, cfg.backend, &cfg.resilience, cfg.cpu)),
+                .map(|p| DevicePool::new(p, cfg.backend, &cfg.resilience)),
             breaker: Breaker::new(
                 cfg.resilience.breaker_threshold,
                 cfg.resilience.breaker_cooldown,
@@ -1620,7 +1616,6 @@ mod tests {
             start_paused: true,
             ..ServeConfig::default()
         };
-        let cpu = cfg.cpu;
         let rc = cfg.resilience.clone();
         let mut srv = Server::start(cfg);
         let q = query(&sources, &targets, 63);
@@ -1631,7 +1626,7 @@ mod tests {
         srv.resume();
         let got = t.wait().expect("safe harbor always completes");
         let plan = SourcePlan::build(sources.points());
-        let want = executor::execute_cpu(&plan, &targets, 0.9, &[weights], &cpu);
+        let want = executor::execute_cpu(&plan, &targets, 0.9, &[weights]);
         for (i, (g, w)) in got.iter().zip(want[0].iter()).enumerate() {
             assert_eq!(g.to_bits(), w.to_bits(), "row {i}: CPU rung is bit-exact");
         }
@@ -1661,7 +1656,6 @@ mod tests {
             smem_rate: 4.0,
             ..Default::default()
         });
-        let cpu = cfg.cpu;
         let mut srv = Server::start(cfg);
         let q = query(&sources, &targets, 73);
         let weights = q.weights.clone();
@@ -1671,7 +1665,7 @@ mod tests {
         srv.resume();
         let got = t.wait().expect("ladder always completes");
         let plan = SourcePlan::build(sources.points());
-        let want = executor::execute_cpu(&plan, &targets, 0.9, &[weights], &cpu);
+        let want = executor::execute_cpu(&plan, &targets, 0.9, &[weights]);
         for (i, (g, w)) in got.iter().zip(want[0].iter()).enumerate() {
             assert!(
                 (g - w).abs() <= 5e-3 * w.abs().max(1.0),
@@ -1813,13 +1807,7 @@ mod tests {
         assert_eq!(report.completed, 1);
         // The answer is the bit-exact CPU result.
         let plan = SourcePlan::build(q.sources.points());
-        let want = executor::execute_cpu(
-            &plan,
-            &q.targets,
-            q.h,
-            std::slice::from_ref(&q.weights),
-            &FusedCpuConfig::default(),
-        );
+        let want = executor::execute_cpu(&plan, &q.targets, q.h, std::slice::from_ref(&q.weights));
         for (a, b) in got.iter().zip(want[0].iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }

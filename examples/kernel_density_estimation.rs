@@ -54,7 +54,7 @@ fn main() {
     let t_fused = t.elapsed();
 
     println!("cpu unfused: {t_unfused:?} (allocates a {n_queries}x{n_samples} intermediate)");
-    println!("cpu fused  : {t_fused:?} (intermediate stays in cache blocks)");
+    println!("cpu fused  : {t_fused:?} (no intermediate in memory)");
     assert!(max_rel_error(&sums_fused, &sums_unfused) < 1e-3);
 
     // Normalise to densities.

@@ -349,19 +349,27 @@ fn injected_launch_fault_fails_with_runtime_error_not_panic() {
 
 #[test]
 fn solve_succeeds_on_a_tiny_problem() {
-    let out = ksum(&[
-        "solve",
-        "--m",
-        "64",
-        "--n",
-        "32",
-        "--k",
-        "4",
-        "--backend",
-        "cpu-fused",
-    ]);
-    assert_eq!(out.status.code(), Some(0));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("done in"));
+    // The gpu-sim backends take the Gaussian's bandwidth as given, so a
+    // bandwidth whose kernel value at d² = 1 underflows (0.05) or
+    // rounds to 1 (5000) solves too.
+    let mut cases = vec![vec!["--backend", "cpu-fused"]];
+    for backend in ["gpu-fused", "gpu-cuda-unfused", "gpu-cublas-unfused"] {
+        for h in ["0.05", "5000"] {
+            cases.push(vec!["--backend", backend, "--h", h]);
+        }
+    }
+    for case in cases {
+        let mut args = vec!["solve", "--m", "64", "--n", "32", "--k", "4"];
+        args.extend(&case);
+        let out = ksum(&args);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{case:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(String::from_utf8_lossy(&out.stdout).contains("done in"));
+    }
 }
 
 #[test]

@@ -4,7 +4,6 @@
 use kernel_summation::core::cpu_fused::{self, FusedCpuConfig};
 use kernel_summation::core::{cpu_unfused, reference};
 use kernel_summation::prelude::*;
-use ks_blas::GemmConfig;
 use proptest::prelude::*;
 
 fn build_problem(m: usize, n: usize, k: usize, h: f32, seed: u64) -> KernelSumProblem {
@@ -47,14 +46,13 @@ proptest! {
         n in 1usize..120,
         k in 1usize..24,
         mb in 1usize..40,
-        nb in 1usize..40,
         seed in 0u64..1000,
     ) {
         let p = build_problem(m, n, k, 1.0, seed);
         let base = cpu_fused::solve(&p, &FusedCpuConfig::default());
         let alt = cpu_fused::solve(
             &p,
-            &FusedCpuConfig { mb, nb, gemm: GemmConfig { mc: 16, kc: 8, nc: 16 } },
+            &FusedCpuConfig { mb, kc: 8 },
         );
         prop_assert!(max_rel_error(&alt, &base) < 2e-3);
     }
